@@ -70,6 +70,10 @@ mod ts;
 mod twophase;
 
 pub use bundle_impl::{Bundle, BundleIter, PendingEntry, PENDING_TS, TOMBSTONE_TS};
+/// The workspace's one cache-line padding wrapper (the `crossbeam-utils`
+/// shim), re-exported so crates above the kernel pad shared words with
+/// the same type instead of growing a dependency edge each.
+pub use crossbeam_utils::CachePadded;
 pub use ctx::{ReadLease, RqContext};
 pub use cursor::{CursorStats, PrepareCursor};
 pub use linearize::{

@@ -247,6 +247,10 @@ pub struct StagedOutcomes<K> {
     /// super-batch records hundreds of staged keys per shard, and the
     /// prepare path must stay linear in the batch size.
     entries: BTreeMap<K, (Option<usize>, Option<usize>)>,
+    /// The last [`StagedOutcomes::expected_now`] projection — one buffer
+    /// reused by every validate call of the transaction on this
+    /// structure.
+    projected: Vec<(K, usize)>,
     /// `false` for write-only pipelines (no read set, no validate phase):
     /// [`StagedOutcomes::record`] becomes a no-op, sparing every staged
     /// op a map insert that nothing will ever read. Group commits and
@@ -266,6 +270,7 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
     pub fn new() -> Self {
         StagedOutcomes {
             entries: BTreeMap::new(),
+            projected: Vec::new(),
             recording: true,
         }
     }
@@ -276,6 +281,7 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
     pub fn disabled() -> Self {
         StagedOutcomes {
             entries: BTreeMap::new(),
+            projected: Vec::new(),
             recording: false,
         }
     }
@@ -306,42 +312,81 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
         self.entries.is_empty()
     }
 
+    /// The validate-phase verdict for a **single-key** read (`low == high`)
+    /// of a key this transaction also staged a write for, decided from
+    /// the staged images alone — `None` when the read is a range or the
+    /// key was not written (the caller walks and locks as usual).
+    ///
+    /// Sound without a walk because the prepare already holds the lock
+    /// that pins the key until finalize/abort (no-op outcome pinning): the
+    /// present node for an insert that found the key, the victim and its
+    /// predecessor for a remove, the gap parent for a remove that missed
+    /// or an insert that linked a new node. So the only thing left to
+    /// check is the window *before* the prepare: the read is current iff
+    /// the node it recorded is the prepare's `pre` image (both absent, or
+    /// the same immutable node); anything else is a foreign commit to the
+    /// key between the leased read and the prepare —
+    /// [`TxnValidateError::Invalidated`]. This is exactly the per-key
+    /// check [`StagedOutcomes::expected_now`] makes; the walk it would
+    /// feed could only re-find the transaction's own locked `now` image.
+    pub fn covered_read(
+        &self,
+        low: &K,
+        high: &K,
+        recorded: &[(K, usize)],
+    ) -> Option<Result<(), TxnValidateError>> {
+        if low != high {
+            return None;
+        }
+        let (pre, _) = self.entries.get(low)?;
+        debug_assert!(recorded.len() <= 1 && recorded.iter().all(|e| e.0 == *low));
+        Some(if recorded.first().map(|e| e.1) == *pre {
+            Ok(())
+        } else {
+            Err(TxnValidateError::Invalidated)
+        })
+    }
+
     /// Project the `(key, node)` list a validate-phase walk of the current
     /// (eagerly modified) structure should find in `low..=high`, given
     /// that `recorded` — the committed content of that range at the
-    /// transaction's read timestamp — is still current.
+    /// transaction's read timestamp, in ascending key order — is still
+    /// current.
     ///
     /// For every staged key inside the range, the recorded read and the
     /// prepare's `pre` image must agree (both saw the key absent, or both
     /// saw the *same* node); a disagreement means a foreign update
     /// committed between the read and the prepare, so the read set is
     /// stale ([`TxnValidateError::Invalidated`]). Agreeing entries are
-    /// substituted by their `now` image.
+    /// substituted by their `now` image. One merge pass over the two
+    /// sorted inputs into a buffer the outcome set keeps and reuses; the
+    /// returned slice is valid until the next call.
     pub fn expected_now(
-        &self,
+        &mut self,
         low: &K,
         high: &K,
         recorded: &[(K, usize)],
-    ) -> Result<Vec<(K, usize)>, TxnValidateError> {
+    ) -> Result<&[(K, usize)], TxnValidateError> {
         debug_assert!(
             self.recording,
             "a write-only (disabled) outcome set recorded nothing to project"
         );
-        let mut projected: BTreeMap<K, usize> = recorded.iter().copied().collect();
+        let out = &mut self.projected;
+        out.clear();
+        let mut rec = recorded.iter().copied().peekable();
         for (key, (pre, now)) in self.entries.range(*low..=*high) {
-            if projected.get(key).copied() != *pre {
+            while let Some(e) = rec.next_if(|e| e.0 < *key) {
+                out.push(e);
+            }
+            if rec.next_if(|e| e.0 == *key).map(|e| e.1) != *pre {
                 return Err(TxnValidateError::Invalidated);
             }
-            match now {
-                Some(n) => {
-                    projected.insert(*key, *n);
-                }
-                None => {
-                    projected.remove(key);
-                }
+            if let Some(n) = now {
+                out.push((*key, *n));
             }
         }
-        Ok(projected.into_iter().collect())
+        out.extend(rec);
+        Ok(out)
     }
 }
 
@@ -516,26 +561,54 @@ mod tests {
 
         // Recorded read agrees with every pre image: the projection swaps
         // in the now images.
-        let recorded = vec![(20, 200), (30, 300), (40, 400)];
+        let recorded = vec![(5, 50), (20, 200), (30, 300), (40, 400)];
         let expected = st.expected_now(&0, &50, &recorded).unwrap();
-        assert_eq!(expected, vec![(10, 100), (30, 301), (40, 400)]);
+        assert_eq!(expected, [(5, 50), (10, 100), (30, 301), (40, 400)]);
 
-        // Staged keys outside the validated range are ignored.
+        // Staged keys outside the validated range are ignored (and the
+        // reused buffer holds only the latest projection).
         let narrow = st.expected_now(&35, &50, &[(40, 400)]).unwrap();
-        assert_eq!(narrow, vec![(40, 400)]);
+        assert_eq!(narrow, [(40, 400)]);
 
         // The read saw a *different* node for key 20 than the prepare
         // removed: a foreign update slipped in between — stale.
         let stale = vec![(20, 999), (30, 300)];
         assert_eq!(
-            st.expected_now(&0, &50, &stale),
+            st.expected_now(&0, &50, &stale).map(<[_]>::to_vec),
             Err(TxnValidateError::Invalidated)
         );
         // The read saw key 10 present but the prepare created it: stale.
         assert_eq!(
-            st.expected_now(&0, &50, &[(10, 100), (20, 200), (30, 300)]),
+            st.expected_now(&0, &50, &[(10, 100), (20, 200), (30, 300)])
+                .map(<[_]>::to_vec),
             Err(TxnValidateError::Invalidated)
         );
+    }
+
+    #[test]
+    fn covered_read_decides_single_key_reads_of_written_keys() {
+        let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
+        st.record(10, None, Some(100)); // insert of an absent key
+        st.record(20, Some(200), None); // upsert: remove 200 ...
+        st.record(20, None, Some(201)); // ... insert 201 (keeps pre = 200)
+        st.record(30, None, None); // remove that missed
+
+        // Not covered: ranges, and keys the transaction did not write.
+        assert_eq!(st.covered_read(&10, &20, &[]), None);
+        assert_eq!(st.covered_read(&15, &15, &[]), None);
+        // Covered and current: the read saw what the prepare found.
+        assert_eq!(st.covered_read(&10, &10, &[]), Some(Ok(())));
+        assert_eq!(st.covered_read(&20, &20, &[(20, 200)]), Some(Ok(())));
+        assert_eq!(st.covered_read(&30, &30, &[]), Some(Ok(())));
+        // Covered and stale: a foreign commit between read and prepare.
+        let stale = Some(Err(TxnValidateError::Invalidated));
+        assert_eq!(st.covered_read(&10, &10, &[(10, 999)]), stale);
+        assert_eq!(st.covered_read(&20, &20, &[(20, 199)]), stale);
+        assert_eq!(st.covered_read(&20, &20, &[]), stale);
+        // A write-only set recorded nothing, so nothing is covered.
+        let mut off: StagedOutcomes<u64> = StagedOutcomes::disabled();
+        off.record(10, None, Some(100));
+        assert_eq!(off.covered_read(&10, &10, &[]), None);
     }
 
     #[test]

@@ -594,6 +594,15 @@ pub struct ShardTxn<K, V> {
     /// records *two* keys: the removed key and the relocated successor
     /// (whose node identity changes to the fresh copy).
     staged: StagedOutcomes<K>,
+    /// Buffers of [`BundledCitrusTree::txn_validate`], reused across the
+    /// transaction's validate calls on this tree: the first walk, the
+    /// under-lock re-walk it is compared with, and the DFS stack of both.
+    walk: Vec<(K, usize)>,
+    verify: Vec<(K, usize)>,
+    stack: Vec<*mut Node<K, V>>,
+    /// Validate calls that had to walk and lock the tree (the rest were
+    /// decided by [`StagedOutcomes::covered_read`]).
+    validate_walks: usize,
 }
 
 enum CitrusUndo<K, V> {
@@ -638,6 +647,14 @@ impl<K, V> ShardTxn<K, V> {
     pub fn is_empty(&self) -> bool {
         self.undo.is_empty() && self.core.is_empty()
     }
+
+    /// Number of `txn_validate` calls on this token that walked and
+    /// locked the tree; reads of keys the transaction wrote are decided
+    /// from the staged images and do not count.
+    #[must_use]
+    pub fn validate_walks(&self) -> usize {
+        self.validate_walks
+    }
 }
 
 impl<K, V> BundledCitrusTree<K, V>
@@ -651,6 +668,10 @@ where
             core: TwoPhaseState::new(tid),
             undo: Vec::new(),
             staged: StagedOutcomes::new(),
+            walk: Vec::new(),
+            verify: Vec::new(),
+            stack: Vec::new(),
+            validate_walks: 0,
         }
     }
 
@@ -663,9 +684,8 @@ where
     /// violation (debug-asserted in `StagedOutcomes`).
     pub fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<K, V> {
         ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
             staged: StagedOutcomes::disabled(),
+            ..self.txn_begin(tid)
         }
     }
 
@@ -675,6 +695,51 @@ where
         // Safety: `node` is reachable (caller pins EBR) and a locked node
         // is never retired — every remover must lock its victim first.
         unsafe { txn.core.lock(node, &(*node).lock) }
+    }
+
+    /// Pin the gap a staged remove is about to leave behind when its
+    /// victim has a subtree on the `toward`-opposite side rooted at
+    /// `from`: once the victim is spliced out, a re-insert of its key
+    /// hangs off that subtree's extreme node in direction `toward` (the
+    /// key's in-order neighbour), **not** off any node the remove itself
+    /// locks — so without this lock a foreign insert of the removed key
+    /// could commit between the prepare and the transaction's timestamp,
+    /// and snapshots in between would see the key twice. Locks that
+    /// extreme node and re-checks it under the lock (unmarked nodes never
+    /// move and only grow at null slots, so an unmarked extreme with a
+    /// null `toward` child is still the subtree's extreme).
+    ///
+    /// `Ok(Some(acquired))` = pinned (`acquired`: the lock was not held
+    /// before); `Ok(None)` = the walk was torn and the lock released
+    /// again, the caller retries its whole seek.
+    fn txn_pin_gap(
+        &self,
+        txn: &mut ShardTxn<K, V>,
+        from: *mut Node<K, V>,
+        toward: usize,
+    ) -> Result<Option<bool>, Conflict> {
+        // SAFETY (both derefs): `from` hangs off a node the caller holds
+        // locked and the cursor's EBR pin keeps every node reached from
+        // it allocated.
+        let mut gap = from;
+        loop {
+            let next = unsafe { &*gap }.child[toward].load(Ordering::Acquire);
+            if next.is_null() {
+                break;
+            }
+            gap = next;
+        }
+        let newly = self.txn_lock(txn, gap)?;
+        let g = unsafe { &*gap };
+        if g.marked.load(Ordering::Acquire) || !g.child[toward].load(Ordering::Acquire).is_null() {
+            if newly {
+                txn.core.unlock_latest(1);
+                return Ok(None);
+            }
+            // A node we hold locked cannot be invalidated by others.
+            return Err(Conflict);
+        }
+        Ok(Some(newly))
     }
 
     /// Open a [`ShardCursor`] over `txn`: the positional batch-staging
@@ -697,54 +762,55 @@ where
         }
     }
 
-    /// Largest node with `key < bound` (`below = true`) or smallest node
-    /// with `key > bound` (`below = false`), over the newest pointers; the
-    /// sentinel root when no such node exists. These are the *boundary
-    /// pins* of a validated range: a BST insert's parent is always the new
-    /// key's in-order predecessor or successor, so locking every in-range
-    /// node plus these two boundaries blocks every possible insert into
-    /// the range (the empty-tree degenerate case pins the root itself,
-    /// which every first insert must lock).
-    fn find_boundary(&self, bound: &K, below: bool) -> *mut Node<K, V> {
-        let mut best = self.root;
-        let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if below {
-                if c.key < *bound {
-                    best = curr;
-                    curr = c.child[RIGHT].load(Ordering::Acquire);
-                } else {
-                    curr = c.child[LEFT].load(Ordering::Acquire);
-                }
-            } else if c.key > *bound {
-                best = curr;
-                curr = c.child[LEFT].load(Ordering::Acquire);
-            } else {
-                curr = c.child[RIGHT].load(Ordering::Acquire);
-            }
-        }
-        best
-    }
-
-    /// Collect every in-range node over the newest child pointers, sorted
-    /// by key. `false` = a marked node was encountered — some removal is
+    /// One pruned DFS over the newest child pointers: collects every node
+    /// of `low..=high` into `acc` (sorted by key) and returns the range's
+    /// two in-order neighbours `[pred_lo, succ_hi]` — the largest node
+    /// below `low` and the smallest above `high`, the sentinel root where
+    /// a side has none. The descent towards the range passes through both
+    /// (each is on the search path of its bound, or of an in-range node's
+    /// outer subtree, all of which the DFS follows), so they are the
+    /// extreme out-of-range keys it meets.
+    ///
+    /// These are the *boundary pins* of a validated range: a BST insert's
+    /// parent is always the new key's in-order predecessor or successor,
+    /// so locking every in-range node plus these two blocks every possible
+    /// insert into the range (the empty-tree degenerate case pins the root
+    /// itself, which every first insert must lock).
+    ///
+    /// `None` = a marked node was encountered — some removal is
     /// mid-critical-section (or the traversal followed a stale pointer
     /// into one), so the observation is torn and the caller must retry.
-    fn collect_range_newest(&self, low: &K, high: &K, acc: &mut Vec<(K, usize)>) -> bool {
+    fn walk_range_newest(
+        &self,
+        low: &K,
+        high: &K,
+        acc: &mut Vec<(K, usize)>,
+        stack: &mut Vec<*mut Node<K, V>>,
+    ) -> Option<[*mut Node<K, V>; 2]> {
+        // SAFETY (every deref below): the caller holds an EBR pin, so
+        // each node reached through child pointers stays allocated, and
+        // the sentinel root lives as long as the tree.
         acc.clear();
-        let mut stack = vec![unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire)];
+        stack.clear();
+        let (mut pred_lo, mut succ_hi) = (self.root, self.root);
+        stack.push(unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire));
         while let Some(p) = stack.pop() {
             if p.is_null() {
                 continue;
             }
             let n = unsafe { &*p };
             if n.marked.load(Ordering::Acquire) {
-                return false;
+                return None;
             }
             if n.key < *low {
+                if pred_lo == self.root || unsafe { &*pred_lo }.key < n.key {
+                    pred_lo = p;
+                }
                 stack.push(n.child[RIGHT].load(Ordering::Acquire));
             } else if n.key > *high {
+                if succ_hi == self.root || n.key < unsafe { &*succ_hi }.key {
+                    succ_hi = p;
+                }
                 stack.push(n.child[LEFT].load(Ordering::Acquire));
             } else {
                 acc.push((n.key, p as usize));
@@ -753,30 +819,38 @@ where
             }
         }
         acc.sort_unstable_by_key(|a| a.0);
-        true
+        Some([pred_lo, succ_hi])
     }
 
     /// Validate one recorded read range of a read-write transaction and
     /// **pin it until commit**. Must run after every staged write of the
     /// transaction on this structure, under the store's shard intent lock.
     ///
-    /// The pass walks the live tree, locks every in-range node plus the
-    /// range's in-order boundary neighbors ([`Self::find_boundary`]; the
-    /// sentinel root when a side has none), re-walks to confirm the locked
-    /// picture is stable, and compares the `(key, node)` list against the
-    /// recorded read adjusted for the transaction's own staged writes
+    /// A single-key read of a key the transaction also wrote is decided
+    /// from the staged images alone ([`StagedOutcomes::covered_read`]):
+    /// the prepare already holds the locks pinning that key, so nothing
+    /// is walked or locked. Every other read takes the full pass: one
+    /// walk of the live tree finds the in-range nodes and the range's two
+    /// in-order boundary neighbours ([`Self::walk_range_newest`]; the
+    /// sentinel root where a side has none), all of them are locked, a
+    /// second walk under the locks confirms the picture is stable, and
+    /// the `(key, node)` list is compared against the recorded read
+    /// adjusted for the transaction's own staged writes
     /// ([`StagedOutcomes::expected_now`]). Lock contention surfaces as
     /// [`TxnValidateError::Conflict`] (the store rolls back and retries);
     /// a stable mismatch is a foreign commit inside the range since the
-    /// leased read timestamp — [`TxnValidateError::Invalidated`].
+    /// leased read timestamp — [`TxnValidateError::Invalidated`]. Both
+    /// walks, their DFS stack and the projection reuse buffers kept in
+    /// the token.
     ///
-    /// Phantom safety: with all in-range nodes and both boundaries locked,
-    /// any insert of an in-range key needs its in-order predecessor or
-    /// successor — a locked node — as parent, every in-range remove needs
-    /// its victim's lock, and every relocation (two-children remove of an
-    /// outside key) needs the relocated successor's lock. All block until
-    /// the transaction finalizes, so the reads hold at the commit
-    /// timestamp.
+    /// Phantom safety: with all in-range nodes and both boundaries locked
+    /// (and the second walk having re-derived exactly the same nodes and
+    /// boundaries under those locks), any insert of an in-range key needs
+    /// its in-order predecessor or successor — a locked node — as parent,
+    /// every in-range remove needs its victim's lock, and every relocation
+    /// (two-children remove of an outside key) needs the relocated
+    /// successor's lock. All block until the transaction finalizes, so the
+    /// reads hold at the commit timestamp.
     pub fn txn_validate(
         &self,
         txn: &mut ShardTxn<K, V>,
@@ -784,48 +858,54 @@ where
         high: &K,
         recorded: &[(K, usize)],
     ) -> Result<(), TxnValidateError> {
-        let expected = txn.staged.expected_now(low, high, recorded)?;
-        let _guard = self.pin(txn.core.tid());
-        let mut walk: Vec<(K, usize)> = Vec::new();
-        let mut verify: Vec<(K, usize)> = Vec::new();
+        if let Some(verdict) = txn.staged.covered_read(low, high, recorded) {
+            return verdict;
+        }
+        txn.validate_walks += 1;
+        let ShardTxn {
+            core,
+            staged,
+            walk,
+            verify,
+            stack,
+            ..
+        } = txn;
+        let expected = staged.expected_now(low, high, recorded)?;
+        let _guard = self.pin(core.tid());
         'attempt: for _ in 0..bundle::MAX_VALIDATE_ATTEMPTS {
             let mut newly = 0usize;
-            if !self.collect_range_newest(low, high, &mut walk) {
+            let Some(bounds) = self.walk_range_newest(low, high, walk, stack) else {
                 continue;
-            }
-            let pred_lo = self.find_boundary(low, true);
-            let succ_hi = self.find_boundary(high, false);
+            };
             for node in walk
                 .iter()
                 .map(|(_, n)| *n as *mut Node<K, V>)
-                .chain([pred_lo, succ_hi])
+                .chain(bounds)
             {
-                match self.txn_lock(txn, node) {
+                // SAFETY: `node` was reached under the EBR pin above, and
+                // a locked node is never retired.
+                match unsafe { core.lock(node, &(*node).lock) } {
                     Ok(true) => newly += 1,
                     Ok(false) => {}
                     Err(Conflict) => {
-                        txn.core.unlock_latest(newly);
+                        core.unlock_latest(newly);
                         return Err(TxnValidateError::Conflict);
                     }
                 }
                 if node != self.root && unsafe { &*node }.marked.load(Ordering::Acquire) {
-                    txn.core.unlock_latest(newly);
+                    core.unlock_latest(newly);
                     continue 'attempt;
                 }
             }
             // With the locks held, the picture must be stable: re-walk and
             // re-derive the boundaries. Any difference means an update was
             // mid-flight during the first walk — retry.
-            if !self.collect_range_newest(low, high, &mut verify)
-                || verify != walk
-                || self.find_boundary(low, true) != pred_lo
-                || self.find_boundary(high, false) != succ_hi
-            {
-                txn.core.unlock_latest(newly);
+            if self.walk_range_newest(low, high, verify, stack) != Some(bounds) || verify != walk {
+                core.unlock_latest(newly);
                 continue 'attempt;
             }
-            if walk != expected {
-                txn.core.unlock_latest(newly);
+            if walk[..] != *expected {
+                core.unlock_latest(newly);
                 return Err(TxnValidateError::Invalidated);
             }
             return Ok(());
@@ -1070,6 +1150,34 @@ where
             }
             let left = curr_ref.child[LEFT].load(Ordering::Acquire);
             let right = curr_ref.child[RIGHT].load(Ordering::Acquire);
+
+            // Pin the gap the removed key leaves behind (`txn_pin_gap`).
+            // With a left subtree it moves under that subtree's rightmost
+            // node — also after a two-children replace, whose copy holds
+            // a larger key; with only a right subtree, under its
+            // leftmost; with neither it stays under `pred`, already
+            // locked.
+            let gap = if !left.is_null() {
+                Some((left, RIGHT))
+            } else if !right.is_null() {
+                Some((right, LEFT))
+            } else {
+                None
+            };
+            if let Some((from, toward)) = gap {
+                match tree.txn_pin_gap(txn, from, toward) {
+                    Ok(Some(acquired)) => newly += usize::from(acquired),
+                    Ok(None) => {
+                        txn.core.unlock_latest(newly);
+                        self.spine.clear();
+                        continue;
+                    }
+                    Err(c) => {
+                        txn.core.unlock_latest(newly);
+                        return Err(c);
+                    }
+                }
+            }
 
             if left.is_null() || right.is_null() {
                 // Cases 1 & 2: splice the only child (or null) into pred.
@@ -1973,6 +2081,96 @@ mod tests {
             t.txn_validate(&mut txn, &0, &100, &nodes),
             Err(TxnValidateError::Invalidated)
         );
+        t.txn_abort(txn);
+    }
+
+    #[test]
+    fn staged_remove_with_children_pins_the_removed_key() {
+        // A staged remove whose victim has children moves the key's gap
+        // into a subtree none of the remove's own locks cover. Without
+        // the extra pin a foreign insert of the removed key commits
+        // *before* the transaction's timestamp and snapshots in between
+        // see the key twice. Shapes: left child only, right child only,
+        // two children (gap parent = left subtree's rightmost, 40).
+        for shape in [&[50u64, 30][..], &[50, 70], &[50, 30, 70, 40, 60]] {
+            let ctx = bundle::RqContext::new(3);
+            let t = BundledCitrusTree::<u64, u64>::with_context(3, ReclaimMode::Reclaim, &ctx);
+            for &k in shape {
+                t.insert(0, k, k);
+            }
+            let mut cur = t.txn_cursor(t.txn_begin(0));
+            assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
+            let txn = cur.finish();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::scope(|s| {
+                let t = &t;
+                s.spawn(move || tx.send(t.insert(1, 50, 999)).unwrap());
+                assert!(
+                    rx.recv_timeout(std::time::Duration::from_millis(100))
+                        .is_err(),
+                    "{shape:?}: re-insert of a key whose remove is still staged went through"
+                );
+                let ts = ctx.advance(0);
+                t.txn_finalize(txn, ts);
+                assert_eq!(
+                    rx.recv(),
+                    Ok(true),
+                    "{shape:?}: insert lands after the commit"
+                );
+            });
+            let mut scan = Vec::new();
+            t.range_query(2, &0, &100, &mut scan);
+            let mut expect: Vec<(u64, u64)> = shape.iter().map(|&k| (k, k)).collect();
+            expect.sort_unstable();
+            expect.iter_mut().find(|e| e.0 == 50).unwrap().1 = 999;
+            assert_eq!(scan, expect, "{shape:?}");
+        }
+    }
+
+    #[test]
+    fn covered_read_of_a_relocated_successor_validates_without_a_walk() {
+        let ctx = bundle::RqContext::new(2);
+        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
+        for k in [50u64, 25, 75, 60, 90, 55] {
+            t.insert(0, k, k);
+        }
+        let lease = ctx.lease_read(1);
+        let (mut read55, mut read60) = (Vec::new(), Vec::new());
+        assert_eq!(t.txn_read(1, lease.ts(), &55, &mut read55), Some(55));
+        assert_eq!(t.txn_read(1, lease.ts(), &60, &mut read60), Some(60));
+        // Removing 50 (two children) relocates its successor 55 into a
+        // fresh copy: the read of 55 recorded the *old* node, which is the
+        // relocation's staged `pre` image, and the copy is locked by the
+        // transaction — covered, no walk.
+        let mut cur = t.txn_cursor(t.txn_begin(1));
+        assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
+        let mut txn = cur.finish();
+        assert_eq!(t.txn_validate(&mut txn, &55, &55, &read55), Ok(()));
+        assert_eq!(txn.validate_walks(), 0);
+        // A key the transaction did not touch still takes the full pass.
+        assert_eq!(t.txn_validate(&mut txn, &60, &60, &read60), Ok(()));
+        assert_eq!(txn.validate_walks(), 1);
+        let ts = ctx.advance(1);
+        t.txn_finalize(txn, ts);
+        drop(lease);
+        let mut scan = Vec::new();
+        t.range_query(0, &0, &100, &mut scan);
+        assert_eq!(scan, vec![(25, 25), (55, 55), (60, 60), (75, 75), (90, 90)]);
+
+        // A *foreign* relocation between the read and the prepare changes
+        // the key's node identity: the covered read goes stale.
+        let lease = ctx.lease_read(1);
+        let mut read90 = Vec::new();
+        assert_eq!(t.txn_read(1, lease.ts(), &90, &mut read90), Some(90));
+        assert!(t.remove(0, &75), "two children: relocates 90");
+        let mut cur = t.txn_cursor(t.txn_begin(1));
+        assert_eq!(cur.seek_prepare_remove(&90), Ok(true));
+        let mut txn = cur.finish();
+        assert_eq!(
+            t.txn_validate(&mut txn, &90, &90, &read90),
+            Err(TxnValidateError::Invalidated)
+        );
+        assert_eq!(txn.validate_walks(), 0);
         t.txn_abort(txn);
     }
 

@@ -409,6 +409,9 @@ pub struct ShardTxn<K, V> {
     /// [`BundledLazyList::txn_validate`] to reconcile the transaction's
     /// own eager changes with its recorded reads.
     staged: StagedOutcomes<K>,
+    /// Validate calls that had to walk and lock the structure (the rest
+    /// were decided by [`StagedOutcomes::covered_read`]).
+    validate_walks: usize,
 }
 
 enum LazyUndo<K, V> {
@@ -439,6 +442,14 @@ impl<K, V> ShardTxn<K, V> {
     pub fn is_empty(&self) -> bool {
         self.undo.is_empty() && self.core.is_empty()
     }
+
+    /// Number of `txn_validate` calls on this token that walked and
+    /// locked the structure; reads of keys the transaction wrote are
+    /// decided from the staged images and do not count.
+    #[must_use]
+    pub fn validate_walks(&self) -> usize {
+        self.validate_walks
+    }
 }
 
 impl<K, V> BundledLazyList<K, V>
@@ -452,6 +463,7 @@ where
             core: TwoPhaseState::new(tid),
             undo: Vec::new(),
             staged: StagedOutcomes::new(),
+            validate_walks: 0,
         }
     }
 
@@ -464,9 +476,8 @@ where
     /// violation (debug-asserted in `StagedOutcomes`).
     pub fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<K, V> {
         ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
             staged: StagedOutcomes::disabled(),
+            ..self.txn_begin(tid)
         }
     }
 
@@ -518,6 +529,12 @@ where
     /// in-range gap needs one of the locked nodes as predecessor, and a
     /// remove needs its victim's lock — both block until the transaction
     /// finishes, exactly like the no-op outcome pinning of the write path.
+    ///
+    /// A single-key read of a key the transaction also wrote returns
+    /// before any of that ([`StagedOutcomes::covered_read`]): the prepare
+    /// already holds the lock pinning the key (found node, victim plus
+    /// predecessor, or the gap predecessor), so only the recorded node is
+    /// compared against the staged `pre` image.
     pub fn txn_validate(
         &self,
         txn: &mut ShardTxn<K, V>,
@@ -525,11 +542,15 @@ where
         high: &K,
         recorded: &[(K, usize)],
     ) -> Result<(), TxnValidateError> {
+        if let Some(verdict) = txn.staged.covered_read(low, high, recorded) {
+            return verdict;
+        }
+        txn.validate_walks += 1;
         let expected = txn.staged.expected_now(low, high, recorded)?;
         let _guard = self.pin(txn.core.tid());
         bundle::validate_chain(
             &mut txn.core,
-            &expected,
+            expected,
             high,
             self.tail,
             || self.traverse(low),

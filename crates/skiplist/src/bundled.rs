@@ -547,6 +547,9 @@ pub struct ShardTxn<K, V> {
     /// Per-key pre/post images of the staged writes, consumed by
     /// [`BundledSkipList::txn_validate`].
     staged: StagedOutcomes<K>,
+    /// Validate calls that had to walk and lock the structure (the rest
+    /// were decided by [`StagedOutcomes::covered_read`]).
+    validate_walks: usize,
 }
 
 enum SkipUndo<K, V> {
@@ -575,6 +578,14 @@ impl<K, V> ShardTxn<K, V> {
     pub fn is_empty(&self) -> bool {
         self.undo.is_empty() && self.core.is_empty()
     }
+
+    /// Number of `txn_validate` calls on this token that walked and
+    /// locked the structure; reads of keys the transaction wrote are
+    /// decided from the staged images and do not count.
+    #[must_use]
+    pub fn validate_walks(&self) -> usize {
+        self.validate_walks
+    }
 }
 
 impl<K, V> BundledSkipList<K, V>
@@ -588,6 +599,7 @@ where
             core: TwoPhaseState::new(tid),
             undo: Vec::new(),
             staged: StagedOutcomes::new(),
+            validate_walks: 0,
         }
     }
 
@@ -600,9 +612,8 @@ where
     /// violation (debug-asserted in `StagedOutcomes`).
     pub fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<K, V> {
         ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
             staged: StagedOutcomes::disabled(),
+            ..self.txn_begin(tid)
         }
     }
 
@@ -703,6 +714,12 @@ where
     /// the range until finalize/abort — every insert of an in-range key
     /// must link level 0 through one of them, and every remove must lock
     /// its victim.
+    ///
+    /// A single-key read of a key the transaction also wrote returns
+    /// before any of that ([`StagedOutcomes::covered_read`]): the prepare
+    /// already holds the lock pinning the key (found node, victim plus
+    /// level-0 predecessor, or the level-0 gap), so only the recorded
+    /// node is compared against the staged `pre` image.
     pub fn txn_validate(
         &self,
         txn: &mut ShardTxn<K, V>,
@@ -710,11 +727,15 @@ where
         high: &K,
         recorded: &[(K, usize)],
     ) -> Result<(), TxnValidateError> {
+        if let Some(verdict) = txn.staged.covered_read(low, high, recorded) {
+            return verdict;
+        }
+        txn.validate_walks += 1;
         let expected = txn.staged.expected_now(low, high, recorded)?;
         let _guard = self.pin(txn.core.tid());
         bundle::validate_chain(
             &mut txn.core,
-            &expected,
+            expected,
             high,
             self.tail,
             || {

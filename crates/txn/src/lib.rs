@@ -349,15 +349,17 @@ where
                 commit_ts: None,
             });
         }
-        let keys: Vec<K> = writes.keys().copied().collect();
-        let ops: Vec<TxnOp<K, V>> = writes
+        let (keys, ops): (Vec<K>, Vec<TxnOp<K, V>>) = writes
             .into_iter()
-            .map(|(k, w)| match w {
-                Staged::Put(v) => TxnOp::Put(k, v),
-                Staged::Set(v) => TxnOp::Set(k, v),
-                Staged::Remove => TxnOp::Remove(k),
+            .map(|(k, w)| {
+                let op = match w {
+                    Staged::Put(v) => TxnOp::Put(k, v),
+                    Staged::Set(v) => TxnOp::Set(k, v),
+                    Staged::Remove => TxnOp::Remove(k),
+                };
+                (k, op)
             })
-            .collect();
+            .unzip();
         let outcome = store.apply_rw_txn_ts(tid, &ops, &reads);
         // The snapshot (read lease + per-shard EBR pins) must survive
         // until validation finished comparing node identities; only now
