@@ -19,7 +19,8 @@
 //! * [`GlobalTimestamp`] — `globalTs`, including the relaxed (threshold-`T`)
 //!   variant evaluated in Appendix A,
 //! * [`Bundle`] / `BundleEntry` — Listing 1, with the *pending entry*
-//!   protocol of Algorithm 2 and the `DereferenceBundle` operation,
+//!   protocol of Algorithm 2 and the `DereferenceBundle` operation; the
+//!   newest entry is stored inline in the bundle, older ones on a chain,
 //! * [`linearize_update`] — Algorithm 1 (`LinearizeUpdateOperation`),
 //! * [`RqTracker`] — the `activeRqTsArray` used for bundle-entry
 //!   reclamation (Appendix B),

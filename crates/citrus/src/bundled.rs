@@ -411,13 +411,18 @@ where
 
     /// One optimistic attempt to collect the snapshot at `ts`: optimistic
     /// descent over the newest pointers to the subtree containing the
-    /// range, then a depth-first traversal strictly over bundles.
+    /// range, then an in-order traversal strictly over bundles.
     ///
     /// `None` means a node created after the snapshot was reached and the
-    /// caller must retry. The caller holds the EBR guard. Results are in
-    /// DFS order; the caller sorts.
-    fn try_collect_at(&self, ts: u64, low: &K, high: &K, out: &mut Vec<(K, V)>) -> Option<usize> {
-        out.clear();
+    /// caller must retry. The caller holds the EBR guard.
+    fn try_collect_at(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        stack: &mut Vec<*mut Node<K, V>>,
+        visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
         // Phase 1 (GetFirstNodeInRange): optimistic descent using the
         // newest pointers to the last node *outside* the range — its child
         // in direction `dir` roots the subtree containing every key of the
@@ -441,57 +446,67 @@ where
         }
 
         // Phase 2: enter the snapshot through the predecessor's bundle and
-        // run a depth-first traversal strictly over bundles.
+        // walk it strictly over bundles.
         let entry = unsafe { &*pred }.bundle[dir].dereference(ts)?;
-        self.dfs_collect_at(entry, ts, low, high, out, None)
+        self.walk_at(entry, ts, low, high, stack, visit)
     }
 
-    /// Bundle-only DFS from `entry` at snapshot `ts`, pruning by key.
-    /// `None` if any dereference fails (only possible when `entry` itself
-    /// was reached optimistically). When `nodes` is supplied, the address
-    /// of every collected node is recorded alongside (in the same DFS
-    /// order as `out`; the caller sorts both).
-    fn dfs_collect_at(
+    /// Guaranteed snapshot collection at `ts`: the bundle-only walk from
+    /// the sentinel root. Never restarts — the sentinel's bundles are
+    /// initialized at timestamp 0 and cleanup keeps every entry the oldest
+    /// announced snapshot needs.
+    fn collect_snapshot_at(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        stack: &mut Vec<*mut Node<K, V>>,
+        visit: impl FnMut(*mut Node<K, V>),
+    ) {
+        let entry = unsafe { &*self.root }.bundle[LEFT]
+            .dereference(ts)
+            .expect("root bundle must satisfy an announced snapshot");
+        self.walk_at(entry, ts, low, high, stack, visit)
+            .expect("snapshot walk must stay satisfiable");
+    }
+
+    /// Bundle-only **in-order** walk from `entry` at snapshot `ts`: calls
+    /// `visit` on every node of `low..=high` in ascending key order.
+    /// Descends left while the key is at least `low` (nothing left of a
+    /// smaller key is in range), visits on the way back up, and stops at
+    /// the first key above `high`. `None` if any dereference fails (only
+    /// possible when `entry` itself was reached optimistically).
+    fn walk_at(
         &self,
         entry: *mut Node<K, V>,
         ts: u64,
         low: &K,
         high: &K,
-        out: &mut Vec<(K, V)>,
-        mut nodes: Option<&mut Vec<(K, usize)>>,
-    ) -> Option<usize> {
-        let mut stack: Vec<*mut Node<K, V>> = vec![entry];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        stack: &mut Vec<*mut Node<K, V>>,
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
+        stack.clear();
+        let mut curr = entry;
+        loop {
+            while !curr.is_null() {
+                let node = unsafe { &*curr };
+                curr = if node.key < *low {
+                    node.bundle[RIGHT].dereference(ts)?
+                } else {
+                    stack.push(curr);
+                    node.bundle[LEFT].dereference(ts)?
+                };
             }
+            let Some(p) = stack.pop() else {
+                return Some(());
+            };
             let node = unsafe { &*p };
-            let k = node.key;
-            let follow = |d: usize, stack: &mut Vec<*mut Node<K, V>>| -> bool {
-                match node.bundle[d].dereference(ts) {
-                    Some(c) => {
-                        stack.push(c);
-                        true
-                    }
-                    None => false,
-                }
-            };
-            let ok = if k < *low {
-                follow(RIGHT, &mut stack)
-            } else if k > *high {
-                follow(LEFT, &mut stack)
-            } else {
-                out.push((k, node.val.clone().expect("data node has a value")));
-                if let Some(ns) = nodes.as_deref_mut() {
-                    ns.push((k, p as usize));
-                }
-                follow(LEFT, &mut stack) && follow(RIGHT, &mut stack)
-            };
-            if !ok {
-                return None;
+            if node.key > *high {
+                return Some(());
             }
+            visit(p);
+            curr = node.bundle[RIGHT].dereference(ts)?;
         }
-        Some(out.len())
     }
 
     /// Range query at a *caller-fixed* snapshot timestamp.
@@ -513,35 +528,32 @@ where
         out: &mut Vec<(K, V)>,
     ) -> usize {
         let _guard = self.pin(tid);
+        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
         // Optimistic attempts descend over the newest pointers; the fixed
-        // timestamp cannot be refreshed on failure, so fall back to a
-        // bundle-only DFS from the sentinel root, which always succeeds
-        // (the sentinel's bundles are initialized at timestamp 0 and
-        // cleanup keeps every entry the oldest announced snapshot needs).
+        // timestamp cannot be refreshed on failure, so fall back to the
+        // bundle-only walk from the sentinel root, which always succeeds.
         for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            if let Some(n) = self.try_collect_at(ts, low, high, out) {
-                out.sort_unstable_by_key(|a| a.0);
-                return n;
+            out.clear();
+            if self
+                .try_collect_at(ts, low, high, &mut stack, |p| out.push(key_value(p)))
+                .is_some()
+            {
+                return out.len();
             }
         }
         out.clear();
-        let entry = unsafe { &*self.root }.bundle[LEFT]
-            .dereference(ts)
-            .expect("root bundle must satisfy an announced snapshot");
-        let n = self
-            .dfs_collect_at(entry, ts, low, high, out, None)
-            .expect("snapshot DFS must stay satisfiable");
-        out.sort_unstable_by_key(|a| a.0);
-        n
+        self.collect_snapshot_at(ts, low, high, &mut stack, |p| out.push(key_value(p)));
+        out.len()
     }
 
     /// Transactional range read: collect `low..=high` as of snapshot `ts`
     /// exactly like [`Self::range_query_at`], additionally recording each
     /// collected node's address into `nodes` — the per-transaction **read
     /// set** that [`Self::txn_validate`] re-checks and pins at commit.
-    /// Both `out` and `nodes` come back sorted by key. Nodes are immutable
-    /// once created (even the two-children remove replaces its victim with
-    /// a fresh copy), so node identity doubles as value identity.
+    /// Both `out` and `nodes` come back in ascending key order. Nodes are
+    /// immutable once created (even the two-children remove replaces its
+    /// victim with a fresh copy), so node identity doubles as value
+    /// identity.
     ///
     /// Same contract as `range_query_at`, plus: the caller must hold an
     /// EBR pin on this structure from before the read lease until
@@ -558,25 +570,50 @@ where
         let _guard = self.pin(tid);
         out.clear();
         nodes.clear();
-        let entry = unsafe { &*self.root }.bundle[LEFT]
-            .dereference(ts)
-            .expect("root bundle must satisfy an announced snapshot");
-        let n = self
-            .dfs_collect_at(entry, ts, low, high, out, Some(nodes))
-            .expect("snapshot DFS must stay satisfiable");
-        out.sort_unstable_by_key(|a| a.0);
-        nodes.sort_unstable_by_key(|a| a.0);
-        n
+        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
+        self.collect_snapshot_at(ts, low, high, &mut stack, |p| {
+            let (k, v) = key_value(p);
+            out.push((k, v));
+            nodes.push((k, p as usize));
+        });
+        out.len()
     }
 
-    /// Transactional point read: [`Self::txn_range_read`] over the
-    /// degenerate range `[key, key]`, returning the value.
+    /// Transactional point read: what [`Self::txn_range_read`] over the
+    /// degenerate range `[key, key]` records and returns, found by one
+    /// bundle-only descent.
     pub fn txn_read(&self, tid: usize, ts: u64, key: &K, nodes: &mut Vec<(K, usize)>) -> Option<V> {
-        let mut out = Vec::with_capacity(1);
-        self.txn_range_read(tid, ts, key, key, &mut out, nodes);
-        out.pop().map(|(_, v)| v)
+        let _guard = self.pin(tid);
+        nodes.clear();
+        let mut curr = unsafe { &*self.root }.bundle[LEFT]
+            .dereference(ts)
+            .expect("root bundle must satisfy an announced snapshot");
+        while !curr.is_null() {
+            let node = unsafe { &*curr };
+            if node.key == *key {
+                nodes.push((node.key, curr as usize));
+                return node.val.clone();
+            }
+            let dir = if *key < node.key { LEFT } else { RIGHT };
+            curr = node.bundle[dir]
+                .dereference(ts)
+                .expect("snapshot walk must stay satisfiable");
+        }
+        None
     }
 }
+
+/// The `(key, value)` a snapshot walk reports for data node `p`.
+fn key_value<K: Copy, V: Clone>(p: *mut Node<K, V>) -> (K, V) {
+    // SAFETY: `p` was reached by a walk whose caller holds the EBR pin.
+    let node = unsafe { &*p };
+    (node.key, node.val.clone().expect("data node has a value"))
+}
+
+/// Initial capacity of a snapshot walk's ancestor stack: deeper than the
+/// expected height of a tree of a few million random keys, so a walk
+/// allocates once.
+const WALK_STACK_CAPACITY: usize = 64;
 
 /// Optimistic entry attempts a fixed-timestamp range query makes before
 /// falling back to the guaranteed bundle-only traversal.
@@ -596,7 +633,7 @@ pub struct ShardTxn<K, V> {
     staged: StagedOutcomes<K>,
     /// Buffers of [`BundledCitrusTree::txn_validate`], reused across the
     /// transaction's validate calls on this tree: the first walk, the
-    /// under-lock re-walk it is compared with, and the DFS stack of both.
+    /// under-lock re-walk it is compared with, and the ancestor stack of both.
     walk: Vec<(K, usize)>,
     verify: Vec<(K, usize)>,
     stack: Vec<*mut Node<K, V>>,
@@ -762,14 +799,15 @@ where
         }
     }
 
-    /// One pruned DFS over the newest child pointers: collects every node
-    /// of `low..=high` into `acc` (sorted by key) and returns the range's
-    /// two in-order neighbours `[pred_lo, succ_hi]` — the largest node
-    /// below `low` and the smallest above `high`, the sentinel root where
-    /// a side has none. The descent towards the range passes through both
-    /// (each is on the search path of its bound, or of an in-range node's
-    /// outer subtree, all of which the DFS follows), so they are the
-    /// extreme out-of-range keys it meets.
+    /// One pruned in-order walk over the newest child pointers: collects
+    /// every node of `low..=high` into `acc` in ascending key order and
+    /// returns the range's two in-order neighbours `[pred_lo, succ_hi]` —
+    /// the largest node below `low` and the smallest above `high`, the
+    /// sentinel root where a side has none. Same shape as
+    /// [`Self::walk_at`]: the nodes below `low` it steps over come in
+    /// ascending order (each hangs in the right subtree of the one before),
+    /// so the last of them is `pred_lo`, and the node it stops at is
+    /// `succ_hi`.
     ///
     /// These are the *boundary pins* of a validated range: a BST insert's
     /// parent is always the new key's in-order predecessor or successor,
@@ -792,34 +830,32 @@ where
         // the sentinel root lives as long as the tree.
         acc.clear();
         stack.clear();
-        let (mut pred_lo, mut succ_hi) = (self.root, self.root);
-        stack.push(unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire));
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        let mut pred_lo = self.root;
+        let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
+        loop {
+            while !curr.is_null() {
+                let n = unsafe { &*curr };
+                if n.marked.load(Ordering::Acquire) {
+                    return None;
+                }
+                curr = if n.key < *low {
+                    pred_lo = curr;
+                    n.child[RIGHT].load(Ordering::Acquire)
+                } else {
+                    stack.push(curr);
+                    n.child[LEFT].load(Ordering::Acquire)
+                };
             }
+            let Some(p) = stack.pop() else {
+                return Some([pred_lo, self.root]);
+            };
             let n = unsafe { &*p };
-            if n.marked.load(Ordering::Acquire) {
-                return None;
+            if n.key > *high {
+                return Some([pred_lo, p]);
             }
-            if n.key < *low {
-                if pred_lo == self.root || unsafe { &*pred_lo }.key < n.key {
-                    pred_lo = p;
-                }
-                stack.push(n.child[RIGHT].load(Ordering::Acquire));
-            } else if n.key > *high {
-                if succ_hi == self.root || n.key < unsafe { &*succ_hi }.key {
-                    succ_hi = p;
-                }
-                stack.push(n.child[LEFT].load(Ordering::Acquire));
-            } else {
-                acc.push((n.key, p as usize));
-                stack.push(n.child[LEFT].load(Ordering::Acquire));
-                stack.push(n.child[RIGHT].load(Ordering::Acquire));
-            }
+            acc.push((n.key, p as usize));
+            curr = n.child[RIGHT].load(Ordering::Acquire);
         }
-        acc.sort_unstable_by_key(|a| a.0);
-        Some([pred_lo, succ_hi])
     }
 
     /// Validate one recorded read range of a read-write transaction and
@@ -840,8 +876,8 @@ where
     /// [`TxnValidateError::Conflict`] (the store rolls back and retries);
     /// a stable mismatch is a foreign commit inside the range since the
     /// leased read timestamp — [`TxnValidateError::Invalidated`]. Both
-    /// walks, their DFS stack and the projection reuse buffers kept in
-    /// the token.
+    /// walks, their ancestor stack and the projection reuse buffers kept
+    /// in the token.
     ///
     /// Phantom safety: with all in-range nodes and both boundaries locked
     /// (and the second walk having re-derived exactly the same nodes and
@@ -1614,17 +1650,18 @@ where
 {
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
         let _guard = self.pin(tid);
+        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
         loop {
             // Linearization point: fix the snapshot timestamp and announce
             // it for the bundle recycler. On a failed optimistic attempt
             // restart with a fresh timestamp.
             let ts = self.tracker.start(tid, &self.clock);
-            let collected = self.try_collect_at(ts, low, high, out);
+            out.clear();
+            let collected =
+                self.try_collect_at(ts, low, high, &mut stack, |p| out.push(key_value(p)));
             self.tracker.finish(tid);
-            if let Some(n) = collected {
-                // The DFS visits keys in tree order, not sorted order.
-                out.sort_unstable_by_key(|a| a.0);
-                return n;
+            if collected.is_some() {
+                return out.len();
             }
         }
     }
@@ -1852,6 +1889,94 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         reader.join().unwrap();
         assert_eq!(t.len(0), 200);
+    }
+
+    /// Snapshot reads come out of the in-order walk already sorted: while
+    /// a writer keeps relocating successors (two-children removes) through
+    /// the range, every fixed-timestamp read must be strictly ascending as
+    /// returned, and hold every key the writer never touches.
+    #[test]
+    fn snapshot_reads_are_ascending_as_walked_under_relocating_removes() {
+        const KEYS: u64 = 256;
+        // The writer runs at least MIN_ROUNDS, and on until the readers have
+        // checked MIN_READS snapshots (or, should one have died, MAX_ROUNDS).
+        const MIN_ROUNDS: usize = 30;
+        const MAX_ROUNDS: usize = 3_000;
+        const MIN_READS: usize = 200;
+        let ctx = bundle::RqContext::new(3);
+        let t = Tree::with_context(3, ReclaimMode::Reclaim, &ctx);
+        // Midpoints first: a balanced tree, every inner node has two
+        // children.
+        let mut order = Vec::new();
+        let mut spans = std::collections::VecDeque::from([(0u64, KEYS)]);
+        while let Some((lo, hi)) = spans.pop_front() {
+            if lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                order.push(mid);
+                spans.extend([(lo, mid), (mid + 1, hi)]);
+            }
+        }
+        for &k in &order {
+            assert!(t.insert(0, k, k));
+        }
+        // Three keys in four come and go, the middle one of each run of
+        // three first both ways: it is re-inserted as the parent of the
+        // other two, so its next remove has two children and relocates its
+        // successor (round one relocates through the balanced tree's deeper
+        // shapes).
+        let toggled = |k: u64| k % 4 != 1;
+        order.retain(|k| toggled(*k));
+        order.sort_by_key(|k| k % 4 != 3);
+        let (low, high) = (40u64, 215u64);
+        let stable = (low..=high).filter(|k| !toggled(*k)).count();
+        let reads = std::sync::atomic::AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let check = |keys: &mut dyn Iterator<Item = u64>| {
+            let keys: Vec<u64> = keys.collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "not ascending: {keys:?}"
+            );
+            assert!(keys.iter().all(|k| (low..=high).contains(k)));
+            assert_eq!(keys.iter().filter(|k| !toggled(**k)).count(), stable);
+            reads.fetch_add(1, Ordering::Relaxed);
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut out = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    let _guard = t.pin(1);
+                    let ts = ctx.start_rq(1);
+                    t.range_query_at(1, ts, &low, &high, &mut out);
+                    ctx.finish_rq(1);
+                    check(&mut out.iter().map(|e| e.0));
+                }
+            });
+            s.spawn(|| {
+                let (mut out, mut nodes) = (Vec::new(), Vec::new());
+                while !done.load(Ordering::Acquire) {
+                    let _guard = t.pin(2);
+                    let lease = ctx.lease_read(2);
+                    t.txn_range_read(2, lease.ts(), &low, &high, &mut out, &mut nodes);
+                    assert!(out.iter().map(|e| e.0).eq(nodes.iter().map(|n| n.0)));
+                    check(&mut nodes.iter().map(|n| n.0));
+                }
+            });
+            let mut rounds = 0;
+            while rounds < MIN_ROUNDS
+                || (rounds < MAX_ROUNDS && reads.load(Ordering::Relaxed) < MIN_READS)
+            {
+                for k in &order {
+                    assert!(t.remove(0, k));
+                }
+                for &k in &order {
+                    assert!(t.insert(0, k, k));
+                }
+                rounds += 1;
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(t.len(0), KEYS as usize);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! structure uses.
 //!
 //! * [`BundledCitrusTree`] — every child link is a bundled reference; range
-//!   queries perform a depth-first traversal of the snapshot subtree using
-//!   only bundle dereferences (§6).
+//!   queries perform an in-order traversal of the snapshot subtree using
+//!   only bundle dereferences (§6), so results come out in key order.
 //! * [`UnsafeCitrusTree`] — the `Unsafe` baseline: same primitive
-//!   operations, non-linearizable DFS range scan.
+//!   operations, non-linearizable in-order range scan.
 
 mod bundled;
 mod unsafe_rq;

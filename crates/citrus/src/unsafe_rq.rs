@@ -1,5 +1,5 @@
 //! The *Unsafe* Citrus-style BST baseline: same primitive operations as the
-//! bundled tree, non-linearizable DFS range scans.
+//! bundled tree, non-linearizable in-order range scans.
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -264,31 +264,37 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    /// Non-linearizable DFS over the current pointers.
+    /// Non-linearizable in-order walk over the current pointers — the
+    /// traversal of the bundled tree's snapshot walk minus the bundles, so
+    /// the two differ by exactly what bundling costs.
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
         let _guard = self.pin(tid);
         out.clear();
-        let mut stack = vec![unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire)];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        // Same ancestor-stack capacity as the bundled tree's walk.
+        let mut stack = Vec::with_capacity(64);
+        let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
+        loop {
+            while !curr.is_null() {
+                let node = unsafe { &*curr };
+                curr = if node.key < *low {
+                    node.child[RIGHT].load(Ordering::Acquire)
+                } else {
+                    stack.push(curr);
+                    node.child[LEFT].load(Ordering::Acquire)
+                };
             }
+            let Some(p) = stack.pop() else {
+                return out.len();
+            };
             let node = unsafe { &*p };
-            let k = node.key;
-            if k < *low {
-                stack.push(node.child[RIGHT].load(Ordering::Acquire));
-            } else if k > *high {
-                stack.push(node.child[LEFT].load(Ordering::Acquire));
-            } else {
-                if !node.marked.load(Ordering::Acquire) {
-                    out.push((k, node.val.clone().expect("data node has a value")));
-                }
-                stack.push(node.child[LEFT].load(Ordering::Acquire));
-                stack.push(node.child[RIGHT].load(Ordering::Acquire));
+            if node.key > *high {
+                return out.len();
             }
+            if !node.marked.load(Ordering::Acquire) {
+                out.push((node.key, node.val.clone().expect("data node has a value")));
+            }
+            curr = node.child[RIGHT].load(Ordering::Acquire);
         }
-        out.sort_unstable_by_key(|a| a.0);
-        out.len()
     }
 }
 

@@ -229,22 +229,16 @@ where
     /// newest pointers up to the range, then hop strictly through bundles.
     ///
     /// `None` means the optimistic entry phase landed on a node created
-    /// after the snapshot (Algorithm 3, line 7) and the caller must retry.
-    /// The caller holds the EBR guard. When `nodes` is supplied, the
-    /// address of every collected node is recorded alongside (the
-    /// read-write transaction read set; see [`Self::txn_range_read`]).
+    /// after the snapshot (Algorithm 3, line 7) and the caller must retry
+    /// (dropping what `visit` has been shown). The caller holds the EBR
+    /// guard. `visit` is called on every node of the range, in key order.
     fn try_collect_at(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        out: &mut Vec<(K, V)>,
-        mut nodes: Option<&mut Vec<(K, usize)>>,
-    ) -> Option<usize> {
-        out.clear();
-        if let Some(ns) = nodes.as_deref_mut() {
-            ns.clear();
-        }
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
         // Phase 1 (GetFirstNodeInRange, first half): optimistic traversal
         // over the newest pointers up to the node preceding the range.
         let mut pred = self.head;
@@ -264,14 +258,10 @@ where
         // Collect the snapshot (GetNext): every hop goes through the
         // bundle, so only nodes belonging to the snapshot are visited.
         while node != self.tail && unsafe { &*node }.key <= *high {
-            let n = unsafe { &*node };
-            out.push((n.key, n.val.clone().expect("data node has a value")));
-            if let Some(ns) = nodes.as_deref_mut() {
-                ns.push((n.key, node as usize));
-            }
-            node = n.bundle.dereference(ts)?;
+            visit(node);
+            node = unsafe { &*node }.bundle.dereference(ts)?;
         }
-        Some(out.len())
+        Some(())
     }
 
     /// Guaranteed snapshot collection at `ts`: walk from the head sentinel
@@ -284,13 +274,8 @@ where
         ts: u64,
         low: &K,
         high: &K,
-        out: &mut Vec<(K, V)>,
-        mut nodes: Option<&mut Vec<(K, usize)>>,
-    ) -> usize {
-        out.clear();
-        if let Some(ns) = nodes.as_deref_mut() {
-            ns.clear();
-        }
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) {
         let mut node = unsafe { &*self.head }
             .bundle
             .dereference(ts)
@@ -302,17 +287,12 @@ where
                 .expect("snapshot path must stay satisfiable");
         }
         while node != self.tail && unsafe { &*node }.key <= *high {
-            let n = unsafe { &*node };
-            out.push((n.key, n.val.clone().expect("data node has a value")));
-            if let Some(ns) = nodes.as_deref_mut() {
-                ns.push((n.key, node as usize));
-            }
-            node = n
+            visit(node);
+            node = unsafe { &*node }
                 .bundle
                 .dereference(ts)
                 .expect("snapshot path must stay satisfiable");
         }
-        out.len()
     }
 
     /// Range query at a *caller-fixed* snapshot timestamp.
@@ -333,17 +313,41 @@ where
         high: &K,
         out: &mut Vec<(K, V)>,
     ) -> usize {
+        // A few optimistic attempts enter the range directly; the fixed
+        // timestamp cannot be refreshed when they fail, so the fallback is
+        // the bundle-only walk, which always succeeds.
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
+            None => out.clear(),
+            Some(node) => out.push(key_value(node)),
+        });
+        out.len()
+    }
+
+    /// The fixed-timestamp snapshot walk behind [`Self::range_query_at`]
+    /// and the transactional reads: up to [`MAX_OPTIMISTIC_ATTEMPTS`]
+    /// optimistic entries, then the guaranteed bundle-only walk. `step` is
+    /// called with `None` at the start of every attempt (forget what the
+    /// failed one showed) and with each node of the range, in key order.
+    fn walk_snapshot_at(
+        &self,
+        tid: usize,
+        ts: u64,
+        low: &K,
+        high: &K,
+        mut step: impl FnMut(Option<*mut Node<K, V>>),
+    ) {
         let _guard = self.pin(tid);
-        // A few optimistic attempts first: they enter the range directly.
-        // Unlike `range_query` the timestamp cannot be refreshed, so under
-        // sustained churn near the range boundary fall back to the
-        // bundle-only walk, which always succeeds.
         for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            if let Some(n) = self.try_collect_at(ts, low, high, out, None) {
-                return n;
+            step(None);
+            if self
+                .try_collect_at(ts, low, high, |node| step(Some(node)))
+                .is_some()
+            {
+                return;
             }
         }
-        self.collect_snapshot_at(ts, low, high, out, None)
+        step(None);
+        self.collect_snapshot_at(ts, low, high, |node| step(Some(node)));
     }
 
     /// Transactional range read: collect `low..=high` as of snapshot `ts`
@@ -369,27 +373,48 @@ where
         out: &mut Vec<(K, V)>,
         nodes: &mut Vec<(K, usize)>,
     ) -> usize {
-        let _guard = self.pin(tid);
-        for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            if let Some(n) = self.try_collect_at(ts, low, high, out, Some(nodes)) {
-                return n;
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
+            None => {
+                out.clear();
+                nodes.clear();
             }
-        }
-        self.collect_snapshot_at(ts, low, high, out, Some(nodes))
+            Some(node) => {
+                let (key, value) = key_value(node);
+                out.push((key, value));
+                nodes.push((key, node as usize));
+            }
+        });
+        out.len()
     }
 
-    /// Transactional point read: [`Self::txn_range_read`] over the
-    /// degenerate range `[key, key]`, returning the value.
+    /// Transactional point read: what [`Self::txn_range_read`] over the
+    /// degenerate range `[key, key]` records and returns.
     pub fn txn_read(&self, tid: usize, ts: u64, key: &K, nodes: &mut Vec<(K, usize)>) -> Option<V> {
-        let mut out = Vec::with_capacity(1);
-        self.txn_range_read(tid, ts, key, key, &mut out, nodes);
-        out.pop().map(|(_, v)| v)
+        let mut found = None;
+        self.walk_snapshot_at(tid, ts, key, key, |step| match step {
+            None => {
+                nodes.clear();
+                found = None;
+            }
+            Some(node) => {
+                nodes.push((*key, node as usize));
+                found = Some(key_value(node).1);
+            }
+        });
+        found
     }
 }
 
 /// Optimistic entry attempts a fixed-timestamp range query makes before
 /// falling back to the guaranteed bundle-only traversal.
 const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
+
+/// The `(key, value)` a snapshot walk reports for data node `p`.
+fn key_value<K: Copy, V: Clone>(p: *mut Node<K, V>) -> (K, V) {
+    // SAFETY: `p` was reached by a walk whose caller holds the EBR pin.
+    let node = unsafe { &*p };
+    (node.key, node.val.clone().expect("data node has a value"))
+}
 
 /// Accumulated two-phase state of one transaction's writes on this list:
 /// the shared lock/pending bookkeeping ([`bundle::TwoPhaseState`]) plus
@@ -1007,10 +1032,11 @@ where
             // it for the bundle recycler. On a failed optimistic attempt
             // restart with a fresh timestamp (Algorithm 3, line 7).
             let ts = self.tracker.start(tid, &self.clock);
-            let collected = self.try_collect_at(ts, low, high, out, None);
+            out.clear();
+            let collected = self.try_collect_at(ts, low, high, |node| out.push(key_value(node)));
             self.tracker.finish(tid);
-            if let Some(n) = collected {
-                return n;
+            if collected.is_some() {
+                return out.len();
             }
         }
     }
@@ -1315,7 +1341,7 @@ mod tests {
         assert_eq!(l.range_query_at(0, ts, &10, &20, &mut opt), 11);
         // The guaranteed bundle-only walk must produce the same snapshot.
         let _guard = l.pin(0);
-        l.collect_snapshot_at(ts, &10, &20, &mut snap, None);
+        l.collect_snapshot_at(ts, &10, &20, |node| snap.push(key_value(node)));
         assert_eq!(opt, snap);
         // An ancient snapshot sees the empty list.
         assert_eq!(l.range_query_at(0, 0, &0, &1000, &mut opt), 0);

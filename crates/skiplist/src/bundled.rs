@@ -331,21 +331,16 @@ where
     /// data-layer bundles.
     ///
     /// `None` means the optimistic entry landed on a node created after the
-    /// snapshot and the caller must retry. The caller holds the EBR guard.
-    /// When `nodes` is supplied, the address of every collected node is
-    /// recorded alongside (see [`Self::txn_range_read`]).
+    /// snapshot and the caller must retry (dropping what `visit` has been
+    /// shown). The caller holds the EBR guard. `visit` is called on every
+    /// node of the range, in key order.
     fn try_collect_at(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        out: &mut Vec<(K, V)>,
-        mut nodes: Option<&mut Vec<(K, usize)>>,
-    ) -> Option<usize> {
-        out.clear();
-        if let Some(ns) = nodes.as_deref_mut() {
-            ns.clear();
-        }
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
         // Phase 1 (GetFirstNodeInRange): descend through the index layers
         // using the newest pointers to reach the data-layer node preceding
         // the range.
@@ -365,14 +360,10 @@ where
             node = unsafe { &*node }.bundle.dereference(ts)?;
         }
         while node != self.tail && unsafe { &*node }.key <= *high {
-            let n = unsafe { &*node };
-            out.push((n.key, n.val.clone().expect("data node has a value")));
-            if let Some(ns) = nodes.as_deref_mut() {
-                ns.push((n.key, node as usize));
-            }
-            node = n.bundle.dereference(ts)?;
+            visit(node);
+            node = unsafe { &*node }.bundle.dereference(ts)?;
         }
-        Some(out.len())
+        Some(())
     }
 
     /// Guaranteed snapshot collection at `ts`: walk the data layer from the
@@ -384,13 +375,8 @@ where
         ts: u64,
         low: &K,
         high: &K,
-        out: &mut Vec<(K, V)>,
-        mut nodes: Option<&mut Vec<(K, usize)>>,
-    ) -> usize {
-        out.clear();
-        if let Some(ns) = nodes.as_deref_mut() {
-            ns.clear();
-        }
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) {
         let mut node = unsafe { &*self.head }
             .bundle
             .dereference(ts)
@@ -402,17 +388,12 @@ where
                 .expect("snapshot path must stay satisfiable");
         }
         while node != self.tail && unsafe { &*node }.key <= *high {
-            let n = unsafe { &*node };
-            out.push((n.key, n.val.clone().expect("data node has a value")));
-            if let Some(ns) = nodes.as_deref_mut() {
-                ns.push((n.key, node as usize));
-            }
-            node = n
+            visit(node);
+            node = unsafe { &*node }
                 .bundle
                 .dereference(ts)
                 .expect("snapshot path must stay satisfiable");
         }
-        out.len()
     }
 
     /// Range query at a *caller-fixed* snapshot timestamp.
@@ -433,17 +414,41 @@ where
         high: &K,
         out: &mut Vec<(K, V)>,
     ) -> usize {
+        // A few optimistic attempts enter the range directly; the fixed
+        // timestamp cannot be refreshed when they fail, so the fallback is
+        // the bundle-only walk, which always succeeds.
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
+            None => out.clear(),
+            Some(node) => out.push(key_value(node)),
+        });
+        out.len()
+    }
+
+    /// The fixed-timestamp snapshot walk behind [`Self::range_query_at`]
+    /// and the transactional reads: up to [`MAX_OPTIMISTIC_ATTEMPTS`]
+    /// optimistic entries, then the guaranteed bundle-only walk. `step` is
+    /// called with `None` at the start of every attempt (forget what the
+    /// failed one showed) and with each node of the range, in key order.
+    fn walk_snapshot_at(
+        &self,
+        tid: usize,
+        ts: u64,
+        low: &K,
+        high: &K,
+        mut step: impl FnMut(Option<*mut Node<K, V>>),
+    ) {
         let _guard = self.pin(tid);
-        // Optimistic attempts use the index layers to enter the range
-        // directly; the fixed timestamp cannot be refreshed on failure, so
-        // fall back to the bundle-only data-layer walk, which always
-        // succeeds (at the cost of an O(n) entry).
         for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            if let Some(n) = self.try_collect_at(ts, low, high, out, None) {
-                return n;
+            step(None);
+            if self
+                .try_collect_at(ts, low, high, |node| step(Some(node)))
+                .is_some()
+            {
+                return;
             }
         }
-        self.collect_snapshot_at(ts, low, high, out, None)
+        step(None);
+        self.collect_snapshot_at(ts, low, high, |node| step(Some(node)));
     }
 
     /// Transactional range read: collect `low..=high` as of snapshot `ts`
@@ -465,21 +470,35 @@ where
         out: &mut Vec<(K, V)>,
         nodes: &mut Vec<(K, usize)>,
     ) -> usize {
-        let _guard = self.pin(tid);
-        for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            if let Some(n) = self.try_collect_at(ts, low, high, out, Some(nodes)) {
-                return n;
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
+            None => {
+                out.clear();
+                nodes.clear();
             }
-        }
-        self.collect_snapshot_at(ts, low, high, out, Some(nodes))
+            Some(node) => {
+                let (key, value) = key_value(node);
+                out.push((key, value));
+                nodes.push((key, node as usize));
+            }
+        });
+        out.len()
     }
 
-    /// Transactional point read: [`Self::txn_range_read`] over the
-    /// degenerate range `[key, key]`, returning the value.
+    /// Transactional point read: what [`Self::txn_range_read`] over the
+    /// degenerate range `[key, key]` records and returns.
     pub fn txn_read(&self, tid: usize, ts: u64, key: &K, nodes: &mut Vec<(K, usize)>) -> Option<V> {
-        let mut out = Vec::with_capacity(1);
-        self.txn_range_read(tid, ts, key, key, &mut out, nodes);
-        out.pop().map(|(_, v)| v)
+        let mut found = None;
+        self.walk_snapshot_at(tid, ts, key, key, |step| match step {
+            None => {
+                nodes.clear();
+                found = None;
+            }
+            Some(node) => {
+                nodes.push((*key, node as usize));
+                found = Some(key_value(node).1);
+            }
+        });
+        found
     }
 
     /// Lock `preds[0..=top]`, skipping duplicates, and validate that every
@@ -1309,10 +1328,11 @@ where
             // it for the bundle recycler. On a failed optimistic attempt
             // restart with a fresh timestamp (Algorithm 3, line 7).
             let ts = self.tracker.start(tid, &self.clock);
-            let collected = self.try_collect_at(ts, low, high, out, None);
+            out.clear();
+            let collected = self.try_collect_at(ts, low, high, |node| out.push(key_value(node)));
             self.tracker.finish(tid);
-            if let Some(n) = collected {
-                return n;
+            if collected.is_some() {
+                return out.len();
             }
         }
     }
@@ -1321,6 +1341,13 @@ where
 /// Optimistic entry attempts a fixed-timestamp range query makes before
 /// falling back to the guaranteed bundle-only traversal.
 const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
+
+/// The `(key, value)` a snapshot walk reports for data node `p`.
+fn key_value<K: Copy, V: Clone>(p: *mut Node<K, V>) -> (K, V) {
+    // SAFETY: `p` was reached by a walk whose caller holds the EBR pin.
+    let node = unsafe { &*p };
+    (node.key, node.val.clone().expect("data node has a value"))
+}
 
 impl<K, V> Drop for BundledSkipList<K, V> {
     fn drop(&mut self) {
@@ -1604,7 +1631,7 @@ mod tests {
         // The bundle-only fallback agrees with the optimistic path.
         let _guard = s.pin(1);
         let mut snap = Vec::new();
-        s.collect_snapshot_at(ts, &0, &200, &mut snap, None);
+        s.collect_snapshot_at(ts, &0, &200, |node| snap.push(key_value(node)));
         assert_eq!(snap.len(), 50);
         assert!(out.len() == 100 && snap.iter().all(|(k, _)| *k < 50));
     }

@@ -1212,25 +1212,49 @@ where
         // only after the clock read below, so these pins keep every node
         // (and bundle entry) the fixed-timestamp traversals can touch
         // alive across the whole multi-shard collection.
-        let _guards: Vec<ebr::Guard<'_>> = self.shards[first..=last]
-            .iter()
-            .map(|s| s.pin(tid))
-            .collect();
-        // Linearization point: one clock read for the whole store.
-        let ts = self.ctx.start_rq(tid);
         if first == last {
-            self.shards[first].range_query_at(tid, ts, low, high, out);
-        } else {
-            let mut scratch = Vec::new();
-            for shard in &self.shards[first..=last] {
-                // Shards only hold keys inside their boundary range, so the
-                // unclamped bounds are correct for every fragment.
-                shard.range_query_at(tid, ts, low, high, &mut scratch);
-                out.append(&mut scratch);
-            }
+            let shard = &self.shards[first];
+            let _guard = shard.pin(tid);
+            // Linearization point: one clock read for the whole store.
+            let rq = RqAnnouncement::start(&self.ctx, tid);
+            return shard.range_query_at(tid, rq.ts, low, high, out);
         }
-        self.ctx.finish_rq(tid);
+        let shards = &self.shards[first..=last];
+        let _guards: Vec<ebr::Guard<'_>> = shards.iter().map(|s| s.pin(tid)).collect();
+        let rq = RqAnnouncement::start(&self.ctx, tid);
+        let mut scratch = Vec::new();
+        for shard in shards {
+            // Shards only hold keys inside their boundary range, so the
+            // unclamped bounds are correct for every fragment.
+            shard.range_query_at(tid, rq.ts, low, high, &mut scratch);
+            out.append(&mut scratch);
+        }
         out.len()
+    }
+}
+
+/// The snapshot announcement of one range query: ended on drop, so a
+/// panicking `V::clone` inside a shard traversal cannot leave the
+/// tracker's oldest active snapshot — and with it bundle reclamation on
+/// every shard — pinned forever. (Borrows the context, where
+/// [`RqContext::lease_read`] clones it: a per-query refcount bump on a
+/// line every reader thread shares is what a range query must not pay.)
+struct RqAnnouncement<'a> {
+    ctx: &'a RqContext,
+    tid: usize,
+    ts: u64,
+}
+
+impl<'a> RqAnnouncement<'a> {
+    fn start(ctx: &'a RqContext, tid: usize) -> Self {
+        let ts = ctx.start_rq(tid);
+        RqAnnouncement { ctx, tid, ts }
+    }
+}
+
+impl Drop for RqAnnouncement<'_> {
+    fn drop(&mut self) {
+        self.ctx.finish_rq(self.tid);
     }
 }
 
@@ -1269,6 +1293,38 @@ mod tests {
         assert_eq!(s.shard(0).len(0), 2);
         assert_eq!(s.shard(3).len(0), 3);
         assert_eq!(s.len(0), 7);
+    }
+
+    /// A value whose clone panics on demand, standing in for any `V::clone`
+    /// that can fail inside a shard traversal.
+    struct Fragile(bool);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            assert!(!self.0, "fragile value cloned");
+            Fragile(false)
+        }
+    }
+
+    #[test]
+    fn a_panicking_clone_does_not_leave_the_range_query_announced() {
+        let s = CitrusStore::<u64, Fragile>::new(2, uniform_splits(2, 100));
+        assert!(s.insert(0, 10, Fragile(false)));
+        assert!(s.insert(0, 60, Fragile(true)));
+        let mut out = Vec::new();
+        for (low, high) in [(50u64, 70u64), (0, 99)] {
+            // Single-shard fast path, then the multi-shard loop.
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.range_query(1, &low, &high, &mut out)
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(
+                s.context().active_rqs(),
+                0,
+                "announcement outlived the panic"
+            );
+        }
+        assert_eq!(s.range_query(1, &0, &20, &mut out), 1);
     }
 
     #[test]
