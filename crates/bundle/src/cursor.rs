@@ -134,12 +134,14 @@ pub trait PrepareCursor<K, V> {
     fn seek_read(&mut self, key: &K) -> Option<V>;
 
     /// Hinted-resume vs root-descent counters accumulated so far.
+    #[must_use]
     fn stats(&self) -> CursorStats;
 
     /// Give the transaction token back (releasing the cursor's EBR pin
     /// and dropping the frontier); the token still holds every lock and
     /// pending entry and must be consumed by exactly one of
     /// `txn_finalize` / `txn_abort`.
+    #[must_use]
     fn finish(self) -> Self::Txn;
 }
 

@@ -96,6 +96,7 @@ impl std::fmt::Debug for Recycler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn runs_cleanup_repeatedly_until_stopped() {
@@ -132,7 +133,12 @@ mod tests {
         let r = Recycler::spawn(Duration::ZERO, move || {
             c2.fetch_add(1, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(50));
+        // Poll instead of sleeping a fixed time: on a loaded box the
+        // recycler thread may get only a few quanta in any short window.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while r.passes() < 10 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let n = r.passes();
         r.stop();
         assert!(n >= 10, "aggressive recycler should run many passes ({n})");

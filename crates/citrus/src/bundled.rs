@@ -1046,13 +1046,21 @@ where
         }
         loc
     }
+}
+
+impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    type Txn = ShardTxn<K, V>;
 
     /// Stage an insert at the sought position: eager structural link with
     /// the affected bundle entries left *pending* until the transaction's
     /// single commit timestamp. `Ok(false)` = key already present; the
     /// present node stays locked so the no-op outcome still holds at the
     /// commit timestamp.
-    pub fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
+    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let tree = self.tree;
         loop {
             let loc = self.locate(&key);
@@ -1133,7 +1141,7 @@ where
     /// would occupy) stays locked, so the no-op outcome still holds at
     /// the commit timestamp (nobody can insert the key before the
     /// transaction finishes).
-    pub fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
+    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let tree = self.tree;
         loop {
             let loc = self.locate(key);
@@ -1338,7 +1346,7 @@ where
     /// own eager writes are visible) through the spine, retaining the
     /// located position as an *unlocked* hint. Takes no locks and stages
     /// nothing.
-    pub fn seek_read(&mut self, key: &K) -> Option<V> {
+    fn seek_read(&mut self, key: &K) -> Option<V> {
         let loc = self.locate(key);
         if !loc.curr.is_null() {
             let c = unsafe { &*loc.curr };
@@ -1355,8 +1363,7 @@ where
     }
 
     /// Hinted-resume vs root-descent counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CursorStats {
+    fn stats(&self) -> CursorStats {
         self.stats
     }
 
@@ -1364,37 +1371,8 @@ where
     /// cursor's EBR pin); consume it with
     /// [`BundledCitrusTree::txn_finalize`] or
     /// [`BundledCitrusTree::txn_abort`].
-    #[must_use]
-    pub fn finish(self) -> ShardTxn<K, V> {
-        self.txn
-    }
-}
-
-impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    type Txn = ShardTxn<K, V>;
-
-    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_put(self, key, value)
-    }
-
-    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_remove(self, key)
-    }
-
-    fn seek_read(&mut self, key: &K) -> Option<V> {
-        ShardCursor::seek_read(self, key)
-    }
-
-    fn stats(&self) -> CursorStats {
-        ShardCursor::stats(self)
-    }
-
     fn finish(self) -> ShardTxn<K, V> {
-        ShardCursor::finish(self)
+        self.txn
     }
 }
 

@@ -37,8 +37,8 @@
 //! *N*, producers keep enqueueing; the next drain scoops everything that
 //! accumulated. Producers that want throughput rather than per-op latency
 //! submit a window of operations ([`Ingest::submit_all`]) and wait the
-//! tickets afterwards — the `store_ingest` scenario binary sweeps that
-//! window size. An optional [`IngestConfig::linger`] adds a fixed epoch
+//! tickets afterwards — `benchmark/`'s `ingest_pipelined` workload runs
+//! 256-op windows. An optional [`IngestConfig::linger`] adds a fixed epoch
 //! delay to grow groups further at the cost of latency.
 //!
 //! ## The submission path is lock-free

@@ -721,6 +721,14 @@ where
             }
         }
     }
+}
+
+impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    type Txn = ShardTxn<K, V>;
 
     /// Stage an insert at the sought position: the structural change is
     /// applied eagerly (so later keys of the same transaction observe it)
@@ -729,7 +737,7 @@ where
     /// reads therefore see either all of the transaction's writes or
     /// none. `Ok(false)` = key already present (the present node stays
     /// locked, pinning the no-op outcome until commit).
-    pub fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
+    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let list = self.list;
         let mut resume = self.resume_point(&key);
         loop {
@@ -796,7 +804,7 @@ where
     /// locked by the transaction, so the no-op outcome still holds at the
     /// commit timestamp (nobody can insert the key before the transaction
     /// finishes).
-    pub fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
+    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let list = self.list;
         let mut resume = self.resume_point(key);
         loop {
@@ -854,7 +862,7 @@ where
     /// located position as an *unlocked* hint. Takes no locks and stages
     /// nothing; linearizes at the frontier validity check (an unmarked
     /// resume point is still reachable at that instant).
-    pub fn seek_read(&mut self, key: &K) -> Option<V> {
+    fn seek_read(&mut self, key: &K) -> Option<V> {
         let mut resume = self.resume_point(key);
         let (pred, curr) = self.locate(key, &mut resume);
         if curr != self.list.tail && unsafe { &*curr }.key == *key {
@@ -869,45 +877,15 @@ where
     }
 
     /// Hinted-resume vs root-descent counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CursorStats {
+    fn stats(&self) -> CursorStats {
         self.stats
     }
 
     /// Give the transaction token back (dropping the frontier and the
     /// cursor's EBR pin); consume it with [`BundledLazyList::txn_finalize`]
     /// or [`BundledLazyList::txn_abort`].
-    #[must_use]
-    pub fn finish(self) -> ShardTxn<K, V> {
-        self.txn
-    }
-}
-
-impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    type Txn = ShardTxn<K, V>;
-
-    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_put(self, key, value)
-    }
-
-    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_remove(self, key)
-    }
-
-    fn seek_read(&mut self, key: &K) -> Option<V> {
-        ShardCursor::seek_read(self, key)
-    }
-
-    fn stats(&self) -> CursorStats {
-        ShardCursor::stats(self)
-    }
-
     fn finish(self) -> ShardTxn<K, V> {
-        ShardCursor::finish(self)
+        self.txn
     }
 }
 

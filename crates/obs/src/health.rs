@@ -284,7 +284,7 @@ pub struct Transition {
 }
 
 /// A retained `critical` escalation — what [`HealthReport::findings`]
-/// carries and the scenario bins embed in the schema-v5 JSON records.
+/// carries and [`HealthReport::json`] embeds.
 /// Same shape as the [`Transition`] that produced it.
 pub type Finding = Transition;
 

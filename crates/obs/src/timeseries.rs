@@ -15,8 +15,9 @@
 //! Stopping the sampler emits one final *partial* window, so — as long
 //! as the ring has not evicted anything ([`TimeseriesSampler::dropped`]
 //! is 0) — summing any counter's per-window deltas reproduces exactly
-//! `final − at-spawn` of that counter. The reconciliation tests and the
-//! `store_txn` smoke gate rely on this.
+//! `final − at-spawn` of that counter. The reconciliation tests
+//! (`window_deltas_sum_to_final_counters` here, and
+//! `tests/obs_trace_timeseries.rs` over a live store) rely on this.
 //!
 //! [`MetricsSnapshot`]: crate::MetricsSnapshot
 //! [`MetricsSnapshot::delta`]: crate::MetricsSnapshot::delta
@@ -570,6 +571,12 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(6));
             }
         }
+        // Two completed windows plus the partial one stop() flushes; poll
+        // rather than trusting the sleeps above on a loaded machine.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sampler.windows().len() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let windows = sampler.stop();
         assert!(windows.len() >= 3, "got {} windows", windows.len());
         assert_eq!(windows.iter().map(|w| w.commits).sum::<u64>(), 200);
@@ -642,7 +649,11 @@ mod tests {
         let src = reg.clone();
         let sampler = TimeseriesSampler::spawn(Duration::from_millis(1), 3, move || src.snapshot());
         c.add(0, 1);
-        std::thread::sleep(Duration::from_millis(30));
+        // The fourth window evicts the first; poll for it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sampler.dropped() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let dropped = sampler.dropped();
         let windows = sampler.stop();
         assert!(windows.len() <= 3, "capacity respected");

@@ -929,6 +929,14 @@ where
         }
         self.has_frontier = true;
     }
+}
+
+impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    type Txn = ShardTxn<K, V>;
 
     /// Stage an insert at the sought position: eager structural link (so
     /// later keys of the same transaction observe it) with the affected
@@ -936,7 +944,7 @@ where
     /// single commit timestamp. `Ok(false)` = key already present; the
     /// present node stays locked so the no-op outcome still holds at the
     /// commit timestamp.
-    pub fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
+    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let list = self.list;
         let top = list.random_level(self.txn.core.tid());
         let mut preds = [ptr::null_mut(); MAX_LEVEL];
@@ -1014,7 +1022,7 @@ where
     /// `key`) stays locked, so the no-op outcome still holds at the
     /// commit timestamp (every insert of `key` must link level 0 through
     /// that node).
-    pub fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
+    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let list = self.list;
         let mut preds = [ptr::null_mut(); MAX_LEVEL];
         let mut succs = [ptr::null_mut(); MAX_LEVEL];
@@ -1097,7 +1105,7 @@ where
     /// stages nothing; linearizes at the per-level frontier validity
     /// checks (an adopted entry is unmarked, hence still reachable, at
     /// adoption time).
-    pub fn seek_read(&mut self, key: &K) -> Option<V> {
+    fn seek_read(&mut self, key: &K) -> Option<V> {
         let mut preds = [ptr::null_mut(); MAX_LEVEL];
         let mut succs = [ptr::null_mut(); MAX_LEVEL];
         let lfound = self.locate(key, true, 0, &mut preds, &mut succs);
@@ -1116,45 +1124,15 @@ where
     }
 
     /// Hinted-resume vs root-descent counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CursorStats {
+    fn stats(&self) -> CursorStats {
         self.stats
     }
 
     /// Give the transaction token back (dropping the frontier and the
     /// cursor's EBR pin); consume it with [`BundledSkipList::txn_finalize`]
     /// or [`BundledSkipList::txn_abort`].
-    #[must_use]
-    pub fn finish(self) -> ShardTxn<K, V> {
-        self.txn
-    }
-}
-
-impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    type Txn = ShardTxn<K, V>;
-
-    fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_put(self, key, value)
-    }
-
-    fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
-        ShardCursor::seek_prepare_remove(self, key)
-    }
-
-    fn seek_read(&mut self, key: &K) -> Option<V> {
-        ShardCursor::seek_read(self, key)
-    }
-
-    fn stats(&self) -> CursorStats {
-        ShardCursor::stats(self)
-    }
-
     fn finish(self) -> ShardTxn<K, V> {
-        ShardCursor::finish(self)
+        self.txn
     }
 }
 

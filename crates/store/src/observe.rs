@@ -4,8 +4,8 @@
 //!
 //! The store holds an `Option<StoreObs>`: `None` (the default
 //! constructors) keeps every instrumentation site to one never-taken
-//! branch — no atomics, no clock reads — which is what the
-//! `--check-obs-overhead` gate measures. [`BundledStore::with_obs`]
+//! branch — no atomics, no clock reads — which is what `benchmark/`'s
+//! `obs.metrics_overhead_ratio` row bounds. [`BundledStore::with_obs`]
 //! builds the handles once at construction so the hot paths never touch
 //! the registry lock.
 //!

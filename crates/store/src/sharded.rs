@@ -329,9 +329,8 @@ where
     /// [`BundledStore::with_obs`] with an explicit per-thread flight-
     /// recorder ring capacity (rounded up to a power of two).
     /// `trace_capacity == 0` keeps the metrics but disables tracing —
-    /// what the `--check-obs-overhead` panel uses to price the two
-    /// instrumentation tiers separately. An inert registry never
-    /// traces.
+    /// what `benchmark/`'s `obs.metrics_overhead_ratio` panel uses to
+    /// price the metrics tier alone. An inert registry never traces.
     pub fn with_obs_trace_capacity(
         max_threads: usize,
         mode: ReclaimMode,
@@ -950,7 +949,7 @@ where
     /// The store's flight recorder, when built with
     /// [`BundledStore::with_obs`] against a live registry — the `ingest`
     /// front-end records its queue events here so one merged dump covers
-    /// the whole pipeline, and scenario binaries dump it at exit.
+    /// the whole pipeline.
     #[must_use]
     pub fn obs_trace(&self) -> Option<&Arc<TraceRecorder>> {
         self.obs.as_ref().and_then(|o| o.trace.as_ref())
@@ -1068,22 +1067,6 @@ where
         S: 'static,
     {
         let chunk = self.shards.len().div_ceil(2);
-        self.spawn_recycler_chunked(tid, delay, chunk)
-    }
-
-    /// [`spawn_recycler`](BundledStore::spawn_recycler) with an explicit
-    /// shards-per-pass chunk size.
-    pub fn spawn_recycler_chunked(
-        self: &Arc<Self>,
-        tid: usize,
-        delay: Duration,
-        chunk: usize,
-    ) -> Recycler
-    where
-        K: 'static,
-        V: 'static,
-        S: 'static,
-    {
         let store = Arc::clone(self);
         Recycler::spawn(delay, move || {
             store.cleanup_bundles_chunk(tid, chunk);

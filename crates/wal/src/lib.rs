@@ -103,8 +103,8 @@ impl SyncPolicy {
         }
     }
 
-    /// The label exported as the `durability` dimension of
-    /// `store_build_info` and the `--json` run records.
+    /// The label a caller exports as the `durability` dimension of
+    /// `store_build_info`.
     #[must_use]
     pub fn label(&self) -> String {
         match self {

@@ -8,208 +8,41 @@
 //! (update traffic spread over independent lock domains) and what the
 //! cross-shard snapshot machinery costs on scans.
 //!
-//! Usage: `cargo run --release -p workloads --bin store_scaling [-- skiplist|citrus|list] [--json <path>] [--obs] [--trace <path>] [--timeseries <ms>] [--serve <addr>] [--slo <spec>]`
-//! (`--json` writes one machine-readable record per configuration;
-//! `--obs` builds the store runs over a live `obs::MetricsRegistry`,
-//! prints the metrics table after the last configuration of each mix,
-//! and merges the flattened `obs.*` metrics into the `--json` records;
-//! `--trace` additionally dumps the flight recorder of the last store
-//! configuration as JSON lines — note this scenario drives *primitive*
-//! set ops, so the dump only carries events if the run hits a traced
-//! path (commit pipeline, conflicts, ingest); an empty dump here is
-//! normal, use `store_txn`/`store_ingest` for a populated one;
-//! `--timeseries` samples every store run
-//! at the given cadence, prints one JSON line per window, and embeds the
-//! windows in the `--json` records — both imply `--obs`;
-//! `--serve <addr>` starts the live introspection endpoint (`/metrics`
-//! Prometheus text, `/snapshot.json`, `/windows.json`,
-//! `/anomalies.json`, `/health.json`) and prints
-//! `serving on <bound addr>`; `--slo <spec>` attaches an
-//! `obs::HealthMonitor` to the sampler and embeds its findings in the
-//! `--json` records — both imply `--obs`, and `--slo` defaults
-//! `--timeseries` to 100 ms when unset).
+//! Usage: `cargo run --release -p workloads --bin store_scaling [-- skiplist|citrus|list]`
 //! Thread counts come from `BUNDLE_THREADS`, duration from
 //! `BUNDLE_DURATION_MS`, shard counts from `BUNDLE_SHARDS`
 //! (comma-separated, default "1,2,4,8,16").
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
-
 use workloads::{
-    duration_ms, make_obs_store_structure, make_store_structure, make_structure,
-    print_series_table, run_workload, thread_counts, write_csv, write_json, Point, RunConfig,
-    RunRecord, StructureKind, WorkloadMix, SCHEMA_VERSION,
+    counts_from_env, duration_ms, make_store_structure, make_structure, print_series_table,
+    run_workload, thread_counts, write_csv, Point, RunConfig, StructureKind, WorkloadMix,
 };
 
-fn shard_counts() -> Vec<usize> {
-    std::env::var("BUNDLE_SHARDS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16])
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sweep(
-    label: &str,
-    store_kind: StructureKind,
-    baseline: StructureKind,
-    with_obs: bool,
-    timeseries: Option<Duration>,
-    slo: Option<&obs::SloPolicy>,
-    server: Option<&obs::ExportServer>,
-    records: &mut Vec<RunRecord>,
-) -> Option<Arc<obs::TraceRecorder>> {
+fn sweep(label: &str, store_kind: StructureKind, baseline: StructureKind) {
     let key_range = store_kind.default_key_range();
-    let mut last_trace = None;
     for mix in [WorkloadMix::new(50, 40, 10), WorkloadMix::new(0, 0, 100)] {
         let mut points = Vec::new();
-        let mut last_snapshot = None;
         for &threads in &thread_counts() {
             let cfg = RunConfig::new(threads, duration_ms(), key_range, mix);
             // Unsharded structure, no store layer: the reference line.
-            let s = make_structure(baseline, threads);
-            let t = run_workload(&Arc::clone(&s), &cfg);
+            let t = run_workload(&make_structure(baseline, threads), &cfg);
             points.push(Point {
                 series: "baseline".into(),
                 x: threads.to_string(),
                 y: t.mops(),
             });
-            records.push(RunRecord {
-                schema: SCHEMA_VERSION,
-                bench: "store_scaling".into(),
-                kind: format!("{label}-baseline"),
-                mix: mix.label(),
-                threads,
-                durability: "off".into(),
-                metrics: vec![("mops".into(), t.mops())],
-                windows: Vec::new(),
-                health: Vec::new(),
-            });
-            for &shards in &shard_counts() {
-                let mut metrics = vec![("shards".into(), shards as f64)];
-                let mut windows = Vec::new();
-                let mut health = Vec::new();
-                let t = if with_obs {
-                    let registry = obs::MetricsRegistry::new();
-                    // Extra reserved slots beyond the workload workers
-                    // (tids 0..threads): tid `threads` for the background
-                    // sampler when sampling, the next tid for the export
-                    // server's snapshot closure when serving (scrapes
-                    // serialize on the server's sources mutex, so one
-                    // reserved slot is race-free).
-                    let serving = server.is_some();
-                    let slots = threads + usize::from(timeseries.is_some()) + usize::from(serving);
-                    let parts =
-                        make_obs_store_structure(store_kind, slots, shards, key_range, &registry);
-                    // The health monitor consumes each sampling window as
-                    // it closes.
-                    let monitor = slo.map(|policy| {
-                        Arc::new(obs::HealthMonitor::new(
-                            policy.clone(),
-                            &registry,
-                            parts.trace.clone(),
-                        ))
-                    });
-                    let sampler = timeseries.map(|every| {
-                        let observer = monitor.as_ref().map(|m| {
-                            let m = Arc::clone(m);
-                            Box::new(move |w: &obs::Window| {
-                                let _ = m.observe(w);
-                            }) as obs::timeseries::WindowObserver
-                        });
-                        obs::TimeseriesSampler::spawn_with(
-                            every,
-                            obs::timeseries::DEFAULT_WINDOW_CAPACITY,
-                            (parts.timeseries_source)(threads),
-                            observer,
-                            Some(registry.gauge("obs.timeseries.dropped_windows")),
-                        )
-                    });
-                    // Install this configuration's sources before the run
-                    // so scrapes answer while the workload hammers (the
-                    // last configuration's sources stay installed after).
-                    if let Some(server) = server {
-                        let server_tid = threads + usize::from(timeseries.is_some());
-                        let snapshot = (parts.timeseries_source)(server_tid);
-                        let mut sources = obs::ExportSources::new()
-                            .with_snapshot(snapshot)
-                            .with_build_info(vec![
-                                ("schema".into(), SCHEMA_VERSION.to_string()),
-                                ("bench".into(), "store_scaling".into()),
-                                ("backend".into(), label.into()),
-                                ("durability".into(), "off".into()),
-                            ]);
-                        if let Some(s) = &sampler {
-                            let reader = s.reader();
-                            sources = sources.with_windows(move || reader.windows());
-                        }
-                        if let Some(tr) = parts.trace.clone() {
-                            sources = sources.with_anomalies(move || tr.anomalies());
-                        }
-                        if let Some(m) = &monitor {
-                            let m = Arc::clone(m);
-                            sources = sources.with_health(move || m.report().json());
-                        }
-                        server.install(sources);
-                    }
-                    let t = run_workload(&parts.set, &cfg);
-                    if let Some(sampler) = sampler {
-                        let ws = sampler.stop();
-                        for w in &ws {
-                            println!("{}", w.json_line());
-                        }
-                        windows = ws.iter().map(obs::Window::flatten).collect();
-                    }
-                    if let Some(m) = monitor {
-                        health = m.report().findings;
-                        for f in &health {
-                            println!("slo finding: {}", obs::health::finding_json(f));
-                        }
-                    }
-                    let snap = (parts.sampler)();
-                    metrics.extend(snap.flatten("obs."));
-                    last_snapshot = Some(snap);
-                    last_trace = parts.trace;
-                    t
-                } else {
-                    let s = make_store_structure(store_kind, threads, shards, key_range);
-                    run_workload(&Arc::clone(&s), &cfg)
-                };
+            for shards in counts_from_env("BUNDLE_SHARDS", &[1, 2, 4, 8, 16]) {
+                let s = make_store_structure(store_kind, threads, shards, key_range);
+                let t = run_workload(&s, &cfg);
                 points.push(Point {
                     series: format!("{shards}-shard"),
                     x: threads.to_string(),
                     y: t.mops(),
                 });
-                metrics.push(("mops".into(), t.mops()));
-                records.push(RunRecord {
-                    schema: SCHEMA_VERSION,
-                    bench: "store_scaling".into(),
-                    kind: label.into(),
-                    mix: mix.label(),
-                    threads,
-                    durability: "off".into(),
-                    metrics,
-                    windows,
-                    health,
-                });
             }
         }
         let title = format!("Store scaling [{label}] workload {}", mix.label());
         print_series_table(&title, "threads", "Mops/s", &points);
-        if let Some(snap) = last_snapshot {
-            println!(
-                "\n-- obs [{label}] mix {} (last configuration) --\n{}",
-                mix.label(),
-                snap.render_table()
-            );
-        }
         write_csv(
             &format!("store_scaling_{label}_{}", mix.label()),
             "threads",
@@ -217,162 +50,25 @@ fn sweep(
             &points,
         );
     }
-    last_trace
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Option<String> = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut timeseries: Option<Duration> = None;
-    let mut serve_addr: Option<String> = None;
-    let mut slo: Option<obs::SloPolicy> = None;
-    let mut with_obs = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--serve" => {
-                serve_addr = args.get(i + 1).cloned();
-                if serve_addr.is_none() {
-                    eprintln!("--serve requires an address (e.g. 127.0.0.1:0)");
-                    std::process::exit(2);
-                }
-                with_obs = true;
-                i += 2;
-            }
-            "--slo" => {
-                let Some(spec) = args.get(i + 1) else {
-                    eprintln!("--slo requires a spec (key=value,... or \"\" for defaults)");
-                    std::process::exit(2);
-                };
-                match obs::SloPolicy::parse(spec) {
-                    Ok(p) => slo = Some(p),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-                with_obs = true;
-                i += 2;
-            }
-            "--json" => {
-                json_path = args.get(i + 1).map(PathBuf::from);
-                if json_path.is_none() {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--trace" => {
-                trace_path = args.get(i + 1).map(PathBuf::from);
-                if trace_path.is_none() {
-                    eprintln!("--trace requires a path");
-                    std::process::exit(2);
-                }
-                with_obs = true;
-                i += 2;
-            }
-            "--timeseries" => {
-                timeseries = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&ms| ms > 0)
-                    .map(Duration::from_millis);
-                if timeseries.is_none() {
-                    eprintln!("--timeseries requires a window length in ms");
-                    std::process::exit(2);
-                }
-                with_obs = true;
-                i += 2;
-            }
-            "--obs" => {
-                with_obs = true;
-                i += 1;
-            }
-            other => {
-                which = Some(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    let which = which.unwrap_or_else(|| "skiplist".into());
-    // The health monitor consumes sampling windows, so --slo without
-    // --timeseries turns sampling on at a 100 ms cadence.
-    if slo.is_some() && timeseries.is_none() {
-        timeseries = Some(Duration::from_millis(100));
-    }
-    // One server across every configuration; each installs its own
-    // sources right after its store is built.
-    let server = serve_addr.map(|addr| {
-        match obs::ExportServer::spawn(addr.as_str(), obs::ExportSources::new()) {
-            Ok(s) => {
-                println!("serving on {}", s.local_addr());
-                s
-            }
-            Err(e) => {
-                eprintln!("--serve {addr}: bind failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
-    let mut records = Vec::new();
-    let trace = match which.as_str() {
+    let which = std::env::args().nth(1).unwrap_or_else(|| "skiplist".into());
+    match which.as_str() {
         "skiplist" => sweep(
             "skiplist",
             StructureKind::StoreSkipList,
             StructureKind::SkipListBundle,
-            with_obs,
-            timeseries,
-            slo.as_ref(),
-            server.as_ref(),
-            &mut records,
         ),
         "citrus" => sweep(
             "citrus",
             StructureKind::StoreCitrus,
             StructureKind::CitrusBundle,
-            with_obs,
-            timeseries,
-            slo.as_ref(),
-            server.as_ref(),
-            &mut records,
         ),
-        "list" => sweep(
-            "list",
-            StructureKind::StoreList,
-            StructureKind::ListBundle,
-            with_obs,
-            timeseries,
-            slo.as_ref(),
-            server.as_ref(),
-            &mut records,
-        ),
+        "list" => sweep("list", StructureKind::StoreList, StructureKind::ListBundle),
         other => {
             eprintln!("unknown backend {other:?}; expected skiplist|citrus|list");
             std::process::exit(2);
-        }
-    };
-    if let Some(path) = trace_path {
-        match workloads::write_trace_dump(&path, trace.as_deref()) {
-            Ok(events) => println!("wrote {events} trace lines to {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = json_path {
-        match write_json(&path, &records) {
-            Ok(()) => println!(
-                "\nwrote {} run records to {}",
-                records.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
         }
     }
 }

@@ -11,11 +11,13 @@
 //! * throughput is reported in Mops/s.
 //!
 //! Every figure/table of the paper has a corresponding binary in
-//! `src/bin/` (fig2, fig3, fig4, fig5, table1, list_relative) and a
-//! Criterion bench in the `bench` crate. Thread counts and run duration are
-//! configurable through `BUNDLE_THREADS` (comma-separated) and
-//! `BUNDLE_DURATION_MS` so the same harness scales from this repository's
-//! CI-sized runs to a large multicore machine.
+//! `src/bin/` (fig2, fig3, fig4, fig5, table1, list_relative), and
+//! `store_scaling` sweeps the sharded store's shard count against the
+//! unsharded structure. Thread counts and run duration are configurable
+//! through `BUNDLE_THREADS` (comma-separated) and `BUNDLE_DURATION_MS` so
+//! the same harness scales from this repository's CI-sized runs to a large
+//! multicore machine. Performance is *measured* by `benchmark/run.sh`, not
+//! here: these binaries only regenerate the paper's figures.
 
 pub mod config;
 pub mod driver;
@@ -24,17 +26,13 @@ pub mod report;
 
 pub use config::{RunConfig, WorkloadMix};
 pub use driver::{run_workload, Throughput};
-pub use registry::{
-    make_obs_store_structure, make_store_structure, make_structure, ObsSampler, ObsSnapshotSource,
-    ObsStoreParts, StructureKind, ALL_KINDS, DEFAULT_STORE_SHARDS, TXN_STORE_KINDS,
-};
-pub use report::{
-    print_series_table, write_csv, write_json, write_trace_dump, Point, RunRecord, SCHEMA_VERSION,
-};
+pub use registry::{make_store_structure, make_structure, StructureKind, ALL_KINDS};
+pub use report::{print_series_table, write_csv, Point};
 
-/// Thread counts to sweep, from `BUNDLE_THREADS` (default "1,2,4").
-pub fn thread_counts() -> Vec<usize> {
-    std::env::var("BUNDLE_THREADS")
+/// A comma-separated list of positive counts from the environment variable
+/// `var`; `default` when it is unset or holds no valid count.
+pub fn counts_from_env(var: &str, default: &[usize]) -> Vec<usize> {
+    std::env::var(var)
         .ok()
         .map(|s| {
             s.split(',')
@@ -42,8 +40,13 @@ pub fn thread_counts() -> Vec<usize> {
                 .filter(|&n| n > 0)
                 .collect::<Vec<_>>()
         })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| default.to_vec())
+}
+
+/// Thread counts to sweep, from `BUNDLE_THREADS` (default "1,2,4").
+pub fn thread_counts() -> Vec<usize> {
+    counts_from_env("BUNDLE_THREADS", &[1, 2, 4])
 }
 
 /// Per-configuration run duration in milliseconds, from

@@ -6,7 +6,7 @@ use bundle::api::RangeQuerySet;
 use citrus::{BundledCitrusTree, UnsafeCitrusTree};
 use lazylist::{BundledLazyList, UnsafeLazyList};
 use skiplist::{BundledSkipList, UnsafeSkipList};
-use store::{uniform_splits, CitrusStore, LazyListStore, ReclaimMode, SkipListStore};
+use store::{uniform_splits, CitrusStore, LazyListStore, SkipListStore};
 
 /// Shard count used by the `Store*` registry kinds (the `store_scaling`
 /// binary sweeps other counts explicitly).
@@ -43,15 +43,6 @@ pub enum StructureKind {
     StoreList,
 }
 
-/// The sharded-store kinds the `store_txn` scenario drives with mixed
-/// transactional traffic (cross-shard write transactions / snapshot gets /
-/// range queries).
-pub const TXN_STORE_KINDS: [StructureKind; 3] = [
-    StructureKind::StoreSkipList,
-    StructureKind::StoreCitrus,
-    StructureKind::StoreList,
-];
-
 /// All benchmarkable kinds, in the order the figures report them.
 pub const ALL_KINDS: [StructureKind; 9] = [
     StructureKind::SkipListBundle,
@@ -66,12 +57,6 @@ pub const ALL_KINDS: [StructureKind; 9] = [
 ];
 
 impl StructureKind {
-    /// Look a kind up by its [`StructureKind::name`] (CLI parsing).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<StructureKind> {
-        ALL_KINDS.iter().find(|k| k.name() == name).copied()
-    }
-
     /// Short display name used in tables and CSV output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -173,90 +158,6 @@ pub fn make_store_structure(
         }
         StructureKind::StoreCitrus => Arc::new(CitrusStore::<u64, u64>::new(max_threads, splits)),
         StructureKind::StoreList => Arc::new(LazyListStore::<u64, u64>::new(max_threads, splits)),
-        other => panic!("{other:?} is not a sharded store kind"),
-    }
-}
-
-/// Refreshes the sampled gauges of an obs-instrumented store and returns
-/// the registry's [`obs::MetricsSnapshot`] — handed out by
-/// [`make_obs_store_structure`], which otherwise erases the concrete
-/// store type behind [`DynSet`].
-pub type ObsSampler = Box<dyn Fn() -> obs::MetricsSnapshot + Send + Sync>;
-
-/// A snapshot source safe to hand to a background
-/// [`obs::TimeseriesSampler`]: it is pinned to a dedicated reserved
-/// thread slot, so its gauge refreshes never race a live worker's
-/// thread id.
-pub type ObsSnapshotSource = Box<dyn Fn() -> obs::MetricsSnapshot + Send + 'static>;
-
-/// The pieces of an obs-instrumented store the scenario bins drive,
-/// with the concrete backend erased behind [`DynSet`].
-pub struct ObsStoreParts {
-    /// The type-erased structure the workload runs against.
-    pub set: Arc<DynSet>,
-    /// Refreshes the store's gauges and snapshots the registry (tid 0 —
-    /// call from the coordinating thread, after or between runs).
-    pub sampler: ObsSampler,
-    /// The store's flight recorder (present whenever the registry is
-    /// live; scenario bins dump it behind `--trace`).
-    pub trace: Option<Arc<obs::TraceRecorder>>,
-    /// Builds a snapshot source for a background
-    /// [`obs::TimeseriesSampler`] pinned to the given **reserved**
-    /// thread slot — same contract as
-    /// [`store::BundledStore::spawn_recycler`]: the caller sizes the
-    /// store with an extra `max_threads` slot and guarantees no worker
-    /// uses that tid while the sampler runs.
-    pub timeseries_source: Box<dyn Fn(usize) -> ObsSnapshotSource>,
-}
-
-/// [`make_store_structure`] with observability: the store is built with
-/// [`store::BundledStore::with_obs`] so every layer records into
-/// instruments registered in `registry` (and into a flight recorder).
-/// Panics for non-store kinds.
-pub fn make_obs_store_structure(
-    kind: StructureKind,
-    max_threads: usize,
-    shards: usize,
-    key_range: u64,
-    registry: &obs::MetricsRegistry,
-) -> ObsStoreParts {
-    fn erase<S>(store: Arc<store::BundledStore<u64, u64, S>>) -> ObsStoreParts
-    where
-        S: store::ShardBackend<u64, u64> + Send + Sync + 'static,
-    {
-        let sampler = Arc::clone(&store);
-        let trace = store.obs_trace().cloned();
-        let ts_store = Arc::clone(&store);
-        ObsStoreParts {
-            set: store,
-            sampler: Box::new(move || sampler.obs_snapshot(0).expect("store built with obs")),
-            trace,
-            timeseries_source: Box::new(move |tid| {
-                let store = Arc::clone(&ts_store);
-                Box::new(move || store.obs_snapshot(tid).expect("store built with obs"))
-            }),
-        }
-    }
-    let splits = uniform_splits(shards, key_range);
-    match kind {
-        StructureKind::StoreSkipList => erase(Arc::new(SkipListStore::<u64, u64>::with_obs(
-            max_threads,
-            ReclaimMode::Reclaim,
-            splits,
-            registry,
-        ))),
-        StructureKind::StoreCitrus => erase(Arc::new(CitrusStore::<u64, u64>::with_obs(
-            max_threads,
-            ReclaimMode::Reclaim,
-            splits,
-            registry,
-        ))),
-        StructureKind::StoreList => erase(Arc::new(LazyListStore::<u64, u64>::with_obs(
-            max_threads,
-            ReclaimMode::Reclaim,
-            splits,
-            registry,
-        ))),
         other => panic!("{other:?} is not a sharded store kind"),
     }
 }

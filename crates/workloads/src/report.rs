@@ -48,120 +48,6 @@ pub fn print_series_table(title: &str, x_name: &str, y_name: &str, points: &[Poi
     }
 }
 
-/// Version of the `--json` record layout. Bump whenever the shape of
-/// [`RunRecord`] serialization changes (fields added/renamed/removed) so
-/// downstream consumers can dispatch on `schema` instead of sniffing
-/// keys. History: 1 = original (implicit, no `schema` key); 2 = adds the
-/// `schema` field itself and the flattened `obs.*` metric namespace;
-/// 3 = adds the `windows` array of per-window time-series summaries
-/// (empty unless the run sampled with `--timeseries`);
-/// 4 = adds the `store_ingest` submit-path contention panel records
-/// (`mix` `"submit-path"` with `submit_ns_per_op_locked` /
-/// `submit_ns_per_op_ring` / `submit_speedup` metrics);
-/// 5 = adds the `health` array of SLO findings (`obs::health` critical
-/// transitions; empty unless the run monitored with `--slo`) and the
-/// `finalize_p99_ns` field inside each `windows` entry;
-/// 6 = adds the `durability` field (the WAL sync-policy label — `"off"`,
-/// `"always"`, or `"every=N"`; `"off"` for runs without a commit log)
-/// so dashboards can segregate durable from volatile runs.
-pub const SCHEMA_VERSION: u32 = 6;
-
-/// One machine-readable benchmark run for `--json` output: a scenario
-/// binary records one `RunRecord` per (backend, mix, thread count)
-/// configuration it measured, with the named numeric results in
-/// `metrics` (throughput, commit rate, abort counters, ...).
-#[derive(Debug, Clone)]
-pub struct RunRecord {
-    /// Record layout version; always [`SCHEMA_VERSION`] for records
-    /// produced by this build.
-    pub schema: u32,
-    /// Scenario binary name (e.g. `store_txn`).
-    pub bench: String,
-    /// Structure / backend under test.
-    pub kind: String,
-    /// Workload mix label.
-    pub mix: String,
-    /// Worker thread count.
-    pub threads: usize,
-    /// Durability configuration of the run: the WAL sync-policy label
-    /// (`"always"`, `"every=N"`) or `"off"` when the store ran without
-    /// a commit log.
-    pub durability: String,
-    /// Named numeric results.
-    pub metrics: Vec<(String, f64)>,
-    /// Per-window time-series summaries (one inner vec per sampling
-    /// window, each the flattened `obs::timeseries::Window` shape —
-    /// `commits_per_s`, `conflict_rate`, `skew.max_share`,
-    /// `shard<i>.ops`, ...). Empty when the run did not sample.
-    pub windows: Vec<Vec<(String, f64)>>,
-    /// SLO findings (`obs::health` critical escalations, e.g. the
-    /// `hot_shard` resharding trigger) the run's health monitor
-    /// recorded. Empty when the run did not monitor (`--slo` unset) —
-    /// the key is always present, like `windows`.
-    pub health: Vec<obs::health::Finding>,
-}
-
-/// Serialize `records` as a JSON array to `path` (hand-rolled writer —
-/// the offline build has no serde; names are plain ASCII identifiers, so
-/// Rust string-debug escaping is valid JSON escaping here). Returns an
-/// error only on I/O failure.
-pub fn write_json(path: &std::path::Path, records: &[RunRecord]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "[")?;
-    for (i, r) in records.iter().enumerate() {
-        write!(
-            f,
-            "  {{\"schema\":{},\"bench\":{:?},\"kind\":{:?},\"mix\":{:?},\"threads\":{},\"durability\":{:?}",
-            r.schema, r.bench, r.kind, r.mix, r.threads, r.durability
-        )?;
-        for (name, value) in &r.metrics {
-            let value = if value.is_finite() { *value } else { 0.0 };
-            write!(f, ",{name:?}:{value}")?;
-        }
-        write!(f, ",\"windows\":[")?;
-        for (wi, window) in r.windows.iter().enumerate() {
-            write!(f, "{}{{", if wi == 0 { "" } else { "," })?;
-            for (fi, (name, value)) in window.iter().enumerate() {
-                let value = if value.is_finite() { *value } else { 0.0 };
-                write!(f, "{}{name:?}:{value}", if fi == 0 { "" } else { "," })?;
-            }
-            write!(f, "}}")?;
-        }
-        write!(f, "]")?;
-        write!(f, ",\"health\":[")?;
-        for (fi, finding) in r.health.iter().enumerate() {
-            let sep = if fi == 0 { "" } else { "," };
-            write!(f, "{sep}{}", obs::health::finding_json(finding))?;
-        }
-        write!(f, "]")?;
-        writeln!(f, "}}{}", if i + 1 == records.len() { "" } else { "," })?;
-    }
-    writeln!(f, "]")?;
-    Ok(())
-}
-
-/// Dump a store's flight recorder to `path` as JSON lines
-/// ([`obs::TraceRecorder::write_dump`]) and return the number of lines
-/// written. An absent recorder is an I/O error — the scenario binaries
-/// only call this when `--trace` forced a live registry, so `None`
-/// means the store was built without one.
-pub fn write_trace_dump(
-    path: &std::path::Path,
-    trace: Option<&obs::TraceRecorder>,
-) -> std::io::Result<usize> {
-    let trace = trace.ok_or_else(|| std::io::Error::other("no flight recorder attached"))?;
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let mut buf = Vec::new();
-    trace.write_dump(&mut buf)?;
-    std::fs::write(path, &buf)?;
-    Ok(buf.iter().filter(|&&b| b == b'\n').count())
-}
-
 /// Write the raw points as CSV under `target/experiments/<name>.csv` so the
 /// plots can be regenerated offline; returns the path written.
 pub fn write_csv(name: &str, x_name: &str, y_name: &str, points: &[Point]) -> PathBuf {
@@ -180,91 +66,6 @@ pub fn write_csv(name: &str, x_name: &str, y_name: &str, points: &[Point]) -> Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_records_round_trip_structurally() {
-        let records = vec![
-            RunRecord {
-                schema: SCHEMA_VERSION,
-                bench: "store_txn".into(),
-                kind: "store-skiplist".into(),
-                mix: "rw-50-40-10".into(),
-                threads: 4,
-                durability: "off".into(),
-                metrics: vec![("ops_per_sec".into(), 1234.5), ("aborts".into(), f64::NAN)],
-                windows: vec![
-                    vec![
-                        ("window".into(), 0.0),
-                        ("commits_per_s".into(), 55.5),
-                        ("skew.max_share".into(), 0.5),
-                    ],
-                    vec![("window".into(), 1.0), ("commits_per_s".into(), f64::NAN)],
-                ],
-                health: vec![obs::health::Finding {
-                    check: obs::HealthCheck::HotShard,
-                    level: obs::HealthLevel::Critical,
-                    window: 7,
-                    value: 0.95,
-                    threshold: 0.8,
-                    shard: 3,
-                }],
-            },
-            RunRecord {
-                schema: SCHEMA_VERSION,
-                bench: "store_txn".into(),
-                kind: "store-list".into(),
-                mix: "20-70-10".into(),
-                threads: 1,
-                durability: "always".into(),
-                metrics: vec![("commits_per_sec".into(), 10.0)],
-                windows: Vec::new(),
-                health: Vec::new(),
-            },
-        ];
-        let path = std::path::PathBuf::from("target/experiments/unit_test_report.json");
-        write_json(&path, &records).unwrap();
-        let content = std::fs::read_to_string(path).unwrap();
-        assert!(content.starts_with("[\n"));
-        assert!(content.trim_end().ends_with(']'));
-        assert!(content.contains("\"schema\":6,\"bench\":\"store_txn\""));
-        assert!(content.contains("\"mix\":\"rw-50-40-10\""));
-        assert!(content.contains("\"threads\":4,\"durability\":\"off\""));
-        assert!(content.contains("\"threads\":1,\"durability\":\"always\""));
-        assert!(content.contains("\"ops_per_sec\":1234.5"));
-        assert!(
-            content.contains("\"aborts\":0"),
-            "non-finite values are zeroed"
-        );
-        // Embedded windows: both summaries serialized, in order, with
-        // non-finite values zeroed; a run without sampling still carries
-        // the (empty) array so the key is always present.
-        assert!(content.contains(
-            "\"windows\":[{\"window\":0,\"commits_per_s\":55.5,\"skew.max_share\":0.5},"
-        ));
-        assert!(content.contains("{\"window\":1,\"commits_per_s\":0}]"));
-        assert!(content.contains("\"commits_per_sec\":10,\"windows\":[]"));
-        // Health findings: serialized after windows; a run without a
-        // monitor still carries the (empty) array.
-        assert!(content.contains(
-            "\"health\":[{\"check\":\"hot_shard\",\"level\":\"critical\",\"window\":7,\
-             \"value\":0.95,\"threshold\":0.8,\"shard\":3}]"
-        ));
-        assert!(content.contains("\"windows\":[],\"health\":[]"));
-    }
-
-    #[test]
-    fn trace_dump_written_with_line_count() {
-        let rec = obs::TraceRecorder::new(1, 8);
-        rec.record(0, obs::TraceKind::StageEnd, 0, 17);
-        rec.record(0, obs::TraceKind::Conflict, 3, 2);
-        let path = std::path::PathBuf::from("target/experiments/unit_test_trace.jsonl");
-        let lines = write_trace_dump(&path, Some(&rec)).unwrap();
-        assert_eq!(lines, 2);
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.lines().count(), 2);
-        assert!(content.contains("\"type\":\"event\""));
-        assert!(write_trace_dump(&path, None).is_err(), "absent recorder");
-    }
 
     #[test]
     fn csv_written_with_all_points() {

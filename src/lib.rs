@@ -57,9 +57,10 @@
 //! * [`dbsim`] — the DBx1000-style TPC-C substrate of §8.2, including
 //!   the ingest-backed NEW_ORDER firehose
 //!   ([`dbsim::run_new_order_firehose`]).
-//! * [`workloads`] — the benchmark harness regenerating every figure and
-//!   table of the evaluation, plus the sharded-store scaling scenario
-//!   (`store_scaling` binary, `Store*` registry kinds).
+//! * [`workloads`] — the harness regenerating every figure and table of
+//!   the evaluation, plus the sharded-store scaling sweep
+//!   (`store_scaling` binary, `Store*` registry kinds). Performance is
+//!   measured by the standalone `benchmark/` package, not here.
 //!
 //! ## Quickstart
 //!

@@ -93,8 +93,14 @@ fn live_scrape_answers_while_store_is_hammered() {
     // server's snapshot closure.
     let store = Arc::new(obs_store(THREADS + 1));
     let st = Arc::clone(&store);
+    let monitor = obs::HealthMonitor::new(
+        obs::SloPolicy::default(),
+        store.obs_registry().expect("store built with obs"),
+        None,
+    );
     let sources = obs::ExportSources::new()
         .with_snapshot(move || st.obs_snapshot(THREADS).expect("store built with obs"))
+        .with_health(move || monitor.report().json())
         .with_build_info(vec![
             ("schema".into(), "5".into()),
             ("bench".into(), "integration".into()),
@@ -151,8 +157,9 @@ fn live_scrape_answers_while_store_is_hammered() {
     let (status, body) = get(addr, "/windows.json");
     assert!(status.contains("200"));
     assert_eq!(body, "{\"disabled\":true}", "no sampler wired");
-    let (status, _) = get(addr, "/health.json");
+    let (status, body) = get(addr, "/health.json");
     assert!(status.contains("200"));
+    assert!(body.contains("\"checks\""), "wired monitor reports: {body}");
     let (status, _) = get(addr, "/nope");
     assert!(
         status.contains("404"),
@@ -254,7 +261,7 @@ fn skewed_load_sustains_a_hot_shard_finding() {
             .any(|a| matches!(a.cause, obs::AnomalyCause::SloViolation)),
         "a critical escalation must snapshot an slo_violation anomaly"
     );
-    // The report's JSON embeds the finding the --json records carry.
+    // The report's JSON (what `/health.json` serves) embeds the finding.
     let json = report.json();
     assert!(json.contains("\"check\":\"hot_shard\""), "{json}");
     assert!(json.contains("\"level\":\"critical\""), "{json}");

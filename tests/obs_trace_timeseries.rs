@@ -5,8 +5,9 @@
 //!
 //! * a **forced validation abort** (a second session flips a validated
 //!   read before commit) snapshots a flight-recorder anomaly whose tail
-//!   contains the `abort_invalidated` event itself — on all three
-//!   backends;
+//!   contains the `abort_invalidated` event itself, and a `run_rw`
+//!   that hits the same abort is counted in `store.txn.rw_retries` — on
+//!   all three backends;
 //! * a non-blocking submission rejected by a full ingest queue
 //!   (`try_submit_batch` against a depth-1 lingering queue) snapshots a
 //!   `queue_full` anomaly and records the rejection event;
@@ -87,6 +88,29 @@ fn forced_abort_dumps_anomaly<S: ShardBackend<u64, u64>>(label: &str) {
     let metrics = store.obs_snapshot(0).expect("store built with obs");
     assert_eq!(
         metrics.get("store.txn.aborts.invalidated"),
+        Some(&obs::SnapshotValue::Counter(1)),
+        "{label}"
+    );
+
+    // `run_rw` re-runs its closure after such an abort and counts the
+    // re-run as an application-visible retry (`store.txn.rw_retries`).
+    let store = Arc::new(store);
+    let session = store.register();
+    let mut attempts = 0;
+    session.run_rw(|txn| {
+        attempts += 1;
+        let v = txn.get(&4).unwrap_or(0);
+        if attempts == 1 {
+            assert!(store.remove(1, &4), "{label}");
+        }
+        txn.set(4, v.wrapping_add(1));
+    });
+    assert_eq!(attempts, 2, "{label}: one abort, one clean re-run");
+    let metrics = store
+        .obs_snapshot(session.tid())
+        .expect("store built with obs");
+    assert_eq!(
+        metrics.get("store.txn.rw_retries"),
         Some(&obs::SnapshotValue::Counter(1)),
         "{label}"
     );

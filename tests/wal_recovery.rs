@@ -3,11 +3,15 @@
 //! arbitrary byte boundary (simulating a crash mid-write), and
 //! [`WalRecovery::replay`] rebuilds a fresh store that must equal a
 //! plain decode-and-fold of the surviving log prefix — on every backend.
+//! The last two tests drive the log the way production does — concurrent
+//! producers through [`Ingest`] — and hold the recovered store against
+//! what each producer was *acknowledged*.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use bundled_refs::obs;
 use bundled_refs::prelude::*;
 use bundled_refs::store::{uniform_splits, BundledStore, CommitLog, ShardBackend, TxnOp};
 use bundled_refs::wal::{LogPosition, WalRecovery};
@@ -59,25 +63,30 @@ where
     wal.durable_position()
 }
 
-/// Fold the decoded log into the expected final map (`Set` always lands,
-/// `Put`/`Remove` only when their logged outcome applied).
+/// Fold one op and its recorded outcome into a model map: `Set` always
+/// lands, `Put`/`Remove` only when the outcome says they applied.
+fn fold_op(state: &mut BTreeMap<u64, u64>, op: &TxnOp<u64, u64>, applied: bool) {
+    match op {
+        TxnOp::Put(k, v) if applied => {
+            state.insert(*k, *v);
+        }
+        TxnOp::Set(k, v) => {
+            state.insert(*k, *v);
+        }
+        TxnOp::Remove(k) if applied => {
+            state.remove(k);
+        }
+        _ => {}
+    }
+}
+
+/// Fold the decoded log into the expected final map.
 fn fold_log(dir: &PathBuf) -> BTreeMap<u64, u64> {
     let decoded = WalRecovery::scan::<u64, u64>(dir).expect("scan");
     let mut state = BTreeMap::new();
     for record in &decoded.records {
         for gop in &record.ops {
-            match &gop.op {
-                TxnOp::Put(k, v) if gop.applied => {
-                    state.insert(*k, *v);
-                }
-                TxnOp::Set(k, v) => {
-                    state.insert(*k, *v);
-                }
-                TxnOp::Remove(k) if gop.applied => {
-                    state.remove(k);
-                }
-                _ => {}
-            }
+            fold_op(&mut state, &gop.op, gop.applied);
         }
     }
     state
@@ -195,6 +204,194 @@ fn kill_point_recovery_on_every_backend() {
     check::<BundledSkipList<u64, u64>>("kill-skiplist");
     check::<BundledCitrusTree<u64, u64>>("kill-citrus");
     check::<BundledLazyList<u64, u64>>("kill-list");
+}
+
+/// Concurrent producers through `Ingest` over a `GroupWal`, a simulated
+/// kill at the sampled durable position, replay, and three checks
+/// against the producers' journals of *acknowledged* outcomes.
+///
+/// * **A** — replay through the real pipeline equals a decode-and-fold
+///   of the cut log.
+/// * **B** — every key's recovered value is the fold of some prefix of
+///   that key's acked journal (keys are striped per producer, so a
+///   producer's journal is the total history of its keys), and no key
+///   appears that was never acked.
+/// * **C** (`Always` only) — nothing acknowledged is lost: the recovered
+///   store equals the fold of every journal in full.
+///
+/// The stores and the log share one metrics registry, so the run also
+/// pins the `wal.*` instrument family end to end.
+fn concurrent_ingest_recovery<S>(tag: &str, policy: SyncPolicy)
+where
+    S: ShardBackend<u64, u64> + Send + Sync + 'static,
+{
+    const PRODUCERS: u64 = 2;
+    const BATCHES: usize = 40;
+    const BATCH: usize = 8;
+    // 128 keys a producer, spread over every shard: dense enough that
+    // duplicate puts and removes of absent keys are common.
+    const KEYS_PER_PRODUCER: u64 = 128;
+    const TORN_BYTES: u64 = 13;
+    type Acked = (TxnOp<u64, u64>, bool);
+    type Journal = Vec<Acked>;
+
+    let dir = tmpdir(tag);
+    let splits = uniform_splits(SHARDS, KEY_RANGE);
+    let registry = MetricsRegistry::new();
+    let mut original =
+        BundledStore::<u64, u64, S>::with_obs(4, ReclaimMode::Reclaim, splits.clone(), &registry);
+    let mut wal = GroupWal::<u64, u64>::create(&dir, policy).expect("create");
+    wal.attach_obs(&registry);
+    let wal = Arc::new(wal);
+    original.attach_commit_log(Arc::clone(&wal) as Arc<dyn CommitLog<u64, u64>>);
+    let ingest = Ingest::spawn(
+        Arc::new(original),
+        IngestConfig {
+            committers: 2,
+            ..IngestConfig::default()
+        },
+    );
+
+    let journals: Vec<Journal> = std::thread::scope(|scope| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let ingest = &ingest;
+                scope.spawn(move || {
+                    let mut seed = (p + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let mut journal = Journal::new();
+                    for _ in 0..BATCHES {
+                        let ops: Vec<TxnOp<u64, u64>> = (0..BATCH)
+                            .map(|_| {
+                                seed ^= seed << 13;
+                                seed ^= seed >> 7;
+                                seed ^= seed << 17;
+                                let slot = seed % KEYS_PER_PRODUCER;
+                                let key = p + slot * (KEY_RANGE / KEYS_PER_PRODUCER);
+                                match (seed >> 20) % 3 {
+                                    0 => TxnOp::Put(key, seed >> 32),
+                                    1 => TxnOp::Set(key, seed >> 32),
+                                    _ => TxnOp::Remove(key),
+                                }
+                            })
+                            .collect();
+                        // One ticket per batch, waited before the next:
+                        // the journal is in acknowledgment order.
+                        let outcome = ingest.submit_batch(ops.clone()).wait();
+                        journal.extend(ops.into_iter().zip(outcome.applied));
+                    }
+                    journal
+                })
+            })
+            .collect();
+        producers
+            .into_iter()
+            .map(|p| p.join().expect("producer panicked"))
+            .collect()
+    });
+
+    // The crash point: the durable position, sampled with no flush. One
+    // more batch is in flight when the process dies — written after the
+    // sample, never acknowledged to anyone — and the cut keeps only a
+    // torn piece of its frame. (The orderly shutdown fsyncs the tail, but
+    // the cut rewinds the file to the sample.)
+    let durable = wal.durable_position();
+    let _ = ingest.submit_batch(vec![TxnOp::Set(2, 1)]).wait();
+    ingest.shutdown();
+    drop(ingest);
+    WalRecovery::cut(&dir, durable, TORN_BYTES).expect("cut");
+
+    let recovered = Arc::new(BundledStore::<u64, u64, S>::with_obs(
+        2,
+        ReclaimMode::Reclaim,
+        splits,
+        &registry,
+    ));
+    let stats = WalRecovery::replay(&dir, &recovered).expect("replay");
+    assert_eq!(stats.truncated_bytes, TORN_BYTES, "{tag}: torn frame cut");
+    let handle = recovered.register();
+    let state: BTreeMap<u64, u64> = handle.range_query_vec(&0, &u64::MAX).into_iter().collect();
+
+    // A: the log is the oracle; its two consumers agree.
+    assert_eq!(state, fold_log(&dir), "{tag}: replay != decode-fold");
+
+    // B: per key, the recovered value is reachable by a journal prefix.
+    let mut per_key: BTreeMap<u64, Vec<&Acked>> = BTreeMap::new();
+    for entry in journals.iter().flatten() {
+        per_key.entry(*entry.0.key()).or_default().push(entry);
+    }
+    for (key, history) in &per_key {
+        let recovered_value = state.get(key);
+        let mut model = BTreeMap::new();
+        let mut reachable = recovered_value.is_none();
+        for (op, applied) in history {
+            fold_op(&mut model, op, *applied);
+            reachable |= model.get(key) == recovered_value;
+        }
+        assert!(
+            reachable,
+            "{tag}: key {key} recovered as {recovered_value:?}, which no prefix of its \
+             {}-op acked journal produces",
+            history.len()
+        );
+    }
+    for key in state.keys() {
+        assert!(
+            per_key.contains_key(key),
+            "{tag}: key {key} was never acked"
+        );
+    }
+
+    // C: under Always an acknowledged op is a durable op.
+    if policy == SyncPolicy::Always {
+        let mut full = BTreeMap::new();
+        for (op, applied) in journals.iter().flatten() {
+            fold_op(&mut full, op, *applied);
+        }
+        assert_eq!(state, full, "{tag}: an acknowledged op was lost");
+        assert!(!state.is_empty(), "{tag}: writes survived");
+    }
+
+    // The wal.* instruments saw the writes and the replay.
+    let snap = recovered
+        .obs_snapshot(handle.tid())
+        .expect("store built with obs");
+    let counter = |name: &str| match snap.get(name) {
+        Some(&obs::SnapshotValue::Counter(c)) => c,
+        other => panic!("{tag}: {name} missing or mistyped: {other:?}"),
+    };
+    assert!(counter("wal.groups") >= stats.groups, "{tag}");
+    assert!(counter("wal.bytes") >= stats.bytes, "{tag}");
+    assert_eq!(
+        counter("wal.recovery_replayed_groups"),
+        stats.groups,
+        "{tag}"
+    );
+    for name in ["wal.append_ns", "wal.fsync_ns"] {
+        match snap.get(name) {
+            Some(obs::SnapshotValue::Histogram(h)) => {
+                assert!(h.count >= 1, "{tag}: {name} never recorded");
+            }
+            other => panic!("{tag}: {name} missing or mistyped: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_ingest_recovery_loses_nothing_acked_on_every_backend() {
+    concurrent_ingest_recovery::<BundledSkipList<u64, u64>>("ingest-skiplist", SyncPolicy::Always);
+    concurrent_ingest_recovery::<BundledCitrusTree<u64, u64>>("ingest-citrus", SyncPolicy::Always);
+    concurrent_ingest_recovery::<BundledLazyList<u64, u64>>("ingest-list", SyncPolicy::Always);
+}
+
+/// A volatile policy may lose a tail of acknowledged groups, but what it
+/// recovers is still a consistent prefix (checks A and B).
+#[test]
+fn concurrent_ingest_recovery_under_every_8_groups_is_a_consistent_prefix() {
+    concurrent_ingest_recovery::<BundledSkipList<u64, u64>>(
+        "ingest-every8",
+        SyncPolicy::EveryNGroups(8),
+    );
 }
 
 fn wal_segment_path(dir: &std::path::Path, seq: u64) -> PathBuf {
