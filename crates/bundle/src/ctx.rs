@@ -149,6 +149,20 @@ impl RqContext {
         self.tracker.active_announcements()
     }
 
+    /// [`RqContext::start_rq`] as a guard: the announcement ends when the
+    /// returned [`ActiveRq`] drops, so an unwinding traversal (a panicking
+    /// `V::clone`) cannot leave the tracker's oldest active snapshot — and
+    /// with it bundle reclamation — pinned forever. Borrows the context,
+    /// where [`RqContext::lease_read`] clones it: a per-query refcount bump
+    /// on a line every reader thread shares is what a range query must
+    /// not pay.
+    #[inline]
+    #[must_use]
+    pub fn announce_rq(&self, tid: usize) -> ActiveRq<'_> {
+        let ts = self.start_rq(tid);
+        ActiveRq { ctx: self, tid, ts }
+    }
+
     /// Lease a read timestamp for `tid`: atomically read the shared clock
     /// and announce the snapshot in the tracker, exactly like
     /// [`RqContext::start_rq`], but held across an *arbitrary number of
@@ -169,6 +183,29 @@ impl RqContext {
             tid,
             ts,
         }
+    }
+}
+
+/// The snapshot announcement of one range query (see
+/// [`RqContext::announce_rq`]); ended on drop.
+#[derive(Debug)]
+pub struct ActiveRq<'a> {
+    ctx: &'a RqContext,
+    tid: usize,
+    ts: u64,
+}
+
+impl ActiveRq<'_> {
+    /// The announced snapshot timestamp — the query's linearization point.
+    #[must_use]
+    pub fn ts(&self) -> u64 {
+        self.ts
+    }
+}
+
+impl Drop for ActiveRq<'_> {
+    fn drop(&mut self) {
+        self.ctx.finish_rq(self.tid);
     }
 }
 

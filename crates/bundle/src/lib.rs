@@ -31,10 +31,19 @@
 //!   to linearizable range queries **across** structures (the basis of the
 //!   sharded `store` crate),
 //! * [`api`] — the `ConcurrentSet` / `RangeQuerySet` traits implemented by
-//!   every data structure (bundled or competitor) in this workspace.
+//!   every data structure (bundled or competitor) in this workspace,
+//! * [`TwoPhase`] / [`ShardTxn`] — the **two-phase kernel**: the store's
+//!   begin / lock / snapshot-read / validate / finalize / abort protocol
+//!   (stage pending entries under node locks, validate reads, one clock
+//!   advance, finalize or abort), the paper's range-query loop and bundle
+//!   cleanup, written once over a small hook trait whose rustdoc is the
+//!   "how to add a backend" page; with [`TwoPhaseState`],
+//!   [`StagedOutcomes`], [`validate_chain`] and the [`PrepareCursor`]
+//!   protocol as its parts.
 //!
 //! The concrete bundled data structures live in the `lazylist`, `skiplist`
-//! and `citrus` crates of this workspace.
+//! and `citrus` crates of this workspace; each implements [`TwoPhase`]'s
+//! hooks next to its own traversals and the paper's primitive operations.
 //!
 //! ## Example
 //!
@@ -64,6 +73,7 @@ pub mod api;
 mod bundle_impl;
 mod ctx;
 mod cursor;
+mod kernel;
 mod linearize;
 mod recycler;
 mod tracker;
@@ -75,8 +85,9 @@ pub use bundle_impl::{Bundle, BundleIter, PendingEntry, PENDING_TS, TOMBSTONE_TS
 /// shim), re-exported so crates above the kernel pad shared words with
 /// the same type instead of growing a dependency edge each.
 pub use crossbeam_utils::CachePadded;
-pub use ctx::{ReadLease, RqContext};
+pub use ctx::{ActiveRq, ReadLease, RqContext};
 pub use cursor::{CursorStats, PrepareCursor};
+pub use kernel::{key_value, ShardTxn, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS};
 pub use linearize::{
     finalize_update, linearize_update, prepare_update, Conflict, TxnValidateError,
 };

@@ -1,5 +1,5 @@
 //! Structure-agnostic core of a two-phase (transactional) update: the
-//! bookkeeping every bundled structure's `ShardTxn` shares.
+//! bookkeeping inside every [`crate::ShardTxn`].
 //!
 //! A multi-key transaction on one structure accumulates three kinds of
 //! state while it prepares: the **node locks** it holds (until commit or
@@ -20,6 +20,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::bundle_impl::{Bundle, PendingEntry};
+use crate::kernel::TwoPhase;
 use crate::linearize::{Conflict, TxnValidateError};
 
 /// `try_lock` attempts a two-phase prepare makes on a contended node lock
@@ -408,33 +409,28 @@ pub const MAX_VALIDATE_ATTEMPTS: usize = 8;
 /// in `core` (held until finalize/abort), which is what pins the
 /// validated range at the commit timestamp.
 ///
-/// The structure supplies its specifics as closures: `locate` returns
-/// `(gap predecessor, first candidate)` for the range's lower bound;
-/// `lock` is the structure's transactional node lock (typically
-/// [`TwoPhaseState::lock`] on the node's embedded mutex); `pred_valid`
-/// re-validates the located pair; `key_of` reads a node's (immutable)
-/// key; `step` checks `curr` is validly linked after `prev` under the
-/// just-acquired lock and yields `(key, next)` — or `None` for a torn
-/// observation.
+/// Node locks and keys come from the structure's [`TwoPhase`] hooks; the
+/// rest of its specifics are closures: `locate` returns `(gap predecessor,
+/// first candidate)` for the range's lower bound; `pred_valid`
+/// re-validates the located pair; `step` checks `curr` is validly linked
+/// after `prev` under the just-acquired lock and yields its successor —
+/// or `None` for a torn observation.
 ///
-/// Safety contract (upheld by the callers): every pointer produced by
-/// `locate`/`step` is reachable while the caller's EBR pin is live, and
-/// `lock` upholds [`TwoPhaseState::lock`]'s contract.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_chain<K, N>(
-    core: &mut TwoPhaseState<N>,
-    expected: &[(K, usize)],
-    high: &K,
-    tail: *mut N,
-    mut locate: impl FnMut() -> (*mut N, *mut N),
-    mut lock: impl FnMut(&mut TwoPhaseState<N>, *mut N) -> Result<bool, Conflict>,
-    mut pred_valid: impl FnMut(*mut N, *mut N) -> bool,
-    mut key_of: impl FnMut(*mut N) -> K,
-    mut step: impl FnMut(*mut N, *mut N) -> Option<(K, *mut N)>,
-) -> Result<(), TxnValidateError>
-where
-    K: Copy + Ord,
-{
+/// # Safety
+///
+/// Every pointer produced by `locate`/`step` (and `tail`) is reachable
+/// while the caller's EBR pin is live (a locked node is never retired).
+pub unsafe fn validate_chain<S: TwoPhase>(
+    core: &mut TwoPhaseState<S::Node>,
+    expected: &[(S::Key, usize)],
+    high: &S::Key,
+    tail: *mut S::Node,
+    mut locate: impl FnMut() -> (*mut S::Node, *mut S::Node),
+    mut pred_valid: impl FnMut(*mut S::Node, *mut S::Node) -> bool,
+    mut step: impl FnMut(*mut S::Node, *mut S::Node) -> Option<*mut S::Node>,
+) -> Result<(), TxnValidateError> {
+    let lock =
+        |core: &mut TwoPhaseState<S::Node>, node: *mut S::Node| core.lock(node, S::lock_of(&*node));
     'attempt: for _ in 0..MAX_VALIDATE_ATTEMPTS {
         let mut newly = 0usize;
         let (pred, first) = locate();
@@ -453,10 +449,13 @@ where
             }
             continue;
         }
-        let mut actual: Vec<(K, usize)> = Vec::new();
+        // Compared against `expected` in place (no per-attempt buffer);
+        // the verdict still waits for the walk to finish, because a torn
+        // observation further on must retry rather than invalidate.
+        let (mut found, mut same) = (0usize, true);
         let mut prev = pred;
         let mut curr = first;
-        while curr != tail && key_of(curr) <= *high {
+        while curr != tail && S::entry(&*curr).0 <= *high {
             match lock(core, curr) {
                 Ok(true) => newly += 1,
                 Ok(false) => {}
@@ -468,15 +467,16 @@ where
             // Re-check linkage under the lock: a node that got removed
             // (or whose predecessor link moved) between the walk reaching
             // it and locking it is a torn observation, not a verdict.
-            let Some((key, next)) = step(prev, curr) else {
+            let Some(next) = step(prev, curr) else {
                 core.unlock_latest(newly);
                 continue 'attempt;
             };
-            actual.push((key, curr as usize));
+            same &= expected.get(found) == Some(&(S::entry(&*curr).0, curr as usize));
+            found += 1;
             prev = curr;
             curr = next;
         }
-        if actual != expected {
+        if !same || found != expected.len() {
             core.unlock_latest(newly);
             return Err(TxnValidateError::Invalidated);
         }

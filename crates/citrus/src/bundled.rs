@@ -2,16 +2,14 @@
 
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
-use bundle::api::{ConcurrentSet, RangeQuerySet};
+use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, PrepareCursor, Recycler,
-    RqContext, RqTracker, StagedOutcomes, TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TwoPhase,
+    TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
@@ -20,7 +18,8 @@ use crate::{LEFT, RIGHT};
 /// Pending bundle updates of one operation: `(bundle, new link value)`.
 type BundleUpdates<'a, K, V> = Vec<(&'a Bundle<Node<K, V>>, *mut Node<K, V>)>;
 
-struct Node<K, V> {
+/// A tree node (private fields; public only as [`TwoPhase::Node`]).
+pub struct Node<K, V> {
     key: K,
     val: Option<V>,
     lock: Mutex<()>,
@@ -92,9 +91,9 @@ impl Drop for SearchGate<'_> {
 pub struct BundledCitrusTree<K, V> {
     root: *mut Node<K, V>,
     /// Possibly shared with other structures (see [`RqContext`]); a tree
-    /// built through [`Self::new`] owns a private clock, matching the paper.
-    clock: Arc<GlobalTimestamp>,
-    tracker: Arc<RqTracker>,
+    /// built through [`TwoPhase::new`] owns a private clock, matching the
+    /// paper.
+    ctx: RqContext,
     collector: Collector,
     /// Per-thread **search gates** (seqlock-style announcements: odd =
     /// a newest-pointer search is in flight, even = idle), standing in
@@ -116,70 +115,9 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    /// Create a tree supporting `max_threads` registered threads.
-    pub fn new(max_threads: usize) -> Self {
-        Self::with_mode(max_threads, ReclaimMode::Reclaim)
-    }
-
     /// Create a tree with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
         Self::with_context(max_threads, mode, &RqContext::new(max_threads))
-    }
-
-    /// Create a tree ordering its updates through a possibly *shared*
-    /// linearization context.
-    ///
-    /// Structures built from clones of the same [`RqContext`] totally order
-    /// their updates on one clock, so a caller that fixes a snapshot
-    /// timestamp once can traverse all of them atomically with
-    /// [`Self::range_query_at`] — the basis of the sharded store's
-    /// cross-shard linearizable range queries.
-    pub fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let root = Node::new(K::default(), None);
-        unsafe {
-            // The sentinel's left link starts empty at timestamp 0.
-            (*root).bundle[LEFT].init(ptr::null_mut(), 0);
-            (*root).bundle[RIGHT].init(ptr::null_mut(), 0);
-        }
-        BundledCitrusTree {
-            root,
-            clock: Arc::clone(ctx.clock()),
-            tracker: Arc::clone(ctx.tracker()),
-            collector: Collector::new(max_threads, mode),
-            searchers: (0..max_threads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Tree whose global timestamp only advances every `t`-th update per
-    /// thread (Appendix A relaxation; `t = 0` means never).
-    pub fn with_relaxation(max_threads: usize, t: u64) -> Self {
-        Self::with_context(
-            max_threads,
-            ReclaimMode::Reclaim,
-            &RqContext::with_threshold(max_threads, t),
-        )
-    }
-
-    /// The structure's epoch collector (diagnostics).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// The structure's global timestamp (diagnostics).
-    pub fn clock(&self) -> &GlobalTimestamp {
-        &self.clock
-    }
-
-    /// A handle to the linearization context this tree uses (shared with
-    /// every other structure built from the same context).
-    pub fn context(&self) -> RqContext {
-        RqContext::from_parts(Arc::clone(&self.clock), Arc::clone(&self.tracker))
-    }
-
-    fn pin(&self, tid: usize) -> Guard<'_> {
-        self.collector.pin(tid)
     }
 
     /// Enter `tid`'s search gate (odd = in flight). The `SeqCst` fence
@@ -359,117 +297,6 @@ where
         }
     }
 
-    /// Total number of bundle entries over all reachable nodes (diagnostic).
-    pub fn bundle_entries(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
-        let mut n = 0;
-        let mut stack = vec![self.root];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
-            }
-            let node = unsafe { &*p };
-            n += node.bundle[LEFT].len() + node.bundle[RIGHT].len();
-            stack.push(node.child[LEFT].load(Ordering::Acquire));
-            stack.push(node.child[RIGHT].load(Ordering::Acquire));
-        }
-        n
-    }
-
-    /// One cleanup pass pruning stale bundle entries (Appendix B).
-    pub fn cleanup_bundles(&self, tid: usize) -> usize {
-        let guard = self.pin(tid);
-        let oldest = self.tracker.oldest_active(self.clock.read());
-        let mut reclaimed = 0;
-        let mut stack = vec![self.root];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
-            }
-            let node = unsafe { &*p };
-            reclaimed += node.bundle[LEFT].reclaim_up_to(oldest, &guard);
-            reclaimed += node.bundle[RIGHT].reclaim_up_to(oldest, &guard);
-            stack.push(node.child[LEFT].load(Ordering::Acquire));
-            stack.push(node.child[RIGHT].load(Ordering::Acquire));
-        }
-        self.collector.try_advance();
-        reclaimed
-    }
-
-    /// Spawn a background recycler running [`Self::cleanup_bundles`] every
-    /// `delay` on thread slot `tid`.
-    pub fn spawn_recycler(self: &std::sync::Arc<Self>, tid: usize, delay: Duration) -> Recycler
-    where
-        K: 'static,
-        V: 'static,
-    {
-        let tree = std::sync::Arc::clone(self);
-        Recycler::spawn(delay, move || {
-            tree.cleanup_bundles(tid);
-        })
-    }
-
-    /// One optimistic attempt to collect the snapshot at `ts`: optimistic
-    /// descent over the newest pointers to the subtree containing the
-    /// range, then an in-order traversal strictly over bundles.
-    ///
-    /// `None` means a node created after the snapshot was reached and the
-    /// caller must retry. The caller holds the EBR guard.
-    fn try_collect_at(
-        &self,
-        ts: u64,
-        low: &K,
-        high: &K,
-        stack: &mut Vec<*mut Node<K, V>>,
-        visit: impl FnMut(*mut Node<K, V>),
-    ) -> Option<()> {
-        // Phase 1 (GetFirstNodeInRange): optimistic descent using the
-        // newest pointers to the last node *outside* the range — its child
-        // in direction `dir` roots the subtree containing every key of the
-        // range.
-        let mut pred = self.root;
-        let mut dir = LEFT;
-        let mut curr = unsafe { &*pred }.child[LEFT].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if c.key < *low {
-                pred = curr;
-                dir = RIGHT;
-                curr = c.child[RIGHT].load(Ordering::Acquire);
-            } else if c.key > *high {
-                pred = curr;
-                dir = LEFT;
-                curr = c.child[LEFT].load(Ordering::Acquire);
-            } else {
-                break;
-            }
-        }
-
-        // Phase 2: enter the snapshot through the predecessor's bundle and
-        // walk it strictly over bundles.
-        let entry = unsafe { &*pred }.bundle[dir].dereference(ts)?;
-        self.walk_at(entry, ts, low, high, stack, visit)
-    }
-
-    /// Guaranteed snapshot collection at `ts`: the bundle-only walk from
-    /// the sentinel root. Never restarts — the sentinel's bundles are
-    /// initialized at timestamp 0 and cleanup keeps every entry the oldest
-    /// announced snapshot needs.
-    fn collect_snapshot_at(
-        &self,
-        ts: u64,
-        low: &K,
-        high: &K,
-        stack: &mut Vec<*mut Node<K, V>>,
-        visit: impl FnMut(*mut Node<K, V>),
-    ) {
-        let entry = unsafe { &*self.root }.bundle[LEFT]
-            .dereference(ts)
-            .expect("root bundle must satisfy an announced snapshot");
-        self.walk_at(entry, ts, low, high, stack, visit)
-            .expect("snapshot walk must stay satisfiable");
-    }
-
     /// Bundle-only **in-order** walk from `entry` at snapshot `ts`: calls
     /// `visit` on every node of `low..=high` in ascending key order.
     /// Descends left while the key is at least `low` (nothing left of a
@@ -482,10 +309,9 @@ where
         ts: u64,
         low: &K,
         high: &K,
-        stack: &mut Vec<*mut Node<K, V>>,
         mut visit: impl FnMut(*mut Node<K, V>),
     ) -> Option<()> {
-        stack.clear();
+        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
         let mut curr = entry;
         loop {
             while !curr.is_null() {
@@ -509,231 +335,6 @@ where
         }
     }
 
-    /// Range query at a *caller-fixed* snapshot timestamp.
-    ///
-    /// Used by multi-structure callers (the sharded store): read the shared
-    /// clock once, announce it in the shared tracker, then call this on
-    /// every structure — together the results form one atomic snapshot.
-    ///
-    /// Contract: `ts` must be announced in this structure's [`RqTracker`]
-    /// (e.g. via [`bundle::RqContext::start_rq`]) for the whole call, so
-    /// bundle cleanup cannot reclaim entries the traversal needs; `ts` must
-    /// also not exceed the shared clock's current value.
-    pub fn range_query_at(
-        &self,
-        tid: usize,
-        ts: u64,
-        low: &K,
-        high: &K,
-        out: &mut Vec<(K, V)>,
-    ) -> usize {
-        let _guard = self.pin(tid);
-        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
-        // Optimistic attempts descend over the newest pointers; the fixed
-        // timestamp cannot be refreshed on failure, so fall back to the
-        // bundle-only walk from the sentinel root, which always succeeds.
-        for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            out.clear();
-            if self
-                .try_collect_at(ts, low, high, &mut stack, |p| out.push(key_value(p)))
-                .is_some()
-            {
-                return out.len();
-            }
-        }
-        out.clear();
-        self.collect_snapshot_at(ts, low, high, &mut stack, |p| out.push(key_value(p)));
-        out.len()
-    }
-
-    /// Transactional range read: collect `low..=high` as of snapshot `ts`
-    /// exactly like [`Self::range_query_at`], additionally recording each
-    /// collected node's address into `nodes` — the per-transaction **read
-    /// set** that [`Self::txn_validate`] re-checks and pins at commit.
-    /// Both `out` and `nodes` come back in ascending key order. Nodes are
-    /// immutable once created (even the two-children remove replaces its
-    /// victim with a fresh copy), so node identity doubles as value
-    /// identity.
-    ///
-    /// Same contract as `range_query_at`, plus: the caller must hold an
-    /// EBR pin on this structure from before the read lease until
-    /// validation so the recorded addresses stay comparable (no reuse).
-    pub fn txn_range_read(
-        &self,
-        tid: usize,
-        ts: u64,
-        low: &K,
-        high: &K,
-        out: &mut Vec<(K, V)>,
-        nodes: &mut Vec<(K, usize)>,
-    ) -> usize {
-        let _guard = self.pin(tid);
-        out.clear();
-        nodes.clear();
-        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
-        self.collect_snapshot_at(ts, low, high, &mut stack, |p| {
-            let (k, v) = key_value(p);
-            out.push((k, v));
-            nodes.push((k, p as usize));
-        });
-        out.len()
-    }
-
-    /// Transactional point read: what [`Self::txn_range_read`] over the
-    /// degenerate range `[key, key]` records and returns, found by one
-    /// bundle-only descent.
-    pub fn txn_read(&self, tid: usize, ts: u64, key: &K, nodes: &mut Vec<(K, usize)>) -> Option<V> {
-        let _guard = self.pin(tid);
-        nodes.clear();
-        let mut curr = unsafe { &*self.root }.bundle[LEFT]
-            .dereference(ts)
-            .expect("root bundle must satisfy an announced snapshot");
-        while !curr.is_null() {
-            let node = unsafe { &*curr };
-            if node.key == *key {
-                nodes.push((node.key, curr as usize));
-                return node.val.clone();
-            }
-            let dir = if *key < node.key { LEFT } else { RIGHT };
-            curr = node.bundle[dir]
-                .dereference(ts)
-                .expect("snapshot walk must stay satisfiable");
-        }
-        None
-    }
-}
-
-/// The `(key, value)` a snapshot walk reports for data node `p`.
-fn key_value<K: Copy, V: Clone>(p: *mut Node<K, V>) -> (K, V) {
-    // SAFETY: `p` was reached by a walk whose caller holds the EBR pin.
-    let node = unsafe { &*p };
-    (node.key, node.val.clone().expect("data node has a value"))
-}
-
-/// Initial capacity of a snapshot walk's ancestor stack: deeper than the
-/// expected height of a tree of a few million random keys, so a walk
-/// allocates once.
-const WALK_STACK_CAPACITY: usize = 64;
-
-/// Optimistic entry attempts a fixed-timestamp range query makes before
-/// falling back to the guaranteed bundle-only traversal.
-const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
-
-/// Accumulated two-phase state of one transaction's writes on this tree:
-/// the shared lock/pending bookkeeping ([`bundle::TwoPhaseState`]) plus
-/// the tree-specific undo log reverting the eager structural changes on
-/// abort. See [`BundledCitrusTree::txn_begin`].
-pub struct ShardTxn<K, V> {
-    core: TwoPhaseState<Node<K, V>>,
-    undo: Vec<CitrusUndo<K, V>>,
-    /// Per-key pre/post images of the staged writes, consumed by
-    /// [`BundledCitrusTree::txn_validate`]. The two-children remove
-    /// records *two* keys: the removed key and the relocated successor
-    /// (whose node identity changes to the fresh copy).
-    staged: StagedOutcomes<K>,
-    /// Buffers of [`BundledCitrusTree::txn_validate`], reused across the
-    /// transaction's validate calls on this tree: the first walk, the
-    /// under-lock re-walk it is compared with, and the ancestor stack of both.
-    walk: Vec<(K, usize)>,
-    verify: Vec<(K, usize)>,
-    stack: Vec<*mut Node<K, V>>,
-    /// Validate calls that had to walk and lock the tree (the rest were
-    /// decided by [`StagedOutcomes::covered_read`]).
-    validate_walks: usize,
-}
-
-enum CitrusUndo<K, V> {
-    /// A staged insert stored `node` into `pred.child[dir]` (previously
-    /// null).
-    Link {
-        pred: *mut Node<K, V>,
-        dir: usize,
-        node: *mut Node<K, V>,
-    },
-    /// A zero/one-child remove spliced `repl` into `pred.child[dir]`,
-    /// marking `curr`.
-    Splice {
-        pred: *mut Node<K, V>,
-        dir: usize,
-        curr: *mut Node<K, V>,
-    },
-    /// A two-children remove replaced `curr` by `new_node` under
-    /// `pred.child[dir]`, marked `curr` and `succ`, and (when the
-    /// successor was not curr's direct right child) moved `succ` out of
-    /// `sp.child[LEFT]`.
-    Replace {
-        pred: *mut Node<K, V>,
-        dir: usize,
-        curr: *mut Node<K, V>,
-        succ: *mut Node<K, V>,
-        new_node: *mut Node<K, V>,
-        sp: *mut Node<K, V>,
-        sp_moved: bool,
-    },
-}
-
-impl<K, V> ShardTxn<K, V> {
-    /// Number of staged write operations.
-    #[must_use]
-    pub fn staged_ops(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// `true` when nothing has been staged or pinned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.undo.is_empty() && self.core.is_empty()
-    }
-
-    /// Number of `txn_validate` calls on this token that walked and
-    /// locked the tree; reads of keys the transaction wrote are decided
-    /// from the staged images and do not count.
-    #[must_use]
-    pub fn validate_walks(&self) -> usize {
-        self.validate_walks
-    }
-}
-
-impl<K, V> BundledCitrusTree<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    /// Begin accumulating two-phase writes for thread `tid`.
-    pub fn txn_begin(&self, tid: usize) -> ShardTxn<K, V> {
-        ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
-            staged: StagedOutcomes::new(),
-            walk: Vec::new(),
-            verify: Vec::new(),
-            stack: Vec::new(),
-            validate_walks: 0,
-        }
-    }
-
-    /// [`txn_begin`](Self::txn_begin) for a **write-only** pipeline: the
-    /// transaction has no read set, so no validate phase will run and the
-    /// per-key pre/post images are not recorded (one map insert saved per
-    /// staged op — group commits stage hundreds of ops per token, so the
-    /// bookkeeping nothing reads is worth skipping). Calling
-    /// [`txn_validate`](Self::txn_validate) on such a token is a contract
-    /// violation (debug-asserted in `StagedOutcomes`).
-    pub fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<K, V> {
-        ShardTxn {
-            staged: StagedOutcomes::disabled(),
-            ..self.txn_begin(tid)
-        }
-    }
-
-    /// Acquire `node`'s lock for the transaction unless already held;
-    /// `Ok(true)` = newly acquired (see [`TwoPhaseState::lock`]).
-    fn txn_lock(&self, txn: &mut ShardTxn<K, V>, node: *mut Node<K, V>) -> Result<bool, Conflict> {
-        // Safety: `node` is reachable (caller pins EBR) and a locked node
-        // is never retired — every remover must lock its victim first.
-        unsafe { txn.core.lock(node, &(*node).lock) }
-    }
-
     /// Pin the gap a staged remove is about to leave behind when its
     /// victim has a subtree on the `toward`-opposite side rooted at
     /// `from`: once the victim is spliced out, a re-insert of its key
@@ -751,7 +352,7 @@ where
     /// again, the caller retries its whole seek.
     fn txn_pin_gap(
         &self,
-        txn: &mut ShardTxn<K, V>,
+        txn: &mut ShardTxn<BundledCitrusTree<K, V>>,
         from: *mut Node<K, V>,
         toward: usize,
     ) -> Result<Option<bool>, Conflict> {
@@ -766,7 +367,7 @@ where
             }
             gap = next;
         }
-        let newly = self.txn_lock(txn, gap)?;
+        let newly = unsafe { self.txn_lock(txn, gap) }?;
         let g = unsafe { &*gap };
         if g.marked.load(Ordering::Acquire) || !g.child[toward].load(Ordering::Acquire).is_null() {
             if newly {
@@ -777,26 +378,6 @@ where
             return Err(Conflict);
         }
         Ok(Some(newly))
-    }
-
-    /// Open a [`ShardCursor`] over `txn`: the positional batch-staging
-    /// surface (see [`bundle::PrepareCursor`]). The cursor retains the
-    /// last located position's **ancestor spine** (the root path, with
-    /// each node's subtree key interval) and resumes the next search from
-    /// the deepest ancestor whose interval still contains the target, so
-    /// a key-sorted batch descends once and then walks short subtree
-    /// hops.
-    pub fn txn_cursor(&self, txn: ShardTxn<K, V>) -> ShardCursor<'_, K, V> {
-        // The cursor-lifetime pin keeps every retained spine pointer
-        // allocated between seeks (pins are reentrant).
-        let guard = self.pin(txn.core.tid());
-        ShardCursor {
-            tree: self,
-            txn,
-            _guard: guard,
-            spine: Vec::new(),
-            stats: CursorStats::default(),
-        }
     }
 
     /// One pruned in-order walk over the newest child pointers: collects
@@ -857,27 +438,179 @@ where
             curr = n.child[RIGHT].load(Ordering::Acquire);
         }
     }
+}
 
-    /// Validate one recorded read range of a read-write transaction and
-    /// **pin it until commit**. Must run after every staged write of the
-    /// transaction on this structure, under the store's shard intent lock.
-    ///
-    /// A single-key read of a key the transaction also wrote is decided
-    /// from the staged images alone ([`StagedOutcomes::covered_read`]):
-    /// the prepare already holds the locks pinning that key, so nothing
-    /// is walked or locked. Every other read takes the full pass: one
-    /// walk of the live tree finds the in-range nodes and the range's two
-    /// in-order boundary neighbours ([`Self::walk_range_newest`]; the
-    /// sentinel root where a side has none), all of them are locked, a
-    /// second walk under the locks confirms the picture is stable, and
-    /// the `(key, node)` list is compared against the recorded read
-    /// adjusted for the transaction's own staged writes
-    /// ([`StagedOutcomes::expected_now`]). Lock contention surfaces as
-    /// [`TxnValidateError::Conflict`] (the store rolls back and retries);
-    /// a stable mismatch is a foreign commit inside the range since the
-    /// leased read timestamp — [`TxnValidateError::Invalidated`]. Both
-    /// walks, their ancestor stack and the projection reuse buffers kept
-    /// in the token.
+/// Initial capacity of a snapshot walk's ancestor stack: deeper than the
+/// expected height of a tree of a few million random keys, so a walk
+/// allocates once.
+const WALK_STACK_CAPACITY: usize = 64;
+
+/// One eager structural change of a staged write (see [`TwoPhase::revert`]).
+pub enum CitrusUndo<K, V> {
+    /// A staged insert stored `node` into `pred.child[dir]` (previously
+    /// null).
+    Link {
+        pred: *mut Node<K, V>,
+        dir: usize,
+        node: *mut Node<K, V>,
+    },
+    /// A zero/one-child remove spliced `repl` into `pred.child[dir]`,
+    /// marking `curr`.
+    Splice {
+        pred: *mut Node<K, V>,
+        dir: usize,
+        curr: *mut Node<K, V>,
+    },
+    /// A two-children remove replaced `curr` by `new_node` under
+    /// `pred.child[dir]`, marked `curr` and `succ`, and (when the
+    /// successor was not curr's direct right child) moved `succ` out of
+    /// `sp.child[LEFT]`.
+    Replace {
+        pred: *mut Node<K, V>,
+        dir: usize,
+        curr: *mut Node<K, V>,
+        succ: *mut Node<K, V>,
+        new_node: *mut Node<K, V>,
+        sp: *mut Node<K, V>,
+        sp_moved: bool,
+    },
+}
+
+impl<K, V> TwoPhase for BundledCitrusTree<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    type Key = K;
+    type Value = V;
+    type Node = Node<K, V>;
+    type Undo = CitrusUndo<K, V>;
+    /// The first walk, the under-lock re-walk it is compared with, and the
+    /// ancestor stack of both.
+    type Scratch = (Vec<(K, usize)>, Vec<(K, usize)>, Vec<*mut Node<K, V>>);
+    type Cursor<'a>
+        = ShardCursor<'a, K, V>
+    where
+        Self: 'a;
+
+    /// Transactional reads walk from the sentinel root through bundles
+    /// only (no optimistic entry over the newest pointers).
+    const TXN_READ_ATTEMPTS: usize = 0;
+
+    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
+        let root = Node::new(K::default(), None);
+        unsafe {
+            // The sentinel's left link starts empty at timestamp 0.
+            (*root).bundle[LEFT].init(ptr::null_mut(), 0);
+            (*root).bundle[RIGHT].init(ptr::null_mut(), 0);
+        }
+        BundledCitrusTree {
+            root,
+            ctx: ctx.clone(),
+            collector: Collector::new(max_threads, mode),
+            searchers: (0..max_threads)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+        }
+    }
+
+    fn context(&self) -> &RqContext {
+        &self.ctx
+    }
+
+    fn collector(&self) -> &Collector {
+        &self.collector
+    }
+
+    fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
+        &node.lock
+    }
+
+    fn entry(node: &Node<K, V>) -> (K, &Option<V>) {
+        (node.key, &node.val)
+    }
+
+    fn try_collect_at(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
+        // Phase 1 (GetFirstNodeInRange): optimistic descent using the
+        // newest pointers to the last node *outside* the range — its child
+        // in direction `dir` roots the subtree containing every key of the
+        // range.
+        let mut pred = self.root;
+        let mut dir = LEFT;
+        let mut curr = unsafe { &*pred }.child[LEFT].load(Ordering::Acquire);
+        while !curr.is_null() {
+            let c = unsafe { &*curr };
+            if c.key < *low {
+                pred = curr;
+                dir = RIGHT;
+                curr = c.child[RIGHT].load(Ordering::Acquire);
+            } else if c.key > *high {
+                pred = curr;
+                dir = LEFT;
+                curr = c.child[LEFT].load(Ordering::Acquire);
+            } else {
+                break;
+            }
+        }
+
+        // Phase 2: enter the snapshot through the predecessor's bundle and
+        // walk it strictly over bundles.
+        let entry = unsafe { &*pred }.bundle[dir].dereference(ts)?;
+        self.walk_at(entry, ts, low, high, visit)
+    }
+
+    fn collect_snapshot_at(&self, ts: u64, low: &K, high: &K, visit: impl FnMut(*mut Node<K, V>)) {
+        let entry = unsafe { &*self.root }.bundle[LEFT]
+            .dereference(ts)
+            .expect("root bundle must satisfy an announced snapshot");
+        self.walk_at(entry, ts, low, high, visit)
+            .expect("snapshot walk must stay satisfiable");
+    }
+
+    fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
+        let mut stack = vec![self.root];
+        while let Some(p) = stack.pop() {
+            if p.is_null() {
+                continue;
+            }
+            let node = unsafe { &*p };
+            f(&node.bundle[LEFT]);
+            f(&node.bundle[RIGHT]);
+            stack.push(node.child[LEFT].load(Ordering::Acquire));
+            stack.push(node.child[RIGHT].load(Ordering::Acquire));
+        }
+    }
+
+    /// The cursor retains the last located position's **ancestor spine**
+    /// (the root path, with each node's subtree key interval) and resumes
+    /// the next search from the deepest ancestor whose interval still
+    /// contains the target, so a key-sorted batch descends once and then
+    /// walks short subtree hops.
+    fn txn_cursor(&self, txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
+        // The cursor-lifetime pin keeps every retained spine pointer
+        // allocated between seeks (pins are reentrant).
+        let guard = self.pin(txn.core.tid());
+        ShardCursor {
+            tree: self,
+            txn,
+            _guard: guard,
+            spine: Vec::new(),
+            stats: CursorStats::default(),
+        }
+    }
+
+    /// One walk of the live tree finds the in-range nodes and the range's
+    /// two in-order boundary neighbours (`walk_range_newest`; the
+    /// sentinel root where a side has none), all of them are locked, and a
+    /// second walk under the locks confirms the picture is stable before
+    /// it is compared with `expected`. Both walks and their ancestor stack
+    /// reuse the token's scratch buffers.
     ///
     /// Phantom safety: with all in-range nodes and both boundaries locked
     /// (and the second walk having re-derived exactly the same nodes and
@@ -887,27 +620,14 @@ where
     /// (two-children remove of an outside key) needs the relocated
     /// successor's lock. All block until the transaction finalizes, so the
     /// reads hold at the commit timestamp.
-    pub fn txn_validate(
+    fn validate_walk(
         &self,
-        txn: &mut ShardTxn<K, V>,
+        core: &mut TwoPhaseState<Node<K, V>>,
+        (walk, verify, stack): &mut Self::Scratch,
+        expected: &[(K, usize)],
         low: &K,
         high: &K,
-        recorded: &[(K, usize)],
     ) -> Result<(), TxnValidateError> {
-        if let Some(verdict) = txn.staged.covered_read(low, high, recorded) {
-            return verdict;
-        }
-        txn.validate_walks += 1;
-        let ShardTxn {
-            core,
-            staged,
-            walk,
-            verify,
-            stack,
-            ..
-        } = txn;
-        let expected = staged.expected_now(low, high, recorded)?;
-        let _guard = self.pin(core.tid());
         'attempt: for _ in 0..bundle::MAX_VALIDATE_ATTEMPTS {
             let mut newly = 0usize;
             let Some(bounds) = self.walk_range_newest(low, high, walk, stack) else {
@@ -918,7 +638,7 @@ where
                 .map(|(_, n)| *n as *mut Node<K, V>)
                 .chain(bounds)
             {
-                // SAFETY: `node` was reached under the EBR pin above, and
+                // SAFETY: `node` was reached under the caller's EBR pin, and
                 // a locked node is never retired.
                 match unsafe { core.lock(node, &(*node).lock) } {
                     Ok(true) => newly += 1,
@@ -949,67 +669,39 @@ where
         Err(TxnValidateError::Conflict)
     }
 
-    /// Commit: publish every staged bundle entry with the transaction's
-    /// single timestamp, release the locks, retire removed nodes.
-    pub fn txn_finalize(&self, txn: ShardTxn<K, V>, ts: u64) {
-        let tid = txn.core.tid();
-        let victims = txn.core.finalize(ts);
-        let guard = self.pin(tid);
-        for v in victims {
-            // Safety: unlinked by this transaction under the proper locks;
-            // EBR defers the free past concurrent readers.
-            unsafe { guard.retire(v) };
-        }
-    }
-
-    /// Abort: revert the eager structural changes in reverse order, then
-    /// neutralize the pending bundle entries, release the locks, and
-    /// retire the nodes the transaction created.
-    pub fn txn_abort(&self, txn: ShardTxn<K, V>) {
-        let ShardTxn { core, mut undo, .. } = txn;
-        let tid = core.tid();
-        while let Some(op) = undo.pop() {
-            match op {
-                CitrusUndo::Link { pred, dir, node } => {
-                    unsafe { &*node }.marked.store(true, Ordering::SeqCst);
-                    unsafe { &*pred }.child[dir].store(ptr::null_mut(), Ordering::SeqCst);
-                }
-                CitrusUndo::Splice { pred, dir, curr } => {
-                    unsafe { &*curr }.marked.store(false, Ordering::SeqCst);
-                    unsafe { &*pred }.child[dir].store(curr, Ordering::SeqCst);
-                }
-                CitrusUndo::Replace {
-                    pred,
-                    dir,
-                    curr,
-                    succ,
-                    new_node,
-                    sp,
-                    sp_moved,
-                } => {
-                    unsafe { &*new_node }.marked.store(true, Ordering::SeqCst);
-                    if sp_moved {
-                        unsafe { &*sp }.child[LEFT].store(succ, Ordering::SeqCst);
-                    }
-                    unsafe { &*pred }.child[dir].store(curr, Ordering::SeqCst);
-                    unsafe { &*succ }.marked.store(false, Ordering::SeqCst);
-                    unsafe { &*curr }.marked.store(false, Ordering::SeqCst);
-                }
+    unsafe fn revert(&self, undo: CitrusUndo<K, V>) {
+        match undo {
+            CitrusUndo::Link { pred, dir, node } => {
+                (*node).marked.store(true, Ordering::SeqCst);
+                (*pred).child[dir].store(ptr::null_mut(), Ordering::SeqCst);
             }
-        }
-        // Only after the physical state is fully reverted: release any
-        // snapshot readers spinning on our pending entries.
-        let created = core.abort();
-        let guard = self.pin(tid);
-        for n in created {
-            // Safety: unlinked above; EBR defers the free.
-            unsafe { guard.retire(n) };
+            CitrusUndo::Splice { pred, dir, curr } => {
+                (*curr).marked.store(false, Ordering::SeqCst);
+                (*pred).child[dir].store(curr, Ordering::SeqCst);
+            }
+            CitrusUndo::Replace {
+                pred,
+                dir,
+                curr,
+                succ,
+                new_node,
+                sp,
+                sp_moved,
+            } => {
+                (*new_node).marked.store(true, Ordering::SeqCst);
+                if sp_moved {
+                    (*sp).child[LEFT].store(succ, Ordering::SeqCst);
+                }
+                (*pred).child[dir].store(curr, Ordering::SeqCst);
+                (*succ).marked.store(false, Ordering::SeqCst);
+                (*curr).marked.store(false, Ordering::SeqCst);
+            }
         }
     }
 }
 
 /// A prepare cursor over one [`ShardTxn`] (see
-/// [`BundledCitrusTree::txn_cursor`] and [`bundle::PrepareCursor`]).
+/// [`TwoPhase::txn_cursor`] and [`bundle::PrepareCursor`]).
 ///
 /// The retained frontier is the last located position's **ancestor
 /// spine**: the root path, each entry tagged with the open key interval
@@ -1020,9 +712,13 @@ where
 /// the transaction are locked; the rest are unlocked hints whose stale
 /// positions are caught by the under-lock validation every prepare
 /// performs (the retry falls back to a root descent).
-pub struct ShardCursor<'a, K, V> {
+pub struct ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     tree: &'a BundledCitrusTree<K, V>,
-    txn: ShardTxn<K, V>,
+    txn: ShardTxn<BundledCitrusTree<K, V>>,
     /// Keeps every retained spine pointer allocated between seeks.
     _guard: Guard<'a>,
     spine: Vec<SpineEntry<K, V>>,
@@ -1053,7 +749,7 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    type Txn = ShardTxn<K, V>;
+    type Txn = ShardTxn<BundledCitrusTree<K, V>>;
 
     /// Stage an insert at the sought position: eager structural link with
     /// the affected bundle entries left *pending* until the transaction's
@@ -1079,7 +775,7 @@ where
                 // commit (a remove must acquire it). If it got marked
                 // before we locked it, the remove linearized first —
                 // retry and miss it.
-                let newly = tree.txn_lock(txn, curr)?;
+                let newly = unsafe { tree.txn_lock(txn, curr) }?;
                 if unsafe { &*curr }.marked.load(Ordering::Acquire) {
                     if newly {
                         txn.core.unlock_latest(1);
@@ -1097,7 +793,7 @@ where
                 });
                 return Ok(false);
             }
-            let newly = tree.txn_lock(txn, pred)?;
+            let newly = unsafe { tree.txn_lock(txn, pred) }?;
             let pred_ref = unsafe { &*pred };
             if pred_ref.marked.load(Ordering::Acquire)
                 || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
@@ -1149,7 +845,7 @@ where
             let txn = &mut self.txn;
             if curr.is_null() {
                 // Pin the no-op: hold the insertion parent until commit.
-                let newly = tree.txn_lock(txn, pred)?;
+                let newly = unsafe { tree.txn_lock(txn, pred) }?;
                 let pred_ref = unsafe { &*pred };
                 if pred_ref.marked.load(Ordering::Acquire)
                     || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
@@ -1167,12 +863,12 @@ where
             let pred_ref = unsafe { &*pred };
             let curr_ref = unsafe { &*curr };
             let mut newly = 0usize;
-            match tree.txn_lock(txn, pred) {
+            match unsafe { tree.txn_lock(txn, pred) } {
                 Ok(true) => newly += 1,
                 Ok(false) => {}
                 Err(c) => return Err(c),
             }
-            match tree.txn_lock(txn, curr) {
+            match unsafe { tree.txn_lock(txn, curr) } {
                 Ok(true) => newly += 1,
                 Ok(false) => {}
                 Err(c) => {
@@ -1250,7 +946,7 @@ where
             let succ_ref = unsafe { &*succ };
             let sp_ref = unsafe { &*succ_parent };
             if succ_parent != curr {
-                match tree.txn_lock(txn, succ_parent) {
+                match unsafe { tree.txn_lock(txn, succ_parent) } {
                     Ok(true) => newly += 1,
                     Ok(false) => {}
                     Err(c) => {
@@ -1259,7 +955,7 @@ where
                     }
                 }
             }
-            match tree.txn_lock(txn, succ) {
+            match unsafe { tree.txn_lock(txn, succ) } {
                 Ok(true) => newly += 1,
                 Ok(false) => {}
                 Err(c) => {
@@ -1368,15 +1064,18 @@ where
     }
 
     /// Give the transaction token back (dropping the spine and the
-    /// cursor's EBR pin); consume it with
-    /// [`BundledCitrusTree::txn_finalize`] or
-    /// [`BundledCitrusTree::txn_abort`].
-    fn finish(self) -> ShardTxn<K, V> {
+    /// cursor's EBR pin); consume it with [`TwoPhase::txn_finalize`] or
+    /// [`TwoPhase::txn_abort`].
+    fn finish(self) -> ShardTxn<BundledCitrusTree<K, V>> {
         self.txn
     }
 }
 
-impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V> {
+impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCursor")
             .field("spine_depth", &self.spine.len())
@@ -1422,7 +1121,7 @@ where
                 (&node_ref.bundle[RIGHT], ptr::null_mut()),
                 (&pred_ref.bundle[dir], node),
             ];
-            linearize_update(&self.clock, tid, &bundles, || {
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
                 pred_ref.child[dir].store(node, Ordering::SeqCst);
             });
             return true;
@@ -1463,7 +1162,7 @@ where
                 // null) into the predecessor.
                 let repl = if left.is_null() { right } else { left };
                 let bundles = [(&pred_ref.bundle[dir], repl)];
-                linearize_update(&self.clock, tid, &bundles, || {
+                linearize_update(self.ctx.clock(), tid, &bundles, || {
                     curr_ref.marked.store(true, Ordering::SeqCst);
                     pred_ref.child[dir].store(repl, Ordering::SeqCst);
                 });
@@ -1542,7 +1241,7 @@ where
                 // The successor is physically moved out of its old slot.
                 bundles.push((&sp_ref.bundle[LEFT], succ_right));
             }
-            linearize_update(&self.clock, tid, &bundles, || {
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
                 curr_ref.marked.store(true, Ordering::SeqCst);
                 succ_ref.marked.store(true, Ordering::SeqCst);
                 pred_ref.child[dir].store(new_node, Ordering::SeqCst);
@@ -1621,30 +1320,6 @@ where
     }
 }
 
-impl<K, V> RangeQuerySet<K, V> for BundledCitrusTree<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        let _guard = self.pin(tid);
-        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
-        loop {
-            // Linearization point: fix the snapshot timestamp and announce
-            // it for the bundle recycler. On a failed optimistic attempt
-            // restart with a fresh timestamp.
-            let ts = self.tracker.start(tid, &self.clock);
-            out.clear();
-            let collected =
-                self.try_collect_at(ts, low, high, &mut stack, |p| out.push(key_value(p)));
-            self.tracker.finish(tid);
-            if collected.is_some() {
-                return out.len();
-            }
-        }
-    }
-}
-
 impl<K, V> Drop for BundledCitrusTree<K, V> {
     fn drop(&mut self) {
         let mut stack = vec![self.root];
@@ -1663,8 +1338,9 @@ impl<K, V> Drop for BundledCitrusTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use bundle::api::RangeQuerySet;
     use std::sync::Arc;
+    use std::time::Duration;
 
     type Tree = BundledCitrusTree<u64, u64>;
 
@@ -1676,161 +1352,6 @@ mod tests {
         assert_eq!(t.len(0), 0);
         let mut out = Vec::new();
         assert_eq!(t.range_query(0, &0, &100, &mut out), 0);
-    }
-
-    #[test]
-    fn insert_remove_contains_roundtrip() {
-        let t = Tree::new(1);
-        for k in [50u64, 30, 70, 20, 40, 60, 80] {
-            assert!(t.insert(0, k, k + 1));
-        }
-        assert!(!t.insert(0, 40, 0));
-        assert_eq!(t.len(0), 7);
-        assert!(t.contains(0, &60));
-        assert_eq!(t.get(0, &80), Some(81));
-        // Remove a leaf, a one-child node and a two-children node.
-        assert!(t.remove(0, &20)); // leaf
-        assert!(t.remove(0, &30)); // now has a single child (40)
-        assert!(t.remove(0, &50)); // root of subtree with two children
-        assert!(!t.remove(0, &50));
-        assert_eq!(t.len(0), 4);
-        for k in [40u64, 60, 70, 80] {
-            assert!(t.contains(0, &k), "{k} must survive restructuring");
-        }
-        for k in [20u64, 30, 50] {
-            assert!(!t.contains(0, &k));
-        }
-    }
-
-    #[test]
-    fn range_query_returns_sorted_snapshot() {
-        let t = Tree::new(1);
-        // Insert in shuffled order to get a non-degenerate tree.
-        let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 500).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut shuffled = keys.clone();
-        let mut seed = 7u64;
-        for i in (1..shuffled.len()).rev() {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            shuffled.swap(i, (seed % (i as u64 + 1)) as usize);
-        }
-        for &k in &shuffled {
-            t.insert(0, k, k);
-        }
-        let mut out = Vec::new();
-        t.range_query(0, &100, &400, &mut out);
-        let expected: Vec<(u64, u64)> = keys
-            .iter()
-            .filter(|&&k| (100..=400).contains(&k))
-            .map(|&k| (k, k))
-            .collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn matches_btreemap_model_sequentially() {
-        let t = Tree::new(1);
-        let mut model = BTreeMap::new();
-        let mut seed = 0xabcdefu64;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _ in 0..4000 {
-            let k = next() % 512;
-            match next() % 3 {
-                0 => assert_eq!(t.insert(0, k, k), model.insert(k, k).is_none()),
-                1 => assert_eq!(t.remove(0, &k), model.remove(&k).is_some()),
-                _ => assert_eq!(t.contains(0, &k), model.contains_key(&k)),
-            }
-        }
-        assert_eq!(t.len(0), model.len());
-        let mut out = Vec::new();
-        t.range_query(0, &64, &256, &mut out);
-        let expected: Vec<(u64, u64)> = model.range(64..=256).map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn concurrent_mixed_operations_preserve_integrity() {
-        const THREADS: usize = 4;
-        const OPS: usize = 2_000;
-        let t = Arc::new(Tree::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|tid| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    let mut seed = (tid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
-                    let mut out = Vec::new();
-                    for _ in 0..OPS {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        let k = seed % 512;
-                        match seed % 4 {
-                            0 => {
-                                t.insert(tid, k, k);
-                            }
-                            1 => {
-                                t.remove(tid, &k);
-                            }
-                            2 => {
-                                let _ = t.contains(tid, &k);
-                            }
-                            _ => {
-                                let lo = k.saturating_sub(64);
-                                t.range_query(tid, &lo, &k, &mut out);
-                                assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-                                assert!(out.iter().all(|(x, _)| *x >= lo && *x <= k));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut out = Vec::new();
-        t.range_query(0, &0, &(u64::MAX - 2), &mut out);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(out.len(), t.len(0));
-    }
-
-    #[test]
-    fn range_query_prefix_insertion_has_no_gaps() {
-        const MAX: u64 = 2_000;
-        let t = Arc::new(Tree::new(2));
-        let writer = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                // Interleave low/high keys so the unbalanced tree does not
-                // degenerate into a single path.
-                for i in 0..MAX {
-                    let k = if i % 2 == 0 { i / 2 } else { MAX - 1 - i / 2 };
-                    assert!(t.insert(0, k, i));
-                }
-            })
-        };
-        let reader = {
-            let t = Arc::clone(&t);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                for _ in 0..200 {
-                    // Snapshot consistency: sorted, deduplicated keys.
-                    t.range_query(1, &0, &MAX, &mut out);
-                    assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-                }
-            })
-        };
-        writer.join().unwrap();
-        reader.join().unwrap();
-        assert_eq!(t.len(0), MAX as usize);
     }
 
     #[test]
@@ -1958,213 +1479,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_at_respects_fixed_snapshot() {
-        let t = Tree::new(2);
-        for k in [50u64, 25, 75, 10, 60, 90, 30] {
-            t.insert(0, k, k);
-        }
-        let ts = t.clock().read();
-        t.remove(0, &25);
-        t.insert(0, 99, 99);
-        let mut out = Vec::new();
-        // At the fixed snapshot the removal and late insert are invisible.
-        t.range_query_at(1, ts, &0, &100, &mut out);
-        assert_eq!(
-            out.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![10, 25, 30, 50, 60, 75, 90]
-        );
-        // A current snapshot sees the new state.
-        t.range_query_at(1, t.clock().read(), &0, &100, &mut out);
-        assert_eq!(
-            out.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![10, 30, 50, 60, 75, 90, 99]
-        );
-    }
-
-    #[test]
-    fn shared_context_spans_structures() {
-        let ctx = bundle::RqContext::new(1);
-        let a = BundledCitrusTree::<u64, u64>::with_context(1, ReclaimMode::Reclaim, &ctx);
-        let b = BundledCitrusTree::<u64, u64>::with_context(1, ReclaimMode::Reclaim, &ctx);
-        a.insert(0, 1, 1);
-        b.insert(0, 2, 2);
-        assert_eq!(ctx.read(), 2, "both trees advance the one clock");
-        assert!(a.context().same_as(&b.context()));
-    }
-
-    #[test]
-    fn txn_commit_is_atomic_under_a_fixed_snapshot() {
-        let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [50u64, 25, 75, 10, 30, 60, 90] {
-            t.insert(0, k, k);
-        }
-        let before = ctx.read();
-
-        let mut cur = t.txn_cursor(t.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(26, 260), Ok(true));
-        assert_eq!(cur.seek_prepare_put(27, 270), Ok(true));
-        // Removing 25 exercises the two-children (RCU-copy) path; it is a
-        // backward seek from 27, so the spine unwinds to an ancestor.
-        assert_eq!(cur.seek_prepare_remove(&25), Ok(true));
-        assert_eq!(cur.seek_prepare_put(50, 999), Ok(false));
-        assert_eq!(cur.seek_prepare_remove(&77), Ok(false));
-        assert!(cur.stats().hinted >= 2, "sorted seeks must resume");
-        let txn = cur.finish();
-        assert_eq!(txn.staged_ops(), 3);
-        let ts = ctx.advance(0);
-        t.txn_finalize(txn, ts);
-
-        let mut out = Vec::new();
-        let announced = ctx.start_rq(1);
-        assert!(announced >= ts);
-        t.range_query_at(1, before, &0, &100, &mut out);
-        let pre: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(pre, vec![10, 25, 30, 50, 60, 75, 90]);
-        t.range_query_at(1, ts, &0, &100, &mut out);
-        let post: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(post, vec![10, 26, 27, 30, 50, 60, 75, 90]);
-        ctx.finish_rq(1);
-    }
-
-    #[test]
-    fn txn_abort_restores_structure_and_snapshots() {
-        let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [50u64, 25, 75, 10, 30, 60, 90] {
-            t.insert(0, k, k);
-        }
-        let clock_before = ctx.read();
-
-        let mut cur = t.txn_cursor(t.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(55, 550), Ok(true));
-        // Two-children removal staged and rolled back.
-        assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
-        // Leaf removal staged and rolled back.
-        assert_eq!(cur.seek_prepare_remove(&10), Ok(true));
-        assert_eq!(cur.seek_read(&55), Some(550), "cursor reads eager writes");
-        assert_eq!(cur.seek_read(&50), None);
-        let txn = cur.finish();
-        assert!(t.contains(1, &55));
-        assert!(!t.contains(1, &50));
-        t.txn_abort(txn);
-
-        assert_eq!(ctx.read(), clock_before, "abort never advances the clock");
-        assert!(!t.contains(0, &55));
-        assert!(t.contains(0, &50));
-        assert!(t.contains(0, &10));
-        assert_eq!(t.len(0), 7);
-        let mut out = Vec::new();
-        t.range_query(1, &0, &100, &mut out);
-        let keys: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![10, 25, 30, 50, 60, 75, 90]);
-        t.range_query_at(1, clock_before, &0, &100, &mut out);
-        assert_eq!(out.len(), 7);
-        assert!(t.insert(0, 55, 551));
-        assert!(t.remove(0, &50));
-        assert!(t.remove(0, &10));
-        assert_eq!(t.len(0), 6);
-    }
-
-    #[test]
-    fn txn_remove_of_own_staged_insert_nets_out() {
-        let t = Tree::new(1);
-        t.insert(0, 10, 10);
-        let mut cur = t.txn_cursor(t.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(5, 50), Ok(true));
-        // Equal-key seek: the staged node's spine entry holds the key
-        // itself, so the search resumes from its parent and must still
-        // find (and unlink) the staged node.
-        assert_eq!(cur.seek_prepare_remove(&5), Ok(true));
-        let ts = t.clock().advance(0);
-        t.txn_finalize(cur.finish(), ts);
-        assert!(!t.contains(0, &5));
-        assert_eq!(t.len(0), 1);
-        let mut out = Vec::new();
-        t.range_query(0, &0, &20, &mut out);
-        assert_eq!(out, vec![(10, 10)]);
-    }
-
-    #[test]
-    fn txn_reads_validate_and_detect_staleness() {
-        let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [50u64, 25, 75, 10, 30, 60, 90] {
-            t.insert(0, k, k * 2);
-        }
-        let lease = ctx.lease_read(1);
-        let mut out = Vec::new();
-        let mut nodes = Vec::new();
-        t.txn_range_read(1, lease.ts(), &20, &70, &mut out, &mut nodes);
-        assert_eq!(out, vec![(25, 50), (30, 60), (50, 100), (60, 120)]);
-        assert_eq!(
-            nodes.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![25, 30, 50, 60]
-        );
-        let mut pn = Vec::new();
-        assert_eq!(t.txn_read(1, lease.ts(), &30, &mut pn), Some(60));
-        assert_eq!(t.txn_read(1, lease.ts(), &31, &mut pn), None);
-        drop(lease);
-
-        // Unchanged: validates (and pins); release through abort.
-        let mut txn = t.txn_begin(1);
-        assert_eq!(t.txn_validate(&mut txn, &20, &70, &nodes), Ok(()));
-        t.txn_abort(txn);
-        // A foreign remove of a read key invalidates.
-        t.remove(0, &30);
-        let mut txn = t.txn_begin(1);
-        assert_eq!(
-            t.txn_validate(&mut txn, &20, &70, &nodes),
-            Err(TxnValidateError::Invalidated)
-        );
-        t.txn_abort(txn);
-        // A phantom inserted into a read-empty range invalidates too.
-        let lease = ctx.lease_read(1);
-        let mut empty_nodes = Vec::new();
-        t.txn_range_read(1, lease.ts(), &31, &45, &mut out, &mut empty_nodes);
-        assert!(empty_nodes.is_empty());
-        drop(lease);
-        t.insert(0, 40, 400);
-        let mut txn = t.txn_begin(1);
-        assert_eq!(
-            t.txn_validate(&mut txn, &31, &45, &empty_nodes),
-            Err(TxnValidateError::Invalidated)
-        );
-        t.txn_abort(txn);
-    }
-
-    #[test]
-    fn txn_validate_reconciles_own_staged_writes_including_relocation() {
-        let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [50u64, 25, 75, 60, 90, 55] {
-            t.insert(0, k, k);
-        }
-        let lease = ctx.lease_read(1);
-        let mut out = Vec::new();
-        let mut nodes = Vec::new();
-        t.txn_range_read(1, lease.ts(), &0, &100, &mut out, &mut nodes);
-
-        // Remove key 50 (two children: its successor 55 relocates into a
-        // fresh copy) and insert 70 — both inside the validated range. The
-        // staged images must reconcile the relocation.
-        let mut cur = t.txn_cursor(t.txn_begin(1));
-        assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
-        assert_eq!(cur.seek_prepare_put(70, 700), Ok(true));
-        let mut txn = cur.finish();
-        assert_eq!(t.txn_validate(&mut txn, &0, &100, &nodes), Ok(()));
-        let ts = ctx.advance(1);
-        t.txn_finalize(txn, ts);
-        drop(lease);
-        let mut scan = Vec::new();
-        t.range_query(0, &0, &100, &mut scan);
-        assert_eq!(
-            scan,
-            vec![(25, 25), (55, 55), (60, 60), (70, 700), (75, 75), (90, 90)]
-        );
-    }
-
-    #[test]
     fn txn_validate_pins_the_empty_tree_against_first_inserts() {
         let ctx = bundle::RqContext::new(2);
         let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
@@ -2237,10 +1551,16 @@ mod tests {
         for k in [50u64, 25, 75, 60, 90, 55] {
             t.insert(0, k, k);
         }
+        // Point reads the way the store makes them: the degenerate range.
+        let read = |ts: u64, k: u64| {
+            let (mut out, mut nodes) = (Vec::new(), Vec::new());
+            t.txn_range_read(1, ts, &k, &k, &mut out, &mut nodes);
+            (out.first().map(|e| e.1), nodes)
+        };
         let lease = ctx.lease_read(1);
-        let (mut read55, mut read60) = (Vec::new(), Vec::new());
-        assert_eq!(t.txn_read(1, lease.ts(), &55, &mut read55), Some(55));
-        assert_eq!(t.txn_read(1, lease.ts(), &60, &mut read60), Some(60));
+        let (v55, read55) = read(lease.ts(), 55);
+        let (v60, read60) = read(lease.ts(), 60);
+        assert_eq!((v55, v60), (Some(55), Some(60)));
         // Removing 50 (two children) relocates its successor 55 into a
         // fresh copy: the read of 55 recorded the *old* node, which is the
         // relocation's staged `pre` image, and the copy is locked by the
@@ -2263,8 +1583,8 @@ mod tests {
         // A *foreign* relocation between the read and the prepare changes
         // the key's node identity: the covered read goes stale.
         let lease = ctx.lease_read(1);
-        let mut read90 = Vec::new();
-        assert_eq!(t.txn_read(1, lease.ts(), &90, &mut read90), Some(90));
+        let (v90, read90) = read(lease.ts(), 90);
+        assert_eq!(v90, Some(90));
         assert!(t.remove(0, &75), "two children: relocates 90");
         let mut cur = t.txn_cursor(t.txn_begin(1));
         assert_eq!(cur.seek_prepare_remove(&90), Ok(true));
@@ -2275,35 +1595,6 @@ mod tests {
         );
         assert_eq!(txn.validate_walks(), 0);
         t.txn_abort(txn);
-    }
-
-    #[test]
-    fn one_op_cursors_accumulate_into_one_token() {
-        // A fresh cursor per op (one root descent each — the legacy
-        // point-prepare discipline) must stage into the same token with
-        // batch-identical outcomes.
-        let t = Tree::new(1);
-        t.insert(0, 10, 10);
-        let mut txn = t.txn_begin(0);
-        for (op, expect) in [
-            ((Some(50u64), 5u64), true),
-            ((Some(99), 10), false),
-            ((None, 10), true),
-            ((None, 77), false),
-        ] {
-            let mut cur = t.txn_cursor(txn);
-            match op {
-                (Some(v), k) => assert_eq!(cur.seek_prepare_put(k, v), Ok(expect)),
-                (None, k) => assert_eq!(cur.seek_prepare_remove(&k), Ok(expect)),
-            }
-            txn = cur.finish();
-        }
-        assert_eq!(txn.staged_ops(), 2);
-        let ts = t.clock().advance(0);
-        t.txn_finalize(txn, ts);
-        let mut out = Vec::new();
-        t.range_query(0, &0, &100, &mut out);
-        assert_eq!(out, vec![(5, 50)]);
     }
 
     #[test]
@@ -2341,7 +1632,7 @@ mod tests {
             stats.hinted > stats.descents,
             "ascending seeks must mostly ride the spine: {stats:?}"
         );
-        let ts = t.clock().advance(0);
+        let ts = t.context().advance(0);
         t.txn_finalize(cur.finish(), ts);
         let mut out = Vec::new();
         t.range_query(0, &0, &2_000, &mut out);
@@ -2371,7 +1662,7 @@ mod tests {
         assert_eq!(cur.seek_read(&55), Some(55));
         assert_eq!(cur.seek_prepare_put(55, 550), Ok(false), "55 is present");
         assert_eq!(cur.seek_prepare_remove(&50), Ok(false), "50 is gone");
-        let ts = t.clock().advance(1);
+        let ts = t.context().advance(1);
         t.txn_finalize(cur.finish(), ts);
         let mut out = Vec::new();
         t.range_query(0, &0, &100, &mut out);
@@ -2379,27 +1670,6 @@ mod tests {
             out,
             vec![(25, 25), (55, 55), (60, 60), (65, 65), (75, 75), (90, 90)]
         );
-    }
-
-    #[test]
-    fn cleanup_prunes_stale_bundle_entries() {
-        let t = Tree::new(2);
-        for k in 0..64u64 {
-            t.insert(0, k * 3 % 64, k);
-        }
-        for _ in 0..5 {
-            for k in 0..64u64 {
-                t.remove(0, &k);
-                t.insert(0, k, k);
-            }
-        }
-        let before = t.bundle_entries(0);
-        let reclaimed = t.cleanup_bundles(1);
-        assert!(reclaimed > 0);
-        assert_eq!(t.bundle_entries(0), before - reclaimed);
-        let mut out = Vec::new();
-        t.range_query(0, &0, &63, &mut out);
-        assert_eq!(out.len(), 64);
     }
 
     /// The deterministic shape of the relocation race: removing 50 picks

@@ -17,7 +17,7 @@
 mod bundled;
 mod unsafe_rq;
 
-pub use bundled::{BundledCitrusTree, ShardCursor, ShardTxn};
+pub use bundled::{BundledCitrusTree, ShardCursor};
 pub use unsafe_rq::UnsafeCitrusTree;
 
 /// Child direction: left.

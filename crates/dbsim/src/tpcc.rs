@@ -714,6 +714,7 @@ impl TpccDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bundle::TwoPhase;
     use rand::SeedableRng;
     use skiplist::BundledSkipList;
 

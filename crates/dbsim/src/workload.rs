@@ -84,6 +84,7 @@ pub fn run_tpcc_db(db: Arc<TpccDb>, threads: usize, duration_ms: u64) -> TpccThr
 mod tests {
     use super::*;
     use crate::tpcc::DynIndex;
+    use bundle::TwoPhase;
     use citrus::BundledCitrusTree;
     use skiplist::BundledSkipList;
     use std::sync::Arc;

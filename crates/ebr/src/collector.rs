@@ -336,11 +336,12 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
-    struct Tracked(#[allow(dead_code)] u64);
+    /// Counts its drops in the counter of the test that made it (tests
+    /// run in parallel, so they must not share one).
+    struct Tracked(Arc<AtomicUsize>);
     impl Drop for Tracked {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::SeqCst);
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -383,7 +384,7 @@ mod tests {
         let c = Collector::new(1, ReclaimMode::Reclaim);
         {
             let g = c.pin(0);
-            let p = Box::into_raw(Box::new(Tracked(1)));
+            let p = Box::into_raw(Box::new(Tracked(Arc::default())));
             unsafe { g.retire(p) };
         }
         assert_eq!(c.stats().retired(), 1);
@@ -417,34 +418,34 @@ mod tests {
 
     #[test]
     fn collector_drop_frees_pending() {
-        DROPS.store(0, Ordering::SeqCst);
+        let drops = Arc::new(AtomicUsize::new(0));
         {
             let c = Collector::new(1, ReclaimMode::Reclaim);
             let g = c.pin(0);
-            for i in 0..10 {
-                let p = Box::into_raw(Box::new(Tracked(i)));
+            for _ in 0..10 {
+                let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
                 unsafe { g.retire(p) };
             }
             drop(g);
             // No grace period has passed; everything is still pending.
             assert!(c.stats().pending() > 0);
         }
-        assert_eq!(DROPS.load(Ordering::SeqCst), 10);
+        assert_eq!(drops.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn concurrent_retire_is_safe() {
-        DROPS.store(0, Ordering::SeqCst);
+        let drops = Arc::new(AtomicUsize::new(0));
         const THREADS: usize = 4;
         const PER_THREAD: usize = 500;
         let c = Arc::new(Collector::new(THREADS, ReclaimMode::Reclaim));
         let mut handles = Vec::new();
         for tid in 0..THREADS {
-            let c = Arc::clone(&c);
+            let (c, drops) = (Arc::clone(&c), Arc::clone(&drops));
             handles.push(std::thread::spawn(move || {
-                for i in 0..PER_THREAD {
+                for _ in 0..PER_THREAD {
                     let g = c.pin(tid);
-                    let p = Box::into_raw(Box::new(Tracked(i as u64)));
+                    let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
                     unsafe { g.retire(p) };
                 }
             }));
@@ -454,7 +455,7 @@ mod tests {
         }
         assert_eq!(c.stats().retired(), (THREADS * PER_THREAD) as u64);
         drop(c);
-        assert_eq!(DROPS.load(Ordering::SeqCst), THREADS * PER_THREAD);
+        assert_eq!(drops.load(Ordering::SeqCst), THREADS * PER_THREAD);
     }
 
     #[test]

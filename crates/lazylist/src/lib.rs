@@ -21,5 +21,5 @@
 mod bundled;
 mod unsafe_rq;
 
-pub use bundled::{BundledLazyList, ShardCursor, ShardTxn};
+pub use bundled::{BundledLazyList, ShardCursor};
 pub use unsafe_rq::UnsafeLazyList;

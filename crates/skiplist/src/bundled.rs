@@ -8,16 +8,18 @@ use std::time::Duration;
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
-use bundle::api::{ConcurrentSet, RangeQuerySet};
+use bundle::api::ConcurrentSet;
 use bundle::{
     linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, PrepareCursor, Recycler,
-    RqContext, RqTracker, StagedOutcomes, TwoPhaseState, TxnValidateError,
+    RqContext, ShardTxn, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
 use crate::MAX_LEVEL;
 
-struct Node<K, V> {
+/// A tower of the skip list (private fields; public only as
+/// [`TwoPhase::Node`]).
+pub struct Node<K, V> {
     key: K,
     val: Option<V>,
     top_level: usize,
@@ -52,9 +54,9 @@ pub struct BundledSkipList<K, V> {
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
     /// Possibly shared with other structures (see [`RqContext`]); a list
-    /// built through [`Self::new`] owns a private clock, matching the paper.
-    clock: Arc<GlobalTimestamp>,
-    tracker: Arc<RqTracker>,
+    /// built through [`TwoPhase::new`] owns a private clock, matching the
+    /// paper.
+    ctx: RqContext,
     collector: Collector,
     seeds: Box<[CachePadded<AtomicU64>]>,
 }
@@ -67,61 +69,16 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    /// Create a skip list supporting `max_threads` registered threads.
-    pub fn new(max_threads: usize) -> Self {
-        Self::with_mode(max_threads, ReclaimMode::Reclaim)
-    }
-
     /// Create a skip list with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
         Self::with_context(max_threads, mode, &RqContext::new(max_threads))
     }
 
-    /// Create a skip list ordering its updates through a possibly *shared*
-    /// linearization context.
-    ///
-    /// Structures built from clones of the same [`RqContext`] totally order
-    /// their updates on one clock, so a caller that fixes a snapshot
-    /// timestamp once can traverse all of them atomically with
-    /// [`Self::range_query_at`] — the basis of the sharded store's
-    /// cross-shard linearizable range queries.
-    pub fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let tail = Node::new(K::default(), None, MAX_LEVEL - 1);
-        let head = Node::new(K::default(), None, MAX_LEVEL - 1);
-        unsafe {
-            for lvl in 0..MAX_LEVEL {
-                (*head).next[lvl].store(tail, Ordering::Release);
-            }
-            (*head).fully_linked.store(true, Ordering::Release);
-            (*tail).fully_linked.store(true, Ordering::Release);
-            (*head).bundle.init(tail, 0);
-        }
-        let seeds = (0..max_threads.max(1))
-            .map(|i| {
-                CachePadded::new(AtomicU64::new(
-                    0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1),
-                ))
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        BundledSkipList {
-            head,
-            tail,
-            clock: Arc::clone(ctx.clock()),
-            tracker: Arc::clone(ctx.tracker()),
-            collector: Collector::new(max_threads, mode),
-            seeds,
-        }
-    }
-
-    /// Skip list whose global timestamp only advances every `t`-th update
-    /// per thread (Appendix A relaxation; `t = 0` means never).
-    pub fn with_relaxation(max_threads: usize, t: u64) -> Self {
-        Self::with_context(
-            max_threads,
-            ReclaimMode::Reclaim,
-            &RqContext::with_threshold(max_threads, t),
-        )
+    /// The structure's global timestamp (diagnostics). This and the next
+    /// three are inherent spellings of [`TwoPhase`] items, for callers that
+    /// hold the concrete type without importing the trait.
+    pub fn clock(&self) -> &GlobalTimestamp {
+        self.ctx.clock()
     }
 
     /// The structure's epoch collector (diagnostics).
@@ -129,19 +86,19 @@ where
         &self.collector
     }
 
-    /// The structure's global timestamp (diagnostics).
-    pub fn clock(&self) -> &GlobalTimestamp {
-        &self.clock
+    /// Total number of bundle entries on the data layer (diagnostic).
+    pub fn bundle_entries(&self, tid: usize) -> usize {
+        TwoPhase::bundle_entries(self, tid)
     }
 
-    /// A handle to the linearization context this skip list uses (shared
-    /// with every other structure built from the same context).
-    pub fn context(&self) -> RqContext {
-        RqContext::from_parts(Arc::clone(&self.clock), Arc::clone(&self.tracker))
-    }
-
-    fn pin(&self, tid: usize) -> Guard<'_> {
-        self.collector.pin(tid)
+    /// Spawn a background recycler running [`TwoPhase::cleanup_bundles`]
+    /// every `delay` on thread slot `tid`.
+    pub fn spawn_recycler(self: &Arc<Self>, tid: usize, delay: Duration) -> Recycler
+    where
+        K: 'static,
+        V: 'static,
+    {
+        TwoPhase::spawn_recycler(self, tid, delay)
     }
 
     /// Geometric (p = 1/2) tower height from a per-thread xorshift PRNG.
@@ -282,225 +239,6 @@ where
         (lfound, true)
     }
 
-    /// Total number of bundle entries on the data layer (diagnostic).
-    pub fn bundle_entries(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
-        let mut n = 0;
-        let mut curr = self.head;
-        while !curr.is_null() {
-            let node = unsafe { &*curr };
-            n += node.bundle.len();
-            if curr == self.tail {
-                break;
-            }
-            curr = node.next[0].load(Ordering::Acquire);
-        }
-        n
-    }
-
-    /// One cleanup pass pruning stale bundle entries (Appendix B).
-    pub fn cleanup_bundles(&self, tid: usize) -> usize {
-        let guard = self.pin(tid);
-        let oldest = self.tracker.oldest_active(self.clock.read());
-        let mut reclaimed = 0;
-        let mut curr = self.head;
-        while !curr.is_null() && curr != self.tail {
-            let node = unsafe { &*curr };
-            reclaimed += node.bundle.reclaim_up_to(oldest, &guard);
-            curr = node.next[0].load(Ordering::Acquire);
-        }
-        self.collector.try_advance();
-        reclaimed
-    }
-
-    /// Spawn a background recycler running [`Self::cleanup_bundles`] every
-    /// `delay` on thread slot `tid`.
-    pub fn spawn_recycler(self: &std::sync::Arc<Self>, tid: usize, delay: Duration) -> Recycler
-    where
-        K: 'static,
-        V: 'static,
-    {
-        let sl = std::sync::Arc::clone(self);
-        Recycler::spawn(delay, move || {
-            sl.cleanup_bundles(tid);
-        })
-    }
-
-    /// One optimistic attempt to collect the snapshot at `ts`: descend the
-    /// index layers over the newest pointers, then hop strictly through the
-    /// data-layer bundles.
-    ///
-    /// `None` means the optimistic entry landed on a node created after the
-    /// snapshot and the caller must retry (dropping what `visit` has been
-    /// shown). The caller holds the EBR guard. `visit` is called on every
-    /// node of the range, in key order.
-    fn try_collect_at(
-        &self,
-        ts: u64,
-        low: &K,
-        high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
-    ) -> Option<()> {
-        // Phase 1 (GetFirstNodeInRange): descend through the index layers
-        // using the newest pointers to reach the data-layer node preceding
-        // the range.
-        let mut pred = self.head;
-        for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *low {
-                pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            }
-        }
-
-        // Phase 2: enter and traverse the range strictly through the
-        // data-layer bundles.
-        let mut node = unsafe { &*pred }.bundle.dereference(ts)?;
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        Some(())
-    }
-
-    /// Guaranteed snapshot collection at `ts`: walk the data layer from the
-    /// head sentinel strictly through bundles (no index layers). Never
-    /// restarts — the head's bundle is initialized at timestamp 0 and
-    /// cleanup keeps every entry the oldest announced snapshot needs.
-    fn collect_snapshot_at(
-        &self,
-        ts: u64,
-        low: &K,
-        high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
-    ) {
-        let mut node = unsafe { &*self.head }
-            .bundle
-            .dereference(ts)
-            .expect("head bundle must satisfy an announced snapshot");
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
-    }
-
-    /// Range query at a *caller-fixed* snapshot timestamp.
-    ///
-    /// Used by multi-structure callers (the sharded store): read the shared
-    /// clock once, announce it in the shared tracker, then call this on
-    /// every structure — together the results form one atomic snapshot.
-    ///
-    /// Contract: `ts` must be announced in this structure's [`RqTracker`]
-    /// (e.g. via [`bundle::RqContext::start_rq`]) for the whole call, so
-    /// bundle cleanup cannot reclaim entries the traversal needs; `ts` must
-    /// also not exceed the shared clock's current value.
-    pub fn range_query_at(
-        &self,
-        tid: usize,
-        ts: u64,
-        low: &K,
-        high: &K,
-        out: &mut Vec<(K, V)>,
-    ) -> usize {
-        // A few optimistic attempts enter the range directly; the fixed
-        // timestamp cannot be refreshed when they fail, so the fallback is
-        // the bundle-only walk, which always succeeds.
-        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
-            None => out.clear(),
-            Some(node) => out.push(key_value(node)),
-        });
-        out.len()
-    }
-
-    /// The fixed-timestamp snapshot walk behind [`Self::range_query_at`]
-    /// and the transactional reads: up to [`MAX_OPTIMISTIC_ATTEMPTS`]
-    /// optimistic entries, then the guaranteed bundle-only walk. `step` is
-    /// called with `None` at the start of every attempt (forget what the
-    /// failed one showed) and with each node of the range, in key order.
-    fn walk_snapshot_at(
-        &self,
-        tid: usize,
-        ts: u64,
-        low: &K,
-        high: &K,
-        mut step: impl FnMut(Option<*mut Node<K, V>>),
-    ) {
-        let _guard = self.pin(tid);
-        for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-            step(None);
-            if self
-                .try_collect_at(ts, low, high, |node| step(Some(node)))
-                .is_some()
-            {
-                return;
-            }
-        }
-        step(None);
-        self.collect_snapshot_at(ts, low, high, |node| step(Some(node)));
-    }
-
-    /// Transactional range read: collect `low..=high` as of snapshot `ts`
-    /// exactly like [`Self::range_query_at`], additionally recording each
-    /// collected node's address into `nodes` — the per-transaction **read
-    /// set** that [`Self::txn_validate`] re-checks and pins at commit.
-    /// Nodes are immutable once created, so node identity doubles as value
-    /// identity.
-    ///
-    /// Same contract as `range_query_at`, plus: the caller must hold an
-    /// EBR pin on this structure from before the read lease until
-    /// validation so the recorded addresses stay comparable (no reuse).
-    pub fn txn_range_read(
-        &self,
-        tid: usize,
-        ts: u64,
-        low: &K,
-        high: &K,
-        out: &mut Vec<(K, V)>,
-        nodes: &mut Vec<(K, usize)>,
-    ) -> usize {
-        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
-            None => {
-                out.clear();
-                nodes.clear();
-            }
-            Some(node) => {
-                let (key, value) = key_value(node);
-                out.push((key, value));
-                nodes.push((key, node as usize));
-            }
-        });
-        out.len()
-    }
-
-    /// Transactional point read: what [`Self::txn_range_read`] over the
-    /// degenerate range `[key, key]` records and returns.
-    pub fn txn_read(&self, tid: usize, ts: u64, key: &K, nodes: &mut Vec<(K, usize)>) -> Option<V> {
-        let mut found = None;
-        self.walk_snapshot_at(tid, ts, key, key, |step| match step {
-            None => {
-                nodes.clear();
-                found = None;
-            }
-            Some(node) => {
-                nodes.push((*key, node as usize));
-                found = Some(key_value(node).1);
-            }
-        });
-        found
-    }
-
     /// Lock `preds[0..=top]`, skipping duplicates, and validate that every
     /// level still links `pred -> succ` with both unmarked. Returns the
     /// guards on success (dropping them releases the locks).
@@ -554,95 +292,6 @@ where
             None
         }
     }
-}
-
-/// Accumulated two-phase state of one transaction's writes on this skip
-/// list: the shared lock/pending bookkeeping ([`bundle::TwoPhaseState`])
-/// plus the skip-list-specific undo log that reverts the eager structural
-/// changes on abort. See [`BundledSkipList::txn_begin`].
-pub struct ShardTxn<K, V> {
-    core: TwoPhaseState<Node<K, V>>,
-    undo: Vec<SkipUndo<K, V>>,
-    /// Per-key pre/post images of the staged writes, consumed by
-    /// [`BundledSkipList::txn_validate`].
-    staged: StagedOutcomes<K>,
-    /// Validate calls that had to walk and lock the structure (the rest
-    /// were decided by [`StagedOutcomes::covered_read`]).
-    validate_walks: usize,
-}
-
-enum SkipUndo<K, V> {
-    Link {
-        node: *mut Node<K, V>,
-        preds: [*mut Node<K, V>; MAX_LEVEL],
-        succs: [*mut Node<K, V>; MAX_LEVEL],
-        top: usize,
-    },
-    Unlink {
-        victim: *mut Node<K, V>,
-        preds: [*mut Node<K, V>; MAX_LEVEL],
-        top: usize,
-    },
-}
-
-impl<K, V> ShardTxn<K, V> {
-    /// Number of staged write operations.
-    #[must_use]
-    pub fn staged_ops(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// `true` when nothing has been staged or pinned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.undo.is_empty() && self.core.is_empty()
-    }
-
-    /// Number of `txn_validate` calls on this token that walked and
-    /// locked the structure; reads of keys the transaction wrote are
-    /// decided from the staged images and do not count.
-    #[must_use]
-    pub fn validate_walks(&self) -> usize {
-        self.validate_walks
-    }
-}
-
-impl<K, V> BundledSkipList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    /// Begin accumulating two-phase writes for thread `tid`.
-    pub fn txn_begin(&self, tid: usize) -> ShardTxn<K, V> {
-        ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
-            staged: StagedOutcomes::new(),
-            validate_walks: 0,
-        }
-    }
-
-    /// [`txn_begin`](Self::txn_begin) for a **write-only** pipeline: the
-    /// transaction has no read set, so no validate phase will run and the
-    /// per-key pre/post images are not recorded (one map insert saved per
-    /// staged op — group commits stage hundreds of ops per token, so the
-    /// bookkeeping nothing reads is worth skipping). Calling
-    /// [`txn_validate`](Self::txn_validate) on such a token is a contract
-    /// violation (debug-asserted in `StagedOutcomes`).
-    pub fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<K, V> {
-        ShardTxn {
-            staged: StagedOutcomes::disabled(),
-            ..self.txn_begin(tid)
-        }
-    }
-
-    /// Acquire `node`'s lock for the transaction unless already held;
-    /// `Ok(true)` = newly acquired (see [`TwoPhaseState::lock`]).
-    fn txn_lock(&self, txn: &mut ShardTxn<K, V>, node: *mut Node<K, V>) -> Result<bool, Conflict> {
-        // Safety: `node` is reachable (caller pins EBR) and a locked node
-        // is never retired — every remover must lock its victim first.
-        unsafe { txn.core.lock(node, &(*node).lock) }
-    }
 
     /// Transaction-aware variant of `lock_and_validate`: skips locks the
     /// transaction already holds, uses bounded `try_lock` for the rest.
@@ -651,7 +300,7 @@ where
     /// `Err(Conflict)` = a lock could not be acquired (caller aborts).
     fn txn_lock_and_validate(
         &self,
-        txn: &mut ShardTxn<K, V>,
+        txn: &mut ShardTxn<BundledSkipList<K, V>>,
         preds: &[*mut Node<K, V>; MAX_LEVEL],
         succs: &[*mut Node<K, V>; MAX_LEVEL],
         top: usize,
@@ -664,7 +313,7 @@ where
             let pred = preds[lvl];
             let succ = expect_succ.unwrap_or(succs[lvl]);
             if pred != prev {
-                match self.txn_lock(txn, pred) {
+                match unsafe { self.txn_lock(txn, pred) } {
                     Ok(true) => newly += 1,
                     Ok(false) => {}
                     Err(c) => {
@@ -695,14 +344,158 @@ where
             Ok(false)
         }
     }
+}
 
-    /// Open a [`ShardCursor`] over `txn`: the positional batch-staging
-    /// surface (see [`bundle::PrepareCursor`]). The cursor retains the
-    /// per-level predecessor frontier of the last located position and
-    /// resumes subsequent finds from it (finger search), so a key-sorted
-    /// batch pays one full descent plus short per-level walks instead of
-    /// a root descent per op.
-    pub fn txn_cursor(&self, txn: ShardTxn<K, V>) -> ShardCursor<'_, K, V> {
+/// One eager structural change of a staged write (see [`TwoPhase::revert`]).
+pub enum SkipUndo<K, V> {
+    /// A staged insert linked `node` between `preds` and `succs` on
+    /// levels `0..=top`.
+    Link {
+        node: *mut Node<K, V>,
+        preds: [*mut Node<K, V>; MAX_LEVEL],
+        succs: [*mut Node<K, V>; MAX_LEVEL],
+        top: usize,
+    },
+    /// A staged remove marked `victim` and unlinked it from `preds` on
+    /// levels `0..=top`.
+    Unlink {
+        victim: *mut Node<K, V>,
+        preds: [*mut Node<K, V>; MAX_LEVEL],
+        top: usize,
+    },
+}
+
+impl<K, V> TwoPhase for BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    type Key = K;
+    type Value = V;
+    type Node = Node<K, V>;
+    type Undo = SkipUndo<K, V>;
+    type Scratch = ();
+    type Cursor<'a>
+        = ShardCursor<'a, K, V>
+    where
+        Self: 'a;
+
+    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
+        let tail = Node::new(K::default(), None, MAX_LEVEL - 1);
+        let head = Node::new(K::default(), None, MAX_LEVEL - 1);
+        unsafe {
+            for lvl in 0..MAX_LEVEL {
+                (*head).next[lvl].store(tail, Ordering::Release);
+            }
+            (*head).fully_linked.store(true, Ordering::Release);
+            (*tail).fully_linked.store(true, Ordering::Release);
+            (*head).bundle.init(tail, 0);
+        }
+        let seeds = (0..max_threads.max(1))
+            .map(|i| {
+                CachePadded::new(AtomicU64::new(
+                    0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1),
+                ))
+            })
+            .collect::<Vec<_>>()
+            .into_boxed_slice();
+        BundledSkipList {
+            head,
+            tail,
+            ctx: ctx.clone(),
+            collector: Collector::new(max_threads, mode),
+            seeds,
+        }
+    }
+
+    fn context(&self) -> &RqContext {
+        &self.ctx
+    }
+
+    fn collector(&self) -> &Collector {
+        &self.collector
+    }
+
+    fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
+        &node.lock
+    }
+
+    fn entry(node: &Node<K, V>) -> (K, &Option<V>) {
+        (node.key, &node.val)
+    }
+
+    fn try_collect_at(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) -> Option<()> {
+        // Phase 1 (GetFirstNodeInRange): descend through the index layers
+        // using the newest pointers to reach the data-layer node preceding
+        // the range.
+        let mut pred = self.head;
+        for lvl in (0..MAX_LEVEL).rev() {
+            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+            while curr != self.tail && unsafe { &*curr }.key < *low {
+                pred = curr;
+                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+            }
+        }
+
+        // Phase 2: enter and traverse the range strictly through the
+        // data-layer bundles.
+        let mut node = unsafe { &*pred }.bundle.dereference(ts)?;
+        while node != self.tail && unsafe { &*node }.key < *low {
+            node = unsafe { &*node }.bundle.dereference(ts)?;
+        }
+        while node != self.tail && unsafe { &*node }.key <= *high {
+            visit(node);
+            node = unsafe { &*node }.bundle.dereference(ts)?;
+        }
+        Some(())
+    }
+
+    fn collect_snapshot_at(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        mut visit: impl FnMut(*mut Node<K, V>),
+    ) {
+        let mut node = unsafe { &*self.head }
+            .bundle
+            .dereference(ts)
+            .expect("head bundle must satisfy an announced snapshot");
+        while node != self.tail && unsafe { &*node }.key < *low {
+            node = unsafe { &*node }
+                .bundle
+                .dereference(ts)
+                .expect("snapshot path must stay satisfiable");
+        }
+        while node != self.tail && unsafe { &*node }.key <= *high {
+            visit(node);
+            node = unsafe { &*node }
+                .bundle
+                .dereference(ts)
+                .expect("snapshot path must stay satisfiable");
+        }
+    }
+
+    fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
+        let mut curr = self.head;
+        while curr != self.tail {
+            let node = unsafe { &*curr };
+            f(&node.bundle);
+            curr = node.next[0].load(Ordering::Acquire);
+        }
+    }
+
+    /// The cursor retains the per-level predecessor frontier of the last
+    /// located position and resumes subsequent finds from it (finger
+    /// search), so a key-sorted batch pays one full descent plus short
+    /// per-level walks instead of a root descent per op.
+    fn txn_cursor(&self, txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
         // The cursor-lifetime pin keeps every retained frontier pointer
         // allocated between seeks (pins are reentrant).
         let guard = self.pin(txn.core.tid());
@@ -719,124 +512,68 @@ where
         }
     }
 
-    /// Validate one recorded read range of a read-write transaction and
-    /// **pin it until commit**. Must run after every staged write of the
-    /// transaction on this structure, under the store's shard intent lock.
-    ///
     /// Re-walks the data layer over `low..=high` via the newest pointers,
-    /// locking the level-0 gap predecessor and every in-range node
-    /// (bounded `try_lock` → [`TxnValidateError::Conflict`] on
-    /// contention), then compares the found `(key, node)` list against the
-    /// recorded read adjusted for the transaction's own staged writes. A
-    /// mismatch is a foreign commit inside the range since the leased read
-    /// timestamp: [`TxnValidateError::Invalidated`]. The held locks pin
-    /// the range until finalize/abort — every insert of an in-range key
-    /// must link level 0 through one of them, and every remove must lock
-    /// its victim.
-    ///
-    /// A single-key read of a key the transaction also wrote returns
-    /// before any of that ([`StagedOutcomes::covered_read`]): the prepare
-    /// already holds the lock pinning the key (found node, victim plus
-    /// level-0 predecessor, or the level-0 gap), so only the recorded
-    /// node is compared against the staged `pre` image.
-    pub fn txn_validate(
+    /// locking the level-0 gap predecessor and every in-range node.
+    /// Phantom-safe: every insert of an in-range key must link level 0
+    /// through one of them, and every remove must lock its victim.
+    fn validate_walk(
         &self,
-        txn: &mut ShardTxn<K, V>,
+        core: &mut TwoPhaseState<Node<K, V>>,
+        _scratch: &mut (),
+        expected: &[(K, usize)],
         low: &K,
         high: &K,
-        recorded: &[(K, usize)],
     ) -> Result<(), TxnValidateError> {
-        if let Some(verdict) = txn.staged.covered_read(low, high, recorded) {
-            return verdict;
-        }
-        txn.validate_walks += 1;
-        let expected = txn.staged.expected_now(low, high, recorded)?;
-        let _guard = self.pin(txn.core.tid());
-        bundle::validate_chain(
-            &mut txn.core,
-            expected,
-            high,
-            self.tail,
-            || {
-                let mut preds = [ptr::null_mut(); MAX_LEVEL];
-                let mut succs = [ptr::null_mut(); MAX_LEVEL];
-                self.find(low, &mut preds, &mut succs);
-                (preds[0], succs[0])
-            },
-            // Safety: nodes produced by find/step are reachable under the
-            // EBR pin above; a locked node is never retired.
-            |core, node| unsafe { core.lock(node, &(*node).lock) },
-            |pred, first| {
-                let p = unsafe { &*pred };
-                !p.marked.load(Ordering::Acquire)
-                    && p.fully_linked.load(Ordering::Acquire)
-                    && p.next[0].load(Ordering::Acquire) == first
-            },
-            |node| unsafe { &*node }.key,
-            |prev, curr| {
-                let c = unsafe { &*curr };
-                // Removed or half-linked nodes are torn observations.
-                if c.marked.load(Ordering::Acquire)
-                    || !c.fully_linked.load(Ordering::Acquire)
-                    || unsafe { &*prev }.next[0].load(Ordering::Acquire) != curr
-                {
-                    None
-                } else {
-                    Some((c.key, c.next[0].load(Ordering::Acquire)))
-                }
-            },
-        )
-    }
-
-    /// Commit: publish every staged bundle entry with the transaction's
-    /// single timestamp, release the locks, retire removed nodes.
-    pub fn txn_finalize(&self, txn: ShardTxn<K, V>, ts: u64) {
-        let tid = txn.core.tid();
-        let victims = txn.core.finalize(ts);
-        let guard = self.pin(tid);
-        for v in victims {
-            // Safety: unlinked by this transaction under the proper locks;
-            // EBR defers the free past concurrent readers.
-            unsafe { guard.retire(v) };
+        let locate = || {
+            let mut preds = [ptr::null_mut(); MAX_LEVEL];
+            let mut succs = [ptr::null_mut(); MAX_LEVEL];
+            self.find(low, &mut preds, &mut succs);
+            (preds[0], succs[0])
+        };
+        let pred_valid = |pred: *mut Node<K, V>, first: *mut Node<K, V>| {
+            let p = unsafe { &*pred };
+            !p.marked.load(Ordering::Acquire)
+                && p.fully_linked.load(Ordering::Acquire)
+                && p.next[0].load(Ordering::Acquire) == first
+        };
+        let step = |prev: *mut Node<K, V>, curr: *mut Node<K, V>| {
+            let c = unsafe { &*curr };
+            // Removed or half-linked nodes are torn observations.
+            let torn = c.marked.load(Ordering::Acquire)
+                || !c.fully_linked.load(Ordering::Acquire)
+                || unsafe { &*prev }.next[0].load(Ordering::Acquire) != curr;
+            (!torn).then(|| c.next[0].load(Ordering::Acquire))
+        };
+        // SAFETY: nodes produced by find/step are reachable under the
+        // caller's EBR pin; a locked node is never retired.
+        unsafe {
+            bundle::validate_chain::<Self>(
+                core, expected, high, self.tail, locate, pred_valid, step,
+            )
         }
     }
 
-    /// Abort: revert the eager structural changes in reverse order, then
-    /// neutralize the pending bundle entries, release the locks, and
-    /// retire the nodes the transaction created.
-    pub fn txn_abort(&self, txn: ShardTxn<K, V>) {
-        let ShardTxn { core, mut undo, .. } = txn;
-        let tid = core.tid();
-        while let Some(op) = undo.pop() {
-            match op {
-                SkipUndo::Link {
-                    node,
-                    preds,
-                    succs,
-                    top,
-                } => {
-                    // Mark the stillborn node so a primitive operation
-                    // blocked on its lock re-validates and retries.
-                    unsafe { &*node }.marked.store(true, Ordering::SeqCst);
-                    for lvl in (0..=top).rev() {
-                        unsafe { &*preds[lvl] }.next[lvl].store(succs[lvl], Ordering::SeqCst);
-                    }
-                }
-                SkipUndo::Unlink { victim, preds, top } => {
-                    for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
-                        unsafe { &*pred }.next[lvl].store(victim, Ordering::SeqCst);
-                    }
-                    unsafe { &*victim }.marked.store(false, Ordering::SeqCst);
+    unsafe fn revert(&self, undo: SkipUndo<K, V>) {
+        match undo {
+            SkipUndo::Link {
+                node,
+                preds,
+                succs,
+                top,
+            } => {
+                // Mark the stillborn node so a primitive operation
+                // blocked on its lock re-validates and retries.
+                (*node).marked.store(true, Ordering::SeqCst);
+                for lvl in (0..=top).rev() {
+                    (*preds[lvl]).next[lvl].store(succs[lvl], Ordering::SeqCst);
                 }
             }
-        }
-        // Only after the physical state is fully reverted: release any
-        // snapshot readers spinning on our pending entries.
-        let created = core.abort();
-        let guard = self.pin(tid);
-        for n in created {
-            // Safety: unlinked above; EBR defers the free.
-            unsafe { guard.retire(n) };
+            SkipUndo::Unlink { victim, preds, top } => {
+                for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
+                    (*pred).next[lvl].store(victim, Ordering::SeqCst);
+                }
+                (*victim).marked.store(false, Ordering::SeqCst);
+            }
         }
     }
 }
@@ -849,7 +586,7 @@ struct Frontier<K, V> {
 }
 
 /// A prepare cursor over one [`ShardTxn`] (see
-/// [`BundledSkipList::txn_cursor`] and [`bundle::PrepareCursor`]).
+/// [`TwoPhase::txn_cursor`] and [`bundle::PrepareCursor`]).
 ///
 /// The retained frontier is the last located position's per-level
 /// predecessor/successor arrays (with a freshly staged node substituted
@@ -859,9 +596,13 @@ struct Frontier<K, V> {
 /// up to the finger-search start level before each resume, with stale
 /// positions above it caught by the under-lock validation every prepare
 /// performs (the retry falls back to a root descent).
-pub struct ShardCursor<'a, K, V> {
+pub struct ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     list: &'a BundledSkipList<K, V>,
-    txn: ShardTxn<K, V>,
+    txn: ShardTxn<BundledSkipList<K, V>>,
     /// Keeps every retained frontier pointer allocated between seeks.
     _guard: Guard<'a>,
     frontier: Frontier<K, V>,
@@ -936,7 +677,7 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    type Txn = ShardTxn<K, V>;
+    type Txn = ShardTxn<BundledSkipList<K, V>>;
 
     /// Stage an insert at the sought position: eager structural link (so
     /// later keys of the same transaction observe it) with the affected
@@ -967,7 +708,7 @@ where
                 // commit (a remove must acquire it, so the key stays
                 // present). If it got marked before we locked it, the
                 // remove linearized first — retry and miss it.
-                let newly = list.txn_lock(txn, found)?;
+                let newly = unsafe { list.txn_lock(txn, found) }?;
                 if f.marked.load(Ordering::Acquire) {
                     if newly {
                         txn.core.unlock_latest(1);
@@ -1036,7 +777,7 @@ where
                 None => {
                     // Pin the no-op: hold the level-0 gap until commit.
                     let pred = preds[0];
-                    let newly = list.txn_lock(txn, pred)?;
+                    let newly = unsafe { list.txn_lock(txn, pred) }?;
                     let p = unsafe { &*pred };
                     let valid = !p.marked.load(Ordering::Acquire)
                         && p.fully_linked.load(Ordering::Acquire)
@@ -1064,7 +805,7 @@ where
                 continue;
             }
             let top = v.top_level;
-            let newly_victim = list.txn_lock(txn, victim)?;
+            let newly_victim = unsafe { list.txn_lock(txn, victim) }?;
             if v.marked.load(Ordering::Acquire) {
                 if newly_victim {
                     txn.core.unlock_latest(1);
@@ -1129,14 +870,18 @@ where
     }
 
     /// Give the transaction token back (dropping the frontier and the
-    /// cursor's EBR pin); consume it with [`BundledSkipList::txn_finalize`]
-    /// or [`BundledSkipList::txn_abort`].
-    fn finish(self) -> ShardTxn<K, V> {
+    /// cursor's EBR pin); consume it with [`TwoPhase::txn_finalize`] or
+    /// [`TwoPhase::txn_abort`].
+    fn finish(self) -> ShardTxn<BundledSkipList<K, V>> {
         self.txn
     }
 }
 
-impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V> {
+impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCursor")
             .field("stats", &self.stats)
@@ -1188,7 +933,7 @@ where
                 (&node_ref.bundle, succs[0]),
                 (&unsafe { &*preds[0] }.bundle, node),
             ];
-            linearize_update(&self.clock, tid, &bundles, || {
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
                 node_ref.fully_linked.store(true, Ordering::SeqCst);
             });
             drop(guards);
@@ -1233,7 +978,7 @@ where
                 &unsafe { &*preds[0] }.bundle,
                 v.next[0].load(Ordering::Acquire),
             )];
-            linearize_update(&self.clock, tid, &bundles, || {
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
                 // Linearization point: the logical delete (§5).
                 v.marked.store(true, Ordering::SeqCst);
             });
@@ -1294,39 +1039,6 @@ where
     }
 }
 
-impl<K, V> RangeQuerySet<K, V> for BundledSkipList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        let _guard = self.pin(tid);
-        loop {
-            // Linearization point: fix the snapshot timestamp and announce
-            // it for the bundle recycler. On a failed optimistic attempt
-            // restart with a fresh timestamp (Algorithm 3, line 7).
-            let ts = self.tracker.start(tid, &self.clock);
-            out.clear();
-            let collected = self.try_collect_at(ts, low, high, |node| out.push(key_value(node)));
-            self.tracker.finish(tid);
-            if collected.is_some() {
-                return out.len();
-            }
-        }
-    }
-}
-
-/// Optimistic entry attempts a fixed-timestamp range query makes before
-/// falling back to the guaranteed bundle-only traversal.
-const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
-
-/// The `(key, value)` a snapshot walk reports for data node `p`.
-fn key_value<K: Copy, V: Clone>(p: *mut Node<K, V>) -> (K, V) {
-    // SAFETY: `p` was reached by a walk whose caller holds the EBR pin.
-    let node = unsafe { &*p };
-    (node.key, node.val.clone().expect("data node has a value"))
-}
-
 impl<K, V> Drop for BundledSkipList<K, V> {
     fn drop(&mut self) {
         let mut curr = self.head;
@@ -1344,8 +1056,7 @@ impl<K, V> Drop for BundledSkipList<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
+    use bundle::api::RangeQuerySet;
 
     type Sl = BundledSkipList<u64, u64>;
 
@@ -1358,136 +1069,6 @@ mod tests {
         assert_eq!(s.len(0), 0);
         let mut out = Vec::new();
         assert_eq!(s.range_query(0, &0, &100, &mut out), 0);
-    }
-
-    #[test]
-    fn insert_remove_contains_roundtrip() {
-        let s = Sl::new(1);
-        for k in [5u64, 1, 9, 3, 7] {
-            assert!(s.insert(0, k, k * 2));
-        }
-        assert!(!s.insert(0, 5, 0));
-        assert_eq!(s.len(0), 5);
-        assert!(s.contains(0, &3));
-        assert_eq!(s.get(0, &9), Some(18));
-        assert!(s.remove(0, &3));
-        assert!(!s.remove(0, &3));
-        assert!(!s.contains(0, &3));
-        assert_eq!(s.len(0), 4);
-    }
-
-    #[test]
-    fn range_query_returns_sorted_snapshot() {
-        let s = Sl::new(1);
-        for k in 0..200u64 {
-            s.insert(0, k * 3, k);
-        }
-        let mut out = Vec::new();
-        s.range_query(0, &30, &90, &mut out);
-        let keys: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        let expected: Vec<u64> = (10..=30).map(|k| k * 3).collect();
-        assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn matches_btreemap_model_sequentially() {
-        let s = Sl::new(1);
-        let mut model = BTreeMap::new();
-        let mut seed = 0xdeadbeefu64;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _ in 0..3000 {
-            let k = next() % 512;
-            match next() % 3 {
-                0 => assert_eq!(s.insert(0, k, k), model.insert(k, k).is_none()),
-                1 => assert_eq!(s.remove(0, &k), model.remove(&k).is_some()),
-                _ => assert_eq!(s.contains(0, &k), model.contains_key(&k)),
-            }
-        }
-        assert_eq!(s.len(0), model.len());
-        let mut out = Vec::new();
-        s.range_query(0, &100, &300, &mut out);
-        let expected: Vec<(u64, u64)> = model.range(100..=300).map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn concurrent_mixed_operations_preserve_integrity() {
-        const THREADS: usize = 4;
-        const OPS: usize = 2_000;
-        let s = Arc::new(Sl::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|tid| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut seed = (tid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
-                    let mut out = Vec::new();
-                    for _ in 0..OPS {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        let k = seed % 512;
-                        match seed % 4 {
-                            0 => {
-                                s.insert(tid, k, k);
-                            }
-                            1 => {
-                                s.remove(tid, &k);
-                            }
-                            2 => {
-                                let _ = s.contains(tid, &k);
-                            }
-                            _ => {
-                                let lo = k.saturating_sub(64);
-                                s.range_query(tid, &lo, &k, &mut out);
-                                assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-                                assert!(out.iter().all(|(x, _)| *x >= lo && *x <= k));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut out = Vec::new();
-        s.range_query(0, &0, &(u64::MAX - 2), &mut out);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(out.len(), s.len(0));
-    }
-
-    #[test]
-    fn range_query_prefix_insertion_has_no_gaps() {
-        const MAX: u64 = 3_000;
-        let s = Arc::new(Sl::new(2));
-        let writer = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for k in 0..MAX {
-                    assert!(s.insert(0, k, k));
-                }
-            })
-        };
-        let reader = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                for _ in 0..200 {
-                    s.range_query(1, &0, &MAX, &mut out);
-                    for (i, (k, _)) in out.iter().enumerate() {
-                        assert_eq!(*k, i as u64, "range query observed a gap");
-                    }
-                }
-            })
-        };
-        writer.join().unwrap();
-        reader.join().unwrap();
-        assert_eq!(s.len(0), MAX as usize);
     }
 
     #[test]
@@ -1551,252 +1132,6 @@ mod tests {
         let mut out = Vec::new();
         s.range_query(0, &0, &4_096, &mut out);
         assert_eq!(out.len(), s.len(0));
-    }
-
-    #[test]
-    fn cleanup_prunes_stale_bundle_entries() {
-        let s = Sl::new(2);
-        for k in 0..50u64 {
-            s.insert(0, k, k);
-        }
-        for _ in 0..5 {
-            for k in 0..50u64 {
-                s.remove(0, &k);
-                s.insert(0, k, k);
-            }
-        }
-        let before = s.bundle_entries(0);
-        let reclaimed = s.cleanup_bundles(1);
-        assert!(reclaimed > 0);
-        assert_eq!(s.bundle_entries(0), before - reclaimed);
-        assert_eq!(s.len(0), 50);
-        let mut out = Vec::new();
-        s.range_query(0, &0, &49, &mut out);
-        assert_eq!(out.len(), 50);
-    }
-
-    #[test]
-    fn relaxed_clock_still_produces_consistent_ranges() {
-        let s = BundledSkipList::<u64, u64>::with_relaxation(2, 50);
-        for k in 0..500u64 {
-            s.insert(0, k, k);
-        }
-        let mut out = Vec::new();
-        s.range_query(1, &100, &200, &mut out);
-        assert_eq!(out.len(), 101);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn range_query_at_respects_fixed_snapshot() {
-        let s = Sl::new(2);
-        for k in 0..50u64 {
-            s.insert(0, k, k);
-        }
-        let ts = s.clock().read();
-        for k in 50..100u64 {
-            s.insert(0, k, k);
-        }
-        let mut out = Vec::new();
-        // At the fixed snapshot only the first 50 keys exist.
-        assert_eq!(s.range_query_at(1, ts, &0, &200, &mut out), 50);
-        assert!(out.iter().all(|(k, _)| *k < 50));
-        // A current-timestamp query sees everything.
-        assert_eq!(
-            s.range_query_at(1, s.clock().read(), &0, &200, &mut out),
-            100
-        );
-        // The bundle-only fallback agrees with the optimistic path.
-        let _guard = s.pin(1);
-        let mut snap = Vec::new();
-        s.collect_snapshot_at(ts, &0, &200, |node| snap.push(key_value(node)));
-        assert_eq!(snap.len(), 50);
-        assert!(out.len() == 100 && snap.iter().all(|(k, _)| *k < 50));
-    }
-
-    #[test]
-    fn shared_context_spans_structures() {
-        let ctx = bundle::RqContext::new(1);
-        let a = BundledSkipList::<u64, u64>::with_context(1, ReclaimMode::Reclaim, &ctx);
-        let b = BundledSkipList::<u64, u64>::with_context(1, ReclaimMode::Reclaim, &ctx);
-        a.insert(0, 1, 1);
-        b.insert(0, 2, 2);
-        assert_eq!(ctx.read(), 2, "both structures advance the one clock");
-        assert!(a.context().same_as(&b.context()));
-    }
-
-    #[test]
-    fn txn_commit_is_atomic_under_a_fixed_snapshot() {
-        let ctx = bundle::RqContext::new(2);
-        let s = BundledSkipList::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in (0..100u64).step_by(10) {
-            s.insert(0, k, k);
-        }
-        let before = ctx.read();
-
-        let mut cur = s.txn_cursor(s.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(15, 150), Ok(true));
-        assert_eq!(cur.seek_prepare_put(16, 160), Ok(true));
-        assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
-        assert_eq!(cur.seek_prepare_put(10, 999), Ok(false));
-        assert_eq!(cur.seek_prepare_remove(&77), Ok(false));
-        assert!(cur.stats().hinted >= 2, "sorted seeks must resume");
-        let txn = cur.finish();
-        assert_eq!(txn.staged_ops(), 3);
-        let ts = ctx.advance(0);
-        s.txn_finalize(txn, ts);
-
-        let mut out = Vec::new();
-        let announced = ctx.start_rq(1);
-        assert!(announced >= ts);
-        s.range_query_at(1, before, &0, &100, &mut out);
-        let pre: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(pre, vec![0, 10, 20, 30, 40, 50, 60, 70, 80, 90]);
-        s.range_query_at(1, ts, &0, &100, &mut out);
-        let post: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(post, vec![0, 10, 15, 16, 20, 30, 40, 60, 70, 80, 90]);
-        ctx.finish_rq(1);
-    }
-
-    #[test]
-    fn txn_abort_restores_structure_and_snapshots() {
-        let ctx = bundle::RqContext::new(2);
-        let s = BundledSkipList::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [10u64, 20, 30, 40] {
-            s.insert(0, k, k);
-        }
-        let clock_before = ctx.read();
-
-        let mut cur = s.txn_cursor(s.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(25, 250), Ok(true));
-        assert_eq!(cur.seek_prepare_remove(&30), Ok(true));
-        assert_eq!(cur.seek_prepare_put(26, 260), Ok(true));
-        assert_eq!(cur.seek_read(&26), Some(260), "cursor reads eager writes");
-        assert_eq!(cur.seek_read(&30), None);
-        let txn = cur.finish();
-        assert!(s.contains(1, &25));
-        assert!(!s.contains(1, &30));
-        s.txn_abort(txn);
-
-        assert_eq!(ctx.read(), clock_before, "abort never advances the clock");
-        assert!(!s.contains(0, &25));
-        assert!(!s.contains(0, &26));
-        assert!(s.contains(0, &30));
-        assert_eq!(s.len(0), 4);
-        let mut out = Vec::new();
-        s.range_query(1, &0, &100, &mut out);
-        assert_eq!(out, vec![(10, 10), (20, 20), (30, 30), (40, 40)]);
-        s.range_query_at(1, clock_before, &0, &100, &mut out);
-        assert_eq!(out, vec![(10, 10), (20, 20), (30, 30), (40, 40)]);
-        assert!(s.insert(0, 25, 251));
-        assert!(s.remove(0, &30));
-    }
-
-    #[test]
-    fn txn_remove_of_own_staged_insert_nets_out() {
-        let s = Sl::new(1);
-        s.insert(0, 1, 1);
-        let mut cur = s.txn_cursor(s.txn_begin(0));
-        assert_eq!(cur.seek_prepare_put(5, 50), Ok(true));
-        // Equal-key seek: the staged node itself is never adopted as a
-        // frontier start (entries must be strictly before the target), so
-        // the remove re-locates 5 and must unlink the staged node.
-        assert_eq!(cur.seek_prepare_remove(&5), Ok(true));
-        let ts = s.clock().advance(0);
-        s.txn_finalize(cur.finish(), ts);
-        assert!(!s.contains(0, &5));
-        assert_eq!(s.len(0), 1);
-        let mut out = Vec::new();
-        s.range_query(0, &0, &10, &mut out);
-        assert_eq!(out, vec![(1, 1)]);
-    }
-
-    #[test]
-    fn txn_reads_validate_and_detect_staleness() {
-        let ctx = bundle::RqContext::new(2);
-        let s = BundledSkipList::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [10u64, 20, 30] {
-            s.insert(0, k, k * 2);
-        }
-        let lease = ctx.lease_read(1);
-        let mut out = Vec::new();
-        let mut nodes = Vec::new();
-        s.txn_range_read(1, lease.ts(), &0, &100, &mut out, &mut nodes);
-        assert_eq!(out, vec![(10, 20), (20, 40), (30, 60)]);
-        let mut pn = Vec::new();
-        assert_eq!(s.txn_read(1, lease.ts(), &30, &mut pn), Some(60));
-        assert_eq!(s.txn_read(1, lease.ts(), &31, &mut pn), None);
-        drop(lease);
-
-        // Unchanged: validates.
-        let mut txn = s.txn_begin(1);
-        assert_eq!(s.txn_validate(&mut txn, &0, &100, &nodes), Ok(()));
-        s.txn_abort(txn);
-        // A foreign insert into the read range invalidates it.
-        s.insert(0, 25, 250);
-        let mut txn = s.txn_begin(1);
-        assert_eq!(
-            s.txn_validate(&mut txn, &0, &100, &nodes),
-            Err(TxnValidateError::Invalidated)
-        );
-        s.txn_abort(txn);
-    }
-
-    #[test]
-    fn txn_validate_reconciles_own_staged_writes() {
-        let ctx = bundle::RqContext::new(2);
-        let s = BundledSkipList::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
-        for k in [10u64, 20, 30, 40] {
-            s.insert(0, k, k);
-        }
-        let lease = ctx.lease_read(1);
-        let mut out = Vec::new();
-        let mut nodes = Vec::new();
-        s.txn_range_read(1, lease.ts(), &15, &45, &mut out, &mut nodes);
-        assert_eq!(out, vec![(20, 20), (30, 30), (40, 40)]);
-
-        let mut cur = s.txn_cursor(s.txn_begin(1));
-        assert_eq!(cur.seek_prepare_remove(&30), Ok(true));
-        assert_eq!(cur.seek_prepare_put(35, 350), Ok(true));
-        let mut txn = cur.finish();
-        // Own staged remove + insert inside the validated range are
-        // reconciled through the staged outcome images.
-        assert_eq!(s.txn_validate(&mut txn, &15, &45, &nodes), Ok(()));
-        let ts = ctx.advance(1);
-        s.txn_finalize(txn, ts);
-        drop(lease);
-        let mut scan = Vec::new();
-        s.range_query(0, &0, &100, &mut scan);
-        assert_eq!(scan, vec![(10, 10), (20, 20), (35, 350), (40, 40)]);
-    }
-
-    #[test]
-    fn one_op_cursors_accumulate_into_one_token() {
-        // A fresh cursor per op (one root descent each — the legacy
-        // point-prepare discipline) must stage into the same token with
-        // batch-identical outcomes.
-        let s = Sl::new(1);
-        s.insert(0, 10, 10);
-        let mut txn = s.txn_begin(0);
-        for (op, expect) in [
-            ((Some(50u64), 5u64), true),
-            ((Some(99), 10), false),
-            ((None, 10), true),
-            ((None, 77), false),
-        ] {
-            let mut cur = s.txn_cursor(txn);
-            match op {
-                (Some(v), k) => assert_eq!(cur.seek_prepare_put(k, v), Ok(expect)),
-                (None, k) => assert_eq!(cur.seek_prepare_remove(&k), Ok(expect)),
-            }
-            txn = cur.finish();
-        }
-        assert_eq!(txn.staged_ops(), 2);
-        let ts = s.clock().advance(0);
-        s.txn_finalize(txn, ts);
-        let mut out = Vec::new();
-        s.range_query(0, &0, &100, &mut out);
-        assert_eq!(out, vec![(5, 50)]);
     }
 
     #[test]

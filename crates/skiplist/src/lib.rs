@@ -15,7 +15,7 @@
 mod bundled;
 mod unsafe_rq;
 
-pub use bundled::{BundledSkipList, ShardCursor, ShardTxn};
+pub use bundled::{BundledSkipList, ShardCursor};
 pub use unsafe_rq::UnsafeSkipList;
 
 /// Number of levels in every tower array (level 0 is the data layer).

@@ -1199,45 +1199,20 @@ where
             let shard = &self.shards[first];
             let _guard = shard.pin(tid);
             // Linearization point: one clock read for the whole store.
-            let rq = RqAnnouncement::start(&self.ctx, tid);
-            return shard.range_query_at(tid, rq.ts, low, high, out);
+            let rq = self.ctx.announce_rq(tid);
+            return shard.range_query_at(tid, rq.ts(), low, high, out);
         }
         let shards = &self.shards[first..=last];
         let _guards: Vec<ebr::Guard<'_>> = shards.iter().map(|s| s.pin(tid)).collect();
-        let rq = RqAnnouncement::start(&self.ctx, tid);
+        let rq = self.ctx.announce_rq(tid);
         let mut scratch = Vec::new();
         for shard in shards {
             // Shards only hold keys inside their boundary range, so the
             // unclamped bounds are correct for every fragment.
-            shard.range_query_at(tid, rq.ts, low, high, &mut scratch);
+            shard.range_query_at(tid, rq.ts(), low, high, &mut scratch);
             out.append(&mut scratch);
         }
         out.len()
-    }
-}
-
-/// The snapshot announcement of one range query: ended on drop, so a
-/// panicking `V::clone` inside a shard traversal cannot leave the
-/// tracker's oldest active snapshot — and with it bundle reclamation on
-/// every shard — pinned forever. (Borrows the context, where
-/// [`RqContext::lease_read`] clones it: a per-query refcount bump on a
-/// line every reader thread shares is what a range query must not pay.)
-struct RqAnnouncement<'a> {
-    ctx: &'a RqContext,
-    tid: usize,
-    ts: u64,
-}
-
-impl<'a> RqAnnouncement<'a> {
-    fn start(ctx: &'a RqContext, tid: usize) -> Self {
-        let ts = ctx.start_rq(tid);
-        RqAnnouncement { ctx, tid, ts }
-    }
-}
-
-impl Drop for RqAnnouncement<'_> {
-    fn drop(&mut self) {
-        self.ctx.finish_rq(self.tid);
     }
 }
 

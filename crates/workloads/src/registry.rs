@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use bundle::api::RangeQuerySet;
+use bundle::TwoPhase;
 use citrus::{BundledCitrusTree, UnsafeCitrusTree};
 use lazylist::{BundledLazyList, UnsafeLazyList};
 use skiplist::{BundledSkipList, UnsafeSkipList};

@@ -113,6 +113,7 @@ pub mod prelude {
     pub use bundle::api::{ConcurrentSet, RangeQuerySet};
     pub use bundle::{
         Bundle, CursorStats, GlobalTimestamp, PrepareCursor, Recycler, RqContext, RqTracker,
+        TwoPhase,
     };
     pub use citrus::{BundledCitrusTree, UnsafeCitrusTree};
     pub use ebr::{Collector, ReclaimMode};

@@ -268,81 +268,89 @@ fn covered_reads_abort_on_foreign_commits_and_commit_otherwise() {
 /// Structure-level: a read-modify-write's reads are validated with zero
 /// walks (the token counts them), an uncovered read on the same token
 /// still walks, and a stale covered read is `Invalidated` without one.
-macro_rules! covered_rmw_validates_without_a_walk {
-    ($name:ident, $ty:ty) => {
-        #[test]
-        fn $name() {
-            let ctx = RqContext::new(2);
-            let s = <$ty>::with_context(2, ReclaimMode::Reclaim, &ctx);
-            for k in [50u64, 25, 75, 60, 90, 55] {
-                s.insert(0, k, k);
-            }
-            let _pin = s.collector().pin(1);
-            let lease = ctx.lease_read(1);
-            let read = |k: u64| {
-                let mut nodes = Vec::new();
-                let v = s.txn_read(1, lease.ts(), &k, &mut nodes);
-                (v, nodes)
-            };
-            let (r25, r40, r50, r90) = (read(25), read(40), read(50), read(90));
-            assert_eq!(
-                (r25.0, r40.0, r50.0, r90.0),
-                (Some(25), None, Some(50), Some(90))
-            );
-
-            // remove 25, insert 40, upsert 50 (remove + put), remove a
-            // key that is not there (30): all four shapes of staged image.
-            let (_, r30) = read(30);
-            let mut cur = s.txn_cursor(s.txn_begin(1));
-            assert_eq!(cur.seek_prepare_remove(&25), Ok(true));
-            assert_eq!(cur.seek_prepare_remove(&30), Ok(false));
-            assert_eq!(cur.seek_prepare_put(40, 400), Ok(true));
-            assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
-            assert_eq!(cur.seek_prepare_put(50, 51), Ok(true));
-            let mut txn = cur.finish();
-            for (k, nodes) in [(25, &r25.1), (30, &r30), (40, &r40.1), (50, &r50.1)] {
-                assert_eq!(s.txn_validate(&mut txn, &k, &k, nodes), Ok(()), "key {k}");
-            }
-            assert_eq!(txn.validate_walks(), 0, "covered reads must not walk");
-            assert_eq!(s.txn_validate(&mut txn, &90, &90, &r90.1), Ok(()));
-            assert_eq!(txn.validate_walks(), 1, "an uncovered read walks");
-            // A range is never covered, even one holding only written keys.
-            let mut range = r25.1.clone();
-            range.extend(&r50.1);
-            assert_eq!(s.txn_validate(&mut txn, &20, &52, &range), Ok(()));
-            assert_eq!(txn.validate_walks(), 2);
-            s.txn_finalize(txn, ctx.advance(1));
-            drop(lease);
-            let mut scan = Vec::new();
-            s.range_query(0, &0, &100, &mut scan);
-            assert_eq!(
-                scan,
-                vec![(40, 400), (50, 51), (55, 55), (60, 60), (75, 75), (90, 90)]
-            );
-
-            // Stale covered read: the key changed between the read and
-            // the prepare. Decided from the images, still without a walk.
-            let lease = ctx.lease_read(1);
-            let mut nodes = Vec::new();
-            assert_eq!(s.txn_read(1, lease.ts(), &60, &mut nodes), Some(60));
-            assert!(s.remove(0, &60) && s.insert(0, 60, 61));
-            let mut cur = s.txn_cursor(s.txn_begin(1));
-            assert_eq!(cur.seek_prepare_remove(&60), Ok(true));
-            let mut txn = cur.finish();
-            assert_eq!(
-                s.txn_validate(&mut txn, &60, &60, &nodes),
-                Err(TxnValidateError::Invalidated)
-            );
-            assert_eq!(txn.validate_walks(), 0);
-            s.txn_abort(txn);
-            assert_eq!(s.get(0, &60), Some(61), "aborted remove rolled back");
-        }
+fn covered_rmw_validates_without_a_walk<S: TwoPhase<Key = u64, Value = u64>>() {
+    let ctx = RqContext::new(2);
+    let s = S::with_context(2, ReclaimMode::Reclaim, &ctx);
+    for k in [50u64, 25, 75, 60, 90, 55] {
+        s.insert(0, k, k);
+    }
+    let _pin = s.collector().pin(1);
+    let lease = ctx.lease_read(1);
+    // Point reads the way the store makes them: the degenerate range.
+    let read_at = |ts: u64, k: u64| {
+        let (mut out, mut nodes) = (Vec::new(), Vec::new());
+        s.txn_range_read(1, ts, &k, &k, &mut out, &mut nodes);
+        (out.first().map(|e| e.1), nodes)
     };
+    let read = |k: u64| read_at(lease.ts(), k);
+    let (r25, r40, r50, r90) = (read(25), read(40), read(50), read(90));
+    assert_eq!(
+        (r25.0, r40.0, r50.0, r90.0),
+        (Some(25), None, Some(50), Some(90))
+    );
+
+    // remove 25, insert 40, upsert 50 (remove + put), remove a
+    // key that is not there (30): all four shapes of staged image.
+    let (_, r30) = read(30);
+    let mut cur = s.txn_cursor(s.txn_begin(1));
+    assert_eq!(cur.seek_prepare_remove(&25), Ok(true));
+    assert_eq!(cur.seek_prepare_remove(&30), Ok(false));
+    assert_eq!(cur.seek_prepare_put(40, 400), Ok(true));
+    assert_eq!(cur.seek_prepare_remove(&50), Ok(true));
+    assert_eq!(cur.seek_prepare_put(50, 51), Ok(true));
+    let mut txn = cur.finish();
+    for (k, nodes) in [(25, &r25.1), (30, &r30), (40, &r40.1), (50, &r50.1)] {
+        assert_eq!(s.txn_validate(&mut txn, &k, &k, nodes), Ok(()), "key {k}");
+    }
+    assert_eq!(txn.validate_walks(), 0, "covered reads must not walk");
+    assert_eq!(s.txn_validate(&mut txn, &90, &90, &r90.1), Ok(()));
+    assert_eq!(txn.validate_walks(), 1, "an uncovered read walks");
+    // A range is never covered, even one holding only written keys.
+    let mut range = r25.1.clone();
+    range.extend(&r50.1);
+    assert_eq!(s.txn_validate(&mut txn, &20, &52, &range), Ok(()));
+    assert_eq!(txn.validate_walks(), 2);
+    s.txn_finalize(txn, ctx.advance(1));
+    drop(lease);
+    let mut scan = Vec::new();
+    s.range_query(0, &0, &100, &mut scan);
+    assert_eq!(
+        scan,
+        vec![(40, 400), (50, 51), (55, 55), (60, 60), (75, 75), (90, 90)]
+    );
+
+    // Stale covered read: the key changed between the read and
+    // the prepare. Decided from the images, still without a walk.
+    let lease = ctx.lease_read(1);
+    let (v60, nodes) = read_at(lease.ts(), 60);
+    assert_eq!(v60, Some(60));
+    assert!(s.remove(0, &60) && s.insert(0, 60, 61));
+    let mut cur = s.txn_cursor(s.txn_begin(1));
+    assert_eq!(cur.seek_prepare_remove(&60), Ok(true));
+    let mut txn = cur.finish();
+    assert_eq!(
+        s.txn_validate(&mut txn, &60, &60, &nodes),
+        Err(TxnValidateError::Invalidated)
+    );
+    assert_eq!(txn.validate_walks(), 0);
+    s.txn_abort(txn);
+    assert_eq!(s.get(0, &60), Some(61), "aborted remove rolled back");
 }
 
-covered_rmw_validates_without_a_walk!(covered_rmw_walks_nothing_skiplist, BundledSkipList<u64, u64>);
-covered_rmw_validates_without_a_walk!(covered_rmw_walks_nothing_lazylist, BundledLazyList<u64, u64>);
-covered_rmw_validates_without_a_walk!(covered_rmw_walks_nothing_citrus, BundledCitrusTree<u64, u64>);
+#[test]
+fn covered_rmw_walks_nothing_skiplist() {
+    covered_rmw_validates_without_a_walk::<BundledSkipList<u64, u64>>();
+}
+
+#[test]
+fn covered_rmw_walks_nothing_lazylist() {
+    covered_rmw_validates_without_a_walk::<BundledLazyList<u64, u64>>();
+}
+
+#[test]
+fn covered_rmw_walks_nothing_citrus() {
+    covered_rmw_validates_without_a_walk::<BundledCitrusTree<u64, u64>>();
+}
 
 /// Citrus only: the transaction's *own* two-children remove relocates the
 /// successor key into a fresh node. A covered read of that successor
