@@ -35,32 +35,42 @@ use store::TxnOp;
 
 /// Fold a non-empty queue-ordered same-key op sequence into the single
 /// effective op the store stages for this key (see the module docs).
-pub(crate) fn effective_op<K: Copy + Ord, V: Clone>(key: K, seq: &[&TxnOp<K, V>]) -> TxnOp<K, V> {
-    debug_assert!(!seq.is_empty());
-    debug_assert!(seq.iter().all(|op| *op.key() == key));
-    if seq.iter().all(|op| matches!(op, TxnOp::Put(_, _))) {
-        // All-puts: only the first can take effect, and only if the key
-        // is absent — which is exactly a single Put's contract.
-        let TxnOp::Put(_, v) = seq[0] else {
-            unreachable!("just checked all ops are puts")
-        };
-        return TxnOp::Put(key, v.clone());
-    }
-    // At least one Set/Remove: both presence branches converge there, so
-    // simulating the absent-start branch yields the common final state.
+/// One pass, no allocation: the committer calls this per duplicated key.
+pub(crate) fn effective_op<'a, K: Copy + Ord + 'a, V: Clone + 'a>(
+    key: K,
+    seq: impl Iterator<Item = &'a TxnOp<K, V>>,
+) -> TxnOp<K, V> {
+    // Simulate the absent-start branch. With at least one Set/Remove
+    // both presence branches converge there, so it yields the common
+    // final state; with puts only it ends holding the *first* put's
+    // value — the only put that can take effect, and only if the key is
+    // absent, which is exactly a single Put's contract.
+    let mut all_puts = true;
     let mut state: Option<&V> = None;
     for op in seq {
+        debug_assert!(*op.key() == key);
         match op {
             TxnOp::Put(_, v) => {
                 if state.is_none() {
                     state = Some(v);
                 }
             }
-            TxnOp::Set(_, v) => state = Some(v),
-            TxnOp::Remove(_) => state = None,
+            TxnOp::Set(_, v) => {
+                all_puts = false;
+                state = Some(v);
+            }
+            TxnOp::Remove(_) => {
+                all_puts = false;
+                state = None;
+            }
         }
     }
+    debug_assert!(
+        state.is_some() || !all_puts,
+        "an empty sequence has no effective op"
+    );
     match state {
+        Some(v) if all_puts => TxnOp::Put(key, v.clone()),
         Some(v) => TxnOp::Set(key, v.clone()),
         None => TxnOp::Remove(key),
     }
@@ -81,27 +91,28 @@ pub(crate) fn initial_presence<K, V>(effective: &TxnOp<K, V>, result: bool) -> b
 /// initial presence, yielding each op's individual outcome bit (`true` =
 /// the put inserted / the remove removed / the set replaced) in queue
 /// order.
-pub(crate) fn replay_outcomes<K, V>(present0: bool, seq: &[&TxnOp<K, V>]) -> Vec<bool> {
+pub(crate) fn replay_outcomes<'a, K: 'a, V: 'a>(
+    present0: bool,
+    seq: impl Iterator<Item = &'a TxnOp<K, V>> + 'a,
+) -> impl Iterator<Item = bool> + 'a {
     let mut present = present0;
-    seq.iter()
-        .map(|op| match op {
-            TxnOp::Put(_, _) => {
-                let applied = !present;
-                present = true;
-                applied
-            }
-            TxnOp::Set(_, _) => {
-                let existed = present;
-                present = true;
-                existed
-            }
-            TxnOp::Remove(_) => {
-                let removed = present;
-                present = false;
-                removed
-            }
-        })
-        .collect()
+    seq.map(move |op| match op {
+        TxnOp::Put(_, _) => {
+            let applied = !present;
+            present = true;
+            applied
+        }
+        TxnOp::Set(_, _) => {
+            let existed = present;
+            present = true;
+            existed
+        }
+        TxnOp::Remove(_) => {
+            let removed = present;
+            present = false;
+            removed
+        }
+    })
 }
 
 #[cfg(test)]
@@ -166,7 +177,7 @@ mod tests {
                     .map(|(pos, &k)| kinds(k, pos as u64))
                     .collect();
                 let seq: Vec<&TxnOp<u64, u64>> = ops.iter().collect();
-                let effective = effective_op(5, &seq);
+                let effective = effective_op(5, seq.iter().copied());
                 for start in [None, Some(77u64)] {
                     let (want_outcomes, want_state) = oracle(start, &seq);
                     let (result, got_state) = apply_effective(start, &effective);
@@ -184,7 +195,7 @@ mod tests {
                     );
                     // ...from which the replay reproduces every outcome.
                     assert_eq!(
-                        replay_outcomes(start.is_some(), &seq),
+                        replay_outcomes(start.is_some(), seq.iter().copied()).collect::<Vec<_>>(),
                         want_outcomes,
                         "seq {ops:?} from {start:?}: replayed outcomes"
                     );

@@ -51,6 +51,28 @@
 //! sleep counters tell publishers and drains whether anyone is parked,
 //! so the uncontended hot path never touches the wake mutex.
 //!
+//! ## Hand-off cost
+//!
+//! One committer serves every producer of its shards, so whatever it
+//! does per *op* is serial time the whole front-end pays; the hand-off
+//! around [`store::BundledStore::apply_grouped`] is therefore priced per
+//! **group** wherever the protocol allows:
+//!
+//! | step | per group | per op |
+//! |---|---|---|
+//! | ring drain ([`ring::MpscRing::pop_run`]) | one `head` store and one occupancy-gate RMW per ring | a slot read and its seq release |
+//! | fold / outcome scatter | sort of the group's keys; every buffer is reused, none allocated | one flat outcome bit |
+//! | ticket resolve | — | an uncontended slot store and one state-word swap: **no syscall, no allocation** (a single-op ticket carries its outcome bit inline; the waiter builds the `Vec<bool>`) |
+//! | wake-up | one `unpark` per *parked thread* (deduplicated), issued after the whole group's outcomes are stored | — |
+//! | flush / backpressure accounting | one `in_flight` RMW, one sleeper check | — |
+//!
+//! A producer that pipelines a window and then waits its tickets in
+//! order parks on at most one of them per group; the committer stores
+//! every outcome of the group first and unparks afterwards, so the
+//! woken producer finds the rest of the group already resolved and
+//! sweeps it without blocking (see the `ticket` module docs for the
+//! state machine).
+//!
 //! ## Backpressure
 //!
 //! [`IngestConfig::max_queue_depth`] bounds each shard's ring, counted in
@@ -110,6 +132,7 @@ use std::time::{Duration, Instant};
 use store::{BundledStore, ShardBackend, StoreHandle, TxnOp};
 
 pub use ticket::Ticket;
+use ticket::{Applied, PackedOutcome};
 
 /// Hard ceiling on [`IngestConfig::max_queue_depth`]: ring slots are
 /// allocated eagerly per shard, so an unbounded (or absurd) depth would
@@ -319,7 +342,7 @@ impl<K, V> Ops<K, V> {
 /// One queued submission: the ops of one ticket.
 struct Submission<K, V> {
     ops: Ops<K, V>,
-    ticket: Arc<ticket::Oneshot<IngestOutcome>>,
+    ticket: Arc<ticket::Oneshot<PackedOutcome>>,
     /// Enqueue time, recorded only under observability — the resolving
     /// committer turns it into a ticket-wait latency sample.
     enqueued: Option<Instant>,
@@ -363,6 +386,10 @@ struct Shared<K, V, S> {
     ops: AtomicU64,
     folded_ops: AtomicU64,
     largest_group: AtomicU64,
+    /// Threads unparked by ticket resolution (the tests' proof that
+    /// wake-ups are per parked thread per group, not per ticket).
+    #[cfg(test)]
+    wakes: AtomicU64,
 }
 
 impl<K, V, S> Shared<K, V, S> {
@@ -447,6 +474,8 @@ where
             ops: AtomicU64::new(0),
             folded_ops: AtomicU64::new(0),
             largest_group: AtomicU64::new(0),
+            #[cfg(test)]
+            wakes: AtomicU64::new(0),
             store,
         });
         let workers = (0..committers)
@@ -483,15 +512,16 @@ where
     }
 
     /// A resolved-immediately ticket for an empty submission.
-    fn empty_ticket(&self, slot: Arc<ticket::Oneshot<IngestOutcome>>) -> Ticket<IngestOutcome> {
-        let ticket = Ticket::new(Arc::clone(&slot));
-        slot.resolve(IngestOutcome {
-            applied: Vec::new(),
+    fn empty_ticket(&self) -> Ticket<IngestOutcome> {
+        let slot = ticket::Oneshot::new();
+        let parked = slot.resolve(PackedOutcome {
+            applied: Applied::Many(Vec::new()),
             ts: self.shared.store.context().read(),
             seq: 0,
             group_ops: 0,
         });
-        ticket
+        debug_assert!(parked.is_none(), "nobody holds the ticket yet");
+        Ticket::new(slot)
     }
 
     /// Publish an accepted submission into its reserved ring slot and
@@ -592,7 +622,7 @@ where
     /// [`IngestConfig::max_queue_depth`].
     pub fn submit_batch(&self, ops: Vec<TxnOp<K, V>>) -> Ticket<IngestOutcome> {
         if ops.is_empty() {
-            return self.empty_ticket(ticket::Oneshot::new());
+            return self.empty_ticket();
         }
         let shard = self.shared.store.shard_of(ops[0].key());
         let reserved = self.reserve_blocking(shard);
@@ -607,7 +637,7 @@ where
         ops: Vec<TxnOp<K, V>>,
     ) -> Result<Ticket<IngestOutcome>, QueueFull<K, V>> {
         if ops.is_empty() {
-            return Ok(self.empty_ticket(ticket::Oneshot::new()));
+            return Ok(self.empty_ticket());
         }
         self.shared.assert_live();
         let shard = self.shared.store.shard_of(ops[0].key());
@@ -664,16 +694,7 @@ where
     /// must happen-before this call (a racing submit panics, including
     /// submitters parked on a full ring — they are woken to fail fast).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _g = self.shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-            self.shared.work.notify_all();
-            self.shared.space.notify_all();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|p| p.into_inner()));
-        for w in workers {
-            w.join().expect("an ingest committer thread panicked");
-        }
+        self.stop(true);
     }
 }
 
@@ -690,10 +711,12 @@ impl<K, V, S> Ingest<K, V, S> {
             largest_group: self.shared.largest_group.load(Ordering::Relaxed),
         }
     }
-}
 
-impl<K, V, S> Drop for Ingest<K, V, S> {
-    fn drop(&mut self) {
+    /// Flag shutdown, wake every parked committer and submitter, and
+    /// join the committers (which drain their rings first). Idempotent:
+    /// a second call finds no workers left. A committer's panic is
+    /// re-raised only when `propagate_panic`.
+    fn stop(&self, propagate_panic: bool) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         {
             let _g = self.shared.wake.lock().unwrap_or_else(|p| p.into_inner());
@@ -702,8 +725,18 @@ impl<K, V, S> Drop for Ingest<K, V, S> {
         }
         let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|p| p.into_inner()));
         for w in workers {
-            let _ = w.join();
+            let joined = w.join();
+            if propagate_panic {
+                joined.expect("an ingest committer thread panicked");
+            }
         }
+    }
+}
+
+impl<K, V, S> Drop for Ingest<K, V, S> {
+    fn drop(&mut self) {
+        // A drop must not panic (it may run during an unwind).
+        self.stop(false);
     }
 }
 
@@ -736,74 +769,117 @@ fn committer_wait<K, V, S>(shared: &Shared<K, V, S>, owned: &[usize]) -> bool {
     shared.shutdown.load(Ordering::SeqCst)
 }
 
-/// Scoop queued submissions from the committer's owned shard rings, up
-/// to the soft op cap (the submission crossing the cap is taken whole).
-/// The scan starts at `owned[start]` and wraps: callers rotate `start`
-/// per round so that a sustained over-cap backlog on one shard cannot
-/// starve the committer's other rings. Each ring's published run is
-/// contiguous, so `pop`-until-`None` takes exactly the backlog.
+/// The committer's per-group working set. Lives in the committer loop
+/// and is cleared — never reallocated — per group, so in steady state
+/// (every buffer at its high-water capacity) the front-end's side of a
+/// commit allocates nothing.
+struct GroupBuffers<K, V> {
+    /// The group's submissions, in fold (= resolve) order.
+    subs: Vec<Submission<K, V>>,
+    /// `offsets[si]` is where submission `si`'s outcome bits start in
+    /// `bits` (the prefix sum of the submissions' op counts).
+    offsets: Vec<u32>,
+    /// `(key, submission, op)` of every op, sorted: each key's ops end
+    /// up adjacent, in queue order.
+    positions: Vec<(K, u32, u32)>,
+    /// One effective op per distinct key, in key order: the super-batch
+    /// handed to the store.
+    effective: Vec<TxnOp<K, V>>,
+    /// `runs[i]` is the `positions` range that folded into `effective[i]`.
+    runs: Vec<(usize, usize)>,
+    /// Every op's outcome, flat: op `oi` of submission `si` is
+    /// `bits[offsets[si] + oi]`.
+    bits: Vec<bool>,
+    /// Threads found parked on this group's tickets.
+    wakers: ticket::Wakers,
+}
+
+impl<K, V> GroupBuffers<K, V> {
+    fn new() -> Self {
+        GroupBuffers {
+            subs: Vec::new(),
+            offsets: Vec::new(),
+            positions: Vec::new(),
+            effective: Vec::new(),
+            runs: Vec::new(),
+            bits: Vec::new(),
+            wakers: ticket::Wakers::default(),
+        }
+    }
+}
+
+/// Scoop queued submissions from the committer's owned shard rings into
+/// `subs`, up to the soft op cap (the submission crossing the cap is
+/// taken whole). The scan starts at `owned[start]` and wraps: callers
+/// rotate `start` per round so that a sustained over-cap backlog on one
+/// shard cannot starve the committer's other rings. Each ring gives up
+/// its contiguous published run in one [`ring::MpscRing::pop_run`].
 fn drain<K, V, S>(
     shared: &Shared<K, V, S>,
     owned: &[usize],
     start: usize,
-) -> Vec<Submission<K, V>> {
-    let mut subs = Vec::new();
+    subs: &mut Vec<Submission<K, V>>,
+) {
     let mut ops = 0usize;
     for i in 0..owned.len() {
-        let shard = owned[(start + i) % owned.len()];
-        let ring = &shared.rings[shard];
-        while ops < shared.max_group_ops {
-            // SAFETY: shard `s` is drained only by committer
-            // `s % committers` (`owned` is exactly that partition), so
-            // this thread is the ring's single consumer.
-            match unsafe { ring.pop() } {
-                Some(sub) => {
-                    ops += sub.ops.len();
-                    subs.push(sub);
-                }
-                None => break,
-            }
-        }
         if ops >= shared.max_group_ops {
             break;
         }
+        let shard = owned[(start + i) % owned.len()];
+        // SAFETY: shard `s` is drained only by committer
+        // `s % committers` (`owned` is exactly that partition), so
+        // this thread is the ring's single consumer.
+        ops += unsafe {
+            shared.rings[shard].pop_run(shared.max_group_ops - ops, |sub| sub.ops.len(), subs)
+        };
     }
-    subs
 }
 
-/// Commit one group: fold same-key submissions in queue order into one
-/// effective op per key, publish the super-batch under a single clock
-/// advance, then replay the queue order to resolve every ticket with its
+/// Commit the group in `buf.subs`: fold same-key submissions in queue
+/// order into one effective op per key, publish the super-batch under a
+/// single clock advance, replay the queue order to give every ticket its
 /// operation's individual outcome (see the `fold` module docs for why
-/// the fold is outcome-exact).
+/// the fold is outcome-exact), and only once **every** outcome is stored
+/// wake the threads found parked. Leaves `buf.subs` empty.
 fn commit_group<K, V, S>(
     shared: &Shared<K, V, S>,
     handle: &StoreHandle<K, V, S>,
-    subs: &[Submission<K, V>],
+    buf: &mut GroupBuffers<K, V>,
 ) where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
     S: ShardBackend<K, V>,
 {
+    let GroupBuffers {
+        subs,
+        offsets,
+        positions,
+        effective,
+        runs,
+        bits,
+        wakers,
+    } = buf;
     // Queue-order positions of every op, sorted by (key, queue position)
     // — a flat sort instead of a per-key map keeps the fold linear-ish
     // and allocation-free per op, which matters: the fold runs once per
     // op on the committer, the serial heart of the front-end.
-    let mut positions: Vec<(K, u32, u32)> = Vec::new();
+    offsets.clear();
+    positions.clear();
     for (si, sub) in subs.iter().enumerate() {
+        offsets.push(positions.len() as u32);
         for (oi, op) in sub.ops.as_slice().iter().enumerate() {
             positions.push((*op.key(), si as u32, oi as u32));
         }
     }
     positions.sort_unstable();
     let total_ops = positions.len();
-    // One effective op per key; `runs[i]` is the positions range that
-    // folded into `effective[i]`. Distinct keys (the common case under
+    // One effective op per key; distinct keys (the common case under
     // uniform traffic) skip the fold entirely.
-    let op_at =
-        |si: u32, oi: u32| -> &TxnOp<K, V> { &subs[si as usize].ops.as_slice()[oi as usize] };
-    let mut effective: Vec<TxnOp<K, V>> = Vec::with_capacity(total_ops);
-    let mut runs: Vec<(usize, usize)> = Vec::with_capacity(total_ops);
+    let op_at = |&(_, si, oi): &(K, u32, u32)| -> &TxnOp<K, V> {
+        &subs[si as usize].ops.as_slice()[oi as usize]
+    };
+    effective.clear();
+    runs.clear();
     let mut i = 0;
     while i < total_ops {
         let mut j = i + 1;
@@ -811,38 +887,32 @@ fn commit_group<K, V, S>(
             j += 1;
         }
         runs.push((i, j));
-        if j - i == 1 {
-            effective.push(op_at(positions[i].1, positions[i].2).clone());
+        effective.push(if j - i == 1 {
+            op_at(&positions[i]).clone()
         } else {
-            let seq: Vec<&TxnOp<K, V>> = positions[i..j]
-                .iter()
-                .map(|&(_, si, oi)| op_at(si, oi))
-                .collect();
-            effective.push(fold::effective_op(positions[i].0, &seq));
-        }
+            fold::effective_op(positions[i].0, positions[i..j].iter().map(op_at))
+        });
         i = j;
     }
-    let receipt = handle.apply_grouped(&effective);
+    let receipt = handle.apply_grouped(effective);
     // Replay each key's queue order against its recovered initial
     // presence, scattering outcome bits back to the submissions. A
     // singleton run's outcome is the staged op's own result bit.
-    let mut outcomes: Vec<Vec<bool>> = subs.iter().map(|s| vec![false; s.ops.len()]).collect();
+    let bit_at = |&(_, si, oi): &(K, u32, u32)| offsets[si as usize] as usize + oi as usize;
+    bits.clear();
+    bits.resize(total_ops, false);
     for (key_idx, &(start, end)) in runs.iter().enumerate() {
-        if end - start == 1 {
-            let (_, si, oi) = positions[start];
-            outcomes[si as usize][oi as usize] = receipt.applied[key_idx];
+        let run = &positions[start..end];
+        if run.len() == 1 {
+            bits[bit_at(&run[0])] = receipt.applied[key_idx];
             continue;
         }
-        let seq: Vec<&TxnOp<K, V>> = positions[start..end]
-            .iter()
-            .map(|&(_, si, oi)| op_at(si, oi))
-            .collect();
         let present0 = fold::initial_presence(&effective[key_idx], receipt.applied[key_idx]);
-        for (&(_, si, oi), bit) in positions[start..end]
+        for (pos, bit) in run
             .iter()
-            .zip(fold::replay_outcomes(present0, &seq))
+            .zip(fold::replay_outcomes(present0, run.iter().map(op_at)))
         {
-            outcomes[si as usize][oi as usize] = bit;
+            bits[bit_at(pos)] = bit;
         }
     }
     // Account the group BEFORE resolving any ticket: a producer that
@@ -883,18 +953,36 @@ fn commit_group<K, V, S>(
             );
         }
     }
-    for (si, (sub, applied)) in subs.iter().zip(outcomes).enumerate() {
+    // Resolve, then wake: a thread parked on one of these tickets is
+    // unparked only after the whole group's outcomes are stored, so it
+    // cannot catch up with this loop and park again on a ticket that is
+    // about to resolve.
+    for (si, sub) in subs.iter().enumerate() {
         if let (Some(o), Some(t0)) = (&shared.obs, sub.enqueued) {
             o.ticket_wait_ns
                 .record(handle.tid(), t0.elapsed().as_nanos() as u64);
         }
-        sub.ticket.resolve(IngestOutcome {
-            applied,
+        let start = offsets[si] as usize;
+        let parked = sub.ticket.resolve(PackedOutcome {
+            applied: match &sub.ops {
+                Ops::One(_) => Applied::One(bits[start]),
+                Ops::Many(ops) => Applied::Many(bits[start..start + ops.len()].to_vec()),
+            },
             ts: receipt.ts,
             seq: si as u64,
             group_ops: total_ops,
         });
+        if let Some(thread) = parked {
+            wakers.push(thread);
+        }
     }
+    // Let go of the tickets first: the woken producers then hold the
+    // last reference to each, so the slots are freed by the threads
+    // that allocated them rather than on this serial path.
+    subs.clear();
+    let _woken = wakers.wake_all();
+    #[cfg(test)]
+    shared.wakes.fetch_add(_woken as u64, Ordering::Relaxed);
 }
 
 fn committer_loop<K, V, S>(shared: &Shared<K, V, S>, handle: &StoreHandle<K, V, S>, c: usize)
@@ -909,6 +997,7 @@ where
     // Rotating drain origin: fairness across this committer's shards
     // when one ring alone can fill a whole group.
     let mut rotate = 0usize;
+    let mut buf = GroupBuffers::new();
     loop {
         let shutdown = committer_wait(shared, &owned);
         if !shared.linger.is_zero() && !shutdown {
@@ -918,12 +1007,13 @@ where
         // Drain until the owned rings are empty: while a group commits,
         // producers refill the rings — natural group-commit batching.
         loop {
-            let subs = drain(shared, &owned, rotate);
+            drain(shared, &owned, rotate, &mut buf.subs);
             rotate = (rotate + 1) % owned.len().max(1);
-            if subs.is_empty() {
+            let scooped = buf.subs.len() as u64;
+            if scooped == 0 {
                 break;
             }
-            // The pops above released the submissions' ring slots
+            // The drain above released the submissions' ring slots
             // *before* the commit: backpressure bounds what sits in the
             // rings, and producers refilling during the commit is
             // exactly the batching this front-end exists for. Same
@@ -935,7 +1025,7 @@ where
                 shared.space.notify_all();
             }
             if let Some(o) = &shared.obs {
-                o.queue_depth.record(handle.tid(), subs.len() as u64);
+                o.queue_depth.record(handle.tid(), scooped);
                 let occupancy: usize = shared.rings.iter().map(ring::MpscRing::occupancy).sum();
                 o.depth.set(occupancy as i64);
                 if let Some(tr) = &o.trace {
@@ -943,13 +1033,12 @@ where
                         handle.tid(),
                         obs::TraceKind::DrainScoop,
                         obs::trace::NO_SHARD,
-                        subs.len() as u64,
+                        scooped,
                     );
                 }
             }
-            commit_group(shared, handle, &subs);
-            let resolved = subs.len() as u64;
-            if shared.in_flight.fetch_sub(resolved, Ordering::SeqCst) == resolved {
+            commit_group(shared, handle, &mut buf);
+            if shared.in_flight.fetch_sub(scooped, Ordering::SeqCst) == scooped {
                 // This decrement hit zero: flush may be parked. Take the
                 // wake mutex so a flusher that read non-zero is already
                 // inside its condvar wait.
@@ -1385,27 +1474,32 @@ mod tests {
         ingest.shutdown();
     }
 
-    #[test]
-    fn ring_path_outcomes_replay_against_an_oracle() {
-        // The ticket-outcome oracle through the lock-free path: a seeded
-        // multi-producer mixed workload over a small hot key range,
-        // submitted via `try_submit` with handback-retry against a tiny
-        // ring. Sorting every outcome by its commit metadata `(ts, seq)`
-        // must yield a serial history a naive map replays exactly —
-        // per-op outcome bits and final store contents both. (Same-key
-        // ops share a shard, hence a ring, hence a committer, so the
-        // per-key projection of the `(ts, seq)` order is exactly the
-        // order the folds resolved them in.)
+    /// How [`outcomes_replay_against_an_oracle`] hands one op to the
+    /// front-end.
+    type SubmitFn<S> = fn(&Ingest<u64, u64, S>, TxnOp<u64, u64>) -> Ticket<IngestOutcome>;
+
+    /// The ticket-outcome oracle: a seeded multi-producer mixed workload
+    /// over a small hot key range through a tiny ring, each op handed to
+    /// `submit`. Sorting every outcome by its commit metadata
+    /// `(ts, seq)` must yield a serial history a naive map replays
+    /// exactly — per-op outcome bits and final store contents both.
+    /// (Same-key ops share a shard, hence a ring, hence a committer, so
+    /// the per-key projection of the `(ts, seq)` order is exactly the
+    /// order the folds resolved them in.)
+    fn outcomes_replay_against_an_oracle<S>(max_queue_depth: usize, submit: SubmitFn<S>)
+    where
+        S: ShardBackend<u64, u64> + Send + Sync + 'static,
+    {
         use std::collections::BTreeMap;
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 300;
         const KEYS: u64 = 64;
-        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(4, KEYS)));
+        let store = Arc::new(BundledStore::<u64, u64, S>::new(3, uniform_splits(4, KEYS)));
         let ingest = Arc::new(Ingest::spawn(
             Arc::clone(&store),
             IngestConfig {
                 committers: 2,
-                max_queue_depth: 4,
+                max_queue_depth,
                 ..IngestConfig::default()
             },
         ));
@@ -1425,18 +1519,7 @@ mod tests {
                             1 => TxnOp::Set(k, p),
                             _ => TxnOp::Remove(k),
                         };
-                        let ticket = loop {
-                            match ingest.try_submit(op.clone()) {
-                                Ok(t) => break t,
-                                Err(QueueFull { ops }) => {
-                                    // Handback exactness: the very op
-                                    // that bounced comes back; retry it.
-                                    assert_eq!(ops, vec![op.clone()]);
-                                    std::thread::yield_now();
-                                }
-                            }
-                        };
-                        pending.push((op, ticket));
+                        pending.push((op.clone(), submit(&ingest, op)));
                     }
                     pending
                         .into_iter()
@@ -1481,5 +1564,94 @@ mod tests {
             model.into_iter().collect::<Vec<_>>(),
             "final store contents diverged from the serial oracle"
         );
+    }
+
+    #[test]
+    fn ring_path_outcomes_replay_against_an_oracle() {
+        // The lock-free path: `try_submit` with handback-retry.
+        outcomes_replay_against_an_oracle::<skiplist::BundledSkipList<u64, u64>>(
+            4,
+            |ingest, op| {
+                loop {
+                    match ingest.try_submit(op.clone()) {
+                        Ok(t) => break t,
+                        Err(QueueFull { ops }) => {
+                            // Handback exactness: the very op that bounced
+                            // comes back; retry it.
+                            assert_eq!(ops, vec![op.clone()]);
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn parked_producers_and_parked_waiters_replay_against_an_oracle_on_every_backend() {
+        // Depth 2 with blocking submits: producers park on a full ring
+        // while earlier tickets resolve, then park on those tickets —
+        // both slow paths and the resolve-then-wake hand-off, per backend.
+        outcomes_replay_against_an_oracle::<skiplist::BundledSkipList<u64, u64>>(2, Ingest::submit);
+        outcomes_replay_against_an_oracle::<citrus::BundledCitrusTree<u64, u64>>(2, Ingest::submit);
+        outcomes_replay_against_an_oracle::<lazylist::BundledLazyList<u64, u64>>(2, Ingest::submit);
+    }
+
+    #[test]
+    fn resolving_unwatched_tickets_wakes_nobody() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
+        let ingest = Ingest::spawn(Arc::clone(&store), IngestConfig::default());
+        let tickets = ingest.submit_all((0..200u64).map(|k| TxnOp::Put(k, k)));
+        // `flush` parks on the front-end's idle condvar, not on a ticket.
+        ingest.flush();
+        for t in &tickets {
+            assert_eq!(t.try_take().map(|o| o.applied), Some(vec![true]));
+        }
+        ingest.shutdown();
+        assert_eq!(ingest.shared.wakes.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_group_wakes_each_parked_thread_once_after_every_ticket_resolved() {
+        const GROUP: u64 = 64;
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
+        let ingest = Ingest::spawn(
+            Arc::clone(&store),
+            IngestConfig {
+                committers: 1,
+                // The committer lingers from the first publish on, so
+                // all 64 submissions land in one group.
+                linger: Duration::from_millis(300),
+                ..IngestConfig::default()
+            },
+        );
+        let mut tickets = ingest.submit_all((0..GROUP).map(|k| TxnOp::Put(k, k)));
+        let rest = tickets.split_off(1);
+        // Park on the *first* ticket of the group...
+        let first = tickets.pop().unwrap().wait();
+        assert_eq!(first.group_ops, GROUP as usize, "the linger made one group");
+        // ...and by the time the wake-up arrives every other ticket of
+        // the group has its outcome: none would block.
+        for t in &rest {
+            assert_eq!(t.try_take().map(|o| o.ts), Some(first.ts));
+        }
+        ingest.shutdown();
+        assert_eq!(ingest.stats().groups, 1);
+        assert_eq!(
+            ingest.shared.wakes.load(Ordering::Relaxed),
+            1,
+            "one parked thread, one group: one wake — not one per ticket"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "after try_take")]
+    fn wait_after_a_successful_try_take_panics_instead_of_hanging() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 100)));
+        let ingest = Ingest::spawn(Arc::clone(&store), IngestConfig::default());
+        let t = ingest.submit(TxnOp::Put(1, 1));
+        ingest.flush();
+        assert!(t.try_take().is_some());
+        let _ = t.wait();
     }
 }
