@@ -12,8 +12,8 @@ use parking_lot::Mutex;
 
 use crate::api::{ConcurrentSet, RangeQuerySet};
 use crate::{
-    Bundle, Conflict, PrepareCursor, Recycler, RqContext, StagedOutcomes, TwoPhaseState,
-    TxnValidateError,
+    Bundle, CachePadded, Conflict, PrepareCursor, Recycler, RqContext, StagedOutcomes,
+    TwoPhaseState, TxnValidateError,
 };
 
 /// Optimistic entry attempts a fixed-timestamp range query makes before
@@ -21,12 +21,18 @@ use crate::{
 pub const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
 
 /// Accumulated two-phase state of one transaction's writes on one
-/// structure. Created by [`TwoPhase::txn_begin`]; populated by the prepare
-/// cursor's staging seeks (the public fields are its working surface);
-/// consumed by exactly one of [`TwoPhase::txn_finalize`] (with the
-/// transaction's single commit timestamp) or [`TwoPhase::txn_abort`].
+/// structure. Handed out by [`TwoPhase::txn_begin`]; populated by the
+/// prepare cursor's staging seeks (the public fields are its working
+/// surface); consumed by exactly one of [`TwoPhase::txn_finalize`] (with
+/// the transaction's single commit timestamp) or [`TwoPhase::txn_abort`].
 /// Dropping a non-empty token leaks the locks and wedges the bundles — the
 /// store layer guarantees consumption.
+///
+/// Tokens are **warm**: finalize and abort clear the token and park it in
+/// the structure's [`TokenPool`], and the thread's next `txn_begin` takes
+/// it back with every buffer's capacity intact, so a steady stream of
+/// small transactions stages, validates and commits without allocating
+/// for its bookkeeping.
 pub struct ShardTxn<S: TwoPhase> {
     /// Held node locks, pending bundle entries, created and unlinked nodes.
     pub core: TwoPhaseState<S::Node>,
@@ -37,12 +43,70 @@ pub struct ShardTxn<S: TwoPhase> {
     /// [`TwoPhase::txn_validate`] reconciles the transaction's own eager
     /// changes with its recorded reads.
     pub staged: StagedOutcomes<S::Key>,
-    /// The structure's validate-walk buffers, reused across validate calls.
+    /// The structure's own reusable buffers: the validate walk's, and
+    /// whatever heap frontier its cursor retains between seeks.
     pub scratch: S::Scratch,
     validate_walks: usize,
 }
 
+/// Staged-op count above which a consumed token is dropped instead of
+/// parked: a one-off bulk load must not pin its high-water buffers to the
+/// thread slot forever (group commits stage a few hundred ops per token).
+const WARM_TOKEN_MAX_OPS: usize = 4096;
+
+/// One parked [`ShardTxn`] per dense thread id — what keeps tokens warm
+/// (see [`ShardTxn`]). A slot is a mutex only so the structure stays
+/// `Sync`: a `tid` belongs to one thread at a time, so the lock is never
+/// contended, and a slot found busy or empty just means a cold token.
+/// Slots are padded apart: neighbouring threads take and park at once.
+pub struct TokenPool<S: TwoPhase>(Box<[TokenSlot<S>]>);
+
+type TokenSlot<S> = CachePadded<Mutex<Option<ShardTxn<S>>>>;
+
+impl<S: TwoPhase> TokenPool<S> {
+    /// Empty slots for `max_threads` thread ids.
+    #[must_use]
+    pub fn new(max_threads: usize) -> Self {
+        TokenPool(
+            (0..max_threads)
+                .map(|_| CachePadded::new(Mutex::new(None)))
+                .collect(),
+        )
+    }
+
+    fn take(&self, tid: usize) -> Option<ShardTxn<S>> {
+        self.0.get(tid)?.try_lock()?.take()
+    }
+
+    /// Keep the consumed (already emptied) token for its thread's next
+    /// transaction, unless it just carried a bulk load of `staged_ops`.
+    fn park(&self, txn: ShardTxn<S>, staged_ops: usize) {
+        if staged_ops > WARM_TOKEN_MAX_OPS {
+            return;
+        }
+        if let Some(mut slot) = self.0.get(txn.core.tid()).and_then(|s| s.try_lock()) {
+            *slot = Some(txn);
+        }
+    }
+}
+
 impl<S: TwoPhase> ShardTxn<S> {
+    /// `tid`'s parked token if there is one, a fresh one otherwise; either
+    /// way empty, recording staged images iff `recording`.
+    fn begin(pool: &TokenPool<S>, tid: usize, recording: bool) -> Self {
+        let mut txn = pool.take(tid).unwrap_or_else(|| ShardTxn {
+            core: TwoPhaseState::new(tid),
+            undo: Vec::new(),
+            staged: StagedOutcomes::new(),
+            scratch: S::Scratch::default(),
+            validate_walks: 0,
+        });
+        debug_assert!(txn.core.is_empty() && txn.undo.is_empty() && txn.core.tid() == tid);
+        txn.staged.reset(recording);
+        txn.validate_walks = 0;
+        txn
+    }
+
     /// Number of staged write operations.
     #[must_use]
     pub fn staged_ops(&self) -> usize {
@@ -101,17 +165,14 @@ pub trait TwoPhase:
     type Node;
     /// One eager structural change, as [`Self::revert`] needs it.
     type Undo;
-    /// Buffers [`Self::validate_walk`] keeps in the token so that a warm
-    /// token validates without allocating (`()` if it needs none).
+    /// Buffers the structure keeps in the token so that a warm token
+    /// stages and validates without allocating: [`Self::validate_walk`]'s,
+    /// and a cursor frontier that lives on the heap (`()` if none).
     type Scratch: Default;
     /// The prepare cursor; [`PrepareCursor`] has the frontier rules it obeys.
     type Cursor<'a>: PrepareCursor<Self::Key, Self::Value, Txn = ShardTxn<Self>>
     where
         Self: 'a;
-
-    /// Optimistic entries [`Self::txn_range_read`] makes before the
-    /// bundle-only walk (the tree reads from the root: it overrides `0`).
-    const TXN_READ_ATTEMPTS: usize = MAX_OPTIMISTIC_ATTEMPTS;
 
     /// An empty structure ordering its updates through the (possibly
     /// shared) `ctx`; sentinel bundles are initialized at timestamp 0.
@@ -122,6 +183,10 @@ pub trait TwoPhase:
 
     /// The structure's epoch collector.
     fn collector(&self) -> &Collector;
+
+    /// The structure's token slots, built with [`TokenPool::new`] over the
+    /// same `max_threads` as the collector.
+    fn tokens(&self) -> &TokenPool<Self>;
 
     /// `node`'s update lock (see the locking contract above).
     fn lock_of(node: &Self::Node) -> &Mutex<()>;
@@ -134,6 +199,13 @@ pub trait TwoPhase:
     /// hop strictly through bundles. `None` = the entry landed on a node
     /// newer than the snapshot (Algorithm 3, line 7); the caller forgets
     /// what `visit` saw and retries. Caller: EBR pin held, `ts` announced.
+    ///
+    /// Entering over the newest pointers is only sound where they lead to
+    /// the same place the snapshot's would — in the chains, where a node's
+    /// position is its two neighbours. A structure in which the key
+    /// interval of a slot can change under nodes that stay where they are
+    /// (the tree's relocating remove) must enter through bundles from its
+    /// root instead, and then never returns `None`.
     fn try_collect_at(
         &self,
         ts: u64,
@@ -252,8 +324,9 @@ pub trait TwoPhase:
     }
 
     /// The fixed-timestamp walk behind [`Self::range_query_at`] and
-    /// [`Self::txn_range_read`]: up to `attempts` optimistic entries, then
-    /// the guaranteed bundle-only walk (the timestamp cannot be refreshed).
+    /// [`Self::txn_range_read`]: up to [`MAX_OPTIMISTIC_ATTEMPTS`]
+    /// optimistic entries, then the guaranteed bundle-only walk (the
+    /// timestamp cannot be refreshed).
     /// `step` gets `None` when an attempt starts (forget the last one's
     /// nodes), then each node of the range in key order.
     fn walk_snapshot_at(
@@ -262,11 +335,10 @@ pub trait TwoPhase:
         ts: u64,
         low: &Self::Key,
         high: &Self::Key,
-        attempts: usize,
         mut step: impl FnMut(Option<*mut Self::Node>),
     ) {
         let _guard = self.pin(tid);
-        for _ in 0..attempts {
+        for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
             step(None);
             let entered = self.try_collect_at(ts, low, high, |node| step(Some(node)));
             if entered.is_some() {
@@ -290,8 +362,7 @@ pub trait TwoPhase:
         high: &Self::Key,
         out: &mut Vec<(Self::Key, Self::Value)>,
     ) -> usize {
-        let attempts = MAX_OPTIMISTIC_ATTEMPTS;
-        self.walk_snapshot_at(tid, ts, low, high, attempts, |step| match step {
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
             None => out.clear(),
             // SAFETY: the walk holds the pin and shows data nodes only.
             Some(node) => out.push(unsafe { key_value::<Self>(node) }),
@@ -311,8 +382,7 @@ pub trait TwoPhase:
         out: &mut Vec<(Self::Key, Self::Value)>,
         nodes: &mut Vec<(Self::Key, usize)>,
     ) -> usize {
-        let attempts = Self::TXN_READ_ATTEMPTS;
-        self.walk_snapshot_at(tid, ts, low, high, attempts, |step| match step {
+        self.walk_snapshot_at(tid, ts, low, high, |step| match step {
             None => {
                 out.clear();
                 nodes.clear();
@@ -329,13 +399,7 @@ pub trait TwoPhase:
 
     /// Begin accumulating two-phase writes for thread `tid`.
     fn txn_begin(&self, tid: usize) -> ShardTxn<Self> {
-        ShardTxn {
-            core: TwoPhaseState::new(tid),
-            undo: Vec::new(),
-            staged: StagedOutcomes::new(),
-            scratch: Self::Scratch::default(),
-            validate_walks: 0,
-        }
+        ShardTxn::begin(self.tokens(), tid, true)
     }
 
     /// [`Self::txn_begin`] for a **write-only** pipeline: no read set, so no
@@ -343,10 +407,7 @@ pub trait TwoPhase:
     /// saved per staged op; group commits stage hundreds per token). Calling
     /// [`Self::txn_validate`] on such a token is a contract violation.
     fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<Self> {
-        ShardTxn {
-            staged: StagedOutcomes::disabled(),
-            ..self.txn_begin(tid)
-        }
+        ShardTxn::begin(self.tokens(), tid, false)
     }
 
     /// Acquire `node`'s lock for the transaction unless it is already
@@ -366,7 +427,16 @@ pub trait TwoPhase:
 
     /// Validate one recorded read range of a read-write transaction and
     /// **pin it until commit**. Must run after every staged write of the
-    /// transaction on this structure, under the store's shard intent lock.
+    /// transaction on this structure. Other transactions may be preparing,
+    /// validating or rolling back on the structure at the same time (the
+    /// store's shard intent is shared among read-write transactions):
+    /// nothing here relies on being alone. A pass means the walk found
+    /// exactly the recorded nodes and now holds the locks that pin the
+    /// range, so a neighbour's staged, uncommitted change inside it would
+    /// have surfaced as `Conflict` (its stager holds a lock this walk
+    /// needs) or as an identity mismatch — a spurious but safe
+    /// `Invalidated` — never as a pass; `BundledStore::apply_rw_txn` in the
+    /// `store` crate carries the full argument.
     /// A single-key read of a key the transaction also wrote is decided
     /// from the staged images alone ([`StagedOutcomes::covered_read`]: the
     /// prepare already holds the lock pinning the key); any other read is
@@ -392,32 +462,36 @@ pub trait TwoPhase:
     }
 
     /// Commit: publish every staged bundle entry with the transaction's
-    /// single timestamp, release the locks, retire removed nodes.
-    fn txn_finalize(&self, txn: ShardTxn<Self>, ts: u64) {
+    /// single timestamp, release the locks, retire removed nodes, park the
+    /// emptied token for the thread's next transaction.
+    fn txn_finalize(&self, mut txn: ShardTxn<Self>, ts: u64) {
         let guard = self.pin(txn.core.tid());
-        for v in txn.core.finalize(ts) {
-            // SAFETY: unlinked by this transaction under the proper locks;
-            // EBR defers the free past concurrent readers.
-            unsafe { guard.retire(v) };
-        }
+        // SAFETY: unlinked by this transaction under the proper locks;
+        // EBR defers the free past concurrent readers.
+        txn.core.finalize(ts, |v| unsafe { guard.retire(v) });
+        drop(guard);
+        let staged_ops = txn.undo.len();
+        txn.undo.clear();
+        self.tokens().park(txn, staged_ops);
     }
 
     /// Abort: revert every eager structural change (newest first), then
-    /// neutralize the pending entries, unlock, retire the created nodes.
-    fn txn_abort(&self, txn: ShardTxn<Self>) {
-        let ShardTxn { core, mut undo, .. } = txn;
-        let guard = self.pin(core.tid());
-        while let Some(op) = undo.pop() {
+    /// neutralize the pending entries, unlock, retire the created nodes,
+    /// park the emptied token.
+    fn txn_abort(&self, mut txn: ShardTxn<Self>) {
+        let guard = self.pin(txn.core.tid());
+        let staged_ops = txn.undo.len();
+        while let Some(op) = txn.undo.pop() {
             // SAFETY: `core` still holds every lock `op` was made under.
             unsafe { self.revert(op) };
         }
         // Entries with prior history become neutralized duplicates; first
         // entries of created, now unreachable, nodes become tombstones.
-        for n in core.abort() {
-            // SAFETY: unlinked by `revert` (or never committed to a
-            // reachable state); EBR defers the free.
-            unsafe { guard.retire(n) };
-        }
+        // SAFETY: unlinked by `revert` (or never committed to a reachable
+        // state); EBR defers the free.
+        txn.core.abort(|n| unsafe { guard.retire(n) });
+        drop(guard);
+        self.tokens().park(txn, staged_ops);
     }
 }
 

@@ -73,6 +73,7 @@ pub mod api;
 mod bundle_impl;
 mod ctx;
 mod cursor;
+mod inline;
 mod kernel;
 mod linearize;
 mod recycler;
@@ -87,7 +88,8 @@ pub use bundle_impl::{Bundle, BundleIter, PendingEntry, PENDING_TS, TOMBSTONE_TS
 pub use crossbeam_utils::CachePadded;
 pub use ctx::{ActiveRq, ReadLease, RqContext};
 pub use cursor::{CursorStats, PrepareCursor};
-pub use kernel::{key_value, ShardTxn, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS};
+pub use inline::InlineStack;
+pub use kernel::{key_value, ShardTxn, TokenPool, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS};
 pub use linearize::{
     finalize_update, linearize_update, prepare_update, Conflict, TxnValidateError,
 };

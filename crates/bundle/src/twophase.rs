@@ -14,7 +14,7 @@
 //! once; the structure crates layer their traversal, validation, and undo
 //! logs on top.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -62,6 +62,12 @@ type AddrSet = HashSet<usize, BuildHasherDefault<AddrHasher>>;
 type AddrMap = HashMap<usize, usize, BuildHasherDefault<AddrHasher>>;
 
 /// Shared two-phase bookkeeping over nodes of type `N`.
+///
+/// The state is **reusable**: [`TwoPhaseState::finalize`] and
+/// [`TwoPhaseState::abort`] leave it empty with every buffer's capacity
+/// kept, which is what lets the kernel keep one warm token per thread
+/// ([`crate::TokenPool`]) instead of rebuilding four vectors and two hash
+/// tables for a transaction that locks a handful of nodes.
 ///
 /// Raw-pointer soundness contract (upheld by the structure crates): every
 /// pointer pushed into the state refers to a node that stays allocated
@@ -194,29 +200,41 @@ impl<N> TwoPhaseState<N> {
     }
 
     /// Commit half: finalize every pending entry with the transaction's
-    /// single timestamp and release the locks. Returns the victims for
-    /// the caller to retire under its EBR guard.
-    pub fn finalize(self, ts: u64) -> Vec<*mut N> {
-        for (_, pe) in self.pendings {
+    /// single timestamp, release the locks, then hand each victim to
+    /// `retire` (the caller retires them under its EBR guard). Leaves the
+    /// state empty and reusable.
+    pub fn finalize(&mut self, ts: u64, retire: impl FnMut(*mut N)) {
+        for (_, pe) in self.pendings.drain(..) {
             pe.finalize(ts);
         }
-        drop(self.locks);
-        self.victims
+        self.release_locks();
+        self.victims.drain(..).for_each(retire);
+        self.created.clear();
     }
 
     /// Abort half: neutralize every pending entry (entries with history
     /// become invisible duplicates, first entries of created nodes become
-    /// tombstones) and release the locks. The caller must have reverted
-    /// its structural changes *before* calling this — neutralization is
-    /// what releases snapshot readers spinning on the pendings, and they
-    /// must observe the restored physical state. Returns the created
-    /// nodes for the caller to retire under its EBR guard.
-    pub fn abort(self) -> Vec<*mut N> {
-        for (_, pe) in self.pendings {
+    /// tombstones), release the locks, then hand each created node to
+    /// `retire`. The caller must have reverted its structural changes
+    /// *before* calling this — neutralization is what releases snapshot
+    /// readers spinning on the pendings, and they must observe the
+    /// restored physical state. Leaves the state empty and reusable.
+    pub fn abort(&mut self, retire: impl FnMut(*mut N)) {
+        for (_, pe) in self.pendings.drain(..) {
             pe.abort();
         }
-        drop(self.locks);
-        self.created
+        self.release_locks();
+        self.created.drain(..).for_each(retire);
+        self.victims.clear();
+    }
+
+    /// Unlock in acquisition order and forget the index tables (after the
+    /// pendings are resolved: a waiter on one of these locks must find the
+    /// entries final).
+    fn release_locks(&mut self) {
+        self.locks.clear();
+        self.lock_set.clear();
+        self.pending_idx.clear();
     }
 }
 
@@ -242,19 +260,22 @@ impl<N> TwoPhaseState<N> {
 /// remove-then-insert), so node identity doubles as value identity.
 #[derive(Debug)]
 pub struct StagedOutcomes<K> {
-    /// `key -> (pre-txn node, current node)`; at most one entry per key
-    /// (later stagings of the same key update `now`, keep the first
-    /// `pre`). A map rather than a scan-on-record list: a group-commit
-    /// super-batch records hundreds of staged keys per shard, and the
-    /// prepare path must stay linear in the batch size.
-    entries: BTreeMap<K, (Option<usize>, Option<usize>)>,
+    /// `(key, pre-txn node, current node)`, ascending by key, at most one
+    /// entry per key (later stagings of the same key update `now`, keep
+    /// the first `pre`). A sorted vector, not a map: stagings arrive in
+    /// key order (the commit pipeline sorts its ops, and a cursor stages
+    /// them in that order), so recording is a push — the one exception, a
+    /// Citrus two-children remove recording the relocated successor ahead
+    /// of later keys, pays a binary-search insert — and a warm token
+    /// records without allocating.
+    entries: Vec<(K, Option<usize>, Option<usize>)>,
     /// The last [`StagedOutcomes::expected_now`] projection — one buffer
     /// reused by every validate call of the transaction on this
     /// structure.
     projected: Vec<(K, usize)>,
     /// `false` for write-only pipelines (no read set, no validate phase):
     /// [`StagedOutcomes::record`] becomes a no-op, sparing every staged
-    /// op a map insert that nothing will ever read. Group commits and
+    /// op a record that nothing will ever read. Group commits and
     /// `multi_put`-style batches run in this mode.
     recording: bool,
 }
@@ -270,7 +291,7 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
     /// Empty outcome set that records images (read-write transactions).
     pub fn new() -> Self {
         StagedOutcomes {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             projected: Vec::new(),
             recording: true,
         }
@@ -281,10 +302,22 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
     /// be called on it (debug-asserted).
     pub fn disabled() -> Self {
         StagedOutcomes {
-            entries: BTreeMap::new(),
-            projected: Vec::new(),
             recording: false,
+            ..Self::new()
         }
+    }
+
+    /// Forget every image, keep the buffers, and set the mode of the next
+    /// transaction (`recording = false` is [`StagedOutcomes::disabled`]).
+    pub fn reset(&mut self, recording: bool) {
+        self.entries.clear();
+        self.projected.clear();
+        self.recording = recording;
+    }
+
+    /// Index of `key`'s entry, or where it would be inserted.
+    fn position(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|e| e.0.cmp(key))
     }
 
     /// Record one staged write's images. A second staging of the same key
@@ -295,10 +328,14 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
         if !self.recording {
             return;
         }
-        self.entries
-            .entry(key)
-            .and_modify(|e| e.1 = now)
-            .or_insert((pre, now));
+        match self.entries.last_mut() {
+            Some(last) if last.0 == key => last.2 = now,
+            Some(last) if last.0 > key => match self.position(&key) {
+                Ok(i) => self.entries[i].2 = now,
+                Err(i) => self.entries.insert(i, (key, pre, now)),
+            },
+            _ => self.entries.push((key, pre, now)),
+        }
     }
 
     /// Number of distinct staged keys.
@@ -339,9 +376,9 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
         if low != high {
             return None;
         }
-        let (pre, _) = self.entries.get(low)?;
+        let pre = self.entries[self.position(low).ok()?].1;
         debug_assert!(recorded.len() <= 1 && recorded.iter().all(|e| e.0 == *low));
-        Some(if recorded.first().map(|e| e.1) == *pre {
+        Some(if recorded.first().map(|e| e.1) == pre {
             Ok(())
         } else {
             Err(TxnValidateError::Invalidated)
@@ -375,7 +412,9 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
         let out = &mut self.projected;
         out.clear();
         let mut rec = recorded.iter().copied().peekable();
-        for (key, (pre, now)) in self.entries.range(*low..=*high) {
+        let from = self.entries.partition_point(|e| e.0 < *low);
+        let staged = self.entries[from..].iter().take_while(|e| e.0 <= *high);
+        for (key, pre, now) in staged {
             while let Some(e) = rec.next_if(|e| e.0 < *key) {
                 out.push(e);
             }
@@ -537,8 +576,8 @@ mod tests {
         st.unlock_latest(1);
         assert!(!st.holds(b));
         assert!(st.holds(a));
-        let victims = st.finalize(7);
-        assert!(victims.is_empty());
+        st.finalize(7, |_| panic!("nothing was unlinked"));
+        assert!(st.is_empty() && !st.holds(a), "finalize leaves it reusable");
         assert_eq!(bundle.dereference(7), Some(b), "merged value wins");
         unsafe {
             drop(Box::from_raw(a));
@@ -586,6 +625,34 @@ mod tests {
     }
 
     #[test]
+    fn staged_outcomes_stay_sorted_when_recorded_out_of_order_and_reset_reuses() {
+        let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
+        // A Citrus two-children remove of 10 records its relocated
+        // successor 30 at once; the re-insert of 10 and a write of 20
+        // arrive afterwards, behind it.
+        st.record(10, Some(100), None);
+        st.record(30, Some(300), Some(301));
+        st.record(10, None, Some(101));
+        st.record(20, None, Some(200));
+        st.record(30, Some(999), Some(302));
+        assert_eq!(st.len(), 3);
+        let recorded = [(10, 100), (30, 300)];
+        let expected = st.expected_now(&0, &50, &recorded).unwrap();
+        assert_eq!(
+            expected,
+            [(10, 101), (20, 200), (30, 302)],
+            "first pre kept"
+        );
+        st.reset(false);
+        assert!(st.is_empty());
+        st.record(10, None, Some(1));
+        assert!(st.is_empty(), "reset(false) is the disabled mode");
+        st.reset(true);
+        st.record(10, None, Some(1));
+        assert_eq!(st.covered_read(&10, &10, &[]), Some(Ok(())));
+    }
+
+    #[test]
     fn covered_read_decides_single_key_reads_of_written_keys() {
         let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
         st.record(10, None, Some(100)); // insert of an absent key
@@ -622,8 +689,10 @@ mod tests {
         bundle.init(a, 2);
         st.prepare_bundle(bundle, std::ptr::null_mut());
         st.add_created(a);
-        let created = st.abort();
+        let mut created = Vec::new();
+        st.abort(|n| created.push(n));
         assert_eq!(created, vec![a]);
+        assert!(st.is_empty());
         assert_eq!(bundle.dereference(5), Some(a), "abort restored history");
         unsafe { drop(Box::from_raw(a)) };
     }

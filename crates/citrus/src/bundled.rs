@@ -8,8 +8,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TwoPhase,
-    TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor, RqContext,
+    ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
@@ -49,8 +49,9 @@ impl<K, V> Node<K, V> {
 /// One ancestor on a cursor's retained spine: a node on the root path
 /// plus the open key interval of the subtree slot it occupies (`None` =
 /// unbounded). Any key strictly inside the interval has a search path
-/// running through this node.
-struct SpineEntry<K, V> {
+/// running through this node. (Private fields; public only inside
+/// [`TwoPhase::Scratch`].)
+pub struct SpineEntry<K, V> {
     node: *mut Node<K, V>,
     low: Option<K>,
     high: Option<K>,
@@ -88,13 +89,38 @@ impl Drop for SearchGate<'_> {
 ///
 /// The root is a sentinel whose key is never compared: the entire tree hangs
 /// off its left child, which plays the role of Citrus' infinite-key root.
-pub struct BundledCitrusTree<K, V> {
+pub struct BundledCitrusTree<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     root: *mut Node<K, V>,
     /// Possibly shared with other structures (see [`RqContext`]); a tree
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
     ctx: RqContext,
     collector: Collector,
+    /// Warm transaction tokens, one slot per thread id (always parked
+    /// empty: no node pointer outlives its transaction here).
+    tokens: TokenPool<Self>,
+    /// **Revert epoch**: bumped by every [`TwoPhase::revert`] that puts an
+    /// unlinked node back. That is the one structural change that
+    /// *narrows* the key interval of a slot which itself stays as it is:
+    /// while the victim of a staged remove is spliced out, the empty child
+    /// slot of its gap pin (`txn_pin_gap`) covers the victim's whole gap,
+    /// and once the abort has put the victim back it covers only the part
+    /// on its own side of the victim again — and likewise a subtree's
+    /// extreme node stops being the extreme when the old one returns. A
+    /// search that landed there in between holds a position that is still
+    /// unmarked and still empty, yet no longer the key's; linking at it
+    /// would break the search order. Marks cannot tell — nothing at the
+    /// slot was removed — so every update samples this counter *before* it
+    /// searches and checks it again under its locks, beside the mark
+    /// checks ([`Self::shape_epoch`]). That suffices because every such
+    /// stale position needs the lock of the gap pin, which the aborting
+    /// token holds until after the bump: a validation that can run at all
+    /// runs after it.
+    reverts: CachePadded<AtomicU64>,
     /// Per-thread **search gates** (seqlock-style announcements: odd =
     /// a newest-pointer search is in flight, even = idle), standing in
     /// for the RCU read-side critical sections of the original Citrus.
@@ -107,8 +133,18 @@ pub struct BundledCitrusTree<K, V> {
     searchers: Box<[CachePadded<AtomicU64>]>,
 }
 
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for BundledCitrusTree<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BundledCitrusTree<K, V> {}
+unsafe impl<K, V> Send for BundledCitrusTree<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
+unsafe impl<K, V> Sync for BundledCitrusTree<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
 
 impl<K, V> BundledCitrusTree<K, V>
 where
@@ -118,6 +154,13 @@ where
     /// Create a tree with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
         Self::with_context(max_threads, mode, &RqContext::new(max_threads))
+    }
+
+    /// The revert epoch (see the `reverts` field): sample it before a
+    /// search whose position will be linked at, compare under the locks.
+    #[inline]
+    fn shape_epoch(&self) -> u64 {
+        self.reverts.load(Ordering::Acquire)
     }
 
     /// Enter `tid`'s search gate (odd = in flight). The `SeqCst` fence
@@ -311,7 +354,7 @@ where
         high: &K,
         mut visit: impl FnMut(*mut Node<K, V>),
     ) -> Option<()> {
-        let mut stack = Vec::with_capacity(WALK_STACK_CAPACITY);
+        let mut stack: InlineStack<_, WALK_STACK_INLINE> = InlineStack::new();
         let mut curr = entry;
         loop {
             while !curr.is_null() {
@@ -345,7 +388,9 @@ where
     /// and snapshots in between would see the key twice. Locks that
     /// extreme node and re-checks it under the lock (unmarked nodes never
     /// move and only grow at null slots, so an unmarked extreme with a
-    /// null `toward` child is still the subtree's extreme).
+    /// null `toward` child is still the subtree's extreme — unless an
+    /// abort put the old extreme back meanwhile, hence `epoch`, the
+    /// caller's [`Self::shape_epoch`] sample from before its search).
     ///
     /// `Ok(Some(acquired))` = pinned (`acquired`: the lock was not held
     /// before); `Ok(None)` = the walk was torn and the lock released
@@ -355,6 +400,7 @@ where
         txn: &mut ShardTxn<BundledCitrusTree<K, V>>,
         from: *mut Node<K, V>,
         toward: usize,
+        epoch: u64,
     ) -> Result<Option<bool>, Conflict> {
         // SAFETY (both derefs): `from` hangs off a node the caller holds
         // locked and the cursor's EBR pin keeps every node reached from
@@ -369,7 +415,10 @@ where
         }
         let newly = unsafe { self.txn_lock(txn, gap) }?;
         let g = unsafe { &*gap };
-        if g.marked.load(Ordering::Acquire) || !g.child[toward].load(Ordering::Acquire).is_null() {
+        if g.marked.load(Ordering::Acquire)
+            || !g.child[toward].load(Ordering::Acquire).is_null()
+            || self.shape_epoch() != epoch
+        {
             if newly {
                 txn.core.unlock_latest(1);
                 return Ok(None);
@@ -440,10 +489,11 @@ where
     }
 }
 
-/// Initial capacity of a snapshot walk's ancestor stack: deeper than the
-/// expected height of a tree of a few million random keys, so a walk
-/// allocates once.
-const WALK_STACK_CAPACITY: usize = 64;
+/// Levels of a snapshot walk's ancestor stack kept on the call stack
+/// (deeper ones spill to the heap): more than the expected height of a
+/// tree of a few million random keys, so a walk — every transactional
+/// `get` is one — does not allocate.
+const WALK_STACK_INLINE: usize = 64;
 
 /// One eager structural change of a staged write (see [`TwoPhase::revert`]).
 pub enum CitrusUndo<K, V> {
@@ -485,17 +535,19 @@ where
     type Value = V;
     type Node = Node<K, V>;
     type Undo = CitrusUndo<K, V>;
-    /// The first walk, the under-lock re-walk it is compared with, and the
-    /// ancestor stack of both.
-    type Scratch = (Vec<(K, usize)>, Vec<(K, usize)>, Vec<*mut Node<K, V>>);
+    /// The validate walk's three buffers — the first walk, the under-lock
+    /// re-walk it is compared with, the ancestor stack of both — and the
+    /// cursor's spine (on loan to the open cursor, back at `finish`).
+    type Scratch = (
+        Vec<(K, usize)>,
+        Vec<(K, usize)>,
+        Vec<*mut Node<K, V>>,
+        Vec<SpineEntry<K, V>>,
+    );
     type Cursor<'a>
         = ShardCursor<'a, K, V>
     where
         Self: 'a;
-
-    /// Transactional reads walk from the sentinel root through bundles
-    /// only (no optimistic entry over the newest pointers).
-    const TXN_READ_ATTEMPTS: usize = 0;
 
     fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
         let root = Node::new(K::default(), None);
@@ -508,6 +560,8 @@ where
             root,
             ctx: ctx.clone(),
             collector: Collector::new(max_threads, mode),
+            tokens: TokenPool::new(max_threads),
+            reverts: CachePadded::new(AtomicU64::new(0)),
             searchers: (0..max_threads)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -522,6 +576,10 @@ where
         &self.collector
     }
 
+    fn tokens(&self) -> &TokenPool<Self> {
+        &self.tokens
+    }
+
     fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
         &node.lock
     }
@@ -530,6 +588,21 @@ where
         (node.key, &node.val)
     }
 
+    /// Enters at the sentinel root and descends through **bundles only**,
+    /// like [`Self::collect_snapshot_at`], so it never fails. The paper's
+    /// optimistic entry (descend over the newest pointers to the last node
+    /// outside the range, then enter the snapshot through that node's
+    /// bundle) is unsound in this tree for a timestamp that is not brand
+    /// new: a two-children remove replaces a node by a copy of its
+    /// successor, which *widens* the key interval of the slots below it.
+    /// If keys of the range lived in the old, narrower layout at `ts` —
+    /// between the removed key and its successor, removed since — the
+    /// newest pointers lead into a subtree where they never were, every
+    /// node on the way exists at `ts`, nothing fails, and the keys are
+    /// missed. (A reader descheduled between its clock read and its
+    /// descent is all it takes; the linearizability oracle saw it in ~6% of
+    /// oversubscribed runs.) The chains have no such case: a link's
+    /// position is its two neighbours.
     fn try_collect_at(
         &self,
         ts: u64,
@@ -537,32 +610,8 @@ where
         high: &K,
         visit: impl FnMut(*mut Node<K, V>),
     ) -> Option<()> {
-        // Phase 1 (GetFirstNodeInRange): optimistic descent using the
-        // newest pointers to the last node *outside* the range — its child
-        // in direction `dir` roots the subtree containing every key of the
-        // range.
-        let mut pred = self.root;
-        let mut dir = LEFT;
-        let mut curr = unsafe { &*pred }.child[LEFT].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if c.key < *low {
-                pred = curr;
-                dir = RIGHT;
-                curr = c.child[RIGHT].load(Ordering::Acquire);
-            } else if c.key > *high {
-                pred = curr;
-                dir = LEFT;
-                curr = c.child[LEFT].load(Ordering::Acquire);
-            } else {
-                break;
-            }
-        }
-
-        // Phase 2: enter the snapshot through the predecessor's bundle and
-        // walk it strictly over bundles.
-        let entry = unsafe { &*pred }.bundle[dir].dereference(ts)?;
-        self.walk_at(entry, ts, low, high, visit)
+        self.collect_snapshot_at(ts, low, high, visit);
+        Some(())
     }
 
     fn collect_snapshot_at(&self, ts: u64, low: &K, high: &K, visit: impl FnMut(*mut Node<K, V>)) {
@@ -592,15 +641,18 @@ where
     /// the next search from the deepest ancestor whose interval still
     /// contains the target, so a key-sorted batch descends once and then
     /// walks short subtree hops.
-    fn txn_cursor(&self, txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
+    fn txn_cursor(&self, mut txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
         // The cursor-lifetime pin keeps every retained spine pointer
         // allocated between seeks (pins are reentrant).
         let guard = self.pin(txn.core.tid());
+        let spine = std::mem::take(&mut txn.scratch.3);
+        debug_assert!(spine.is_empty(), "a spine outlived its cursor's pin");
         ShardCursor {
             tree: self,
             txn,
             _guard: guard,
-            spine: Vec::new(),
+            spine,
+            epoch: self.shape_epoch(),
             stats: CursorStats::default(),
         }
     }
@@ -623,7 +675,7 @@ where
     fn validate_walk(
         &self,
         core: &mut TwoPhaseState<Node<K, V>>,
-        (walk, verify, stack): &mut Self::Scratch,
+        (walk, verify, stack, _): &mut Self::Scratch,
         expected: &[(K, usize)],
         low: &K,
         high: &K,
@@ -678,6 +730,7 @@ where
             CitrusUndo::Splice { pred, dir, curr } => {
                 (*curr).marked.store(false, Ordering::SeqCst);
                 (*pred).child[dir].store(curr, Ordering::SeqCst);
+                self.reverts.fetch_add(1, Ordering::SeqCst);
             }
             CitrusUndo::Replace {
                 pred,
@@ -695,6 +748,7 @@ where
                 (*pred).child[dir].store(curr, Ordering::SeqCst);
                 (*succ).marked.store(false, Ordering::SeqCst);
                 (*curr).marked.store(false, Ordering::SeqCst);
+                self.reverts.fetch_add(1, Ordering::SeqCst);
             }
         }
     }
@@ -722,6 +776,9 @@ where
     /// Keeps every retained spine pointer allocated between seeks.
     _guard: Guard<'a>,
     spine: Vec<SpineEntry<K, V>>,
+    /// The tree's [`BundledCitrusTree::shape_epoch`] as of the current
+    /// seek attempt; the spine was built no earlier.
+    epoch: u64,
     stats: CursorStats,
 }
 
@@ -730,8 +787,17 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    /// One search, resuming from the retained spine when possible.
+    /// One search, resuming from the retained spine when it can still be
+    /// trusted.
     fn locate(&mut self, key: &K) -> Located<K, V> {
+        // An abort since the spine was built may have narrowed the
+        // intervals it recorded: forget it. The sample also dates this
+        // attempt for the under-lock checks of the seek.
+        let epoch = self.tree.shape_epoch();
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.spine.clear();
+        }
         let loc = self
             .tree
             .search_spined(self.txn.core.tid(), key, &mut self.spine);
@@ -797,6 +863,7 @@ where
             let pred_ref = unsafe { &*pred };
             if pred_ref.marked.load(Ordering::Acquire)
                 || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
+                || tree.shape_epoch() != self.epoch
             {
                 if newly {
                     txn.core.unlock_latest(1);
@@ -849,6 +916,7 @@ where
                 let pred_ref = unsafe { &*pred };
                 if pred_ref.marked.load(Ordering::Acquire)
                     || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
+                    || tree.shape_epoch() != self.epoch
                 {
                     if newly {
                         txn.core.unlock_latest(1);
@@ -905,7 +973,7 @@ where
                 None
             };
             if let Some((from, toward)) = gap {
-                match tree.txn_pin_gap(txn, from, toward) {
+                match tree.txn_pin_gap(txn, from, toward, self.epoch) {
                     Ok(Some(acquired)) => newly += usize::from(acquired),
                     Ok(None) => {
                         txn.core.unlock_latest(newly);
@@ -972,6 +1040,7 @@ where
                 || sp_ref.marked.load(Ordering::Acquire)
                 || !succ_ref.child[LEFT].load(Ordering::Acquire).is_null()
                 || !succ_still_leftmost
+                || tree.shape_epoch() != self.epoch
             {
                 txn.core.unlock_latest(newly);
                 if newly == 0 {
@@ -1063,10 +1132,13 @@ where
         self.stats
     }
 
-    /// Give the transaction token back (dropping the spine and the
-    /// cursor's EBR pin); consume it with [`TwoPhase::txn_finalize`] or
+    /// Give the transaction token back (forgetting the spine — its
+    /// buffer returns to the token — and dropping the cursor's EBR pin);
+    /// consume it with [`TwoPhase::txn_finalize`] or
     /// [`TwoPhase::txn_abort`].
-    fn finish(self) -> ShardTxn<BundledCitrusTree<K, V>> {
+    fn finish(mut self) -> ShardTxn<BundledCitrusTree<K, V>> {
+        self.spine.clear();
+        self.txn.scratch.3 = self.spine;
         self.txn
     }
 }
@@ -1092,6 +1164,7 @@ where
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let _guard = self.pin(tid);
         loop {
+            let epoch = self.shape_epoch();
             let (pred, dir, curr) = self.search(tid, &key);
             if !curr.is_null() {
                 let c = unsafe { &*curr };
@@ -1105,9 +1178,11 @@ where
             }
             let pred_ref = unsafe { &*pred };
             let _lock = pred_ref.lock.lock();
-            // Validate: predecessor still live and the slot still empty.
+            // Validate: predecessor still live, the slot still empty — and
+            // still the key's (no abort put a node back meanwhile).
             if pred_ref.marked.load(Ordering::Acquire)
                 || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
+                || self.shape_epoch() != epoch
             {
                 continue;
             }
@@ -1131,6 +1206,7 @@ where
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
         loop {
+            let epoch = self.shape_epoch();
             let (pred, dir, curr) = self.search(tid, key);
             if curr.is_null() {
                 return false;
@@ -1216,6 +1292,7 @@ where
                 || sp_ref.marked.load(Ordering::Acquire)
                 || !succ_ref.child[LEFT].load(Ordering::Acquire).is_null()
                 || !succ_still_leftmost
+                || self.shape_epoch() != epoch
             {
                 drop(succ_lock);
                 drop(sp_lock);
@@ -1320,7 +1397,11 @@ where
     }
 }
 
-impl<K, V> Drop for BundledCitrusTree<K, V> {
+impl<K, V> Drop for BundledCitrusTree<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     fn drop(&mut self) {
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
@@ -1670,6 +1751,64 @@ mod tests {
             out,
             vec![(25, 25), (55, 55), (60, 60), (65, 65), (75, 75), (90, 90)]
         );
+    }
+
+    /// The paper's optimistic range-query entry, deterministically wrong in
+    /// this tree: 60 is removed, then 50 is replaced by a copy of its
+    /// successor 70, so the newest pointers now route `[55, 65]` left of
+    /// that copy, under 30 — where 60 never was. A snapshot from before
+    /// both removes must still see 60.
+    #[test]
+    fn an_old_snapshot_sees_keys_a_later_relocation_routed_away_from() {
+        let t = Tree::new(2);
+        for k in [50u64, 30, 70, 60] {
+            t.insert(0, k, k);
+        }
+        let _pin = t.pin(1);
+        let old = t.context().announce_rq(1);
+        assert!(t.remove(0, &60));
+        assert!(t.remove(0, &50));
+        let mut out = Vec::new();
+        t.range_query_at(1, old.ts(), &55, &65, &mut out);
+        assert_eq!(out, vec![(60, 60)], "the old snapshot lost a key");
+        t.range_query_at(1, old.ts(), &0, &100, &mut out);
+        assert_eq!(out, vec![(30, 30), (50, 50), (60, 60), (70, 70)]);
+        drop(old);
+        t.range_query(1, &0, &100, &mut out);
+        assert_eq!(out, vec![(30, 30), (70, 70)]);
+    }
+
+    /// An abort puts a spliced-out node back, which *narrows* the interval
+    /// of its gap pin's empty slot. A position found while the node was
+    /// out — here a cursor's spine; a primitive insert waiting for the gap
+    /// pin's lock is the same case — is unmarked, empty, and wrong: only
+    /// the revert epoch can tell. The key linked at it would sit in the
+    /// wrong subtree, invisible to every search.
+    #[test]
+    fn a_position_found_during_a_staged_remove_is_not_trusted_after_its_abort() {
+        let t = Tree::new(3);
+        // 50 has a left child only; its gap pin is 40, the left subtree's
+        // rightmost node.
+        for k in [50u64, 30, 40] {
+            t.insert(0, k, k);
+        }
+        let mut stager = t.txn_cursor(t.txn_begin(0));
+        assert_eq!(stager.seek_prepare_remove(&50), Ok(true));
+        // With 50 spliced out, 60's search path ends at 40's right slot.
+        let mut cur = t.txn_cursor(t.txn_begin_write_only(1));
+        assert_eq!(cur.seek_read(&60), None);
+        t.txn_abort(stager.finish());
+        assert!(t.contains(2, &50), "the abort put 50 back");
+        // 60 now belongs under 50, not under 40.
+        assert_eq!(cur.seek_prepare_put(60, 60), Ok(true));
+        let ts = t.context().advance(1);
+        t.txn_finalize(cur.finish(), ts);
+        assert!(t.contains(2, &60), "60 was linked where no search finds it");
+        assert_eq!(t.get(2, &60), Some(60));
+        let mut out = Vec::new();
+        t.range_query(2, &0, &100, &mut out);
+        assert_eq!(out, vec![(30, 30), (40, 40), (50, 50), (60, 60)]);
+        assert!(t.remove(2, &60) && t.insert(2, 45, 45));
     }
 
     /// The deterministic shape of the relocation race: removing 50 picks

@@ -7,8 +7,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TwoPhase,
-    TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TokenPool,
+    TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
@@ -52,7 +52,11 @@ impl<K, V> Node<K, V> {
 ///
 /// Keys are `Copy + Ord + Default` (the `Default` value is only used for the
 /// two sentinel nodes and never compared); values are `Clone`.
-pub struct BundledLazyList<K, V> {
+pub struct BundledLazyList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
     /// Possibly shared with other structures (see [`RqContext`]); a list
@@ -60,10 +64,23 @@ pub struct BundledLazyList<K, V> {
     /// paper.
     ctx: RqContext,
     collector: Collector,
+    /// Warm transaction tokens, one slot per thread id (always parked
+    /// empty: no node pointer outlives its transaction here).
+    tokens: TokenPool<Self>,
 }
 
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for BundledLazyList<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BundledLazyList<K, V> {}
+unsafe impl<K, V> Send for BundledLazyList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
+unsafe impl<K, V> Sync for BundledLazyList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
 
 impl<K, V> BundledLazyList<K, V>
 where
@@ -156,6 +173,7 @@ where
             tail,
             ctx: ctx.clone(),
             collector: Collector::new(max_threads, mode),
+            tokens: TokenPool::new(max_threads),
         }
     }
 
@@ -165,6 +183,10 @@ where
 
     fn collector(&self) -> &Collector {
         &self.collector
+    }
+
+    fn tokens(&self) -> &TokenPool<Self> {
+        &self.tokens
     }
 
     fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
@@ -668,7 +690,11 @@ where
     }
 }
 
-impl<K, V> Drop for BundledLazyList<K, V> {
+impl<K, V> Drop for BundledLazyList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     fn drop(&mut self) {
         // Exclusive access: free every reachable node (retired nodes are
         // freed by the collector's own drop).

@@ -11,7 +11,7 @@ use parking_lot::{Mutex, MutexGuard};
 use bundle::api::ConcurrentSet;
 use bundle::{
     linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, PrepareCursor, Recycler,
-    RqContext, ShardTxn, TwoPhase, TwoPhaseState, TxnValidateError,
+    RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
@@ -50,7 +50,11 @@ impl<K, V> Node<K, V> {
 
 /// Lazy skip list with bundled references on the data layer, providing
 /// linearizable range queries (§5 of the paper).
-pub struct BundledSkipList<K, V> {
+pub struct BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
     /// Possibly shared with other structures (see [`RqContext`]); a list
@@ -58,11 +62,24 @@ pub struct BundledSkipList<K, V> {
     /// paper.
     ctx: RqContext,
     collector: Collector,
+    /// Warm transaction tokens, one slot per thread id (always parked
+    /// empty: no node pointer outlives its transaction here).
+    tokens: TokenPool<Self>,
     seeds: Box<[CachePadded<AtomicU64>]>,
 }
 
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for BundledSkipList<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for BundledSkipList<K, V> {}
+unsafe impl<K, V> Send for BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
+unsafe impl<K, V> Sync for BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+}
 
 impl<K, V> BundledSkipList<K, V>
 where
@@ -404,6 +421,7 @@ where
             tail,
             ctx: ctx.clone(),
             collector: Collector::new(max_threads, mode),
+            tokens: TokenPool::new(max_threads),
             seeds,
         }
     }
@@ -414,6 +432,10 @@ where
 
     fn collector(&self) -> &Collector {
         &self.collector
+    }
+
+    fn tokens(&self) -> &TokenPool<Self> {
+        &self.tokens
     }
 
     fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
@@ -1039,7 +1061,11 @@ where
     }
 }
 
-impl<K, V> Drop for BundledSkipList<K, V> {
+impl<K, V> Drop for BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
     fn drop(&mut self) {
         let mut curr = self.head;
         while !curr.is_null() {

@@ -65,7 +65,8 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     /// reverting eager structural changes on abort.
     type Txn;
 
-    /// Begin accumulating two-phase writes for thread `tid`.
+    /// Begin accumulating two-phase writes for thread `tid` (the backends
+    /// hand out the thread's previous token, cleared and still allocated).
     ///
     /// The two-phase commit surface generalizes the paper's
     /// `LinearizeUpdateOperation` from one structure to N shards: each
@@ -76,8 +77,11 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     /// [`RqContext`]) observes the whole write batch or none of it.
     ///
     /// Protocol obligations of the caller:
-    /// * at most one transaction prepares on a given shard at a time (the
-    ///   store's per-shard intent locks enforce this);
+    /// * a pipeline that cannot abort to its caller (no read set: it must
+    ///   never meet a neighbour mid-prepare) has the shard to itself —
+    ///   the store's per-shard intents, taken exclusively, enforce this;
+    ///   read-write transactions share a shard and arbitrate through node
+    ///   locks, as they always have with the primitive operations;
     /// * every begun token is consumed by exactly one of
     ///   [`Self::txn_finalize`] or [`Self::txn_abort`];
     /// * on [`bundle::Conflict`] from any prepare, *all* shards' tokens are
@@ -134,8 +138,8 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
 
     /// Validate one recorded read range of the transaction and pin it
     /// (node locks held inside `txn`) until finalize/abort. Must run
-    /// *after* every staged write of the transaction on this shard, under
-    /// the shard's intent lock.
+    /// *after* every staged write of the transaction on this shard; other
+    /// read-write transactions may be mid-commit on the shard meanwhile.
     ///
     /// [`TxnValidateError::Conflict`] = lock race, roll back everything
     /// and retry the transaction; [`TxnValidateError::Invalidated`] = a

@@ -24,11 +24,15 @@ use crate::TxnOp;
 /// A write-ahead group log attached to the commit pipeline.
 ///
 /// Implementations must be internally synchronized: `log_group` is called
-/// concurrently from every committing thread, and the log order it
-/// chooses is the replay order. That is always safe, because two groups
-/// whose shard sets overlap are serialized by the per-shard intent locks
-/// (both held across the `log_group` call), so their log order matches
-/// their timestamp order; fully disjoint groups commute under replay.
+/// concurrently from every committing thread — also from several
+/// read-write transactions on one shard, which share its intent — and
+/// the log order it chooses is the replay order. That is always safe:
+/// two groups sharing a key or a pinned gap (a validated range, a no-op
+/// outcome) share a node lock that the first holds from its prepare to
+/// its finalize, across its `log_group` call, so the log has
+/// *conflicting* groups in timestamp order; all other pairs write
+/// disjoint keys and commute under replay. Timestamps in the log are
+/// therefore **not** monotonic, not even within one shard.
 pub trait CommitLog<K, V>: Send + Sync {
     /// Record one committed group, durably if the sync policy demands it.
     ///
@@ -42,8 +46,8 @@ pub trait CommitLog<K, V>: Send + Sync {
     ///   key).
     /// * `shards` — ascending indices of the shards the group wrote.
     ///
-    /// Called while the group's intent locks are held and its bundle
-    /// entries are still pending; must not call back into the store.
+    /// Called while the group's intents and node locks are held and its
+    /// bundle entries are still pending; must not call back into the store.
     fn log_group(
         &self,
         tid: usize,

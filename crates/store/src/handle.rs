@@ -118,7 +118,7 @@ where
     pub fn apply_rw_txn(
         &self,
         ops: &[crate::TxnOp<K, V>],
-        reads: &[crate::ShardRead<K>],
+        reads: &crate::ReadSet<K>,
     ) -> Result<Vec<bool>, crate::TxnAborted> {
         self.store.apply_rw_txn(self.tid, ops, reads)
     }

@@ -31,7 +31,9 @@
 //!   [`RangeQuerySet`] traits, so the whole benchmark harness can drive it
 //!   like any single structure.
 //! * [`BundledStore::apply_txn`] / [`TxnOp`] — **atomic cross-shard write
-//!   transactions**: per-shard write intents in shard order (2PL), the
+//!   transactions**: per-shard intents in shard order (exclusive for
+//!   write-only batches; shared — intention mode — among the read-write
+//!   transactions of [`BundledStore::apply_rw_txn`]), the
 //!   backends' two-phase prepare (pending bundle entries under node
 //!   locks), one shared-clock advance, one commit timestamp for every
 //!   entry on every shard. The `txn` crate's `WriteTxn` is the ergonomic
@@ -105,6 +107,7 @@ mod backends;
 mod commitlog;
 mod handle;
 mod observe;
+mod scratch;
 mod sharded;
 mod snapshot;
 
@@ -114,8 +117,9 @@ pub use commitlog::CommitLog;
 pub use ebr::ReclaimMode;
 pub use handle::StoreHandle;
 pub use observe::PIPELINE_STAGES;
+pub use scratch::TxnBufs;
 pub use sharded::{uniform_splits, BundledStore, GroupReceipt, TxnOp, TxnStats};
-pub use snapshot::{ShardRead, StoreSnapshot, TxnAborted};
+pub use snapshot::{ReadSet, ShardRead, StoreSnapshot, TxnAborted};
 
 /// A store sharded over bundled lazy skip lists (§5 structures).
 pub type SkipListStore<K, V> = BundledStore<K, V, skiplist::BundledSkipList<K, V>>;

@@ -7,14 +7,17 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
-use bundle::{CachePadded, Conflict, PrepareCursor, Recycler, RqContext, TxnValidateError};
+use bundle::{
+    CachePadded, Conflict, InlineStack, PrepareCursor, Recycler, RqContext, TxnValidateError,
+};
 use ebr::ReclaimMode;
 use obs::{AnomalyCause, MetricsRegistry, MetricsSnapshot, TraceKind, TraceRecorder};
 
 use crate::backends::ShardBackend;
 use crate::handle::StoreHandle;
 use crate::observe::StoreObs;
-use crate::snapshot::{ShardRead, TxnAborted};
+use crate::scratch::{CommitScratch, SessionScratch, TxnBufs, INLINE_SHARDS};
+use crate::snapshot::{ReadSet, TxnAborted};
 
 /// Conflict-retry attempt count at which the flight recorder snapshots
 /// an anomaly (once per transaction — the trigger fires on equality).
@@ -80,6 +83,10 @@ pub struct TxnStats {
     /// `group_commits / grouped_ops` the clock advances per grouped op —
     /// the amortization the ingestion front-end exists to deliver).
     pub grouped_ops: u64,
+    /// Read-write commits that lost three lock races in a row and took
+    /// their write shards' intents exclusively to get through (each commit
+    /// counted once).
+    pub intent_escalations: u64,
 }
 
 /// Outcome of one committed group ([`BundledStore::apply_grouped`]).
@@ -93,9 +100,8 @@ pub struct GroupReceipt {
     pub ts: u64,
 }
 
-/// One acquired per-shard intent of a committing transaction: exclusive
-/// for shards it writes, shared for shards it only validates reads on
-/// (so disjoint read-only validations proceed in parallel). Held purely
+/// One acquired per-shard intent of a committing pipeline, in the mode
+/// the table on [`BundledStore`]'s `intents` field assigns it. Held purely
 /// for its RAII release.
 #[allow(dead_code)]
 enum IntentGuard<'a> {
@@ -120,6 +126,18 @@ const INTENT_SPINS: u32 = 4096;
 /// one — an fsync under `SyncPolicy::Always`, a descheduled thread — and
 /// sleeping is the right way to wait for it.
 const INTENT_YIELDS: u32 = 64;
+
+/// The `Conflict` retry of one commit from which a pipeline *with a read
+/// set* stops sharing its write shards' intents and takes them
+/// exclusively (see the mode table on [`BundledStore`]'s `intents`
+/// field). Two lost races are ordinary — the exponential backoff usually
+/// separates the contenders — and cost a few microseconds each; a third
+/// in a row means the commit keeps meeting the same neighbour, and
+/// waiting once for an exclusive intent bounds what further retries could
+/// cost. A constant, not a setting: liveness needs *some* finite value,
+/// and lock races are rare enough (under 0.1 per commit on the contended
+/// benchmark) that its exact size does not show.
+const INTENT_ESCALATION_RETRY: u32 = 3;
 
 /// Acquire one intent: bounded spin, bounded yield, then block. `try_it`
 /// is the lock's `try_read`/`try_write`, `block` its `read`/`write`; a
@@ -148,6 +166,7 @@ struct TxnCounters {
     read_set: AtomicU64,
     group_commits: AtomicU64,
     grouped_ops: AtomicU64,
+    intent_escalations: AtomicU64,
 }
 
 /// Dense-tid session allocator state (see [`StoreHandle`]).
@@ -197,27 +216,49 @@ pub struct BundledStore<K, V, S> {
     /// block on the condvar when all slots are in use.
     tids: Mutex<TidPool>,
     tid_freed: Condvar,
-    /// Per-shard intent locks: at most one transaction *prepares writes*
-    /// on a shard at a time (exclusive mode), while any number of
-    /// read-only validations may proceed in parallel (shared mode — they
-    /// exclude writers but not each other; node locks arbitrate
-    /// overlapping validations). Acquired in ascending shard order (2PL,
-    /// deadlock free by ordering); single-key operations never touch
-    /// them. A waiter first spins on `try_write`/`try_read`, then yields,
-    /// and only then parks in the blocking acquire ([`acquire_intent`]):
-    /// the section a transaction holds them for is a few microseconds,
+    /// Per-shard **intent** locks, taken by every commit pipeline on every
+    /// shard it touches, in ascending shard order (deadlock-free by
+    /// ordering, whatever the mode mix); single-key operations never touch
+    /// them. The mode depends on whether the pipeline can abort to its
+    /// caller:
+    ///
+    /// | pipeline | shards it writes | shards it only reads |
+    /// |---|---|---|
+    /// | read set (`apply_rw_txn`: read-write, read-only) | **shared** | shared |
+    /// | … from its third `Conflict` retry ([`INTENT_ESCALATION_RETRY`]) | **exclusive** | shared |
+    /// | no read set (`apply_txn`, `apply_grouped`) | **exclusive** | — |
+    ///
+    /// *Shared* is an intention lock: any number of read-write
+    /// transactions prepare, validate and commit on one shard at once, and
+    /// the node locks they take anyway arbitrate between them — exactly as
+    /// node locks already arbitrate between a transaction and the
+    /// primitive `insert` / `remove`, which take no intent at all. A
+    /// transaction that meets a neighbour on a node gets a `Conflict`,
+    /// rolls back and retries (it is the optimistic kind and can always do
+    /// that); the soundness argument is on
+    /// [`BundledStore::apply_rw_txn`]. *Exclusive* is what a bulk pipeline
+    /// needs, because it cannot abort: a group never meets a transaction
+    /// (or another group) mid-prepare on a shard, so its hundreds of staged
+    /// ops are not rolled back because a neighbour holds one node (only a
+    /// primitive operation can still make it retry). Escalation is the
+    /// liveness backstop: a read-write commit that keeps losing races ends
+    /// up alone on its write shards.
+    ///
+    /// A waiter first spins on `try_write`/`try_read`, then yields, and
+    /// only then parks in the blocking acquire ([`acquire_intent`]): the
+    /// section an exclusive holder keeps an intent for is microseconds,
     /// far shorter than a kernel wake-up, while a holder that fsyncs or
     /// was descheduled is still slept on. Each lock sits on its own cache
-    /// line so commits on disjoint shards do not invalidate each other's
-    /// lock word. These locks are also the hand-off point of the `ingest`
-    /// front-end: a committer thread presents a whole drained queue as
-    /// one [`BundledStore::apply_grouped`] super-batch, paying each
-    /// shard's intent acquisition once per *group* instead of once per
-    /// operation.
+    /// line. These locks are also the hand-off point of the `ingest`
+    /// front-end: a committer thread presents a whole drained queue as one
+    /// [`BundledStore::apply_grouped`] super-batch, paying each shard's
+    /// intent acquisition once per *group* instead of once per operation.
     intents: Box<[CachePadded<RwLock<()>>]>,
     /// Round-robin cursor of the chunked bundle recycler.
     recycle_cursor: AtomicUsize,
     counters: CachePadded<TxnCounters>,
+    /// Warm per-session buffers (see [`crate::scratch`]).
+    scratch: SessionScratch<K, V>,
     /// Observability handles ([`BundledStore::with_obs`]); `None` keeps
     /// every instrumentation site to one never-taken branch.
     obs: Option<StoreObs>,
@@ -270,6 +311,7 @@ where
             intents,
             recycle_cursor: AtomicUsize::new(0),
             counters: CachePadded::new(TxnCounters::default()),
+            scratch: SessionScratch::new(max_threads),
             obs: None,
             commit_log: None,
             _values: std::marker::PhantomData,
@@ -452,7 +494,7 @@ where
     /// exactly the pre-read-set semantics, which is how `multi_put` keeps
     /// its contract unchanged. See `apply_rw_txn` for the protocol.
     pub fn apply_txn(&self, tid: usize, ops: &[TxnOp<K, V>]) -> Vec<bool> {
-        self.apply_rw_txn(tid, ops, &[])
+        self.apply_rw_txn(tid, ops, &ReadSet::new())
             .expect("a transaction with an empty read set cannot fail validation")
     }
 
@@ -471,16 +513,21 @@ where
     /// to N shards, now with OCC-style read validation):
     ///
     /// 1. **intents**: acquire the intent lock of every involved shard in
-    ///    ascending shard order (2PL — deadlock-free by ordering):
-    ///    exclusively where the transaction writes, shared where it only
-    ///    validates reads, so at most one transaction prepares per shard
-    ///    at a time while read-only validations overlap. The section the
-    ///    intents guard is microseconds long, so a waiter spins on the
-    ///    `try_` acquire for a bounded number of rounds, then yields a
-    ///    bounded number of times, and only then parks in the blocking
-    ///    acquire — a kernel sleep and wake-up costs several such
-    ///    sections, whereas a holder that is fsyncing or was descheduled
-    ///    is still slept on;
+    ///    ascending shard order (deadlock-free by ordering). A pipeline
+    ///    with a read set — this one — takes all of them **shared**: it can
+    ///    abort to its caller, so it runs next to other transactions on
+    ///    the same shard and lets node locks arbitrate (see below). A
+    ///    pipeline without one ([`BundledStore::apply_txn`],
+    ///    [`BundledStore::apply_grouped`]) cannot abort and takes its write
+    ///    shards **exclusively**. From its third `Conflict` retry a
+    ///    read-write commit **escalates**: it takes the shards it writes
+    ///    exclusively too ([`TxnStats::intent_escalations`]), so it cannot
+    ///    lose races forever. A waiter spins on the `try_` acquire for a
+    ///    bounded number of rounds, then yields a bounded number of times,
+    ///    and only then parks in the blocking acquire — an exclusive
+    ///    section is microseconds long, a kernel sleep and wake-up costs
+    ///    several, whereas a holder that is fsyncing or was descheduled is
+    ///    still slept on;
     /// 2. **prepare**: stage every write through the backend's two-phase
     ///    surface — structural changes apply eagerly under node locks,
     ///    bundle entries stay *pending*, per-key pre/post images are
@@ -516,11 +563,62 @@ where
     /// A snapshot fixed before step 4 sees none of the batch; one fixed
     /// after sees all of it. On abort (conflict or stale read) every
     /// staged entry is neutralized — invisible at every timestamp.
+    ///
+    /// # Why sharing a shard is sound
+    ///
+    /// Under shared intents a neighbour's writes are staged — applied
+    /// eagerly, not yet committed, possibly about to be rolled back — in
+    /// the same structure this transaction prepares in and validates
+    /// against. Four things keep that safe; the first is not new.
+    ///
+    /// * **Prepare.** Every staging seek locks the node that pins its
+    ///   key's state (bounded `try_lock`, [`Conflict`] on contention) and
+    ///   re-checks the position under that lock, because primitive
+    ///   `insert` / `remove` have always run next to a preparing
+    ///   transaction without any intent. A neighbour's staged change to a
+    ///   key holds that same pinning lock until it finalizes or aborts, so
+    ///   a seek either conflicts with it or finds the key in a committed
+    ///   state — which is also why the covered-read shortcut of step 3
+    ///   still compares against a committed `pre` image.
+    /// * **A passing validation saw no uncommitted change.** Validation
+    ///   passes only when the under-lock walk finds exactly the recorded
+    ///   nodes (reconciled with this transaction's own writes), and on
+    ///   passing it holds the range's gap predecessor — in the tree, both
+    ///   in-order boundary neighbours — and every in-range node locked. A
+    ///   neighbour's staged insert into the range is a node in that walk
+    ///   whose lock the neighbour holds: `Conflict`. A neighbour's staged
+    ///   remove holds, besides its victim, the victim's in-order neighbour
+    ///   (the chain predecessor; in the tree the gap pin a staged remove
+    ///   takes since PR 13), which is an in-range node or one of the
+    ///   boundary pins: `Conflict`. And where a lock happens to be free
+    ///   again the comparison is by identity: a victim that is missing, a
+    ///   relocated copy or a fresh node that was never recorded is a
+    ///   mismatch and aborts as [`TxnAborted`] — spurious if the
+    ///   neighbour then rolls back, but safe. No interleaving turns a
+    ///   foreign staged change into a *pass*.
+    /// * **A neighbour's abort is not a new kind of update.** Rolling back
+    ///   puts unlinked nodes back and un-marks them — something no
+    ///   primitive operation does, and which used to happen only in the
+    ///   aborting transaction's own shard-exclusive section. In the chains
+    ///   every link validates adjacency under its locks, so a restored node
+    ///   is simply seen. In the tree a restored node narrows the key
+    ///   interval of an empty slot that itself does not change, which no
+    ///   mark shows; the Citrus backend dates every search with a revert
+    ///   epoch and re-checks it under the locks (its `reverts` field has
+    ///   the argument).
+    /// * **The log orders what needs ordering.** Commits on one shard may
+    ///   now reach [`crate::CommitLog::log_group`] out of timestamp order.
+    ///   Two commits that share a key, or a gap one of them pinned (a
+    ///   validated range, a no-op outcome), share a node lock that the
+    ///   first holds from its prepare to its finalize — across its log
+    ///   call — so the log records *conflicting* commits in timestamp
+    ///   order; any other pair touches disjoint keys and commutes under
+    ///   replay.
     pub fn apply_rw_txn(
         &self,
         tid: usize,
         ops: &[TxnOp<K, V>],
-        reads: &[ShardRead<K>],
+        reads: &ReadSet<K>,
     ) -> Result<Vec<bool>, TxnAborted> {
         self.apply_rw_txn_ts(tid, ops, reads).map(|(r, _)| r)
     }
@@ -528,34 +626,71 @@ where
     /// [`BundledStore::apply_rw_txn`] additionally returning the commit
     /// timestamp — the single shared-clock value every write of the
     /// transaction published at (for a read-only transaction, the clock
-    /// value its validation window closed over). The `txn` crate threads
-    /// this into its receipts so applications can correlate commits with
-    /// snapshot timestamps (and with the groups of the `ingest`
-    /// front-end, whose tickets carry the same clock values).
+    /// value its validation window closed over).
     pub fn apply_rw_txn_ts(
         &self,
         tid: usize,
         ops: &[TxnOp<K, V>],
-        reads: &[ShardRead<K>],
+        reads: &ReadSet<K>,
     ) -> Result<(Vec<bool>, u64), TxnAborted> {
+        self.apply_rw_txn_with(tid, ops, reads, |results, ts| (results.to_vec(), ts))
+    }
+
+    /// [`BundledStore::apply_rw_txn_ts`] lending the outcomes instead of
+    /// allocating them: `receipt` gets the per-op results (caller order)
+    /// and the commit timestamp of a committed transaction and builds
+    /// whatever the caller keeps. The `txn` crate threads the timestamp
+    /// into its receipts this way, so applications can correlate commits
+    /// with snapshot timestamps (and with the groups of the `ingest`
+    /// front-end, whose tickets carry the same clock values).
+    pub fn apply_rw_txn_with<R>(
+        &self,
+        tid: usize,
+        ops: &[TxnOp<K, V>],
+        reads: &ReadSet<K>,
+        receipt: impl FnOnce(&[bool], u64) -> R,
+    ) -> Result<R, TxnAborted> {
+        let sorted = ops.windows(2).all(|w| w[0].key() < w[1].key());
+        self.commit_with(tid, ops, reads, sorted, receipt)
+    }
+
+    /// Plan (on the session's warm [`CommitScratch`]), run the pipeline,
+    /// lend the outcomes to `receipt`. `sorted` = `ops` is already
+    /// strictly ascending by key.
+    fn commit_with<R>(
+        &self,
+        tid: usize,
+        ops: &[TxnOp<K, V>],
+        reads: &ReadSet<K>,
+        sorted: bool,
+        receipt: impl FnOnce(&[bool], u64) -> R,
+    ) -> Result<R, TxnAborted> {
         if ops.is_empty() && reads.is_empty() {
-            return Ok((Vec::new(), self.ctx.read()));
+            return Ok(receipt(&[], self.ctx.read()));
         }
+        let mut plan = self.scratch.take_commit(tid);
         // Work in key order regardless of the caller's op order: the
-        // 2PL intent acquisition below is only deadlock-free (and only
-        // visits each shard once) when shards are taken in ascending
-        // order, so an unsorted batch must never reach it. `order` maps
-        // sorted position -> caller position.
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        if !ops.windows(2).all(|w| w[0].key() < w[1].key()) {
-            order.sort_by(|&a, &b| ops[a].key().cmp(ops[b].key()));
+        // intent acquisition is only deadlock-free (and only visits each
+        // shard once) when shards are taken in ascending order, so an
+        // unsorted batch must never reach it. `order` maps sorted
+        // position -> caller position.
+        plan.order.clear();
+        plan.order.extend(0..ops.len());
+        if !sorted {
+            plan.order.sort_by(|&a, &b| ops[a].key().cmp(ops[b].key()));
             assert!(
-                order.windows(2).all(|w| ops[w[0]].key() < ops[w[1]].key()),
+                plan.order
+                    .windows(2)
+                    .all(|w| ops[w[0]].key() < ops[w[1]].key()),
                 "apply_txn ops must target distinct keys (stage through \
                  WriteTxn to deduplicate)"
             );
         }
-        self.commit_pipeline(tid, ops, &order, reads)
+        let outcome = self
+            .commit_pipeline(tid, ops, reads, &mut plan)
+            .map(|ts| receipt(&plan.results, ts));
+        self.scratch.put_commit(tid, plan);
+        outcome
     }
 
     /// Atomically commit one **group**: a super-batch of operations that
@@ -565,10 +700,11 @@ where
     ///
     /// This runs exactly the [`BundledStore::apply_rw_txn`] pipeline
     /// (intents → prepare → advance-clock → finalize; there are no reads
-    /// to validate, so commit cannot abort), but with the planning phase
-    /// hoisted out: `ops` must already be in strictly ascending key order
-    /// — the committer's per-key fold produces that for free — and the
-    /// call is accounted as a *group* ([`TxnStats::group_commits`] /
+    /// to validate, so commit cannot abort — and therefore takes its
+    /// intents exclusively), but with the planning phase hoisted out:
+    /// `ops` must already be in strictly ascending key order — the
+    /// committer's per-key fold produces that for free — and the call is
+    /// accounted as a *group* ([`TxnStats::group_commits`] /
     /// [`TxnStats::grouped_ops`]), which is what makes the clock
     /// amortization measurable (`group_commits / grouped_ops` advances
     /// per op).
@@ -592,41 +728,55 @@ where
             "apply_grouped ops must be strictly ascending by key \
              (the ingest fold produces this order)"
         );
-        if ops.is_empty() {
-            return GroupReceipt {
-                applied: Vec::new(),
-                ts: self.ctx.read(),
-            };
-        }
-        let order: Vec<usize> = (0..ops.len()).collect();
-        let (applied, ts) = self
-            .commit_pipeline(tid, ops, &order, &[])
+        let receipt = self
+            .commit_with(tid, ops, &ReadSet::new(), true, |applied, ts| {
+                GroupReceipt {
+                    applied: applied.to_vec(),
+                    ts,
+                }
+            })
             .expect("a group has no read set and cannot fail validation");
+        if ops.is_empty() {
+            return receipt;
+        }
         self.counters.group_commits.fetch_add(1, Ordering::Relaxed);
         self.counters
             .grouped_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
-        GroupReceipt { applied, ts }
+        receipt
     }
 
     /// The shared commit pipeline behind [`BundledStore::apply_rw_txn`],
     /// [`BundledStore::apply_txn`] and [`BundledStore::apply_grouped`]:
     /// intents → prepare → validate → advance-clock → finalize, with the
-    /// planning (key sorting, duplicate rejection) already done by the
-    /// caller (`order` maps sorted position → caller position). Each
+    /// key sorting and duplicate rejection already done by the caller
+    /// (`plan.order` maps sorted position → caller position). Each
     /// shard's key-sorted run stages through one prepare cursor
     /// ([`ShardBackend::txn_cursor`] — one root descent plus short
-    /// forward walks per shard).
+    /// forward walks per shard). Returns the commit timestamp; the per-op
+    /// outcomes are in `plan.results`.
+    ///
+    /// Allocation-free on warm buffers: the plan lives in `plan`, and the
+    /// two lists that cannot — the intent guards borrow the store, the
+    /// tokens' type needs the backend bound — are [`InlineStack`]s on
+    /// this frame.
     fn commit_pipeline(
         &self,
         tid: usize,
         ops: &[TxnOp<K, V>],
-        order: &[usize],
-        reads: &[ShardRead<K>],
-    ) -> Result<(Vec<bool>, u64), TxnAborted> {
+        reads: &ReadSet<K>,
+        plan: &mut CommitScratch,
+    ) -> Result<u64, TxnAborted> {
+        let CommitScratch {
+            order,
+            groups,
+            write_shards,
+            intent_shards,
+            results,
+        } = plan;
         // Contiguous per-shard runs over the sorted order (shards
         // partition the keyspace in key order), ascending by shard.
-        let mut groups: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        groups.clear();
         for (i, &pos) in order.iter().enumerate() {
             let shard = self.shard_of(ops[pos].key());
             match groups.last_mut() {
@@ -635,31 +785,25 @@ where
             }
         }
         // Intent set: every shard the transaction writes or validates,
-        // ascending. Written shards need the intent exclusively; shards
-        // only *read* take it shared, so disjoint read validations
-        // proceed in parallel (overlapping ones arbitrate through node
-        // locks like everything else).
-        let write_shards: Vec<usize> = groups.iter().map(|(s, _)| *s).collect();
-        let mut intent_shards: Vec<usize> = write_shards
-            .iter()
-            .copied()
-            .chain(reads.iter().map(|r| r.shard))
-            .collect();
+        // ascending.
+        write_shards.clear();
+        write_shards.extend(groups.iter().map(|(s, _)| *s));
+        intent_shards.clear();
+        intent_shards.extend_from_slice(write_shards);
+        intent_shards.extend(reads.iter().map(|r| r.shard));
         intent_shards.sort_unstable();
         intent_shards.dedup();
-        self.counters.read_set.fetch_add(
-            reads
-                .iter()
-                .map(|r| 1 + r.entries.len() as u64)
-                .sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        self.counters
+            .read_set
+            .fetch_add(reads.size() as u64, Ordering::Relaxed);
+        results.clear();
+        results.resize(ops.len(), false);
 
-        // Per-attempt state, allocated once: a conflict retry clears and
-        // refills these instead of allocating while the intents are held.
-        let mut intents: Vec<IntentGuard<'_>> = Vec::with_capacity(intent_shards.len());
-        let mut prepared: Vec<(usize, S::Txn)> = Vec::with_capacity(intent_shards.len());
-        let mut results = vec![false; ops.len()];
+        // A pipeline with a read set can abort to its caller, so it
+        // shares its shards; one without cannot, and owns them.
+        let optimistic = !reads.is_empty();
+        let mut intents: InlineStack<IntentGuard<'_>, INLINE_SHARDS> = InlineStack::new();
+        let mut prepared: InlineStack<(usize, S::Txn), INLINE_SHARDS> = InlineStack::new();
         let mut attempt = 0u32;
         loop {
             let t = self.obs_now();
@@ -667,9 +811,16 @@ where
             // Phase 1: intents over every involved shard, in ascending
             // shard order (deadlock-free regardless of mode mix); each
             // one spins, then yields, then blocks (`acquire_intent`).
-            intents.extend(intent_shards.iter().map(|s| {
+            let escalated = optimistic && attempt >= INTENT_ESCALATION_RETRY;
+            if escalated && attempt == INTENT_ESCALATION_RETRY && !groups.is_empty() {
+                self.counters
+                    .intent_escalations
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            for s in intent_shards.iter() {
                 let lock = &*self.intents[*s];
-                if write_shards.binary_search(s).is_ok() {
+                let exclusive = (!optimistic || escalated) && write_shards.binary_search(s).is_ok();
+                intents.push(if exclusive {
                     IntentGuard::Exclusive(acquire_intent(
                         || lock.try_write(),
                         || lock.write().unwrap_or_else(|p| p.into_inner()),
@@ -679,25 +830,25 @@ where
                         || lock.try_read(),
                         || lock.read().unwrap_or_else(|p| p.into_inner()),
                     ))
-                }
-            }));
+                });
+            }
             let t = self.obs_stage(STAGE_INTENTS, tid, t);
             // Phase 2: prepare every write.
             self.obs_stage_begin(STAGE_PREPARE, tid, attempt);
             let mut failure = None;
             let mut prepare_conflict = false;
             let mut fail_shard = 0usize;
-            'prepare: for (shard, range) in &groups {
+            'prepare: for (shard, range) in groups.iter() {
                 let backend = &self.shards[*shard];
                 // Write-only pipelines (plain batches, group commits)
                 // skip the staged-image bookkeeping only validation reads.
-                let txn = if reads.is_empty() {
-                    backend.txn_begin_write_only(tid)
-                } else {
+                let txn = if optimistic {
                     backend.txn_begin(tid)
+                } else {
+                    backend.txn_begin_write_only(tid)
                 };
                 let (txn, ok) =
-                    self.stage_run(backend, txn, tid, ops, &order[range.clone()], &mut results);
+                    self.stage_run(backend, txn, tid, ops, &order[range.clone()], results);
                 if !ok {
                     backend.txn_abort(txn);
                     failure = Some(TxnValidateError::Conflict);
@@ -708,24 +859,23 @@ where
                 prepared.push((*shard, txn));
             }
             let t = self.obs_stage(STAGE_PREPARE, tid, t);
-            // Phase 3: validate every recorded read under the intents,
-            // after all of this transaction's writes have staged.
+            // Phase 3: validate every recorded read, after all of this
+            // transaction's writes have staged.
             let validate_ran = failure.is_none();
             if failure.is_none() {
                 self.obs_stage_begin(STAGE_VALIDATE, tid, attempt);
-                for r in reads {
-                    let pos = match prepared.iter().position(|(s, _)| *s == r.shard) {
-                        Some(p) => p,
-                        None => {
-                            // Read-only shard: a token to carry the
-                            // validation locks until finalize.
-                            prepared.push((r.shard, self.shards[r.shard].txn_begin(tid)));
-                            prepared.len() - 1
-                        }
-                    };
-                    let token = &mut prepared[pos].1;
+                for r in reads.iter() {
+                    if !prepared.iter_mut().any(|(s, _)| *s == r.shard) {
+                        // Read-only shard: a token to carry the
+                        // validation locks until finalize.
+                        prepared.push((r.shard, self.shards[r.shard].txn_begin(tid)));
+                    }
+                    let (_, token) = prepared
+                        .iter_mut()
+                        .find(|(s, _)| *s == r.shard)
+                        .expect("a token for the shard was just ensured");
                     if let Err(e) =
-                        self.shards[r.shard].txn_validate(token, &r.low, &r.high, &r.entries)
+                        self.shards[r.shard].txn_validate(token, &r.low, &r.high, r.entries)
                     {
                         failure = Some(e);
                         fail_shard = r.shard;
@@ -815,30 +965,30 @@ where
             // become visible after its group is in the log — the durable
             // prefix of the log is always a prefix of the visible
             // history. With no log attached (the default) this is one
-            // never-taken branch. Log order is replay-correct: groups
-            // with overlapping shard sets hold conflicting intent locks
-            // across this call, so their log order matches their
-            // timestamp order; disjoint groups commute under replay.
+            // never-taken branch. Log order is replay-correct: two
+            // commits sharing a key or a pinned gap share a node lock
+            // held across this call, so the log has them in timestamp
+            // order; all other pairs commute under replay.
             if !groups.is_empty() {
                 if let Some(log) = &self.commit_log {
-                    log.log_group(tid, ts, ops, order, &results, &write_shards);
+                    log.log_group(tid, ts, ops, order, results, write_shards);
                 }
             }
             self.obs_stage_begin(STAGE_FINALIZE, tid, attempt);
             // Phase 5: release every snapshot spinning on the pendings
             // (and every validation lock).
-            for (s, txn) in prepared.drain(..) {
+            while let Some((s, txn)) = prepared.pop() {
                 self.shards[s].txn_finalize(txn, ts);
             }
             self.counters.commits.fetch_add(1, Ordering::Relaxed);
             let _ = self.obs_stage(STAGE_FINALIZE, tid, t);
             if let Some(o) = &self.obs {
                 o.commits.incr(tid);
-                for (shard, range) in &groups {
+                for (shard, range) in groups.iter() {
                     o.shard_ops[*shard].add(tid, range.len() as u64);
                 }
             }
-            return Ok((results, ts));
+            return Ok(ts);
         }
     }
 
@@ -1015,6 +1165,7 @@ where
             read_set_size: c.read_set.load(Ordering::Relaxed),
             group_commits: c.group_commits.load(Ordering::Relaxed),
             grouped_ops: c.grouped_ops.load(Ordering::Relaxed),
+            intent_escalations: c.intent_escalations.load(Ordering::Relaxed),
         }
     }
 
@@ -1077,6 +1228,41 @@ where
 // Deliberately unbounded: `StoreHandle`'s `Drop` (which has no bounds)
 // must be able to return its tid.
 impl<K, V, S> BundledStore<K, V, S> {
+    /// The warm per-session buffers.
+    pub(crate) fn scratch(&self) -> &SessionScratch<K, V> {
+        &self.scratch
+    }
+
+    /// The shared linearization context, borrowed ([`Self::context`]
+    /// clones it).
+    pub(crate) fn ctx(&self) -> &RqContext {
+        &self.ctx
+    }
+
+    /// Session `tid`'s read-set / write-set buffers for one read-write
+    /// transaction: the cleared, still allocated ones its previous
+    /// transaction returned, or fresh ones (a transaction that is still
+    /// open on the same `tid` keeps its own). Hand them back through
+    /// [`Self::return_txn_bufs`] on every exit.
+    #[must_use]
+    pub fn take_txn_bufs(&self, tid: usize) -> TxnBufs<K, V> {
+        self.scratch.take_txn(tid)
+    }
+
+    /// Clear `bufs` and keep them for session `tid`'s next transaction.
+    pub fn return_txn_bufs(&self, tid: usize, bufs: TxnBufs<K, V>) {
+        self.scratch.put_txn(tid, bufs);
+    }
+
+    /// How many times session `tid` has handed transaction buffers back
+    /// (monotonic; a diagnostic for tests that every exit path of a
+    /// transaction — commit, abort, rollback, drop, unwind — returns
+    /// them).
+    #[must_use]
+    pub fn txn_bufs_returned(&self, tid: usize) -> u64 {
+        self.scratch.txn_returns(tid)
+    }
+
     fn pop_tid(pool: &mut TidPool, cap: usize) -> Option<usize> {
         if let Some(tid) = pool.free.pop() {
             return Some(tid);
@@ -1523,7 +1709,7 @@ mod tests {
 
         // A read-modify-write across shards: read 10 and the (empty)
         // range around 300, write both based on the reads.
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         assert_eq!(snap.get_recorded(&10, &mut reads), Some(1));
         let mut out = Vec::new();
@@ -1543,7 +1729,7 @@ mod tests {
         assert!(stats.read_set_size >= 3, "{label}: fragments + entries");
 
         // Stale read: key 10 changes between the snapshot and the commit.
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         assert_eq!(snap.get_recorded(&10, &mut reads), Some(100));
         s.remove(1, &10);
@@ -1554,7 +1740,7 @@ mod tests {
         assert_eq!(s.txn_stats().validation_failures, 1, "{label}");
 
         // Phantom: the read-empty range gains a key before commit.
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         snap.range_recorded(&320, &340, &mut out, &mut reads);
         s.insert(1, 330, 33);
@@ -1565,7 +1751,7 @@ mod tests {
 
         // Read-only transaction: validates without advancing the clock.
         let clock = s.context().read();
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         assert_eq!(snap.get_recorded(&300, &mut reads), Some(3));
         assert_eq!(s.apply_rw_txn(0, &[], &reads), Ok(Vec::new()), "{label}");
@@ -1711,12 +1897,12 @@ mod tests {
     fn apply_rw_txn_ts_returns_the_commit_timestamp() {
         let s = SkipListStore::<u64, u64>::new(1, uniform_splits(2, 100));
         let (results, ts) = s
-            .apply_rw_txn_ts(0, &[TxnOp::Put(10, 1), TxnOp::Put(60, 6)], &[])
+            .apply_rw_txn_ts(0, &[TxnOp::Put(10, 1), TxnOp::Put(60, 6)], &ReadSet::new())
             .expect("no reads, cannot abort");
         assert_eq!(results, vec![true, true]);
         assert_eq!(ts, s.context().read(), "writes published at `ts`");
         // An empty transaction reports the current clock without advancing.
-        let (empty, ts2) = s.apply_rw_txn_ts(0, &[], &[]).unwrap();
+        let (empty, ts2) = s.apply_rw_txn_ts(0, &[], &ReadSet::new()).unwrap();
         assert!(empty.is_empty());
         assert_eq!(ts2, ts);
     }
@@ -1747,17 +1933,19 @@ mod tests {
         writer.join().unwrap();
     }
 
-    /// Read-only transactions take *shared* intents: many concurrent
-    /// validations on the same shard must all commit (and writers still
-    /// serialize against them correctly).
+    /// Pipelines with a read set take *shared* intents: many concurrent
+    /// read-only validations and a read-write writer on the same shard
+    /// all commit, next to a write-only batch whose exclusive intent
+    /// interleaves with theirs without deadlock or lost writes.
     #[test]
     fn read_only_validations_share_the_intent_lock() {
         const READERS: usize = 4;
         let s = Arc::new(SkipListStore::<u64, u64>::new(
-            READERS + 1,
+            READERS + 2,
             uniform_splits(2, 100),
         ));
         s.insert(0, 10, 1);
+        s.insert(0, 30, 0);
         s.insert(0, 60, 6);
         let readers: Vec<_> = (0..READERS)
             .map(|r| {
@@ -1765,7 +1953,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let tid = r + 1;
                     for _ in 0..200 {
-                        let mut reads = Vec::new();
+                        let mut reads = ReadSet::new();
                         let snap = s.snapshot(tid);
                         let v = snap.get_recorded(&10, &mut reads);
                         let ok = s.apply_rw_txn(tid, &[], &reads).is_ok();
@@ -1778,43 +1966,77 @@ mod tests {
                 })
             })
             .collect();
-        // A concurrent writer on the *other* key of the same shard:
-        // exclusive intents interleave with the shared ones without
-        // deadlock or lost writes.
+        // A read-write counter on a third key of the shard: shared too.
+        let counter = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let tid = READERS + 1;
+                for _ in 0..200 {
+                    let mut reads = ReadSet::new();
+                    let snap = s.snapshot(tid);
+                    let v = snap.get_recorded(&30, &mut reads).unwrap();
+                    let done = s.apply_rw_txn(tid, &[TxnOp::Set(30, v + 1)], &reads);
+                    drop(snap);
+                    assert_eq!(done, Ok(vec![true]), "nobody else writes key 30");
+                }
+            })
+        };
+        // A concurrent write-only batch on yet another key of the shard.
         for i in 0..200u64 {
             s.apply_txn(0, &[TxnOp::Set(60, i)]);
         }
         for r in readers {
             r.join().unwrap();
         }
+        counter.join().unwrap();
         assert_eq!(s.get(0, &60), Some(199));
+        assert_eq!(s.get(0, &30), Some(200));
+        assert_eq!(s.txn_stats().intent_escalations, 0);
     }
 
-    /// A holder that outlasts the waiter's whole spin and yield budget
-    /// (50 ms against ~65 us + 64 yields) must still be waited out: the
-    /// waiter falls through to the blocking acquire and commits after the
-    /// release — in exclusive mode (a write) and in shared mode (a
-    /// read-only validation).
+    /// The mode table, against a long holder. Behind an *exclusive*
+    /// holder everybody waits — past the whole spin and yield budget
+    /// (50 ms against ~65 us + 64 yields), in the blocking acquire — and
+    /// commits after the release: a write-only batch, a read-only
+    /// validation and a read-write transaction. Behind a *shared* holder
+    /// only the write-only batch waits; the two optimistic kinds share.
     #[test]
     fn intent_waiters_block_behind_a_long_holder_and_acquire_after_release() {
-        let s = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 100)));
+        let s = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(2, 100)));
         s.insert(0, 20, 2);
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(2);
         assert_eq!(snap.get_recorded(&20, &mut reads), Some(2));
         let held = s.intents[0].write().unwrap();
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| s.apply_txn(1, &[TxnOp::Put(10, 1)]));
             let reader = scope.spawn(|| s.apply_rw_txn(2, &[], &reads));
+            let rw = scope.spawn(|| s.apply_rw_txn(3, &[TxnOp::Put(30, 3)], &reads));
             std::thread::sleep(Duration::from_millis(50));
-            assert!(!writer.is_finished() && !reader.is_finished());
+            assert!(!writer.is_finished() && !reader.is_finished() && !rw.is_finished());
             assert!(!s.contains(0, &10), "a waiter got past a held intent");
+            assert!(!s.contains(0, &30), "a waiter got past a held intent");
             drop(held);
             assert_eq!(writer.join().unwrap(), vec![true]);
             assert_eq!(reader.join().unwrap(), Ok(Vec::new()));
+            assert_eq!(rw.join().unwrap(), Ok(vec![true]));
+        });
+        let held = s.intents[0].read().unwrap();
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| s.apply_txn(1, &[TxnOp::Put(11, 1)]));
+            assert_eq!(s.apply_rw_txn(2, &[], &reads), Ok(Vec::new()));
+            assert_eq!(
+                s.apply_rw_txn(3, &[TxnOp::Put(31, 3)], &reads),
+                Ok(vec![true])
+            );
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!writer.is_finished() && !s.contains(0, &11));
+            drop(held);
+            assert_eq!(writer.join().unwrap(), vec![true]);
         });
         drop(snap);
         assert_eq!(s.get(0, &10), Some(1));
+        assert_eq!(s.get(0, &11), Some(1));
     }
 
     #[test]
@@ -1991,7 +2213,7 @@ mod tests {
             &[TxnOp::Put(5, 5), TxnOp::Put(150, 15), TxnOp::Put(399, 39)],
         );
         // A stale read aborts and is counted by cause.
-        let mut reads = Vec::new();
+        let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         assert_eq!(snap.get_recorded(&10, &mut reads), Some(1));
         s.remove(1, &10);

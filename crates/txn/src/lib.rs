@@ -18,12 +18,23 @@
 //! own staged writes (read-your-writes). Each validated read records the
 //! node identities it observed into the transaction's **read set**.
 //!
+//! Both sets are flat and warm. Writes are staged into one key-sorted
+//! `Vec<TxnOp>` — the very slice `commit` hands to the store, which
+//! stages it without re-sorting or copying — and reads into a
+//! [`store::ReadSet`] (two vectors, whatever the number of reads). The
+//! buffers behind them ([`store::TxnBufs`]) belong to the *session*: a
+//! transaction takes them when it begins and returns them, cleared, on
+//! every exit — commit, abort, rollback, drop, unwind — so the session's
+//! next transaction records and stages without allocating.
+//!
 //! [`ReadWriteTxn::commit`] hands writes + read set to
 //! [`store::BundledStore::apply_rw_txn`], an explicit **prepare →
 //! validate → advance-clock → finalize** pipeline:
 //!
-//! 1. per-shard **write intents** over every involved shard, ascending
-//!    (2PL, deadlock-free by ordering);
+//! 1. per-shard **intents** over every involved shard, ascending
+//!    (deadlock-free by ordering) and *shared*: read-write transactions
+//!    run side by side on a shard and let the node locks of steps 2–3
+//!    arbitrate, escalating to exclusive only after repeated lock races;
 //! 2. **prepare**: writes stage eagerly under node locks, bundle entries
 //!    pending (Algorithm 2 state), pre/post images recorded;
 //! 3. **validate**: every recorded read range is re-walked in the live
@@ -99,22 +110,13 @@
 //! assert_eq!(session.snapshot_get(&400), Some(3));
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bundle::api::RangeQuerySet;
 use ebr::ReclaimMode;
 use store::{
-    BundledStore, ShardBackend, ShardRead, StoreHandle, StoreSnapshot, TxnAborted, TxnOp, TxnStats,
+    BundledStore, ShardBackend, StoreHandle, StoreSnapshot, TxnAborted, TxnBufs, TxnOp, TxnStats,
 };
-
-/// One staged write of a transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Staged<V> {
-    Put(V),
-    Set(V),
-    Remove,
-}
 
 /// Outcome of a committed transaction: for every staged key, whether the
 /// write took effect (`true` = the put inserted a new key / the remove
@@ -148,21 +150,32 @@ impl<K> TxnReceipt<K> {
 ///
 /// Reads are answered at one leased snapshot timestamp and recorded for
 /// commit-time validation ([`ReadWriteTxn::get`] / [`ReadWriteTxn::range`];
-/// the `peek` variants skip recording). Writes are staged locally
-/// (`BTreeMap` ⇒ sorted, deduplicated, read-your-writes) and touch the
-/// store only at [`ReadWriteTxn::commit`], which either commits everything
-/// under one timestamp — with every validated read still current there —
-/// or aborts completely ([`store::TxnAborted`], re-run against a fresh
-/// snapshot). Dropping the transaction (or [`ReadWriteTxn::rollback`])
-/// discards it with zero store-side cleanup.
+/// the `peek` variants skip recording). Writes are staged locally (one
+/// key-sorted vector ⇒ deduplicated, read-your-writes by binary search;
+/// staging in ascending key order appends, an out-of-order key shifts the
+/// tail) and touch the store only at [`ReadWriteTxn::commit`], which
+/// either commits everything under one timestamp — with every validated
+/// read still current there — or aborts completely
+/// ([`store::TxnAborted`], re-run against a fresh snapshot). Dropping the
+/// transaction (or [`ReadWriteTxn::rollback`]) discards it with zero
+/// store-side cleanup.
 pub struct ReadWriteTxn<'a, K, V, S> {
     store: &'a BundledStore<K, V, S>,
     tid: usize,
     /// Lazily opened at the first read; holds the read lease and the
     /// per-shard EBR pins until commit/rollback.
     snapshot: Option<StoreSnapshot<'a, K, V, S>>,
-    reads: Vec<ShardRead<K>>,
-    writes: BTreeMap<K, Staged<V>>,
+    /// The session's read-set and write-set buffers, returned on drop.
+    bufs: TxnBufs<K, V>,
+}
+
+impl<K, V, S> Drop for ReadWriteTxn<'_, K, V, S> {
+    /// Every exit — commit, abort, rollback, plain drop, an unwinding
+    /// caller — hands the buffers back to the session.
+    fn drop(&mut self) {
+        self.store
+            .return_txn_bufs(self.tid, std::mem::take(&mut self.bufs));
+    }
 }
 
 impl<K: std::fmt::Debug, V: std::fmt::Debug, S> std::fmt::Debug for ReadWriteTxn<'_, K, V, S> {
@@ -170,8 +183,8 @@ impl<K: std::fmt::Debug, V: std::fmt::Debug, S> std::fmt::Debug for ReadWriteTxn
         f.debug_struct("ReadWriteTxn")
             .field("tid", &self.tid)
             .field("read_ts", &self.snapshot.as_ref().map(|s| s.ts()))
-            .field("reads", &self.reads.len())
-            .field("writes", &self.writes)
+            .field("reads", &self.bufs.reads.len())
+            .field("writes", &self.bufs.writes)
             .finish()
     }
 }
@@ -193,8 +206,7 @@ where
             store,
             tid,
             snapshot: None,
-            reads: Vec::new(),
-            writes: BTreeMap::new(),
+            bufs: store.take_txn_bufs(tid),
         }
     }
 
@@ -208,13 +220,41 @@ where
     /// Number of recorded (commit-validated) read fragments.
     #[must_use]
     pub fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.bufs.reads.len()
     }
 
-    fn ensure_snapshot(&mut self) {
-        if self.snapshot.is_none() {
-            self.snapshot = Some(self.store.snapshot(self.tid));
+    /// The snapshot every read is answered at, opened at the first one.
+    /// (Takes the fields it needs, so a caller can record into
+    /// `self.bufs` while it holds the snapshot.)
+    fn snapshot_in<'s>(
+        slot: &'s mut Option<StoreSnapshot<'a, K, V, S>>,
+        store: &'a BundledStore<K, V, S>,
+        tid: usize,
+    ) -> &'s StoreSnapshot<'a, K, V, S> {
+        slot.get_or_insert_with(|| store.snapshot(tid))
+    }
+
+    /// Where `key`'s staged write is, or where it would be inserted.
+    fn staged_at(&self, key: &K) -> Result<usize, usize> {
+        self.bufs.writes.binary_search_by(|op| op.key().cmp(key))
+    }
+
+    /// What the staged write of `key`, if any, makes a read of it return.
+    fn staged_value(&self, key: &K) -> Option<Option<V>> {
+        let op = &self.bufs.writes[self.staged_at(key).ok()?];
+        Some(match op {
+            TxnOp::Put(_, v) | TxnOp::Set(_, v) => Some(v.clone()),
+            TxnOp::Remove(_) => None,
+        })
+    }
+
+    /// Stage `op`, replacing any earlier staged write of its key.
+    fn stage(&mut self, op: TxnOp<K, V>) -> &mut Self {
+        match self.staged_at(op.key()) {
+            Ok(i) => self.bufs.writes[i] = op,
+            Err(i) => self.bufs.writes.insert(i, op),
         }
+        self
     }
 
     /// Validated read: staged writes first (read-your-writes), then a
@@ -222,15 +262,11 @@ where
     /// set — commit fails unless the key is still unchanged at the commit
     /// timestamp.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.writes.get(key) {
-            Some(Staged::Put(v)) | Some(Staged::Set(v)) => Some(v.clone()),
-            Some(Staged::Remove) => None,
-            None => {
-                self.ensure_snapshot();
-                let snap = self.snapshot.as_ref().expect("just ensured");
-                snap.get_recorded(key, &mut self.reads)
-            }
+        if let Some(staged) = self.staged_value(key) {
+            return staged;
         }
+        Self::snapshot_in(&mut self.snapshot, self.store, self.tid)
+            .get_recorded(key, &mut self.bufs.reads)
     }
 
     /// Unvalidated read: same snapshot semantics as [`ReadWriteTxn::get`]
@@ -238,13 +274,9 @@ where
     /// re-check it. Use for reads whose staleness the application
     /// tolerates (e.g. a scan that only seeds a later validated read).
     pub fn peek(&mut self, key: &K) -> Option<V> {
-        match self.writes.get(key) {
-            Some(Staged::Put(v)) | Some(Staged::Set(v)) => Some(v.clone()),
-            Some(Staged::Remove) => None,
-            None => {
-                self.ensure_snapshot();
-                self.snapshot.as_ref().expect("just ensured").get(key)
-            }
+        match self.staged_value(key) {
+            Some(staged) => staged,
+            None => Self::snapshot_in(&mut self.snapshot, self.store, self.tid).get(key),
         }
     }
 
@@ -253,18 +285,19 @@ where
     /// observation (per overlapping shard, empty fragments included — so
     /// phantoms inserted into the range abort the commit).
     pub fn range(&mut self, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        self.ensure_snapshot();
-        let snap = self.snapshot.as_ref().expect("just ensured");
-        snap.range_recorded(low, high, out, &mut self.reads);
+        Self::snapshot_in(&mut self.snapshot, self.store, self.tid).range_recorded(
+            low,
+            high,
+            out,
+            &mut self.bufs.reads,
+        );
         self.overlay(low, high, out);
         out.len()
     }
 
     /// Unvalidated range read ([`ReadWriteTxn::peek`]'s range analogue).
     pub fn range_peek(&mut self, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        self.ensure_snapshot();
-        let snap = self.snapshot.as_ref().expect("just ensured");
-        snap.range(low, high, out);
+        Self::snapshot_in(&mut self.snapshot, self.store, self.tid).range(low, high, out);
         self.overlay(low, high, out);
         out.len()
     }
@@ -272,17 +305,15 @@ where
     /// Merge the staged writes of `low..=high` over a sorted snapshot
     /// fragment (read-your-writes for range reads).
     fn overlay(&self, low: &K, high: &K, out: &mut Vec<(K, V)>) {
-        for (k, w) in self.writes.range(*low..=*high) {
-            match w {
-                Staged::Put(v) | Staged::Set(v) => match out.binary_search_by(|e| e.0.cmp(k)) {
-                    Ok(i) => out[i].1 = v.clone(),
-                    Err(i) => out.insert(i, (*k, v.clone())),
-                },
-                Staged::Remove => {
-                    if let Ok(i) = out.binary_search_by(|e| e.0.cmp(k)) {
-                        out.remove(i);
-                    }
-                }
+        let writes = &self.bufs.writes;
+        let from = writes.partition_point(|op| op.key() < low);
+        for op in writes[from..].iter().take_while(|op| op.key() <= high) {
+            let at = out.binary_search_by(|e| e.0.cmp(op.key()));
+            match (op, at) {
+                (TxnOp::Put(_, v) | TxnOp::Set(_, v), Ok(i)) => out[i].1 = v.clone(),
+                (TxnOp::Put(k, v) | TxnOp::Set(k, v), Err(i)) => out.insert(i, (*k, v.clone())),
+                (TxnOp::Remove(_), Ok(i)) => drop(out.remove(i)),
+                (TxnOp::Remove(_), Err(_)) => {}
             }
         }
     }
@@ -290,8 +321,7 @@ where
     /// Stage `key -> value` (set-insert at commit: a no-op if the key is
     /// already present). Overwrites any earlier staged write of `key`.
     pub fn put(&mut self, key: K, value: V) -> &mut Self {
-        self.writes.insert(key, Staged::Put(value));
-        self
+        self.stage(TxnOp::Put(key, value))
     }
 
     /// Stage an upsert of `key -> value`: at commit the current value (if
@@ -299,26 +329,24 @@ where
     /// snapshot ever sees the key absent or half-updated. Overwrites any
     /// earlier staged write of `key`.
     pub fn set(&mut self, key: K, value: V) -> &mut Self {
-        self.writes.insert(key, Staged::Set(value));
-        self
+        self.stage(TxnOp::Set(key, value))
     }
 
     /// Stage a removal of `key`. Overwrites any earlier staged write.
     pub fn remove(&mut self, key: &K) -> &mut Self {
-        self.writes.insert(*key, Staged::Remove);
-        self
+        self.stage(TxnOp::Remove(*key))
     }
 
     /// Number of staged writes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.writes.len()
+        self.bufs.writes.len()
     }
 
     /// `true` when nothing is staged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
+        self.bufs.writes.is_empty()
     }
 
     /// Discard the transaction: staged writes vanish, the read lease and
@@ -334,14 +362,9 @@ where
     /// A transaction with reads but no writes is a *read-only*
     /// serializable transaction: commit validates the read set without
     /// advancing the shared clock.
-    pub fn commit(self) -> Result<TxnReceipt<K>, TxnAborted> {
-        let ReadWriteTxn {
-            store,
-            tid,
-            snapshot,
-            reads,
-            writes,
-        } = self;
+    pub fn commit(mut self) -> Result<TxnReceipt<K>, TxnAborted> {
+        let store = self.store;
+        let TxnBufs { reads, writes } = &self.bufs;
         if writes.is_empty() && reads.is_empty() {
             return Ok(TxnReceipt {
                 applied: Vec::new(),
@@ -349,25 +372,17 @@ where
                 commit_ts: None,
             });
         }
-        let (keys, ops): (Vec<K>, Vec<TxnOp<K, V>>) = writes
-            .into_iter()
-            .map(|(k, w)| {
-                let op = match w {
-                    Staged::Put(v) => TxnOp::Put(k, v),
-                    Staged::Set(v) => TxnOp::Set(k, v),
-                    Staged::Remove => TxnOp::Remove(k),
-                };
-                (k, op)
-            })
-            .unzip();
-        let outcome = store.apply_rw_txn_ts(tid, &ops, &reads);
+        let outcome = store.apply_rw_txn_with(self.tid, writes, reads, |results, ts| {
+            let keys = writes.iter().map(|op| *op.key());
+            (keys.zip(results.iter().copied()).collect(), ts)
+        });
         // The snapshot (read lease + per-shard EBR pins) must survive
         // until validation finished comparing node identities; only now
         // may it release.
-        drop(snapshot);
-        let (results, ts) = outcome?;
+        self.snapshot = None;
+        let (applied, ts) = outcome?;
         Ok(TxnReceipt {
-            applied: keys.into_iter().zip(results).collect(),
+            applied,
             stats: store.txn_stats(),
             commit_ts: Some(ts),
         })
@@ -467,16 +482,8 @@ where
     /// semantics — last write per key wins, read-your-writes `get` —
     /// apply unchanged; only the commit path differs.
     #[must_use]
-    pub fn into_ops(self) -> Vec<TxnOp<K, V>> {
-        self.inner
-            .writes
-            .into_iter()
-            .map(|(k, w)| match w {
-                Staged::Put(v) => TxnOp::Put(k, v),
-                Staged::Set(v) => TxnOp::Set(k, v),
-                Staged::Remove => TxnOp::Remove(k),
-            })
-            .collect()
+    pub fn into_ops(mut self) -> Vec<TxnOp<K, V>> {
+        std::mem::take(&mut self.inner.bufs.writes)
     }
 }
 
@@ -893,6 +900,75 @@ mod tests {
             clock,
             "read-only commit never advances the clock"
         );
+    }
+
+    /// The session's read-set / write-set buffers come back on every way
+    /// out of a transaction, so the next one starts warm — and a second
+    /// transaction opened while they are out just starts cold.
+    #[test]
+    fn every_exit_returns_the_sessions_buffers() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(4, 400)));
+        let (h, other) = (store.register(), store.register());
+        h.insert(10, 1);
+        let returned = || store.txn_bufs_returned(h.tid());
+        let read_and_bump = |txn: &mut ReadWriteTxn<'_, u64, u64, _>| {
+            let v = txn.get(&10).unwrap();
+            txn.set(10, v + 1).put(300, 3);
+        };
+
+        // commit -> Ok
+        let mut txn = h.rw_txn();
+        read_and_bump(&mut txn);
+        assert_eq!(returned(), 0, "still out");
+        assert!(txn.commit().is_ok());
+        assert_eq!(returned(), 1);
+        // commit -> Err(TxnAborted)
+        let mut txn = h.rw_txn();
+        read_and_bump(&mut txn);
+        other.remove(&10);
+        other.insert(10, 7);
+        assert_eq!(txn.commit(), Err(TxnAborted));
+        assert_eq!(returned(), 2);
+        // rollback, then a plain drop
+        let mut txn = h.rw_txn();
+        read_and_bump(&mut txn);
+        txn.rollback();
+        assert_eq!(returned(), 3);
+        {
+            let mut txn = h.rw_txn();
+            read_and_bump(&mut txn);
+        }
+        assert_eq!(returned(), 4);
+        // a panic in the caller's closure under `run_rw`
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.run_rw(|txn| {
+                read_and_bump(txn);
+                panic!("the application's closure failed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(returned(), 5);
+        assert_eq!(store.context().active_rqs(), 0, "the lease unwound too");
+        assert_eq!(
+            h.snapshot_get(&10),
+            Some(7),
+            "nothing of the four was applied"
+        );
+
+        // Two transactions open on one session: the second starts cold,
+        // both work, both hand their buffers back.
+        let (mut first, mut second) = (h.txn(), h.txn());
+        first.put(20, 2);
+        second.put(30, 3);
+        assert_eq!(first.commit().applied, vec![(20, true)]);
+        assert_eq!(second.commit().applied, vec![(30, true)]);
+        assert_eq!(returned(), 7);
+        assert_eq!(store.txn_bufs_returned(other.tid()), 0, "per session");
+        // `into_ops` keeps the write set; the (now empty) buffers return.
+        let mut txn = h.txn();
+        txn.put(40, 4);
+        assert_eq!(txn.into_ops(), vec![TxnOp::Put(40, 4)]);
+        assert_eq!(returned(), 8);
     }
 
     #[test]

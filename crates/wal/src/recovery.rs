@@ -31,9 +31,12 @@ pub struct RecoveryStats {
     pub bytes: u64,
     /// Bytes discarded as the torn tail (across all affected segments).
     pub truncated_bytes: u64,
-    /// Commit timestamp of the last valid group (`0` if none). These are
-    /// the *original* run's timestamps; a replayed store draws fresh
-    /// ones from its own clock.
+    /// The newest commit timestamp in the valid prefix (`0` if none) —
+    /// the maximum, not the last frame's: committers log in timestamp
+    /// order only where their groups conflict (see
+    /// [`WalRecovery::replay`]), so the last frame need not carry the
+    /// newest timestamp. These are the *original* run's timestamps; a
+    /// replayed store draws fresh ones from its own clock.
     pub last_ts: u64,
 }
 
@@ -132,7 +135,7 @@ impl WalRecovery {
                 state.stats.groups += 1;
                 state.stats.ops += record.ops.len() as u64;
                 state.stats.bytes += used as u64;
-                state.stats.last_ts = record.ts;
+                state.stats.last_ts = state.stats.last_ts.max(record.ts);
                 state.records.push(record);
                 at += used;
                 state.end = Some(LogPosition {
@@ -228,12 +231,14 @@ impl WalRecovery {
     /// original so the shard sets stay meaningful.
     ///
     /// Replay is deterministic: each op's outcome depends only on its
-    /// shard's prior state, and the log orders any two groups touching
-    /// a common shard (their intent locks were held across logging) —
-    /// so the re-applied outcomes must equal the logged ones, which is
+    /// key's prior state, and the log orders any two groups sharing a
+    /// key or a pinned gap — both held a node lock pinning it across
+    /// their log call (write-only groups additionally hold their shards'
+    /// intents exclusively) — while all other pairs commute. So the
+    /// re-applied outcomes must equal the logged ones, which is
     /// debug-asserted. Timestamps are drawn fresh from the recovered
     /// store's clock; [`RecoveryStats::last_ts`] reports the original
-    /// run's final group timestamp.
+    /// run's newest group timestamp.
     ///
     /// If the store carries an [`obs::MetricsRegistry`], the replayed
     /// group count is exported as `wal.recovery_replayed_groups`.
@@ -311,6 +316,31 @@ mod tests {
         assert_eq!(out.stats.truncated_bytes, 0);
         assert_eq!(out.stats.last_ts, 5);
         assert_eq!(out.records[2].ops[1].op, TxnOp::Put(1003, 10030));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn last_ts_is_the_newest_timestamp_not_the_last_frame() {
+        // Two committers on disjoint keys may reach the log out of
+        // timestamp order; the torn tail must not count either.
+        let dir = tmpdir("scan-max-ts");
+        let wal = GroupWal::<u64, u64>::create(&dir, SyncPolicy::Off).unwrap();
+        for ts in [3, 7, 5, 9] {
+            log_keys(&wal, ts, &[ts]);
+        }
+        wal.sync();
+        drop(wal);
+        let all = WalRecovery::scan::<u64, u64>(&dir).unwrap();
+        assert_eq!((all.stats.groups, all.stats.last_ts), (4, 9));
+        // Tear the last frame (the one carrying timestamp 9) in half.
+        let frame = all.stats.bytes / 4;
+        let torn = crate::LogPosition {
+            segment: 1,
+            bytes: codec::SEGMENT_MAGIC.len() as u64 + 3 * frame,
+        };
+        WalRecovery::cut(&dir, torn, frame / 2).unwrap();
+        let cut = WalRecovery::scan::<u64, u64>(&dir).unwrap();
+        assert_eq!((cut.stats.groups, cut.stats.last_ts), (3, 7));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -122,8 +122,9 @@ pub mod prelude {
     pub use obs::{MetricsRegistry, MetricsSnapshot};
     pub use skiplist::{BundledSkipList, UnsafeSkipList};
     pub use store::{
-        uniform_splits, BundledStore, CitrusStore, GroupReceipt, LazyListStore, ShardBackend,
-        ShardRead, SkipListStore, StoreHandle, StoreSnapshot, TxnAborted, TxnOp, TxnStats,
+        uniform_splits, BundledStore, CitrusStore, GroupReceipt, LazyListStore, ReadSet,
+        ShardBackend, ShardRead, SkipListStore, StoreHandle, StoreSnapshot, TxnAborted, TxnOp,
+        TxnStats,
     };
     pub use txn::{ReadWriteTxn, StoreTxnExt, TxnReceipt, TxnStore, WriteTxn};
     pub use wal::{GroupWal, SyncPolicy, WalRecovery};

@@ -394,6 +394,92 @@ fn concurrent_ingest_recovery_under_every_8_groups_is_a_consistent_prefix() {
     );
 }
 
+/// Two threads of read-write transactions on **one shard**, logging
+/// under `SyncPolicy::Off`. Read-write commits share the shard's intent,
+/// so they reach the log concurrently and not in timestamp order; what
+/// the log must still order is every pair of commits that conflict. Each
+/// transaction mixes keys both threads fight over — counters bumped by a
+/// validated read-modify-write, and a put / remove pair whose logged
+/// outcome flags depend on which commit came first — with keys of the
+/// thread's own stripe. Replaying the log must rebuild exactly the live
+/// store's final state (and, in this debug build, reproduce every logged
+/// outcome flag: `WalRecovery::replay` asserts them).
+#[test]
+fn concurrent_rw_transactions_on_one_shard_replay_to_the_live_state() {
+    fn check<S>(tag: &str)
+    where
+        S: ShardBackend<u64, u64> + Send + Sync + 'static,
+    {
+        const THREADS: u64 = 2;
+        const TXNS: u64 = 300;
+        const SHARED: u64 = 6;
+        let dir = tmpdir(tag);
+        let mut store = BundledStore::<u64, u64, S>::new(THREADS as usize + 1, vec![]);
+        let wal = Arc::new(GroupWal::<u64, u64>::create(&dir, SyncPolicy::Off).expect("create"));
+        store.attach_commit_log(Arc::clone(&wal) as Arc<dyn CommitLog<u64, u64>>);
+        let store = Arc::new(store);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let store = &store;
+                scope.spawn(move || {
+                    let h = store.register();
+                    let mut seed = (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let mut next = move || {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        seed
+                    };
+                    for i in 0..TXNS {
+                        let (counter, flag, own) = (next() % SHARED, next() % SHARED, next() % 64);
+                        h.run_rw(|txn| {
+                            // Overlapping: a counter and an outcome-exact flag.
+                            let c = txn.get(&counter).unwrap_or(0);
+                            txn.set(counter, c + 1);
+                            if (i + t).is_multiple_of(2) {
+                                txn.put(100 + flag, i);
+                            } else {
+                                txn.remove(&(100 + flag));
+                            }
+                            // Disjoint: the thread's own stripe.
+                            txn.set(1_000 * (t + 1) + own, i);
+                            txn.remove(&(1_000 * (t + 1) + (own + 7) % 64));
+                        });
+                    }
+                });
+            }
+        });
+        wal.sync();
+        let live: BTreeMap<u64, u64> = store
+            .register()
+            .range_query_vec(&0, &u64::MAX)
+            .into_iter()
+            .collect();
+        let bumps: u64 = (0..SHARED).filter_map(|k| live.get(&k)).sum();
+        assert_eq!(bumps, THREADS * TXNS, "{tag}: a counter bump was lost");
+        let scanned = WalRecovery::scan::<u64, u64>(&dir).expect("scan");
+        assert_eq!(scanned.stats.groups, THREADS * TXNS, "{tag}");
+        assert_eq!(
+            scanned.stats.last_ts,
+            store.context().read(),
+            "{tag}: the newest logged timestamp is the clock"
+        );
+        let recovered = Arc::new(BundledStore::<u64, u64, S>::new(2, vec![]));
+        WalRecovery::replay(&dir, &recovered).expect("replay");
+        let replayed: BTreeMap<u64, u64> = recovered
+            .register()
+            .range_query_vec(&0, &u64::MAX)
+            .into_iter()
+            .collect();
+        assert_eq!(replayed, live, "{tag}: replay != live store");
+        assert_eq!(fold_log(&dir), live, "{tag}: decode-fold != live store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    check::<BundledSkipList<u64, u64>>("rw-skiplist");
+    check::<BundledCitrusTree<u64, u64>>("rw-citrus");
+    check::<BundledLazyList<u64, u64>>("rw-list");
+}
+
 fn wal_segment_path(dir: &std::path::Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:06}.log"))
 }
