@@ -76,6 +76,7 @@ mod cursor;
 mod inline;
 mod kernel;
 mod linearize;
+mod prefetch;
 mod recycler;
 mod tracker;
 mod ts;
@@ -90,9 +91,8 @@ pub use ctx::{ActiveRq, ReadLease, RqContext};
 pub use cursor::{CursorStats, PrepareCursor};
 pub use inline::InlineStack;
 pub use kernel::{key_value, ShardTxn, TokenPool, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS};
-pub use linearize::{
-    finalize_update, linearize_update, prepare_update, Conflict, TxnValidateError,
-};
+pub use linearize::{linearize_update, Conflict, TxnValidateError};
+pub use prefetch::prefetch_read;
 pub use recycler::Recycler;
 pub use tracker::{RqTracker, RQ_INACTIVE, RQ_PENDING};
 pub use ts::GlobalTimestamp;

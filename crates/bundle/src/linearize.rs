@@ -1,7 +1,7 @@
-//! Algorithm 1: `LinearizeUpdateOperation`, plus the split prepare /
-//! finalize surface that multi-structure transactions build on.
+//! Algorithm 1: `LinearizeUpdateOperation`, plus the outcomes of its
+//! two-phase form that multi-structure transactions build on.
 
-use crate::bundle_impl::{Bundle, PendingEntry};
+use crate::bundle_impl::Bundle;
 use crate::ts::GlobalTimestamp;
 
 /// A two-phase update could not acquire a lock it needs without risking a
@@ -65,36 +65,6 @@ impl std::fmt::Display for TxnValidateError {
     }
 }
 
-/// Step 1 of Algorithm 1, split out: install a pending entry for every
-/// affected bundle and return the owner tokens (in the same order).
-///
-/// The caller must hold the structure-specific locks covering every bundle
-/// and must eventually consume each token with [`PendingEntry::finalize`]
-/// (after acquiring one timestamp from the shared clock) or
-/// [`PendingEntry::abort`]. This is the surface cross-shard transactions
-/// use: prepare on *every* affected structure first, advance the clock
-/// once, then finalize everything with that single timestamp.
-pub fn prepare_update<T>(bundles: &[(&Bundle<T>, *mut T)]) -> Vec<PendingEntry<T>> {
-    bundles.iter().map(|(b, p)| b.prepare(*p)).collect()
-}
-
-/// Steps 2–4 of Algorithm 1, split out: acquire the operation's timestamp,
-/// run the linearization point, and finalize every pending entry with that
-/// timestamp.
-pub fn finalize_update<T, F: FnOnce()>(
-    clock: &GlobalTimestamp,
-    tid: usize,
-    pending: Vec<PendingEntry<T>>,
-    lin: F,
-) -> u64 {
-    let ts = clock.advance(tid);
-    lin();
-    for entry in pending {
-        entry.finalize(ts);
-    }
-    ts
-}
-
 /// Linearize an update operation of a bundled data structure.
 ///
 /// The four steps of Algorithm 1:
@@ -113,15 +83,29 @@ pub fn finalize_update<T, F: FnOnce()>(
 /// prepared a bundle is the one that finalizes it.
 ///
 /// Returns the timestamp assigned to the update.
+///
+/// Allocates only what [`Bundle::prepare`] does (the displaced head's chain
+/// entry): the operation finalizes through [`Bundle::finalize`], so no
+/// owner token outlives its `prepare`. Updates that span structures carry
+/// their [`crate::PendingEntry`] tokens in a [`crate::TwoPhaseState`]
+/// instead — prepare everywhere, advance the clock once, finalize all.
 pub fn linearize_update<T, F: FnOnce()>(
     clock: &GlobalTimestamp,
     tid: usize,
     bundles: &[(&Bundle<T>, *mut T)],
     lin: F,
 ) -> u64 {
-    // Step 1: install pending entries. Steps 2-4: acquire the operation's
-    // timestamp, run the linearization point, finalize every entry.
-    finalize_update(clock, tid, prepare_update(bundles), lin)
+    for (bundle, ptr) in bundles {
+        // The token is only a handle on `bundle`, which step 4 reaches
+        // through the slice.
+        let _ = bundle.prepare(*ptr);
+    }
+    let ts = clock.advance(tid);
+    lin();
+    for (bundle, _) in bundles {
+        bundle.finalize(ts);
+    }
+    ts
 }
 
 #[cfg(test)]
@@ -174,9 +158,11 @@ mod tests {
         let p1 = Box::into_raw(Box::new(1u64));
         let p2 = Box::into_raw(Box::new(2u64));
 
-        let mut pending = prepare_update(&[(&b1, p1)]);
-        pending.extend(prepare_update(&[(&b2, p2)]));
-        let ts = finalize_update(&clock, 0, pending, || {});
+        let pending = [b1.prepare(p1), b2.prepare(p2)];
+        let ts = clock.advance(0);
+        for entry in pending {
+            entry.finalize(ts);
+        }
         assert_eq!(ts, 1);
         assert_eq!(b1.dereference(ts), Some(p1));
         assert_eq!(b2.dereference(ts), Some(p2));
@@ -196,10 +182,7 @@ mod tests {
         let old = Box::into_raw(Box::new(0u64));
         b.init(old, 0);
         let p = Box::into_raw(Box::new(1u64));
-        let pending = prepare_update(&[(&b, p)]);
-        for e in pending {
-            e.abort();
-        }
+        b.prepare(p).abort();
         // The clock never advanced and the bundle resolves as before.
         assert_eq!(clock.read(), 0);
         assert_eq!(b.dereference(0), Some(old));

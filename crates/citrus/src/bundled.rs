@@ -1,5 +1,6 @@
 //! The bundled Citrus-style binary search tree (§6).
 
+use std::mem::size_of;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
@@ -8,15 +9,13 @@ use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor, RqContext,
-    ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
+    linearize_update, prefetch_read, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor,
+    RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
+use crate::warm::warm_range;
 use crate::{LEFT, RIGHT};
-
-/// Pending bundle updates of one operation: `(bundle, new link value)`.
-type BundleUpdates<'a, K, V> = Vec<(&'a Bundle<Node<K, V>>, *mut Node<K, V>)>;
 
 /// A tree node (private fields; public only as [`TwoPhase::Node`]).
 pub struct Node<K, V> {
@@ -603,6 +602,15 @@ where
     /// descent is all it takes; the linearizability oracle saw it in ~6% of
     /// oversubscribed runs.) The chains have no such case: a link's
     /// position is its two neighbours.
+    ///
+    /// So the newest pointers may not be **followed** to a result — not to
+    /// an entry point, not to a key. They may still be **prefetched**: the
+    /// warm pass at the top of [`Self::collect_snapshot_at`] runs over
+    /// exactly those pointers, and is sound because it decides nothing.
+    /// Where the newest layout and the snapshot's differ it warms lines the
+    /// walk will not read and leaves cold some it will; the walk, which
+    /// takes every hop through [`Bundle::dereference`], neither knows nor
+    /// cares. Deleting the pass changes no outcome.
     fn try_collect_at(
         &self,
         ts: u64,
@@ -614,7 +622,22 @@ where
         Some(())
     }
 
+    /// A hint-only breadth-first prefetch of the range's subtree over the
+    /// newest pointers (`warm_range`), then the walk proper: from the
+    /// sentinel, every hop through a bundle (`walk_at`).
     fn collect_snapshot_at(&self, ts: u64, low: &K, high: &K, visit: impl FnMut(*mut Node<K, V>)) {
+        let newest = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
+        warm_range(newest, low, high, |p| {
+            // SAFETY: the caller's EBR pin keeps every node reached over
+            // child pointers allocated, as in `Self::search`; `key` is
+            // immutable and the links are atomics.
+            let n = unsafe { &*p };
+            (
+                n.key,
+                n.child[LEFT].load(Ordering::Acquire),
+                n.child[RIGHT].load(Ordering::Acquire),
+            )
+        });
         let entry = unsafe { &*self.root }.bundle[LEFT]
             .dereference(ts)
             .expect("root bundle must satisfy an announced snapshot");
@@ -623,16 +646,21 @@ where
     }
 
     fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
-        let mut stack = vec![self.root];
+        let mut stack: InlineStack<_, WALK_STACK_INLINE> = InlineStack::new();
+        stack.push(self.root);
         while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
-            }
             let node = unsafe { &*p };
             f(&node.bundle[LEFT]);
             f(&node.bundle[RIGHT]);
-            stack.push(node.child[LEFT].load(Ordering::Acquire));
-            stack.push(node.child[RIGHT].load(Ordering::Acquire));
+            for link in &node.child {
+                let child = link.load(Ordering::Acquire);
+                if !child.is_null() {
+                    // The sibling waits on the stack while the other
+                    // subtree is visited: start its miss now.
+                    prefetch_read(child, size_of::<Node<K, V>>());
+                    stack.push(child);
+                }
+            }
         }
     }
 
@@ -1309,16 +1337,16 @@ where
             new_ref.child[LEFT].store(left, Ordering::Relaxed);
             new_ref.child[RIGHT].store(new_right, Ordering::Relaxed);
 
-            let mut bundles: BundleUpdates<'_, K, V> = vec![
+            let bundles = [
                 (&new_ref.bundle[LEFT], left),
                 (&new_ref.bundle[RIGHT], new_right),
                 (&pred_ref.bundle[dir], new_node),
+                (&sp_ref.bundle[LEFT], succ_right),
             ];
-            if succ != right {
-                // The successor is physically moved out of its old slot.
-                bundles.push((&sp_ref.bundle[LEFT], succ_right));
-            }
-            linearize_update(self.ctx.clock(), tid, &bundles, || {
+            // The last one only when the successor is physically moved out
+            // of its old slot.
+            let bundles = &bundles[..if succ != right { 4 } else { 3 }];
+            linearize_update(self.ctx.clock(), tid, bundles, || {
                 curr_ref.marked.store(true, Ordering::SeqCst);
                 succ_ref.marked.store(true, Ordering::SeqCst);
                 pred_ref.child[dir].store(new_node, Ordering::SeqCst);
@@ -1473,18 +1501,25 @@ mod tests {
 
     /// Snapshot reads come out of the in-order walk already sorted: while
     /// a writer keeps relocating successors (two-children removes) through
-    /// the range, every fixed-timestamp read must be strictly ascending as
-    /// returned, and hold every key the writer never touches.
+    /// the range and a third thread stages removes only to abort them,
+    /// every fixed-timestamp read must be strictly ascending as returned,
+    /// and hold every key the writer never touches. The reads alternate
+    /// between a range whose subtree fits the warm pass's frontier and the
+    /// whole tree, whose lower levels overflow it: under
+    /// `ReclaimMode::Reclaim` the pass runs over nodes that are being
+    /// unlinked, put back and freed around it, and must change nothing.
     #[test]
     fn snapshot_reads_are_ascending_as_walked_under_relocating_removes() {
-        const KEYS: u64 = 256;
+        const KEYS: u64 = 4096;
+        // Balanced, so the whole tree's widest level is KEYS / 2 nodes.
+        const _: () = assert!(KEYS as usize / 2 > crate::warm::FRONTIER);
         // The writer runs at least MIN_ROUNDS, and on until the readers have
         // checked MIN_READS snapshots (or, should one have died, MAX_ROUNDS).
-        const MIN_ROUNDS: usize = 30;
-        const MAX_ROUNDS: usize = 3_000;
+        const MIN_ROUNDS: usize = 4;
+        const MAX_ROUNDS: usize = 400;
         const MIN_READS: usize = 200;
-        let ctx = bundle::RqContext::new(3);
-        let t = Tree::with_context(3, ReclaimMode::Reclaim, &ctx);
+        let ctx = bundle::RqContext::new(4);
+        let t = Tree::with_context(4, ReclaimMode::Reclaim, &ctx);
         // Midpoints first: a balanced tree, every inner node has two
         // children.
         let mut order = Vec::new();
@@ -1507,39 +1542,62 @@ mod tests {
         let toggled = |k: u64| k % 4 != 1;
         order.retain(|k| toggled(*k));
         order.sort_by_key(|k| k % 4 != 3);
-        let (low, high) = (40u64, 215u64);
-        let stable = (low..=high).filter(|k| !toggled(*k)).count();
+        let ranges = [(40u64, 215u64), (0, KEYS - 1)];
         let reads = std::sync::atomic::AtomicUsize::new(0);
         let done = AtomicBool::new(false);
-        let check = |keys: &mut dyn Iterator<Item = u64>| {
+        let check = |(low, high): (u64, u64), keys: &mut dyn Iterator<Item = u64>| {
             let keys: Vec<u64> = keys.collect();
             assert!(
                 keys.windows(2).all(|w| w[0] < w[1]),
                 "not ascending: {keys:?}"
             );
             assert!(keys.iter().all(|k| (low..=high).contains(k)));
-            assert_eq!(keys.iter().filter(|k| !toggled(**k)).count(), stable);
+            assert_eq!(
+                keys.iter().filter(|k| !toggled(**k)).count(),
+                (low..=high).filter(|k| !toggled(*k)).count()
+            );
             reads.fetch_add(1, Ordering::Relaxed);
         };
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut out = Vec::new();
-                while !done.load(Ordering::Acquire) {
+                for &(low, high) in ranges.iter().cycle() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                     let _guard = t.pin(1);
                     let ts = ctx.start_rq(1);
                     t.range_query_at(1, ts, &low, &high, &mut out);
                     ctx.finish_rq(1);
-                    check(&mut out.iter().map(|e| e.0));
+                    check((low, high), &mut out.iter().map(|e| e.0));
                 }
             });
             s.spawn(|| {
                 let (mut out, mut nodes) = (Vec::new(), Vec::new());
-                while !done.load(Ordering::Acquire) {
+                for &(low, high) in ranges.iter().cycle() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                     let _guard = t.pin(2);
                     let lease = ctx.lease_read(2);
                     t.txn_range_read(2, lease.ts(), &low, &high, &mut out, &mut nodes);
                     assert!(out.iter().map(|e| e.0).eq(nodes.iter().map(|n| n.0)));
-                    check(&mut nodes.iter().map(|n| n.0));
+                    check((low, high), &mut nodes.iter().map(|n| n.0));
+                }
+            });
+            // Stage the remove of a key the writer never touches (in this
+            // tree an inner node: the remove splices or relocates, under a
+            // gap pin) and abort it: the key must not flicker, and the
+            // revert puts nodes back under the readers' warm passes.
+            s.spawn(|| {
+                for k in (0..KEYS).filter(|k| !toggled(*k)).cycle() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut cur = t.txn_cursor(t.txn_begin_write_only(3));
+                    // A lost lock race stages nothing; the abort is the same.
+                    let _ = cur.seek_prepare_remove(&k);
+                    t.txn_abort(cur.finish());
                 }
             });
             let mut rounds = 0;

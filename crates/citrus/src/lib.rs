@@ -11,11 +11,15 @@
 //! * [`BundledCitrusTree`] — every child link is a bundled reference; range
 //!   queries perform an in-order traversal of the snapshot subtree using
 //!   only bundle dereferences (§6), so results come out in key order.
+//!   Ahead of that traversal a hint-only pass (the private `warm` module)
+//!   prefetches the range's subtree breadth-first, so the walk's cache
+//!   misses overlap instead of queueing up one behind the other.
 //! * [`UnsafeCitrusTree`] — the `Unsafe` baseline: same primitive
 //!   operations, non-linearizable in-order range scan.
 
 mod bundled;
 mod unsafe_rq;
+mod warm;
 
 pub use bundled::{BundledCitrusTree, ShardCursor};
 pub use unsafe_rq::UnsafeCitrusTree;

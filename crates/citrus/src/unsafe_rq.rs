@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 use bundle::api::{ConcurrentSet, RangeQuerySet};
 use ebr::{Collector, Guard, ReclaimMode};
 
+use crate::warm::warm_range;
 use crate::{LEFT, RIGHT};
 
 struct Node<K, V> {
@@ -265,14 +266,25 @@ where
     V: Clone + Send + Sync,
 {
     /// Non-linearizable in-order walk over the current pointers — the
-    /// traversal of the bundled tree's snapshot walk minus the bundles, so
-    /// the two differ by exactly what bundling costs.
+    /// traversal of the bundled tree's snapshot walk minus the bundles,
+    /// behind the same warm pass, so the two differ by exactly what
+    /// bundling costs.
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
         let _guard = self.pin(tid);
         out.clear();
         // Same ancestor-stack capacity as the bundled tree's walk.
         let mut stack = Vec::with_capacity(64);
         let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
+        warm_range(curr, low, high, |p| {
+            // SAFETY: pinned above, so every node reached over child
+            // pointers stays allocated, as in `Self::search`.
+            let n = unsafe { &*p };
+            (
+                n.key,
+                n.child[LEFT].load(Ordering::Acquire),
+                n.child[RIGHT].load(Ordering::Acquire),
+            )
+        });
         loop {
             while !curr.is_null() {
                 let node = unsafe { &*curr };

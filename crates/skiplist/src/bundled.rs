@@ -10,8 +10,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, PrepareCursor, Recycler,
-    RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, InlineStack, PrepareCursor,
+    Recycler, RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Collector, Guard, ReclaimMode};
 
@@ -257,25 +257,28 @@ where
     }
 
     /// Lock `preds[0..=top]`, skipping duplicates, and validate that every
-    /// level still links `pred -> succ` with both unmarked. Returns the
-    /// guards on success (dropping them releases the locks).
+    /// level still links `pred -> succ` with both unmarked. The locks taken
+    /// go into `guards` (dropping it releases them), whatever the verdict.
+    /// One guard per distinct predecessor, `top + 1 <= MAX_LEVEL` at most:
+    /// the stack never spills and — filled in place, not returned — is
+    /// never copied, so a primitive update takes its locks without
+    /// allocating.
     fn lock_and_validate<'a>(
         &self,
         preds: &[*mut Node<K, V>; MAX_LEVEL],
         succs: &[*mut Node<K, V>; MAX_LEVEL],
         top: usize,
         expect_succ: Option<*mut Node<K, V>>,
-    ) -> Option<Vec<MutexGuard<'a, ()>>> {
-        let mut guards: Vec<MutexGuard<'_, ()>> = Vec::with_capacity(top + 1);
+        guards: &mut InlineStack<MutexGuard<'a, ()>, MAX_LEVEL>,
+    ) -> bool {
         let mut prev: *mut Node<K, V> = ptr::null_mut();
-        let mut valid = true;
         for lvl in 0..=top {
             let pred = preds[lvl];
             let succ = expect_succ.unwrap_or(succs[lvl]);
             if pred != prev {
                 // Safety: the node is reachable (we hold an EBR guard) and
                 // stays allocated while the guard is live, so the lock
-                // outlives the returned guards.
+                // outlives the guards.
                 let lock: MutexGuard<'a, ()> = unsafe { &*pred }.lock.lock();
                 guards.push(lock);
                 prev = pred;
@@ -295,19 +298,15 @@ where
             // finalize its own entry with a larger timestamp, reordering
             // history so snapshots resurrect our removed successor (a
             // use-after-free once the successor's memory is reclaimed).
-            valid = !p.marked.load(Ordering::Acquire)
+            let valid = !p.marked.load(Ordering::Acquire)
                 && p.fully_linked.load(Ordering::Acquire)
                 && !s_marked
                 && p.next[lvl].load(Ordering::Acquire) == succ;
             if !valid {
-                break;
+                return false;
             }
         }
-        if valid {
-            Some(guards)
-        } else {
-            None
-        }
+        true
     }
 
     /// Transaction-aware variant of `lock_and_validate`: skips locks the
@@ -935,10 +934,10 @@ where
                 // Found but being removed: retry.
                 continue;
             }
-            let guards = match self.lock_and_validate(&preds, &succs, top, None) {
-                Some(g) => g,
-                None => continue,
-            };
+            let mut guards = InlineStack::new();
+            if !self.lock_and_validate(&preds, &succs, top, None, &mut guards) {
+                continue;
+            }
             let node = Node::new(key, Some(value), top);
             let node_ref = unsafe { &*node };
             for (lvl, &succ) in succs.iter().enumerate().take(top + 1) {
@@ -987,13 +986,12 @@ where
             if v.marked.load(Ordering::Acquire) {
                 return false;
             }
-            let guards = match self.lock_and_validate(&preds, &succs, top, Some(victim)) {
-                Some(g) => g,
-                None => {
-                    drop(victim_lock);
-                    continue;
-                }
-            };
+            let mut guards = InlineStack::new();
+            if !self.lock_and_validate(&preds, &succs, top, Some(victim), &mut guards) {
+                drop(guards);
+                drop(victim_lock);
+                continue;
+            }
             // Only the data-layer predecessor's bundle changes; the victim's
             // own bundle keeps describing the pre-removal physical state.
             let bundles = [(

@@ -8,49 +8,13 @@
 //! The transaction is the benchmark's `txn_contended` transfer: 4 `get`,
 //! one 16-key `range`, 4 `set`, `commit`, on a 4-shard Citrus store.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::sync::Arc;
 
 use bundled_refs::store::{uniform_splits, CitrusStore, TxnAborted, TxnOp};
 use bundled_refs::txn::StoreTxnExt;
-
-struct Counting;
-
-thread_local! {
-    static MINE: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: allocations during thread teardown find the slot gone.
-    let _ = MINE.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: defers every request unchanged to `System`; the counter touches
-// no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Allocations (and reallocations) this thread made while running `f`.
-fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = MINE.with(Cell::get);
-    let r = f();
-    (MINE.with(Cell::get) - before, r)
-}
+use common::allocs_in;
 
 const KEY_RANGE: u64 = 4_000;
 const HOT: u64 = 40;
