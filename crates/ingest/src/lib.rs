@@ -165,18 +165,7 @@ struct IngestObs {
 }
 
 impl IngestObs {
-    fn new(
-        registry: &obs::MetricsRegistry,
-        trace: Option<Arc<obs::TraceRecorder>>,
-        queue_bound: usize,
-    ) -> Self {
-        // The configured per-shard ring bound, exported so a scraper —
-        // or an `SloPolicy`'s queue-saturation check — can judge
-        // `ingest.depth` against the actual limit. Set once here; the
-        // gauge lives on in the registry.
-        registry
-            .gauge("ingest.max_queue_depth")
-            .set(queue_bound as i64);
+    fn new(registry: &obs::MetricsRegistry, trace: Option<Arc<obs::TraceRecorder>>) -> Self {
         IngestObs {
             queue_depth: registry.histogram("ingest.queue_depth"),
             group_size: registry.histogram("ingest.group_size"),
@@ -468,7 +457,7 @@ where
             linger: cfg.linger,
             obs: store
                 .obs_registry()
-                .map(|r| IngestObs::new(r, store.obs_trace().cloned(), cfg.max_queue_depth)),
+                .map(|r| IngestObs::new(r, store.obs_trace().cloned())),
             groups: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             ops: AtomicU64::new(0),

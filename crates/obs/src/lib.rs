@@ -1,11 +1,15 @@
-//! # obs — unified low-overhead metrics for the bundled-refs stack
+//! # obs — low-overhead metrics and a flight recorder for the bundled-refs stack
 //!
-//! Every layer of the store (commit pipeline, ingest front-end, cursors,
-//! EBR, the range-query tracker) produces performance signals, but until
-//! this crate they lived in disconnected ad-hoc structs with no
-//! latencies, no per-shard breakdown, and no single export surface. This
-//! crate is that surface: a [`MetricsRegistry`] hands out three
-//! instrument kinds and renders one consistent [`MetricsSnapshot`]:
+//! Two pieces, both recorded into by `store`, `ingest` and `wal` and read
+//! by their tests and by `benchmark/`'s panel:
+//!
+//! * a [`MetricsRegistry`] that hands out three instrument kinds and
+//!   reads them all into one consistent [`MetricsSnapshot`];
+//! * the flight recorder ([`trace`]): per-thread rings of compact events
+//!   plus anomaly snapshots of their merged tail, for "what happened
+//!   around *this* abort".
+//!
+//! The instruments:
 //!
 //! * [`Counter`] — monotonic event count, **thread-striped** (each
 //!   recording thread lands on its own cache line, so hot-path
@@ -48,14 +52,8 @@
 
 #![deny(missing_docs)]
 
-pub mod export;
-pub mod health;
-pub mod timeseries;
 pub mod trace;
 
-pub use export::{ExportServer, ExportSources};
-pub use health::{HealthCheck, HealthLevel, HealthMonitor, HealthReport, SloPolicy};
-pub use timeseries::{SkewReport, TimeseriesSampler, Window, WindowsReader};
 pub use trace::{AnomalyCause, AnomalySnapshot, TraceEvent, TraceKind, TraceRecorder};
 
 use std::collections::BTreeMap;
@@ -211,11 +209,9 @@ fn bucket_index(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
-/// Inclusive upper bound of bucket `i` (what quantiles report, and what
-/// the Prometheus exposition in [`export`] uses as `le` bounds).
+/// Inclusive upper bound of bucket `i` (what quantiles report).
 #[inline]
-#[must_use]
-pub fn bucket_bound(i: usize) -> u64 {
+fn bucket_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         _ if i >= BUCKETS - 1 => u64::MAX,
@@ -294,9 +290,8 @@ impl HistogramSummary {
 
     /// Mean sample.
     ///
-    /// **Empty-histogram contract** (`count == 0`, e.g. a per-window
-    /// delta with no samples): returns exactly `0.0` — never `NaN` —
-    /// so flattened snapshots and JSON exports stay finite.
+    /// **Empty-histogram contract** (`count == 0`): returns exactly
+    /// `0.0`, never `NaN`.
     #[must_use]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -306,30 +301,11 @@ impl HistogramSummary {
         }
     }
 
-    /// This summary minus an `earlier` one of the same histogram
-    /// (per-bucket, count, and sum subtraction; saturating, so a
-    /// mismatched pair degrades to zeros instead of wrapping). The
-    /// result is itself a valid summary — the per-window shape
-    /// [`MetricsSnapshot::delta`] produces.
-    #[must_use]
-    pub fn delta(&self, earlier: &HistogramSummary) -> HistogramSummary {
-        let mut buckets = [0u64; BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSummary {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets,
-        }
-    }
-
     /// Upper bound of the bucket containing quantile `q` (in `0.0..=1.0`).
     /// Power-of-two buckets bound the answer within 2×.
     ///
     /// **Empty-histogram contract** (`bucket_total() == 0`): returns
-    /// exactly `0`, for any `q` — empty per-window deltas flatten to
-    /// all-zero quantiles, never garbage.
+    /// exactly `0`, for any `q`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.bucket_total();
@@ -345,15 +321,6 @@ impl HistogramSummary {
             }
         }
         bucket_bound(BUCKETS - 1)
-    }
-
-    /// Upper bound of the highest non-empty bucket (`0` when empty).
-    #[must_use]
-    pub fn max_bound(&self) -> u64 {
-        self.buckets
-            .iter()
-            .rposition(|&b| b > 0)
-            .map_or(0, bucket_bound)
     }
 }
 
@@ -396,89 +363,6 @@ impl MetricsSnapshot {
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| &self.entries[i].1)
-    }
-
-    /// This snapshot minus an `earlier` one of the same registry — the
-    /// per-window shape the [`timeseries`] sampler (and any before/after
-    /// panel) works in. Counters and histograms subtract (saturating);
-    /// **gauges pass through** at their current level (a level has no
-    /// meaningful difference over a window). Entries only present here
-    /// pass through whole (instruments registered mid-run start from
-    /// zero); entries only present in `earlier` are dropped.
-    #[must_use]
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|(name, v)| {
-                    let d = match (v, earlier.get(name)) {
-                        (SnapshotValue::Counter(c), Some(SnapshotValue::Counter(e))) => {
-                            SnapshotValue::Counter(c.saturating_sub(*e))
-                        }
-                        (SnapshotValue::Histogram(h), Some(SnapshotValue::Histogram(e))) => {
-                            SnapshotValue::Histogram(h.delta(e))
-                        }
-                        // Gauges, new instruments, kind mismatches.
-                        _ => v.clone(),
-                    };
-                    (name.clone(), d)
-                })
-                .collect(),
-        }
-    }
-
-    /// Flatten into `(name, value)` float metrics, each name prefixed
-    /// with `prefix`. Counters and gauges emit one metric; a histogram
-    /// emits `.count`, `.sum`, `.mean`, `.p50`, `.p90`, `.p99`, `.max`.
-    #[must_use]
-    pub fn flatten(&self, prefix: &str) -> Vec<(String, f64)> {
-        let mut out = Vec::with_capacity(self.entries.len() * 2);
-        for (name, v) in &self.entries {
-            match v {
-                SnapshotValue::Counter(c) => out.push((format!("{prefix}{name}"), *c as f64)),
-                SnapshotValue::Gauge(g) => out.push((format!("{prefix}{name}"), *g as f64)),
-                SnapshotValue::Histogram(h) => {
-                    out.push((format!("{prefix}{name}.count"), h.count as f64));
-                    out.push((format!("{prefix}{name}.sum"), h.sum as f64));
-                    out.push((format!("{prefix}{name}.mean"), h.mean()));
-                    out.push((format!("{prefix}{name}.p50"), h.quantile(0.50) as f64));
-                    out.push((format!("{prefix}{name}.p90"), h.quantile(0.90) as f64));
-                    out.push((format!("{prefix}{name}.p99"), h.quantile(0.99) as f64));
-                    out.push((format!("{prefix}{name}.max"), h.max_bound() as f64));
-                }
-            }
-        }
-        out
-    }
-
-    /// Render a human-readable table (one instrument per line;
-    /// histograms show count / mean / p50 / p99 / max).
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, v) in &self.entries {
-            match v {
-                SnapshotValue::Counter(c) => {
-                    out.push_str(&format!("{name:width$}  counter {c}\n"));
-                }
-                SnapshotValue::Gauge(g) => {
-                    out.push_str(&format!("{name:width$}  gauge   {g}\n"));
-                }
-                SnapshotValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{name:width$}  hist    count={} mean={:.1} p50<={} p99<={} max<={}\n",
-                        h.count,
-                        h.mean(),
-                        h.quantile(0.50),
-                        h.quantile(0.99),
-                        h.max_bound()
-                    ));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -639,8 +523,7 @@ mod tests {
         assert!((s.mean() - 116.0 / 6.0).abs() < 1e-9);
         assert_eq!(s.quantile(0.0), 1, "min lands in bucket [1,1]");
         assert!(s.quantile(0.5) >= 2);
-        assert!(s.max_bound() >= 100);
-        assert!(s.quantile(1.0) == s.max_bound());
+        assert_eq!(s.quantile(1.0), 127, "max lands in bucket [64,127]");
     }
 
     #[test]
@@ -767,9 +650,8 @@ mod tests {
         assert_eq!(s.bucket_total(), written);
     }
 
-    /// Satellite: `count == 0` summaries (fresh histograms and empty
-    /// per-window deltas) must report exact zeros from every accessor —
-    /// no NaN, no garbage bounds — so JSON exports stay finite.
+    /// Satellite: `count == 0` summaries must report exact zeros from
+    /// every accessor — no NaN, no garbage bounds.
     #[test]
     fn empty_histogram_semantics_are_defined() {
         let empty = HistogramSummary {
@@ -782,79 +664,107 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(empty.quantile(q), 0, "q={q}");
         }
-        assert_eq!(empty.max_bound(), 0);
         assert_eq!(empty.bucket_total(), 0);
-        // A delta of one histogram with itself is empty with the same
-        // guarantees.
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("h");
-        h.record(0, 500);
+        assert_eq!(MetricsRegistry::new().histogram("h").summary(), empty);
+    }
+
+    #[test]
+    fn every_power_of_two_opens_a_new_bucket() {
+        for i in 1..BUCKETS - 1 {
+            let (lo, hi) = (1 << (i - 1), (1 << i) - 1);
+            assert_eq!([bucket_index(lo), bucket_index(hi)], [i, i]);
+            assert_eq!(bucket_bound(i), hi);
+        }
+        assert_eq!(bucket_index(1 << 62), BUCKETS - 1);
+    }
+
+    #[test]
+    fn counter_stripes_wrap_by_tid_and_sum_exactly() {
+        let c = MetricsRegistry::new().counter("c");
+        (0..64).for_each(|tid| c.add(tid, tid as u64 + 1));
+        assert_eq!(c.value(), 64 * 65 / 2);
+        // Stripe 0 is shared by tids 0, 16, 32 and 48.
+        assert_eq!(c.core.cells[0].0.load(Ordering::Relaxed), 1 + 17 + 33 + 49);
+    }
+
+    #[test]
+    fn gauge_set_overrides_and_add_goes_negative() {
+        let g = MetricsRegistry::new().gauge("g");
+        g.add(5);
+        g.add(-12);
+        assert_eq!(g.value(), -7);
+        g.set(3);
+        assert_eq!(g.value(), 3);
+    }
+
+    #[test]
+    fn histogram_edge_samples_land_in_edge_buckets() {
+        let h = MetricsRegistry::new().histogram("h");
+        h.record(0, 0);
+        h.record(1, u64::MAX);
         let s = h.summary();
-        let d = s.delta(&s);
-        assert_eq!(d.count, 0);
-        assert_eq!(d.mean(), 0.0);
-        assert_eq!(d.quantile(0.99), 0);
+        assert_eq!([s.buckets[0], s.buckets[BUCKETS - 1]], [1, 1]);
+        assert_eq!([s.quantile(0.5), s.quantile(1.0)], [0, u64::MAX]);
     }
 
-    /// Satellite: snapshot deltas subtract counters and histograms and
-    /// pass gauges through.
+    /// `quantile(q)` is the bound of the bucket holding the
+    /// `ceil(q · n)`-th smallest sample, with `q` clamped to `[0, 1]`.
     #[test]
-    fn snapshot_delta_subtracts_counts_and_passes_gauges() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
-        c.add(0, 5);
-        g.set(10);
-        h.record(0, 8);
-        let earlier = reg.snapshot();
-        c.add(0, 3);
-        g.set(-2);
-        h.record(0, 8);
-        h.record(0, 100);
-        let late = reg.counter("late");
-        late.add(0, 7);
-        let d = reg.snapshot().delta(&earlier);
-        assert_eq!(d.get("c"), Some(&SnapshotValue::Counter(3)));
-        assert_eq!(d.get("g"), Some(&SnapshotValue::Gauge(-2)), "pass-through");
-        match d.get("h") {
-            Some(SnapshotValue::Histogram(s)) => {
-                assert_eq!(s.count, 2);
-                assert_eq!(s.sum, 108);
-                assert_eq!(s.bucket_total(), 2);
-                assert!(s.max_bound() >= 100);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        // Registered after the base snapshot: passes through whole.
-        assert_eq!(d.get("late"), Some(&SnapshotValue::Counter(7)));
-        // Deltas flatten finitely even when a histogram delta is empty.
-        let empty_delta = reg.snapshot().delta(&reg.snapshot());
-        for (name, v) in empty_delta.flatten("") {
-            assert!(v.is_finite(), "{name} not finite");
+    fn quantile_reports_the_bucket_of_the_ranked_sample() {
+        let h = MetricsRegistry::new().histogram("h");
+        (1..=1000u64).for_each(|v| h.record(0, v));
+        let s = h.summary();
+        assert_eq!([s.quantile(-1.0), s.quantile(2.0)], [1, 1023]);
+        for q in (0..=100).map(|pct| f64::from(pct) / 100.0) {
+            let rank = ((q * 1000.0).ceil() as u64).max(1);
+            assert_eq!(s.quantile(q), bucket_bound(bucket_index(rank)), "q={q}");
         }
     }
 
     #[test]
-    fn flatten_and_table_cover_every_kind() {
+    fn snapshot_is_a_sorted_copy() {
         let reg = MetricsRegistry::new();
-        reg.counter("a.ops").add(0, 3);
-        reg.gauge("b.depth").set(9);
-        let h = reg.histogram("c.lat_ns");
-        h.record(0, 1000);
+        for name in ["store.shard2.ops", "b", "store.shard10.ops", "a"] {
+            reg.counter(name).incr(0);
+        }
         let snap = reg.snapshot();
-        let flat = snap.flatten("obs.");
-        let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"obs.a.ops"));
-        assert!(names.contains(&"obs.b.depth"));
-        for suffix in ["count", "sum", "mean", "p50", "p90", "p99", "max"] {
-            let want = format!("obs.c.lat_ns.{suffix}");
-            assert!(names.contains(&want.as_str()), "missing {want}");
+        reg.counter("a").incr(0);
+        let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", "store.shard10.ops", "store.shard2.ops"]);
+        assert_eq!(snap.get("a"), Some(&SnapshotValue::Counter(1)));
+    }
+
+    #[test]
+    fn registry_clones_share_one_name_table() {
+        let reg = MetricsRegistry::default();
+        reg.clone().counter("x").incr(3);
+        assert_eq!(reg.snapshot().get("x"), Some(&SnapshotValue::Counter(1)));
+    }
+
+    #[test]
+    fn histogram_stripes_merge_into_one_summary() {
+        let h = MetricsRegistry::new().histogram("h");
+        let mut want = MetricsRegistry::new().histogram("h").summary();
+        for v in (0..40u64).map(|tid| tid * tid * 37) {
+            h.record(v as usize, v);
+            (want.count, want.sum) = (want.count + 1, want.sum + v);
+            want.buckets[bucket_index(v)] += 1;
         }
-        let table = snap.render_table();
-        assert!(table.contains("a.ops"));
-        assert!(table.contains("counter 3"));
-        assert!(table.contains("gauge   9"));
-        assert!(table.contains("hist"));
+        assert_eq!(h.summary(), want);
+    }
+
+    #[test]
+    fn disabled_histogram_allocates_no_stripes() {
+        let (off, on) = (MetricsRegistry::disabled(), MetricsRegistry::new());
+        assert_eq!(off.histogram("h").core.stripes.len(), 0);
+        assert_eq!(on.histogram("h").core.stripes.len(), STRIPES);
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn histogram_name_reused_as_a_counter_panics() {
+        let reg = MetricsRegistry::new();
+        let _ = reg.histogram("x");
+        let _ = reg.counter("x");
     }
 }

@@ -92,31 +92,9 @@ pub enum TraceKind {
     /// A bounded ingest queue rejected a submission. `shard` is the full
     /// queue's shard; `payload` the rejected op count.
     QueueFull = 8,
-    /// A health check changed level (see `obs::health`). `shard` carries
-    /// the check index ([`HealthCheck`](crate::health::HealthCheck) as
-    /// `u32`); `payload` the new [`HealthLevel`](crate::health::HealthLevel)
-    /// as `u64` (0 = ok, 1 = warn, 2 = critical).
-    HealthTransition = 9,
 }
 
 impl TraceKind {
-    /// Stable lowercase name (the `kind` field of the JSON dump).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::StageBegin => "stage_begin",
-            TraceKind::StageEnd => "stage_end",
-            TraceKind::Conflict => "conflict",
-            TraceKind::AbortInvalidated => "abort_invalidated",
-            TraceKind::RwRetry => "rw_retry",
-            TraceKind::GroupPublish => "group_publish",
-            TraceKind::LingerFill => "linger_fill",
-            TraceKind::DrainScoop => "drain_scoop",
-            TraceKind::QueueFull => "queue_full",
-            TraceKind::HealthTransition => "health_transition",
-        }
-    }
-
     fn from_u8(v: u8) -> Option<TraceKind> {
         Some(match v {
             0 => TraceKind::StageBegin,
@@ -128,7 +106,6 @@ impl TraceKind {
             6 => TraceKind::LingerFill,
             7 => TraceKind::DrainScoop,
             8 => TraceKind::QueueFull,
-            9 => TraceKind::HealthTransition,
             _ => return None,
         })
     }
@@ -152,27 +129,6 @@ pub struct TraceEvent {
     pub payload: u64,
 }
 
-impl TraceEvent {
-    /// Render as one JSON-lines object (hand-rolled; every field is
-    /// numeric or a fixed identifier, so no escaping is needed).
-    #[must_use]
-    pub fn json_line(&self) -> String {
-        // NO_SHARD renders as -1 so consumers need no sentinel constant.
-        let shard = if self.shard == NO_SHARD {
-            -1
-        } else {
-            i64::from(self.shard)
-        };
-        format!(
-            "{{\"ts_ns\":{},\"tid\":{},\"kind\":\"{}\",\"shard\":{shard},\"payload\":{}}}",
-            self.ts_ns,
-            self.tid,
-            self.kind.as_str(),
-            self.payload
-        )
-    }
-}
-
 /// Why an anomaly snapshot was captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyCause {
@@ -184,22 +140,6 @@ pub enum AnomalyCause {
     ConflictBurst,
     /// A bounded ingest queue rejected a submission.
     QueueFull,
-    /// A health check escalated to `critical` (an SLO breach sustained
-    /// past the policy's hysteresis — see `obs::health`).
-    SloViolation,
-}
-
-impl AnomalyCause {
-    /// Stable lowercase name (the `cause` field of the JSON dump).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AnomalyCause::InvalidatedAbort => "invalidated_abort",
-            AnomalyCause::ConflictBurst => "conflict_burst",
-            AnomalyCause::QueueFull => "queue_full",
-            AnomalyCause::SloViolation => "slo_violation",
-        }
-    }
 }
 
 /// The last-[`ANOMALY_TAIL`] merged events at the moment an anomaly was
@@ -438,38 +378,6 @@ impl TraceRecorder {
     pub fn anomaly_total(&self) -> u64 {
         self.anomaly_total.load(Ordering::Relaxed)
     }
-
-    /// Write the merged dump plus every retained anomaly snapshot as
-    /// JSON lines: `{"type":"event",...}` per event, then one
-    /// `{"type":"anomaly",...}` header per snapshot followed by its tail
-    /// as `{"type":"anomaly_event","anomaly":<i>,...}` lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_dump<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        for ev in self.dump() {
-            writeln!(w, "{{\"type\":\"event\",{}", &ev.json_line()[1..])?;
-        }
-        for (i, a) in self.anomalies().iter().enumerate() {
-            writeln!(
-                w,
-                "{{\"type\":\"anomaly\",\"cause\":\"{}\",\"tid\":{},\"at_ns\":{},\"tail_len\":{}}}",
-                a.cause.as_str(),
-                a.tid,
-                a.at_ns,
-                a.events.len()
-            )?;
-            for ev in &a.events {
-                writeln!(
-                    w,
-                    "{{\"type\":\"anomaly_event\",\"anomaly\":{i},{}",
-                    &ev.json_line()[1..]
-                )?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -506,31 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn last_n_and_json_lines() {
+    fn last_n_keeps_the_newest_events() {
         let rec = TraceRecorder::new(1, 16);
         for i in 0..6u64 {
             rec.record(0, TraceKind::GroupPublish, 2, i * 10);
         }
         let tail = rec.last_n(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[1].payload, 50);
-        let line = tail[1].json_line();
-        assert!(line.contains("\"kind\":\"group_publish\""), "{line}");
-        assert!(line.contains("\"shard\":2"), "{line}");
-        assert!(line.contains("\"payload\":50"), "{line}");
-        // NO_SHARD renders as -1, not 4294967295.
-        let rw = TraceEvent {
-            ts_ns: 1,
-            tid: 0,
-            kind: TraceKind::RwRetry,
-            shard: NO_SHARD,
-            payload: 0,
-        };
-        assert!(
-            rw.json_line().contains("\"shard\":-1"),
-            "{}",
-            rw.json_line()
-        );
+        let payloads: Vec<u64> = tail.iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, vec![40, 50]);
+        assert!(tail
+            .iter()
+            .all(|e| e.kind == TraceKind::GroupPublish && e.shard == 2));
+        assert_eq!(rec.last_n(100).len(), 6, "a short history comes back whole");
     }
 
     #[test]
@@ -553,17 +448,89 @@ mod tests {
     }
 
     #[test]
-    fn write_dump_emits_events_and_anomalies() {
+    fn capacity_rounds_up_and_arguments_clamp_to_one() {
+        let rec = TraceRecorder::new(0, 0);
+        assert_eq!((rec.threads(), rec.capacity()), (1, 1));
+        rec.record(7, TraceKind::RwRetry, NO_SHARD, 1);
+        rec.record(9, TraceKind::RwRetry, NO_SHARD, 2);
+        assert_eq!(rec.dump().iter().map(|e| e.tid).collect::<Vec<_>>(), [9]);
+        assert_eq!(TraceRecorder::new(3, 5).capacity(), 8);
+    }
+
+    #[test]
+    fn empty_recorder_notes_an_anomaly_with_an_empty_tail() {
+        let rec = TraceRecorder::new(4, 16);
+        assert!(rec.dump().is_empty() && rec.last_n(5).is_empty());
+        rec.note_anomaly(AnomalyCause::ConflictBurst, 3);
+        let a = &rec.anomalies()[0];
+        assert_eq!((a.cause, a.tid), (AnomalyCause::ConflictBurst, 3));
+        assert!(a.events.is_empty());
+    }
+
+    #[test]
+    fn every_kind_and_field_extreme_survives_packing() {
+        let rec = TraceRecorder::new(1, 16);
+        for v in 0..9 {
+            let kind = TraceKind::from_u8(v).unwrap();
+            rec.record(0xFF_FFFF, kind, NO_SHARD, u64::MAX);
+        }
+        rec.record((1 << 24) | 5, TraceKind::QueueFull, 0, 0);
+        let dump = rec.dump();
+        for (v, e) in dump[..9].iter().enumerate() {
+            let fields = (e.tid, e.kind as usize, e.shard, e.payload);
+            assert_eq!(fields, (0xFF_FFFF, v, NO_SHARD, u64::MAX));
+        }
+        assert_eq!(dump[9].tid, 5, "a tid keeps its low 24 bits");
+    }
+
+    #[test]
+    fn threads_beyond_the_ring_count_share_rings_by_modulo() {
+        let rec = TraceRecorder::new(2, 4);
+        for tid in [0, 2, 4, 6, 1, 8] {
+            rec.record(tid, TraceKind::DrainScoop, 0, 0);
+        }
+        let mut tids: Vec<u32> = rec.dump().iter().map(|e| e.tid).collect();
+        tids.sort_unstable();
+        // tid 8 evicts tid 0's event from their shared ring, not tid 1's.
+        assert_eq!(tids, [1, 2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn anomaly_tail_holds_only_the_newest_events() {
+        let rec = TraceRecorder::new(1, 1024);
+        (0..500).for_each(|i| rec.record(0, TraceKind::StageEnd, 2, i));
+        rec.note_anomaly(AnomalyCause::QueueFull, 0);
+        let a = rec.anomalies();
+        let tail: Vec<u64> = a[0].events.iter().map(|e| e.payload).collect();
+        assert_eq!(tail, (500 - ANOMALY_TAIL as u64..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merged_dump_orders_events_across_rings_by_time() {
+        let rec = TraceRecorder::new(3, 16);
+        for i in 0..12 {
+            rec.record((i * 2 % 3) as usize, TraceKind::GroupPublish, 0, i);
+            let t = rec.now_ns();
+            while rec.now_ns() == t {} // the next event gets a later stamp
+        }
+        let payloads: Vec<u64> = rec.dump().iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_ring_filled_exactly_to_capacity_loses_nothing() {
         let rec = TraceRecorder::new(1, 8);
-        rec.record(0, TraceKind::QueueFull, 5, 32);
-        rec.note_anomaly(AnomalyCause::QueueFull, 5);
-        let mut out = Vec::new();
-        rec.write_dump(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"type\":\"event\""), "{text}");
-        assert!(text.contains("\"type\":\"anomaly\""), "{text}");
-        assert!(text.contains("\"cause\":\"queue_full\""), "{text}");
-        assert!(text.contains("\"type\":\"anomaly_event\""), "{text}");
+        (0..8).for_each(|i| rec.record(0, TraceKind::LingerFill, 0, i));
+        let payloads: Vec<u64> = rec.dump().iter().map(|e| e.payload).collect();
+        assert_eq!(payloads, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn events_are_stamped_by_the_recorder_clock() {
+        let rec = TraceRecorder::new(1, 8);
+        let before = rec.now_ns();
+        rec.record(0, TraceKind::StageBegin, 0, 0);
+        assert!((before..=rec.now_ns()).contains(&rec.dump()[0].ts_ns));
     }
 
     /// Satellite: 8 threads wrap their rings many times over while a

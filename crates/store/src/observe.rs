@@ -16,8 +16,8 @@ use std::sync::Arc;
 use obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceRecorder};
 
 /// The five commit-pipeline stages in pipeline order; stage `i`'s wall
-/// latency lands in the `store.pipeline.{stage}_ns` histogram (indexes
-/// into [`StoreObs::stage_ns`]).
+/// latency lands in the `store.pipeline.{stage}_ns` histogram, and `i`
+/// is the stage index that flight-recorder stage events carry.
 pub const PIPELINE_STAGES: [&str; 5] = ["intents", "prepare", "validate", "advance", "finalize"];
 
 /// Instrument handles of one store (see the module docs). Fields are
@@ -47,8 +47,7 @@ pub(crate) struct StoreObs {
     /// Prepare-cursor seeks that paid a full root descent.
     pub(crate) cursor_descents: Counter,
     /// Operations routed to each shard (primitive ops, staged pipeline
-    /// ops, and range-query fragments) — the key-skew signal a future
-    /// resharding policy consumes.
+    /// ops, and range-query fragments).
     pub(crate) shard_ops: Box<[Counter]>,
     /// Bundle entries per shard, sampled at snapshot time.
     pub(crate) shard_entries: Box<[Gauge]>,
@@ -65,10 +64,6 @@ pub(crate) struct StoreObs {
     pub(crate) clock_value: Gauge,
     /// Total advance calls on the shared clock.
     pub(crate) clock_advances: Gauge,
-    /// Anomalies the flight recorder has noted over its lifetime
-    /// (including those past the retention cap), sampled at snapshot
-    /// time — makes self-observability losses scrapable.
-    pub(crate) trace_anomalies: Gauge,
     /// The flight recorder (always on with `with_obs`; `None` only when
     /// tracing was explicitly disabled via
     /// [`crate::BundledStore::with_obs_trace_capacity`] with capacity 0
@@ -108,7 +103,6 @@ impl StoreObs {
             rq_active: registry.gauge("store.rq.active_queries"),
             clock_value: registry.gauge("store.clock.value"),
             clock_advances: registry.gauge("store.clock.advances"),
-            trace_anomalies: registry.gauge("obs.trace.anomalies"),
             trace,
             registry: registry.clone(),
         }

@@ -33,8 +33,8 @@
 //! * Observability — [`GroupWal::attach_obs`] registers `wal.append_ns`
 //!   / `wal.fsync_ns` histograms and `wal.bytes` / `wal.groups`
 //!   counters; [`WalRecovery::replay`] counts
-//!   `wal.recovery_replayed_groups`. All export through the existing
-//!   `/metrics` endpoint.
+//!   `wal.recovery_replayed_groups`, all in the store's metrics
+//!   registry.
 //!
 //! The crate is pure `std` — no new shims (see `shims/README.md`).
 //!
@@ -103,8 +103,7 @@ impl SyncPolicy {
         }
     }
 
-    /// The label a caller exports as the `durability` dimension of
-    /// `store_build_info`.
+    /// The policy's spelling in [`SyncPolicy::parse`]'s syntax.
     #[must_use]
     pub fn label(&self) -> String {
         match self {

@@ -36,16 +36,16 @@
 //!   [`store::BundledStore::apply_grouped`] — one shared-clock advance
 //!   per *group*, every group an atomic cut, same-key submissions
 //!   serialized in queue order with outcome-exact tickets.
-//! * [`obs`] — the **unified observability layer**: thread-sharded
+//! * [`obs`] — **metrics and a flight recorder**: thread-striped
 //!   lock-free counters, gauges and power-of-two-bucket latency
-//!   histograms behind an [`obs::MetricsRegistry`]. A store built with
-//!   [`store::BundledStore::with_obs`] (and any `ingest` front-end
-//!   spawned over it) records commit-pipeline stage latencies,
-//!   conflict/abort causes, per-shard key-skew counters, queue
-//!   depth / group size distributions, and EBR/tracker/clock gauges —
-//!   one [`obs::MetricsSnapshot`] covers the whole pipeline. The
-//!   default constructors skip it all at one never-taken branch per
-//!   record site.
+//!   histograms behind an [`obs::MetricsRegistry`], plus per-thread
+//!   trace rings ([`obs::TraceRecorder`]) with anomaly snapshots. A store
+//!   built with [`store::BundledStore::with_obs`] (and any `ingest`
+//!   front-end spawned over it) records commit-pipeline stage latencies,
+//!   conflict/abort causes, per-shard op counters, queue depth / group
+//!   size distributions, and EBR/tracker/clock gauges — one
+//!   [`obs::MetricsSnapshot`] covers the whole pipeline. The default
+//!   constructors skip it all at one never-taken branch per record site.
 //! * [`wal`] — the **group-commit write-ahead log**: an append-only,
 //!   CRC-checksummed segment log ([`wal::GroupWal`]) a store attaches as
 //!   its [`store::CommitLog`]. Every published group is logged between

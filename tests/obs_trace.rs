@@ -1,7 +1,7 @@
-//! Integration tests for the obs v2 flight recorder and time-series
-//! sampler over the real store pipeline.
+//! Integration tests for the flight recorder and the store's metrics
+//! over the real store pipeline.
 //!
-//! Three properties, end to end:
+//! Four properties, end to end:
 //!
 //! * a **forced validation abort** (a second session flips a validated
 //!   read before commit) snapshots a flight-recorder anomaly whose tail
@@ -11,14 +11,13 @@
 //! * a non-blocking submission rejected by a full ingest queue
 //!   (`try_submit_batch` against a depth-1 lingering queue) snapshots a
 //!   `queue_full` anomaly and records the rejection event;
-//! * a background [`obs::TimeseriesSampler`] over a live multi-threaded
-//!   store emits windows whose per-shard op deltas **sum exactly** to
-//!   the final `store.shard<i>.ops` counters (nothing double-counted,
-//!   nothing lost between windows).
+//! * concurrent sessions' primitive ops land **exactly** in the
+//!   `store.shard<i>.ops` counter of the shard that owns their key
+//!   (nothing double-counted, nothing lost, nothing misrouted);
+//! * the `ingest.*` histograms and group events agree with `Ingest::stats`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bundled_refs::obs;
 use bundled_refs::prelude::*;
@@ -184,72 +183,88 @@ fn queue_full_rejection_snapshots_an_anomaly() {
 }
 
 #[test]
-fn window_shard_deltas_reconcile_with_final_counters() {
+fn shard_op_counters_account_every_op_exactly_once() {
     const THREADS: usize = 2;
-    // Reserved slot `THREADS` is the sampler's dedicated tid.
-    let store = Arc::new(obs_store::<BundledSkipList<u64, u64>>(THREADS + 1));
-    let st = Arc::clone(&store);
-    let sampler = obs::TimeseriesSampler::spawn(Duration::from_millis(10), 512, move || {
-        st.obs_snapshot(THREADS).expect("store built with obs")
-    });
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..THREADS)
+    const OPS_PER_THREAD: u64 = 20_000;
+    // Thread `w`'s `i`-th op: an insert on even `i`, a get on odd `i`.
+    // Its key strides over the lowest `1 + i % 4` quarters of the
+    // keyspace, so every shard sees a different count and an op
+    // credited to the wrong shard cannot cancel out.
+    let key = |w: u64, i: u64| (w * 7 + i * 13) % (KEY_RANGE / 4 * (1 + i % 4));
+    let store = Arc::new(obs_store::<BundledSkipList<u64, u64>>(THREADS));
+    let workers: Vec<_> = (0..THREADS as u64)
         .map(|w| {
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let handle = store.register();
-                let mut k = w as u64;
-                while !stop.load(Ordering::Relaxed) {
-                    handle.insert(k % KEY_RANGE, k);
-                    let _ = handle.get(&((k + 7) % KEY_RANGE));
-                    k = k.wrapping_add(13);
+                for i in 0..OPS_PER_THREAD {
+                    if i % 2 == 0 {
+                        handle.insert(key(w, i), i);
+                    } else {
+                        let _ = handle.get(&key(w, i));
+                    }
                 }
             })
         })
         .collect();
-    let deadline = Instant::now() + Duration::from_millis(80);
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    stop.store(true, Ordering::Relaxed);
     for w in workers {
         w.join().expect("worker panicked");
     }
 
-    assert_eq!(sampler.dropped(), 0, "512-slot ring must not evict");
-    let windows = sampler.stop();
-    assert!(
-        windows.len() >= 3,
-        "an 80ms run at 10ms cadence must emit at least 3 windows, got {}",
-        windows.len()
-    );
-    // Windows are consecutive and internally consistent.
-    for (i, w) in windows.iter().enumerate() {
-        assert_eq!(w.index, i as u64);
-        assert_eq!(
-            w.skew.total_ops,
-            w.shard_ops.iter().sum::<u64>(),
-            "window {i}: skew totals must match the shard vector"
-        );
+    let mut expected = [0u64; SHARDS];
+    for w in 0..THREADS as u64 {
+        for i in 0..OPS_PER_THREAD {
+            expected[store.shard_of(&key(w, i))] += 1;
+        }
     }
-    // The reconciliation: per-shard window deltas sum exactly to the
-    // final counters — the sampler's base snapshot predates every op and
-    // its final partial window closed after the last one.
-    let finals = store.obs_snapshot(0).expect("store built with obs");
-    for shard in 0..SHARDS {
-        let summed: u64 = windows
-            .iter()
-            .map(|w| w.shard_ops.get(shard).copied().unwrap_or(0))
-            .sum();
+    assert!(
+        expected[SHARDS - 1] > 0 && expected.windows(2).all(|p| p[0] > p[1]),
+        "the sequence must touch every shard, each a different number of times: {expected:?}"
+    );
+    let metrics = store.obs_snapshot(0).expect("store built with obs");
+    let mut counted = 0;
+    for (shard, &want) in expected.iter().enumerate() {
         let name = format!("store.shard{shard}.ops");
-        match finals.get(&name) {
-            Some(&obs::SnapshotValue::Counter(total)) => assert_eq!(
-                summed, total,
-                "shard {shard}: window deltas must sum to the final counter"
-            ),
+        match metrics.get(&name) {
+            Some(&obs::SnapshotValue::Counter(got)) => {
+                assert_eq!(got, want, "{name}: ops whose key maps to shard {shard}");
+                counted += got;
+            }
             other => panic!("{name} missing or mistyped: {other:?}"),
         }
     }
+    assert_eq!(
+        counted,
+        THREADS as u64 * OPS_PER_THREAD,
+        "every op counted once"
+    );
+}
+
+#[test]
+fn ingest_histograms_and_events_account_every_submission() {
+    let store = Arc::new(obs_store::<BundledSkipList<u64, u64>>(2));
+    let config = IngestConfig {
+        committers: 1,
+        ..IngestConfig::default()
+    };
+    let ingest = Ingest::spawn(Arc::clone(&store), config);
+    let tickets: Vec<_> = (0..200)
+        .map(|i| ingest.submit_batch(vec![TxnOp::Put(i, i); 1 + i as usize % 3]))
+        .collect();
+    tickets.into_iter().for_each(|t| drop(t.wait()));
+    ingest.flush();
+    let stats = ingest.stats();
+    ingest.shutdown();
+    let reg = store.obs_registry().expect("store built with obs");
+    let h = |name: &str| reg.histogram(name).summary();
+    assert_eq!(h("ingest.ticket_wait_ns").count, 200, "one wait per ticket");
+    assert_eq!(h("ingest.queue_depth").sum, 200, "drained once each");
+    let groups = h("ingest.group_size");
+    assert_eq!((groups.count, groups.sum), (stats.groups, stats.ops));
+    assert_eq!(reg.counter("store.txn.commits").value(), stats.groups);
+    let events = store.obs_trace().expect("with_obs traces").dump();
+    let published = events
+        .iter()
+        .filter(|e| e.kind == obs::TraceKind::GroupPublish);
+    assert_eq!(published.map(|e| e.payload).sum::<u64>(), stats.ops);
 }
