@@ -29,27 +29,17 @@
 //! commits as a single cross-shard `txn::WriteTxn` — atomic with respect
 //! to every index range query. The `fig4` binary compares it against the
 //! single-structure indexes.
-//!
-//! [`run_new_order_firehose`] goes one step further: NEW_ORDER batches
-//! are *submitted* to an `ingest` group-commit front-end
-//! ([`TpccIngest`]) and pipelined, so committer threads publish many
-//! orders under one shared-clock advance while each order's three-index
-//! insert stays individually atomic (its batch rides inside one group).
 
-mod firehose;
 mod keys;
 mod store_backed;
 mod tpcc;
 mod workload;
 
-pub use firehose::{run_new_order_firehose, FirehoseThroughput};
 pub use keys::{
     customer_key, customer_name_key, new_order_key, order_key, order_line_key, stock_key,
     DISTRICTS_PER_WAREHOUSE, MAX_ORDER_LINES,
 };
-pub use store_backed::{
-    build_tpcc_store, StoreIndexView, Table, TpccIngest, TpccStore, TABLE_SHIFT,
-};
+pub use store_backed::{build_tpcc_store, StoreIndexView, Table, TpccStore, TABLE_SHIFT};
 pub use tpcc::{
     Customer, DynIndex, IndexFactory, Order, TpccConfig, TpccDb, TpccTxnStats, TxnKind,
 };

@@ -70,11 +70,6 @@ impl Table {
 /// shards, one per table (shard boundaries at the table tags).
 pub type TpccStore = store::SkipListStore<u64, u64>;
 
-/// A group-commit ingestion front-end over the shared TPC-C store (the
-/// NEW_ORDER firehose submits its three-index batches here; see
-/// [`crate::run_new_order_firehose`]).
-pub type TpccIngest = ingest::Ingest<u64, u64, skiplist::BundledSkipList<u64, u64>>;
-
 /// Build the shared store backing all seven table views: `TABLE_COUNT + 1`
 /// range shards (shard 0 covers the unused space below the first tag), all
 /// on one clock, supporting `max_threads` registered threads.

@@ -16,9 +16,7 @@ use crate::keys::{
     customer_key, customer_name_key, last_name_hash, new_order_key, order_key, order_line_key,
     stock_key, DISTRICTS_PER_WAREHOUSE, MAX_ORDER_LINES,
 };
-use crate::store_backed::{
-    build_tpcc_store, StoreIndexView, Table, TpccIngest, TpccStore, TABLE_SHIFT,
-};
+use crate::store_backed::{build_tpcc_store, StoreIndexView, Table, TpccStore, TABLE_SHIFT};
 
 /// A dynamically dispatched ordered index over `u64 -> u64` (value = row id).
 pub type DynIndex = Arc<dyn RangeQuerySet<u64, u64> + Send + Sync>;
@@ -229,9 +227,7 @@ impl TpccDb {
     }
 
     /// The shared store backing every index view (`None` for a per-index
-    /// database). An ingestion front-end for
-    /// [`TpccDb::new_order_ingest`] must be spawned over exactly this
-    /// store.
+    /// database).
     #[must_use]
     pub fn store(&self) -> Option<&Arc<TpccStore>> {
         match &self.write_path {
@@ -410,88 +406,6 @@ impl TpccDb {
 
         self.bump_index_ops(index_ops);
         self.stats.new_order.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// NEW_ORDER through the **group-commit firehose**: identical reads
-    /// and row allocation to [`TpccDb::new_order`], but the three-index
-    /// insert (order, new-order, order-line) is *submitted* to the ingest
-    /// front-end as one atomic batch instead of committed inline. The
-    /// batch rides whatever group the committer forms — one clock advance
-    /// shared with every concurrent NEW_ORDER in the group — and the
-    /// returned ticket resolves when that group publishes. The caller
-    /// pipelines: keep a window of outstanding tickets, wait the oldest,
-    /// and bump [`TpccTxnStats::new_order`] per resolved ticket (this method
-    /// deliberately does not — the order is not committed yet when it
-    /// returns).
-    ///
-    /// Requires a store-backed database and an `ingest` spawned over
-    /// [`TpccDb::store`] (panics otherwise).
-    pub fn new_order_ingest(
-        &self,
-        tid: usize,
-        rng: &mut SmallRng,
-        ingest: &TpccIngest,
-    ) -> ingest::Ticket<ingest::IngestOutcome> {
-        let store = self
-            .store()
-            .expect("the NEW_ORDER firehose requires a store-backed database");
-        assert!(
-            Arc::ptr_eq(store, ingest.store()),
-            "the ingest front-end must wrap this database's store"
-        );
-        let cfg = self.cfg;
-        let w = rng.gen_range(0..cfg.warehouses);
-        let d = rng.gen_range(0..DISTRICTS_PER_WAREHOUSE);
-        let c = rng.gen_range(0..cfg.customers_per_district);
-        let ol_cnt = rng.gen_range(5..=15u64);
-        let mut index_ops = 0u64;
-
-        let o_id = self.next_o_id[(w * DISTRICTS_PER_WAREHOUSE + d) as usize]
-            .fetch_add(1, Ordering::Relaxed);
-
-        for _ in 0..ol_cnt {
-            let item = rng.gen_range(0..cfg.items);
-            let _ = self.item_index.get(tid, &item);
-            index_ops += 1;
-            if let Some(stock_row) = self.stock_index.get(tid, &stock_key(w, item)) {
-                let qty = &self.stock_qty[stock_row as usize];
-                let mut q = qty.load(Ordering::Relaxed);
-                if q < 10 {
-                    q += 91;
-                }
-                qty.store(q.saturating_sub(rng.gen_range(1..=10)), Ordering::Relaxed);
-            }
-            index_ops += 1;
-        }
-
-        let row_id = {
-            let mut orders = self.orders.lock();
-            let row_id = orders.len() as u64;
-            orders.push(Order {
-                o_id,
-                c_id: c,
-                ol_cnt,
-                carrier_id: None,
-            });
-            row_id
-        };
-        let mut ops: Vec<store::TxnOp<u64, u64>> = Vec::with_capacity(2 + ol_cnt as usize);
-        ops.push(store::TxnOp::Put(
-            Table::Order.key(order_key(w, d, o_id)),
-            row_id,
-        ));
-        ops.push(store::TxnOp::Put(
-            Table::NewOrder.key(new_order_key(w, d, o_id)),
-            row_id,
-        ));
-        for ol in 0..ol_cnt {
-            ops.push(store::TxnOp::Put(
-                Table::OrderLine.key(order_line_key(w, d, o_id, ol)),
-                row_id,
-            ));
-        }
-        self.bump_index_ops(index_ops + 2 + ol_cnt);
-        ingest.submit_batch(ops)
     }
 
     /// PAYMENT: update a customer's balance; with 60% probability the

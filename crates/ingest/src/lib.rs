@@ -158,21 +158,16 @@ struct IngestObs {
     /// Submissions currently sitting in the shard rings (the summed ring
     /// occupancy, sampled at each drain).
     depth: obs::Gauge,
-    /// The store's flight recorder (group publish / linger fill / drain
-    /// scoop / queue-full events land in the same merged stream as the
-    /// commit pipeline's).
-    trace: Option<Arc<obs::TraceRecorder>>,
 }
 
 impl IngestObs {
-    fn new(registry: &obs::MetricsRegistry, trace: Option<Arc<obs::TraceRecorder>>) -> Self {
+    fn new(registry: &obs::MetricsRegistry) -> Self {
         IngestObs {
             queue_depth: registry.histogram("ingest.queue_depth"),
             group_size: registry.histogram("ingest.group_size"),
             linger_occupancy_pct: registry.histogram("ingest.linger_occupancy_pct"),
             ticket_wait_ns: registry.histogram("ingest.ticket_wait_ns"),
             depth: registry.gauge("ingest.depth"),
-            trace,
         }
     }
 }
@@ -402,18 +397,6 @@ impl<K, V, S> Shared<K, V, S> {
             self.work.notify_all();
         }
     }
-
-    /// Record a shed rejection. Producers have no store tid, so the
-    /// event records under the full ring's shard id — the trace rings
-    /// are multi-writer-safe.
-    fn note_queue_full(&self, shard: usize, ops: usize) {
-        if let Some(o) = &self.obs {
-            if let Some(tr) = &o.trace {
-                tr.record(shard, obs::TraceKind::QueueFull, shard as u32, ops as u64);
-                tr.note_anomaly(obs::AnomalyCause::QueueFull, shard);
-            }
-        }
-    }
 }
 
 /// The group-commit ingestion front-end (see the crate docs). Spawn one
@@ -455,9 +438,7 @@ where
             committers,
             max_group_ops: cfg.max_group_ops.max(1),
             linger: cfg.linger,
-            obs: store
-                .obs_registry()
-                .map(|r| IngestObs::new(r, store.obs_trace().cloned())),
+            obs: store.obs_registry().map(IngestObs::new),
             groups: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             ops: AtomicU64::new(0),
@@ -593,10 +574,7 @@ where
         let shard = self.shared.store.shard_of(op.key());
         match self.shared.rings[shard].try_reserve() {
             Some(reserved) => Ok(self.publish(reserved, Ops::One(op))),
-            None => {
-                self.shared.note_queue_full(shard, 1);
-                Err(QueueFull { ops: vec![op] })
-            }
+            None => Err(QueueFull { ops: vec![op] }),
         }
     }
 
@@ -632,10 +610,7 @@ where
         let shard = self.shared.store.shard_of(ops[0].key());
         match self.shared.rings[shard].try_reserve() {
             Some(reserved) => Ok(self.publish(reserved, Ops::Many(ops))),
-            None => {
-                self.shared.note_queue_full(shard, ops.len());
-                Err(QueueFull { ops })
-            }
+            None => Err(QueueFull { ops }),
         }
     }
 
@@ -922,25 +897,9 @@ fn commit_group<K, V, S>(
         .fetch_max(total_ops as u64, Ordering::Relaxed);
     if let Some(o) = &shared.obs {
         let tid = handle.tid();
-        let occupancy = (100 * total_ops / shared.max_group_ops) as u64;
         o.group_size.record(tid, total_ops as u64);
-        o.linger_occupancy_pct.record(tid, occupancy);
-        if let Some(tr) = &o.trace {
-            // A group may span every shard this committer owns, so the
-            // events carry no single shard.
-            tr.record(
-                tid,
-                obs::TraceKind::GroupPublish,
-                obs::trace::NO_SHARD,
-                total_ops as u64,
-            );
-            tr.record(
-                tid,
-                obs::TraceKind::LingerFill,
-                obs::trace::NO_SHARD,
-                occupancy,
-            );
-        }
+        o.linger_occupancy_pct
+            .record(tid, (100 * total_ops / shared.max_group_ops) as u64);
     }
     // Resolve, then wake: a thread parked on one of these tickets is
     // unparked only after the whole group's outcomes are stored, so it
@@ -1017,14 +976,6 @@ where
                 o.queue_depth.record(handle.tid(), scooped);
                 let occupancy: usize = shared.rings.iter().map(ring::MpscRing::occupancy).sum();
                 o.depth.set(occupancy as i64);
-                if let Some(tr) = &o.trace {
-                    tr.record(
-                        handle.tid(),
-                        obs::TraceKind::DrainScoop,
-                        obs::trace::NO_SHARD,
-                        scooped,
-                    );
-                }
             }
             commit_group(shared, handle, &mut buf);
             if shared.in_flight.fetch_sub(scooped, Ordering::SeqCst) == scooped {

@@ -158,8 +158,8 @@ impl<T> MpscRing<T> {
 
     /// Values accepted and not yet popped. Exact when producers are
     /// quiescent; may transiently overcount by producers racing the
-    /// gate. This is the live-depth signal the `ingest.depth` gauge and
-    /// the drain-time trace events report.
+    /// gate. This is the live-depth signal the `ingest.depth` gauge
+    /// reports.
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.occupancy.load(Ordering::Relaxed)

@@ -1,14 +1,8 @@
-//! # obs — low-overhead metrics and a flight recorder for the bundled-refs stack
+//! # obs — low-overhead metrics for the bundled-refs stack
 //!
-//! Two pieces, both recorded into by `store`, `ingest` and `wal` and read
-//! by their tests and by `benchmark/`'s panel:
-//!
-//! * a [`MetricsRegistry`] that hands out three instrument kinds and
-//!   reads them all into one consistent [`MetricsSnapshot`];
-//! * the flight recorder ([`trace`]): per-thread rings of compact events
-//!   plus anomaly snapshots of their merged tail, for "what happened
-//!   around *this* abort".
-//!
+//! A [`MetricsRegistry`] hands out three instrument kinds and reads them
+//! all into one consistent [`MetricsSnapshot`]. `store`, `ingest` and
+//! `wal` record into it; their tests and `benchmark/`'s panel read it.
 //! The instruments:
 //!
 //! * [`Counter`] — monotonic event count, **thread-striped** (each
@@ -37,7 +31,6 @@
 //! checks that mechanism 1 keeps the disabled-mode commit pipeline
 //! within noise of the metrics-instrumented one (and therefore of the
 //! pre-obs baseline, which the disabled path matches by construction).
-//! The flight recorder's extra cost is not gated.
 //!
 //! ## Consistency contract
 //!
@@ -51,10 +44,6 @@
 //! snapshot's `Acquire` load observes).
 
 #![deny(missing_docs)]
-
-pub mod trace;
-
-pub use trace::{AnomalyCause, AnomalySnapshot, TraceEvent, TraceKind, TraceRecorder};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

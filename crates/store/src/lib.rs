@@ -57,14 +57,12 @@
 //!   `apply_grouped_unhinted` measurement shim are gone; the cursor
 //!   equivalence suite replays batches through test-local one-op cursors
 //!   instead.) Implemented for all three bundled structures.
-//! * [`BundledStore::with_obs`] — **observability**: a store built over
-//!   an [`obs::MetricsRegistry`] records commit-pipeline stage
-//!   latencies, conflict/abort counters by cause, per-shard op counters,
-//!   cursor hint rates, and sampled EBR / tracker / clock gauges
-//!   (read back with [`BundledStore::obs_snapshot`]), and attaches a
-//!   flight recorder ([`BundledStore::obs_trace`]) that snapshots the
-//!   events around every invalidated abort. The default constructors
-//!   skip all of it at the cost of one never-taken branch per site.
+//! * [`BundledStore::with_obs`] — **metrics**: a store built over an
+//!   [`obs::MetricsRegistry`] records commit-pipeline stage latencies,
+//!   conflict/abort counters by cause, per-shard op counters, cursor
+//!   hint rates, and sampled EBR / tracker / clock gauges (read back
+//!   with [`BundledStore::obs_snapshot`]). The default constructors skip
+//!   all of it at the cost of one never-taken branch per site.
 //! * [`StoreHandle`] / [`BundledStore::register`] — a session API that
 //!   manages the dense thread-id registration the underlying structures
 //!   (EBR collectors, trackers) require: register once, operate without

@@ -11,13 +11,10 @@
 //!
 //! [`BundledStore::with_obs`]: crate::BundledStore::with_obs
 
-use std::sync::Arc;
-
-use obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceRecorder};
+use obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// The five commit-pipeline stages in pipeline order; stage `i`'s wall
-/// latency lands in the `store.pipeline.{stage}_ns` histogram, and `i`
-/// is the stage index that flight-recorder stage events carry.
+/// latency lands in the `store.pipeline.{stage}_ns` histogram.
 pub const PIPELINE_STAGES: [&str; 5] = ["intents", "prepare", "validate", "advance", "finalize"];
 
 /// Instrument handles of one store (see the module docs). Fields are
@@ -64,22 +61,11 @@ pub(crate) struct StoreObs {
     pub(crate) clock_value: Gauge,
     /// Total advance calls on the shared clock.
     pub(crate) clock_advances: Gauge,
-    /// The flight recorder (always on with `with_obs`; `None` only when
-    /// tracing was explicitly disabled via
-    /// [`crate::BundledStore::with_obs_trace_capacity`] with capacity 0
-    /// or the registry is inert). Event sites check this once — the
-    /// same never-taken-branch contract as the metric handles.
-    pub(crate) trace: Option<Arc<TraceRecorder>>,
 }
 
 impl StoreObs {
-    /// Register (or re-attach to) every store instrument in `registry`,
-    /// attaching `trace` as the store's flight recorder.
-    pub(crate) fn new(
-        registry: &MetricsRegistry,
-        shards: usize,
-        trace: Option<Arc<TraceRecorder>>,
-    ) -> Self {
+    /// Register (or re-attach to) every store instrument in `registry`.
+    pub(crate) fn new(registry: &MetricsRegistry, shards: usize) -> Self {
         let stage_ns =
             PIPELINE_STAGES.map(|s| registry.histogram(&format!("store.pipeline.{s}_ns")));
         StoreObs {
@@ -103,7 +89,6 @@ impl StoreObs {
             rq_active: registry.gauge("store.rq.active_queries"),
             clock_value: registry.gauge("store.clock.value"),
             clock_advances: registry.gauge("store.clock.advances"),
-            trace,
             registry: registry.clone(),
         }
     }

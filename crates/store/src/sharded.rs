@@ -11,19 +11,13 @@ use bundle::{
     CachePadded, Conflict, InlineStack, PrepareCursor, Recycler, RqContext, TxnValidateError,
 };
 use ebr::ReclaimMode;
-use obs::{AnomalyCause, MetricsRegistry, MetricsSnapshot, TraceKind, TraceRecorder};
+use obs::{MetricsRegistry, MetricsSnapshot};
 
 use crate::backends::ShardBackend;
 use crate::handle::StoreHandle;
 use crate::observe::StoreObs;
 use crate::scratch::{CommitScratch, SessionScratch, TxnBufs, INLINE_SHARDS};
 use crate::snapshot::{ReadSet, TxnAborted};
-
-/// Conflict-retry attempt count at which the flight recorder snapshots
-/// an anomaly (once per transaction — the trigger fires on equality).
-/// By attempt 6 the pipeline has spun through its exponential backoff
-/// several times; that is a burst worth keeping the interleaving for.
-const CONFLICT_BURST_ANOMALY: u32 = 6;
 
 // [`StoreObs::stage_ns`] indexes of the five pipeline stages.
 const STAGE_INTENTS: usize = 0;
@@ -343,36 +337,33 @@ where
         }
     }
 
-    /// [`BundledStore::with_mode`] plus observability: every layer of the
-    /// store records into instruments registered in `registry` (commit
-    /// pipeline stage latencies, conflict/abort counters by cause,
-    /// per-shard op counters, cursor hint rates, and the sampled gauges
-    /// of [`BundledStore::obs_sample`]), and — when the registry is
-    /// live — a flight recorder ([`BundledStore::obs_trace`]) captures
-    /// per-thread event rings around every pipeline stage, conflict, and
-    /// abort. Pass [`MetricsRegistry::disabled`] for inert instruments,
-    /// or use the plain constructors to skip instrumentation entirely
-    /// (one never-taken branch per site — the production default).
+    /// [`BundledStore::with_mode`] plus metrics: every layer of the store
+    /// records into instruments registered in `registry` (commit pipeline
+    /// stage latencies, conflict/abort counters by cause, per-shard op
+    /// counters, cursor hint rates, and the sampled gauges of
+    /// [`BundledStore::obs_sample`]). Pass [`MetricsRegistry::disabled`]
+    /// for inert instruments, or use the plain constructors to skip
+    /// instrumentation entirely (one never-taken branch per site — the
+    /// production default).
     pub fn with_obs(
         max_threads: usize,
         mode: ReclaimMode,
         splits: Vec<K>,
         registry: &MetricsRegistry,
     ) -> Self {
-        Self::with_obs_trace_capacity(
-            max_threads,
-            mode,
-            splits,
-            registry,
-            obs::trace::DEFAULT_RING_CAPACITY,
-        )
+        let mut store = Self::with_mode(max_threads, mode, splits);
+        store.obs = Some(StoreObs::new(registry, store.shards.len()));
+        store
     }
 
-    /// [`BundledStore::with_obs`] with an explicit per-thread flight-
-    /// recorder ring capacity (rounded up to a power of two).
-    /// `trace_capacity == 0` keeps the metrics but disables tracing —
-    /// what `benchmark/`'s `obs.metrics_overhead_ratio` panel uses to
-    /// price the metrics tier alone. An inert registry never traces.
+    /// [`BundledStore::with_obs`], kept only because `benchmark/`'s frozen
+    /// `obs.metrics_overhead_ratio` panel calls it with `trace_capacity`
+    /// 0; the next change to `benchmark/` switches the panel to
+    /// `with_obs` and deletes this.
+    ///
+    /// # Panics
+    ///
+    /// If `trace_capacity != 0`: the store has no trace rings.
     pub fn with_obs_trace_capacity(
         max_threads: usize,
         mode: ReclaimMode,
@@ -380,11 +371,8 @@ where
         registry: &MetricsRegistry,
         trace_capacity: usize,
     ) -> Self {
-        let mut store = Self::with_mode(max_threads, mode, splits);
-        let trace = (registry.is_enabled() && trace_capacity > 0)
-            .then(|| Arc::new(TraceRecorder::new(max_threads, trace_capacity)));
-        store.obs = Some(StoreObs::new(registry, store.shards.len(), trace));
-        store
+        assert_eq!(trace_capacity, 0, "the store has no trace rings");
+        Self::with_obs(max_threads, mode, splits, registry)
     }
 
     /// Number of range shards.
@@ -807,7 +795,6 @@ where
         let mut attempt = 0u32;
         loop {
             let t = self.obs_now();
-            self.obs_stage_begin(STAGE_INTENTS, tid, attempt);
             // Phase 1: intents over every involved shard, in ascending
             // shard order (deadlock-free regardless of mode mix); each
             // one spins, then yields, then blocks (`acquire_intent`).
@@ -834,10 +821,8 @@ where
             }
             let t = self.obs_stage(STAGE_INTENTS, tid, t);
             // Phase 2: prepare every write.
-            self.obs_stage_begin(STAGE_PREPARE, tid, attempt);
             let mut failure = None;
             let mut prepare_conflict = false;
-            let mut fail_shard = 0usize;
             'prepare: for (shard, range) in groups.iter() {
                 let backend = &self.shards[*shard];
                 // Write-only pipelines (plain batches, group commits)
@@ -853,7 +838,6 @@ where
                     backend.txn_abort(txn);
                     failure = Some(TxnValidateError::Conflict);
                     prepare_conflict = true;
-                    fail_shard = *shard;
                     break 'prepare;
                 }
                 prepared.push((*shard, txn));
@@ -863,7 +847,6 @@ where
             // transaction's writes have staged.
             let validate_ran = failure.is_none();
             if failure.is_none() {
-                self.obs_stage_begin(STAGE_VALIDATE, tid, attempt);
                 for r in reads.iter() {
                     if !prepared.iter_mut().any(|(s, _)| *s == r.shard) {
                         // Read-only shard: a token to carry the
@@ -878,7 +861,6 @@ where
                         self.shards[r.shard].txn_validate(token, &r.low, &r.high, r.entries)
                     {
                         failure = Some(e);
-                        fail_shard = r.shard;
                         break;
                     }
                 }
@@ -906,17 +888,6 @@ where
                             } else {
                                 o.conflicts_validate.incr(tid);
                             }
-                            if let Some(tr) = &o.trace {
-                                tr.record(
-                                    tid,
-                                    TraceKind::Conflict,
-                                    fail_shard as u32,
-                                    (u64::from(attempt) << 1) | u64::from(!prepare_conflict),
-                                );
-                                if attempt == CONFLICT_BURST_ANOMALY {
-                                    tr.note_anomaly(AnomalyCause::ConflictBurst, tid);
-                                }
-                            }
                         }
                         for _ in 0..(1u32 << attempt.min(10)) {
                             std::hint::spin_loop();
@@ -933,15 +904,6 @@ where
                             .fetch_add(1, Ordering::Relaxed);
                         if let Some(o) = &self.obs {
                             o.aborts_invalidated.incr(tid);
-                            if let Some(tr) = &o.trace {
-                                tr.record(
-                                    tid,
-                                    TraceKind::AbortInvalidated,
-                                    fail_shard as u32,
-                                    u64::from(attempt),
-                                );
-                                tr.note_anomaly(AnomalyCause::InvalidatedAbort, tid);
-                            }
                         }
                         return Err(TxnAborted);
                     }
@@ -952,7 +914,6 @@ where
             // must not advance the clock (an abort-equivalent no-op for
             // every observer); their serialization point is the validation
             // window, during which every read was re-checked and locked.
-            self.obs_stage_begin(STAGE_ADVANCE, tid, attempt);
             let ts = if groups.is_empty() {
                 self.ctx.read()
             } else {
@@ -974,7 +935,6 @@ where
                     log.log_group(tid, ts, ops, order, results, write_shards);
                 }
             }
-            self.obs_stage_begin(STAGE_FINALIZE, tid, attempt);
             // Phase 5: release every snapshot spinning on the pendings
             // (and every validation lock).
             while let Some((s, txn)) = prepared.pop() {
@@ -1059,32 +1019,16 @@ where
     }
 
     /// Record the elapsed time since `start` into pipeline-stage
-    /// histogram `stage` (plus a `StageEnd` flight-recorder event with
-    /// the same duration) and return the start of the next stage.
+    /// histogram `stage` and return the start of the next stage.
     #[inline]
     fn obs_stage(&self, stage: usize, tid: usize, start: Option<Instant>) -> Option<Instant> {
         match (&self.obs, start) {
             (Some(o), Some(t0)) => {
                 let now = Instant::now();
-                let dur = now.duration_since(t0).as_nanos() as u64;
-                o.stage_ns[stage].record(tid, dur);
-                if let Some(tr) = &o.trace {
-                    tr.record(tid, TraceKind::StageEnd, stage as u32, dur);
-                }
+                o.stage_ns[stage].record(tid, now.duration_since(t0).as_nanos() as u64);
                 Some(now)
             }
             _ => None,
-        }
-    }
-
-    /// Emit a `StageBegin` flight-recorder event (no-op without a
-    /// recorder; the event's payload is the attempt number).
-    #[inline]
-    fn obs_stage_begin(&self, stage: usize, tid: usize, attempt: u32) {
-        if let Some(o) = &self.obs {
-            if let Some(tr) = &o.trace {
-                tr.record(tid, TraceKind::StageBegin, stage as u32, u64::from(attempt));
-            }
         }
     }
 
@@ -1096,24 +1040,12 @@ where
         self.obs.as_ref().map(|o| &o.registry)
     }
 
-    /// The store's flight recorder, when built with
-    /// [`BundledStore::with_obs`] against a live registry — the `ingest`
-    /// front-end records its queue events here so one merged dump covers
-    /// the whole pipeline.
-    #[must_use]
-    pub fn obs_trace(&self) -> Option<&Arc<TraceRecorder>> {
-        self.obs.as_ref().and_then(|o| o.trace.as_ref())
-    }
-
     /// Record one application-level re-run of a read-write transaction
     /// closure after a [`TxnAborted`] (called by the `txn` crate's retry
     /// loop; a no-op without instrumentation).
     pub fn obs_note_rw_retry(&self, tid: usize) {
         if let Some(o) = &self.obs {
             o.rw_retries.incr(tid);
-            if let Some(tr) = &o.trace {
-                tr.record(tid, TraceKind::RwRetry, obs::trace::NO_SHARD, 0);
-            }
         }
     }
 
@@ -2316,38 +2248,50 @@ mod tests {
         );
     }
 
-    /// An uncontended commit samples every stage once, and the trace's
-    /// `StageEnd` events carry the durations the histograms summed.
+    /// An uncontended commit samples every stage once, and the stages of
+    /// one attempt tile it: their sum is at most the commit's wall time.
     #[test]
-    fn obs_stages_sample_once_per_commit_and_match_the_trace() {
+    fn obs_stages_sample_once_per_commit() {
         let reg = MetricsRegistry::new();
         let s = SkipListStore::<u64, u64>::with_obs(1, ReclaimMode::Reclaim, vec![50], &reg);
+        let t = Instant::now();
         for i in 0..25 {
             s.apply_txn(0, &[TxnOp::Put(i, i), TxnOp::Put(50 + i, i)]);
         }
-        let events = s.obs_trace().unwrap().dump();
-        assert_eq!(events.len(), 25 * 10, "a begin and an end per stage");
-        let mut traced = [0u64; 5];
-        for e in events.iter().filter(|e| e.kind == TraceKind::StageEnd) {
-            traced[e.shard as usize] += e.payload;
+        let wall = t.elapsed().as_nanos() as u64;
+        let mut staged = 0;
+        for stage in crate::observe::PIPELINE_STAGES {
+            let h = reg
+                .histogram(&format!("store.pipeline.{stage}_ns"))
+                .summary();
+            assert_eq!(h.count, 25, "{stage}");
+            staged += h.sum;
         }
-        for (i, stage) in crate::observe::PIPELINE_STAGES.iter().enumerate() {
-            let name = format!("store.pipeline.{stage}_ns");
-            let h = reg.histogram(&name).summary();
-            assert_eq!((h.count, h.sum), (25, traced[i]), "{stage}");
-        }
+        assert!(staged <= wall, "stages {staged} ns > wall {wall} ns");
     }
 
     #[test]
     fn obs_trace_capacity_zero_keeps_the_metrics_without_a_recorder() {
         let (reg, mode) = (MetricsRegistry::new(), ReclaimMode::Reclaim);
         let s = SkipListStore::<u64, u64>::with_obs_trace_capacity(2, mode, vec![50], &reg, 0);
-        assert!(s.obs_trace().is_none());
-        s.apply_txn(0, &[TxnOp::Put(1, 1)]);
+        s.apply_txn(0, &[TxnOp::Put(1, 1), TxnOp::Put(60, 6)]);
         assert_eq!(reg.counter("store.txn.commits").value(), 1);
-        let s = SkipListStore::<u64, u64>::with_obs_trace_capacity(3, mode, vec![50], &reg, 5);
-        let tr = s.obs_trace().unwrap();
-        assert_eq!((tr.threads(), tr.capacity()), (3, 8));
+        let ops = |i: usize| reg.counter(&format!("store.shard{i}.ops")).value();
+        assert_eq!((ops(0), ops(1)), (1, 1));
+        assert_eq!(s.obs_snapshot(0).unwrap(), reg.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "no trace rings")]
+    fn obs_trace_capacity_above_zero_panics() {
+        let reg = MetricsRegistry::new();
+        let _ = SkipListStore::<u64, u64>::with_obs_trace_capacity(
+            1,
+            ReclaimMode::Reclaim,
+            vec![50],
+            &reg,
+            4096,
+        );
     }
 
     #[test]
@@ -2356,19 +2300,18 @@ mod tests {
         let s = SkipListStore::<u64, u64>::with_obs(1, ReclaimMode::Reclaim, vec![50], &reg);
         s.apply_txn(0, &[TxnOp::Put(60, 6)]);
         assert_eq!(s.get(0, &60), Some(6));
-        assert!(s.obs_trace().is_none());
+        assert_eq!(reg.counter("store.txn.commits").value(), 0);
         assert!(s.obs_snapshot(0).unwrap().entries.is_empty());
     }
 
     #[test]
-    fn obs_rw_retries_are_counted_and_traced() {
+    fn obs_rw_retries_are_counted() {
         let reg = MetricsRegistry::new();
         let s = SkipListStore::<u64, u64>::with_obs(2, ReclaimMode::Reclaim, vec![50], &reg);
         s.obs_note_rw_retry(1);
-        assert_eq!(reg.counter("store.txn.rw_retries").value(), 1);
-        let e = s.obs_trace().unwrap().dump()[0];
-        assert_eq!((e.kind, e.tid), (TraceKind::RwRetry, 1));
-        assert_eq!(e.shard, obs::trace::NO_SHARD);
+        s.obs_note_rw_retry(0);
+        assert_eq!(reg.counter("store.txn.rw_retries").value(), 2);
+        assert_eq!(reg.counter("store.txn.commits").value(), 0);
     }
 
     #[test]

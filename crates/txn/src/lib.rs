@@ -67,7 +67,7 @@
 //! Primitive `get`/`contains` on the store read newest pointers and may
 //! observe a transaction's eagerly-applied writes before its commit
 //! timestamp (read-uncommitted, zero overhead). [`StoreTxnExt::snapshot_get`]
-//! / [`TxnStore::get`] are linearizable single-key snapshot reads.
+//! is the linearizable single-key snapshot read.
 //!
 //! ## Durability
 //!
@@ -88,11 +88,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use store::uniform_splits;
-//! use txn::{SkipListTxnStore, StoreTxnExt};
+//! use store::{uniform_splits, SkipListStore};
+//! use txn::StoreTxnExt;
 //!
-//! let ts = Arc::new(SkipListTxnStore::<u64, u64>::new(2, uniform_splits(4, 1000)));
-//! let session = ts.register();
+//! let store = Arc::new(SkipListStore::<u64, u64>::new(2, uniform_splits(4, 1000)));
+//! let session = store.register();
 //!
 //! // Write-only: stage a cross-shard batch, commit atomically.
 //! let mut txn = session.txn();
@@ -110,10 +110,7 @@
 //! assert_eq!(session.snapshot_get(&400), Some(3));
 //! ```
 
-use std::sync::Arc;
-
 use bundle::api::RangeQuerySet;
-use ebr::ReclaimMode;
 use store::{
     BundledStore, ShardBackend, StoreHandle, StoreSnapshot, TxnAborted, TxnBufs, TxnOp, TxnStats,
 };
@@ -565,102 +562,11 @@ where
     }
 }
 
-/// A [`BundledStore`] wrapper whose read path is transaction-serializable
-/// by default: `get` resolves through snapshot reads, writes go through
-/// [`WriteTxn`] / [`ReadWriteTxn`] batches (or the inherited single-key
-/// operations, which remain individually linearizable).
-///
-/// Cheap to share (`Arc` inside is exposed via [`TxnStore::inner`] for
-/// interop with code that wants the raw store).
-pub struct TxnStore<K, V, S> {
-    inner: Arc<BundledStore<K, V, S>>,
-}
-
-/// Transactional store over bundled skip-list shards.
-pub type SkipListTxnStore<K, V> = TxnStore<K, V, skiplist::BundledSkipList<K, V>>;
-/// Transactional store over bundled lazy-list shards.
-pub type LazyListTxnStore<K, V> = TxnStore<K, V, lazylist::BundledLazyList<K, V>>;
-/// Transactional store over bundled Citrus-tree shards.
-pub type CitrusTxnStore<K, V> = TxnStore<K, V, citrus::BundledCitrusTree<K, V>>;
-
-impl<K, V, S> TxnStore<K, V, S>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-    S: ShardBackend<K, V>,
-{
-    /// A transactional store with `splits.len() + 1` range shards and
-    /// `max_threads` session slots (see [`BundledStore::new`]).
-    pub fn new(max_threads: usize, splits: Vec<K>) -> Self {
-        TxnStore {
-            inner: Arc::new(BundledStore::new(max_threads, splits)),
-        }
-    }
-
-    /// A transactional store with an explicit reclamation mode.
-    pub fn with_mode(max_threads: usize, mode: ReclaimMode, splits: Vec<K>) -> Self {
-        TxnStore {
-            inner: Arc::new(BundledStore::with_mode(max_threads, mode, splits)),
-        }
-    }
-
-    /// Wrap an existing store (shares it; transactions and primitive
-    /// operations interoperate).
-    pub fn from_store(inner: Arc<BundledStore<K, V, S>>) -> Self {
-        TxnStore { inner }
-    }
-
-    /// The wrapped store.
-    #[must_use]
-    pub fn inner(&self) -> &Arc<BundledStore<K, V, S>> {
-        &self.inner
-    }
-
-    /// Register a session (blocking when all slots are in use).
-    pub fn register(&self) -> StoreHandle<K, V, S> {
-        self.inner.register()
-    }
-
-    /// Non-blocking registration; `None` when the pool is exhausted.
-    pub fn try_register(&self) -> Option<StoreHandle<K, V, S>> {
-        self.inner.try_register()
-    }
-
-    /// Begin a write-only transaction on an explicitly-managed thread id.
-    pub fn txn_with_tid(&self, tid: usize) -> WriteTxn<'_, K, V, S> {
-        WriteTxn::with_tid(&self.inner, tid)
-    }
-
-    /// Begin a read-write transaction on an explicitly-managed thread id.
-    pub fn rw_txn_with_tid(&self, tid: usize) -> ReadWriteTxn<'_, K, V, S> {
-        ReadWriteTxn::with_tid(&self.inner, tid)
-    }
-
-    /// Linearizable single-key read that serializes with transactions.
-    #[must_use]
-    pub fn get(&self, tid: usize, key: &K) -> Option<V> {
-        snapshot_get(&self.inner, tid, key)
-    }
-
-    /// Commit/conflict counters of the underlying store.
-    #[must_use]
-    pub fn stats(&self) -> TxnStats {
-        self.inner.txn_stats()
-    }
-}
-
-impl<K, V, S> Clone for TxnStore<K, V, S> {
-    fn clone(&self) -> Self {
-        TxnStore {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bundle::api::ConcurrentSet;
+    use std::sync::Arc;
     use store::{uniform_splits, CitrusStore, LazyListStore, SkipListStore};
 
     #[test]
@@ -972,35 +878,13 @@ mod tests {
     }
 
     #[test]
-    fn txn_store_wrapper_round_trip() {
-        let ts = SkipListTxnStore::<u64, u64>::new(2, uniform_splits(4, 1_000));
-        let session = ts.register();
-        let mut txn = session.txn();
-        txn.put(10, 1).put(400, 2).put(900, 3);
-        assert_eq!(txn.commit().applied_count(), 3);
-        assert_eq!(ts.get(session.tid(), &400), Some(2));
-        assert_eq!(ts.stats().commits, 1);
-        let cloned = ts.clone();
-        assert_eq!(cloned.inner().len(session.tid()), 3);
-        drop(session);
-        // A raw-tid read-write transaction through the wrapper.
-        let h2 = cloned.try_register().expect("slot free again");
-        let mut txn = cloned.rw_txn_with_tid(h2.tid());
-        let v = txn.get(&400).unwrap();
-        txn.set(400, v + 40).remove(&900);
-        assert_eq!(txn.commit().unwrap().applied_count(), 2);
-        assert_eq!(cloned.get(h2.tid(), &400), Some(42));
-        assert_eq!(cloned.get(h2.tid(), &900), None);
-    }
-
-    #[test]
     fn concurrent_sessions_commit_atomically() {
         // Several sessions commit multi-shard batches while others take
         // snapshot reads; every batch is tagged so a torn commit would be
         // visible as a partial tag group.
         const WRITERS: usize = 3;
         const BATCHES: u64 = 120;
-        let ts = Arc::new(LazyListTxnStore::<u64, u64>::new(
+        let ts = Arc::new(LazyListStore::<u64, u64>::new(
             WRITERS + 1,
             uniform_splits(4, 4_000),
         ));
@@ -1037,7 +921,7 @@ mod tests {
             j.join().unwrap();
         }
         reader.join().unwrap();
-        assert_eq!(ts.stats().commits, WRITERS as u64 * BATCHES);
+        assert_eq!(ts.txn_stats().commits, WRITERS as u64 * BATCHES);
         let h = ts.register();
         assert_eq!(h.len(), (WRITERS as u64 * BATCHES * 4) as usize);
     }
@@ -1049,7 +933,7 @@ mod tests {
         // leave the counter below N*M; validated read sets forbid them.
         const THREADS: usize = 4;
         const INCREMENTS: u64 = 150;
-        let ts = Arc::new(SkipListTxnStore::<u64, u64>::new(
+        let ts = Arc::new(SkipListStore::<u64, u64>::new(
             THREADS,
             uniform_splits(4, 400),
         ));
@@ -1081,7 +965,7 @@ mod tests {
         let total = THREADS as u64 * INCREMENTS;
         assert_eq!(h.snapshot_get(&42), Some(total), "no lost updates");
         assert_eq!(h.snapshot_get(&342), Some(total));
-        let stats = ts.stats();
+        let stats = ts.txn_stats();
         assert_eq!(stats.commits, total, "one commit per increment");
         assert!(stats.read_set_size >= 2 * total);
     }

@@ -89,31 +89,6 @@ pub enum SyncPolicy {
     Off,
 }
 
-impl SyncPolicy {
-    /// Parse a CLI spelling: `always`, `every=N`, or `off`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<SyncPolicy> {
-        match s {
-            "always" => Some(SyncPolicy::Always),
-            "off" => Some(SyncPolicy::Off),
-            _ => {
-                let n: u32 = s.strip_prefix("every=")?.parse().ok()?;
-                (n >= 1).then_some(SyncPolicy::EveryNGroups(n))
-            }
-        }
-    }
-
-    /// The policy's spelling in [`SyncPolicy::parse`]'s syntax.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            SyncPolicy::Always => "always".to_string(),
-            SyncPolicy::EveryNGroups(n) => format!("every={n}"),
-            SyncPolicy::Off => "off".to_string(),
-        }
-    }
-}
-
 /// A position in the log: a segment sequence number and a byte offset
 /// within that segment. Ordered lexicographically, which is log order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -432,20 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_policy_parse_and_label() {
-        assert_eq!(SyncPolicy::parse("always"), Some(SyncPolicy::Always));
-        assert_eq!(SyncPolicy::parse("off"), Some(SyncPolicy::Off));
-        assert_eq!(
-            SyncPolicy::parse("every=8"),
-            Some(SyncPolicy::EveryNGroups(8))
-        );
-        assert_eq!(SyncPolicy::parse("every=0"), None);
-        assert_eq!(SyncPolicy::parse("sometimes"), None);
-        assert_eq!(SyncPolicy::EveryNGroups(8).label(), "every=8");
-        assert_eq!(SyncPolicy::default(), SyncPolicy::Off);
-    }
-
-    #[test]
     fn create_refuses_existing_segments() {
         let dir = tmpdir("create-refuses");
         {
@@ -474,7 +435,8 @@ mod tests {
     #[test]
     fn off_policy_leaves_tail_volatile_until_sync() {
         let dir = tmpdir("off-volatile");
-        let wal = GroupWal::<u64, u64>::create(&dir, SyncPolicy::Off).unwrap();
+        assert_eq!(SyncPolicy::default(), SyncPolicy::Off);
+        let wal = GroupWal::<u64, u64>::create(&dir, SyncPolicy::default()).unwrap();
         let durable0 = wal.durable_position();
         log_keys(&wal, 1, &[1]);
         log_keys(&wal, 2, &[2]);

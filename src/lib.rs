@@ -36,11 +36,9 @@
 //!   [`store::BundledStore::apply_grouped`] — one shared-clock advance
 //!   per *group*, every group an atomic cut, same-key submissions
 //!   serialized in queue order with outcome-exact tickets.
-//! * [`obs`] — **metrics and a flight recorder**: thread-striped
-//!   lock-free counters, gauges and power-of-two-bucket latency
-//!   histograms behind an [`obs::MetricsRegistry`], plus per-thread
-//!   trace rings ([`obs::TraceRecorder`]) with anomaly snapshots. A store
-//!   built with [`store::BundledStore::with_obs`] (and any `ingest`
+//! * [`obs`] — **metrics**: thread-striped lock-free counters, gauges
+//!   and power-of-two-bucket latency histograms behind an
+//!   [`obs::MetricsRegistry`]. A store built with [`store::BundledStore::with_obs`] (and any `ingest`
 //!   front-end spawned over it) records commit-pipeline stage latencies,
 //!   conflict/abort causes, per-shard op counters, queue depth / group
 //!   size distributions, and EBR/tracker/clock gauges — one
@@ -54,9 +52,7 @@
 //!   prefix of the visible history; [`wal::SyncPolicy`] trades fsync
 //!   frequency for loss window, and [`wal::WalRecovery`] rebuilds a
 //!   fresh store from the log after a crash at any byte boundary.
-//! * [`dbsim`] — the DBx1000-style TPC-C substrate of §8.2, including
-//!   the ingest-backed NEW_ORDER firehose
-//!   ([`dbsim::run_new_order_firehose`]).
+//! * [`dbsim`] — the DBx1000-style TPC-C substrate of §8.2.
 //! * [`workloads`] — the harness regenerating every figure and table of
 //!   the evaluation, plus the sharded-store scaling sweep
 //!   (`store_scaling` binary, `Store*` registry kinds). Performance is
@@ -126,6 +122,6 @@ pub mod prelude {
         ShardBackend, ShardRead, SkipListStore, StoreHandle, StoreSnapshot, TxnAborted, TxnOp,
         TxnStats,
     };
-    pub use txn::{ReadWriteTxn, StoreTxnExt, TxnReceipt, TxnStore, WriteTxn};
+    pub use txn::{ReadWriteTxn, StoreTxnExt, TxnReceipt, WriteTxn};
     pub use wal::{GroupWal, SyncPolicy, WalRecovery};
 }

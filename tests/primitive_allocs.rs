@@ -4,15 +4,19 @@
 //! operation that fails nothing at all — no `Vec` of pending entries, of
 //! lock guards or of bundle updates per call. A counting global allocator
 //! pins that per thread (as in `tests/txn_allocs.rs`), on all three
-//! backends.
+//! backends. Metrics add nothing to it: the same primitives on a store
+//! built `with_obs` allocate exactly what they allocate on a plain one.
 
 mod common;
 
 use bundled_refs::bundle::api::ConcurrentSet;
 use bundled_refs::bundle::TwoPhase;
 use bundled_refs::citrus::BundledCitrusTree;
+use bundled_refs::ebr::ReclaimMode;
 use bundled_refs::lazylist::BundledLazyList;
+use bundled_refs::obs::MetricsRegistry;
 use bundled_refs::skiplist::BundledSkipList;
+use bundled_refs::store::{uniform_splits, BundledStore, ShardBackend};
 use common::allocs_in;
 
 /// Even keys below this are prefilled; odd ones come and go.
@@ -70,4 +74,52 @@ fn citrus_primitives_allocate_only_what_they_create() {
     // further down, that slot's too.
     let (n, applied) = allocs_in(|| tree.remove(0, &FIRST));
     assert!(applied && n <= 3, "relocating remove allocated {n} times");
+}
+
+/// The allocations of every op of one warm churn script on a 4-shard
+/// store; `registry` builds it `with_obs`.
+fn store_churn_allocs<S: ShardBackend<u64, u64>>(registry: Option<&MetricsRegistry>) -> Vec<u64> {
+    let (mode, splits) = (ReclaimMode::Reclaim, uniform_splits(4, KEY_RANGE));
+    let s = match registry {
+        Some(r) => BundledStore::<u64, u64, S>::with_obs(1, mode, splits, r),
+        None => BundledStore::<u64, u64, S>::with_mode(1, mode, splits),
+    };
+    let evens = KEY_RANGE / 2;
+    for i in 0..evens {
+        assert!(s.insert(0, (FIRST + i * 2 * 389) % KEY_RANGE, i));
+    }
+    for i in 0..WARM_UP {
+        let k = (i * 997) % evens * 2 + 1;
+        assert!(s.insert(0, k, i) && s.remove(0, &k));
+    }
+    let mut counts = Vec::with_capacity(4 * MEASURED as usize);
+    for i in 0..MEASURED {
+        let k = (i * 613) % evens * 2 + 1;
+        counts.push(allocs_in(|| s.insert(0, k, i)).0);
+        counts.push(allocs_in(|| s.insert(0, k, i)).0);
+        counts.push(allocs_in(|| s.remove(0, &k)).0);
+        counts.push(allocs_in(|| s.remove(0, &k)).0);
+    }
+    counts
+}
+
+fn metrics_add_no_allocation<S: ShardBackend<u64, u64>>() {
+    let plain = store_churn_allocs::<S>(None);
+    let observed = store_churn_allocs::<S>(Some(&MetricsRegistry::new()));
+    assert_eq!(observed, plain);
+}
+
+#[test]
+fn skiplist_store_primitives_allocate_the_same_with_metrics() {
+    metrics_add_no_allocation::<BundledSkipList<u64, u64>>();
+}
+
+#[test]
+fn lazylist_store_primitives_allocate_the_same_with_metrics() {
+    metrics_add_no_allocation::<BundledLazyList<u64, u64>>();
+}
+
+#[test]
+fn citrus_store_primitives_allocate_the_same_with_metrics() {
+    metrics_add_no_allocation::<BundledCitrusTree<u64, u64>>();
 }

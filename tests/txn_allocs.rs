@@ -7,12 +7,21 @@
 //!
 //! The transaction is the benchmark's `txn_contended` transfer: 4 `get`,
 //! one 16-key `range`, 4 `set`, `commit`, on a 4-shard Citrus store.
+//! Metrics add nothing to it: on every backend, a store built `with_obs`
+//! allocates exactly what a plain one does per transfer.
 
 mod common;
 
 use std::sync::Arc;
 
-use bundled_refs::store::{uniform_splits, CitrusStore, TxnAborted, TxnOp};
+use bundled_refs::citrus::BundledCitrusTree;
+use bundled_refs::ebr::ReclaimMode;
+use bundled_refs::lazylist::BundledLazyList;
+use bundled_refs::obs::MetricsRegistry;
+use bundled_refs::skiplist::BundledSkipList;
+use bundled_refs::store::{
+    uniform_splits, BundledStore, CitrusStore, ShardBackend, TxnAborted, TxnOp,
+};
 use bundled_refs::txn::StoreTxnExt;
 use common::allocs_in;
 
@@ -20,10 +29,18 @@ const KEY_RANGE: u64 = 4_000;
 const HOT: u64 = 40;
 
 fn store() -> Arc<CitrusStore<u64, u64>> {
-    let store = Arc::new(CitrusStore::<u64, u64>::new(
-        3,
-        uniform_splits(4, KEY_RANGE),
-    ));
+    store_on(None)
+}
+
+/// A prefilled 4-shard store over `S`; `registry` builds it `with_obs`.
+fn store_on<S: ShardBackend<u64, u64>>(
+    registry: Option<&MetricsRegistry>,
+) -> Arc<BundledStore<u64, u64, S>> {
+    let (mode, splits) = (ReclaimMode::Reclaim, uniform_splits(4, KEY_RANGE));
+    let store = Arc::new(match registry {
+        Some(r) => BundledStore::with_obs(3, mode, splits, r),
+        None => BundledStore::with_mode(3, mode, splits),
+    });
     let h = store.register();
     // Every fourth key, inserted in a scattered order (a sorted prefill
     // would make the tree a list).
@@ -110,6 +127,43 @@ fn a_warm_transfer_allocates_only_what_it_creates() {
         "a warm transfer allocated {per_txn:.1} times: some per-transaction \
          buffer is rebuilt again instead of reused"
     );
+}
+
+/// The allocations of each of 200 warm transfers.
+fn transfer_allocs<S: ShardBackend<u64, u64>>(registry: Option<&MetricsRegistry>) -> Vec<u64> {
+    let store = store_on::<S>(registry);
+    let h = store.register();
+    let mut seed = 0x5eed_0003_u64;
+    let mut out = Vec::with_capacity(64);
+    let mut run = |seed: &mut u64| {
+        let (keys, low) = draw(seed);
+        let mut txn = h.rw_txn();
+        transfer_body(&mut txn, &keys, low, &mut out);
+        txn.commit().expect("single-threaded: nothing interferes");
+    };
+    (0..100).for_each(|_| run(&mut seed));
+    (0..200).map(|_| allocs_in(|| run(&mut seed)).0).collect()
+}
+
+fn metrics_add_no_allocation<S: ShardBackend<u64, u64>>() {
+    let plain = transfer_allocs::<S>(None);
+    let observed = transfer_allocs::<S>(Some(&MetricsRegistry::new()));
+    assert_eq!(observed, plain);
+}
+
+#[test]
+fn a_warm_transfer_allocates_the_same_with_metrics_skiplist() {
+    metrics_add_no_allocation::<BundledSkipList<u64, u64>>();
+}
+
+#[test]
+fn a_warm_transfer_allocates_the_same_with_metrics_lazylist() {
+    metrics_add_no_allocation::<BundledLazyList<u64, u64>>();
+}
+
+#[test]
+fn a_warm_transfer_allocates_the_same_with_metrics_citrus() {
+    metrics_add_no_allocation::<BundledCitrusTree<u64, u64>>();
 }
 
 #[test]
