@@ -3,7 +3,7 @@
 use std::ptr;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 
-use ebr::Guard;
+use ebr::{Guard, Shared};
 
 /// Timestamp value marking a bundle entry that has been prepared but whose
 /// update has not yet been finalized (Algorithm 2, `PENDING_TS`).
@@ -85,16 +85,10 @@ impl<T> PendingEntry<T> {
     /// Used when one transaction updates the same link twice: the second
     /// update merges into the first entry instead of preparing a new one
     /// (both would finalize with the same timestamp anyway).
-    pub fn set_ptr(&self, ptr: *mut T) {
+    pub fn set_ptr(&self, ptr: Shared<'_, T>) {
         // Relaxed: no reader accepts the head while it is pending; the
         // owner's finalize/abort `Release` store publishes the value.
-        self.bundle().ptr.store(ptr, Ordering::Relaxed);
-    }
-
-    /// The currently staged link value.
-    #[must_use]
-    pub fn staged_ptr(&self) -> *mut T {
-        self.bundle().ptr.load(Ordering::Relaxed)
+        self.bundle().ptr.store(ptr.as_raw(), Ordering::Relaxed);
     }
 
     /// Publish the entry with its commit timestamp, releasing every reader
@@ -151,9 +145,11 @@ impl<T> PendingEntry<T> {
 /// [`Bundle::prepare`] allocates the one chain entry that takes the
 /// displaced head.
 ///
-/// The data structure that owns this bundle keeps its own "newest" raw
-/// pointer (the paper's `newestNextPtr`) next to it, so primitive operations
-/// never touch the bundle at all.
+/// The data structure that owns this bundle keeps its own "newest"
+/// [`ebr::Link`] (the paper's `newestNextPtr`) next to it, so primitive
+/// operations never touch the bundle at all. Link values go in and come out
+/// as [`Shared`] pointers: a reader's [`Bundle::dereference`] hands back a
+/// node it may dereference for as long as its guard lives.
 ///
 /// # Protocol
 ///
@@ -217,6 +213,7 @@ pub struct Bundle<T> {
 // Sharing it across threads is exactly its purpose: all mutation goes
 // through atomics with the protocol above.
 unsafe impl<T: Send + Sync> Send for Bundle<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send + Sync> Sync for Bundle<T> {}
 
 impl<T> Default for Bundle<T> {
@@ -239,12 +236,12 @@ impl<T> Bundle<T> {
     /// Install the initial entry of a link created while the structure (or
     /// node) is still private to one thread — e.g. the sentinel link of an
     /// empty list, timestamped with the initial `globalTs` value.
-    pub fn init(&self, ptr: *mut T, ts: u64) {
+    pub fn init(&self, ptr: Shared<'_, T>, ts: u64) {
         debug_assert!(
             self.is_empty(),
             "init on a bundle that already has an entry"
         );
-        self.ptr.store(ptr, Ordering::Relaxed);
+        self.ptr.store(ptr.as_raw(), Ordering::Relaxed);
         // Release: a thread that meets the bundle through a racy path still
         // reads the pointer that belongs to this timestamp.
         self.ts.store(ts, Ordering::Release);
@@ -322,7 +319,7 @@ impl<T> Bundle<T> {
     /// with [`PendingEntry::finalize`] / [`PendingEntry::abort`], or call
     /// [`Bundle::finalize`] (the paper's single-structure path, which
     /// targets the same head entry).
-    pub fn prepare(&self, ptr: *mut T) -> PendingEntry<T> {
+    pub fn prepare(&self, ptr: Shared<'_, T>) -> PendingEntry<T> {
         let odd = self.claim();
         let ts = self.ts.load(Ordering::Relaxed);
         // A sentinel head (never initialized, or an aborted first entry) is
@@ -336,7 +333,7 @@ impl<T> Bundle<T> {
             self.older.store(displaced, Ordering::Release);
         }
         self.ts.store(PENDING_TS, Ordering::Relaxed);
-        self.ptr.store(ptr, Ordering::Relaxed);
+        self.ptr.store(ptr.as_raw(), Ordering::Relaxed);
         self.seq.store(odd + 1, Ordering::Release);
         PendingEntry { bundle: self }
     }
@@ -367,8 +364,15 @@ impl<T> Bundle<T> {
     /// Returns `None` when no entry satisfies `ts`, which tells the range
     /// query that its optimistic traversal landed on a node inserted after
     /// its snapshot and that it must restart (Algorithm 3, line 7).
+    ///
+    /// `guard` must be pinned in the owning structure's collector since
+    /// *before* `ts` was read from the clock (the kernel's range queries and
+    /// `BundledStore::range_query` pin first): a node an entry at or below
+    /// `ts` points to was reachable at `ts`, so its removal timestamp is
+    /// larger, its retire comes after that pin, and it stays allocated for
+    /// as long as `guard` lives.
     #[inline]
-    pub fn dereference(&self, ts: u64) -> Option<*mut T> {
+    pub fn dereference<'g>(&self, ts: u64, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
         let ts = ts.min(MAX_SNAPSHOT_TS);
         loop {
             let (seq, head_ts) = self.head_begin();
@@ -379,10 +383,14 @@ impl<T> Bundle<T> {
                 #[cfg(test)]
                 tests::widen_torn_read_window();
                 if self.head_validate(seq) {
-                    return Some(ptr);
+                    // SAFETY: the seq-lock head read. `(head_ts, ptr)` is a
+                    // state of the link (no writer got in), its value was
+                    // published as a `Shared`, and `head_ts <= ts` with the
+                    // pin-before-clock-read rule above keeps it allocated.
+                    return Some(unsafe { Shared::from_raw(ptr, guard) });
                 }
             } else if head_ts != PENDING_TS {
-                return self.dereference_older(ts);
+                return self.dereference_older(ts, guard);
             }
             std::hint::spin_loop();
         }
@@ -391,14 +399,16 @@ impl<T> Bundle<T> {
     /// The chain half of [`Bundle::dereference`]: the head is newer than
     /// the snapshot.
     #[cold]
-    fn dereference_older(&self, ts: u64) -> Option<*mut T> {
+    fn dereference_older<'g>(&self, ts: u64, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
         let mut curr = self.older.load(Ordering::Acquire);
         while !curr.is_null() {
-            // SAFETY: chain entries are freed through EBR only after being
-            // unlinked, and the caller is pinned.
+            // SAFETY: chain entries are retired through EBR only after they
+            // are unlinked, and `guard` is pinned.
             let e = unsafe { &*curr };
             if e.ts <= ts {
-                return Some(e.ptr);
+                // SAFETY: an immutable entry at or below `ts`, so its value
+                // is live under `guard` as in `dereference`.
+                return Some(unsafe { Shared::from_raw(e.ptr, guard) });
             }
             curr = e.next.load(Ordering::Acquire);
         }
@@ -407,10 +417,14 @@ impl<T> Bundle<T> {
 
     /// The most recent (finalized or pending) link value recorded in the
     /// bundle, if any. Primarily a diagnostic: structures keep their own
-    /// `newest` pointer outside the bundle.
-    pub fn newest(&self) -> Option<*mut T> {
+    /// `newest` link outside the bundle. `guard` must be pinned in the
+    /// owning structure's collector.
+    pub fn newest<'g>(&self, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
         let (_, ts, ptr) = self.read_head();
-        (ts != EMPTY_TS).then_some(ptr)
+        // SAFETY: the seq-lock head read: `ptr` was published as a `Shared`
+        // and is the link's current value, so no retire of it can precede
+        // `guard`'s pin.
+        (ts != EMPTY_TS).then(|| unsafe { Shared::from_raw(ptr, guard) })
     }
 
     /// The read-version surface of the bundle: the link value current at
@@ -419,8 +433,8 @@ impl<T> Bundle<T> {
     /// its reads through the bundles at one leased snapshot timestamp
     /// (see [`crate::RqContext::lease_read`]), which is what makes the
     /// whole read set a single atomic cut.
-    pub fn read_at(&self, ts: u64) -> Option<*mut T> {
-        self.dereference(ts)
+    pub fn read_at<'g>(&self, ts: u64, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
+        self.dereference(ts, guard)
     }
 
     /// Timestamp of the newest *committed* entry: the head, or the entry
@@ -530,16 +544,17 @@ impl<T> Bundle<T> {
             // The head is pending or too new: find the first chain entry
             // that satisfies the oldest active range query.
             let mut curr = self.older.load(Ordering::Acquire);
-            // SAFETY (both derefs): as in `dereference_older`.
-            while !curr.is_null() && unsafe { &*curr }.ts > oldest_active {
-                curr = unsafe { &*curr }.next.load(Ordering::Acquire);
+            loop {
+                if curr.is_null() {
+                    return 0;
+                }
+                // SAFETY: as in `dereference_older`.
+                let e = unsafe { &*curr };
+                if e.ts <= oldest_active {
+                    break e.next.swap(ptr::null_mut(), Ordering::AcqRel);
+                }
+                curr = e.next.load(Ordering::Acquire);
             }
-            if curr.is_null() {
-                return 0;
-            }
-            unsafe { &*curr }
-                .next
-                .swap(ptr::null_mut(), Ordering::AcqRel)
         };
         // Everything from `tail` on is unreachable for present and future
         // range queries.
@@ -549,6 +564,8 @@ impl<T> Bundle<T> {
             // only reachable by range queries that pinned before now; EBR
             // defers the free past their guards.
             let next = unsafe { &*tail }.next.load(Ordering::Acquire);
+            // SAFETY: `retire`: unlinked just above, so only snapshots
+            // pinned before now can still be on it.
             unsafe { guard.retire(tail) };
             retired += 1;
             tail = next;
@@ -578,7 +595,7 @@ impl<T> Bundle<T> {
         // Floyd: `slow` advances every second step of `curr`.
         let (mut curr, mut slow, mut steps) = (chain, chain, 0usize);
         while !curr.is_null() {
-            // SAFETY (both derefs): see the caller contract above.
+            // SAFETY: see the caller contract above.
             let e = unsafe { &*curr };
             assert!(
                 e.ts <= MAX_SNAPSHOT_TS,
@@ -594,6 +611,7 @@ impl<T> Bundle<T> {
             curr = e.next.load(Ordering::Acquire);
             steps += 1;
             if steps % 2 == 0 {
+                // SAFETY: `slow` trails `curr` on the same chain.
                 slow = unsafe { &*slow }.next.load(Ordering::Acquire);
             }
             assert!(curr.is_null() || curr != slow, "bundle chain is cyclic");
@@ -653,22 +671,34 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    fn leak(v: u64) -> *mut u64 {
-        Box::into_raw(Box::new(v))
-    }
-    unsafe fn free(p: *mut u64) {
-        drop(Box::from_raw(p));
+    /// One never-reclaiming pin per test thread: test values enter bundles
+    /// as `Shared`s and come back out under it.
+    fn pin() -> &'static Guard<'static> {
+        thread_local!(static PIN: &'static Guard<'static> = Box::leak(Box::new(
+            Box::leak(Box::new(Collector::new(1, ReclaimMode::Leaky))).pin(0)
+        )));
+        PIN.with(|g| *g)
     }
 
-    /// Raw pointers are not `Send`; tests move them into threads as `usize`.
+    fn sh(p: *mut u64) -> Shared<'static, u64> {
+        // SAFETY: test values are leaked boxes, or fakes (`fake`) that a
+        // bundle never dereferences.
+        unsafe { Shared::from_raw(p, pin()) }
+    }
+
+    fn leak(v: u64) -> Shared<'static, u64> {
+        Shared::boxed(v, pin())
+    }
+
+    /// `Shared`s are not `Send`; tests move them into threads as `usize`.
     #[derive(Clone, Copy)]
     struct SendPtr(usize);
     impl SendPtr {
-        fn new(p: *mut u64) -> Self {
-            SendPtr(p as usize)
+        fn new(p: Shared<'_, u64>) -> Self {
+            SendPtr(p.as_raw() as usize)
         }
-        fn get(self) -> *mut u64 {
-            self.0 as *mut u64
+        fn get(self) -> Shared<'static, u64> {
+            sh(self.0 as *mut u64)
         }
     }
 
@@ -676,13 +706,12 @@ mod tests {
     fn init_and_dereference() {
         let b: Bundle<u64> = Bundle::new();
         assert!(b.is_empty());
-        assert_eq!(b.dereference(10), None);
+        assert_eq!(b.dereference(10, pin()), None);
         let p = leak(7);
         b.init(p, 0);
-        assert_eq!(b.dereference(0), Some(p));
-        assert_eq!(b.dereference(100), Some(p));
+        assert_eq!(b.dereference(0, pin()), Some(p));
+        assert_eq!(b.dereference(100, pin()), Some(p));
         assert_eq!(b.len(), 1);
-        unsafe { free(p) };
     }
 
     #[test]
@@ -699,19 +728,14 @@ mod tests {
         // Newest first, timestamps strictly decreasing along the chain.
         let ts: Vec<u64> = b.iter().map(|(_, t)| t).collect();
         assert_eq!(ts, vec![7, 3, 0]);
-        assert_eq!(b.dereference(0), Some(p0));
-        assert_eq!(b.dereference(2), Some(p0));
-        assert_eq!(b.dereference(3), Some(p1));
-        assert_eq!(b.dereference(6), Some(p1));
-        assert_eq!(b.dereference(7), Some(p2));
-        assert_eq!(b.dereference(u64::MAX - 1), Some(p2));
-        assert_eq!(b.newest(), Some(p2));
+        assert_eq!(b.dereference(0, pin()), Some(p0));
+        assert_eq!(b.dereference(2, pin()), Some(p0));
+        assert_eq!(b.dereference(3, pin()), Some(p1));
+        assert_eq!(b.dereference(6, pin()), Some(p1));
+        assert_eq!(b.dereference(7, pin()), Some(p2));
+        assert_eq!(b.dereference(u64::MAX - 1, pin()), Some(p2));
+        assert_eq!(b.newest(pin()), Some(p2));
         assert_eq!(b.newest_ts(), Some(7));
-        unsafe {
-            free(p0);
-            free(p1);
-            free(p2);
-        }
     }
 
     #[test]
@@ -720,8 +744,7 @@ mod tests {
         let p = leak(9);
         b.init(p, 5);
         // A snapshot taken before the link existed must not see it.
-        assert_eq!(b.dereference(4), None);
-        unsafe { free(p) };
+        assert_eq!(b.dereference(4, pin()), None);
     }
 
     #[test]
@@ -739,7 +762,7 @@ mod tests {
             let released = Arc::clone(&released);
             std::thread::spawn(move || {
                 // This dereference must not return until finalize happens.
-                let got = b.dereference(1);
+                let got = b.dereference(1, pin());
                 assert!(
                     released.load(Ordering::SeqCst),
                     "dereference returned while the head entry was still pending"
@@ -751,10 +774,6 @@ mod tests {
         released.store(true, Ordering::SeqCst);
         b.finalize(1);
         reader.join().unwrap();
-        unsafe {
-            free(p0);
-            free(p1);
-        }
     }
 
     #[test]
@@ -786,18 +805,13 @@ mod tests {
         other.join().unwrap();
         let ts: Vec<u64> = b.iter().map(|(_, t)| t).collect();
         assert_eq!(ts, vec![2, 1, 0], "entries remain ordered by timestamp");
-        unsafe {
-            free(p0);
-            free(p1);
-            free(p2);
-        }
     }
 
     #[test]
     fn reclaim_keeps_entry_needed_by_oldest_range_query() {
         let collector = Collector::new(1, ReclaimMode::Reclaim);
         let b: Bundle<u64> = Bundle::new();
-        let ptrs: Vec<*mut u64> = (0..5).map(leak).collect();
+        let ptrs: Vec<_> = (0..5).map(leak).collect();
         b.init(ptrs[0], 0);
         for (i, &p) in ptrs.iter().enumerate().skip(1) {
             let _ = b.prepare(p);
@@ -810,14 +824,11 @@ mod tests {
         let retired = b.reclaim_up_to(25, &guard);
         assert_eq!(retired, 2);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.dereference(25), Some(ptrs[2]));
-        assert_eq!(b.dereference(40), Some(ptrs[4]));
+        assert_eq!(b.dereference(25, pin()), Some(ptrs[2]));
+        assert_eq!(b.dereference(40, pin()), Some(ptrs[4]));
         // A second pass is a no-op.
         assert_eq!(b.reclaim_up_to(25, &guard), 0);
         drop(guard);
-        for p in ptrs {
-            unsafe { free(p) };
-        }
     }
 
     #[test]
@@ -830,7 +841,6 @@ mod tests {
         assert_eq!(b.reclaim_up_to(10, &guard), 0);
         assert_eq!(b.len(), 1);
         drop(guard);
-        unsafe { free(p) };
     }
 
     #[test]
@@ -841,20 +851,13 @@ mod tests {
         let p2 = leak(2);
         b.init(p0, 0);
         let pe = b.prepare(p1);
-        assert_eq!(pe.staged_ptr(), p1);
         // A second update of the same link by the same transaction merges
         // into the pending entry instead of preparing a new one.
         pe.set_ptr(p2);
-        assert_eq!(pe.staged_ptr(), p2);
         pe.finalize(5);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.dereference(5), Some(p2));
-        assert_eq!(b.dereference(4), Some(p0));
-        unsafe {
-            free(p0);
-            free(p1);
-            free(p2);
-        }
+        assert_eq!(b.dereference(5, pin()), Some(p2));
+        assert_eq!(b.dereference(4, pin()), Some(p0));
     }
 
     #[test]
@@ -866,22 +869,17 @@ mod tests {
         let pe = b.prepare(p1);
         pe.abort();
         // Readers at every timestamp resolve exactly as before the prepare.
-        assert_eq!(b.dereference(3), Some(p0));
-        assert_eq!(b.dereference(100), Some(p0));
-        assert_eq!(b.dereference(2), None);
+        assert_eq!(b.dereference(3, pin()), Some(p0));
+        assert_eq!(b.dereference(100, pin()), Some(p0));
+        assert_eq!(b.dereference(2, pin()), None);
         // The neutralized duplicate keeps the bundle's timestamp ordering.
         let ts: Vec<u64> = b.iter().map(|(_, t)| t).collect();
         assert_eq!(ts, vec![3, 3]);
         // And a later real update still layers on top normally.
         let p2 = leak(2);
         b.prepare(p2).finalize(9);
-        assert_eq!(b.dereference(8), Some(p0));
-        assert_eq!(b.dereference(9), Some(p2));
-        unsafe {
-            free(p0);
-            free(p1);
-            free(p2);
-        }
+        assert_eq!(b.dereference(8, pin()), Some(p0));
+        assert_eq!(b.dereference(9, pin()), Some(p2));
     }
 
     #[test]
@@ -891,10 +889,9 @@ mod tests {
         let pe = b.prepare(p);
         pe.abort();
         // No snapshot may ever satisfy the tombstone.
-        assert_eq!(b.dereference(0), None);
-        assert_eq!(b.dereference(u64::MAX - 2), None);
+        assert_eq!(b.dereference(0, pin()), None);
+        assert_eq!(b.dereference(u64::MAX - 2, pin()), None);
         assert_eq!(b.newest_ts(), Some(TOMBSTONE_TS));
-        unsafe { free(p) };
     }
 
     #[test]
@@ -910,7 +907,7 @@ mod tests {
             let b = Arc::clone(&b);
             let released = Arc::clone(&released);
             std::thread::spawn(move || {
-                let got = b.dereference(10);
+                let got = b.dereference(10, pin());
                 assert!(
                     released.load(Ordering::SeqCst),
                     "dereference returned while the entry was still pending"
@@ -922,25 +919,21 @@ mod tests {
         released.store(true, Ordering::SeqCst);
         pe.abort();
         reader.join().unwrap();
-        unsafe {
-            free(p0);
-            free(p1);
-        }
     }
 
     #[test]
     fn read_at_and_validate_at_form_the_read_version_surface() {
         let b: Bundle<u64> = Bundle::new();
         // Empty bundle: no value at any version, vacuously valid.
-        assert_eq!(b.read_at(10), None);
+        assert_eq!(b.read_at(10, pin()), None);
         assert!(b.validate_at(0));
         assert_eq!(b.newest_committed_ts(), None);
         let p0 = leak(0);
         let p1 = leak(1);
         b.init(p0, 2);
         b.prepare(p1).finalize(7);
-        assert_eq!(b.read_at(2), Some(p0));
-        assert_eq!(b.read_at(7), Some(p1));
+        assert_eq!(b.read_at(2, pin()), Some(p0));
+        assert_eq!(b.read_at(7, pin()), Some(p1));
         assert_eq!(b.newest_committed_ts(), Some(7));
         // A read taken at ts < 7 is stale (the link changed at 7)...
         assert!(!b.validate_at(2));
@@ -948,10 +941,6 @@ mod tests {
         // ...one taken at or after 7 is still current.
         assert!(b.validate_at(7));
         assert!(b.validate_at(100));
-        unsafe {
-            free(p0);
-            free(p1);
-        }
     }
 
     #[test]
@@ -968,10 +957,6 @@ mod tests {
         pe.finalize(9);
         assert_eq!(b.newest_committed_ts(), Some(9));
         assert!(!b.validate_at(3));
-        unsafe {
-            free(p0);
-            free(p1);
-        }
     }
 
     #[test]
@@ -983,7 +968,6 @@ mod tests {
         // timestamp: no read can validate against it.
         assert_eq!(b.newest_committed_ts(), Some(TOMBSTONE_TS));
         assert!(!b.validate_at(u64::MAX - 2));
-        unsafe { free(p) };
     }
 
     #[test]
@@ -992,14 +976,14 @@ mod tests {
         const PER_THREAD: usize = 200;
         let b: Arc<Bundle<u64>> = Arc::new(Bundle::new());
         let clock = Arc::new(crate::GlobalTimestamp::new(THREADS));
-        b.init(std::ptr::null_mut(), 0);
+        b.init(Shared::null(), 0);
         let mut handles = Vec::new();
         for tid in 0..THREADS {
             let b = Arc::clone(&b);
             let clock = Arc::clone(&clock);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..PER_THREAD {
-                    let _ = b.prepare(std::ptr::null_mut());
+                    let _ = b.prepare(Shared::null());
                     let ts = clock.advance(tid);
                     b.finalize(ts);
                 }
@@ -1038,18 +1022,18 @@ mod tests {
     }
 
     /// A fake link value: the bundle never dereferences its `T`s.
-    fn fake(id: usize) -> *mut u64 {
-        (id << 3) as *mut u64
+    fn fake(id: usize) -> Shared<'static, u64> {
+        sh((id << 3) as *mut u64)
     }
 
     #[test]
     fn init_allocates_no_chain_and_empty_is_not_an_entry() {
         let b: Bundle<u64> = Bundle::new();
-        assert_eq!((b.len(), b.newest(), b.newest_ts()), (0, None, None));
+        assert_eq!((b.len(), b.newest(pin()), b.newest_ts()), (0, None, None));
         b.check_invariants();
         b.init(fake(1), 4);
         assert!(b.older.load(Ordering::Relaxed).is_null());
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(1), 4)]);
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(1).as_raw(), 4)]);
         b.check_invariants();
     }
 
@@ -1063,7 +1047,11 @@ mod tests {
         // Writer prepares between the reader's two data loads...
         let pe = b.prepare(fake(2));
         let torn = b.ptr.load(Ordering::Relaxed);
-        assert_eq!(torn, fake(2), "the reader picks up the staged pointer");
+        assert_eq!(
+            torn,
+            fake(2).as_raw(),
+            "the reader picks up the staged pointer"
+        );
         // ...and aborts, which puts the very same timestamp back.
         pe.abort();
         assert_eq!(b.ts.load(Ordering::Relaxed), ts);
@@ -1071,7 +1059,7 @@ mod tests {
             !b.head_validate(seq),
             "(3, staged) was never a state of the link"
         );
-        assert_eq!(b.dereference(10), Some(fake(1)));
+        assert_eq!(b.dereference(10, pin()), Some(fake(1)));
         b.check_invariants();
     }
 
@@ -1091,9 +1079,16 @@ mod tests {
             "both updates carry one timestamp"
         );
         assert!(!b.head_validate(seq));
-        assert_eq!(b.dereference(ts), Some(fake(3)));
+        assert_eq!(b.dereference(ts, pin()), Some(fake(3)));
         let entries: Vec<_> = b.iter().collect();
-        assert_eq!(entries, vec![(fake(3), 0), (fake(2), 0), (fake(1), 0)]);
+        assert_eq!(
+            entries,
+            vec![
+                (fake(3).as_raw(), 0),
+                (fake(2).as_raw(), 0),
+                (fake(1).as_raw(), 0)
+            ]
+        );
         b.check_invariants();
     }
 
@@ -1114,7 +1109,7 @@ mod tests {
         assert!(!b.head_validate(seq));
         assert_eq!(
             b.iter().collect::<Vec<_>>(),
-            vec![(fake(3), 5), (fake(1), 0)]
+            vec![(fake(3).as_raw(), 5), (fake(1).as_raw(), 0)]
         );
         b.check_invariants();
     }
@@ -1124,15 +1119,18 @@ mod tests {
         let b: Bundle<u64> = Bundle::new();
         b.prepare(fake(1)).abort();
         assert!(!b.is_empty());
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(1), TOMBSTONE_TS)]);
+        assert_eq!(
+            b.iter().collect::<Vec<_>>(),
+            vec![(fake(1).as_raw(), TOMBSTONE_TS)]
+        );
         b.check_invariants();
         // A tombstone is not history: re-preparing keeps it off the chain,
         // so a second abort tombstones again and a commit stands alone.
         b.prepare(fake(2)).abort();
         assert_eq!(b.len(), 1);
         b.prepare(fake(3)).finalize(7);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(3), 7)]);
-        assert_eq!(b.dereference(6), None);
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(3).as_raw(), 7)]);
+        assert_eq!(b.dereference(6, pin()), None);
         b.check_invariants();
     }
 
@@ -1152,7 +1150,7 @@ mod tests {
             seq + 2,
             "detached under the sequence lock"
         );
-        assert_eq!(b.dereference(25), Some(fake(3)));
+        assert_eq!(b.dereference(25, pin()), Some(fake(3)));
         assert_eq!(b.reclaim_up_to(25, &guard), 0);
         assert_eq!(
             b.seq.load(Ordering::Relaxed),
@@ -1163,13 +1161,13 @@ mod tests {
         b.prepare(fake(4)).abort();
         assert_eq!(
             b.iter().collect::<Vec<_>>(),
-            vec![(fake(3), 20), (fake(3), 20)]
+            vec![(fake(3).as_raw(), 20), (fake(3).as_raw(), 20)]
         );
         // A pending head never satisfies: the entry it displaced is kept.
         let pe = b.prepare(fake(5));
         assert_eq!(b.reclaim_up_to(25, &guard), 1);
         pe.abort();
-        assert_eq!(b.dereference(25), Some(fake(3)));
+        assert_eq!(b.dereference(25, pin()), Some(fake(3)));
         b.check_invariants();
     }
 
@@ -1257,11 +1255,12 @@ mod tests {
                         // `(snapshot, id)`, consecutive repeats dropped.
                         let mut seen: Vec<(u64, usize)> = Vec::new();
                         while !done.load(Ordering::Acquire) {
-                            let _guard = collector.pin(tid);
+                            let guard = collector.pin(tid);
                             let snapshot = tracker.start(tid, clock);
                             for _ in 0..8 {
-                                let p = b.dereference(snapshot).expect("init satisfies all");
-                                let got = (snapshot, p as usize >> 3);
+                                let p =
+                                    b.dereference(snapshot, &guard).expect("init satisfies all");
+                                let got = (snapshot, p.as_raw() as usize >> 3);
                                 if seen.last() != Some(&got) {
                                     seen.push(got);
                                 }
@@ -1278,7 +1277,10 @@ mod tests {
         });
 
         b.check_invariants();
-        assert_eq!(b.dereference(u64::MAX), Some(fake(log.last().unwrap().1)));
+        assert_eq!(
+            b.dereference(u64::MAX, pin()),
+            Some(fake(log.last().unwrap().1))
+        );
         assert!(
             log.windows(2).all(|w| w[0].0 <= w[1].0),
             "commit order is timestamp order"

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, ReclaimMode, Shared};
 use parking_lot::Mutex;
 
 use crate::api::{ConcurrentSet, RangeQuerySet};
@@ -62,6 +62,14 @@ const WARM_TOKEN_MAX_OPS: usize = 4096;
 pub struct TokenPool<S: TwoPhase>(Box<[TokenSlot<S>]>);
 
 type TokenSlot<S> = CachePadded<Mutex<Option<ShardTxn<S>>>>;
+
+// SAFETY: a slot only holds what `park` put there, a token that finalize or
+// abort emptied: no lock guard, no pending entry, no node address that is
+// read again — buffer capacity, which any thread may take over. This is
+// what lets every structure that embeds a pool derive `Send` and `Sync`.
+unsafe impl<S: TwoPhase> Send for TokenPool<S> {}
+// SAFETY: as above; the slots are mutexes.
+unsafe impl<S: TwoPhase> Sync for TokenPool<S> {}
 
 impl<S: TwoPhase> TokenPool<S> {
     /// Empty slots for `max_threads` thread ids.
@@ -121,14 +129,36 @@ impl<S: TwoPhase> ShardTxn<S> {
     }
 }
 
-/// The `(key, value)` a snapshot walk reports for data node `p`.
-///
-/// # Safety
-///
-/// `p` is a data node reached by a walk whose caller still holds its pin.
-pub unsafe fn key_value<S: TwoPhase>(p: *mut S::Node) -> (S::Key, S::Value) {
-    let (key, val) = S::entry(&*p);
+/// The `(key, value)` a snapshot walk reports for data node `node`.
+pub fn key_value<S: TwoPhase>(node: &S::Node) -> (S::Key, S::Value) {
+    let (key, val) = S::entry(node);
     (key, val.clone().expect("data node has a value"))
+}
+
+/// The snapshot half of a chain's range query (Algorithm 3 from its entry
+/// on), written once for both chains — the lazy list and the skip list's
+/// data layer: from `entry`, take every step through `hop` (the node's
+/// bundle, dereferenced at the snapshot), skip the nodes below `low` and
+/// visit those up to `high`; `tail` ends the chain. `None` = a hop found no
+/// entry, so an `entry` reached over the newest pointers is newer than the
+/// snapshot (Algorithm 3, line 7); from the head sentinel it never fails.
+pub fn walk_chain_at<'g, S: TwoPhase>(
+    entry: Shared<'g, S::Node>,
+    tail: Shared<'g, S::Node>,
+    low: &S::Key,
+    high: &S::Key,
+    hop: impl Fn(Shared<'g, S::Node>) -> Option<Shared<'g, S::Node>>,
+    mut visit: impl FnMut(Shared<'g, S::Node>),
+) -> Option<()> {
+    let mut node = hop(entry)?;
+    while node != tail && S::entry(&node).0 < *low {
+        node = hop(node)?;
+    }
+    while node != tail && S::entry(&node).0 <= *high {
+        visit(node);
+        node = hop(node)?;
+    }
+    Some(())
 }
 
 /// What a bundled structure implements to become a store shard — the
@@ -144,11 +174,17 @@ pub unsafe fn key_value<S: TwoPhase>(p: *mut S::Node) -> (S::Key, S::Value) {
 ///   mutex; a remover locks its victim first, so *a locked node is never
 ///   retired*. Transactions lock only through [`Self::txn_lock`] (bounded
 ///   `try_lock`, [`Conflict`] on contention) and hold until finalize/abort.
-/// * **EBR pin on recorded addresses.** The addresses
-///   [`Self::txn_range_read`] records are compared again at validate time;
-///   the caller pins [`Self::collector`] from before the read lease until
-///   then, so none can be reused in between. Nodes are immutable once
-///   created, so node identity is value identity.
+/// * **EBR, carried by [`ebr::Link`] / [`ebr::Shared`].** Node pointers
+///   are `Link`s, and every hook that follows one takes the caller's
+///   [`Guard`] on [`Self::collector`]: what it loads is a `Shared` bound
+///   to that guard, dereferenced without `unsafe`. A snapshot hop goes
+///   through [`Bundle::dereference`], sound because the kernel pins before
+///   it reads the clock. Raw addresses survive only across calls (read
+///   sets, tokens, cursor frontiers, undo records) and come back through
+///   [`Shared::from_raw`]. The addresses [`Self::txn_range_read`] records
+///   are compared again at validate time; the caller pins from before the
+///   read lease until then, so none can be reused in between. Nodes are
+///   immutable once created, so node identity is value identity.
 /// * **Eager change, pending entry.** A staged write changes the structure
 ///   at once (later seeks of the same transaction see it) but leaves every
 ///   affected bundle entry *pending* in [`ShardTxn::core`]; snapshot
@@ -167,7 +203,9 @@ pub trait TwoPhase:
     type Undo;
     /// Buffers the structure keeps in the token so that a warm token
     /// stages and validates without allocating: [`Self::validate_walk`]'s,
-    /// and a cursor frontier that lives on the heap (`()` if none).
+    /// and a cursor frontier that lives on the heap (`()` if none). Between
+    /// transactions it holds capacity and plain data only: [`TokenPool`]
+    /// hands parked tokens from thread to thread on that basis.
     type Scratch: Default;
     /// The prepare cursor; [`PrepareCursor`] has the frontier rules it obeys.
     type Cursor<'a>: PrepareCursor<Self::Key, Self::Value, Txn = ShardTxn<Self>>
@@ -198,7 +236,8 @@ pub trait TwoPhase:
     /// `ts` in key order: reach the range over the newest pointers, then
     /// hop strictly through bundles. `None` = the entry landed on a node
     /// newer than the snapshot (Algorithm 3, line 7); the caller forgets
-    /// what `visit` saw and retries. Caller: EBR pin held, `ts` announced.
+    /// what `visit` saw and retries. Caller: `guard` pinned before `ts` was
+    /// read, `ts` announced.
     ///
     /// Entering over the newest pointers is only sound where they lead to
     /// the same place the snapshot's would — in the chains, where a node's
@@ -206,28 +245,30 @@ pub trait TwoPhase:
     /// interval of a slot can change under nodes that stay where they are
     /// (the tree's relocating remove) must enter through bundles from its
     /// root instead, and then never returns `None`.
-    fn try_collect_at(
+    fn try_collect_at<'g>(
         &self,
         ts: u64,
         low: &Self::Key,
         high: &Self::Key,
-        visit: impl FnMut(*mut Self::Node),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(Shared<'g, Self::Node>),
     ) -> Option<()>;
 
     /// Guaranteed visit of the same snapshot, from the sentinel strictly
     /// through bundles. Never restarts: the sentinel's bundle starts at
     /// timestamp 0 and cleanup keeps what an announced snapshot needs.
-    fn collect_snapshot_at(
+    fn collect_snapshot_at<'g>(
         &self,
         ts: u64,
         low: &Self::Key,
         high: &Self::Key,
-        visit: impl FnMut(*mut Self::Node),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(Shared<'g, Self::Node>),
     );
 
     /// Call `f` on every bundle reachable over the newest pointers
-    /// (sentinels included). The caller holds the EBR pin.
-    fn for_each_bundle(&self, f: impl FnMut(&Bundle<Self::Node>));
+    /// (sentinels included), under the caller's `guard`.
+    fn for_each_bundle(&self, guard: &Guard<'_>, f: impl FnMut(&Bundle<Self::Node>));
 
     /// Open a prepare cursor over `txn`. It holds one EBR pin for its whole
     /// lifetime (what keeps its retained frontier allocated) and gives the
@@ -256,6 +297,7 @@ pub trait TwoPhase:
         expected: &[(Self::Key, usize)],
         low: &Self::Key,
         high: &Self::Key,
+        guard: &Guard<'_>,
     ) -> Result<(), TxnValidateError>;
 
     /// Undo one eager structural change.
@@ -268,8 +310,9 @@ pub trait TwoPhase:
     /// neutralizing the pending entries is what releases the snapshot
     /// readers spinning on them, and they must find the restored state. A
     /// created node gets marked, so a primitive operation blocked on its
-    /// lock re-validates and retries.
-    unsafe fn revert(&self, undo: Self::Undo);
+    /// lock re-validates and retries. The locks are also what lets `undo`'s
+    /// raw pointers back in under `guard` ([`Shared::from_raw`]).
+    unsafe fn revert(&self, undo: Self::Undo, guard: &Guard<'_>);
 
     // ---- The kernel: everything below is written once, here. ----
 
@@ -294,9 +337,9 @@ pub trait TwoPhase:
 
     /// Total bundle entries over all reachable nodes (space diagnostic).
     fn bundle_entries(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         let mut n = 0;
-        self.for_each_bundle(|b| n += b.len());
+        self.for_each_bundle(&guard, |b| n += b.len());
         n
     }
 
@@ -306,7 +349,7 @@ pub trait TwoPhase:
         let guard = self.pin(tid);
         let oldest = self.context().oldest_active();
         let mut reclaimed = 0;
-        self.for_each_bundle(|b| reclaimed += b.reclaim_up_to(oldest, &guard));
+        self.for_each_bundle(&guard, |b| reclaimed += b.reclaim_up_to(oldest, &guard));
         self.collector().try_advance();
         reclaimed
     }
@@ -335,18 +378,18 @@ pub trait TwoPhase:
         ts: u64,
         low: &Self::Key,
         high: &Self::Key,
-        mut step: impl FnMut(Option<*mut Self::Node>),
+        mut step: impl FnMut(Option<Shared<'_, Self::Node>>),
     ) {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
             step(None);
-            let entered = self.try_collect_at(ts, low, high, |node| step(Some(node)));
+            let entered = self.try_collect_at(ts, low, high, &guard, |node| step(Some(node)));
             if entered.is_some() {
                 return;
             }
         }
         step(None);
-        self.collect_snapshot_at(ts, low, high, |node| step(Some(node)));
+        self.collect_snapshot_at(ts, low, high, &guard, |node| step(Some(node)));
     }
 
     /// Range query at a *caller-fixed* snapshot timestamp: a multi-
@@ -364,8 +407,7 @@ pub trait TwoPhase:
     ) -> usize {
         self.walk_snapshot_at(tid, ts, low, high, |step| match step {
             None => out.clear(),
-            // SAFETY: the walk holds the pin and shows data nodes only.
-            Some(node) => out.push(unsafe { key_value::<Self>(node) }),
+            Some(node) => out.push(key_value::<Self>(&node)),
         });
         out.len()
     }
@@ -388,10 +430,9 @@ pub trait TwoPhase:
                 nodes.clear();
             }
             Some(node) => {
-                // SAFETY: the walk holds the pin and shows data nodes only.
-                let (key, value) = unsafe { key_value::<Self>(node) };
+                let (key, value) = key_value::<Self>(&node);
                 out.push((key, value));
-                nodes.push((key, node as usize));
+                nodes.push((key, node.as_raw() as usize));
             }
         });
         out.len()
@@ -412,17 +453,13 @@ pub trait TwoPhase:
 
     /// Acquire `node`'s lock for the transaction unless it is already
     /// held; `Ok(true)` = newly acquired (see [`TwoPhaseState::lock`]).
-    ///
-    /// # Safety
-    ///
-    /// `node` is reachable under an EBR pin the caller holds (once locked
-    /// it is never retired, so it stays valid in the token).
-    unsafe fn txn_lock(
+    /// Once locked it is never retired, so it stays valid in the token.
+    fn txn_lock(
         &self,
         txn: &mut ShardTxn<Self>,
-        node: *mut Self::Node,
+        node: Shared<'_, Self::Node>,
     ) -> Result<bool, Conflict> {
-        txn.core.lock(node, Self::lock_of(&*node))
+        txn.core.lock(node, Self::lock_of)
     }
 
     /// Validate one recorded read range of a read-write transaction and
@@ -457,8 +494,8 @@ pub trait TwoPhase:
         }
         txn.validate_walks += 1;
         let expected = txn.staged.expected_now(low, high, recorded)?;
-        let _guard = self.pin(txn.core.tid());
-        self.validate_walk(&mut txn.core, &mut txn.scratch, expected, low, high)
+        let guard = self.pin(txn.core.tid());
+        self.validate_walk(&mut txn.core, &mut txn.scratch, expected, low, high, &guard)
     }
 
     /// Commit: publish every staged bundle entry with the transaction's
@@ -483,7 +520,7 @@ pub trait TwoPhase:
         let staged_ops = txn.undo.len();
         while let Some(op) = txn.undo.pop() {
             // SAFETY: `core` still holds every lock `op` was made under.
-            unsafe { self.revert(op) };
+            unsafe { self.revert(op, &guard) };
         }
         // Entries with prior history become neutralized duplicates; first
         // entries of created, now unreachable, nodes become tombstones.
@@ -505,16 +542,15 @@ impl<S: TwoPhase> RangeQuerySet<S::Key, S::Value> for S {
         high: &S::Key,
         out: &mut Vec<(S::Key, S::Value)>,
     ) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         loop {
             // Linearization point: fix the snapshot timestamp and announce
             // it for the bundle recycler (until `rq` drops — also when a
             // `V::clone` below panics).
             let rq = self.context().announce_rq(tid);
             out.clear();
-            let entered = self.try_collect_at(rq.ts(), low, high, |node| {
-                // SAFETY: pinned above; the walk shows data nodes only.
-                out.push(unsafe { key_value::<S>(node) });
+            let entered = self.try_collect_at(rq.ts(), low, high, &guard, |node| {
+                out.push(key_value::<S>(&node));
             });
             if entered.is_some() {
                 return out.len();

@@ -38,8 +38,8 @@
 //!   advance, finalize or abort), the paper's range-query loop and bundle
 //!   cleanup, written once over a small hook trait whose rustdoc is the
 //!   "how to add a backend" page; with [`TwoPhaseState`],
-//!   [`StagedOutcomes`], [`validate_chain`] and the [`PrepareCursor`]
-//!   protocol as its parts.
+//!   [`StagedOutcomes`], [`validate_chain`] / [`walk_chain_at`] (the two
+//!   chains' shared walks) and the [`PrepareCursor`] protocol as its parts.
 //!
 //! The concrete bundled data structures live in the `lazylist`, `skiplist`
 //! and `citrus` crates of this workspace; each implements [`TwoPhase`]'s
@@ -49,24 +49,26 @@
 //!
 //! ```
 //! use bundle::{Bundle, GlobalTimestamp, linearize_update};
+//! use ebr::{Collector, ReclaimMode, Shared};
 //!
 //! // A toy "structure": one link protected by a bundle.
+//! let collector = Collector::new(1, ReclaimMode::Reclaim);
+//! let guard = collector.pin(0);
 //! let ts = GlobalTimestamp::new(1);
 //! let bundle: Bundle<u64> = Bundle::new();
-//! let a = Box::into_raw(Box::new(1u64));
+//! let a = Shared::boxed(1u64, &guard);
 //! bundle.init(a, ts.read());
 //!
 //! // An update installs a new target for the link.
-//! let b = Box::into_raw(Box::new(2u64));
+//! let b = Shared::boxed(2u64, &guard);
 //! let when = linearize_update(&ts, 0, &[(&bundle, b)], || {
 //!     // linearization point of the update (e.g. a pointer store)
 //! });
 //!
 //! // A range query that started before the update keeps seeing `a`,
 //! // one that starts now sees `b`.
-//! assert_eq!(bundle.dereference(when - 1), Some(a));
-//! assert_eq!(bundle.dereference(when), Some(b));
-//! # unsafe { drop(Box::from_raw(a)); drop(Box::from_raw(b)); }
+//! assert_eq!(bundle.dereference(when - 1, &guard), Some(a));
+//! assert_eq!(bundle.dereference(when, &guard), Some(b));
 //! ```
 
 pub mod api;
@@ -90,7 +92,9 @@ pub use crossbeam_utils::CachePadded;
 pub use ctx::{ActiveRq, ReadLease, RqContext};
 pub use cursor::{CursorStats, PrepareCursor};
 pub use inline::InlineStack;
-pub use kernel::{key_value, ShardTxn, TokenPool, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS};
+pub use kernel::{
+    key_value, walk_chain_at, ShardTxn, TokenPool, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS,
+};
 pub use linearize::{linearize_update, Conflict, TxnValidateError};
 pub use prefetch::prefetch_read;
 pub use recycler::Recycler;

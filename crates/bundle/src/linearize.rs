@@ -1,6 +1,8 @@
 //! Algorithm 1: `LinearizeUpdateOperation`, plus the outcomes of its
 //! two-phase form that multi-structure transactions build on.
 
+use ebr::Shared;
+
 use crate::bundle_impl::Bundle;
 use crate::ts::GlobalTimestamp;
 
@@ -92,7 +94,7 @@ impl std::fmt::Display for TxnValidateError {
 pub fn linearize_update<T, F: FnOnce()>(
     clock: &GlobalTimestamp,
     tid: usize,
-    bundles: &[(&Bundle<T>, *mut T)],
+    bundles: &[(&Bundle<T>, Shared<'_, T>)],
     lin: F,
 ) -> u64 {
     for (bundle, ptr) in bundles {
@@ -111,18 +113,21 @@ pub fn linearize_update<T, F: FnOnce()>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebr::{Collector, ReclaimMode};
     use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn assigns_increasing_timestamps_and_updates_all_bundles() {
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
         let clock = GlobalTimestamp::new(1);
         let b1: Bundle<u64> = Bundle::new();
         let b2: Bundle<u64> = Bundle::new();
-        b1.init(std::ptr::null_mut(), 0);
-        b2.init(std::ptr::null_mut(), 0);
-        let p1 = Box::into_raw(Box::new(1u64));
-        let p2 = Box::into_raw(Box::new(2u64));
+        b1.init(Shared::null(), 0);
+        b2.init(Shared::null(), 0);
+        let p1 = Shared::boxed(1u64, &g);
+        let p2 = Shared::boxed(2u64, &g);
 
         let lin_marker = AtomicU64::new(0);
         let t1 = linearize_update(&clock, 0, &[(&b1, p1), (&b2, p2)], || {
@@ -130,18 +135,14 @@ mod tests {
         });
         assert_eq!(t1, 1);
         assert_eq!(lin_marker.load(Ordering::SeqCst), 1);
-        assert_eq!(b1.dereference(t1), Some(p1));
-        assert_eq!(b2.dereference(t1), Some(p2));
-        assert_eq!(b1.dereference(t1 - 1), Some(std::ptr::null_mut()));
+        assert_eq!(b1.dereference(t1, &g), Some(p1));
+        assert_eq!(b2.dereference(t1, &g), Some(p2));
+        assert_eq!(b1.dereference(t1 - 1, &g), Some(Shared::null()));
 
         let t2 = linearize_update(&clock, 0, &[(&b1, p2)], || {});
         assert_eq!(t2, 2);
-        assert_eq!(b1.dereference(t2), Some(p2));
-        assert_eq!(b1.dereference(t1), Some(p1));
-        unsafe {
-            drop(Box::from_raw(p1));
-            drop(Box::from_raw(p2));
-        }
+        assert_eq!(b1.dereference(t2, &g), Some(p2));
+        assert_eq!(b1.dereference(t1, &g), Some(p1));
     }
 
     #[test]
@@ -149,14 +150,16 @@ mod tests {
         // The transaction pattern: prepare on two independent bundles (as
         // if they lived on different shards), advance the clock once, and
         // finalize both with that single timestamp — an atomic cut.
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
         let clock = GlobalTimestamp::new(1);
         let b1: Bundle<u64> = Bundle::new();
         let b2: Bundle<u64> = Bundle::new();
-        let old = Box::into_raw(Box::new(0u64));
+        let old = Shared::boxed(0u64, &g);
         b1.init(old, 0);
         b2.init(old, 0);
-        let p1 = Box::into_raw(Box::new(1u64));
-        let p2 = Box::into_raw(Box::new(2u64));
+        let p1 = Shared::boxed(1u64, &g);
+        let p2 = Shared::boxed(2u64, &g);
 
         let pending = [b1.prepare(p1), b2.prepare(p2)];
         let ts = clock.advance(0);
@@ -164,33 +167,25 @@ mod tests {
             entry.finalize(ts);
         }
         assert_eq!(ts, 1);
-        assert_eq!(b1.dereference(ts), Some(p1));
-        assert_eq!(b2.dereference(ts), Some(p2));
-        assert_eq!(b1.dereference(ts - 1), Some(old));
-        assert_eq!(b2.dereference(ts - 1), Some(old));
-        unsafe {
-            drop(Box::from_raw(old));
-            drop(Box::from_raw(p1));
-            drop(Box::from_raw(p2));
-        }
+        assert_eq!(b1.dereference(ts, &g), Some(p1));
+        assert_eq!(b2.dereference(ts, &g), Some(p2));
+        assert_eq!(b1.dereference(ts - 1, &g), Some(old));
+        assert_eq!(b2.dereference(ts - 1, &g), Some(old));
     }
 
     #[test]
     fn aborted_prepare_is_invisible_at_every_timestamp() {
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
         let clock = GlobalTimestamp::new(1);
         let b: Bundle<u64> = Bundle::new();
-        let old = Box::into_raw(Box::new(0u64));
+        let old = Shared::boxed(0u64, &g);
         b.init(old, 0);
-        let p = Box::into_raw(Box::new(1u64));
-        b.prepare(p).abort();
+        b.prepare(Shared::boxed(1u64, &g)).abort();
         // The clock never advanced and the bundle resolves as before.
         assert_eq!(clock.read(), 0);
-        assert_eq!(b.dereference(0), Some(old));
-        assert_eq!(b.dereference(100), Some(old));
-        unsafe {
-            drop(Box::from_raw(old));
-            drop(Box::from_raw(p));
-        }
+        assert_eq!(b.dereference(0, &g), Some(old));
+        assert_eq!(b.dereference(100, &g), Some(old));
     }
 
     #[test]
@@ -199,41 +194,41 @@ mod tests {
         // linearization point (the shared pointer) and then dereferences the
         // bundle at the current timestamp must see the new value, even if it
         // races with finalization.
+        let collector = Arc::new(Collector::new(2, ReclaimMode::Leaky));
         let clock = Arc::new(GlobalTimestamp::new(2));
         let bundle: Arc<Bundle<u64>> = Arc::new(Bundle::new());
-        let shared: Arc<AtomicPtr<u64>> = Arc::new(AtomicPtr::new(std::ptr::null_mut()));
-        let initial = Box::into_raw(Box::new(0u64));
+        let g = collector.pin(1);
+        let initial = Shared::boxed(0u64, &g);
         bundle.init(initial, 0);
-        shared.store(initial, Ordering::SeqCst);
+        let shared = Arc::new(AtomicPtr::new(initial.as_raw()));
 
-        let new_val = Box::into_raw(Box::new(42u64));
-        let new_val_addr = new_val as usize;
         let writer = {
-            let clock = Arc::clone(&clock);
-            let bundle = Arc::clone(&bundle);
-            let shared = Arc::clone(&shared);
+            let (collector, clock) = (Arc::clone(&collector), Arc::clone(&clock));
+            let (bundle, shared) = (Arc::clone(&bundle), Arc::clone(&shared));
             std::thread::spawn(move || {
-                let new_val = new_val_addr as *mut u64;
+                let g = collector.pin(0);
+                let new_val = Shared::boxed(42u64, &g);
                 linearize_update(&clock, 0, &[(&bundle, new_val)], || {
-                    shared.store(new_val, Ordering::SeqCst);
+                    shared.store(new_val.as_raw(), Ordering::SeqCst);
                 });
             })
         };
         // Reader: spin until the linearization point is visible, then a
         // "range query" started now must observe the new value too.
         loop {
-            if shared.load(Ordering::SeqCst) == new_val {
+            let now = shared.load(Ordering::SeqCst);
+            if now != initial.as_raw() {
                 let ts = clock.read();
-                let seen = bundle.dereference(ts).expect("entry must satisfy ts");
-                assert_eq!(seen, new_val, "linearized update missing from snapshot");
+                let seen = bundle.dereference(ts, &g).expect("entry must satisfy ts");
+                assert_eq!(
+                    seen.as_raw(),
+                    now,
+                    "linearized update missing from snapshot"
+                );
                 break;
             }
             std::hint::spin_loop();
         }
         writer.join().unwrap();
-        unsafe {
-            drop(Box::from_raw(initial));
-            drop(Box::from_raw(new_val));
-        }
     }
 }

@@ -17,6 +17,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
+use ebr::Shared;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::bundle_impl::{Bundle, PendingEntry};
@@ -69,15 +70,14 @@ type AddrMap = HashMap<usize, usize, BuildHasherDefault<AddrHasher>>;
 /// ([`crate::TokenPool`]) instead of rebuilding four vectors and two hash
 /// tables for a transaction that locks a handful of nodes.
 ///
-/// Raw-pointer soundness contract (upheld by the structure crates): every
-/// pointer pushed into the state refers to a node that stays allocated
-/// while the state holds its lock — a locked node can never be retired,
-/// because every remover must acquire its victim's lock first.
+/// Nodes come in as [`Shared`] pointers and are kept as raw addresses
+/// across calls. What keeps them allocated is the locking contract of
+/// [`TwoPhase`]: a locked node can never be retired, because every remover
+/// must acquire its victim's lock first.
 pub struct TwoPhaseState<N> {
     tid: usize,
-    /// Held node locks in acquisition order. The guards borrow through
-    /// raw node pointers, so their lifetime is unconstrained; see the
-    /// soundness contract above.
+    /// Held node locks in acquisition order. The guards borrow from nodes
+    /// that stay allocated while locked (see above), hence `'static`.
     locks: Vec<(*mut N, MutexGuard<'static, ()>)>,
     /// Addresses of the held locks, for O(1) [`TwoPhaseState::holds`]
     /// checks — a group-commit super-batch stages hundreds of ops into
@@ -123,13 +123,6 @@ impl<N> TwoPhaseState<N> {
         self.lock_set.contains(&(node as usize))
     }
 
-    /// Record a lock acquired out-of-band (e.g. the uncontended `lock()`
-    /// of a node the transaction just created).
-    pub fn push_lock(&mut self, node: *mut N, guard: MutexGuard<'static, ()>) {
-        self.lock_set.insert(node as usize);
-        self.locks.push((node, guard));
-    }
-
     /// Release the `n` most recently acquired locks (failed-validation
     /// rewind; the popped guards unlock on drop).
     pub fn unlock_latest(&mut self, n: usize) {
@@ -140,24 +133,28 @@ impl<N> TwoPhaseState<N> {
         }
     }
 
-    /// Acquire `node`'s lock for the transaction unless already held;
-    /// `Ok(true)` = newly acquired (and pushed, so an abort releases it).
-    /// Bounded `try_lock`: contention surfaces as [`Conflict`] instead of
-    /// risking a deadlock cycle with a primitive operation blocked on one
-    /// of our locks.
-    ///
-    /// # Safety
-    ///
-    /// `mutex` must be the lock embedded in `*node`, and `node` must obey
-    /// the state's soundness contract (alive while locked).
-    pub unsafe fn lock(&mut self, node: *mut N, mutex: *const Mutex<()>) -> Result<bool, Conflict> {
-        if self.holds(node) {
+    /// Acquire `node`'s lock (`lock_of(node)`) for the transaction unless
+    /// already held; `Ok(true)` = newly acquired (and pushed, so an abort
+    /// releases it). Bounded `try_lock`: contention surfaces as [`Conflict`]
+    /// instead of risking a deadlock cycle with a primitive operation
+    /// blocked on one of our locks.
+    pub fn lock(
+        &mut self,
+        node: Shared<'_, N>,
+        lock_of: fn(&N) -> &Mutex<()>,
+    ) -> Result<bool, Conflict> {
+        if self.holds(node.as_raw()) {
             return Ok(false);
         }
-        let mutex: &'static Mutex<()> = &*mutex;
+        let (mutex, node): (*const Mutex<()>, _) = (lock_of(&node), node.as_raw());
+        // SAFETY: the mutex lives inside the node (`lock_of` borrows it from
+        // there), and a locked node is never retired, so it outlives the
+        // guard kept here until finalize or abort releases it.
+        let mutex: &'static Mutex<()> = unsafe { &*mutex };
         for _ in 0..TXN_LOCK_SPINS {
             if let Some(guard) = mutex.try_lock() {
-                self.push_lock(node, guard);
+                self.lock_set.insert(node as usize);
+                self.locks.push((node, guard));
                 return Ok(true);
             }
             std::hint::spin_loop();
@@ -170,7 +167,7 @@ impl<N> TwoPhaseState<N> {
     /// `bundle`, which guarantees any pending head already present is this
     /// transaction's own (primitive updates only touch a bundle under its
     /// node's lock).
-    pub fn prepare_bundle(&mut self, bundle: &Bundle<N>, ptr: *mut N) {
+    pub fn prepare_bundle(&mut self, bundle: &Bundle<N>, ptr: Shared<'_, N>) {
         let addr = bundle as *const _ as usize;
         match self.pending_idx.entry(addr) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -184,13 +181,13 @@ impl<N> TwoPhaseState<N> {
     }
 
     /// Record a node unlinked by a staged remove (retire on commit).
-    pub fn add_victim(&mut self, node: *mut N) {
-        self.victims.push(node);
+    pub fn add_victim(&mut self, node: Shared<'_, N>) {
+        self.victims.push(node.as_raw());
     }
 
     /// Record a node created by a staged insert (retire on abort).
-    pub fn add_created(&mut self, node: *mut N) {
-        self.created.push(node);
+    pub fn add_created(&mut self, node: Shared<'_, N>) {
+        self.created.push(node.as_raw());
     }
 
     /// `true` when nothing has been staged or locked.
@@ -454,22 +451,16 @@ pub const MAX_VALIDATE_ATTEMPTS: usize = 8;
 /// re-validates the located pair; `step` checks `curr` is validly linked
 /// after `prev` under the just-acquired lock and yields its successor —
 /// or `None` for a torn observation.
-///
-/// # Safety
-///
-/// Every pointer produced by `locate`/`step` (and `tail`) is reachable
-/// while the caller's EBR pin is live (a locked node is never retired).
-pub unsafe fn validate_chain<S: TwoPhase>(
+pub fn validate_chain<'g, S: TwoPhase>(
     core: &mut TwoPhaseState<S::Node>,
     expected: &[(S::Key, usize)],
     high: &S::Key,
-    tail: *mut S::Node,
-    mut locate: impl FnMut() -> (*mut S::Node, *mut S::Node),
-    mut pred_valid: impl FnMut(*mut S::Node, *mut S::Node) -> bool,
-    mut step: impl FnMut(*mut S::Node, *mut S::Node) -> Option<*mut S::Node>,
+    tail: Shared<'g, S::Node>,
+    mut locate: impl FnMut() -> (Shared<'g, S::Node>, Shared<'g, S::Node>),
+    mut pred_valid: impl FnMut(Shared<'g, S::Node>, Shared<'g, S::Node>) -> bool,
+    mut step: impl FnMut(Shared<'g, S::Node>, Shared<'g, S::Node>) -> Option<Shared<'g, S::Node>>,
 ) -> Result<(), TxnValidateError> {
-    let lock =
-        |core: &mut TwoPhaseState<S::Node>, node: *mut S::Node| core.lock(node, S::lock_of(&*node));
+    let lock = |core: &mut TwoPhaseState<S::Node>, node| core.lock(node, S::lock_of);
     'attempt: for _ in 0..MAX_VALIDATE_ATTEMPTS {
         let mut newly = 0usize;
         let (pred, first) = locate();
@@ -494,7 +485,7 @@ pub unsafe fn validate_chain<S: TwoPhase>(
         let (mut found, mut same) = (0usize, true);
         let mut prev = pred;
         let mut curr = first;
-        while curr != tail && S::entry(&*curr).0 <= *high {
+        while curr != tail && S::entry(&curr).0 <= *high {
             match lock(core, curr) {
                 Ok(true) => newly += 1,
                 Ok(false) => {}
@@ -510,7 +501,7 @@ pub unsafe fn validate_chain<S: TwoPhase>(
                 core.unlock_latest(newly);
                 continue 'attempt;
             };
-            same &= expected.get(found) == Some(&(S::entry(&*curr).0, curr as usize));
+            same &= expected.get(found) == Some(&(S::entry(&curr).0, curr.as_raw() as usize));
             found += 1;
             prev = curr;
             curr = next;
@@ -539,50 +530,48 @@ impl<N> std::fmt::Debug for TwoPhaseState<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebr::{Collector, ReclaimMode};
 
     struct Cell {
         lock: Mutex<()>,
         bundle: Bundle<Cell>,
     }
 
+    fn cell<'g>(g: &'g ebr::Guard<'_>) -> Shared<'g, Cell> {
+        let (lock, bundle) = (Mutex::new(()), Bundle::new());
+        Shared::boxed(Cell { lock, bundle }, g)
+    }
+
     #[test]
     fn lock_tracking_and_merge() {
-        let a = Box::into_raw(Box::new(Cell {
-            lock: Mutex::new(()),
-            bundle: Bundle::new(),
-        }));
-        let b = Box::into_raw(Box::new(Cell {
-            lock: Mutex::new(()),
-            bundle: Bundle::new(),
-        }));
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
+        let (a, b) = (cell(&g), cell(&g));
+        let lock_of: fn(&Cell) -> &Mutex<()> = |c| &c.lock;
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(3);
         assert_eq!(st.tid(), 3);
         assert!(st.is_empty());
-        unsafe {
-            assert_eq!(st.lock(a, &(*a).lock), Ok(true));
-            assert_eq!(st.lock(a, &(*a).lock), Ok(false), "re-lock is a no-op");
-            // A contended lock conflicts instead of blocking.
-            let held = (*b).lock.lock();
-            assert_eq!(st.lock(b, &(*b).lock), Err(Conflict));
-            drop(held);
-            assert_eq!(st.lock(b, &(*b).lock), Ok(true));
-        }
+        assert_eq!(st.lock(a, lock_of), Ok(true));
+        assert_eq!(st.lock(a, lock_of), Ok(false), "re-lock is a no-op");
+        // A contended lock conflicts instead of blocking.
+        let held = b.lock.lock();
+        assert_eq!(st.lock(b, lock_of), Err(Conflict));
+        drop(held);
+        assert_eq!(st.lock(b, lock_of), Ok(true));
         // Same-bundle prepare merges; distinct bundles stack.
-        let bundle = unsafe { &(*a).bundle };
-        bundle.init(std::ptr::null_mut(), 0);
-        st.prepare_bundle(bundle, a);
-        st.prepare_bundle(bundle, b);
-        assert_eq!(bundle.len(), 2, "merged: init entry + one pending");
+        a.bundle.init(Shared::null(), 0);
+        st.prepare_bundle(&a.bundle, a);
+        st.prepare_bundle(&a.bundle, b);
+        assert_eq!(a.bundle.len(), 2, "merged: init entry + one pending");
         st.unlock_latest(1);
-        assert!(!st.holds(b));
-        assert!(st.holds(a));
+        assert!(!st.holds(b.as_raw()));
+        assert!(st.holds(a.as_raw()));
         st.finalize(7, |_| panic!("nothing was unlinked"));
-        assert!(st.is_empty() && !st.holds(a), "finalize leaves it reusable");
-        assert_eq!(bundle.dereference(7), Some(b), "merged value wins");
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
+        assert!(
+            st.is_empty() && !st.holds(a.as_raw()),
+            "finalize leaves it reusable"
+        );
+        assert_eq!(a.bundle.dereference(7, &g), Some(b), "merged value wins");
     }
 
     #[test]
@@ -680,20 +669,21 @@ mod tests {
 
     #[test]
     fn abort_returns_created_and_neutralizes() {
-        let a = Box::into_raw(Box::new(Cell {
-            lock: Mutex::new(()),
-            bundle: Bundle::new(),
-        }));
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
+        let a = cell(&g);
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
-        let bundle = unsafe { &(*a).bundle };
-        bundle.init(a, 2);
-        st.prepare_bundle(bundle, std::ptr::null_mut());
+        a.bundle.init(a, 2);
+        st.prepare_bundle(&a.bundle, Shared::null());
         st.add_created(a);
         let mut created = Vec::new();
         st.abort(|n| created.push(n));
-        assert_eq!(created, vec![a]);
+        assert_eq!(created, vec![a.as_raw()]);
         assert!(st.is_empty());
-        assert_eq!(bundle.dereference(5), Some(a), "abort restored history");
-        unsafe { drop(Box::from_raw(a)) };
+        assert_eq!(
+            a.bundle.dereference(5, &g),
+            Some(a),
+            "abort restored history"
+        );
     }
 }

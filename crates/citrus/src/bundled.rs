@@ -1,18 +1,17 @@
 //! The bundled Citrus-style binary search tree (§6).
 
 use std::mem::size_of;
-use std::ptr;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use bundle::api::ConcurrentSet;
 use bundle::{
     linearize_update, prefetch_read, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor,
     RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 use crate::warm::warm_range;
 use crate::{LEFT, RIGHT};
@@ -23,25 +22,30 @@ pub struct Node<K, V> {
     val: Option<V>,
     lock: Mutex<()>,
     marked: AtomicBool,
-    child: [AtomicPtr<Node<K, V>>; 2],
+    child: [Link<Node<K, V>>; 2],
     /// One bundled reference per child link (§6: "replacing each child link
     /// of the search tree with a bundled reference").
     bundle: [Bundle<Node<K, V>>; 2],
 }
 
+/// A node loaded under a guard that lives for `'g`.
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    /// A node over `children`, for [`Shared::boxed`] to publish.
+    fn new(key: K, val: Option<V>, children: [NodePtr<'_, K, V>; 2]) -> Self {
+        Node {
             key,
             val,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
-            child: [
-                AtomicPtr::new(ptr::null_mut()),
-                AtomicPtr::new(ptr::null_mut()),
-            ],
+            child: children.map(Link::new),
             bundle: [Bundle::new(), Bundle::new()],
-        }))
+        }
+    }
+
+    fn load<'g>(&self, dir: usize, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.child[dir].load(Ordering::Acquire, guard)
     }
 }
 
@@ -59,13 +63,27 @@ pub struct SpineEntry<K, V> {
 /// A located position: `pred.child[dir]` is the slot holding `curr`
 /// (null = key absent), `low`/`high` the slot's open key interval, and
 /// `resumed` whether the search resumed from a non-root spine ancestor.
-struct Located<K, V> {
-    pred: *mut Node<K, V>,
+struct Located<'g, K, V> {
+    pred: NodePtr<'g, K, V>,
     dir: usize,
-    curr: *mut Node<K, V>,
+    curr: NodePtr<'g, K, V>,
     low: Option<K>,
     high: Option<K>,
     resumed: bool,
+}
+
+impl<K, V> Located<'_, K, V> {
+    /// The spine entry for `node` placed in the located slot.
+    fn spine_entry(&self, node: NodePtr<'_, K, V>) -> SpineEntry<K, V>
+    where
+        K: Copy,
+    {
+        SpineEntry {
+            node: node.as_raw(),
+            low: self.low,
+            high: self.high,
+        }
+    }
 }
 
 /// RAII token of one in-flight gated search (see
@@ -93,7 +111,8 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    root: *mut Node<K, V>,
+    /// The sentinel; set once by the constructor.
+    root: Link<Node<K, V>>,
     /// Possibly shared with other structures (see [`RqContext`]); a tree
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
@@ -132,19 +151,6 @@ where
     searchers: Box<[CachePadded<AtomicU64>]>,
 }
 
-unsafe impl<K, V> Send for BundledCitrusTree<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-}
-unsafe impl<K, V> Sync for BundledCitrusTree<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-}
-
 impl<K, V> BundledCitrusTree<K, V>
 where
     K: Copy + Ord + Default + Send + Sync,
@@ -153,6 +159,10 @@ where
     /// Create a tree with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
         Self::with_context(max_threads, mode, &RqContext::new(max_threads))
+    }
+
+    fn root<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.root.load(Ordering::Relaxed, guard)
     }
 
     /// The revert epoch (see the `reverts` field): sample it before a
@@ -219,19 +229,20 @@ where
     /// The whole descent runs inside `tid`'s search gate — the RCU
     /// read-side critical section a relocation's grace period waits out
     /// (see [`Self::wait_for_searchers`]).
-    fn search(&self, tid: usize, key: &K) -> (*mut Node<K, V>, usize, *mut Node<K, V>) {
+    fn search<'g>(
+        &self,
+        tid: usize,
+        key: &K,
+        guard: &'g Guard<'_>,
+    ) -> (NodePtr<'g, K, V>, usize, NodePtr<'g, K, V>) {
         let _gate = self.enter_search(tid);
-        let mut pred = self.root;
+        let mut pred = self.root(guard);
         let mut dir = LEFT;
-        let mut curr = unsafe { &*pred }.child[LEFT].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if c.key == *key {
-                break;
-            }
-            dir = if *key < c.key { LEFT } else { RIGHT };
+        let mut curr = pred.load(LEFT, guard);
+        while !curr.is_null() && curr.key != *key {
+            dir = if *key < curr.key { LEFT } else { RIGHT };
             pred = curr;
-            curr = c.child[dir].load(Ordering::Acquire);
+            curr = curr.load(dir, guard);
         }
         (pred, dir, curr)
     }
@@ -249,15 +260,20 @@ where
     /// spine entry that goes stale after its unmarked check can only
     /// yield a stale position (an unlinked node's child pointers are not
     /// cleared), which the caller's under-lock validation catches.
-    fn search_spined(
+    fn search_spined<'g>(
         &self,
         tid: usize,
         key: &K,
         spine: &mut Vec<SpineEntry<K, V>>,
-    ) -> Located<K, V> {
+        guard: &'g Guard<'_>,
+    ) -> Located<'g, K, V> {
         // Like Self::search, the descent (spine validation included) is
         // one gated read-side critical section.
         let _gate = self.enter_search(tid);
+        let root = self.root(guard);
+        // SAFETY: `from_raw` of a spine: every entry was loaded by this
+        // cursor's seeks, under its own pin, which `guard` nests in.
+        let admit = |e: &SpineEntry<K, V>| unsafe { Shared::from_raw(e.node, guard) };
         // Validate the spine root-downwards and keep the usable prefix:
         // stop at the first entry that is off `key`'s path (interval
         // miss), holds the key itself (resume from its parent), or is
@@ -267,67 +283,54 @@ where
         // point could silently miss the relocated key even though it
         // looks healthy on its own. (Intervals themselves are immutable:
         // the tree never rotates, a node keeps its slot until removed.)
-        let mut keep = 0usize;
-        for e in spine.iter() {
-            if e.node != self.root {
-                let n = unsafe { &*e.node };
-                if n.marked.load(Ordering::Acquire) || n.key == *key {
-                    break;
-                }
-                let inside = e.low.is_none_or(|lo| lo < *key) && e.high.is_none_or(|hi| *key < hi);
-                if !inside {
-                    break;
-                }
-            }
-            keep += 1;
-        }
+        let keep = spine
+            .iter()
+            .take_while(|e| {
+                let n = admit(e);
+                n == root
+                    || !(n.marked.load(Ordering::Acquire)
+                        || n.key == *key
+                        || e.low.is_some_and(|lo| lo >= *key)
+                        || e.high.is_some_and(|hi| *key >= hi))
+            })
+            .count();
         spine.truncate(keep);
-        let resumed = spine.last().is_some_and(|t| t.node != self.root);
+        let resumed = spine.last().is_some_and(|t| admit(t) != root);
         if spine.is_empty() {
             spine.push(SpineEntry {
-                node: self.root,
+                node: root.as_raw(),
                 low: None,
                 high: None,
             });
         }
         let top = spine.last().expect("spine holds at least the root");
-        let mut pred = top.node;
+        let mut pred = admit(top);
         let (mut low, mut high) = (top.low, top.high);
-        let mut dir = if pred == self.root || *key < unsafe { &*pred }.key {
-            LEFT
-        } else {
-            RIGHT
-        };
-        if pred != self.root {
-            let pk = unsafe { &*pred }.key;
-            if dir == LEFT {
-                high = Some(pk);
+        let mut dir = LEFT;
+        if pred != root {
+            if *key < pred.key {
+                high = Some(pred.key);
             } else {
-                low = Some(pk);
+                dir = RIGHT;
+                low = Some(pred.key);
             }
         }
-        let mut curr = unsafe { &*pred }.child[dir].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if c.key == *key {
-                break;
-            }
-            let ndir = if *key < c.key { LEFT } else { RIGHT };
+        let mut curr = pred.load(dir, guard);
+        while !curr.is_null() && curr.key != *key {
             // `curr` becomes the new predecessor: it joins the spine with
             // the interval of the slot it occupies.
             spine.push(SpineEntry {
-                node: curr,
+                node: curr.as_raw(),
                 low,
                 high,
             });
-            if ndir == LEFT {
-                high = Some(c.key);
+            if *key < curr.key {
+                (dir, high) = (LEFT, Some(curr.key));
             } else {
-                low = Some(c.key);
+                (dir, low) = (RIGHT, Some(curr.key));
             }
             pred = curr;
-            dir = ndir;
-            curr = c.child[ndir].load(Ordering::Acquire);
+            curr = curr.load(dir, guard);
         }
         Located {
             pred,
@@ -343,37 +346,41 @@ where
     /// `visit` on every node of `low..=high` in ascending key order.
     /// Descends left while the key is at least `low` (nothing left of a
     /// smaller key is in range), visits on the way back up, and stops at
-    /// the first key above `high`. `None` if any dereference fails (only
-    /// possible when `entry` itself was reached optimistically).
-    fn walk_at(
+    /// the first key above `high`. Every hop is a [`Bundle::dereference`]
+    /// at `ts` under `guard`.
+    fn walk_at<'g>(
         &self,
-        entry: *mut Node<K, V>,
+        entry: NodePtr<'g, K, V>,
         ts: u64,
         low: &K,
         high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
-    ) -> Option<()> {
+        guard: &'g Guard<'_>,
+        mut visit: impl FnMut(NodePtr<'g, K, V>),
+    ) {
+        let at = |n: NodePtr<'g, K, V>, dir: usize| {
+            n.bundle[dir]
+                .dereference(ts, guard)
+                .expect("snapshot walk must stay satisfiable")
+        };
         let mut stack: InlineStack<_, WALK_STACK_INLINE> = InlineStack::new();
         let mut curr = entry;
         loop {
             while !curr.is_null() {
-                let node = unsafe { &*curr };
-                curr = if node.key < *low {
-                    node.bundle[RIGHT].dereference(ts)?
+                curr = if curr.key < *low {
+                    at(curr, RIGHT)
                 } else {
                     stack.push(curr);
-                    node.bundle[LEFT].dereference(ts)?
+                    at(curr, LEFT)
                 };
             }
-            let Some(p) = stack.pop() else {
-                return Some(());
+            let Some(node) = stack.pop() else {
+                return;
             };
-            let node = unsafe { &*p };
             if node.key > *high {
-                return Some(());
+                return;
             }
-            visit(p);
-            curr = node.bundle[RIGHT].dereference(ts)?;
+            visit(node);
+            curr = at(node, RIGHT);
         }
     }
 
@@ -397,25 +404,18 @@ where
     fn txn_pin_gap(
         &self,
         txn: &mut ShardTxn<BundledCitrusTree<K, V>>,
-        from: *mut Node<K, V>,
+        from: NodePtr<'_, K, V>,
         toward: usize,
         epoch: u64,
+        guard: &Guard<'_>,
     ) -> Result<Option<bool>, Conflict> {
-        // SAFETY (both derefs): `from` hangs off a node the caller holds
-        // locked and the cursor's EBR pin keeps every node reached from
-        // it allocated.
         let mut gap = from;
-        loop {
-            let next = unsafe { &*gap }.child[toward].load(Ordering::Acquire);
-            if next.is_null() {
-                break;
-            }
-            gap = next;
+        while !gap.load(toward, guard).is_null() {
+            gap = gap.load(toward, guard);
         }
-        let newly = unsafe { self.txn_lock(txn, gap) }?;
-        let g = unsafe { &*gap };
-        if g.marked.load(Ordering::Acquire)
-            || !g.child[toward].load(Ordering::Acquire).is_null()
+        let newly = self.txn_lock(txn, gap)?;
+        if gap.marked.load(Ordering::Acquire)
+            || !gap.load(toward, guard).is_null()
             || self.shape_epoch() != epoch
         {
             if newly {
@@ -447,51 +447,47 @@ where
     /// `None` = a marked node was encountered — some removal is
     /// mid-critical-section (or the traversal followed a stale pointer
     /// into one), so the observation is torn and the caller must retry.
-    fn walk_range_newest(
+    fn walk_range_newest<'g>(
         &self,
         low: &K,
         high: &K,
         acc: &mut Vec<(K, usize)>,
-        stack: &mut Vec<*mut Node<K, V>>,
-    ) -> Option<[*mut Node<K, V>; 2]> {
-        // SAFETY (every deref below): the caller holds an EBR pin, so
-        // each node reached through child pointers stays allocated, and
-        // the sentinel root lives as long as the tree.
+        guard: &'g Guard<'_>,
+    ) -> Option<[NodePtr<'g, K, V>; 2]> {
         acc.clear();
-        stack.clear();
-        let mut pred_lo = self.root;
-        let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
+        let mut stack: InlineStack<_, WALK_STACK_INLINE> = InlineStack::new();
+        let root = self.root(guard);
+        let mut pred_lo = root;
+        let mut curr = root.load(LEFT, guard);
         loop {
             while !curr.is_null() {
-                let n = unsafe { &*curr };
-                if n.marked.load(Ordering::Acquire) {
+                if curr.marked.load(Ordering::Acquire) {
                     return None;
                 }
-                curr = if n.key < *low {
+                curr = if curr.key < *low {
                     pred_lo = curr;
-                    n.child[RIGHT].load(Ordering::Acquire)
+                    curr.load(RIGHT, guard)
                 } else {
                     stack.push(curr);
-                    n.child[LEFT].load(Ordering::Acquire)
+                    curr.load(LEFT, guard)
                 };
             }
-            let Some(p) = stack.pop() else {
-                return Some([pred_lo, self.root]);
+            let Some(node) = stack.pop() else {
+                return Some([pred_lo, root]);
             };
-            let n = unsafe { &*p };
-            if n.key > *high {
-                return Some([pred_lo, p]);
+            if node.key > *high {
+                return Some([pred_lo, node]);
             }
-            acc.push((n.key, p as usize));
-            curr = n.child[RIGHT].load(Ordering::Acquire);
+            acc.push((node.key, node.as_raw() as usize));
+            curr = node.load(RIGHT, guard);
         }
     }
 }
 
-/// Levels of a snapshot walk's ancestor stack kept on the call stack
+/// Levels of an in-order walk's ancestor stack kept on the call stack
 /// (deeper ones spill to the heap): more than the expected height of a
 /// tree of a few million random keys, so a walk — every transactional
-/// `get` is one — does not allocate.
+/// `get` and every validate pass is one — does not allocate.
 const WALK_STACK_INLINE: usize = 64;
 
 /// One eager structural change of a staged write (see [`TwoPhase::revert`]).
@@ -534,31 +530,28 @@ where
     type Value = V;
     type Node = Node<K, V>;
     type Undo = CitrusUndo<K, V>;
-    /// The validate walk's three buffers — the first walk, the under-lock
-    /// re-walk it is compared with, the ancestor stack of both — and the
-    /// cursor's spine (on loan to the open cursor, back at `finish`).
-    type Scratch = (
-        Vec<(K, usize)>,
-        Vec<(K, usize)>,
-        Vec<*mut Node<K, V>>,
-        Vec<SpineEntry<K, V>>,
-    );
+    /// The validate walk's two buffers — the first walk and the under-lock
+    /// re-walk it is compared with — and the cursor's spine (on loan to
+    /// the open cursor, back at `finish`).
+    type Scratch = (Vec<(K, usize)>, Vec<(K, usize)>, Vec<SpineEntry<K, V>>);
     type Cursor<'a>
         = ShardCursor<'a, K, V>
     where
         Self: 'a;
 
     fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let root = Node::new(K::default(), None);
-        unsafe {
-            // The sentinel's left link starts empty at timestamp 0.
-            (*root).bundle[LEFT].init(ptr::null_mut(), 0);
-            (*root).bundle[RIGHT].init(ptr::null_mut(), 0);
-        }
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let root = Shared::boxed(Node::new(K::default(), None, [Shared::null(); 2]), &guard);
+        // The sentinel's left link starts empty at timestamp 0.
+        root.bundle[LEFT].init(Shared::null(), 0);
+        root.bundle[RIGHT].init(Shared::null(), 0);
+        let root = Link::new(root);
+        drop(guard);
         BundledCitrusTree {
             root,
             ctx: ctx.clone(),
-            collector: Collector::new(max_threads, mode),
+            collector,
             tokens: TokenPool::new(max_threads),
             reverts: CachePadded::new(AtomicU64::new(0)),
             searchers: (0..max_threads)
@@ -611,53 +604,51 @@ where
     /// walk will not read and leaves cold some it will; the walk, which
     /// takes every hop through [`Bundle::dereference`], neither knows nor
     /// cares. Deleting the pass changes no outcome.
-    fn try_collect_at(
+    fn try_collect_at<'g>(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        visit: impl FnMut(*mut Node<K, V>),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
     ) -> Option<()> {
-        self.collect_snapshot_at(ts, low, high, visit);
+        self.collect_snapshot_at(ts, low, high, guard, visit);
         Some(())
     }
 
     /// A hint-only breadth-first prefetch of the range's subtree over the
     /// newest pointers (`warm_range`), then the walk proper: from the
     /// sentinel, every hop through a bundle (`walk_at`).
-    fn collect_snapshot_at(&self, ts: u64, low: &K, high: &K, visit: impl FnMut(*mut Node<K, V>)) {
-        let newest = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
-        warm_range(newest, low, high, |p| {
-            // SAFETY: the caller's EBR pin keeps every node reached over
-            // child pointers allocated, as in `Self::search`; `key` is
-            // immutable and the links are atomics.
-            let n = unsafe { &*p };
-            (
-                n.key,
-                n.child[LEFT].load(Ordering::Acquire),
-                n.child[RIGHT].load(Ordering::Acquire),
-            )
+    fn collect_snapshot_at<'g>(
+        &self,
+        ts: u64,
+        low: &K,
+        high: &K,
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
+    ) {
+        let root = self.root(guard);
+        warm_range(root.load(LEFT, guard), low, high, |n| {
+            (n.key, n.load(LEFT, guard), n.load(RIGHT, guard))
         });
-        let entry = unsafe { &*self.root }.bundle[LEFT]
-            .dereference(ts)
+        let entry = root.bundle[LEFT]
+            .dereference(ts, guard)
             .expect("root bundle must satisfy an announced snapshot");
-        self.walk_at(entry, ts, low, high, visit)
-            .expect("snapshot walk must stay satisfiable");
+        self.walk_at(entry, ts, low, high, guard, visit);
     }
 
-    fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
+    fn for_each_bundle(&self, guard: &Guard<'_>, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
         let mut stack: InlineStack<_, WALK_STACK_INLINE> = InlineStack::new();
-        stack.push(self.root);
-        while let Some(p) = stack.pop() {
-            let node = unsafe { &*p };
+        stack.push(self.root(guard));
+        while let Some(node) = stack.pop() {
             f(&node.bundle[LEFT]);
             f(&node.bundle[RIGHT]);
-            for link in &node.child {
-                let child = link.load(Ordering::Acquire);
+            for dir in [LEFT, RIGHT] {
+                let child = node.load(dir, guard);
                 if !child.is_null() {
                     // The sibling waits on the stack while the other
                     // subtree is visited: start its miss now.
-                    prefetch_read(child, size_of::<Node<K, V>>());
+                    prefetch_read(child.as_raw(), size_of::<Node<K, V>>());
                     stack.push(child);
                 }
             }
@@ -673,7 +664,7 @@ where
         // The cursor-lifetime pin keeps every retained spine pointer
         // allocated between seeks (pins are reentrant).
         let guard = self.pin(txn.core.tid());
-        let spine = std::mem::take(&mut txn.scratch.3);
+        let spine = std::mem::take(&mut txn.scratch.2);
         debug_assert!(spine.is_empty(), "a spine outlived its cursor's pin");
         ShardCursor {
             tree: self,
@@ -689,8 +680,8 @@ where
     /// two in-order boundary neighbours (`walk_range_newest`; the
     /// sentinel root where a side has none), all of them are locked, and a
     /// second walk under the locks confirms the picture is stable before
-    /// it is compared with `expected`. Both walks and their ancestor stack
-    /// reuse the token's scratch buffers.
+    /// it is compared with `expected`. Both walks reuse the token's
+    /// scratch buffers.
     ///
     /// Phantom safety: with all in-range nodes and both boundaries locked
     /// (and the second walk having re-derived exactly the same nodes and
@@ -703,24 +694,25 @@ where
     fn validate_walk(
         &self,
         core: &mut TwoPhaseState<Node<K, V>>,
-        (walk, verify, stack, _): &mut Self::Scratch,
+        (walk, verify, _): &mut Self::Scratch,
         expected: &[(K, usize)],
         low: &K,
         high: &K,
+        guard: &Guard<'_>,
     ) -> Result<(), TxnValidateError> {
+        let root = self.root(guard);
         'attempt: for _ in 0..bundle::MAX_VALIDATE_ATTEMPTS {
             let mut newly = 0usize;
-            let Some(bounds) = self.walk_range_newest(low, high, walk, stack) else {
+            let Some(bounds) = self.walk_range_newest(low, high, walk, guard) else {
                 continue;
             };
-            for node in walk
+            // SAFETY: `from_raw` of the addresses the walk just above
+            // loaded under `guard`.
+            let walked = walk
                 .iter()
-                .map(|(_, n)| *n as *mut Node<K, V>)
-                .chain(bounds)
-            {
-                // SAFETY: `node` was reached under the caller's EBR pin, and
-                // a locked node is never retired.
-                match unsafe { core.lock(node, &(*node).lock) } {
+                .map(|(_, n)| unsafe { Shared::from_raw(*n as *mut Node<K, V>, guard) });
+            for node in walked.chain(bounds) {
+                match core.lock(node, Self::lock_of) {
                     Ok(true) => newly += 1,
                     Ok(false) => {}
                     Err(Conflict) => {
@@ -728,7 +720,7 @@ where
                         return Err(TxnValidateError::Conflict);
                     }
                 }
-                if node != self.root && unsafe { &*node }.marked.load(Ordering::Acquire) {
+                if node != root && node.marked.load(Ordering::Acquire) {
                     core.unlock_latest(newly);
                     continue 'attempt;
                 }
@@ -736,7 +728,7 @@ where
             // With the locks held, the picture must be stable: re-walk and
             // re-derive the boundaries. Any difference means an update was
             // mid-flight during the first walk — retry.
-            if self.walk_range_newest(low, high, verify, stack) != Some(bounds) || verify != walk {
+            if self.walk_range_newest(low, high, verify, guard) != Some(bounds) || verify != walk {
                 core.unlock_latest(newly);
                 continue 'attempt;
             }
@@ -749,15 +741,20 @@ where
         Err(TxnValidateError::Conflict)
     }
 
-    unsafe fn revert(&self, undo: CitrusUndo<K, V>) {
+    unsafe fn revert(&self, undo: CitrusUndo<K, V>, guard: &Guard<'_>) {
+        let node = |p| Shared::from_raw(p, guard);
         match undo {
-            CitrusUndo::Link { pred, dir, node } => {
-                (*node).marked.store(true, Ordering::SeqCst);
-                (*pred).child[dir].store(ptr::null_mut(), Ordering::SeqCst);
+            CitrusUndo::Link {
+                pred,
+                dir,
+                node: created,
+            } => {
+                node(created).marked.store(true, Ordering::SeqCst);
+                node(pred).child[dir].store(Shared::null(), Ordering::SeqCst);
             }
             CitrusUndo::Splice { pred, dir, curr } => {
-                (*curr).marked.store(false, Ordering::SeqCst);
-                (*pred).child[dir].store(curr, Ordering::SeqCst);
+                node(curr).marked.store(false, Ordering::SeqCst);
+                node(pred).child[dir].store(node(curr), Ordering::SeqCst);
                 self.reverts.fetch_add(1, Ordering::SeqCst);
             }
             CitrusUndo::Replace {
@@ -769,13 +766,13 @@ where
                 sp,
                 sp_moved,
             } => {
-                (*new_node).marked.store(true, Ordering::SeqCst);
+                node(new_node).marked.store(true, Ordering::SeqCst);
                 if sp_moved {
-                    (*sp).child[LEFT].store(succ, Ordering::SeqCst);
+                    node(sp).child[LEFT].store(node(succ), Ordering::SeqCst);
                 }
-                (*pred).child[dir].store(curr, Ordering::SeqCst);
-                (*succ).marked.store(false, Ordering::SeqCst);
-                (*curr).marked.store(false, Ordering::SeqCst);
+                node(pred).child[dir].store(node(curr), Ordering::SeqCst);
+                node(succ).marked.store(false, Ordering::SeqCst);
+                node(curr).marked.store(false, Ordering::SeqCst);
                 self.reverts.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -817,7 +814,7 @@ where
 {
     /// One search, resuming from the retained spine when it can still be
     /// trusted.
-    fn locate(&mut self, key: &K) -> Located<K, V> {
+    fn locate<'g>(&mut self, key: &K, guard: &'g Guard<'_>) -> Located<'g, K, V> {
         // An abort since the spine was built may have narrowed the
         // intervals it recorded: forget it. The sample also dates this
         // attempt for the under-lock checks of the seek.
@@ -828,13 +825,21 @@ where
         }
         let loc = self
             .tree
-            .search_spined(self.txn.core.tid(), key, &mut self.spine);
+            .search_spined(self.txn.core.tid(), key, &mut self.spine, guard);
         if loc.resumed {
             self.stats.hinted += 1;
         } else {
             self.stats.descents += 1;
         }
         loc
+    }
+
+    /// `true` unless `pred` is marked, its `dir` slot is no longer empty,
+    /// or an abort changed the tree's shape since this seek's search.
+    fn slot_still_empty(&self, pred: NodePtr<'_, K, V>, dir: usize, guard: &Guard<'_>) -> bool {
+        !pred.marked.load(Ordering::Acquire)
+            && pred.load(dir, guard).is_null()
+            && self.tree.shape_epoch() == self.epoch
     }
 }
 
@@ -852,12 +857,12 @@ where
     /// commit timestamp.
     fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let tree = self.tree;
+        let guard = tree.pin(self.txn.core.tid());
         loop {
-            let loc = self.locate(&key);
+            let loc = self.locate(&key, &guard);
             let (pred, dir, curr) = (loc.pred, loc.dir, loc.curr);
-            let txn = &mut self.txn;
             if !curr.is_null() {
-                if unsafe { &*curr }.marked.load(Ordering::Acquire) {
+                if curr.marked.load(Ordering::Acquire) {
                     // Key found but mid-removal; the remover already holds
                     // all its locks (mark and unlink share one critical
                     // section), so the unlink completes without us.
@@ -869,60 +874,49 @@ where
                 // commit (a remove must acquire it). If it got marked
                 // before we locked it, the remove linearized first —
                 // retry and miss it.
-                let newly = unsafe { tree.txn_lock(txn, curr) }?;
-                if unsafe { &*curr }.marked.load(Ordering::Acquire) {
+                let newly = tree.txn_lock(&mut self.txn, curr)?;
+                if curr.marked.load(Ordering::Acquire) {
                     if newly {
-                        txn.core.unlock_latest(1);
+                        self.txn.core.unlock_latest(1);
                         self.spine.clear();
                         continue;
                     }
                     return Err(Conflict);
                 }
-                txn.staged
-                    .record(key, Some(curr as usize), Some(curr as usize));
-                self.spine.push(SpineEntry {
-                    node: curr,
-                    low: loc.low,
-                    high: loc.high,
-                });
+                let at = Some(curr.as_raw() as usize);
+                self.txn.staged.record(key, at, at);
+                self.spine.push(loc.spine_entry(curr));
                 return Ok(false);
             }
-            let newly = unsafe { tree.txn_lock(txn, pred) }?;
-            let pred_ref = unsafe { &*pred };
-            if pred_ref.marked.load(Ordering::Acquire)
-                || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
-                || tree.shape_epoch() != self.epoch
-            {
+            let newly = tree.txn_lock(&mut self.txn, pred)?;
+            if !self.slot_still_empty(pred, dir, &guard) {
                 if newly {
-                    txn.core.unlock_latest(1);
+                    self.txn.core.unlock_latest(1);
                     self.spine.clear();
                     continue;
                 }
                 // A node we hold locked cannot be invalidated by others.
                 return Err(Conflict);
             }
-            let node = Node::new(key, Some(value));
-            let node_ref = unsafe { &*node };
-            // Hold the new leaf's lock until commit/abort so primitive
-            // operations block on it instead of building on state we may
-            // roll back.
-            let node_guard: MutexGuard<'static, ()> = node_ref.lock.lock();
-            txn.core.push_lock(node, node_guard);
-            txn.core
-                .prepare_bundle(&node_ref.bundle[LEFT], ptr::null_mut());
-            txn.core
-                .prepare_bundle(&node_ref.bundle[RIGHT], ptr::null_mut());
-            txn.core.prepare_bundle(&pred_ref.bundle[dir], node);
+            let txn = &mut self.txn;
+            let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
+            // Hold the new leaf's lock until commit/abort (uncontended:
+            // nobody else can reach it yet) so primitive operations block
+            // on it instead of building on state we may roll back.
+            tree.txn_lock(txn, node)?;
+            txn.core.prepare_bundle(&node.bundle[LEFT], Shared::null());
+            txn.core.prepare_bundle(&node.bundle[RIGHT], Shared::null());
+            txn.core.prepare_bundle(&pred.bundle[dir], node);
             // Eager linearization effect.
-            pred_ref.child[dir].store(node, Ordering::SeqCst);
+            pred.child[dir].store(node, Ordering::SeqCst);
             txn.core.add_created(node);
-            txn.staged.record(key, None, Some(node as usize));
-            txn.undo.push(CitrusUndo::Link { pred, dir, node });
-            self.spine.push(SpineEntry {
-                node,
-                low: loc.low,
-                high: loc.high,
+            txn.staged.record(key, None, Some(node.as_raw() as usize));
+            txn.undo.push(CitrusUndo::Link {
+                pred: pred.as_raw(),
+                dir,
+                node: node.as_raw(),
             });
+            self.spine.push(loc.spine_entry(node));
             return Ok(true);
         }
     }
@@ -934,48 +928,44 @@ where
     /// transaction finishes).
     fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let tree = self.tree;
+        let guard = tree.pin(self.txn.core.tid());
         loop {
-            let loc = self.locate(key);
+            let loc = self.locate(key, &guard);
             let (pred, dir, curr) = (loc.pred, loc.dir, loc.curr);
-            let txn = &mut self.txn;
             if curr.is_null() {
                 // Pin the no-op: hold the insertion parent until commit.
-                let newly = unsafe { tree.txn_lock(txn, pred) }?;
-                let pred_ref = unsafe { &*pred };
-                if pred_ref.marked.load(Ordering::Acquire)
-                    || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
-                    || tree.shape_epoch() != self.epoch
-                {
+                let newly = tree.txn_lock(&mut self.txn, pred)?;
+                if !self.slot_still_empty(pred, dir, &guard) {
                     if newly {
-                        txn.core.unlock_latest(1);
+                        self.txn.core.unlock_latest(1);
                         self.spine.clear();
                         continue;
                     }
                     return Err(Conflict);
                 }
-                txn.staged.record(*key, None, None);
+                self.txn.staged.record(*key, None, None);
                 return Ok(false);
             }
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
-            let mut newly = 0usize;
-            match unsafe { tree.txn_lock(txn, pred) } {
-                Ok(true) => newly += 1,
-                Ok(false) => {}
-                Err(c) => return Err(c),
-            }
-            match unsafe { tree.txn_lock(txn, curr) } {
-                Ok(true) => newly += 1,
-                Ok(false) => {}
-                Err(c) => {
-                    txn.core.unlock_latest(newly);
-                    return Err(c);
+            let txn = &mut self.txn;
+            // Takes `node`'s lock into the count of newly acquired ones;
+            // on a lost race, releases them all.
+            let lock = |txn: &mut ShardTxn<BundledCitrusTree<K, V>>, newly: &mut usize, node| {
+                match tree.txn_lock(txn, node) {
+                    Ok(acquired) => *newly += usize::from(acquired),
+                    Err(c) => {
+                        txn.core.unlock_latest(*newly);
+                        return Err(c);
+                    }
                 }
-            }
-            if pred_ref.marked.load(Ordering::Acquire)
-                || curr_ref.marked.load(Ordering::Acquire)
-                || pred_ref.child[dir].load(Ordering::Acquire) != curr
-                || curr_ref.key != *key
+                Ok(())
+            };
+            let mut newly = 0usize;
+            lock(txn, &mut newly, pred)?;
+            lock(txn, &mut newly, curr)?;
+            if pred.marked.load(Ordering::Acquire)
+                || curr.marked.load(Ordering::Acquire)
+                || pred.load(dir, &guard) != curr
+                || curr.key != *key
             {
                 txn.core.unlock_latest(newly);
                 if newly == 0 {
@@ -984,8 +974,7 @@ where
                 self.spine.clear();
                 continue;
             }
-            let left = curr_ref.child[LEFT].load(Ordering::Acquire);
-            let right = curr_ref.child[RIGHT].load(Ordering::Acquire);
+            let (left, right) = (curr.load(LEFT, &guard), curr.load(RIGHT, &guard));
 
             // Pin the gap the removed key leaves behind (`txn_pin_gap`).
             // With a left subtree it moves under that subtree's rightmost
@@ -1001,7 +990,7 @@ where
                 None
             };
             if let Some((from, toward)) = gap {
-                match tree.txn_pin_gap(txn, from, toward, self.epoch) {
+                match tree.txn_pin_gap(txn, from, toward, self.epoch, &guard) {
                     Ok(Some(acquired)) => newly += usize::from(acquired),
                     Ok(None) => {
                         txn.core.unlock_latest(newly);
@@ -1018,55 +1007,37 @@ where
             if left.is_null() || right.is_null() {
                 // Cases 1 & 2: splice the only child (or null) into pred.
                 let repl = if left.is_null() { right } else { left };
-                txn.core.prepare_bundle(&pred_ref.bundle[dir], repl);
-                curr_ref.marked.store(true, Ordering::SeqCst);
-                pred_ref.child[dir].store(repl, Ordering::SeqCst);
+                txn.core.prepare_bundle(&pred.bundle[dir], repl);
+                curr.marked.store(true, Ordering::SeqCst);
+                pred.child[dir].store(repl, Ordering::SeqCst);
                 txn.core.add_victim(curr);
-                txn.staged.record(*key, Some(curr as usize), None);
-                txn.undo.push(CitrusUndo::Splice { pred, dir, curr });
+                txn.staged.record(*key, Some(curr.as_raw() as usize), None);
+                txn.undo.push(CitrusUndo::Splice {
+                    pred: pred.as_raw(),
+                    dir,
+                    curr: curr.as_raw(),
+                });
                 return Ok(true);
             }
 
             // Case 3: two children — replace `curr` by an RCU-style copy
             // of its successor.
-            let mut succ_parent = curr;
-            let mut succ = right;
-            loop {
-                let l = unsafe { &*succ }.child[LEFT].load(Ordering::Acquire);
-                if l.is_null() {
-                    break;
-                }
-                succ_parent = succ;
-                succ = l;
+            let (mut succ_parent, mut succ) = (curr, right);
+            while !succ.load(LEFT, &guard).is_null() {
+                (succ_parent, succ) = (succ, succ.load(LEFT, &guard));
             }
-            let succ_ref = unsafe { &*succ };
-            let sp_ref = unsafe { &*succ_parent };
             if succ_parent != curr {
-                match unsafe { tree.txn_lock(txn, succ_parent) } {
-                    Ok(true) => newly += 1,
-                    Ok(false) => {}
-                    Err(c) => {
-                        txn.core.unlock_latest(newly);
-                        return Err(c);
-                    }
-                }
+                lock(txn, &mut newly, succ_parent)?;
             }
-            match unsafe { tree.txn_lock(txn, succ) } {
-                Ok(true) => newly += 1,
-                Ok(false) => {}
-                Err(c) => {
-                    txn.core.unlock_latest(newly);
-                    return Err(c);
-                }
-            }
+            lock(txn, &mut newly, succ)?;
             let succ_still_leftmost = if succ_parent == curr {
-                curr_ref.child[RIGHT].load(Ordering::Acquire) == succ
+                curr.load(RIGHT, &guard) == succ
             } else {
-                sp_ref.child[LEFT].load(Ordering::Acquire) == succ
+                succ_parent.load(LEFT, &guard) == succ
             };
-            if succ_ref.marked.load(Ordering::Acquire)
-                || sp_ref.marked.load(Ordering::Acquire)
-                || !succ_ref.child[LEFT].load(Ordering::Acquire).is_null()
+            if succ.marked.load(Ordering::Acquire)
+                || succ_parent.marked.load(Ordering::Acquire)
+                || !succ.load(LEFT, &guard).is_null()
                 || !succ_still_leftmost
                 || tree.shape_epoch() != self.epoch
             {
@@ -1077,26 +1048,24 @@ where
                 self.spine.clear();
                 continue;
             }
-            let succ_right = succ_ref.child[RIGHT].load(Ordering::Acquire);
-            let new_node = Node::new(succ_ref.key, succ_ref.val.clone());
-            let new_ref = unsafe { &*new_node };
+            let succ_right = succ.load(RIGHT, &guard);
             let new_right = if succ == right { succ_right } else { right };
-            let new_guard: MutexGuard<'static, ()> = new_ref.lock.lock();
-            txn.core.push_lock(new_node, new_guard);
-            new_ref.child[LEFT].store(left, Ordering::Relaxed);
-            new_ref.child[RIGHT].store(new_right, Ordering::Relaxed);
+            let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
+            let new_node = Shared::boxed(new_node, &guard);
+            tree.txn_lock(txn, new_node)?;
 
-            txn.core.prepare_bundle(&new_ref.bundle[LEFT], left);
-            txn.core.prepare_bundle(&new_ref.bundle[RIGHT], new_right);
-            txn.core.prepare_bundle(&pred_ref.bundle[dir], new_node);
+            txn.core.prepare_bundle(&new_node.bundle[LEFT], left);
+            txn.core.prepare_bundle(&new_node.bundle[RIGHT], new_right);
+            txn.core.prepare_bundle(&pred.bundle[dir], new_node);
             let sp_moved = succ != right;
             if sp_moved {
-                txn.core.prepare_bundle(&sp_ref.bundle[LEFT], succ_right);
+                txn.core
+                    .prepare_bundle(&succ_parent.bundle[LEFT], succ_right);
             }
             // Eager linearization effect.
-            curr_ref.marked.store(true, Ordering::SeqCst);
-            succ_ref.marked.store(true, Ordering::SeqCst);
-            pred_ref.child[dir].store(new_node, Ordering::SeqCst);
+            curr.marked.store(true, Ordering::SeqCst);
+            succ.marked.store(true, Ordering::SeqCst);
+            pred.child[dir].store(new_node, Ordering::SeqCst);
             if sp_moved {
                 // Same grace period as the primitive two-children remove
                 // (see ConcurrentSet::remove): the successor's old slot
@@ -1105,32 +1074,28 @@ where
                 // until commit/abort, and searches take no locks, so the
                 // wait terminates.
                 tree.wait_for_searchers(txn.core.tid());
-                sp_ref.child[LEFT].store(succ_right, Ordering::SeqCst);
+                succ_parent.child[LEFT].store(succ_right, Ordering::SeqCst);
             }
             txn.core.add_victim(curr);
             txn.core.add_victim(succ);
             txn.core.add_created(new_node);
-            txn.staged.record(*key, Some(curr as usize), None);
+            txn.staged.record(*key, Some(curr.as_raw() as usize), None);
             // The successor's key keeps its value but moves to the fresh
             // copy; a read that recorded the old node must reconcile.
-            txn.staged
-                .record(succ_ref.key, Some(succ as usize), Some(new_node as usize));
+            let (old, new) = (succ.as_raw() as usize, new_node.as_raw() as usize);
+            txn.staged.record(succ.key, Some(old), Some(new));
             txn.undo.push(CitrusUndo::Replace {
-                pred,
+                pred: pred.as_raw(),
                 dir,
-                curr,
-                succ,
-                new_node,
-                sp: succ_parent,
+                curr: curr.as_raw(),
+                succ: succ.as_raw(),
+                new_node: new_node.as_raw(),
+                sp: succ_parent.as_raw(),
                 sp_moved,
             });
             // The copy took curr's slot: it joins the spine so seeks into
             // its subtree (keys beyond the removed one) resume below it.
-            self.spine.push(SpineEntry {
-                node: new_node,
-                low: loc.low,
-                high: loc.high,
-            });
+            self.spine.push(loc.spine_entry(new_node));
             return Ok(true);
         }
     }
@@ -1140,19 +1105,13 @@ where
     /// located position as an *unlocked* hint. Takes no locks and stages
     /// nothing.
     fn seek_read(&mut self, key: &K) -> Option<V> {
-        let loc = self.locate(key);
-        if !loc.curr.is_null() {
-            let c = unsafe { &*loc.curr };
-            if !c.marked.load(Ordering::Acquire) {
-                self.spine.push(SpineEntry {
-                    node: loc.curr,
-                    low: loc.low,
-                    high: loc.high,
-                });
-                return c.val.clone();
-            }
+        let guard = self.tree.pin(self.txn.core.tid());
+        let loc = self.locate(key, &guard);
+        if loc.curr.is_null() || loc.curr.marked.load(Ordering::Acquire) {
+            return None;
         }
-        None
+        self.spine.push(loc.spine_entry(loc.curr));
+        loc.curr.val.clone()
     }
 
     /// Hinted-resume vs root-descent counters accumulated so far.
@@ -1166,7 +1125,7 @@ where
     /// [`TwoPhase::txn_abort`].
     fn finish(mut self) -> ShardTxn<BundledCitrusTree<K, V>> {
         self.spine.clear();
-        self.txn.scratch.3 = self.spine;
+        self.txn.scratch.2 = self.spine;
         self.txn
     }
 }
@@ -1190,13 +1149,12 @@ where
     V: Clone + Send + Sync,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         loop {
             let epoch = self.shape_epoch();
-            let (pred, dir, curr) = self.search(tid, &key);
+            let (pred, dir, curr) = self.search(tid, &key, &guard);
             if !curr.is_null() {
-                let c = unsafe { &*curr };
-                if !c.marked.load(Ordering::Acquire) {
+                if !curr.marked.load(Ordering::Acquire) {
                     return false;
                 }
                 // Key found but node is being removed: retry until the
@@ -1204,28 +1162,26 @@ where
                 std::hint::spin_loop();
                 continue;
             }
-            let pred_ref = unsafe { &*pred };
-            let _lock = pred_ref.lock.lock();
+            let _lock = pred.lock.lock();
             // Validate: predecessor still live, the slot still empty — and
             // still the key's (no abort put a node back meanwhile).
-            if pred_ref.marked.load(Ordering::Acquire)
-                || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
+            if pred.marked.load(Ordering::Acquire)
+                || !pred.load(dir, &guard).is_null()
                 || self.shape_epoch() != epoch
             {
                 continue;
             }
-            let node = Node::new(key, Some(value));
-            let node_ref = unsafe { &*node };
+            let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
             // A new leaf contributes entries for both of its (null)
             // children so that snapshot traversals entering it always find
             // a satisfying entry, plus the predecessor's changed link.
             let bundles = [
-                (&node_ref.bundle[LEFT], ptr::null_mut()),
-                (&node_ref.bundle[RIGHT], ptr::null_mut()),
-                (&pred_ref.bundle[dir], node),
+                (&node.bundle[LEFT], Shared::null()),
+                (&node.bundle[RIGHT], Shared::null()),
+                (&pred.bundle[dir], node),
             ];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
-                pred_ref.child[dir].store(node, Ordering::SeqCst);
+                pred.child[dir].store(node, Ordering::SeqCst);
             });
             return true;
         }
@@ -1235,121 +1191,90 @@ where
         let guard = self.pin(tid);
         loop {
             let epoch = self.shape_epoch();
-            let (pred, dir, curr) = self.search(tid, key);
+            let (pred, dir, curr) = self.search(tid, key, &guard);
             if curr.is_null() {
                 return false;
             }
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
             // Blocking lock only for the first acquisition; everything else
             // is try-locked with full release on failure, so no deadlock.
-            let pred_lock = pred_ref.lock.lock();
-            let curr_lock = match curr_ref.lock.try_lock() {
-                Some(g) => g,
-                None => {
-                    drop(pred_lock);
-                    continue;
-                }
+            let pred_lock = pred.lock.lock();
+            let Some(curr_lock) = curr.lock.try_lock() else {
+                continue;
             };
-            if pred_ref.marked.load(Ordering::Acquire)
-                || curr_ref.marked.load(Ordering::Acquire)
-                || pred_ref.child[dir].load(Ordering::Acquire) != curr
-                || curr_ref.key != *key
+            if pred.marked.load(Ordering::Acquire)
+                || curr.marked.load(Ordering::Acquire)
+                || pred.load(dir, &guard) != curr
+                || curr.key != *key
             {
                 continue;
             }
-            let left = curr_ref.child[LEFT].load(Ordering::Acquire);
-            let right = curr_ref.child[RIGHT].load(Ordering::Acquire);
+            let (left, right) = (curr.load(LEFT, &guard), curr.load(RIGHT, &guard));
 
             if left.is_null() || right.is_null() {
                 // Cases 1 & 2: zero or one child — splice the child (or
                 // null) into the predecessor.
                 let repl = if left.is_null() { right } else { left };
-                let bundles = [(&pred_ref.bundle[dir], repl)];
+                let bundles = [(&pred.bundle[dir], repl)];
                 linearize_update(self.ctx.clock(), tid, &bundles, || {
-                    curr_ref.marked.store(true, Ordering::SeqCst);
-                    pred_ref.child[dir].store(repl, Ordering::SeqCst);
+                    curr.marked.store(true, Ordering::SeqCst);
+                    pred.child[dir].store(repl, Ordering::SeqCst);
                 });
-                drop(curr_lock);
-                drop(pred_lock);
-                unsafe { guard.retire(curr) };
+                drop((curr_lock, pred_lock));
+                // SAFETY: `retire`: spliced out, and the bundle entries
+                // still pointing at it are older than the removal.
+                unsafe { guard.retire(curr.as_raw()) };
                 return true;
             }
 
             // Case 3: two children — replace `curr` by an RCU-style copy of
             // its successor (the leftmost node of the right subtree).
-            let mut succ_parent = curr;
-            let mut succ = right;
-            loop {
-                let l = unsafe { &*succ }.child[LEFT].load(Ordering::Acquire);
-                if l.is_null() {
-                    break;
-                }
-                succ_parent = succ;
-                succ = l;
+            let (mut succ_parent, mut succ) = (curr, right);
+            while !succ.load(LEFT, &guard).is_null() {
+                (succ_parent, succ) = (succ, succ.load(LEFT, &guard));
             }
-            let succ_ref = unsafe { &*succ };
             let sp_lock = if succ_parent != curr {
-                match unsafe { &*succ_parent }.lock.try_lock() {
-                    Some(g) => Some(g),
-                    None => {
-                        drop(curr_lock);
-                        drop(pred_lock);
-                        continue;
-                    }
-                }
+                let Some(lock) = succ_parent.lock.try_lock() else {
+                    continue;
+                };
+                Some(lock)
             } else {
                 None
             };
-            let succ_lock = match succ_ref.lock.try_lock() {
-                Some(g) => g,
-                None => {
-                    drop(sp_lock);
-                    drop(curr_lock);
-                    drop(pred_lock);
-                    continue;
-                }
+            let Some(succ_lock) = succ.lock.try_lock() else {
+                continue;
             };
-            let sp_ref = unsafe { &*succ_parent };
             let succ_still_leftmost = if succ_parent == curr {
-                curr_ref.child[RIGHT].load(Ordering::Acquire) == succ
+                curr.load(RIGHT, &guard) == succ
             } else {
-                sp_ref.child[LEFT].load(Ordering::Acquire) == succ
+                succ_parent.load(LEFT, &guard) == succ
             };
-            if succ_ref.marked.load(Ordering::Acquire)
-                || sp_ref.marked.load(Ordering::Acquire)
-                || !succ_ref.child[LEFT].load(Ordering::Acquire).is_null()
+            if succ.marked.load(Ordering::Acquire)
+                || succ_parent.marked.load(Ordering::Acquire)
+                || !succ.load(LEFT, &guard).is_null()
                 || !succ_still_leftmost
                 || self.shape_epoch() != epoch
             {
-                drop(succ_lock);
-                drop(sp_lock);
-                drop(curr_lock);
-                drop(pred_lock);
                 continue;
             }
-            let succ_right = succ_ref.child[RIGHT].load(Ordering::Acquire);
+            let succ_right = succ.load(RIGHT, &guard);
             // The copy takes curr's position, key/value of the successor,
             // curr's left child, and the appropriate right child.
-            let new_node = Node::new(succ_ref.key, succ_ref.val.clone());
-            let new_ref = unsafe { &*new_node };
             let new_right = if succ == right { succ_right } else { right };
-            new_ref.child[LEFT].store(left, Ordering::Relaxed);
-            new_ref.child[RIGHT].store(new_right, Ordering::Relaxed);
-
+            let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
+            let new_node = Shared::boxed(new_node, &guard);
             let bundles = [
-                (&new_ref.bundle[LEFT], left),
-                (&new_ref.bundle[RIGHT], new_right),
-                (&pred_ref.bundle[dir], new_node),
-                (&sp_ref.bundle[LEFT], succ_right),
+                (&new_node.bundle[LEFT], left),
+                (&new_node.bundle[RIGHT], new_right),
+                (&pred.bundle[dir], new_node),
+                (&succ_parent.bundle[LEFT], succ_right),
             ];
             // The last one only when the successor is physically moved out
             // of its old slot.
             let bundles = &bundles[..if succ != right { 4 } else { 3 }];
             linearize_update(self.ctx.clock(), tid, bundles, || {
-                curr_ref.marked.store(true, Ordering::SeqCst);
-                succ_ref.marked.store(true, Ordering::SeqCst);
-                pred_ref.child[dir].store(new_node, Ordering::SeqCst);
+                curr.marked.store(true, Ordering::SeqCst);
+                succ.marked.store(true, Ordering::SeqCst);
+                pred.child[dir].store(new_node, Ordering::SeqCst);
             });
             if succ != right {
                 // The successor moves out of a slot that stays reachable:
@@ -1366,23 +1291,22 @@ where
                 // All four locks are still held, so no competing update
                 // can touch the slot in between.
                 self.wait_for_searchers(tid);
-                sp_ref.child[LEFT].store(succ_right, Ordering::SeqCst);
+                succ_parent.child[LEFT].store(succ_right, Ordering::SeqCst);
             }
-            drop(succ_lock);
-            drop(sp_lock);
-            drop(curr_lock);
-            drop(pred_lock);
+            drop((succ_lock, sp_lock, curr_lock, pred_lock));
+            // SAFETY: `retire`: both replaced by the copy, and the bundle
+            // entries still pointing at them are older than the removal.
             unsafe {
-                guard.retire(curr);
-                guard.retire(succ);
+                guard.retire(curr.as_raw());
+                guard.retire(succ.as_raw());
             }
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let (_, _, curr) = self.search(tid, key);
+        let guard = self.pin(tid);
+        let (_, _, curr) = self.search(tid, key, &guard);
         // A *found* node answers true even if marked (RCU old-path
         // validity, as in the original Citrus, whose reads never check
         // the mark): a splice victim is only reachable while its remove
@@ -1396,30 +1320,23 @@ where
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let (_, _, curr) = self.search(tid, key);
-        if !curr.is_null() {
-            // Marked nodes answer too — see Self::contains. A victim's
-            // value is immutable once reachable (relocation copies it,
-            // never moves it), so the clone is sound under the EBR pin.
-            unsafe { &*curr }.val.clone()
-        } else {
-            None
-        }
+        let guard = self.pin(tid);
+        let (_, _, curr) = self.search(tid, key, &guard);
+        // Marked nodes answer too — see Self::contains. A victim's value
+        // is immutable once reachable (relocation copies it, never moves
+        // it), so the clone is sound under the EBR pin.
+        (!curr.is_null()).then(|| curr.val.clone()).flatten()
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         let mut n = 0;
-        let mut stack = vec![unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire)];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        let mut stack = vec![self.root(&guard).load(LEFT, &guard)];
+        while let Some(node) = stack.pop() {
+            if !node.is_null() {
+                n += 1;
+                stack.extend([node.load(LEFT, &guard), node.load(RIGHT, &guard)]);
             }
-            let node = unsafe { &*p };
-            n += 1;
-            stack.push(node.child[LEFT].load(Ordering::Acquire));
-            stack.push(node.child[RIGHT].load(Ordering::Acquire));
         }
         n
     }
@@ -1431,15 +1348,14 @@ where
     V: Clone + Send + Sync,
 {
     fn drop(&mut self) {
-        let mut stack = vec![self.root];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        let guard = self.collector.pin(0);
+        let mut stack = vec![self.root(&guard)];
+        while let Some(node) = stack.pop() {
+            if !node.is_null() {
+                stack.extend([node.load(LEFT, &guard), node.load(RIGHT, &guard)]);
+                // SAFETY: a drop free: reachable nodes are the tree's alone.
+                unsafe { drop(Box::from_raw(node.as_raw())) };
             }
-            let node = unsafe { &*p };
-            stack.push(node.child[LEFT].load(Ordering::Relaxed));
-            stack.push(node.child[RIGHT].load(Ordering::Relaxed));
-            unsafe { drop(Box::from_raw(p)) };
         }
     }
 }

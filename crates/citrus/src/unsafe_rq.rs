@@ -1,13 +1,12 @@
 //! The *Unsafe* Citrus-style BST baseline: same primitive operations as the
 //! bundled tree, non-linearizable in-order range scans.
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 use crate::warm::warm_range;
 use crate::{LEFT, RIGHT};
@@ -17,33 +16,30 @@ struct Node<K, V> {
     val: Option<V>,
     lock: Mutex<()>,
     marked: AtomicBool,
-    child: [AtomicPtr<Node<K, V>>; 2],
+    child: [Link<Node<K, V>>; 2],
 }
 
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    fn new(key: K, val: Option<V>, children: [NodePtr<'_, K, V>; 2]) -> Self {
+        Node {
             key,
             val,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
-            child: [
-                AtomicPtr::new(ptr::null_mut()),
-                AtomicPtr::new(ptr::null_mut()),
-            ],
-        }))
+            child: children.map(Link::new),
+        }
     }
 }
 
 /// Unbalanced internal BST with per-node locking and non-linearizable range
 /// queries (the paper's `Unsafe` reference for the Citrus tree).
 pub struct UnsafeCitrusTree<K, V> {
-    root: *mut Node<K, V>,
+    /// The sentinel; set once by the constructor.
+    root: Link<Node<K, V>>,
     collector: Collector,
 }
-
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for UnsafeCitrusTree<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for UnsafeCitrusTree<K, V> {}
 
 impl<K, V> UnsafeCitrusTree<K, V>
 where
@@ -57,10 +53,12 @@ where
 
     /// Create a tree with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        UnsafeCitrusTree {
-            root: Node::new(K::default(), None),
-            collector: Collector::new(max_threads, mode),
-        }
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let root = Node::new(K::default(), None, [Shared::null(); 2]);
+        let root = Link::new(Shared::boxed(root, &guard));
+        drop(guard);
+        UnsafeCitrusTree { root, collector }
     }
 
     /// The structure's epoch collector (diagnostics).
@@ -72,20 +70,26 @@ where
         self.collector.pin(tid)
     }
 
-    fn search(&self, key: &K) -> (*mut Node<K, V>, usize, *mut Node<K, V>) {
-        let mut pred = self.root;
+    fn search<'g>(
+        &self,
+        key: &K,
+        guard: &'g Guard<'_>,
+    ) -> (NodePtr<'g, K, V>, usize, NodePtr<'g, K, V>) {
+        let mut pred = self.root.load(Ordering::Relaxed, guard);
         let mut dir = LEFT;
-        let mut curr = unsafe { &*pred }.child[LEFT].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let c = unsafe { &*curr };
-            if c.key == *key {
-                break;
-            }
-            dir = if *key < c.key { LEFT } else { RIGHT };
+        let mut curr = pred.child[LEFT].load(Ordering::Acquire, guard);
+        while !curr.is_null() && curr.key != *key {
+            dir = if *key < curr.key { LEFT } else { RIGHT };
             pred = curr;
-            curr = c.child[dir].load(Ordering::Acquire);
+            curr = curr.child[dir].load(Ordering::Acquire, guard);
         }
         (pred, dir, curr)
+    }
+
+    /// The node holding `key`, if it is present and not removed.
+    fn present<'g>(&self, key: &K, guard: &'g Guard<'_>) -> Option<NodePtr<'g, K, V>> {
+        let (_, _, curr) = self.search(key, guard);
+        (!curr.is_null() && !curr.marked.load(Ordering::Acquire)).then_some(curr)
     }
 }
 
@@ -95,166 +99,123 @@ where
     V: Clone + Send + Sync,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         loop {
-            let (pred, dir, curr) = self.search(&key);
+            let (pred, dir, curr) = self.search(&key, &guard);
             if !curr.is_null() {
-                let c = unsafe { &*curr };
-                if !c.marked.load(Ordering::Acquire) {
+                if !curr.marked.load(Ordering::Acquire) {
                     return false;
                 }
                 continue;
             }
-            let pred_ref = unsafe { &*pred };
-            let _lock = pred_ref.lock.lock();
-            if pred_ref.marked.load(Ordering::Acquire)
-                || !pred_ref.child[dir].load(Ordering::Acquire).is_null()
+            let _lock = pred.lock.lock();
+            if pred.marked.load(Ordering::Acquire)
+                || !pred.child[dir].load(Ordering::Acquire, &guard).is_null()
             {
                 continue;
             }
-            let node = Node::new(key, Some(value));
-            pred_ref.child[dir].store(node, Ordering::Release);
+            let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
+            pred.child[dir].store(node, Ordering::Release);
             return true;
         }
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
+        let load = |n: NodePtr<'_, K, V>, dir: usize| n.child[dir].load(Ordering::Acquire, &guard);
         loop {
-            let (pred, dir, curr) = self.search(key);
+            let (pred, dir, curr) = self.search(key, &guard);
             if curr.is_null() {
                 return false;
             }
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
-            let pred_lock = pred_ref.lock.lock();
-            let curr_lock = match curr_ref.lock.try_lock() {
-                Some(g) => g,
-                None => {
-                    drop(pred_lock);
-                    continue;
-                }
+            let pred_lock = pred.lock.lock();
+            let Some(curr_lock) = curr.lock.try_lock() else {
+                continue;
             };
-            if pred_ref.marked.load(Ordering::Acquire)
-                || curr_ref.marked.load(Ordering::Acquire)
-                || pred_ref.child[dir].load(Ordering::Acquire) != curr
-                || curr_ref.key != *key
+            if pred.marked.load(Ordering::Acquire)
+                || curr.marked.load(Ordering::Acquire)
+                || load(pred, dir) != curr
+                || curr.key != *key
             {
                 continue;
             }
-            let left = curr_ref.child[LEFT].load(Ordering::Acquire);
-            let right = curr_ref.child[RIGHT].load(Ordering::Acquire);
+            let (left, right) = (load(curr, LEFT), load(curr, RIGHT));
             if left.is_null() || right.is_null() {
                 let repl = if left.is_null() { right } else { left };
-                curr_ref.marked.store(true, Ordering::Release);
-                pred_ref.child[dir].store(repl, Ordering::Release);
-                drop(curr_lock);
-                drop(pred_lock);
-                unsafe { guard.retire(curr) };
+                curr.marked.store(true, Ordering::Release);
+                pred.child[dir].store(repl, Ordering::Release);
+                drop((curr_lock, pred_lock));
+                // SAFETY: `retire`: `curr` is spliced out (no bundles here).
+                unsafe { guard.retire(curr.as_raw()) };
                 return true;
             }
             // Two children: replace by a copy of the successor.
-            let mut succ_parent = curr;
-            let mut succ = right;
-            loop {
-                let l = unsafe { &*succ }.child[LEFT].load(Ordering::Acquire);
-                if l.is_null() {
-                    break;
-                }
-                succ_parent = succ;
-                succ = l;
+            let (mut succ_parent, mut succ) = (curr, right);
+            while !load(succ, LEFT).is_null() {
+                (succ_parent, succ) = (succ, load(succ, LEFT));
             }
-            let succ_ref = unsafe { &*succ };
             let sp_lock = if succ_parent != curr {
-                match unsafe { &*succ_parent }.lock.try_lock() {
-                    Some(g) => Some(g),
-                    None => {
-                        drop(curr_lock);
-                        drop(pred_lock);
-                        continue;
-                    }
-                }
+                let Some(g) = succ_parent.lock.try_lock() else {
+                    continue;
+                };
+                Some(g)
             } else {
                 None
             };
-            let succ_lock = match succ_ref.lock.try_lock() {
-                Some(g) => g,
-                None => {
-                    drop(sp_lock);
-                    drop(curr_lock);
-                    drop(pred_lock);
-                    continue;
-                }
+            let Some(succ_lock) = succ.lock.try_lock() else {
+                continue;
             };
-            let sp_ref = unsafe { &*succ_parent };
             let succ_still_leftmost = if succ_parent == curr {
-                curr_ref.child[RIGHT].load(Ordering::Acquire) == succ
+                load(curr, RIGHT) == succ
             } else {
-                sp_ref.child[LEFT].load(Ordering::Acquire) == succ
+                load(succ_parent, LEFT) == succ
             };
-            if succ_ref.marked.load(Ordering::Acquire)
-                || sp_ref.marked.load(Ordering::Acquire)
-                || !succ_ref.child[LEFT].load(Ordering::Acquire).is_null()
+            if succ.marked.load(Ordering::Acquire)
+                || succ_parent.marked.load(Ordering::Acquire)
+                || !load(succ, LEFT).is_null()
                 || !succ_still_leftmost
             {
-                drop(succ_lock);
-                drop(sp_lock);
-                drop(curr_lock);
-                drop(pred_lock);
                 continue;
             }
-            let succ_right = succ_ref.child[RIGHT].load(Ordering::Acquire);
-            let new_node = Node::new(succ_ref.key, succ_ref.val.clone());
-            let new_ref = unsafe { &*new_node };
+            let succ_right = load(succ, RIGHT);
             let new_right = if succ == right { succ_right } else { right };
-            new_ref.child[LEFT].store(left, Ordering::Relaxed);
-            new_ref.child[RIGHT].store(new_right, Ordering::Relaxed);
-            curr_ref.marked.store(true, Ordering::Release);
-            succ_ref.marked.store(true, Ordering::Release);
-            pred_ref.child[dir].store(new_node, Ordering::Release);
+            let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
+            let new_node = Shared::boxed(new_node, &guard);
+            curr.marked.store(true, Ordering::Release);
+            succ.marked.store(true, Ordering::Release);
+            pred.child[dir].store(new_node, Ordering::Release);
             if succ != right {
-                sp_ref.child[LEFT].store(succ_right, Ordering::Release);
+                succ_parent.child[LEFT].store(succ_right, Ordering::Release);
             }
-            drop(succ_lock);
-            drop(sp_lock);
-            drop(curr_lock);
-            drop(pred_lock);
+            drop((succ_lock, sp_lock, curr_lock, pred_lock));
+            // SAFETY: `retire`: both replaced by the copy (no bundles here).
             unsafe {
-                guard.retire(curr);
-                guard.retire(succ);
+                guard.retire(curr.as_raw());
+                guard.retire(succ.as_raw());
             }
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let (_, _, curr) = self.search(key);
-        !curr.is_null() && !unsafe { &*curr }.marked.load(Ordering::Acquire)
+        self.present(key, &self.pin(tid)).is_some()
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let (_, _, curr) = self.search(key);
-        if !curr.is_null() && !unsafe { &*curr }.marked.load(Ordering::Acquire) {
-            unsafe { &*curr }.val.clone()
-        } else {
-            None
-        }
+        self.present(key, &self.pin(tid))?.val.clone()
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         let mut n = 0;
-        let mut stack = vec![unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire)];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        let mut stack =
+            vec![self.root.load(Ordering::Relaxed, &guard).child[LEFT]
+                .load(Ordering::Acquire, &guard)];
+        while let Some(node) = stack.pop() {
+            if !node.is_null() {
+                n += 1;
+                stack.extend(node.child.iter().map(|c| c.load(Ordering::Acquire, &guard)));
             }
-            let node = unsafe { &*p };
-            n += 1;
-            stack.push(node.child[LEFT].load(Ordering::Acquire));
-            stack.push(node.child[RIGHT].load(Ordering::Acquire));
         }
         n
     }
@@ -270,57 +231,46 @@ where
     /// behind the same warm pass, so the two differ by exactly what
     /// bundling costs.
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         out.clear();
+        let load = |n: NodePtr<'_, K, V>, dir: usize| n.child[dir].load(Ordering::Acquire, &guard);
         // Same ancestor-stack capacity as the bundled tree's walk.
         let mut stack = Vec::with_capacity(64);
-        let mut curr = unsafe { &*self.root }.child[LEFT].load(Ordering::Acquire);
-        warm_range(curr, low, high, |p| {
-            // SAFETY: pinned above, so every node reached over child
-            // pointers stays allocated, as in `Self::search`.
-            let n = unsafe { &*p };
-            (
-                n.key,
-                n.child[LEFT].load(Ordering::Acquire),
-                n.child[RIGHT].load(Ordering::Acquire),
-            )
-        });
+        let mut curr = load(self.root.load(Ordering::Relaxed, &guard), LEFT);
+        warm_range(curr, low, high, |n| (n.key, load(n, LEFT), load(n, RIGHT)));
         loop {
             while !curr.is_null() {
-                let node = unsafe { &*curr };
-                curr = if node.key < *low {
-                    node.child[RIGHT].load(Ordering::Acquire)
+                curr = if curr.key < *low {
+                    load(curr, RIGHT)
                 } else {
                     stack.push(curr);
-                    node.child[LEFT].load(Ordering::Acquire)
+                    load(curr, LEFT)
                 };
             }
-            let Some(p) = stack.pop() else {
+            let Some(node) = stack.pop() else {
                 return out.len();
             };
-            let node = unsafe { &*p };
             if node.key > *high {
                 return out.len();
             }
             if !node.marked.load(Ordering::Acquire) {
                 out.push((node.key, node.val.clone().expect("data node has a value")));
             }
-            curr = node.child[RIGHT].load(Ordering::Acquire);
+            curr = load(node, RIGHT);
         }
     }
 }
 
 impl<K, V> Drop for UnsafeCitrusTree<K, V> {
     fn drop(&mut self) {
-        let mut stack = vec![self.root];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
+        let guard = self.collector.pin(0);
+        let mut stack = vec![self.root.load(Ordering::Relaxed, &guard)];
+        while let Some(node) = stack.pop() {
+            if !node.is_null() {
+                stack.extend(node.child.iter().map(|c| c.load(Ordering::Relaxed, &guard)));
+                // SAFETY: a drop free: reachable nodes are the tree's alone.
+                unsafe { drop(Box::from_raw(node.as_raw())) };
             }
-            let node = unsafe { &*p };
-            stack.push(node.child[LEFT].load(Ordering::Relaxed));
-            stack.push(node.child[RIGHT].load(Ordering::Relaxed));
-            unsafe { drop(Box::from_raw(p)) };
         }
     }
 }

@@ -9,6 +9,7 @@
 use std::mem::{size_of, MaybeUninit};
 
 use bundle::prefetch_read;
+use ebr::Shared;
 
 /// Capacity of the pass's breadth-first frontier, in nodes (8 KiB of call
 /// stack, never initialised). A level of a range's subtree wider than this
@@ -29,31 +30,32 @@ pub(crate) const FRONTIER: usize = 1024;
 /// walk): a stale or concurrently changing picture only warms the wrong
 /// lines. All `links` needs is that every node it is handed — `top` and
 /// whatever it reported itself — may be *read*, which is the searches'
-/// condition: the caller's EBR pin keeps it allocated.
-pub(crate) fn warm_range<N, K: Ord>(
-    top: *mut N,
+/// condition: each is a [`Shared`] loaded under the caller's guard.
+pub(crate) fn warm_range<'g, N, K: Ord>(
+    top: Shared<'g, N>,
     low: &K,
     high: &K,
-    links: impl Fn(*mut N) -> (K, *mut N, *mut N),
+    links: impl Fn(Shared<'g, N>) -> (K, Shared<'g, N>, Shared<'g, N>),
 ) {
     if low == high || top.is_null() {
         return;
     }
-    let mut frontier = [MaybeUninit::<*mut N>::uninit(); FRONTIER];
+    let mut frontier = [const { MaybeUninit::<Shared<'g, N>>::uninit() }; FRONTIER];
     // Monotone counters; a node's slot is its count modulo the capacity.
     let (mut head, mut tail) = (0usize, 1usize);
-    prefetch_read(top, size_of::<N>());
+    prefetch_read(top.as_raw(), size_of::<N>());
     frontier[0].write(top);
     while head != tail {
-        // SAFETY: every slot in `head..tail` was written when `tail`
-        // passed it, and `tail - head <= FRONTIER` keeps it from being
-        // overwritten before `head` gets there.
+        // SAFETY: an uninitialised-buffer read, not a node one: every slot
+        // in `head..tail` was written when `tail` passed it, and
+        // `tail - head <= FRONTIER` keeps it from being overwritten before
+        // `head` gets there.
         let node = unsafe { frontier[head % FRONTIER].assume_init() };
         head += 1;
         let (key, left, right) = links(node);
         for (child, wanted) in [(left, key >= *low), (right, key <= *high)] {
             if wanted && !child.is_null() {
-                prefetch_read(child, size_of::<N>());
+                prefetch_read(child.as_raw(), size_of::<N>());
                 if tail - head < FRONTIER {
                     frontier[tail % FRONTIER].write(child);
                     tail += 1;
@@ -68,42 +70,41 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::collections::BTreeMap;
-    use std::ptr;
+    use std::sync::atomic::Ordering;
 
     use bundle::api::{ConcurrentSet, RangeQuerySet};
+    use ebr::{Collector, Guard, Link, ReclaimMode};
 
     use crate::{BundledCitrusTree, UnsafeCitrusTree};
 
     struct Toy {
         key: u64,
-        left: *mut Toy,
-        right: *mut Toy,
+        left: Link<Toy>,
+        right: Link<Toy>,
     }
 
-    /// A balanced tree over `lo..hi`, its nodes leaked into `nodes`.
-    fn balanced(lo: u64, hi: u64, nodes: &mut Vec<*mut Toy>) -> *mut Toy {
+    /// A balanced tree over `lo..hi` (never freed: the collector is leaky).
+    fn balanced<'g>(lo: u64, hi: u64, g: &'g Guard<'_>) -> Shared<'g, Toy> {
         if lo >= hi {
-            return ptr::null_mut();
+            return Shared::null();
         }
         let key = lo + (hi - lo) / 2;
-        let node = Box::into_raw(Box::new(Toy {
-            key,
-            left: balanced(lo, key, nodes),
-            right: balanced(key + 1, hi, nodes),
-        }));
-        nodes.push(node);
-        node
+        let (left, right) = (
+            Link::new(balanced(lo, key, g)),
+            Link::new(balanced(key + 1, hi, g)),
+        );
+        Shared::boxed(Toy { key, left, right }, g)
     }
 
     /// The keys of the nodes a pruned in-order walk of `low..=high` touches.
-    fn touched(node: *mut Toy, low: u64, high: u64, acc: &mut Vec<u64>) {
-        if let Some(n) = unsafe { node.as_ref() } {
-            acc.push(n.key);
-            if n.key >= low {
-                touched(n.left, low, high, acc);
+    fn touched(node: Shared<'_, Toy>, low: u64, high: u64, g: &Guard<'_>, acc: &mut Vec<u64>) {
+        if !node.is_null() {
+            acc.push(node.key);
+            if node.key >= low {
+                touched(node.left.load(Ordering::Relaxed, g), low, high, g, acc);
             }
-            if n.key <= high {
-                touched(n.right, low, high, acc);
+            if node.key <= high {
+                touched(node.right.load(Ordering::Relaxed, g), low, high, g, acc);
             }
         }
     }
@@ -112,17 +113,18 @@ mod tests {
     fn the_pass_reads_the_nodes_the_walk_will_touch_and_gives_up_past_its_frontier() {
         const KEYS: u64 = 4095;
         const _: () = assert!(KEYS as usize / 2 > FRONTIER);
-        let mut nodes = Vec::new();
-        let top = balanced(0, KEYS, &mut nodes);
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
+        let top = balanced(0, KEYS, &g);
         let read = |low: u64, high: u64| {
             let seen = RefCell::new(Vec::new());
-            warm_range(top, &low, &high, |p| {
-                let n = unsafe { &*p };
+            warm_range(top, &low, &high, |n| {
                 seen.borrow_mut().push(n.key);
-                (n.key, n.left, n.right)
+                let load = |l: &Link<Toy>| l.load(Ordering::Relaxed, &g);
+                (n.key, load(&n.left), load(&n.right))
             });
             let (mut seen, mut walk) = (seen.into_inner(), Vec::new());
-            touched(top, low, high, &mut walk);
+            touched(top, low, high, &g, &mut walk);
             seen.sort_unstable();
             walk.sort_unstable();
             (seen, walk)
@@ -135,7 +137,7 @@ mod tests {
         }
         // A point lookup and an empty tree are left alone.
         assert!(read(2047, 2047).0.is_empty());
-        warm_range(ptr::null_mut::<Toy>(), &0, &9, |_| unreachable!());
+        warm_range(Shared::<Toy>::null(), &0, &9, |_| unreachable!());
         // The whole tree: the last level is wider than the frontier. The
         // pass still ends, having read each node at most once and only
         // nodes of the walk, but not all of them.
@@ -143,9 +145,6 @@ mod tests {
         assert!(seen.windows(2).all(|w| w[0] < w[1]));
         assert!(seen.iter().all(|k| walk.binary_search(k).is_ok()));
         assert!(FRONTIER <= seen.len() && seen.len() < walk.len());
-        for node in nodes {
-            drop(unsafe { Box::from_raw(node) });
-        }
     }
 
     /// The pass is a hint: behind it a range query answers what the model

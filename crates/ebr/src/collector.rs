@@ -42,11 +42,12 @@ struct ThreadSlot {
     limbo: UnsafeCell<VecDeque<Retired>>,
 }
 
-// Safety: `state` is atomic. `depth`, `since_advance` and `limbo` are only
+// SAFETY: `state` is atomic. `depth`, `since_advance` and `limbo` are only
 // accessed by the thread registered for this slot (enforced by the `tid`
 // discipline of `pin`/`retire`) or by the collector's `Drop`/`&mut`
 // teardown, which has exclusive access.
 unsafe impl Sync for ThreadSlot {}
+// SAFETY: as for `Sync`; a slot moves only with its whole collector.
 unsafe impl Send for ThreadSlot {}
 
 impl ThreadSlot {
@@ -188,13 +189,13 @@ impl Collector {
         }
         let current = self.epoch.load(Ordering::SeqCst);
         let slot = &self.slots[tid];
-        // Safety: limbo lists are only touched by their owning thread.
+        // SAFETY: limbo lists are only touched by their owning thread.
         let limbo = unsafe { &mut *slot.limbo.get() };
         let mut freed = 0u64;
         while let Some(front) = limbo.front() {
             if front.epoch() + 2 <= current {
                 let r = limbo.pop_front().expect("front exists");
-                // Safety: a grace period of two epochs has elapsed, so no
+                // SAFETY: a grace period of two epochs has elapsed, so no
                 // pinned thread can still reference the object.
                 unsafe { r.reclaim() };
                 freed += 1;
@@ -210,7 +211,7 @@ impl Collector {
 
     /// Number of objects waiting in thread `tid`'s limbo list.
     pub fn limbo_len(&self, tid: usize) -> usize {
-        // Safety: read-only peek; callers use this for diagnostics/tests on
+        // SAFETY: read-only peek; callers use this for diagnostics/tests on
         // their own slot or while other threads are quiescent.
         unsafe { (*self.slots[tid].limbo.get()).len() }
     }
@@ -224,7 +225,7 @@ impl Collector {
             return;
         }
         let slot = &self.slots[tid];
-        // Safety: only the owning thread pushes to its limbo list.
+        // SAFETY: only the owning thread pushes to its limbo list.
         unsafe { (*slot.limbo.get()).push_back(retired) };
         let n = slot.since_advance.get() + 1;
         slot.since_advance.set(n);
@@ -241,9 +242,10 @@ impl Drop for Collector {
         // Exclusive access: free everything that is still in limbo.
         let mut freed = 0u64;
         for slot in self.slots.iter() {
+            // SAFETY: `&mut self`: no thread can touch any limbo list.
             let limbo = unsafe { &mut *slot.limbo.get() };
             while let Some(r) = limbo.pop_front() {
-                // Safety: no thread can be pinned while the collector is
+                // SAFETY: no thread can be pinned while the collector is
                 // being dropped (it is owned by the structure being dropped).
                 unsafe { r.reclaim() };
                 freed += 1;
@@ -291,25 +293,16 @@ impl<'c> Guard<'c> {
     ///
     /// # Safety
     ///
-    /// `ptr` must have been produced by `Box::into_raw::<T>`, must already be
-    /// unreachable for threads that pin *after* this call, and must not be
-    /// freed elsewhere.
+    /// `ptr` must have been produced by `Box::into_raw::<T>` (as
+    /// [`crate::Shared::boxed`] does), must not be freed elsewhere, and must
+    /// already be unreachable for threads that pin *after* this call: no
+    /// [`crate::Link`] points at it, and any bundle entry that still does is
+    /// older than its removal timestamp, so only snapshots pinned before the
+    /// removal can follow it.
     pub unsafe fn retire<T>(&self, ptr: *mut T) {
         let epoch = self.collector.epoch.load(Ordering::SeqCst);
         self.collector
             .retire_impl(self.tid, Retired::from_box(ptr, epoch));
-    }
-
-    /// Retire an arbitrary allocation with a custom destructor.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Guard::retire`], and `dtor` must be safe to call
-    /// exactly once on `ptr`.
-    pub unsafe fn retire_with(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
-        let epoch = self.collector.epoch.load(Ordering::SeqCst);
-        self.collector
-            .retire_impl(self.tid, Retired::with_dtor(ptr, dtor, epoch));
     }
 
     /// Eagerly run a collection pass for this thread.
@@ -385,6 +378,7 @@ mod tests {
         {
             let g = c.pin(0);
             let p = Box::into_raw(Box::new(Tracked(Arc::default())));
+            // SAFETY: `retire`: never published, so unreachable.
             unsafe { g.retire(p) };
         }
         assert_eq!(c.stats().retired(), 1);
@@ -403,6 +397,7 @@ mod tests {
         {
             let g = c.pin(0);
             let p = Box::into_raw(Box::new(17u64));
+            // SAFETY: `retire`: never published, so unreachable.
             unsafe { g.retire(p) };
         }
         c.force_advance();
@@ -424,6 +419,7 @@ mod tests {
             let g = c.pin(0);
             for _ in 0..10 {
                 let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
+                // SAFETY: `retire`: never published, so unreachable.
                 unsafe { g.retire(p) };
             }
             drop(g);
@@ -446,6 +442,7 @@ mod tests {
                 for _ in 0..PER_THREAD {
                     let g = c.pin(tid);
                     let p = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
+                    // SAFETY: `retire`: never published, so unreachable.
                     unsafe { g.retire(p) };
                 }
             }));

@@ -18,34 +18,50 @@
 //!   experiments in Section 8 were performed without enabling memory
 //!   reclamation").
 //!
-//! The implementation follows the idioms recommended by the session guides:
-//! explicit atomics with documented orderings, `CachePadded` per-thread
-//! state, and no allocation on the pin/unpin fast path.
+//! # The invariant, and its two unsafe entry points
+//!
+//! Nodes are reached only through [`Link`]s, and a [`Link::load`] under a
+//! [`Guard`] yields a [`Shared`] that dereferences safely for as long as
+//! that guard lives: **a node is freed only after it is unreachable from
+//! every link and every guard that could have loaded it is gone.** Two
+//! operations set that invariant up, and they are the only `unsafe` a
+//! structure built on this crate needs for its traversals:
+//!
+//! * [`Guard::retire`] — the caller promises the node is unreachable from
+//!   every `Link`, and that any bundle entry still pointing at it is older
+//!   than its removal timestamp (so only snapshots that pinned before the
+//!   removal can follow it — which the collector waits out);
+//! * [`Shared::from_raw`] — re-admits a raw pointer kept across calls (a
+//!   node a transaction holds locked, a cursor frontier, an undo record)
+//!   under a guard the caller proves it is still covered by.
 //!
 //! # Example
 //!
 //! ```
-//! use ebr::{Collector, ReclaimMode};
+//! use std::sync::atomic::Ordering;
+//! use ebr::{Collector, Link, ReclaimMode, Shared};
 //!
 //! let collector = Collector::new(2, ReclaimMode::Reclaim);
 //! let guard = collector.pin(0);
-//! let p = Box::into_raw(Box::new(42u64));
-//! // ... publish `p`, later unlink it from the structure ...
-//! unsafe { guard.retire(p) };
+//! let link = Link::new(Shared::boxed(42u64, &guard));
+//! let node = link.load(Ordering::Acquire, &guard);
+//! assert_eq!(*node, 42);
+//! // Unlink, then retire: freed once no guard pinned before can see it.
+//! link.store(Shared::null(), Ordering::Release);
+//! unsafe { guard.retire(node.as_raw()) };
 //! drop(guard);
-//! // After enough epoch advances the box is dropped by the collector.
-//! collector.force_advance();
 //! collector.force_advance();
 //! collector.force_advance();
 //! assert!(collector.stats().freed() <= collector.stats().retired());
 //! ```
 
 mod collector;
+mod link;
 mod retired;
 mod stats;
 
 pub use collector::{Collector, Guard, ReclaimMode};
-pub use retired::Retired;
+pub use link::{Link, Shared};
 pub use stats::Stats;
 
 /// Maximum number of threads a single [`Collector`] supports by default.

@@ -11,10 +11,10 @@ pub struct Retired {
     epoch: u64,
 }
 
-// A `Retired` is only ever touched by the thread that owns the limbo list it
-// sits in (or by the collector during its own teardown), so moving it across
-// threads is sound as long as the underlying object is `Send`. The unsafe
-// `retire` constructors require exactly that.
+// SAFETY: a `Retired` is only ever touched by the thread that owns the
+// limbo list it sits in (or by the collector during its own teardown), so
+// moving it across threads is sound as long as the underlying object is
+// `Send`, which the unsafe `retire` requires.
 unsafe impl Send for Retired {}
 
 impl Retired {
@@ -25,7 +25,7 @@ impl Retired {
     /// `ptr` must have been produced by `Box::into_raw` for a `T`, must not
     /// be dropped elsewhere, and must not be dereferenced after the grace
     /// period expires.
-    pub unsafe fn from_box<T>(ptr: *mut T, epoch: u64) -> Self {
+    pub(crate) unsafe fn from_box<T>(ptr: *mut T, epoch: u64) -> Self {
         unsafe fn drop_box<T>(p: *mut u8) {
             drop(Box::from_raw(p.cast::<T>()));
         }
@@ -34,16 +34,6 @@ impl Retired {
             dtor: drop_box::<T>,
             epoch,
         }
-    }
-
-    /// Wrap an arbitrary pointer with a caller-provided destructor.
-    ///
-    /// # Safety
-    ///
-    /// `dtor` must be safe to call exactly once on `ptr` after the grace
-    /// period expires, and `ptr` must not be used afterwards.
-    pub unsafe fn with_dtor(ptr: *mut u8, dtor: unsafe fn(*mut u8), epoch: u64) -> Self {
-        Retired { ptr, dtor, epoch }
     }
 
     /// The epoch during which this object was retired.
@@ -66,15 +56,6 @@ impl Retired {
     }
 }
 
-impl std::fmt::Debug for Retired {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Retired")
-            .field("ptr", &self.ptr)
-            .field("epoch", &self.epoch)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,22 +74,12 @@ mod tests {
     fn from_box_runs_destructor_on_reclaim() {
         DROPS.store(0, Ordering::SeqCst);
         let p = Box::into_raw(Box::new(Tracked));
+        // SAFETY: a fresh box, reclaimed once below.
         let r = unsafe { Retired::from_box(p, 7) };
         assert_eq!(r.epoch(), 7);
         assert_eq!(DROPS.load(Ordering::SeqCst), 0);
+        // SAFETY: nothing else refers to it.
         unsafe { r.reclaim() };
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn with_dtor_invokes_custom_destructor() {
-        static CUSTOM: AtomicUsize = AtomicUsize::new(0);
-        unsafe fn bump(_p: *mut u8) {
-            CUSTOM.fetch_add(1, Ordering::SeqCst);
-        }
-        let mut x = 5u32;
-        let r = unsafe { Retired::with_dtor((&mut x as *mut u32).cast(), bump, 1) };
-        unsafe { r.reclaim() };
-        assert_eq!(CUSTOM.load(Ordering::SeqCst), 1);
     }
 }

@@ -1,16 +1,15 @@
 //! The bundled lazy linked list (§4).
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use bundle::api::ConcurrentSet;
 use bundle::{
     linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TokenPool,
     TwoPhase, TwoPhaseState, TxnValidateError,
 };
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 /// A node of the bundled lazy list (Listing 2 of the paper).
 ///
@@ -22,20 +21,27 @@ pub struct Node<K, V> {
     val: Option<V>,
     lock: Mutex<()>,
     marked: AtomicBool,
-    next: AtomicPtr<Node<K, V>>,
+    next: Link<Node<K, V>>,
     bundle: Bundle<Node<K, V>>,
 }
 
+/// A node loaded under a guard that lives for `'g`.
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
+/// A predecessor and its successor.
+type Window<'g, K, V> = (NodePtr<'g, K, V>, NodePtr<'g, K, V>);
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    /// A node linked to `next`, for [`Shared::boxed`] to publish.
+    fn new(key: K, val: Option<V>, next: NodePtr<'_, K, V>) -> Self {
+        Node {
             key,
             val,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
-            next: AtomicPtr::new(ptr::null_mut()),
+            next: Link::new(next),
             bundle: Bundle::new(),
-        }))
+        }
     }
 }
 
@@ -57,8 +63,9 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    head: *mut Node<K, V>,
-    tail: *mut Node<K, V>,
+    /// The sentinels; set once by the constructor.
+    head: Link<Node<K, V>>,
+    tail: Link<Node<K, V>>,
     /// Possibly shared with other structures (see [`RqContext`]); a list
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
@@ -67,19 +74,6 @@ where
     /// Warm transaction tokens, one slot per thread id (always parked
     /// empty: no node pointer outlives its transaction here).
     tokens: TokenPool<Self>,
-}
-
-unsafe impl<K, V> Send for BundledLazyList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-}
-unsafe impl<K, V> Sync for BundledLazyList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
 }
 
 impl<K, V> BundledLazyList<K, V>
@@ -94,36 +88,49 @@ where
         Self::with_context(max_threads, mode, &RqContext::new(max_threads))
     }
 
+    fn head<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.head.load(Ordering::Relaxed, guard)
+    }
+
+    fn tail<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.tail.load(Ordering::Relaxed, guard)
+    }
+
     /// Wait-free traversal to the first node with `key >= target` and its
     /// predecessor, using only the newest pointers.
-    fn traverse(&self, target: &K) -> (*mut Node<K, V>, *mut Node<K, V>) {
-        self.traverse_from(self.head, target)
+    fn traverse<'g>(&self, target: &K, guard: &'g Guard<'_>) -> Window<'g, K, V> {
+        self.traverse_from(self.head(guard), target, guard)
     }
 
     /// [`Self::traverse`] resuming from `start` instead of the head
     /// sentinel. `start` must be a node (or the head) whose key precedes
-    /// `target` and that is reachable under the caller's EBR pin; if it
-    /// was concurrently unlinked the walk still lands in the live list
-    /// (an unlinked node's forward pointer is never cleared), and any
-    /// resulting stale position is caught by the caller's under-lock
+    /// `target`; if it was concurrently unlinked the walk still lands in the
+    /// live list (an unlinked node's forward pointer is never cleared), and
+    /// any resulting stale position is caught by the caller's under-lock
     /// validation.
-    fn traverse_from(
+    fn traverse_from<'g>(
         &self,
-        start: *mut Node<K, V>,
+        start: NodePtr<'g, K, V>,
         target: &K,
-    ) -> (*mut Node<K, V>, *mut Node<K, V>) {
+        guard: &'g Guard<'_>,
+    ) -> Window<'g, K, V> {
+        let tail = self.tail(guard);
         let mut pred = start;
-        let mut curr = unsafe { &*pred }.next.load(Ordering::Acquire);
-        while curr != self.tail && unsafe { &*curr }.key < *target {
+        let mut curr = pred.next.load(Ordering::Acquire, guard);
+        while curr != tail && curr.key < *target {
             pred = curr;
-            curr = unsafe { &*curr }.next.load(Ordering::Acquire);
+            curr = curr.next.load(Ordering::Acquire, guard);
         }
         (pred, curr)
     }
 
-    fn validate(&self, pred: *mut Node<K, V>, curr: *mut Node<K, V>) -> bool {
-        let p = unsafe { &*pred };
-        !p.marked.load(Ordering::Acquire) && p.next.load(Ordering::Acquire) == curr
+    fn validate(
+        &self,
+        pred: NodePtr<'_, K, V>,
+        curr: NodePtr<'_, K, V>,
+        guard: &Guard<'_>,
+    ) -> bool {
+        !pred.marked.load(Ordering::Acquire) && pred.next.load(Ordering::Acquire, guard) == curr
     }
 }
 
@@ -160,19 +167,20 @@ where
         Self: 'a;
 
     fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let tail = Node::new(K::default(), None);
-        let head = Node::new(K::default(), None);
-        unsafe {
-            (*head).next.store(tail, Ordering::Release);
-            // The initial link is timestamped with the initial globalTs (0),
-            // mirroring Figure 1's construction.
-            (*head).bundle.init(tail, 0);
-        }
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let tail = Shared::boxed(Node::new(K::default(), None, Shared::null()), &guard);
+        let head = Shared::boxed(Node::new(K::default(), None, tail), &guard);
+        // The initial link is timestamped with the initial globalTs (0),
+        // mirroring Figure 1's construction.
+        head.bundle.init(tail, 0);
+        let (head, tail) = (Link::new(head), Link::new(tail));
+        drop(guard);
         BundledLazyList {
             head,
             tail,
             ctx: ctx.clone(),
-            collector: Collector::new(max_threads, mode),
+            collector,
             tokens: TokenPool::new(max_threads),
         }
     }
@@ -197,65 +205,40 @@ where
         (node.key, &node.val)
     }
 
-    fn try_collect_at(
+    fn try_collect_at<'g>(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
     ) -> Option<()> {
         // Phase 1 (GetFirstNodeInRange, first half): optimistic traversal
-        // over the newest pointers up to the node preceding the range.
-        let (pred, _) = self.traverse(low);
-
-        // Phase 2: enter the range strictly through bundles.
-        let mut node = unsafe { &*pred }.bundle.dereference(ts)?;
-        // Skip nodes below the range (possible when nodes were removed
-        // after the snapshot was fixed).
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        // Collect the snapshot (GetNext): every hop goes through the
-        // bundle, so only nodes belonging to the snapshot are visited.
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        Some(())
+        // over the newest pointers up to the node preceding the range;
+        // phase 2 enters and collects the range strictly through bundles.
+        let (pred, _) = self.traverse(low, guard);
+        let hop = |n: NodePtr<'g, K, V>| n.bundle.dereference(ts, guard);
+        bundle::walk_chain_at::<Self>(pred, self.tail(guard), low, high, hop, visit)
     }
 
-    fn collect_snapshot_at(
+    fn collect_snapshot_at<'g>(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
     ) {
-        let mut node = unsafe { &*self.head }
-            .bundle
-            .dereference(ts)
-            .expect("head bundle must satisfy an announced snapshot");
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
+        let hop = |n: NodePtr<'g, K, V>| n.bundle.dereference(ts, guard);
+        bundle::walk_chain_at::<Self>(self.head(guard), self.tail(guard), low, high, hop, visit)
+            .expect("a snapshot path from the head must stay satisfiable");
     }
 
-    fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
-        let mut curr = self.head;
-        while curr != self.tail {
-            let node = unsafe { &*curr };
-            f(&node.bundle);
-            curr = node.next.load(Ordering::Acquire);
+    fn for_each_bundle(&self, guard: &Guard<'_>, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
+        let (mut curr, tail) = (self.head(guard), self.tail(guard));
+        while curr != tail {
+            f(&curr.bundle);
+            curr = curr.next.load(Ordering::Acquire, guard);
         }
     }
 
@@ -273,7 +256,7 @@ where
             list: self,
             txn,
             _guard: guard,
-            hint: ptr::null_mut(),
+            hint: std::ptr::null_mut(),
             stats: CursorStats::default(),
         }
     }
@@ -291,43 +274,40 @@ where
         expected: &[(K, usize)],
         low: &K,
         high: &K,
+        guard: &Guard<'_>,
     ) -> Result<(), TxnValidateError> {
-        let step = |prev: *mut Node<K, V>, curr: *mut Node<K, V>| {
-            let c = unsafe { &*curr };
-            let torn = c.marked.load(Ordering::Acquire)
-                || unsafe { &*prev }.next.load(Ordering::Acquire) != curr;
-            (!torn).then(|| c.next.load(Ordering::Acquire))
+        let step = |prev: NodePtr<'_, K, V>, curr: NodePtr<'_, K, V>| {
+            let torn = curr.marked.load(Ordering::Acquire)
+                || prev.next.load(Ordering::Acquire, guard) != curr;
+            (!torn).then(|| curr.next.load(Ordering::Acquire, guard))
         };
-        // SAFETY: nodes produced by traverse/step are reachable under the
-        // caller's EBR pin; a locked node is never retired.
-        unsafe {
-            bundle::validate_chain::<Self>(
-                core,
-                expected,
-                high,
-                self.tail,
-                || self.traverse(low),
-                |pred, first| self.validate(pred, first),
-                step,
-            )
-        }
+        bundle::validate_chain::<Self>(
+            core,
+            expected,
+            high,
+            self.tail(guard),
+            || self.traverse(low, guard),
+            |pred, first| self.validate(pred, first, guard),
+            step,
+        )
     }
 
-    unsafe fn revert(&self, undo: LazyUndo<K, V>) {
+    unsafe fn revert(&self, undo: LazyUndo<K, V>, guard: &Guard<'_>) {
+        let node = |p| Shared::from_raw(p, guard);
         match undo {
             LazyUndo::Link {
                 pred,
-                node,
+                node: created,
                 prev_next,
             } => {
                 // Mark the stillborn node so a primitive operation
                 // blocked on its lock re-validates and retries.
-                (*node).marked.store(true, Ordering::SeqCst);
-                (*pred).next.store(prev_next, Ordering::SeqCst);
+                node(created).marked.store(true, Ordering::SeqCst);
+                node(pred).next.store(node(prev_next), Ordering::SeqCst);
             }
             LazyUndo::Unlink { pred, curr } => {
-                (*curr).marked.store(false, Ordering::SeqCst);
-                (*pred).next.store(curr, Ordering::SeqCst);
+                node(curr).marked.store(false, Ordering::SeqCst);
+                node(pred).next.store(node(curr), Ordering::SeqCst);
             }
         }
     }
@@ -367,45 +347,41 @@ where
     /// position is usable: strictly before the target and not unlinked.
     /// (An unmarked node is still reachable — marking happens before
     /// unlinking, under the node's lock.)
-    fn resume_point(&self, target: &K) -> Option<*mut Node<K, V>> {
-        let h = self.hint;
-        if h.is_null() {
-            return None;
-        }
-        let node = unsafe { &*h };
-        if !node.marked.load(Ordering::Acquire) && node.key < *target {
-            Some(h)
-        } else {
-            None
-        }
+    fn resume_point<'g>(&self, target: &K, guard: &'g Guard<'_>) -> Option<NodePtr<'g, K, V>> {
+        // SAFETY: `from_raw` of a frontier: loaded by an earlier seek, under
+        // the cursor's own pin, which `guard` nests in.
+        let h = unsafe { Shared::from_raw(self.hint, guard) };
+        (!h.is_null() && !h.marked.load(Ordering::Acquire) && h.key < *target).then_some(h)
     }
 
     /// Retain `node` as the frontier (the head sentinel degenerates to
     /// "no frontier": resuming from it is a root descent anyway).
-    fn retain(&mut self, node: *mut Node<K, V>) {
-        self.hint = if node == self.list.head {
-            ptr::null_mut()
+    fn retain(&mut self, node: NodePtr<'_, K, V>, guard: &Guard<'_>) {
+        let head = node == self.list.head(guard);
+        self.hint = if head {
+            std::ptr::null_mut()
         } else {
-            node
+            node.as_raw()
         };
     }
 
     /// Locate `target`, resuming from the frontier when possible. The
     /// hint is consumed: a retry within one seek (torn validation)
     /// restarts from the head.
-    fn locate(
+    fn locate<'g>(
         &mut self,
         target: &K,
-        resume: &mut Option<*mut Node<K, V>>,
-    ) -> (*mut Node<K, V>, *mut Node<K, V>) {
+        resume: &mut Option<NodePtr<'g, K, V>>,
+        guard: &'g Guard<'_>,
+    ) -> Window<'g, K, V> {
         match resume.take() {
             Some(start) => {
                 self.stats.hinted += 1;
-                self.list.traverse_from(start, target)
+                self.list.traverse_from(start, target, guard)
             }
             None => {
                 self.stats.descents += 1;
-                self.list.traverse(target)
+                self.list.traverse(target, guard)
             }
         }
     }
@@ -427,30 +403,32 @@ where
     /// locked, pinning the no-op outcome until commit).
     fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let list = self.list;
-        let mut resume = self.resume_point(&key);
+        let guard = list.pin(self.txn.core.tid());
+        let tail = list.tail(&guard);
+        let mut resume = self.resume_point(&key, &guard);
         loop {
-            let (pred, curr) = self.locate(&key, &mut resume);
+            let (pred, curr) = self.locate(&key, &mut resume, &guard);
             let txn = &mut self.txn;
-            if curr != list.tail && unsafe { &*curr }.key == key {
+            if curr != tail && curr.key == key {
                 // Pin the no-op: hold the present node's lock until
                 // commit. A marked node's remove has already linearized
                 // (mark and unlink share the remover's critical section,
                 // which requires this very lock) — retry and miss it.
-                let newly = unsafe { list.txn_lock(txn, curr) }?;
-                if unsafe { &*curr }.marked.load(Ordering::Acquire) {
+                let newly = list.txn_lock(txn, curr)?;
+                if curr.marked.load(Ordering::Acquire) {
                     if newly {
                         txn.core.unlock_latest(1);
                         continue;
                     }
                     return Err(Conflict);
                 }
-                txn.staged
-                    .record(key, Some(curr as usize), Some(curr as usize));
-                self.retain(curr);
+                let at = Some(curr.as_raw() as usize);
+                txn.staged.record(key, at, at);
+                self.retain(curr, &guard);
                 return Ok(false);
             }
-            let newly = unsafe { list.txn_lock(txn, pred) }?;
-            if !list.validate(pred, curr) {
+            let newly = list.txn_lock(txn, pred)?;
+            if !list.validate(pred, curr, &guard) {
                 if newly {
                     txn.core.unlock_latest(1);
                     continue;
@@ -460,29 +438,26 @@ where
                 // transaction retries from scratch rather than spinning.
                 return Err(Conflict);
             }
-            let pred_ref = unsafe { &*pred };
-            let node = Node::new(key, Some(value));
-            let node_ref = unsafe { &*node };
-            // Hold the new node's lock until commit/abort: any primitive
-            // operation that would adopt it as a predecessor blocks on the
-            // lock instead of spinning on our pending bundle entry (which
-            // we might abort) — and cannot link behind a node we may undo.
-            let node_guard: MutexGuard<'static, ()> = node_ref.lock.lock();
-            txn.core.push_lock(node, node_guard);
-            node_ref.next.store(curr, Ordering::Relaxed);
-            txn.core.prepare_bundle(&node_ref.bundle, curr);
-            txn.core.prepare_bundle(&pred_ref.bundle, node);
+            let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
+            // Hold the new node's lock until commit/abort (uncontended:
+            // nobody else can reach it yet): any primitive operation that
+            // would adopt it as a predecessor blocks on the lock instead of
+            // spinning on our pending bundle entry (which we might abort) —
+            // and cannot link behind a node we may undo.
+            list.txn_lock(txn, node)?;
+            txn.core.prepare_bundle(&node.bundle, curr);
+            txn.core.prepare_bundle(&pred.bundle, node);
             // Eager physical link (the op's linearization effect); commit
             // order is still decided solely by the bundle timestamps.
-            pred_ref.next.store(node, Ordering::SeqCst);
+            pred.next.store(node, Ordering::SeqCst);
             txn.core.add_created(node);
-            txn.staged.record(key, None, Some(node as usize));
+            txn.staged.record(key, None, Some(node.as_raw() as usize));
             txn.undo.push(LazyUndo::Link {
-                pred,
-                node,
-                prev_next: curr,
+                pred: pred.as_raw(),
+                node: node.as_raw(),
+                prev_next: curr.as_raw(),
             });
-            self.retain(node);
+            self.retain(node, &guard);
             return Ok(true);
         }
     }
@@ -494,14 +469,16 @@ where
     /// finishes).
     fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let list = self.list;
-        let mut resume = self.resume_point(key);
+        let guard = list.pin(self.txn.core.tid());
+        let tail = list.tail(&guard);
+        let mut resume = self.resume_point(key, &guard);
         loop {
-            let (pred, curr) = self.locate(key, &mut resume);
+            let (pred, curr) = self.locate(key, &mut resume, &guard);
             let txn = &mut self.txn;
-            if curr == list.tail || unsafe { &*curr }.key != *key {
+            if curr == tail || curr.key != *key {
                 // Pin the no-op: hold the gap's predecessor until commit.
-                let newly = unsafe { list.txn_lock(txn, pred) }?;
-                if !list.validate(pred, curr) {
+                let newly = list.txn_lock(txn, pred)?;
+                if !list.validate(pred, curr, &guard) {
                     if newly {
                         txn.core.unlock_latest(1);
                         continue;
@@ -509,11 +486,11 @@ where
                     return Err(Conflict);
                 }
                 txn.staged.record(*key, None, None);
-                self.retain(pred);
+                self.retain(pred, &guard);
                 return Ok(false);
             }
-            let newly_pred = unsafe { list.txn_lock(txn, pred) }?;
-            let newly_curr = match unsafe { list.txn_lock(txn, curr) } {
+            let newly_pred = list.txn_lock(txn, pred)?;
+            let newly_curr = match list.txn_lock(txn, curr) {
                 Ok(n) => n,
                 Err(c) => {
                     if newly_pred {
@@ -522,9 +499,7 @@ where
                     return Err(c);
                 }
             };
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
-            if !list.validate(pred, curr) || curr_ref.marked.load(Ordering::Acquire) {
+            if !list.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
                 txn.core
                     .unlock_latest(usize::from(newly_curr) + usize::from(newly_pred));
                 if !newly_pred && !newly_curr {
@@ -532,15 +507,18 @@ where
                 }
                 continue;
             }
-            let next = curr_ref.next.load(Ordering::Acquire);
-            txn.core.prepare_bundle(&pred_ref.bundle, next);
+            let next = curr.next.load(Ordering::Acquire, &guard);
+            txn.core.prepare_bundle(&pred.bundle, next);
             // Eager logical delete + physical unlink.
-            curr_ref.marked.store(true, Ordering::SeqCst);
-            pred_ref.next.store(next, Ordering::SeqCst);
+            curr.marked.store(true, Ordering::SeqCst);
+            pred.next.store(next, Ordering::SeqCst);
             txn.core.add_victim(curr);
-            txn.staged.record(*key, Some(curr as usize), None);
-            txn.undo.push(LazyUndo::Unlink { pred, curr });
-            self.retain(pred);
+            txn.staged.record(*key, Some(curr.as_raw() as usize), None);
+            txn.undo.push(LazyUndo::Unlink {
+                pred: pred.as_raw(),
+                curr: curr.as_raw(),
+            });
+            self.retain(pred, &guard);
             return Ok(true);
         }
     }
@@ -551,16 +529,17 @@ where
     /// nothing; linearizes at the frontier validity check (an unmarked
     /// resume point is still reachable at that instant).
     fn seek_read(&mut self, key: &K) -> Option<V> {
-        let mut resume = self.resume_point(key);
-        let (pred, curr) = self.locate(key, &mut resume);
-        if curr != self.list.tail && unsafe { &*curr }.key == *key {
-            let c = unsafe { &*curr };
-            if !c.marked.load(Ordering::Acquire) {
-                self.retain(curr);
-                return c.val.clone();
-            }
+        let guard = self.list.pin(self.txn.core.tid());
+        let mut resume = self.resume_point(key, &guard);
+        let (pred, curr) = self.locate(key, &mut resume, &guard);
+        if curr != self.list.tail(&guard)
+            && curr.key == *key
+            && !curr.marked.load(Ordering::Acquire)
+        {
+            self.retain(curr, &guard);
+            return curr.val.clone();
         }
-        self.retain(pred);
+        self.retain(pred, &guard);
         None
     }
 
@@ -596,95 +575,87 @@ where
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
+        let tail = self.tail(&guard);
         loop {
-            let (pred, curr) = self.traverse(&key);
-            let pred_ref = unsafe { &*pred };
-            let _lock = pred_ref.lock.lock();
-            if !self.validate(pred, curr) {
+            let (pred, curr) = self.traverse(&key, &guard);
+            let _lock = pred.lock.lock();
+            if !self.validate(pred, curr, &guard) {
                 continue;
             }
-            if curr != self.tail && unsafe { &*curr }.key == key {
+            if curr != tail && curr.key == key {
                 return false;
             }
-            let node = Node::new(key, Some(value));
-            unsafe { &*node }.next.store(curr, Ordering::Relaxed);
+            let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
             // Bundles affected by an insertion: the new node's own bundle
             // (pointing at its successor) and the predecessor's bundle
             // (pointing at the new node) — Algorithm 4, lines 10-12.
-            let node_ref = unsafe { &*node };
-            let bundles = [(&node_ref.bundle, curr), (&pred_ref.bundle, node)];
+            let bundles = [(&node.bundle, curr), (&pred.bundle, node)];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
                 // Linearization point: the new node becomes reachable.
-                pred_ref.next.store(node, Ordering::SeqCst);
+                pred.next.store(node, Ordering::SeqCst);
             });
-            drop(guard);
             return true;
         }
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
+        let tail = self.tail(&guard);
         loop {
-            let (pred, curr) = self.traverse(key);
-            if curr == self.tail || unsafe { &*curr }.key != *key {
+            let (pred, curr) = self.traverse(key, &guard);
+            if curr == tail || curr.key != *key {
                 return false;
             }
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
             // Locks are taken in ascending key order (pred.key < curr.key),
             // the same order every other multi-lock operation uses, so the
             // list cannot deadlock.
-            let _pred_lock = pred_ref.lock.lock();
-            let _curr_lock = curr_ref.lock.lock();
-            if !self.validate(pred, curr) || curr_ref.marked.load(Ordering::Acquire) {
+            let _pred_lock = pred.lock.lock();
+            let _curr_lock = curr.lock.lock();
+            if !self.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
                 continue;
             }
-            let next = curr_ref.next.load(Ordering::Acquire);
+            let next = curr.next.load(Ordering::Acquire, &guard);
             // Only the predecessor's bundle changes: the removed node's
             // bundle keeps describing the physical state just before the
             // removal (§4).
-            let bundles = [(&pred_ref.bundle, next)];
+            let bundles = [(&pred.bundle, next)];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
                 // Linearization point: the logical delete. The physical
                 // unlink shares the critical section (§4).
-                curr_ref.marked.store(true, Ordering::SeqCst);
-                pred_ref.next.store(next, Ordering::SeqCst);
+                curr.marked.store(true, Ordering::SeqCst);
+                pred.next.store(next, Ordering::SeqCst);
             });
-            // Safety: `curr` is unlinked; EBR defers the free past any
-            // operation that may still hold a reference.
-            unsafe { guard.retire(curr) };
+            // SAFETY: `retire`: `curr` is unlinked, and the one bundle entry
+            // still pointing at it is older than the removal just stamped.
+            unsafe { guard.retire(curr.as_raw()) };
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let (_, curr) = self.traverse(key);
-        curr != self.tail
-            && unsafe { &*curr }.key == *key
-            && !unsafe { &*curr }.marked.load(Ordering::Acquire)
+        let guard = self.pin(tid);
+        let (_, curr) = self.traverse(key, &guard);
+        curr != self.tail(&guard) && curr.key == *key && !curr.marked.load(Ordering::Acquire)
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let (_, curr) = self.traverse(key);
-        if curr != self.tail
-            && unsafe { &*curr }.key == *key
-            && !unsafe { &*curr }.marked.load(Ordering::Acquire)
-        {
-            unsafe { &*curr }.val.clone()
+        let guard = self.pin(tid);
+        let (_, curr) = self.traverse(key, &guard);
+        if curr != self.tail(&guard) && curr.key == *key && !curr.marked.load(Ordering::Acquire) {
+            curr.val.clone()
         } else {
             None
         }
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
+        let tail = self.tail(&guard);
         let mut n = 0;
-        let mut curr = unsafe { &*self.head }.next.load(Ordering::Acquire);
-        while curr != self.tail {
+        let mut curr = self.head(&guard).next.load(Ordering::Acquire, &guard);
+        while curr != tail {
             n += 1;
-            curr = unsafe { &*curr }.next.load(Ordering::Acquire);
+            curr = curr.next.load(Ordering::Acquire, &guard);
         }
         n
     }
@@ -698,13 +669,12 @@ where
     fn drop(&mut self) {
         // Exclusive access: free every reachable node (retired nodes are
         // freed by the collector's own drop).
-        let mut curr = self.head;
+        let guard = self.collector.pin(0);
+        let mut curr = self.head(&guard);
         while !curr.is_null() {
-            let next = unsafe { &*curr }.next.load(Ordering::Relaxed);
-            unsafe { drop(Box::from_raw(curr)) };
-            if curr == self.tail {
-                break;
-            }
+            let next = curr.next.load(Ordering::Relaxed, &guard);
+            // SAFETY: a drop free: reachable nodes are the list's alone.
+            unsafe { drop(Box::from_raw(curr.as_raw())) };
             curr = next;
         }
     }

@@ -2,44 +2,46 @@
 //! range queries that simply walk the current pointers with no consistency
 //! guarantee. It is the performance reference line in Figures 2 and 3.
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 struct Node<K, V> {
     key: K,
     val: Option<V>,
     lock: Mutex<()>,
     marked: AtomicBool,
-    next: AtomicPtr<Node<K, V>>,
+    next: Link<Node<K, V>>,
 }
 
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
+/// A predecessor and its successor.
+type Window<'g, K, V> = (NodePtr<'g, K, V>, NodePtr<'g, K, V>);
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    fn new(key: K, val: Option<V>, next: NodePtr<'_, K, V>) -> Self {
+        Node {
             key,
             val,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }))
+            next: Link::new(next),
+        }
     }
 }
 
 /// The lazy sorted linked list exactly as published by Heller et al., with a
 /// naive (non-linearizable) range query — the paper's `Unsafe` baseline.
 pub struct UnsafeLazyList<K, V> {
-    head: *mut Node<K, V>,
-    tail: *mut Node<K, V>,
+    /// The sentinels; set once by the constructor.
+    head: Link<Node<K, V>>,
+    tail: Link<Node<K, V>>,
     collector: Collector,
 }
-
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for UnsafeLazyList<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for UnsafeLazyList<K, V> {}
 
 impl<K, V> UnsafeLazyList<K, V>
 where
@@ -53,13 +55,16 @@ where
 
     /// Create a list with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        let tail = Node::new(K::default(), None);
-        let head = Node::new(K::default(), None);
-        unsafe { (*head).next.store(tail, Ordering::Release) };
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let tail = Shared::boxed(Node::new(K::default(), None, Shared::null()), &guard);
+        let head = Shared::boxed(Node::new(K::default(), None, tail), &guard);
+        let (head, tail) = (Link::new(head), Link::new(tail));
+        drop(guard);
         UnsafeLazyList {
             head,
             tail,
-            collector: Collector::new(max_threads, mode),
+            collector,
         }
     }
 
@@ -72,19 +77,35 @@ where
         self.collector.pin(tid)
     }
 
-    fn traverse(&self, target: &K) -> (*mut Node<K, V>, *mut Node<K, V>) {
-        let mut pred = self.head;
-        let mut curr = unsafe { &*pred }.next.load(Ordering::Acquire);
-        while curr != self.tail && unsafe { &*curr }.key < *target {
+    fn ends<'g>(&self, guard: &'g Guard<'_>) -> Window<'g, K, V> {
+        let head = self.head.load(Ordering::Relaxed, guard);
+        (head, self.tail.load(Ordering::Relaxed, guard))
+    }
+
+    fn traverse<'g>(&self, target: &K, guard: &'g Guard<'_>) -> Window<'g, K, V> {
+        let (mut pred, tail) = self.ends(guard);
+        let mut curr = pred.next.load(Ordering::Acquire, guard);
+        while curr != tail && curr.key < *target {
             pred = curr;
-            curr = unsafe { &*curr }.next.load(Ordering::Acquire);
+            curr = curr.next.load(Ordering::Acquire, guard);
         }
         (pred, curr)
     }
 
-    fn validate(&self, pred: *mut Node<K, V>, curr: *mut Node<K, V>) -> bool {
-        let p = unsafe { &*pred };
-        !p.marked.load(Ordering::Acquire) && p.next.load(Ordering::Acquire) == curr
+    fn validate(
+        &self,
+        pred: NodePtr<'_, K, V>,
+        curr: NodePtr<'_, K, V>,
+        guard: &Guard<'_>,
+    ) -> bool {
+        !pred.marked.load(Ordering::Acquire) && pred.next.load(Ordering::Acquire, guard) == curr
+    }
+
+    /// The node holding `key`, if it is present and not removed.
+    fn find<'g>(&self, key: &K, guard: &'g Guard<'_>) -> Option<NodePtr<'g, K, V>> {
+        let (_, curr) = self.traverse(key, guard);
+        let found = curr != self.ends(guard).1 && curr.key == *key;
+        (found && !curr.marked.load(Ordering::Acquire)).then_some(curr)
     }
 }
 
@@ -94,74 +115,61 @@ where
     V: Clone + Send + Sync,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
+        let tail = self.ends(&guard).1;
         loop {
-            let (pred, curr) = self.traverse(&key);
-            let pred_ref = unsafe { &*pred };
-            let _lock = pred_ref.lock.lock();
-            if !self.validate(pred, curr) {
+            let (pred, curr) = self.traverse(&key, &guard);
+            let _lock = pred.lock.lock();
+            if !self.validate(pred, curr, &guard) {
                 continue;
             }
-            if curr != self.tail && unsafe { &*curr }.key == key {
+            if curr != tail && curr.key == key {
                 return false;
             }
-            let node = Node::new(key, Some(value));
-            unsafe { &*node }.next.store(curr, Ordering::Relaxed);
-            pred_ref.next.store(node, Ordering::Release);
+            let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
+            pred.next.store(node, Ordering::Release);
             return true;
         }
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
+        let tail = self.ends(&guard).1;
         loop {
-            let (pred, curr) = self.traverse(key);
-            if curr == self.tail || unsafe { &*curr }.key != *key {
+            let (pred, curr) = self.traverse(key, &guard);
+            if curr == tail || curr.key != *key {
                 return false;
             }
-            let pred_ref = unsafe { &*pred };
-            let curr_ref = unsafe { &*curr };
-            let _pred_lock = pred_ref.lock.lock();
-            let _curr_lock = curr_ref.lock.lock();
-            if !self.validate(pred, curr) || curr_ref.marked.load(Ordering::Acquire) {
+            let _pred_lock = pred.lock.lock();
+            let _curr_lock = curr.lock.lock();
+            if !self.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
                 continue;
             }
-            let next = curr_ref.next.load(Ordering::Acquire);
-            curr_ref.marked.store(true, Ordering::Release);
-            pred_ref.next.store(next, Ordering::Release);
-            unsafe { guard.retire(curr) };
+            curr.marked.store(true, Ordering::Release);
+            pred.next
+                .store(curr.next.load(Ordering::Acquire, &guard), Ordering::Release);
+            // SAFETY: `retire`: `curr` is unlinked (this list has no bundles).
+            unsafe { guard.retire(curr.as_raw()) };
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let (_, curr) = self.traverse(key);
-        curr != self.tail
-            && unsafe { &*curr }.key == *key
-            && !unsafe { &*curr }.marked.load(Ordering::Acquire)
+        self.find(key, &self.pin(tid)).is_some()
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let (_, curr) = self.traverse(key);
-        if curr != self.tail
-            && unsafe { &*curr }.key == *key
-            && !unsafe { &*curr }.marked.load(Ordering::Acquire)
-        {
-            unsafe { &*curr }.val.clone()
-        } else {
-            None
-        }
+        self.find(key, &self.pin(tid))?.val.clone()
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
+        let (head, tail) = self.ends(&guard);
         let mut n = 0;
-        let mut curr = unsafe { &*self.head }.next.load(Ordering::Acquire);
-        while curr != self.tail {
+        let mut curr = head.next.load(Ordering::Acquire, &guard);
+        while curr != tail {
             n += 1;
-            curr = unsafe { &*curr }.next.load(Ordering::Acquire);
+            curr = curr.next.load(Ordering::Acquire, &guard);
         }
         n
     }
@@ -176,15 +184,15 @@ where
     /// may be partially observed. This is exactly the paper's `Unsafe`
     /// reference implementation.
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         out.clear();
-        let (_, mut curr) = self.traverse(low);
-        while curr != self.tail && unsafe { &*curr }.key <= *high {
-            let n = unsafe { &*curr };
-            if !n.marked.load(Ordering::Acquire) {
-                out.push((n.key, n.val.clone().expect("data node has a value")));
+        let tail = self.ends(&guard).1;
+        let (_, mut curr) = self.traverse(low, &guard);
+        while curr != tail && curr.key <= *high {
+            if !curr.marked.load(Ordering::Acquire) {
+                out.push((curr.key, curr.val.clone().expect("data node has a value")));
             }
-            curr = n.next.load(Ordering::Acquire);
+            curr = curr.next.load(Ordering::Acquire, &guard);
         }
         out.len()
     }
@@ -192,13 +200,12 @@ where
 
 impl<K, V> Drop for UnsafeLazyList<K, V> {
     fn drop(&mut self) {
-        let mut curr = self.head;
+        let guard = self.collector.pin(0);
+        let mut curr = self.head.load(Ordering::Relaxed, &guard);
         while !curr.is_null() {
-            let next = unsafe { &*curr }.next.load(Ordering::Relaxed);
-            unsafe { drop(Box::from_raw(curr)) };
-            if curr == self.tail {
-                break;
-            }
+            let next = curr.next.load(Ordering::Relaxed, &guard);
+            // SAFETY: a drop free: reachable nodes are the list's alone.
+            unsafe { drop(Box::from_raw(curr.as_raw())) };
             curr = next;
         }
     }

@@ -1,7 +1,6 @@
 //! The bundled lazy skip list (§5).
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,7 +12,7 @@ use bundle::{
     linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, InlineStack, PrepareCursor,
     Recycler, RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 use crate::MAX_LEVEL;
 
@@ -26,25 +25,34 @@ pub struct Node<K, V> {
     lock: Mutex<()>,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    next: [AtomicPtr<Node<K, V>>; MAX_LEVEL],
+    next: [Link<Node<K, V>>; MAX_LEVEL],
     /// Bundled reference for the bottom (data) layer link only — the
     /// paper's optimization: index layers are never consulted by in-range
     /// traversals, so they are left unbundled.
     bundle: Bundle<Node<K, V>>,
 }
 
+/// A node loaded under a guard that lives for `'g`.
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+
+/// One node per level: a search's predecessors or successors.
+type Tower<'g, K, V> = [NodePtr<'g, K, V>; MAX_LEVEL];
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>, top_level: usize) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    /// A tower of height `top` linked to `succs` on each of its levels (not
+    /// yet fully linked), for [`Shared::boxed`] to publish.
+    fn new(key: K, val: Option<V>, top: usize, succs: &Tower<'_, K, V>) -> Self {
+        let link = |l| Link::new(if l > top { Shared::null() } else { succs[l] });
+        Node {
             key,
             val,
-            top_level,
+            top_level: top,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(false),
-            next: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            next: std::array::from_fn(link),
             bundle: Bundle::new(),
-        }))
+        }
     }
 }
 
@@ -55,8 +63,9 @@ where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
-    head: *mut Node<K, V>,
-    tail: *mut Node<K, V>,
+    /// The sentinels; set once by the constructor.
+    head: Link<Node<K, V>>,
+    tail: Link<Node<K, V>>,
     /// Possibly shared with other structures (see [`RqContext`]); a list
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
@@ -66,19 +75,6 @@ where
     /// empty: no node pointer outlives its transaction here).
     tokens: TokenPool<Self>,
     seeds: Box<[CachePadded<AtomicU64>]>,
-}
-
-unsafe impl<K, V> Send for BundledSkipList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
-}
-unsafe impl<K, V> Sync for BundledSkipList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
-{
 }
 
 impl<K, V> BundledSkipList<K, V>
@@ -118,6 +114,14 @@ where
         TwoPhase::spawn_recycler(self, tid, delay)
     }
 
+    fn head<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.head.load(Ordering::Relaxed, guard)
+    }
+
+    fn tail<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
+        self.tail.load(Ordering::Relaxed, guard)
+    }
+
     /// Geometric (p = 1/2) tower height from a per-thread xorshift PRNG.
     fn random_level(&self, tid: usize) -> usize {
         let slot = &self.seeds[tid % self.seeds.len()];
@@ -131,21 +135,35 @@ where
 
     /// Standard skip list search: fill `preds`/`succs` at every level and
     /// return the highest level at which `key` was found.
-    fn find(
+    fn find<'g>(
         &self,
         key: &K,
-        preds: &mut [*mut Node<K, V>; MAX_LEVEL],
-        succs: &mut [*mut Node<K, V>; MAX_LEVEL],
+        preds: &mut Tower<'g, K, V>,
+        succs: &mut Tower<'g, K, V>,
+        guard: &'g Guard<'_>,
     ) -> Option<usize> {
+        self.descend(key, self.head(guard), MAX_LEVEL - 1, preds, succs, guard)
+    }
+
+    /// The descent behind [`Self::find`], from `pred` at level `start` down.
+    fn descend<'g>(
+        &self,
+        key: &K,
+        mut pred: NodePtr<'g, K, V>,
+        start: usize,
+        preds: &mut Tower<'g, K, V>,
+        succs: &mut Tower<'g, K, V>,
+        guard: &'g Guard<'_>,
+    ) -> Option<usize> {
+        let tail = self.tail(guard);
         let mut lfound = None;
-        let mut pred = self.head;
-        for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *key {
+        for lvl in (0..=start).rev() {
+            let mut curr = pred.next[lvl].load(Ordering::Acquire, guard);
+            while curr != tail && curr.key < *key {
                 pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+                curr = pred.next[lvl].load(Ordering::Acquire, guard);
             }
-            if lfound.is_none() && curr != self.tail && unsafe { &*curr }.key == *key {
+            if lfound.is_none() && curr != tail && curr.key == *key {
                 lfound = Some(lvl);
             }
             preds[lvl] = pred;
@@ -179,81 +197,82 @@ where
     /// one (an unlinked node's forward pointers are not cleared), and
     /// every caller re-validates positions under node locks before
     /// acting.
-    fn find_hinted(
+    fn find_hinted<'g>(
         &self,
         key: &K,
-        hint: Option<&Frontier<K, V>>,
+        hint: Option<&[Tower<'g, K, V>; 2]>,
         min_levels: usize,
-        preds: &mut [*mut Node<K, V>; MAX_LEVEL],
-        succs: &mut [*mut Node<K, V>; MAX_LEVEL],
+        preds: &mut Tower<'g, K, V>,
+        succs: &mut Tower<'g, K, V>,
+        guard: &'g Guard<'_>,
     ) -> (Option<usize>, bool) {
-        let Some(front) = hint else {
-            return (self.find(key, preds, succs), false);
+        let Some([front_preds, front_succs]) = hint else {
+            return (self.find(key, preds, succs, guard), false);
+        };
+        let (head, tail) = (self.head(guard), self.tail(guard));
+        // A frontier entry is usable while it is live, fully linked and
+        // strictly before the target.
+        let usable = |c: NodePtr<'g, K, V>| {
+            !c.is_null()
+                && c != head
+                && c.key < *key
+                && !c.marked.load(Ordering::Acquire)
+                && c.fully_linked.load(Ordering::Acquire)
         };
         // Ascend probe: the highest level at which the frontier entry is
-        // still usable (live, fully linked, strictly before the target)
-        // and can still advance toward the target. Breaks on the first
-        // level that cannot advance — higher frontier entries sit at
-        // even smaller keys, so walking would start further back.
+        // still usable and can still advance toward the target. Breaks on
+        // the first level that cannot advance — higher frontier entries
+        // sit at even smaller keys, so walking would start further back.
         let mut ascend = usize::MAX; // MAX = no usable level (full descent)
-        for lvl in 0..MAX_LEVEL {
-            let cand = front.preds[lvl];
-            if cand.is_null() || cand == self.head {
-                break;
-            }
-            let c = unsafe { &*cand };
-            if c.key >= *key
-                || c.marked.load(Ordering::Acquire)
-                || !c.fully_linked.load(Ordering::Acquire)
-            {
+        for (lvl, &cand) in front_preds.iter().enumerate() {
+            if !usable(cand) {
                 break;
             }
             ascend = lvl;
-            let nxt = c.next[lvl].load(Ordering::Acquire);
-            if nxt == self.tail || unsafe { &*nxt }.key >= *key {
+            let nxt = cand.next[lvl].load(Ordering::Acquire, guard);
+            if nxt == tail || nxt.key >= *key {
                 break;
             }
-        }
-        if ascend == usize::MAX {
-            return (self.find(key, preds, succs), false);
         }
         // An insert must genuinely walk every level it will link; when
         // its tower outgrows the probe, the start entry at that height
         // needs its own validation (rare — towers are geometric).
         let start = ascend.max(min_levels).min(MAX_LEVEL - 1);
-        if start > ascend {
-            let cand = front.preds[start];
-            if cand.is_null() || cand == self.head {
-                return (self.find(key, preds, succs), false);
-            }
-            let c = unsafe { &*cand };
-            if c.key >= *key
-                || c.marked.load(Ordering::Acquire)
-                || !c.fully_linked.load(Ordering::Acquire)
-            {
-                return (self.find(key, preds, succs), false);
-            }
+        if ascend == usize::MAX || (start > ascend && !usable(front_preds[start])) {
+            return (self.find(key, preds, succs, guard), false);
         }
         // Levels above the start: the frontier position verbatim (plain
         // copies; re-validated under locks before any use).
-        preds[(start + 1)..].copy_from_slice(&front.preds[(start + 1)..]);
-        succs[(start + 1)..].copy_from_slice(&front.succs[(start + 1)..]);
+        preds[(start + 1)..].copy_from_slice(&front_preds[(start + 1)..]);
+        succs[(start + 1)..].copy_from_slice(&front_succs[(start + 1)..]);
         // Plain descent from the validated start entry.
-        let mut lfound = None;
-        let mut pred = front.preds[start];
-        for lvl in (0..=start).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *key {
-                pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            }
-            if lfound.is_none() && curr != self.tail && unsafe { &*curr }.key == *key {
-                lfound = Some(lvl);
-            }
-            preds[lvl] = pred;
-            succs[lvl] = curr;
-        }
+        let lfound = self.descend(key, front_preds[start], start, preds, succs, guard);
         (lfound, true)
+    }
+
+    /// `true` if `pred` still links to `succ` on `lvl` with both unmarked
+    /// and `pred` fully linked.
+    ///
+    /// `fully_linked` on the predecessor is load-bearing for the bundles,
+    /// not just the tower: an insert publishes its node's data-layer
+    /// pointers *before* preparing its bundle (only `fullyLinked` is the
+    /// linearization point). Using such a half-linked node as a predecessor
+    /// would write our bundle entry into its still-empty bundle; the insert
+    /// would then finalize its own entry with a larger timestamp,
+    /// reordering history so snapshots resurrect our removed successor (a
+    /// use-after-free once the successor's memory is reclaimed).
+    fn linked(
+        &self,
+        pred: NodePtr<'_, K, V>,
+        lvl: usize,
+        succ: NodePtr<'_, K, V>,
+        guard: &Guard<'_>,
+    ) -> bool {
+        let s_marked = succ != self.tail(guard) && succ.marked.load(Ordering::Acquire);
+        !pred.marked.load(Ordering::Acquire)
+            && pred.fully_linked.load(Ordering::Acquire)
+            && !s_marked
+            && pred.next[lvl].load(Ordering::Acquire, guard) == succ
     }
 
     /// Lock `preds[0..=top]`, skipping duplicates, and validate that every
@@ -265,44 +284,17 @@ where
     /// allocating.
     fn lock_and_validate<'a>(
         &self,
-        preds: &[*mut Node<K, V>; MAX_LEVEL],
-        succs: &[*mut Node<K, V>; MAX_LEVEL],
+        (preds, succs): (&'a Tower<'_, K, V>, &Tower<'_, K, V>),
         top: usize,
-        expect_succ: Option<*mut Node<K, V>>,
+        expect_succ: Option<NodePtr<'_, K, V>>,
         guards: &mut InlineStack<MutexGuard<'a, ()>, MAX_LEVEL>,
+        guard: &Guard<'_>,
     ) -> bool {
-        let mut prev: *mut Node<K, V> = ptr::null_mut();
         for lvl in 0..=top {
-            let pred = preds[lvl];
-            let succ = expect_succ.unwrap_or(succs[lvl]);
-            if pred != prev {
-                // Safety: the node is reachable (we hold an EBR guard) and
-                // stays allocated while the guard is live, so the lock
-                // outlives the guards.
-                let lock: MutexGuard<'a, ()> = unsafe { &*pred }.lock.lock();
-                guards.push(lock);
-                prev = pred;
+            if lvl == 0 || preds[lvl] != preds[lvl - 1] {
+                guards.push(preds[lvl].lock.lock());
             }
-            let p = unsafe { &*pred };
-            let s_marked = if succ == self.tail {
-                false
-            } else {
-                unsafe { &*succ }.marked.load(Ordering::Acquire)
-            };
-            // `fully_linked` on the predecessor is load-bearing for the
-            // bundles, not just the tower: an insert publishes its node's
-            // data-layer pointers *before* preparing its bundle (only
-            // `fullyLinked` is the linearization point). Using such a
-            // half-linked node as a predecessor would write our bundle
-            // entry into its still-empty bundle; the insert would then
-            // finalize its own entry with a larger timestamp, reordering
-            // history so snapshots resurrect our removed successor (a
-            // use-after-free once the successor's memory is reclaimed).
-            let valid = !p.marked.load(Ordering::Acquire)
-                && p.fully_linked.load(Ordering::Acquire)
-                && !s_marked
-                && p.next[lvl].load(Ordering::Acquire) == succ;
-            if !valid {
+            if !self.linked(preds[lvl], lvl, expect_succ.unwrap_or(succs[lvl]), guard) {
                 return false;
             }
         }
@@ -317,48 +309,28 @@ where
     fn txn_lock_and_validate(
         &self,
         txn: &mut ShardTxn<BundledSkipList<K, V>>,
-        preds: &[*mut Node<K, V>; MAX_LEVEL],
-        succs: &[*mut Node<K, V>; MAX_LEVEL],
+        (preds, succs): (&Tower<'_, K, V>, &Tower<'_, K, V>),
         top: usize,
-        expect_succ: Option<*mut Node<K, V>>,
+        expect_succ: Option<NodePtr<'_, K, V>>,
+        guard: &Guard<'_>,
     ) -> Result<bool, Conflict> {
         let mut newly = 0usize;
-        let mut prev: *mut Node<K, V> = ptr::null_mut();
-        let mut valid = true;
         for lvl in 0..=top {
-            let pred = preds[lvl];
-            let succ = expect_succ.unwrap_or(succs[lvl]);
-            if pred != prev {
-                match unsafe { self.txn_lock(txn, pred) } {
-                    Ok(true) => newly += 1,
-                    Ok(false) => {}
+            if lvl == 0 || preds[lvl] != preds[lvl - 1] {
+                match self.txn_lock(txn, preds[lvl]) {
+                    Ok(acquired) => newly += usize::from(acquired),
                     Err(c) => {
                         txn.core.unlock_latest(newly);
                         return Err(c);
                     }
                 }
-                prev = pred;
             }
-            let p = unsafe { &*pred };
-            let s_marked = if succ == self.tail {
-                false
-            } else {
-                unsafe { &*succ }.marked.load(Ordering::Acquire)
-            };
-            valid = !p.marked.load(Ordering::Acquire)
-                && p.fully_linked.load(Ordering::Acquire)
-                && !s_marked
-                && p.next[lvl].load(Ordering::Acquire) == succ;
-            if !valid {
-                break;
+            if !self.linked(preds[lvl], lvl, expect_succ.unwrap_or(succs[lvl]), guard) {
+                txn.core.unlock_latest(newly);
+                return Ok(false);
             }
         }
-        if valid {
-            Ok(true)
-        } else {
-            txn.core.unlock_latest(newly);
-            Ok(false)
-        }
+        Ok(true)
     }
 }
 
@@ -397,16 +369,22 @@ where
         Self: 'a;
 
     fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let tail = Node::new(K::default(), None, MAX_LEVEL - 1);
-        let head = Node::new(K::default(), None, MAX_LEVEL - 1);
-        unsafe {
-            for lvl in 0..MAX_LEVEL {
-                (*head).next[lvl].store(tail, Ordering::Release);
-            }
-            (*head).fully_linked.store(true, Ordering::Release);
-            (*tail).fully_linked.store(true, Ordering::Release);
-            (*head).bundle.init(tail, 0);
-        }
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let tail = Node::new(
+            K::default(),
+            None,
+            MAX_LEVEL - 1,
+            &[Shared::null(); MAX_LEVEL],
+        );
+        let tail = Shared::boxed(tail, &guard);
+        let head = Node::new(K::default(), None, MAX_LEVEL - 1, &[tail; MAX_LEVEL]);
+        let head = Shared::boxed(head, &guard);
+        head.fully_linked.store(true, Ordering::Release);
+        tail.fully_linked.store(true, Ordering::Release);
+        head.bundle.init(tail, 0);
+        let (head, tail) = (Link::new(head), Link::new(tail));
+        drop(guard);
         let seeds = (0..max_threads.max(1))
             .map(|i| {
                 CachePadded::new(AtomicU64::new(
@@ -419,7 +397,7 @@ where
             head,
             tail,
             ctx: ctx.clone(),
-            collector: Collector::new(max_threads, mode),
+            collector,
             tokens: TokenPool::new(max_threads),
             seeds,
         }
@@ -445,70 +423,48 @@ where
         (node.key, &node.val)
     }
 
-    fn try_collect_at(
+    fn try_collect_at<'g>(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
     ) -> Option<()> {
         // Phase 1 (GetFirstNodeInRange): descend through the index layers
         // using the newest pointers to reach the data-layer node preceding
-        // the range.
-        let mut pred = self.head;
+        // the range; phase 2 enters and traverses the range strictly
+        // through the data-layer bundles.
+        let (mut pred, tail) = (self.head(guard), self.tail(guard));
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *low {
+            let mut curr = pred.next[lvl].load(Ordering::Acquire, guard);
+            while curr != tail && curr.key < *low {
                 pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+                curr = pred.next[lvl].load(Ordering::Acquire, guard);
             }
         }
-
-        // Phase 2: enter and traverse the range strictly through the
-        // data-layer bundles.
-        let mut node = unsafe { &*pred }.bundle.dereference(ts)?;
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }.bundle.dereference(ts)?;
-        }
-        Some(())
+        let hop = |n: NodePtr<'g, K, V>| n.bundle.dereference(ts, guard);
+        bundle::walk_chain_at::<Self>(pred, tail, low, high, hop, visit)
     }
 
-    fn collect_snapshot_at(
+    fn collect_snapshot_at<'g>(
         &self,
         ts: u64,
         low: &K,
         high: &K,
-        mut visit: impl FnMut(*mut Node<K, V>),
+        guard: &'g Guard<'_>,
+        visit: impl FnMut(NodePtr<'g, K, V>),
     ) {
-        let mut node = unsafe { &*self.head }
-            .bundle
-            .dereference(ts)
-            .expect("head bundle must satisfy an announced snapshot");
-        while node != self.tail && unsafe { &*node }.key < *low {
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
-        while node != self.tail && unsafe { &*node }.key <= *high {
-            visit(node);
-            node = unsafe { &*node }
-                .bundle
-                .dereference(ts)
-                .expect("snapshot path must stay satisfiable");
-        }
+        let hop = |n: NodePtr<'g, K, V>| n.bundle.dereference(ts, guard);
+        bundle::walk_chain_at::<Self>(self.head(guard), self.tail(guard), low, high, hop, visit)
+            .expect("a snapshot path from the head must stay satisfiable");
     }
 
-    fn for_each_bundle(&self, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
-        let mut curr = self.head;
-        while curr != self.tail {
-            let node = unsafe { &*curr };
-            f(&node.bundle);
-            curr = node.next[0].load(Ordering::Acquire);
+    fn for_each_bundle(&self, guard: &Guard<'_>, mut f: impl FnMut(&Bundle<Node<K, V>>)) {
+        let (mut curr, tail) = (self.head(guard), self.tail(guard));
+        while curr != tail {
+            f(&curr.bundle);
+            curr = curr.next[0].load(Ordering::Acquire, guard);
         }
     }
 
@@ -524,10 +480,7 @@ where
             list: self,
             txn,
             _guard: guard,
-            frontier: Frontier {
-                preds: [ptr::null_mut(); MAX_LEVEL],
-                succs: [ptr::null_mut(); MAX_LEVEL],
-            },
+            frontier: [[std::ptr::null_mut(); MAX_LEVEL]; 2],
             has_frontier: false,
             stats: CursorStats::default(),
         }
@@ -544,66 +497,60 @@ where
         expected: &[(K, usize)],
         low: &K,
         high: &K,
+        guard: &Guard<'_>,
     ) -> Result<(), TxnValidateError> {
         let locate = || {
-            let mut preds = [ptr::null_mut(); MAX_LEVEL];
-            let mut succs = [ptr::null_mut(); MAX_LEVEL];
-            self.find(low, &mut preds, &mut succs);
+            let (mut preds, mut succs) = ([Shared::null(); MAX_LEVEL], [Shared::null(); MAX_LEVEL]);
+            self.find(low, &mut preds, &mut succs, guard);
             (preds[0], succs[0])
         };
-        let pred_valid = |pred: *mut Node<K, V>, first: *mut Node<K, V>| {
-            let p = unsafe { &*pred };
-            !p.marked.load(Ordering::Acquire)
-                && p.fully_linked.load(Ordering::Acquire)
-                && p.next[0].load(Ordering::Acquire) == first
+        let pred_valid = |pred: NodePtr<'_, K, V>, first: NodePtr<'_, K, V>| {
+            !pred.marked.load(Ordering::Acquire)
+                && pred.fully_linked.load(Ordering::Acquire)
+                && pred.next[0].load(Ordering::Acquire, guard) == first
         };
-        let step = |prev: *mut Node<K, V>, curr: *mut Node<K, V>| {
-            let c = unsafe { &*curr };
+        let step = |prev: NodePtr<'_, K, V>, curr: NodePtr<'_, K, V>| {
             // Removed or half-linked nodes are torn observations.
-            let torn = c.marked.load(Ordering::Acquire)
-                || !c.fully_linked.load(Ordering::Acquire)
-                || unsafe { &*prev }.next[0].load(Ordering::Acquire) != curr;
-            (!torn).then(|| c.next[0].load(Ordering::Acquire))
+            let torn = curr.marked.load(Ordering::Acquire)
+                || !curr.fully_linked.load(Ordering::Acquire)
+                || prev.next[0].load(Ordering::Acquire, guard) != curr;
+            (!torn).then(|| curr.next[0].load(Ordering::Acquire, guard))
         };
-        // SAFETY: nodes produced by find/step are reachable under the
-        // caller's EBR pin; a locked node is never retired.
-        unsafe {
-            bundle::validate_chain::<Self>(
-                core, expected, high, self.tail, locate, pred_valid, step,
-            )
-        }
+        bundle::validate_chain::<Self>(
+            core,
+            expected,
+            high,
+            self.tail(guard),
+            locate,
+            pred_valid,
+            step,
+        )
     }
 
-    unsafe fn revert(&self, undo: SkipUndo<K, V>) {
+    unsafe fn revert(&self, undo: SkipUndo<K, V>, guard: &Guard<'_>) {
+        let node = |p| Shared::from_raw(p, guard);
         match undo {
             SkipUndo::Link {
-                node,
+                node: created,
                 preds,
                 succs,
                 top,
             } => {
                 // Mark the stillborn node so a primitive operation
                 // blocked on its lock re-validates and retries.
-                (*node).marked.store(true, Ordering::SeqCst);
+                node(created).marked.store(true, Ordering::SeqCst);
                 for lvl in (0..=top).rev() {
-                    (*preds[lvl]).next[lvl].store(succs[lvl], Ordering::SeqCst);
+                    node(preds[lvl]).next[lvl].store(node(succs[lvl]), Ordering::SeqCst);
                 }
             }
             SkipUndo::Unlink { victim, preds, top } => {
                 for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
-                    (*pred).next[lvl].store(victim, Ordering::SeqCst);
+                    node(pred).next[lvl].store(node(victim), Ordering::SeqCst);
                 }
-                (*victim).marked.store(false, Ordering::SeqCst);
+                node(victim).marked.store(false, Ordering::SeqCst);
             }
         }
     }
-}
-
-/// A retained finger: the `preds`/`succs` arrays of a cursor's last
-/// located position.
-struct Frontier<K, V> {
-    preds: [*mut Node<K, V>; MAX_LEVEL],
-    succs: [*mut Node<K, V>; MAX_LEVEL],
 }
 
 /// A prepare cursor over one [`ShardTxn`] (see
@@ -626,7 +573,9 @@ where
     txn: ShardTxn<BundledSkipList<K, V>>,
     /// Keeps every retained frontier pointer allocated between seeks.
     _guard: Guard<'a>,
-    frontier: Frontier<K, V>,
+    /// The retained finger: `preds` and `succs` of the last located
+    /// position, as addresses (meaningful once `has_frontier`).
+    frontier: [[*mut Node<K, V>; MAX_LEVEL]; 2],
     has_frontier: bool,
     stats: CursorStats,
 }
@@ -642,20 +591,22 @@ where
     /// level the caller will eagerly link (an insert's pre-drawn tower
     /// height): those levels are always genuinely walked, never
     /// stale-copied.
-    fn locate(
+    fn locate<'g>(
         &mut self,
         key: &K,
-        use_hint: bool,
-        min_levels: usize,
-        preds: &mut [*mut Node<K, V>; MAX_LEVEL],
-        succs: &mut [*mut Node<K, V>; MAX_LEVEL],
+        (use_hint, min_levels): (bool, usize),
+        preds: &mut Tower<'g, K, V>,
+        succs: &mut Tower<'g, K, V>,
+        guard: &'g Guard<'_>,
     ) -> Option<usize> {
-        let hint = if use_hint && self.has_frontier {
-            Some(&self.frontier)
-        } else {
-            None
-        };
-        let (lfound, resumed) = self.list.find_hinted(key, hint, min_levels, preds, succs);
+        // SAFETY: `from_raw` of a frontier: loaded by an earlier seek, under
+        // the cursor's own pin, which `guard` nests in.
+        let admit = |p| unsafe { Shared::from_raw(p, guard) };
+        let [p, s] = self.frontier;
+        let hint = (use_hint && self.has_frontier).then(|| [p.map(admit), s.map(admit)]);
+        let (lfound, resumed) =
+            self.list
+                .find_hinted(key, hint.as_ref(), min_levels, preds, succs, guard);
         if resumed {
             self.stats.hinted += 1;
         } else {
@@ -664,32 +615,24 @@ where
         lfound
     }
 
-    /// Retain the located position as the next frontier.
-    fn retain_preds(
+    /// Retain the located position as the next frontier, with a just-linked
+    /// `node` (tower height `top`) substituted on the levels of its tower:
+    /// it now sits between `preds` and `succs` there.
+    fn retain(
         &mut self,
-        preds: &[*mut Node<K, V>; MAX_LEVEL],
-        succs: &[*mut Node<K, V>; MAX_LEVEL],
+        preds: &Tower<'_, K, V>,
+        succs: &Tower<'_, K, V>,
+        node: Option<(NodePtr<'_, K, V>, usize)>,
     ) {
-        self.frontier.preds = *preds;
-        self.frontier.succs = *succs;
+        let [p, s] = &mut self.frontier;
         self.has_frontier = true;
-    }
-
-    /// Retain the position with a just-linked `node` (tower height
-    /// `top`) substituted on the levels of its tower: the node now sits
-    /// between `preds` and `succs` there.
-    fn retain_node(
-        &mut self,
-        preds: &[*mut Node<K, V>; MAX_LEVEL],
-        succs: &[*mut Node<K, V>; MAX_LEVEL],
-        node: *mut Node<K, V>,
-        top: usize,
-    ) {
         for lvl in 0..MAX_LEVEL {
-            self.frontier.preds[lvl] = if lvl <= top { node } else { preds[lvl] };
-            self.frontier.succs[lvl] = succs[lvl];
+            p[lvl] = match node {
+                Some((node, top)) if lvl <= top => node.as_raw(),
+                _ => preds[lvl].as_raw(),
+            };
+            s[lvl] = succs[lvl].as_raw();
         }
-        self.has_frontier = true;
     }
 }
 
@@ -708,73 +651,69 @@ where
     /// commit timestamp.
     fn seek_prepare_put(&mut self, key: K, value: V) -> Result<bool, Conflict> {
         let list = self.list;
+        let guard = list.pin(self.txn.core.tid());
         let top = list.random_level(self.txn.core.tid());
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         let mut use_hint = true;
         loop {
-            let lfound = self.locate(&key, use_hint, top, &mut preds, &mut succs);
+            let lfound = self.locate(&key, (use_hint, top), &mut preds, &mut succs, &guard);
             use_hint = false;
             let txn = &mut self.txn;
             if let Some(l) = lfound {
                 let found = succs[l];
-                let f = unsafe { &*found };
-                if f.marked.load(Ordering::Acquire) {
+                if found.marked.load(Ordering::Acquire) {
                     continue;
                 }
-                while !f.fully_linked.load(Ordering::Acquire) {
+                while !found.fully_linked.load(Ordering::Acquire) {
                     std::hint::spin_loop();
                 }
                 // Pin the no-op: hold the present node's lock until
                 // commit (a remove must acquire it, so the key stays
                 // present). If it got marked before we locked it, the
                 // remove linearized first — retry and miss it.
-                let newly = unsafe { list.txn_lock(txn, found) }?;
-                if f.marked.load(Ordering::Acquire) {
+                let newly = list.txn_lock(txn, found)?;
+                if found.marked.load(Ordering::Acquire) {
                     if newly {
                         txn.core.unlock_latest(1);
                         continue;
                     }
                     return Err(Conflict);
                 }
-                txn.staged
-                    .record(key, Some(found as usize), Some(found as usize));
+                let at = Some(found.as_raw() as usize);
+                txn.staged.record(key, at, at);
                 // Retain the position just *before* the found key (its
                 // successors are the found node itself on the levels of
                 // its tower, which keeps the frontier's succs honest).
-                self.retain_preds(&preds, &succs);
+                self.retain(&preds, &succs, None);
                 return Ok(false);
             }
-            if !list.txn_lock_and_validate(txn, &preds, &succs, top, None)? {
+            if !list.txn_lock_and_validate(txn, (&preds, &succs), top, None, &guard)? {
                 continue;
             }
-            let node = Node::new(key, Some(value), top);
-            let node_ref = unsafe { &*node };
-            // Hold the new node's lock until commit/abort so primitive
-            // operations that would adopt it as a predecessor block on the
-            // lock instead of building on state we may roll back.
-            let node_guard: MutexGuard<'static, ()> = node_ref.lock.lock();
-            txn.core.push_lock(node, node_guard);
-            for (lvl, &succ) in succs.iter().enumerate().take(top + 1) {
-                node_ref.next[lvl].store(succ, Ordering::Relaxed);
+            let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
+            // Hold the new node's lock until commit/abort (uncontended:
+            // nobody else can reach it yet) so primitive operations that
+            // would adopt it as a predecessor block on the lock instead of
+            // building on state we may roll back.
+            list.txn_lock(txn, node)?;
+            for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
+                pred.next[lvl].store(node, Ordering::SeqCst);
             }
-            for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
-                unsafe { &*pred }.next[lvl].store(node, Ordering::SeqCst);
-            }
-            txn.core.prepare_bundle(&node_ref.bundle, succs[0]);
-            txn.core.prepare_bundle(&unsafe { &*preds[0] }.bundle, node);
+            txn.core.prepare_bundle(&node.bundle, succs[0]);
+            txn.core.prepare_bundle(&preds[0].bundle, node);
             // Eager linearization effect; snapshot visibility is still
             // gated on the pending bundle entries' commit timestamp.
-            node_ref.fully_linked.store(true, Ordering::SeqCst);
+            node.fully_linked.store(true, Ordering::SeqCst);
             txn.core.add_created(node);
-            txn.staged.record(key, None, Some(node as usize));
+            txn.staged.record(key, None, Some(node.as_raw() as usize));
             txn.undo.push(SkipUndo::Link {
-                node,
-                preds,
-                succs,
+                node: node.as_raw(),
+                preds: preds.map(Shared::as_raw),
+                succs: succs.map(Shared::as_raw),
                 top,
             });
-            self.retain_node(&preds, &succs, node, top);
+            self.retain(&preds, &succs, Some((node, top)));
             return Ok(true);
         }
     }
@@ -786,11 +725,12 @@ where
     /// that node).
     fn seek_prepare_remove(&mut self, key: &K) -> Result<bool, Conflict> {
         let list = self.list;
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let guard = list.pin(self.txn.core.tid());
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         let mut use_hint = true;
         loop {
-            let lfound = self.locate(key, use_hint, 0, &mut preds, &mut succs);
+            let lfound = self.locate(key, (use_hint, 0), &mut preds, &mut succs, &guard);
             use_hint = false;
             let txn = &mut self.txn;
             let (victim, level) = match lfound {
@@ -798,11 +738,10 @@ where
                 None => {
                     // Pin the no-op: hold the level-0 gap until commit.
                     let pred = preds[0];
-                    let newly = unsafe { list.txn_lock(txn, pred) }?;
-                    let p = unsafe { &*pred };
-                    let valid = !p.marked.load(Ordering::Acquire)
-                        && p.fully_linked.load(Ordering::Acquire)
-                        && p.next[0].load(Ordering::Acquire) == succs[0];
+                    let newly = list.txn_lock(txn, pred)?;
+                    let valid = !pred.marked.load(Ordering::Acquire)
+                        && pred.fully_linked.load(Ordering::Acquire)
+                        && pred.next[0].load(Ordering::Acquire, &guard) == succs[0];
                     if !valid {
                         if newly {
                             txn.core.unlock_latest(1);
@@ -811,29 +750,28 @@ where
                         return Err(Conflict);
                     }
                     txn.staged.record(*key, None, None);
-                    self.retain_preds(&preds, &succs);
+                    self.retain(&preds, &succs, None);
                     return Ok(false);
                 }
             };
-            let v = unsafe { &*victim };
-            if !(v.fully_linked.load(Ordering::Acquire)
-                && v.top_level == level
-                && !v.marked.load(Ordering::Acquire))
+            if !(victim.fully_linked.load(Ordering::Acquire)
+                && victim.top_level == level
+                && !victim.marked.load(Ordering::Acquire))
             {
                 // A concurrent update owns the key's fate right now; retry
                 // until the physical state settles (the owner holds all of
                 // its locks and finishes without waiting on us).
                 continue;
             }
-            let top = v.top_level;
-            let newly_victim = unsafe { list.txn_lock(txn, victim) }?;
-            if v.marked.load(Ordering::Acquire) {
+            let top = victim.top_level;
+            let newly_victim = list.txn_lock(txn, victim)?;
+            if victim.marked.load(Ordering::Acquire) {
                 if newly_victim {
                     txn.core.unlock_latest(1);
                 }
                 continue;
             }
-            match list.txn_lock_and_validate(txn, &preds, &succs, top, Some(victim)) {
+            match list.txn_lock_and_validate(txn, (&preds, &succs), top, Some(victim), &guard) {
                 Ok(true) => {}
                 Ok(false) => {
                     if newly_victim {
@@ -843,20 +781,22 @@ where
                 }
                 Err(c) => return Err(c),
             }
-            txn.core.prepare_bundle(
-                &unsafe { &*preds[0] }.bundle,
-                v.next[0].load(Ordering::Acquire),
-            );
+            let next = |lvl: usize| victim.next[lvl].load(Ordering::Acquire, &guard);
+            txn.core.prepare_bundle(&preds[0].bundle, next(0));
             // Eager logical delete + physical unlink (top-down).
-            v.marked.store(true, Ordering::SeqCst);
+            victim.marked.store(true, Ordering::SeqCst);
             for lvl in (0..=top).rev() {
-                unsafe { &*preds[lvl] }.next[lvl]
-                    .store(v.next[lvl].load(Ordering::Acquire), Ordering::SeqCst);
+                preds[lvl].next[lvl].store(next(lvl), Ordering::SeqCst);
             }
             txn.core.add_victim(victim);
-            txn.staged.record(*key, Some(victim as usize), None);
-            txn.undo.push(SkipUndo::Unlink { victim, preds, top });
-            self.retain_preds(&preds, &succs);
+            txn.staged
+                .record(*key, Some(victim.as_raw() as usize), None);
+            txn.undo.push(SkipUndo::Unlink {
+                victim: victim.as_raw(),
+                preds: preds.map(Shared::as_raw),
+                top,
+            });
+            self.retain(&preds, &succs, None);
             return Ok(true);
         }
     }
@@ -868,20 +808,16 @@ where
     /// checks (an adopted entry is unmarked, hence still reachable, at
     /// adoption time).
     fn seek_read(&mut self, key: &K) -> Option<V> {
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
-        let lfound = self.locate(key, true, 0, &mut preds, &mut succs);
-        self.retain_preds(&preds, &succs);
-        match lfound {
-            Some(l) => {
-                let n = unsafe { &*succs[l] };
-                if n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire) {
-                    n.val.clone()
-                } else {
-                    None
-                }
-            }
-            None => None,
+        let guard = self.list.pin(self.txn.core.tid());
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
+        let lfound = self.locate(key, (true, 0), &mut preds, &mut succs, &guard);
+        self.retain(&preds, &succs, None);
+        let n = succs[lfound?];
+        if n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire) {
+            n.val.clone()
+        } else {
+            None
         }
     }
 
@@ -910,23 +846,37 @@ where
     }
 }
 
+impl<K, V> BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    /// The node holding `key` if it is present: found, fully linked and
+    /// not removed.
+    fn present<'g>(&self, key: &K, guard: &'g Guard<'_>) -> Option<NodePtr<'g, K, V>> {
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
+        let n = succs[self.find(key, &mut preds, &mut succs, guard)?];
+        (n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire)).then_some(n)
+    }
+}
+
 impl<K, V> ConcurrentSet<K, V> for BundledSkipList<K, V>
 where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         let top = self.random_level(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         loop {
-            if let Some(l) = self.find(&key, &mut preds, &mut succs) {
+            if let Some(l) = self.find(&key, &mut preds, &mut succs, &guard) {
                 let found = succs[l];
-                let f = unsafe { &*found };
-                if !f.marked.load(Ordering::Acquire) {
+                if !found.marked.load(Ordering::Acquire) {
                     // Wait until the concurrent inserter finishes linking.
-                    while !f.fully_linked.load(Ordering::Acquire) {
+                    while !found.fully_linked.load(Ordering::Acquire) {
                         std::hint::spin_loop();
                     }
                     return false;
@@ -935,27 +885,20 @@ where
                 continue;
             }
             let mut guards = InlineStack::new();
-            if !self.lock_and_validate(&preds, &succs, top, None, &mut guards) {
+            if !self.lock_and_validate((&preds, &succs), top, None, &mut guards, &guard) {
                 continue;
             }
-            let node = Node::new(key, Some(value), top);
-            let node_ref = unsafe { &*node };
-            for (lvl, &succ) in succs.iter().enumerate().take(top + 1) {
-                node_ref.next[lvl].store(succ, Ordering::Relaxed);
-            }
+            let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
             // Physically link bottom-up (traversals tolerate partially
             // linked towers; `fullyLinked` is the linearization point).
-            for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
-                unsafe { &*pred }.next[lvl].store(node, Ordering::SeqCst);
+            for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
+                pred.next[lvl].store(node, Ordering::SeqCst);
             }
             // Bundles affected: the new node's data-layer link and the
             // data-layer predecessor's link.
-            let bundles = [
-                (&node_ref.bundle, succs[0]),
-                (&unsafe { &*preds[0] }.bundle, node),
-            ];
+            let bundles = [(&node.bundle, succs[0]), (&preds[0].bundle, node)];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
-                node_ref.fully_linked.store(true, Ordering::SeqCst);
+                node.fully_linked.store(true, Ordering::SeqCst);
             });
             drop(guards);
             return true;
@@ -964,96 +907,72 @@ where
 
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         loop {
-            let lfound = self.find(key, &mut preds, &mut succs);
+            let lfound = self.find(key, &mut preds, &mut succs, &guard);
             let (victim, level) = match lfound {
                 Some(l) => (succs[l], l),
                 None => return false,
             };
-            let v = unsafe { &*victim };
             // Candidate check (Herlihy et al.): fully linked at its full
             // height and not already logically deleted.
-            if !(v.fully_linked.load(Ordering::Acquire)
-                && v.top_level == level
-                && !v.marked.load(Ordering::Acquire))
+            if !(victim.fully_linked.load(Ordering::Acquire)
+                && victim.top_level == level
+                && !victim.marked.load(Ordering::Acquire))
             {
                 return false;
             }
-            let top = v.top_level;
-            let victim_lock = v.lock.lock();
-            if v.marked.load(Ordering::Acquire) {
+            let top = victim.top_level;
+            let victim_lock = victim.lock.lock();
+            if victim.marked.load(Ordering::Acquire) {
                 return false;
             }
             let mut guards = InlineStack::new();
-            if !self.lock_and_validate(&preds, &succs, top, Some(victim), &mut guards) {
+            if !self.lock_and_validate((&preds, &succs), top, Some(victim), &mut guards, &guard) {
                 drop(guards);
                 drop(victim_lock);
                 continue;
             }
+            let next = |lvl: usize| victim.next[lvl].load(Ordering::Acquire, &guard);
             // Only the data-layer predecessor's bundle changes; the victim's
             // own bundle keeps describing the pre-removal physical state.
-            let bundles = [(
-                &unsafe { &*preds[0] }.bundle,
-                v.next[0].load(Ordering::Acquire),
-            )];
+            let bundles = [(&preds[0].bundle, next(0))];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
                 // Linearization point: the logical delete (§5).
-                v.marked.store(true, Ordering::SeqCst);
+                victim.marked.store(true, Ordering::SeqCst);
             });
             // Physical unlink, top-down, within the same critical section.
             for lvl in (0..=top).rev() {
-                unsafe { &*preds[lvl] }.next[lvl]
-                    .store(v.next[lvl].load(Ordering::Acquire), Ordering::SeqCst);
+                preds[lvl].next[lvl].store(next(lvl), Ordering::SeqCst);
             }
             drop(guards);
             drop(victim_lock);
-            unsafe { guard.retire(victim) };
+            // SAFETY: `retire`: unlinked on every level, and the one bundle
+            // entry still pointing at it is older than the removal.
+            unsafe { guard.retire(victim.as_raw()) };
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
-        match self.find(key, &mut preds, &mut succs) {
-            Some(l) => {
-                let n = unsafe { &*succs[l] };
-                n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire)
-            }
-            None => false,
-        }
+        self.present(key, &self.pin(tid)).is_some()
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
-        match self.find(key, &mut preds, &mut succs) {
-            Some(l) => {
-                let n = unsafe { &*succs[l] };
-                if n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire) {
-                    n.val.clone()
-                } else {
-                    None
-                }
-            }
-            None => None,
-        }
+        self.present(key, &self.pin(tid))?.val.clone()
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
+        let tail = self.tail(&guard);
         let mut n = 0;
-        let mut curr = unsafe { &*self.head }.next[0].load(Ordering::Acquire);
-        while curr != self.tail {
-            let node = unsafe { &*curr };
-            if node.fully_linked.load(Ordering::Acquire) && !node.marked.load(Ordering::Acquire) {
+        let mut curr = self.head(&guard).next[0].load(Ordering::Acquire, &guard);
+        while curr != tail {
+            if curr.fully_linked.load(Ordering::Acquire) && !curr.marked.load(Ordering::Acquire) {
                 n += 1;
             }
-            curr = node.next[0].load(Ordering::Acquire);
+            curr = curr.next[0].load(Ordering::Acquire, &guard);
         }
         n
     }
@@ -1065,13 +984,12 @@ where
     V: Clone + Send + Sync,
 {
     fn drop(&mut self) {
-        let mut curr = self.head;
+        let guard = self.collector.pin(0);
+        let mut curr = self.head(&guard);
         while !curr.is_null() {
-            let next = unsafe { &*curr }.next[0].load(Ordering::Relaxed);
-            unsafe { drop(Box::from_raw(curr)) };
-            if curr == self.tail {
-                break;
-            }
+            let next = curr.next[0].load(Ordering::Relaxed, &guard);
+            // SAFETY: a drop free: reachable nodes are the list's alone.
+            unsafe { drop(Box::from_raw(curr.as_raw())) };
             curr = next;
         }
     }
@@ -1214,14 +1132,8 @@ mod tests {
         for k in 0..2000u64 {
             s.insert(0, k, k);
         }
-        let mut has_tall = false;
-        unsafe {
-            let mut curr = (*s.head).next[1].load(Ordering::Acquire);
-            if curr != s.tail {
-                has_tall = true;
-            }
-            let _ = &mut curr;
-        }
+        let g = s.pin(0);
+        let has_tall = s.head(&g).next[1].load(Ordering::Acquire, &g) != s.tail(&g);
         assert!(has_tall, "index layers should be populated");
         assert_eq!(s.len(0), 2000);
     }

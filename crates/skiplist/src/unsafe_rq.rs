@@ -2,14 +2,13 @@
 //! non-linearizable range scan over the data layer (the paper's reference
 //! line in Figures 2 and 3).
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
-use ebr::{Collector, Guard, ReclaimMode};
+use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 use crate::MAX_LEVEL;
 
@@ -20,33 +19,35 @@ struct Node<K, V> {
     lock: Mutex<()>,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    next: [AtomicPtr<Node<K, V>>; MAX_LEVEL],
+    next: [Link<Node<K, V>>; MAX_LEVEL],
 }
 
+type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
+type Tower<'g, K, V> = [NodePtr<'g, K, V>; MAX_LEVEL];
+
 impl<K, V> Node<K, V> {
-    fn new(key: K, val: Option<V>, top_level: usize) -> *mut Node<K, V> {
-        Box::into_raw(Box::new(Node {
+    fn new(key: K, val: Option<V>, top: usize, succs: &Tower<'_, K, V>) -> Self {
+        let link = |l| Link::new(if l > top { Shared::null() } else { succs[l] });
+        Node {
             key,
             val,
-            top_level,
+            top_level: top,
             lock: Mutex::new(()),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(false),
-            next: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
-        }))
+            next: std::array::from_fn(link),
+        }
     }
 }
 
 /// The optimistic lazy skip list with non-linearizable range queries.
 pub struct UnsafeSkipList<K, V> {
-    head: *mut Node<K, V>,
-    tail: *mut Node<K, V>,
+    /// The sentinels; set once by the constructor.
+    head: Link<Node<K, V>>,
+    tail: Link<Node<K, V>>,
     collector: Collector,
     seeds: Box<[CachePadded<AtomicU64>]>,
 }
-
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for UnsafeSkipList<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for UnsafeSkipList<K, V> {}
 
 impl<K, V> UnsafeSkipList<K, V>
 where
@@ -60,15 +61,21 @@ where
 
     /// Create a skip list with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        let tail = Node::new(K::default(), None, MAX_LEVEL - 1);
-        let head = Node::new(K::default(), None, MAX_LEVEL - 1);
-        unsafe {
-            for lvl in 0..MAX_LEVEL {
-                (*head).next[lvl].store(tail, Ordering::Release);
-            }
-            (*head).fully_linked.store(true, Ordering::Release);
-            (*tail).fully_linked.store(true, Ordering::Release);
-        }
+        let collector = Collector::new(max_threads, mode);
+        let guard = collector.pin(0);
+        let tail = Node::new(
+            K::default(),
+            None,
+            MAX_LEVEL - 1,
+            &[Shared::null(); MAX_LEVEL],
+        );
+        let tail = Shared::boxed(tail, &guard);
+        let head = Node::new(K::default(), None, MAX_LEVEL - 1, &[tail; MAX_LEVEL]);
+        let head = Shared::boxed(head, &guard);
+        head.fully_linked.store(true, Ordering::Release);
+        tail.fully_linked.store(true, Ordering::Release);
+        let (head, tail) = (Link::new(head), Link::new(tail));
+        drop(guard);
         let seeds = (0..max_threads.max(1))
             .map(|i| {
                 CachePadded::new(AtomicU64::new(
@@ -80,7 +87,7 @@ where
         UnsafeSkipList {
             head,
             tail,
-            collector: Collector::new(max_threads, mode),
+            collector,
             seeds,
         }
     }
@@ -94,6 +101,11 @@ where
         self.collector.pin(tid)
     }
 
+    fn ends<'g>(&self, guard: &'g Guard<'_>) -> (NodePtr<'g, K, V>, NodePtr<'g, K, V>) {
+        let head = self.head.load(Ordering::Relaxed, guard);
+        (head, self.tail.load(Ordering::Relaxed, guard))
+    }
+
     fn random_level(&self, tid: usize) -> usize {
         let slot = &self.seeds[tid % self.seeds.len()];
         let mut x = slot.load(Ordering::Relaxed);
@@ -104,21 +116,22 @@ where
         ((x.trailing_ones()) as usize).min(MAX_LEVEL - 1)
     }
 
-    fn find(
+    fn find<'g>(
         &self,
         key: &K,
-        preds: &mut [*mut Node<K, V>; MAX_LEVEL],
-        succs: &mut [*mut Node<K, V>; MAX_LEVEL],
+        preds: &mut Tower<'g, K, V>,
+        succs: &mut Tower<'g, K, V>,
+        guard: &'g Guard<'_>,
     ) -> Option<usize> {
+        let (mut pred, tail) = self.ends(guard);
         let mut lfound = None;
-        let mut pred = self.head;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *key {
+            let mut curr = pred.next[lvl].load(Ordering::Acquire, guard);
+            while curr != tail && curr.key < *key {
                 pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+                curr = pred.next[lvl].load(Ordering::Acquire, guard);
             }
-            if lfound.is_none() && curr != self.tail && unsafe { &*curr }.key == *key {
+            if lfound.is_none() && curr != tail && curr.key == *key {
                 lfound = Some(lvl);
             }
             preds[lvl] = pred;
@@ -127,42 +140,39 @@ where
         lfound
     }
 
+    /// The node holding `key` if it is present: found, fully linked and
+    /// not removed.
+    fn present<'g>(&self, key: &K, guard: &'g Guard<'_>) -> Option<NodePtr<'g, K, V>> {
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
+        let n = succs[self.find(key, &mut preds, &mut succs, guard)?];
+        (n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire)).then_some(n)
+    }
+
     fn lock_and_validate<'a>(
         &self,
-        preds: &[*mut Node<K, V>; MAX_LEVEL],
-        succs: &[*mut Node<K, V>; MAX_LEVEL],
+        preds: &'a Tower<'_, K, V>,
+        succs: &Tower<'_, K, V>,
         top: usize,
-        expect_succ: Option<*mut Node<K, V>>,
+        expect_succ: Option<NodePtr<'_, K, V>>,
+        guard: &Guard<'_>,
     ) -> Option<Vec<MutexGuard<'a, ()>>> {
-        let mut guards: Vec<MutexGuard<'a, ()>> = Vec::with_capacity(top + 1);
-        let mut prev: *mut Node<K, V> = ptr::null_mut();
-        let mut valid = true;
+        let tail = self.ends(guard).1;
+        let mut guards = Vec::with_capacity(top + 1);
         for lvl in 0..=top {
-            let pred = preds[lvl];
-            let succ = expect_succ.unwrap_or(succs[lvl]);
-            if pred != prev {
-                let lock: MutexGuard<'a, ()> = unsafe { &*pred }.lock.lock();
-                guards.push(lock);
-                prev = pred;
+            let (pred, succ) = (&preds[lvl], expect_succ.unwrap_or(succs[lvl]));
+            if lvl == 0 || *pred != preds[lvl - 1] {
+                guards.push(pred.lock.lock());
             }
-            let p = unsafe { &*pred };
-            let s_marked = if succ == self.tail {
-                false
-            } else {
-                unsafe { &*succ }.marked.load(Ordering::Acquire)
-            };
-            valid = !p.marked.load(Ordering::Acquire)
+            let s_marked = succ != tail && succ.marked.load(Ordering::Acquire);
+            let valid = !pred.marked.load(Ordering::Acquire)
                 && !s_marked
-                && p.next[lvl].load(Ordering::Acquire) == succ;
+                && pred.next[lvl].load(Ordering::Acquire, guard) == succ;
             if !valid {
-                break;
+                return None;
             }
         }
-        if valid {
-            Some(guards)
-        } else {
-            None
-        }
+        Some(guards)
     }
 }
 
@@ -172,13 +182,13 @@ where
     V: Clone + Send + Sync,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         let top = self.random_level(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         loop {
-            if let Some(l) = self.find(&key, &mut preds, &mut succs) {
-                let f = unsafe { &*succs[l] };
+            if let Some(l) = self.find(&key, &mut preds, &mut succs, &guard) {
+                let f = succs[l];
                 if !f.marked.load(Ordering::Acquire) {
                     while !f.fully_linked.load(Ordering::Acquire) {
                         std::hint::spin_loop();
@@ -187,19 +197,14 @@ where
                 }
                 continue;
             }
-            let guards = match self.lock_and_validate(&preds, &succs, top, None) {
-                Some(g) => g,
-                None => continue,
+            let Some(guards) = self.lock_and_validate(&preds, &succs, top, None, &guard) else {
+                continue;
             };
-            let node = Node::new(key, Some(value), top);
-            let node_ref = unsafe { &*node };
-            for (lvl, &succ) in succs.iter().enumerate().take(top + 1) {
-                node_ref.next[lvl].store(succ, Ordering::Relaxed);
+            let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
+            for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
+                pred.next[lvl].store(node, Ordering::Release);
             }
-            for (lvl, &pred) in preds.iter().enumerate().take(top + 1) {
-                unsafe { &*pred }.next[lvl].store(node, Ordering::Release);
-            }
-            node_ref.fully_linked.store(true, Ordering::Release);
+            node.fully_linked.store(true, Ordering::Release);
             drop(guards);
             return true;
         }
@@ -207,85 +212,61 @@ where
 
     fn remove(&self, tid: usize, key: &K) -> bool {
         let guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
+        let mut preds = [Shared::null(); MAX_LEVEL];
+        let mut succs = [Shared::null(); MAX_LEVEL];
         loop {
-            let lfound = self.find(key, &mut preds, &mut succs);
+            let lfound = self.find(key, &mut preds, &mut succs, &guard);
             let (victim, level) = match lfound {
                 Some(l) => (succs[l], l),
                 None => return false,
             };
-            let v = unsafe { &*victim };
-            if !(v.fully_linked.load(Ordering::Acquire)
-                && v.top_level == level
-                && !v.marked.load(Ordering::Acquire))
+            if !(victim.fully_linked.load(Ordering::Acquire)
+                && victim.top_level == level
+                && !victim.marked.load(Ordering::Acquire))
             {
                 return false;
             }
-            let top = v.top_level;
-            let victim_lock = v.lock.lock();
-            if v.marked.load(Ordering::Acquire) {
+            let top = victim.top_level;
+            let victim_lock = victim.lock.lock();
+            if victim.marked.load(Ordering::Acquire) {
                 return false;
             }
-            let guards = match self.lock_and_validate(&preds, &succs, top, Some(victim)) {
-                Some(g) => g,
-                None => {
-                    drop(victim_lock);
-                    continue;
-                }
+            let Some(guards) = self.lock_and_validate(&preds, &succs, top, Some(victim), &guard)
+            else {
+                drop(victim_lock);
+                continue;
             };
-            v.marked.store(true, Ordering::Release);
+            victim.marked.store(true, Ordering::Release);
             for lvl in (0..=top).rev() {
-                unsafe { &*preds[lvl] }.next[lvl]
-                    .store(v.next[lvl].load(Ordering::Acquire), Ordering::Release);
+                let next = victim.next[lvl].load(Ordering::Acquire, &guard);
+                preds[lvl].next[lvl].store(next, Ordering::Release);
             }
             drop(guards);
             drop(victim_lock);
-            unsafe { guard.retire(victim) };
+            // SAFETY: `retire`: unlinked on every level (no bundles here).
+            unsafe { guard.retire(victim.as_raw()) };
             return true;
         }
     }
 
     fn contains(&self, tid: usize, key: &K) -> bool {
-        let _guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
-        match self.find(key, &mut preds, &mut succs) {
-            Some(l) => {
-                let n = unsafe { &*succs[l] };
-                n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire)
-            }
-            None => false,
-        }
+        self.present(key, &self.pin(tid)).is_some()
     }
 
     fn get(&self, tid: usize, key: &K) -> Option<V> {
-        let _guard = self.pin(tid);
-        let mut preds = [ptr::null_mut(); MAX_LEVEL];
-        let mut succs = [ptr::null_mut(); MAX_LEVEL];
-        match self.find(key, &mut preds, &mut succs) {
-            Some(l) => {
-                let n = unsafe { &*succs[l] };
-                if n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire) {
-                    n.val.clone()
-                } else {
-                    None
-                }
-            }
-            None => None,
-        }
+        self.present(key, &self.pin(tid))?.val.clone()
     }
 
     fn len(&self, tid: usize) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
+        let (head, tail) = self.ends(&guard);
         let mut n = 0;
-        let mut curr = unsafe { &*self.head }.next[0].load(Ordering::Acquire);
-        while curr != self.tail {
-            let node = unsafe { &*curr };
-            if node.fully_linked.load(Ordering::Acquire) && !node.marked.load(Ordering::Acquire) {
+        let mut curr = head.next[0].load(Ordering::Acquire, &guard);
+        while curr != tail {
+            if curr.fully_linked.load(Ordering::Acquire) && !curr.marked.load(Ordering::Acquire) {
                 n += 1;
             }
-            curr = node.next[0].load(Ordering::Acquire);
+            curr = curr.next[0].load(Ordering::Acquire, &guard);
         }
         n
     }
@@ -299,23 +280,22 @@ where
     /// Non-linearizable scan: descend the index layers, then walk the data
     /// layer collecting unmarked nodes.
     fn range_query(&self, tid: usize, low: &K, high: &K, out: &mut Vec<(K, V)>) -> usize {
-        let _guard = self.pin(tid);
+        let guard = self.pin(tid);
         out.clear();
-        let mut pred = self.head;
+        let (mut pred, tail) = self.ends(&guard);
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
-            while curr != self.tail && unsafe { &*curr }.key < *low {
+            let mut curr = pred.next[lvl].load(Ordering::Acquire, &guard);
+            while curr != tail && curr.key < *low {
                 pred = curr;
-                curr = unsafe { &*pred }.next[lvl].load(Ordering::Acquire);
+                curr = pred.next[lvl].load(Ordering::Acquire, &guard);
             }
         }
-        let mut curr = unsafe { &*pred }.next[0].load(Ordering::Acquire);
-        while curr != self.tail && unsafe { &*curr }.key <= *high {
-            let n = unsafe { &*curr };
-            if n.key >= *low && !n.marked.load(Ordering::Acquire) {
-                out.push((n.key, n.val.clone().expect("data node has a value")));
+        let mut curr = pred.next[0].load(Ordering::Acquire, &guard);
+        while curr != tail && curr.key <= *high {
+            if curr.key >= *low && !curr.marked.load(Ordering::Acquire) {
+                out.push((curr.key, curr.val.clone().expect("data node has a value")));
             }
-            curr = n.next[0].load(Ordering::Acquire);
+            curr = curr.next[0].load(Ordering::Acquire, &guard);
         }
         out.len()
     }
@@ -323,13 +303,12 @@ where
 
 impl<K, V> Drop for UnsafeSkipList<K, V> {
     fn drop(&mut self) {
-        let mut curr = self.head;
+        let guard = self.collector.pin(0);
+        let mut curr = self.head.load(Ordering::Relaxed, &guard);
         while !curr.is_null() {
-            let next = unsafe { &*curr }.next[0].load(Ordering::Relaxed);
-            unsafe { drop(Box::from_raw(curr)) };
-            if curr == self.tail {
-                break;
-            }
+            let next = curr.next[0].load(Ordering::Relaxed, &guard);
+            // SAFETY: a drop free: reachable nodes are the list's alone.
+            unsafe { drop(Box::from_raw(curr.as_raw())) };
             curr = next;
         }
     }

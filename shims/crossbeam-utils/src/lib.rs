@@ -19,9 +19,6 @@ pub struct CachePadded<T> {
     value: T,
 }
 
-unsafe impl<T: Send> Send for CachePadded<T> {}
-unsafe impl<T: Sync> Sync for CachePadded<T> {}
-
 impl<T> CachePadded<T> {
     /// Pads and aligns a value to the length of a cache line.
     pub const fn new(value: T) -> Self {

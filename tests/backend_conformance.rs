@@ -252,10 +252,7 @@ fn cleanup_prunes_stale_bundle_entries<S: TwoPhase<Key = u64, Value = u64>>() {
     // With no active range query every reachable bundle shrinks to the
     // single entry a new snapshot needs.
     let mut bundles = 0;
-    {
-        let _pin = s.pin(0);
-        s.for_each_bundle(|_| bundles += 1);
-    }
+    s.for_each_bundle(&s.pin(0), |_| bundles += 1);
     assert_eq!(after, bundles);
     // And the structure still answers queries correctly.
     assert_eq!(s.len(0), 64);
@@ -294,13 +291,9 @@ fn range_query_at_respects_fixed_snapshot<S: TwoPhase<Key = u64, Value = u64>>()
     );
     // The guaranteed bundle-only walk produces the same snapshot.
     let mut snap = Vec::new();
-    {
-        let _pin = s.pin(1);
-        s.collect_snapshot_at(ts, &20, &60, |node| {
-            // SAFETY: pinned above; the walk shows data nodes only.
-            snap.push(unsafe { bundled_refs::bundle::key_value::<S>(node) });
-        });
-    }
+    s.collect_snapshot_at(ts, &20, &60, &s.pin(1), |node| {
+        snap.push(bundled_refs::bundle::key_value::<S>(&node));
+    });
     assert_eq!(snap, model_range(&then, 20, 60));
     // An ancient snapshot sees the empty structure.
     assert_eq!(scan_at(&s, 0, 0, 1000), vec![]);
