@@ -441,8 +441,8 @@ impl<T> Bundle<T> {
     /// beneath a pending head. Unlike [`Bundle::dereference`] this never
     /// blocks on a pending head — the pending entry belongs to an
     /// uncommitted transaction (possibly the caller's own), and a
-    /// validation pass run under the shard intent lock must look *past*
-    /// it at the state every snapshot could actually have observed.
+    /// validation pass must look *past* it at the state every snapshot
+    /// could actually have observed.
     ///
     /// Returns `None` for an empty bundle. A [`TOMBSTONE_TS`] head (the
     /// neutralized first entry of an aborted transaction's node) is

@@ -466,8 +466,8 @@ pub trait TwoPhase:
     /// **pin it until commit**. Must run after every staged write of the
     /// transaction on this structure. Other transactions may be preparing,
     /// validating or rolling back on the structure at the same time (the
-    /// store's shard intent is shared among read-write transactions):
-    /// nothing here relies on being alone. A pass means the walk found
+    /// store arbitrates commits through node locks alone): nothing here
+    /// relies on being alone. A pass means the walk found
     /// exactly the recorded nodes and now holds the locks that pin the
     /// range, so a neighbour's staged, uncommitted change inside it would
     /// have surfaced as `Conflict` (its stager holds a lock this walk

@@ -1,16 +1,17 @@
 //! # ingest — a group-commit ingestion front-end for the sharded store
 //!
 //! Every committed write on a [`store::BundledStore`] pays one shared
-//! clock advance ([`bundle::RqContext::advance`]) plus a per-shard intent
-//! round trip. Under update-heavy traffic — exactly where the paper shows
-//! bundles are cheapest — those two shared points become the bottleneck.
-//! This crate amortizes both: clients fire operations at per-shard
-//! submission rings and get back a waitable [`Ticket`]; dedicated
-//! **committer threads** drain the rings, coalesce compatible operations
-//! from *different* sessions into one super-batch, and publish the whole
-//! group through [`store::BundledStore::apply_grouped`] — the store's
-//! existing intents → prepare → finalize pipeline, entered **once per
-//! group**, advancing the clock **once per group**.
+//! clock advance ([`bundle::RqContext::advance`]) plus one trip through
+//! the commit pipeline. Under update-heavy traffic — exactly where the
+//! paper shows bundles are cheapest — those two per-write costs become
+//! the bottleneck. This crate amortizes both: clients fire operations at
+//! per-shard submission rings and get back a waitable [`Ticket`];
+//! dedicated **committer threads** drain the rings, coalesce compatible
+//! operations from *different* sessions into one super-batch, and
+//! publish the whole group through
+//! [`store::BundledStore::apply_grouped`] — the store's existing prepare
+//! → advance → finalize pipeline, entered **once per group**, advancing
+//! the clock **once per group**.
 //!
 //! ## Linearizability
 //!
@@ -27,9 +28,9 @@
 //! group, so they stay atomic like a
 //! [`store::BundledStore::apply_txn`] batch; a batch is *routed* by its
 //! first key's shard, so its other keys may serialize against same-key
-//! submissions in other committers' rings through the store's shard
-//! intent locks rather than through any one ring — the tickets'
-//! `(ts, seq)` metadata reports the order that actually resulted.
+//! submissions in other committers' rings through the store's node
+//! locks rather than through any one ring — the tickets' `(ts, seq)`
+//! metadata reports the order that actually resulted.
 //!
 //! ## Pipelining
 //!
@@ -140,6 +141,11 @@ use ticket::{Applied, PackedOutcome};
 /// useful backpressure point.
 pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
 
+/// Soft cap on operations per super-batch: a drain stops pulling new
+/// submissions once the group holds this many ops (the submission that
+/// crosses the cap is still taken whole — batches never split).
+const MAX_GROUP_OPS: usize = 4096;
+
 /// Front-end instrument handles, registered in the store's metrics
 /// registry when the store was built with observability
 /// (`BundledStore::with_obs`); absent otherwise, so the hot paths pay
@@ -150,7 +156,7 @@ struct IngestObs {
     queue_depth: obs::Histogram,
     /// Submitted ops per committed group.
     group_size: obs::Histogram,
-    /// Group fill as a percentage of [`IngestConfig::max_group_ops`]
+    /// Group fill as a percentage of [`MAX_GROUP_OPS`]
     /// (how close the linger/backlog gets groups to the soft cap).
     linger_occupancy_pct: obs::Histogram,
     /// Nanoseconds from a submission's enqueue to its ticket resolving.
@@ -182,10 +188,6 @@ pub struct IngestConfig {
     /// session; [`Ingest::committers`] reports the clamped count
     /// actually running.
     pub committers: usize,
-    /// Soft cap on operations per super-batch: a drain stops pulling new
-    /// submissions once the group holds this many ops (the submission
-    /// that crosses the cap is still taken whole — batches never split).
-    pub max_group_ops: usize,
     /// Extra epoch delay between waking on work and draining, letting a
     /// group grow beyond what accumulated naturally. Zero (the default)
     /// relies on commit-duration batching alone.
@@ -208,7 +210,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             committers: 2,
-            max_group_ops: 4096,
             linger: Duration::ZERO,
             max_queue_depth: 1024,
         }
@@ -362,7 +363,6 @@ struct Shared<K, V, S> {
     in_flight: AtomicU64,
     shutdown: AtomicBool,
     committers: usize,
-    max_group_ops: usize,
     linger: Duration,
     obs: Option<IngestObs>,
     groups: AtomicU64,
@@ -436,7 +436,6 @@ where
             in_flight: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             committers,
-            max_group_ops: cfg.max_group_ops.max(1),
             linger: cfg.linger,
             obs: store.obs_registry().map(IngestObs::new),
             groups: AtomicU64::new(0),
@@ -786,16 +785,15 @@ fn drain<K, V, S>(
 ) {
     let mut ops = 0usize;
     for i in 0..owned.len() {
-        if ops >= shared.max_group_ops {
+        if ops >= MAX_GROUP_OPS {
             break;
         }
         let shard = owned[(start + i) % owned.len()];
         // SAFETY: shard `s` is drained only by committer
         // `s % committers` (`owned` is exactly that partition), so
         // this thread is the ring's single consumer.
-        ops += unsafe {
-            shared.rings[shard].pop_run(shared.max_group_ops - ops, |sub| sub.ops.len(), subs)
-        };
+        ops +=
+            unsafe { shared.rings[shard].pop_run(MAX_GROUP_OPS - ops, |sub| sub.ops.len(), subs) };
     }
 }
 
@@ -899,7 +897,7 @@ fn commit_group<K, V, S>(
         let tid = handle.tid();
         o.group_size.record(tid, total_ops as u64);
         o.linger_occupancy_pct
-            .record(tid, (100 * total_ops / shared.max_group_ops) as u64);
+            .record(tid, (100 * total_ops / MAX_GROUP_OPS) as u64);
     }
     // Resolve, then wake: a thread parked on one of these tickets is
     // unparked only after the whole group's outcomes are stored, so it
@@ -1197,7 +1195,6 @@ mod tests {
                 committers: 1,
                 linger: Duration::from_millis(300),
                 max_queue_depth: 1,
-                ..IngestConfig::default()
             },
         );
         let t = ingest.submit(TxnOp::Put(10, 1));
@@ -1286,7 +1283,6 @@ mod tests {
                 committers: 1,
                 max_queue_depth: 1,
                 linger: Duration::from_millis(400),
-                ..IngestConfig::default()
             },
         ));
         let t = ingest.submit(TxnOp::Put(1, 1)); // fills the ring
@@ -1320,7 +1316,6 @@ mod tests {
                 committers: 1,
                 max_queue_depth: 2,
                 linger: Duration::from_millis(100),
-                ..IngestConfig::default()
             },
         );
         let mk = |base: u64| (0..4).map(|i| TxnOp::Put(base + i, i)).collect::<Vec<_>>();

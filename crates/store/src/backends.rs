@@ -77,11 +77,10 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     /// [`RqContext`]) observes the whole write batch or none of it.
     ///
     /// Protocol obligations of the caller:
-    /// * a pipeline that cannot abort to its caller (no read set: it must
-    ///   never meet a neighbour mid-prepare) has the shard to itself —
-    ///   the store's per-shard intents, taken exclusively, enforce this;
-    ///   read-write transactions share a shard and arbitrate through node
-    ///   locks, as they always have with the primitive operations;
+    /// * no exclusion beyond node locks: any number of tokens — read-write
+    ///   or write-only — may stage on one shard at once, next to the
+    ///   primitive operations; a token that meets a neighbour's lock gets
+    ///   a [`bundle::Conflict`];
     /// * every begun token is consumed by exactly one of
     ///   [`Self::txn_finalize`] or [`Self::txn_abort`];
     /// * on [`bundle::Conflict`] from any prepare, *all* shards' tokens are

@@ -24,9 +24,9 @@ use crate::TxnOp;
 /// A write-ahead group log attached to the commit pipeline.
 ///
 /// Implementations must be internally synchronized: `log_group` is called
-/// concurrently from every committing thread — also from several
-/// read-write transactions on one shard, which share its intent — and
-/// the log order it chooses is the replay order. That is always safe:
+/// concurrently from every committing thread — also from several commits
+/// on one shard, which only node locks arbitrate — and the log order it
+/// chooses is the replay order. That is always safe:
 /// two groups sharing a key or a pinned gap (a validated range, a no-op
 /// outcome) share a node lock that the first holds from its prepare to
 /// its finalize, across its `log_group` call, so the log has
@@ -46,7 +46,7 @@ pub trait CommitLog<K, V>: Send + Sync {
     ///   key).
     /// * `shards` — ascending indices of the shards the group wrote.
     ///
-    /// Called while the group's intents and node locks are held and its
+    /// Called while the group's node locks are held and its
     /// bundle entries are still pending; must not call back into the store.
     fn log_group(
         &self,

@@ -31,18 +31,18 @@
 //!   [`RangeQuerySet`] traits, so the whole benchmark harness can drive it
 //!   like any single structure.
 //! * [`BundledStore::apply_txn`] / [`TxnOp`] — **atomic cross-shard write
-//!   transactions**: per-shard intents in shard order (exclusive for
-//!   write-only batches; shared — intention mode — among the read-write
-//!   transactions of [`BundledStore::apply_rw_txn`]), the
-//!   backends' two-phase prepare (pending bundle entries under node
-//!   locks), one shared-clock advance, one commit timestamp for every
-//!   entry on every shard. The `txn` crate's `WriteTxn` is the ergonomic
+//!   transactions**: the backends' two-phase prepare (pending bundle
+//!   entries under node locks — the only arbiter between commits, as
+//!   between the paper's updates), one shared-clock advance, one commit
+//!   timestamp for every entry on every shard. The read-write
+//!   transactions of [`BundledStore::apply_rw_txn`] validate their reads
+//!   in the same pipeline. The `txn` crate's `WriteTxn` is the ergonomic
 //!   staging front-end.
 //! * [`BundledStore::apply_grouped`] — **group commit**: the same
 //!   pipeline driven by the `ingest` crate's committer threads, which
 //!   drain per-shard submission queues and publish a whole super-batch of
-//!   independently-submitted operations under **one** clock advance (the
-//!   per-shard intent locks are the hand-off point). Groups are counted
+//!   independently-submitted operations under **one** clock advance.
+//!   Groups are counted
 //!   separately in [`TxnStats`] so the clock amortization
 //!   (`group_commits / grouped_ops` advances per op) is measurable.
 //! * [`ShardBackend`] — what a structure must provide to back a shard:

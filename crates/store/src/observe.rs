@@ -13,9 +13,9 @@
 
 use obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-/// The five commit-pipeline stages in pipeline order; stage `i`'s wall
+/// The four commit-pipeline stages in pipeline order; stage `i`'s wall
 /// latency lands in the `store.pipeline.{stage}_ns` histogram.
-pub const PIPELINE_STAGES: [&str; 5] = ["intents", "prepare", "validate", "advance", "finalize"];
+pub const PIPELINE_STAGES: [&str; 4] = ["prepare", "validate", "advance", "finalize"];
 
 /// Instrument handles of one store (see the module docs). Fields are
 /// crate-internal: the recording sites live in `sharded.rs`.
@@ -25,7 +25,7 @@ pub(crate) struct StoreObs {
     /// Per-stage wall latency of the commit pipeline, nanoseconds, one
     /// sample per stage per attempt (a conflict retry re-samples the
     /// stages it re-runs). Indexed by [`PIPELINE_STAGES`].
-    pub(crate) stage_ns: [Histogram; 5],
+    pub(crate) stage_ns: [Histogram; 4],
     /// Committed transactions (groups included, once each).
     pub(crate) commits: Counter,
     /// Pipeline-internal retries after a staging lock race (phase 2).

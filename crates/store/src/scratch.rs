@@ -16,9 +16,9 @@
 //! that is already out (a second transaction opened on the same `tid`, a
 //! commit inside a commit) is simply built cold — never a panic.
 //!
-//! What cannot live here is anything that borrows the store (the intent
-//! guards, a snapshot's EBR pins) or whose type needs the store's backend
-//! bound to be named (the per-shard tokens): those sit in a
+//! What cannot live here is anything that borrows the store (a
+//! snapshot's EBR pins) or whose type needs the store's backend bound to
+//! be named (the per-shard tokens): those sit in a
 //! [`bundle::InlineStack`] on the frame of the call that owns them.
 
 use std::ops::Range;
@@ -42,8 +42,6 @@ pub(crate) struct CommitScratch {
     pub(crate) groups: Vec<(usize, Range<usize>)>,
     /// Shards the transaction writes, ascending.
     pub(crate) write_shards: Vec<usize>,
-    /// Shards it writes or validates reads on, ascending.
-    pub(crate) intent_shards: Vec<usize>,
     /// Per-op outcomes in caller order.
     pub(crate) results: Vec<bool>,
 }

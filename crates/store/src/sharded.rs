@@ -1,9 +1,7 @@
 //! The sharded store itself.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, TryLockResult,
-};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
@@ -19,12 +17,11 @@ use crate::observe::StoreObs;
 use crate::scratch::{CommitScratch, SessionScratch, TxnBufs, INLINE_SHARDS};
 use crate::snapshot::{ReadSet, TxnAborted};
 
-// [`StoreObs::stage_ns`] indexes of the five pipeline stages.
-const STAGE_INTENTS: usize = 0;
-const STAGE_PREPARE: usize = 1;
-const STAGE_VALIDATE: usize = 2;
-const STAGE_ADVANCE: usize = 3;
-const STAGE_FINALIZE: usize = 4;
+// [`StoreObs::stage_ns`] indexes of the four pipeline stages.
+const STAGE_PREPARE: usize = 0;
+const STAGE_VALIDATE: usize = 1;
+const STAGE_ADVANCE: usize = 2;
+const STAGE_FINALIZE: usize = 3;
 
 /// One write of a multi-key transaction (see [`BundledStore::apply_txn`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +55,9 @@ impl<K, V> TxnOp<K, V> {
 pub struct TxnStats {
     /// Transactions committed (group commits included — each counted once).
     pub commits: u64,
-    /// Prepare/validate rounds that lost a lock race, rolled back, and
-    /// retried internally.
+    /// Prepare/validate rounds that lost a node-lock race, rolled back,
+    /// backed off and retried internally — counted for every pipeline
+    /// kind (read-write, write-only batch, group).
     pub conflicts: u64,
     /// Read-write transactions aborted because a validated read went
     /// stale before commit (surfaced to the application as
@@ -77,10 +75,6 @@ pub struct TxnStats {
     /// `group_commits / grouped_ops` the clock advances per grouped op —
     /// the amortization the ingestion front-end exists to deliver).
     pub grouped_ops: u64,
-    /// Read-write commits that lost three lock races in a row and took
-    /// their write shards' intents exclusively to get through (each commit
-    /// counted once).
-    pub intent_escalations: u64,
 }
 
 /// Outcome of one committed group ([`BundledStore::apply_grouped`]).
@@ -94,64 +88,45 @@ pub struct GroupReceipt {
     pub ts: u64,
 }
 
-/// One acquired per-shard intent of a committing pipeline, in the mode
-/// the table on [`BundledStore`]'s `intents` field assigns it. Held purely
-/// for its RAII release.
-#[allow(dead_code)]
-enum IntentGuard<'a> {
-    Shared(RwLockReadGuard<'a, ()>),
-    Exclusive(RwLockWriteGuard<'a, ()>),
+// The backoff after a commit's `attempt`-th lost node-lock race in a row
+// (from 0). Measured on a 2-vCPU x86-64 box: the first `BACKOFF_SPINS`
+// attempts spin `1 << attempt` hints and yield once, ~9 us in all, about
+// one contended section (6–14 us for a 4-key read-modify-write on
+// Citrus), which outwaits a neighbour that is only staging. One still
+// there is long — parked across an fsync, or descheduled — and spinning
+// only burns the core it needs, so later attempts sleep, doubling from
+// `BACKOFF_SLEEP_MIN` (~106 us actual with the kernel's timer slack, the
+// order of one fsync) to `BACKOFF_SLEEP_MAX` (~1.07 ms): a waiter
+// outlives its neighbour by about that much at most.
+const BACKOFF_SPINS: u32 = 8;
+const BACKOFF_SLEEP_MIN: Duration = Duration::from_micros(50);
+const BACKOFF_SLEEP_MAX: Duration = Duration::from_millis(1);
+
+/// The sleep after the `attempt`-th lost race in a row; `None` while the
+/// commit still spins and yields instead.
+fn backoff_sleep(attempt: u32) -> Option<Duration> {
+    let doublings = attempt.checked_sub(BACKOFF_SPINS)?;
+    let sleep = BACKOFF_SLEEP_MIN.saturating_mul(1 << doublings.min(16));
+    Some(sleep.min(BACKOFF_SLEEP_MAX))
 }
 
-/// `try_*` attempts (one `spin_loop` hint each) an intent waiter makes
-/// on-core before it starts yielding. Measured on the 2-vCPU reference
-/// box: one failed `try_write` + hint is ~16 ns, and the section a
-/// contended holder keeps the intents for (prepare + validate + advance +
-/// finalize of a 4-key read-modify-write on Citrus) is 6–14 us, so 4096
-/// attempts (~65 us) outwait a handful of back-to-back sections — while
-/// one futex sleep costs the 60–170 us the box needs to wake a thread,
-/// several sections' worth of idle lock.
-const INTENT_SPINS: u32 = 4096;
-
-/// `yield_now` rounds (~0.25 us each when nothing else is runnable, a
-/// scheduler quantum when the holder was preempted and needs the core)
-/// after the spin phase and before the waiter parks in the blocking
-/// `read()`/`write()`. A holder still there after both phases is a long
-/// one — an fsync under `SyncPolicy::Always`, a descheduled thread — and
-/// sleeping is the right way to wait for it.
-const INTENT_YIELDS: u32 = 64;
-
-/// The `Conflict` retry of one commit from which a pipeline *with a read
-/// set* stops sharing its write shards' intents and takes them
-/// exclusively (see the mode table on [`BundledStore`]'s `intents`
-/// field). Two lost races are ordinary — the exponential backoff usually
-/// separates the contenders — and cost a few microseconds each; a third
-/// in a row means the commit keeps meeting the same neighbour, and
-/// waiting once for an exclusive intent bounds what further retries could
-/// cost. A constant, not a setting: liveness needs *some* finite value,
-/// and lock races are rare enough (under 0.1 per commit on the contended
-/// benchmark) that its exact size does not show.
-const INTENT_ESCALATION_RETRY: u32 = 3;
-
-/// Acquire one intent: bounded spin, bounded yield, then block. `try_it`
-/// is the lock's `try_read`/`try_write`, `block` its `read`/`write`; a
-/// poisoned lock is taken over (the `()` it guards cannot be corrupt).
-fn acquire_intent<G>(try_it: impl Fn() -> TryLockResult<G>, block: impl FnOnce() -> G) -> G {
-    for round in 0..INTENT_SPINS + INTENT_YIELDS {
-        match try_it() {
-            Ok(guard) => return guard,
-            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
-            Err(TryLockError::WouldBlock) if round < INTENT_SPINS => std::hint::spin_loop(),
-            Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+/// Back off after the `attempt`-th lost race in a row.
+fn backoff(attempt: u32) {
+    match backoff_sleep(attempt) {
+        Some(sleep) => std::thread::sleep(sleep),
+        None => {
+            for _ in 0..1u32 << attempt {
+                std::hint::spin_loop();
+            }
+            std::thread::yield_now();
         }
     }
-    block()
 }
 
 /// The transaction path's monotonic counters ([`TxnStats`]), kept on a
 /// cache line of their own: every commit bumps two or three of them, and
-/// next to the intent locks they would invalidate the lock words of
-/// commits on unrelated shards.
+/// next to the store's read-mostly fields (shards, splits, context) they
+/// would invalidate the line every operation reads.
 #[derive(Default)]
 struct TxnCounters {
     commits: AtomicU64,
@@ -160,7 +135,6 @@ struct TxnCounters {
     read_set: AtomicU64,
     group_commits: AtomicU64,
     grouped_ops: AtomicU64,
-    intent_escalations: AtomicU64,
 }
 
 /// Dense-tid session allocator state (see [`StoreHandle`]).
@@ -196,6 +170,13 @@ pub fn uniform_splits(shards: usize, key_range: u64) -> Vec<u64> {
 ///   the underlying structure; different shards never contend on locks or
 ///   structure memory (the clock is the only shared word, identical to a
 ///   single structure of the same total size).
+/// * Multi-key commits ([`BundledStore::apply_rw_txn`],
+///   [`BundledStore::apply_txn`], [`BundledStore::apply_grouped`]) take
+///   no store-level lock either: like the paper's updates (Algorithm 1)
+///   and the primitive operations beside them, they stage under the locks
+///   of the nodes they change or pin. Node locks are the only arbiter
+///   between commits; a commit that loses a race rolls back, backs off
+///   and retries.
 ///
 /// Thread identifiers: the store supports `max_threads` dense thread ids,
 /// passed through to every shard (each shard's EBR collector registers the
@@ -210,44 +191,6 @@ pub struct BundledStore<K, V, S> {
     /// block on the condvar when all slots are in use.
     tids: Mutex<TidPool>,
     tid_freed: Condvar,
-    /// Per-shard **intent** locks, taken by every commit pipeline on every
-    /// shard it touches, in ascending shard order (deadlock-free by
-    /// ordering, whatever the mode mix); single-key operations never touch
-    /// them. The mode depends on whether the pipeline can abort to its
-    /// caller:
-    ///
-    /// | pipeline | shards it writes | shards it only reads |
-    /// |---|---|---|
-    /// | read set (`apply_rw_txn`: read-write, read-only) | **shared** | shared |
-    /// | … from its third `Conflict` retry ([`INTENT_ESCALATION_RETRY`]) | **exclusive** | shared |
-    /// | no read set (`apply_txn`, `apply_grouped`) | **exclusive** | — |
-    ///
-    /// *Shared* is an intention lock: any number of read-write
-    /// transactions prepare, validate and commit on one shard at once, and
-    /// the node locks they take anyway arbitrate between them — exactly as
-    /// node locks already arbitrate between a transaction and the
-    /// primitive `insert` / `remove`, which take no intent at all. A
-    /// transaction that meets a neighbour on a node gets a `Conflict`,
-    /// rolls back and retries (it is the optimistic kind and can always do
-    /// that); the soundness argument is on
-    /// [`BundledStore::apply_rw_txn`]. *Exclusive* is what a bulk pipeline
-    /// needs, because it cannot abort: a group never meets a transaction
-    /// (or another group) mid-prepare on a shard, so its hundreds of staged
-    /// ops are not rolled back because a neighbour holds one node (only a
-    /// primitive operation can still make it retry). Escalation is the
-    /// liveness backstop: a read-write commit that keeps losing races ends
-    /// up alone on its write shards.
-    ///
-    /// A waiter first spins on `try_write`/`try_read`, then yields, and
-    /// only then parks in the blocking acquire ([`acquire_intent`]): the
-    /// section an exclusive holder keeps an intent for is microseconds,
-    /// far shorter than a kernel wake-up, while a holder that fsyncs or
-    /// was descheduled is still slept on. Each lock sits on its own cache
-    /// line. These locks are also the hand-off point of the `ingest`
-    /// front-end: a committer thread presents a whole drained queue as one
-    /// [`BundledStore::apply_grouped`] super-batch, paying each shard's
-    /// intent acquisition once per *group* instead of once per operation.
-    intents: Box<[CachePadded<RwLock<()>>]>,
     /// Round-robin cursor of the chunked bundle recycler.
     recycle_cursor: AtomicUsize,
     counters: CachePadded<TxnCounters>,
@@ -288,10 +231,6 @@ where
             .map(|_| S::build(max_threads, mode, &ctx))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let intents = (0..shards.len())
-            .map(|_| CachePadded::new(RwLock::new(())))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         BundledStore {
             shards,
             splits: splits.into_boxed_slice(),
@@ -302,7 +241,6 @@ where
                 free: Vec::new(),
             }),
             tid_freed: Condvar::new(),
-            intents,
             recycle_cursor: AtomicUsize::new(0),
             counters: CachePadded::new(TxnCounters::default()),
             scratch: SessionScratch::new(max_threads),
@@ -498,29 +436,17 @@ where
     ///
     /// Protocol — an explicit **prepare → validate → advance-clock →
     /// finalize** pipeline (generalizing Algorithm 1 from one structure
-    /// to N shards, now with OCC-style read validation):
+    /// to N shards, now with OCC-style read validation) that, like the
+    /// paper's updates, synchronizes only through node locks and the one
+    /// clock:
     ///
-    /// 1. **intents**: acquire the intent lock of every involved shard in
-    ///    ascending shard order (deadlock-free by ordering). A pipeline
-    ///    with a read set — this one — takes all of them **shared**: it can
-    ///    abort to its caller, so it runs next to other transactions on
-    ///    the same shard and lets node locks arbitrate (see below). A
-    ///    pipeline without one ([`BundledStore::apply_txn`],
-    ///    [`BundledStore::apply_grouped`]) cannot abort and takes its write
-    ///    shards **exclusively**. From its third `Conflict` retry a
-    ///    read-write commit **escalates**: it takes the shards it writes
-    ///    exclusively too ([`TxnStats::intent_escalations`]), so it cannot
-    ///    lose races forever. A waiter spins on the `try_` acquire for a
-    ///    bounded number of rounds, then yields a bounded number of times,
-    ///    and only then parks in the blocking acquire — an exclusive
-    ///    section is microseconds long, a kernel sleep and wake-up costs
-    ///    several, whereas a holder that is fsyncing or was descheduled is
-    ///    still slept on;
-    /// 2. **prepare**: stage every write through the backend's two-phase
-    ///    surface — structural changes apply eagerly under node locks,
-    ///    bundle entries stay *pending*, per-key pre/post images are
-    ///    recorded for the validate phase;
-    /// 3. **validate**: check every recorded read against the live
+    /// 1. **prepare**: stage every write through the backend's two-phase
+    ///    surface, one key-sorted cursor per shard — structural changes
+    ///    apply eagerly under node locks, bundle entries stay *pending*,
+    ///    per-key pre/post images are recorded for the validate phase. A
+    ///    node lock a neighbour holds (a commit of any kind, or a primitive
+    ///    operation) is a [`Conflict`];
+    /// 2. **validate**: check every recorded read against the live
     ///    structure ([`ShardBackend::txn_validate`]) and pin it until
     ///    finalize. A single-key read of a key the transaction also
     ///    *writes* — every read of a read-modify-write — is already
@@ -537,65 +463,76 @@ where
     ///    compared by node identity against the recorded read reconciled
     ///    with the transaction's own staged writes. A stale read aborts
     ///    the whole transaction to the caller ([`TxnAborted`]); a lock
-    ///    race rolls back and retries internally with backoff, like any
-    ///    prepare conflict;
-    /// 4. **advance-clock**: read the shared clock **once**
+    ///    race is a [`Conflict`], like any prepare conflict;
+    /// 3. **advance-clock**: read the shared clock **once**
     ///    ([`RqContext::advance`]) — the transaction's serialization
     ///    point. The validated reads hold *at this timestamp* because
-    ///    every lock acquired in steps 2–3 is still held. (A read-only
-    ///    transaction stages no pending entries and skips the advance:
-    ///    its serialization point is the validation window itself.)
-    /// 5. **finalize**: publish every pending entry on every shard with
+    ///    every lock acquired in steps 1–2 is still held;
+    /// 4. **finalize**: publish every pending entry on every shard with
     ///    that single timestamp and release all locks.
     ///
-    /// A snapshot fixed before step 4 sees none of the batch; one fixed
+    /// A snapshot fixed before step 3 sees none of the batch; one fixed
     /// after sees all of it. On abort (conflict or stale read) every
-    /// staged entry is neutralized — invisible at every timestamp.
+    /// staged entry is neutralized — invisible at every timestamp. A
+    /// [`Conflict`] rolls every shard back and retries after a backoff
+    /// that spins, then sleeps up to a cap, so a neighbour parked across
+    /// an fsync is waited out, not spun against.
+    ///
+    /// A transaction with reads and no writes skips the pipeline: every
+    /// read was a bundle read at the leased timestamp ([`ReadSet::ts`]),
+    /// which lies inside the transaction's real-time interval, so it
+    /// commits there — no lock, no walk, no abort. (A relaxed clock, Fig. 5,
+    /// would let an update share that timestamp; a store never builds one,
+    /// which is debug-asserted.)
     ///
     /// # Why sharing a shard is sound
     ///
-    /// Under shared intents a neighbour's writes are staged — applied
-    /// eagerly, not yet committed, possibly about to be rolled back — in
-    /// the same structure this transaction prepares in and validates
-    /// against. Four things keep that safe; the first is not new.
+    /// Read-write transactions, write-only batches
+    /// ([`BundledStore::apply_txn`]) and groups
+    /// ([`BundledStore::apply_grouped`]) stage in one structure at once,
+    /// next to the primitive operations, so a neighbour's writes may be
+    /// staged — applied eagerly, uncommitted, possibly about to roll back
+    /// — where this pipeline prepares and validates. A write-only pipeline
+    /// stages through the same cursors and holds the same pinning locks as
+    /// a read-write one; it only validates nothing. Four things keep every
+    /// kind safe; the first is not new.
     ///
     /// * **Prepare.** Every staging seek locks the node that pins its
     ///   key's state (bounded `try_lock`, [`Conflict`] on contention) and
     ///   re-checks the position under that lock, because primitive
-    ///   `insert` / `remove` have always run next to a preparing
-    ///   transaction without any intent. A neighbour's staged change to a
-    ///   key holds that same pinning lock until it finalizes or aborts, so
-    ///   a seek either conflicts with it or finds the key in a committed
-    ///   state — which is also why the covered-read shortcut of step 3
-    ///   still compares against a committed `pre` image.
+    ///   `insert` / `remove` have always run next to a preparing pipeline.
+    ///   A neighbour's staged change to a key holds that same pinning lock
+    ///   until it finalizes or aborts, so a seek either conflicts with it
+    ///   or finds the key in a committed state — which is also why the
+    ///   covered-read shortcut of step 2 still compares against a
+    ///   committed `pre` image.
     /// * **A passing validation saw no uncommitted change.** Validation
     ///   passes only when the under-lock walk finds exactly the recorded
     ///   nodes (reconciled with this transaction's own writes), and on
     ///   passing it holds the range's gap predecessor — in the tree, both
     ///   in-order boundary neighbours — and every in-range node locked. A
-    ///   neighbour's staged insert into the range is a node in that walk
-    ///   whose lock the neighbour holds: `Conflict`. A neighbour's staged
-    ///   remove holds, besides its victim, the victim's in-order neighbour
-    ///   (the chain predecessor; in the tree the gap pin a staged remove
-    ///   takes since PR 13), which is an in-range node or one of the
-    ///   boundary pins: `Conflict`. And where a lock happens to be free
-    ///   again the comparison is by identity: a victim that is missing, a
-    ///   relocated copy or a fresh node that was never recorded is a
-    ///   mismatch and aborts as [`TxnAborted`] — spurious if the
-    ///   neighbour then rolls back, but safe. No interleaving turns a
-    ///   foreign staged change into a *pass*.
-    /// * **A neighbour's abort is not a new kind of update.** Rolling back
-    ///   puts unlinked nodes back and un-marks them — something no
-    ///   primitive operation does, and which used to happen only in the
-    ///   aborting transaction's own shard-exclusive section. In the chains
-    ///   every link validates adjacency under its locks, so a restored node
-    ///   is simply seen. In the tree a restored node narrows the key
-    ///   interval of an empty slot that itself does not change, which no
-    ///   mark shows; the Citrus backend dates every search with a revert
-    ///   epoch and re-checks it under the locks (its `reverts` field has
-    ///   the argument).
+    ///   neighbour's staged insert into the range, from a pipeline of any
+    ///   kind, is a node in that walk whose lock the neighbour holds:
+    ///   `Conflict`. A neighbour's staged remove holds, besides its
+    ///   victim, the victim's in-order neighbour (the chain predecessor;
+    ///   in the tree the gap pin of a staged remove), which is an
+    ///   in-range node or one of the boundary pins: `Conflict`. And where
+    ///   a lock happens to be free again the comparison is by identity: a
+    ///   victim that is missing, a relocated copy or a fresh node that was
+    ///   never recorded is a mismatch and aborts as [`TxnAborted`] —
+    ///   spurious if the neighbour then rolls back, but safe. No
+    ///   interleaving turns a foreign staged change into a *pass*.
+    /// * **A neighbour's abort is dated.** Rolling back puts unlinked
+    ///   nodes back and un-marks them — something no primitive operation
+    ///   does, and which any pipeline kind does after a lost race. In the
+    ///   chains every link validates adjacency under its locks, so a
+    ///   restored node is simply seen. In the tree a restored node narrows
+    ///   the key interval of an empty slot that itself does not change,
+    ///   which no mark shows; the Citrus backend dates every search with a
+    ///   revert epoch and re-checks it under the locks (its `reverts`
+    ///   field has the argument).
     /// * **The log orders what needs ordering.** Commits on one shard may
-    ///   now reach [`crate::CommitLog::log_group`] out of timestamp order.
+    ///   reach [`crate::CommitLog::log_group`] out of timestamp order.
     ///   Two commits that share a key, or a gap one of them pinned (a
     ///   validated range, a no-op outcome), share a node lock that the
     ///   first holds from its prepare to its finalize — across its log
@@ -613,8 +550,8 @@ where
 
     /// [`BundledStore::apply_rw_txn`] additionally returning the commit
     /// timestamp — the single shared-clock value every write of the
-    /// transaction published at (for a read-only transaction, the clock
-    /// value its validation window closed over).
+    /// transaction published at (for a read-only transaction, the leased
+    /// timestamp its reads were answered at).
     pub fn apply_rw_txn_ts(
         &self,
         tid: usize,
@@ -638,33 +575,24 @@ where
         reads: &ReadSet<K>,
         receipt: impl FnOnce(&[bool], u64) -> R,
     ) -> Result<R, TxnAborted> {
-        let sorted = ops.windows(2).all(|w| w[0].key() < w[1].key());
-        self.commit_with(tid, ops, reads, sorted, receipt)
-    }
-
-    /// Plan (on the session's warm [`CommitScratch`]), run the pipeline,
-    /// lend the outcomes to `receipt`. `sorted` = `ops` is already
-    /// strictly ascending by key.
-    fn commit_with<R>(
-        &self,
-        tid: usize,
-        ops: &[TxnOp<K, V>],
-        reads: &ReadSet<K>,
-        sorted: bool,
-        receipt: impl FnOnce(&[bool], u64) -> R,
-    ) -> Result<R, TxnAborted> {
-        if ops.is_empty() && reads.is_empty() {
-            return Ok(receipt(&[], self.ctx.read()));
+        if ops.is_empty() {
+            // Read-only: commits at its lease (see `apply_rw_txn`), which
+            // is only a serialization point if no update shares it.
+            debug_assert_eq!(
+                self.ctx.clock().threshold(),
+                1,
+                "a relaxed clock repeats timestamps"
+            );
+            return Ok(receipt(&[], reads.ts().unwrap_or_else(|| self.ctx.read())));
         }
+        // Plan on the session's warm scratch, in key order regardless of
+        // the caller's op order: each shard's run stages through one
+        // forward-moving cursor, and the plan visits each shard once.
+        // `order` maps sorted position -> caller position.
         let mut plan = self.scratch.take_commit(tid);
-        // Work in key order regardless of the caller's op order: the
-        // intent acquisition is only deadlock-free (and only visits each
-        // shard once) when shards are taken in ascending order, so an
-        // unsorted batch must never reach it. `order` maps sorted
-        // position -> caller position.
         plan.order.clear();
         plan.order.extend(0..ops.len());
-        if !sorted {
+        if !ops.windows(2).all(|w| w[0].key() < w[1].key()) {
             plan.order.sort_by(|&a, &b| ops[a].key().cmp(ops[b].key()));
             assert!(
                 plan.order
@@ -687,12 +615,12 @@ where
     /// advance**.
     ///
     /// This runs exactly the [`BundledStore::apply_rw_txn`] pipeline
-    /// (intents → prepare → advance-clock → finalize; there are no reads
-    /// to validate, so commit cannot abort — and therefore takes its
-    /// intents exclusively), but with the planning phase hoisted out:
-    /// `ops` must already be in strictly ascending key order — the
-    /// committer's per-key fold produces that for free — and the call is
-    /// accounted as a *group* ([`TxnStats::group_commits`] /
+    /// (prepare → advance-clock → finalize; there are no reads to
+    /// validate, so commit cannot abort to the caller — a lost node-lock
+    /// race rolls back and retries), but `ops` must already be in strictly
+    /// ascending key order — the committer's per-key fold produces that
+    /// for free — and the call is accounted as a *group*
+    /// ([`TxnStats::group_commits`] /
     /// [`TxnStats::grouped_ops`]), which is what makes the clock
     /// amortization measurable (`group_commits / grouped_ops` advances
     /// per op).
@@ -703,7 +631,8 @@ where
     /// the fold that produced `ops`, and each submitter's ticket carries
     /// its own op's outcome. Conflicting writes from *outside* the group
     /// (primitive ops, transactions, other groups) serialize against it
-    /// through the per-shard intent locks and node locks as usual.
+    /// through node locks, as every commit does (see "Why sharing a shard
+    /// is sound" on [`BundledStore::apply_rw_txn`]).
     ///
     /// # Panics
     ///
@@ -717,11 +646,9 @@ where
              (the ingest fold produces this order)"
         );
         let receipt = self
-            .commit_with(tid, ops, &ReadSet::new(), true, |applied, ts| {
-                GroupReceipt {
-                    applied: applied.to_vec(),
-                    ts,
-                }
+            .apply_rw_txn_with(tid, ops, &ReadSet::new(), |applied, ts| GroupReceipt {
+                applied: applied.to_vec(),
+                ts,
             })
             .expect("a group has no read set and cannot fail validation");
         if ops.is_empty() {
@@ -736,18 +663,17 @@ where
 
     /// The shared commit pipeline behind [`BundledStore::apply_rw_txn`],
     /// [`BundledStore::apply_txn`] and [`BundledStore::apply_grouped`]:
-    /// intents → prepare → validate → advance-clock → finalize, with the
-    /// key sorting and duplicate rejection already done by the caller
-    /// (`plan.order` maps sorted position → caller position). Each
-    /// shard's key-sorted run stages through one prepare cursor
-    /// ([`ShardBackend::txn_cursor`] — one root descent plus short
-    /// forward walks per shard). Returns the commit timestamp; the per-op
-    /// outcomes are in `plan.results`.
+    /// prepare → validate → advance-clock → finalize, with the key
+    /// sorting and duplicate rejection already done by the caller
+    /// (`plan.order` maps sorted position → caller position) and at
+    /// least one write. Each shard's key-sorted run stages through one
+    /// prepare cursor ([`ShardBackend::txn_cursor`] — one root descent
+    /// plus short forward walks per shard). Returns the commit timestamp;
+    /// the per-op outcomes are in `plan.results`.
     ///
     /// Allocation-free on warm buffers: the plan lives in `plan`, and the
-    /// two lists that cannot — the intent guards borrow the store, the
-    /// tokens' type needs the backend bound — are [`InlineStack`]s on
-    /// this frame.
+    /// tokens, whose type needs the backend bound, in an [`InlineStack`]
+    /// on this frame.
     fn commit_pipeline(
         &self,
         tid: usize,
@@ -755,11 +681,11 @@ where
         reads: &ReadSet<K>,
         plan: &mut CommitScratch,
     ) -> Result<u64, TxnAborted> {
+        debug_assert!(!ops.is_empty(), "a read-only commit needs no pipeline");
         let CommitScratch {
             order,
             groups,
             write_shards,
-            intent_shards,
             results,
         } = plan;
         // Contiguous per-shard runs over the sorted order (shards
@@ -772,62 +698,28 @@ where
                 _ => groups.push((shard, i..i + 1)),
             }
         }
-        // Intent set: every shard the transaction writes or validates,
-        // ascending.
         write_shards.clear();
         write_shards.extend(groups.iter().map(|(s, _)| *s));
-        intent_shards.clear();
-        intent_shards.extend_from_slice(write_shards);
-        intent_shards.extend(reads.iter().map(|r| r.shard));
-        intent_shards.sort_unstable();
-        intent_shards.dedup();
         self.counters
             .read_set
             .fetch_add(reads.size() as u64, Ordering::Relaxed);
         results.clear();
         results.resize(ops.len(), false);
 
-        // A pipeline with a read set can abort to its caller, so it
-        // shares its shards; one without cannot, and owns them.
-        let optimistic = !reads.is_empty();
-        let mut intents: InlineStack<IntentGuard<'_>, INLINE_SHARDS> = InlineStack::new();
+        // Only a pipeline with a read set validates, and only validation
+        // reads the staged images.
+        let validates = !reads.is_empty();
         let mut prepared: InlineStack<(usize, S::Txn), INLINE_SHARDS> = InlineStack::new();
         let mut attempt = 0u32;
         loop {
             let t = self.obs_now();
-            // Phase 1: intents over every involved shard, in ascending
-            // shard order (deadlock-free regardless of mode mix); each
-            // one spins, then yields, then blocks (`acquire_intent`).
-            let escalated = optimistic && attempt >= INTENT_ESCALATION_RETRY;
-            if escalated && attempt == INTENT_ESCALATION_RETRY && !groups.is_empty() {
-                self.counters
-                    .intent_escalations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            for s in intent_shards.iter() {
-                let lock = &*self.intents[*s];
-                let exclusive = (!optimistic || escalated) && write_shards.binary_search(s).is_ok();
-                intents.push(if exclusive {
-                    IntentGuard::Exclusive(acquire_intent(
-                        || lock.try_write(),
-                        || lock.write().unwrap_or_else(|p| p.into_inner()),
-                    ))
-                } else {
-                    IntentGuard::Shared(acquire_intent(
-                        || lock.try_read(),
-                        || lock.read().unwrap_or_else(|p| p.into_inner()),
-                    ))
-                });
-            }
-            let t = self.obs_stage(STAGE_INTENTS, tid, t);
-            // Phase 2: prepare every write.
+            // Phase 1: prepare every write, shard by shard, under the
+            // node locks the cursors take.
             let mut failure = None;
             let mut prepare_conflict = false;
             'prepare: for (shard, range) in groups.iter() {
                 let backend = &self.shards[*shard];
-                // Write-only pipelines (plain batches, group commits)
-                // skip the staged-image bookkeeping only validation reads.
-                let txn = if optimistic {
+                let txn = if validates {
                     backend.txn_begin(tid)
                 } else {
                     backend.txn_begin_write_only(tid)
@@ -843,7 +735,7 @@ where
                 prepared.push((*shard, txn));
             }
             let t = self.obs_stage(STAGE_PREPARE, tid, t);
-            // Phase 3: validate every recorded read, after all of this
+            // Phase 2: validate every recorded read, after all of this
             // transaction's writes have staged.
             let validate_ran = failure.is_none();
             if failure.is_none() {
@@ -875,12 +767,11 @@ where
                 while let Some((s, txn)) = prepared.pop() {
                     self.shards[s].txn_abort(txn);
                 }
-                intents.clear();
                 match e {
                     TxnValidateError::Conflict => {
                         // Lock race: retry the whole transaction after a
-                        // bounded backoff. The recorded reads may still be
-                        // valid — only the walk lost a race.
+                        // backoff. The recorded reads may still be valid
+                        // — only the walk lost a race.
                         self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
                         if let Some(o) = &self.obs {
                             if prepare_conflict {
@@ -889,10 +780,7 @@ where
                                 o.conflicts_validate.incr(tid);
                             }
                         }
-                        for _ in 0..(1u32 << attempt.min(10)) {
-                            std::hint::spin_loop();
-                        }
-                        std::thread::yield_now();
+                        backoff(attempt);
                         attempt = attempt.saturating_add(1);
                         continue;
                     }
@@ -909,16 +797,8 @@ where
                     }
                 }
             }
-            // Phase 4: the transaction's single serialization timestamp.
-            // Read-only transactions have no pending entries to stamp and
-            // must not advance the clock (an abort-equivalent no-op for
-            // every observer); their serialization point is the validation
-            // window, during which every read was re-checked and locked.
-            let ts = if groups.is_empty() {
-                self.ctx.read()
-            } else {
-                self.ctx.advance(tid)
-            };
+            // Phase 3: the transaction's single serialization timestamp.
+            let ts = self.ctx.advance(tid);
             let t = self.obs_stage(STAGE_ADVANCE, tid, t);
             // Durability hook: log (and per sync policy, fsync) the group
             // *before* any bundle entry is finalized. Concurrent readers
@@ -930,12 +810,10 @@ where
             // commits sharing a key or a pinned gap share a node lock
             // held across this call, so the log has them in timestamp
             // order; all other pairs commute under replay.
-            if !groups.is_empty() {
-                if let Some(log) = &self.commit_log {
-                    log.log_group(tid, ts, ops, order, results, write_shards);
-                }
+            if let Some(log) = &self.commit_log {
+                log.log_group(tid, ts, ops, order, results, write_shards);
             }
-            // Phase 5: release every snapshot spinning on the pendings
+            // Phase 4: release every snapshot spinning on the pendings
             // (and every validation lock).
             while let Some((s, txn)) = prepared.pop() {
                 self.shards[s].txn_finalize(txn, ts);
@@ -1094,7 +972,6 @@ where
             read_set_size: c.read_set.load(Ordering::Relaxed),
             group_commits: c.group_commits.load(Ordering::Relaxed),
             grouped_ops: c.grouped_ops.load(Ordering::Relaxed),
-            intent_escalations: c.intent_escalations.load(Ordering::Relaxed),
         }
     }
 
@@ -1603,7 +1480,7 @@ mod tests {
         let s = SkipListStore::<u64, u64>::new(1, uniform_splits(4, 400));
         s.insert(0, 50, 5);
         // Unsorted, with two keys in the same shard (10 and 50): internal
-        // key-ordering must still take each shard's intent exactly once.
+        // key-ordering must still stage each shard's run exactly once.
         let ops = vec![
             TxnOp::Put(350, 35),
             TxnOp::Remove(50),
@@ -1678,12 +1555,19 @@ mod tests {
         assert_eq!(err, Err(TxnAborted), "{label}: phantom must abort");
         assert!(!s.contains(0, &399), "{label}");
 
-        // Read-only transaction: validates without advancing the clock.
-        let clock = s.context().read();
+        // Read-only transaction: commits at its lease, even after the key
+        // it read changed, without advancing the clock.
         let mut reads = ReadSet::new();
         let snap = s.snapshot(0);
         assert_eq!(snap.get_recorded(&300, &mut reads), Some(3));
-        assert_eq!(s.apply_rw_txn(0, &[], &reads), Ok(Vec::new()), "{label}");
+        assert_eq!(reads.ts(), Some(snap.ts()), "{label}");
+        s.remove(1, &300);
+        let clock = s.context().read();
+        assert_eq!(
+            s.apply_rw_txn_ts(0, &[], &reads),
+            Ok((Vec::new(), snap.ts())),
+            "{label}"
+        );
         drop(snap);
         assert_eq!(
             s.context().read(),
@@ -1862,133 +1746,62 @@ mod tests {
         writer.join().unwrap();
     }
 
-    /// Pipelines with a read set take *shared* intents: many concurrent
-    /// read-only validations and a read-write writer on the same shard
-    /// all commit, next to a write-only batch whose exclusive intent
-    /// interleaves with theirs without deadlock or lost writes.
+    /// A read-only transaction commits at its lease: no lock, no abort and
+    /// no commit counted, while write-only batches and a read-write
+    /// counter rewrite the keys it read, on the same shard.
     #[test]
-    fn read_only_validations_share_the_intent_lock() {
+    fn read_only_commits_return_their_lease_beside_writers() {
         const READERS: usize = 4;
-        let s = Arc::new(SkipListStore::<u64, u64>::new(
-            READERS + 2,
-            uniform_splits(2, 100),
-        ));
-        s.insert(0, 10, 1);
+        let s = Arc::new(SkipListStore::<u64, u64>::new(READERS + 2, vec![50]));
+        s.insert(0, 10, 0);
         s.insert(0, 30, 0);
-        s.insert(0, 60, 6);
-        let readers: Vec<_> = (0..READERS)
-            .map(|r| {
+        // Threads 1..=READERS read key 10 and the range over key 30; the
+        // last one is the read-write counter on key 30.
+        let threads: Vec<_> = (1..=READERS + 1)
+            .map(|tid| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    let tid = r + 1;
+                    let (mut last, mut out) = (0, Vec::new());
                     for _ in 0..200 {
-                        let mut reads = ReadSet::new();
-                        let snap = s.snapshot(tid);
-                        let v = snap.get_recorded(&10, &mut reads);
-                        let ok = s.apply_rw_txn(tid, &[], &reads).is_ok();
-                        drop(snap);
-                        // The key is never touched, so validation always
-                        // holds and the read is always current.
-                        assert!(ok, "uncontended read-only validation aborted");
-                        assert_eq!(v, Some(1));
+                        let (mut reads, snap) = (ReadSet::new(), s.snapshot(tid));
+                        if tid > READERS {
+                            let v = snap.get_recorded(&30, &mut reads).unwrap();
+                            let done = s.apply_rw_txn(tid, &[TxnOp::Set(30, v + 1)], &reads);
+                            assert_eq!(done, Ok(vec![true]), "nobody else writes key 30");
+                            continue;
+                        }
+                        let v = snap.get_recorded(&10, &mut reads).unwrap();
+                        snap.range_recorded(&0, &49, &mut out, &mut reads);
+                        let committed = s.apply_rw_txn_ts(tid, &[], &reads);
+                        assert_eq!(committed, Ok((Vec::new(), snap.ts())));
+                        assert!(v >= last, "a later lease saw an older value");
+                        last = v;
                     }
                 })
             })
             .collect();
-        // A read-write counter on a third key of the shard: shared too.
-        let counter = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                let tid = READERS + 1;
-                for _ in 0..200 {
-                    let mut reads = ReadSet::new();
-                    let snap = s.snapshot(tid);
-                    let v = snap.get_recorded(&30, &mut reads).unwrap();
-                    let done = s.apply_rw_txn(tid, &[TxnOp::Set(30, v + 1)], &reads);
-                    drop(snap);
-                    assert_eq!(done, Ok(vec![true]), "nobody else writes key 30");
-                }
-            })
-        };
-        // A concurrent write-only batch on yet another key of the shard.
-        for i in 0..200u64 {
-            s.apply_txn(0, &[TxnOp::Set(60, i)]);
+        for i in 1..=200u64 {
+            s.apply_txn(0, &[TxnOp::Set(10, i)]);
         }
-        // Every thread finishing is the no-deadlock half; the threads
-        // assert their own commits.
-        for r in readers {
-            r.join().unwrap();
-        }
-        counter.join().unwrap();
-        // No write lost by either writer.
-        assert_eq!(s.get(0, &60), Some(199));
-        assert_eq!(s.get(0, &30), Some(200));
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!((s.get(0, &10), s.get(0, &30)), (Some(200), Some(200)));
         let stats = s.txn_stats();
-        assert_eq!(stats.commits, (READERS as u64 + 2) * 200);
+        assert_eq!(stats.commits, 2 * 200, "read-only commits stay outside");
         assert_eq!(stats.validation_failures, 0);
-        // The counter's `Set(30)` may lose node-lock races to the readers'
-        // validation of key 10 and escalate (correctly); each of its
-        // commits escalates at most once, and a read-only commit never.
-        assert!(stats.intent_escalations <= 200, "{stats:?}");
     }
 
-    /// The mode table, against a long holder. Behind an *exclusive*
-    /// holder everybody waits — past the whole spin and yield budget
-    /// (50 ms against ~65 us + 64 yields), in the blocking acquire — and
-    /// commits after the release: a write-only batch, a read-only
-    /// validation and a read-write transaction. Behind a *shared* holder
-    /// only the write-only batch waits; the two optimistic kinds share.
+    /// The backoff after a lost node-lock race: spin and yield first,
+    /// then sleeps that double from the floor up to the cap.
     #[test]
-    fn intent_waiters_block_behind_a_long_holder_and_acquire_after_release() {
-        let s = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(2, 100)));
-        s.insert(0, 20, 2);
-        let mut reads = ReadSet::new();
-        let snap = s.snapshot(2);
-        assert_eq!(snap.get_recorded(&20, &mut reads), Some(2));
-        let held = s.intents[0].write().unwrap();
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| s.apply_txn(1, &[TxnOp::Put(10, 1)]));
-            let reader = scope.spawn(|| s.apply_rw_txn(2, &[], &reads));
-            let rw = scope.spawn(|| s.apply_rw_txn(3, &[TxnOp::Put(30, 3)], &reads));
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(!writer.is_finished() && !reader.is_finished() && !rw.is_finished());
-            assert!(!s.contains(0, &10), "a waiter got past a held intent");
-            assert!(!s.contains(0, &30), "a waiter got past a held intent");
-            drop(held);
-            assert_eq!(writer.join().unwrap(), vec![true]);
-            assert_eq!(reader.join().unwrap(), Ok(Vec::new()));
-            assert_eq!(rw.join().unwrap(), Ok(vec![true]));
-        });
-        let held = s.intents[0].read().unwrap();
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| s.apply_txn(1, &[TxnOp::Put(11, 1)]));
-            assert_eq!(s.apply_rw_txn(2, &[], &reads), Ok(Vec::new()));
-            assert_eq!(
-                s.apply_rw_txn(3, &[TxnOp::Put(31, 3)], &reads),
-                Ok(vec![true])
-            );
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(!writer.is_finished() && !s.contains(0, &11));
-            drop(held);
-            assert_eq!(writer.join().unwrap(), vec![true]);
-        });
-        drop(snap);
-        assert_eq!(s.get(0, &10), Some(1));
-        assert_eq!(s.get(0, &11), Some(1));
-    }
-
-    #[test]
-    fn acquire_intent_takes_over_a_poisoned_lock() {
-        let lock = Arc::new(RwLock::new(()));
-        let l = Arc::clone(&lock);
-        let _ = std::thread::spawn(move || {
-            let _g = l.write().unwrap();
-            panic!("poison the intent");
-        })
-        .join();
-        assert!(lock.is_poisoned());
-        drop(acquire_intent(|| lock.try_write(), || unreachable!()));
-        drop(acquire_intent(|| lock.try_read(), || unreachable!()));
+    fn backoff_spins_then_sleeps_doubling_up_to_a_cap() {
+        let spins = BACKOFF_SPINS as usize;
+        let sleeps: Vec<_> = (0..BACKOFF_SPINS + 40).map(backoff_sleep).collect();
+        assert!(sleeps[..spins].iter().all(Option::is_none));
+        let first_two = [Some(BACKOFF_SLEEP_MIN), Some(BACKOFF_SLEEP_MIN * 2)];
+        assert_eq!(sleeps[spins..spins + 2], first_two);
+        assert!(sleeps[spins..].windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(sleeps.last(), Some(&Some(BACKOFF_SLEEP_MAX)));
+        assert_eq!(backoff_sleep(u32::MAX), Some(BACKOFF_SLEEP_MAX));
     }
 
     #[test]

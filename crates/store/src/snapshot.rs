@@ -15,7 +15,9 @@
 //! it observed. At commit, [`crate::BundledStore::apply_rw_txn`] validates
 //! every recorded fragment ([`crate::ShardBackend::txn_validate`]) and
 //! pins it until the commit timestamp — which is what upgrades the
-//! optimistic snapshot reads to full serializability.
+//! optimistic snapshot reads to full serializability. A transaction with
+//! no writes needs none of that: its reads already are one atomic cut at
+//! the lease ([`ReadSet::ts`]), and it commits there.
 //!
 //! A snapshot's own buffers (the per-shard fragment of a range, the node
 //! identities of the read in flight) come from the session's warm scratch
@@ -49,14 +51,18 @@ pub struct ShardRead<'a, K> {
 }
 
 /// The read set of a read-write transaction: every recorded fragment, in
-/// read order. Flat — the fragments index one shared entry vector — so a
-/// transaction records its reads into two buffers it can keep warm
-/// instead of one vector per read.
+/// read order, and the leased timestamp they were all read at. Flat — the
+/// fragments index one shared entry vector — so a transaction records its
+/// reads into two buffers it can keep warm instead of one vector per
+/// read.
 #[derive(Debug, Clone)]
 pub struct ReadSet<K> {
     /// `(shard, low, high, entries[range])` per fragment.
     frags: Vec<(usize, K, K, Range<usize>)>,
     entries: Vec<(K, usize)>,
+    /// The snapshot timestamp of every fragment (meaningless while
+    /// `frags` is empty).
+    ts: u64,
 }
 
 impl<K> Default for ReadSet<K> {
@@ -72,7 +78,16 @@ impl<K> ReadSet<K> {
         ReadSet {
             frags: Vec::new(),
             entries: Vec::new(),
+            ts: 0,
         }
+    }
+
+    /// The leased snapshot timestamp every recorded read was answered at;
+    /// `None` while nothing is recorded. A transaction that only read
+    /// commits at this timestamp.
+    #[must_use]
+    pub fn ts(&self) -> Option<u64> {
+        (!self.frags.is_empty()).then_some(self.ts)
     }
 
     /// Number of recorded fragments.
@@ -102,9 +117,21 @@ impl<K> ReadSet<K> {
 }
 
 impl<K: Copy> ReadSet<K> {
-    /// Record one fragment: shard `shard` served `low..=high` as `entries`
-    /// (ascending by key).
-    pub fn push(&mut self, shard: usize, low: K, high: K, entries: &[(K, usize)]) {
+    /// Record one fragment: at snapshot timestamp `ts`, shard `shard`
+    /// served `low..=high` as `entries` (ascending by key). Every
+    /// fragment of one read set comes from one snapshot.
+    ///
+    /// # Panics
+    ///
+    /// If `ts` differs from the timestamp of the fragments already
+    /// recorded: a read-only commit trusts [`ReadSet::ts`] without
+    /// validating, so reads from two snapshots must never share a set.
+    pub fn push(&mut self, ts: u64, shard: usize, low: K, high: K, entries: &[(K, usize)]) {
+        assert!(
+            self.ts().is_none_or(|t| t == ts),
+            "a read set records from one snapshot only"
+        );
+        self.ts = ts;
         let start = self.entries.len();
         self.entries.extend_from_slice(entries);
         self.frags
@@ -241,10 +268,12 @@ where
 
     /// Recorded point read: like [`StoreSnapshot::get`], additionally
     /// pushing the observation into `reads` for commit-time validation.
+    /// Panics if `reads` already holds reads of another snapshot
+    /// ([`ReadSet::push`]).
     pub fn get_recorded(&self, key: &K, reads: &mut ReadSet<K>) -> Option<V> {
         let shard = self.store.shard_of(key);
         let mut bufs = self.read_shard(shard, key, key);
-        reads.push(shard, *key, *key, &bufs.nodes);
+        reads.push(self.ts, shard, *key, *key, &bufs.nodes);
         bufs.frag.pop().map(|(_, v)| v)
     }
 
@@ -256,7 +285,8 @@ where
     /// Recorded range read: collects `low..=high` at the snapshot
     /// timestamp and pushes one fragment per overlapping shard into
     /// `reads` — including empty fragments, whose validation pins the gap
-    /// against phantoms.
+    /// against phantoms. Panics if `reads` already holds reads of another
+    /// snapshot ([`ReadSet::push`]).
     pub fn range_recorded(
         &self,
         low: &K,
@@ -286,7 +316,7 @@ where
             let mut bufs = self.read_shard(shard, low, high);
             out.append(&mut bufs.frag);
             if let Some(rs) = reads.as_deref_mut() {
-                rs.push(shard, *low, *high, &bufs.nodes);
+                rs.push(self.ts, shard, *low, *high, &bufs.nodes);
             }
         }
         out.len()
@@ -355,5 +385,21 @@ mod tests {
         assert_eq!((frag.shard, frag.entries[0].0), (1, 150));
         point.clear();
         assert!(point.is_empty() && point.size() == 0);
+    }
+
+    /// A read-only commit trusts `ReadSet::ts` without validating, so a
+    /// read set is refused a fragment from a second snapshot.
+    #[test]
+    #[should_panic(expected = "one snapshot only")]
+    fn a_read_set_spanning_two_snapshots_is_rejected() {
+        let s = SkipListStore::<u64, u64>::new(2, uniform_splits(2, 100));
+        s.insert(0, 10, 1);
+        let mut reads = ReadSet::new();
+        let first = s.snapshot(0);
+        assert_eq!(first.get_recorded(&10, &mut reads), Some(1));
+        s.insert(1, 20, 2);
+        let second = s.snapshot(1);
+        assert!(second.ts() > first.ts());
+        let _ = second.get_recorded(&20, &mut reads);
     }
 }

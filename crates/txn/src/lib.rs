@@ -29,25 +29,29 @@
 //!
 //! [`ReadWriteTxn::commit`] hands writes + read set to
 //! [`store::BundledStore::apply_rw_txn`], an explicit **prepare →
-//! validate → advance-clock → finalize** pipeline:
+//! validate → advance-clock → finalize** pipeline that takes no
+//! store-level lock — node locks are the only arbiter between it, other
+//! commits and the primitive operations:
 //!
-//! 1. per-shard **intents** over every involved shard, ascending
-//!    (deadlock-free by ordering) and *shared*: read-write transactions
-//!    run side by side on a shard and let the node locks of steps 2–3
-//!    arbitrate, escalating to exclusive only after repeated lock races;
-//! 2. **prepare**: writes stage eagerly under node locks, bundle entries
+//! 1. **prepare**: writes stage eagerly under node locks, bundle entries
 //!    pending (Algorithm 2 state), pre/post images recorded;
-//! 3. **validate**: every recorded read range is re-walked in the live
+//! 2. **validate**: every recorded read range is re-walked in the live
 //!    structure, locked (the write path's no-op outcome pinning applied
 //!    to reads), and compared against the recorded node identities —
 //!    reconciled with the transaction's own staged writes. A stale read
-//!    aborts to the caller as [`store::TxnAborted`]; lock races roll back
-//!    and retry internally;
-//! 4. the shared clock advances **once** — the serialization point. The
+//!    aborts to the caller as [`store::TxnAborted`]; a lost lock race
+//!    rolls back, backs off and retries internally;
+//! 3. the shared clock advances **once** — the serialization point. The
 //!    validated reads still hold there because their locks are still
 //!    held, so the transaction behaves exactly as if it executed
 //!    atomically at that timestamp: full serializability;
-//! 5. every pending entry finalizes with that single timestamp.
+//! 4. every pending entry finalizes with that single timestamp.
+//!
+//! A transaction with reads and no writes skips all of it: every read
+//! was a bundle read at the leased timestamp, which lies inside the
+//! transaction's real-time interval, so the store commits it at that
+//! timestamp ([`ReadWriteTxn::read_ts`], which the read set records)
+//! without a lock or a walk, and it never aborts.
 //!
 //! On [`store::TxnAborted`] the application re-runs the transaction body
 //! against a fresh snapshot ([`StoreTxnExt::run_rw`] packages the retry
@@ -125,9 +129,10 @@ pub struct TxnReceipt<K> {
     /// The store-wide transaction statistics after this commit.
     pub stats: TxnStats,
     /// The commit timestamp: the single shared-clock value every write of
-    /// the transaction published at (for a read-only transaction, the
-    /// clock value its validation window closed over). `None` only for
-    /// the free empty commit that never touched the store. Comparable
+    /// the transaction published at (for a transaction without writes,
+    /// the leased timestamp its recorded reads were answered at). `None`
+    /// only for the free empty commit — no write, no recorded read — that
+    /// never touched the store. Comparable
     /// across the whole snapshot domain — including the `ingest`
     /// front-end's group tickets, whose outcomes carry the same clock
     /// values — so receipts from every commit path order consistently.
@@ -357,8 +362,9 @@ where
     /// snapshot. Internal lock conflicts retry transparently.
     ///
     /// A transaction with reads but no writes is a *read-only*
-    /// serializable transaction: commit validates the read set without
-    /// advancing the shared clock.
+    /// serializable transaction: the store commits it at its leased read
+    /// timestamp ([`ReadWriteTxn::read_ts`]) without entering the commit
+    /// pipeline, so it neither waits nor aborts.
     pub fn commit(mut self) -> Result<TxnReceipt<K>, TxnAborted> {
         let store = self.store;
         let TxnBufs { reads, writes } = &self.bufs;
@@ -677,12 +683,17 @@ mod tests {
         let mut txn = h.txn();
         txn.set(10, 2);
         assert!(txn.commit().commit_ts.unwrap() > ts);
-        // Read-only commits report their validation-window clock without
-        // advancing it.
+        // Read-only commits report their lease, even after a later
+        // commit, without advancing the clock.
         let mut txn = h.rw_txn();
         assert_eq!(txn.get(&10), Some(2));
-        let ro = txn.commit().expect("uncontended");
-        assert_eq!(ro.commit_ts, Some(store.context().read()));
+        let lease = txn.read_ts();
+        store.insert(1, 20, 2);
+        let clock = store.context().read();
+        let ro = txn.commit().expect("read-only commits never abort");
+        assert_eq!(ro.commit_ts, lease);
+        assert!(lease < Some(clock));
+        assert_eq!(store.context().read(), clock);
     }
 
     #[test]
@@ -801,6 +812,8 @@ mod tests {
         assert_eq!(out, vec![(10, 1), (60, 6)]);
         let receipt = txn.commit().expect("uncontended read-only txn commits");
         assert!(receipt.applied.is_empty());
+        assert_eq!(receipt.commit_ts, Some(clock), "commits at its lease");
+        assert_eq!(receipt.stats.commits, 0, "never enters the pipeline");
         assert_eq!(
             store.context().read(),
             clock,

@@ -121,9 +121,9 @@ struct Inner {
 }
 
 /// The group-commit write-ahead log: a directory of `wal-<seq>.log`
-/// segment files appended under an internal mutex (group commit already
-/// serializes overlapping writers through the store's intent locks; the
-/// mutex orders the disjoint remainder).
+/// segment files appended under an internal mutex (the store's node locks
+/// already order commits that share a key or a pinned gap; the mutex
+/// orders the disjoint remainder).
 ///
 /// Attach to a store with [`store::BundledStore::attach_commit_log`];
 /// recover with [`WalRecovery::replay`]. I/O errors on the append path

@@ -233,8 +233,7 @@ impl WalRecovery {
     /// Replay is deterministic: each op's outcome depends only on its
     /// key's prior state, and the log orders any two groups sharing a
     /// key or a pinned gap — both held a node lock pinning it across
-    /// their log call (write-only groups additionally hold their shards'
-    /// intents exclusively) — while all other pairs commute. So the
+    /// their log call — while all other pairs commute. So the
     /// re-applied outcomes must equal the logged ones, which is
     /// debug-asserted. Timestamps are drawn fresh from the recovered
     /// store's clock; [`RecoveryStats::last_ts`] reports the original

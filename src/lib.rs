@@ -24,8 +24,8 @@
 //!   [`txn::ReadWriteTxn`] answers all of its reads at one leased
 //!   snapshot timestamp, records them as a validated read set, and
 //!   commits through an explicit prepare → validate → advance-clock →
-//!   finalize pipeline (per-shard 2PL intents + the bundle pending-entry
-//!   protocol generalized to N shards), so reads still hold at the commit
+//!   finalize pipeline (node locks + the bundle pending-entry protocol
+//!   generalized to N shards), so reads still hold at the commit
 //!   timestamp — full OCC serializability. [`txn::WriteTxn`] is the
 //!   write-only degenerate case (empty read set, infallible commit).
 //! * [`ingest`] — the **group-commit ingestion front-end**: clients

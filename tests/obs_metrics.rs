@@ -202,7 +202,6 @@ where
             committers: 1,
             max_queue_depth: 1,
             linger: Duration::from_millis(200),
-            ..IngestConfig::default()
         },
     );
     let mut tickets = Vec::new();

@@ -25,12 +25,17 @@
 //! walking the structure, so the cases below check both directions: a
 //! foreign commit to `k` between the read and the commit still aborts,
 //! and an undisturbed read-modify-write validates with zero walks.
+//!
+//! The last case is the transaction that cannot abort at all: one that
+//! only read commits at its lease, whatever happened to its reads since.
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use bundled_refs::bundle::TxnValidateError;
 use bundled_refs::prelude::*;
-use bundled_refs::store::{BundledStore, ShardBackend, TxnAborted};
+use bundled_refs::store::{BundledStore, CommitLog, ReadSet, ShardBackend, TxnAborted};
 use bundled_refs::txn::ReadWriteTxn;
 
 fn xorshift(seed: &mut u64) -> u64 {
@@ -373,4 +378,94 @@ fn citrus_covered_read_survives_the_transactions_own_relocation() {
     store.range_query(1, &0, &100, &mut scan);
     assert_eq!(scan, vec![(25, 25), (55, 56), (60, 60), (75, 75), (90, 90)]);
     assert_eq!(store.txn_stats().validation_failures, 0);
+}
+
+/// A commit log that parks every commit inside `log_group` — after its
+/// clock advance, with its node locks held — until the test sends a
+/// release.
+struct Parking {
+    inside: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl CommitLog<u64, u64> for Parking {
+    fn log_group(
+        &self,
+        _: usize,
+        _: u64,
+        _: &[TxnOp<u64, u64>],
+        _: &[usize],
+        _: &[bool],
+        _: &[usize],
+    ) {
+        self.inside.send(()).unwrap();
+        let release = self.release.lock().unwrap();
+        release
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a parked commit was never released");
+    }
+
+    fn sync(&self) {}
+}
+
+/// A read-only transaction commits at its lease: it does not wait for a
+/// foreign commit parked with the locks of the range it read, and it does
+/// not abort after a foreign commit changed that range.
+fn read_only_commits_at_its_lease<S>(label: &str)
+where
+    S: ShardBackend<u64, u64> + Send + Sync,
+{
+    // tid 0 = the read-only transaction, tid 1 = the foreign commits.
+    let mut store = BundledStore::<u64, u64, S>::new(2, vec![]);
+    for k in (0..100).step_by(10) {
+        store.insert(0, k, k);
+    }
+    let (inside_tx, inside) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    store.attach_commit_log(Arc::new(Parking {
+        inside: inside_tx,
+        release: Mutex::new(release_rx),
+    }));
+    let foreign = |ops: &[TxnOp<u64, u64>]| store.apply_rw_txn_ts(1, ops, &ReadSet::new());
+
+    // Every read is over before the foreign commit stages: a snapshot
+    // read waits on a parked commit's pending entries.
+    let mut txn = ReadWriteTxn::with_tid(&store, 0);
+    let mut out = Vec::new();
+    txn.range(&20, &60, &mut out);
+    assert_eq!(out.len(), 5, "{label}");
+    let lease = txn.read_ts();
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| foreign(&[TxnOp::Set(40, 41), TxnOp::Put(45, 45)]));
+        inside
+            .recv_timeout(Duration::from_secs(20))
+            .expect("never parked");
+        let receipt = txn.commit().expect("a read-only commit never aborts");
+        assert_eq!(receipt.commit_ts, lease, "{label}: commits at its lease");
+        assert!(!parked.is_finished(), "{label}: the foreign commit got out");
+        release.send(()).unwrap();
+        let (applied, ts) = parked.join().unwrap().unwrap();
+        assert_eq!(applied, vec![true, true], "{label}");
+        assert!(lease < Some(ts), "{label}: serializes first");
+    });
+
+    // Again, after a foreign commit changed the range and finished.
+    let mut txn = ReadWriteTxn::with_tid(&store, 0);
+    assert_eq!(txn.get(&50), Some(50), "{label}");
+    txn.range(&20, &60, &mut out);
+    let lease = txn.read_ts();
+    release.send(()).unwrap();
+    assert_eq!(foreign(&[TxnOp::Remove(50)]).unwrap().0, [true], "{label}");
+    let receipt = txn.commit().expect("a read-only commit never aborts");
+    assert_eq!(receipt.commit_ts, lease, "{label}");
+    let stats = store.txn_stats();
+    assert_eq!(stats.validation_failures, 0, "{label}");
+    assert_eq!(stats.commits, 2, "{label}: only the foreign commits");
+}
+
+#[test]
+fn read_only_commits_at_its_lease_on_every_backend() {
+    read_only_commits_at_its_lease::<BundledSkipList<u64, u64>>("skiplist");
+    read_only_commits_at_its_lease::<BundledLazyList<u64, u64>>("lazylist");
+    read_only_commits_at_its_lease::<BundledCitrusTree<u64, u64>>("citrus");
 }

@@ -1,14 +1,15 @@
-//! Read-write transactions share their shards' intents (the mode table
-//! on `BundledStore`'s `intents` field): what that allows, what it still
-//! excludes, how a commit that keeps losing lock races gets through, and
-//! that the result is still serializable.
+//! Commit pipelines of every kind — read-write transactions, write-only
+//! batches, groups — share a shard with each other and with the
+//! primitive operations, and node locks are the only arbiter between
+//! them: what that allows, how a commit that keeps losing a lock race
+//! gets through, and that the result is still serializable.
 //!
 //! The first two tests force their interleavings with a commit log whose
 //! `log_group` parks the calling commit — between its clock advance and
-//! its finalize, with every intent and node lock held — until the test
-//! lets it go. The third is a multi-writer stress with exact accounting.
-//! CI also runs this file in release mode: same-shard commit
-//! interleavings only get tight in optimized code.
+//! its finalize, with every node lock held — until the test lets it go.
+//! The third is a multi-writer stress with exact accounting. CI also runs
+//! this file in release mode: same-shard commit interleavings only get
+//! tight in optimized code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -105,7 +106,7 @@ fn gated_store<S: ShardBackend<u64, u64>>(
     gate: &Arc<Gate>,
     threads: usize,
 ) -> BundledStore<u64, u64, S> {
-    // One shard: everything below happens inside a single intent.
+    // One shard: every commit below meets the others in one structure.
     let mut store = BundledStore::<u64, u64, S>::new(threads, vec![]);
     for k in (0..100).step_by(10) {
         store.insert(0, k, k);
@@ -134,8 +135,9 @@ fn bump<S: ShardBackend<u64, u64>>(
 }
 
 /// Two read-write commits on disjoint keys of one shard are inside the
-/// pipeline at the same time; a group commit on that shard waits for both.
-fn rw_commits_overlap_and_groups_exclude_them<S>(label: &str)
+/// pipeline at the same time, and a group commit on a third key of that
+/// shard stages, commits and logs while both are still parked.
+fn commits_of_every_kind_overlap<S>(label: &str)
 where
     S: ShardBackend<u64, u64> + Send + Sync,
 {
@@ -145,21 +147,16 @@ where
     std::thread::scope(|scope| {
         let a = scope.spawn(|| bump(&store, 1, 10, &read_done));
         let b = scope.spawn(|| bump(&store, 2, 80, &read_done));
-        // Both commits parked between advance and finalize — under the
-        // exclusive intents of old, the second could not have begun.
         gate.wait_inside(2);
-        let group = scope.spawn(|| store.apply_grouped(3, &[TxnOp::Put(45, 4)]));
-        // A negative needs a wait: the group must still be outside.
-        std::thread::sleep(Duration::from_millis(100));
+        let group = store.apply_grouped(3, &[TxnOp::Put(45, 4)]);
+        assert_eq!(group.applied, vec![true], "{label}");
         assert!(
-            !group.is_finished(),
-            "{label}: a group got into a shared shard"
+            !a.is_finished() && !b.is_finished(),
+            "{label}: a parked commit was let go early"
         );
-        assert!(!store.contains(0, &45), "{label}: the group staged already");
         gate.open();
         assert_eq!(a.join().unwrap(), vec![true], "{label}");
         assert_eq!(b.join().unwrap(), vec![true], "{label}");
-        assert_eq!(group.join().unwrap().applied, vec![true], "{label}");
     });
     let state = gate.state.lock().unwrap();
     assert!(
@@ -168,25 +165,26 @@ where
     );
     assert_eq!(
         state.inside_seen_by_later,
-        [0],
-        "{label}: the group logged while a transaction was mid-commit"
+        [2],
+        "{label}: the group logged while both transactions were mid-commit"
     );
     assert_eq!(store.get(0, &10), Some(11), "{label}");
     assert_eq!(store.get(0, &80), Some(81), "{label}");
-    assert_eq!(store.txn_stats().intent_escalations, 0, "{label}");
+    assert_eq!(store.get(0, &45), Some(4), "{label}");
+    assert_eq!(store.txn_stats().conflicts, 0, "{label}: disjoint keys");
 }
 
 #[test]
-fn rw_commits_share_a_shard_and_group_commits_still_exclude_them() {
-    rw_commits_overlap_and_groups_exclude_them::<BundledSkipList<u64, u64>>("skiplist");
-    rw_commits_overlap_and_groups_exclude_them::<BundledCitrusTree<u64, u64>>("citrus");
-    rw_commits_overlap_and_groups_exclude_them::<BundledLazyList<u64, u64>>("lazylist");
+fn a_group_commits_beside_two_parked_rw_commits_on_one_shard() {
+    commits_of_every_kind_overlap::<BundledSkipList<u64, u64>>("skiplist");
+    commits_of_every_kind_overlap::<BundledCitrusTree<u64, u64>>("citrus");
+    commits_of_every_kind_overlap::<BundledLazyList<u64, u64>>("lazylist");
 }
 
-/// A commit that keeps conflicting with a long neighbour on one key stops
-/// retrying: it escalates, parks on the exclusive intent, and commits as
-/// soon as the neighbour is done.
-fn a_conflicting_commit_escalates_and_waits<S>(label: &str)
+/// A commit that keeps losing the race for one node to a long neighbour —
+/// parked across its log call for 100 ms — backs off into sleeps instead
+/// of spinning against it, and commits as soon as the neighbour is done.
+fn a_blocked_commit_sleeps_until_its_neighbour_is_done<S>(label: &str)
 where
     S: ShardBackend<u64, u64> + Send + Sync,
 {
@@ -213,29 +211,27 @@ where
         let a = scope.spawn(|| bump(store, 1, 50, &Barrier::new(1)));
         gate.wait_inside(1);
         go.send(()).unwrap();
-        // B loses the race for key 50's node until it escalates ...
+        // B meets A's locks ...
         let start = Instant::now();
-        while store.txn_stats().intent_escalations == 0 {
-            assert!(start.elapsed() < DEADLINE, "{label}: B never escalated");
+        while store.txn_stats().conflicts == 0 {
+            assert!(start.elapsed() < DEADLINE, "{label}: B never met A");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // ... and then waits instead of burning retries.
-        let parked_at = store.txn_stats().conflicts;
+        // ... and from then on retries at most about once a millisecond.
+        let met_at = store.txn_stats().conflicts;
         std::thread::sleep(Duration::from_millis(100));
+        let retries = store.txn_stats().conflicts - met_at;
         assert!(!b.is_finished(), "{label}: B got past a held node lock");
-        assert_eq!(
-            store.txn_stats().conflicts,
-            parked_at,
-            "{label}: B kept retrying behind the exclusive intent it asked for"
+        assert!(
+            retries < 200,
+            "{label}: B retried {retries} times in 100 ms against a parked neighbour"
         );
         gate.open();
         assert_eq!(a.join().unwrap(), vec![true], "{label}");
         assert_eq!(b.join().unwrap(), Ok(vec![true]), "{label}: B must commit");
     });
     assert!(!gate.state.lock().unwrap().timed_out, "{label}");
-    let stats = store.txn_stats();
-    assert_eq!(stats.intent_escalations, 1, "{label}");
-    assert_eq!(stats.validation_failures, 0, "{label}");
+    assert_eq!(store.txn_stats().validation_failures, 0, "{label}");
     assert_eq!(
         store.get(0, &50),
         Some(777),
@@ -244,65 +240,101 @@ where
 }
 
 #[test]
-fn a_commit_that_keeps_conflicting_escalates_to_an_exclusive_intent() {
-    a_conflicting_commit_escalates_and_waits::<BundledSkipList<u64, u64>>("skiplist");
-    a_conflicting_commit_escalates_and_waits::<BundledCitrusTree<u64, u64>>("citrus");
-    a_conflicting_commit_escalates_and_waits::<BundledLazyList<u64, u64>>("lazylist");
+fn a_commit_behind_a_parked_neighbour_backs_off_into_sleeps() {
+    a_blocked_commit_sleeps_until_its_neighbour_is_done::<BundledSkipList<u64, u64>>("skiplist");
+    a_blocked_commit_sleeps_until_its_neighbour_is_done::<BundledCitrusTree<u64, u64>>("citrus");
+    a_blocked_commit_sleeps_until_its_neighbour_is_done::<BundledLazyList<u64, u64>>("lazylist");
 }
 
-/// Four threads of bank transfers on one shard — two validated balance
-/// reads, a validated 16-key range read, two writes — next to read-only
-/// audit transactions. Serializability, checked exactly: every committed
-/// audit saw the full total, and every account ends at its initial
-/// balance plus what the committed transfers say went in and out.
-fn concurrent_transfers_are_serializable<S>(label: &str)
+/// xorshift64 from a per-thread seed.
+fn rng(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    }
+}
+
+/// A short on-core pause between a writer's rounds (a `yield_now` costs a
+/// scheduler quantum when the box is oversubscribed).
+fn pace() {
+    for _ in 0..2_000 {
+        std::hint::spin_loop();
+    }
+}
+
+/// Every pipeline kind and the primitives on one shard at once, on
+/// interleaved keys so that each kind's neighbours in the structure are
+/// the other kinds' keys: read-write transfers between the accounts
+/// (key `4a`: two validated balance reads, a validated range read over
+/// 16 accounts and every kind's keys between them, two writes), groups
+/// rewriting every group key (`4a + 1`), write-only batches rewriting
+/// every batch key (`4a + 2`), and primitive insert / remove churn
+/// (`4a + 3`), next to read-only audits. Serializability, checked
+/// exactly: every range read found exactly the accounts in its window,
+/// every audit saw the full total and each group and batch whole; every
+/// account ends at its initial balance plus what the committed transfers
+/// moved; every group and batch found its keys in the state the last one
+/// left and leaves its value; each churn call returns what its key's
+/// history says; and the commit counters match the commits the threads
+/// made.
+fn every_kind_shares_one_shard<S>(label: &str)
 where
     S: ShardBackend<u64, u64> + Send + Sync + 'static,
 {
-    const WRITERS: usize = 4;
     const ACCOUNTS: u64 = 48;
-    const STRIDE: u64 = 5;
     const INITIAL: u64 = 1_000;
+    const TRANSFERRERS: usize = 4;
     const TRANSFERS: usize = 250;
-    let store = Arc::new(BundledStore::<u64, u64, S>::new(WRITERS + 1, vec![]));
-    {
-        let h = store.register();
-        for a in 0..ACCOUNTS {
-            h.insert(a * STRIDE, INITIAL);
-        }
+    const ROUNDS: u64 = 150;
+    const CHURN: u64 = 1_500;
+    let store = Arc::new(BundledStore::<u64, u64, S>::new(TRANSFERRERS + 4, vec![]));
+    // Writer threads still running: the audits go on until all are done.
+    let running = AtomicUsize::new(TRANSFERRERS + 3);
+    let done = || running.fetch_sub(1, Ordering::SeqCst);
+    let account = |a: u64| 4 * a;
+    for a in 0..ACCOUNTS {
+        store.insert(0, account(a), INITIAL);
     }
-    let running = AtomicUsize::new(WRITERS);
+    // Rewrite key `4a + kind` of every account with `value`, as one
+    // commit of the given kind.
+    let rewrite = |kind: u64, value: u64| -> Vec<TxnOp<u64, u64>> {
+        (0..ACCOUNTS)
+            .map(|a| TxnOp::Set(4 * a + kind, value))
+            .collect()
+    };
     let deltas: Vec<Vec<i64>> = std::thread::scope(|scope| {
-        let writers: Vec<_> = (0..WRITERS as u64)
+        let transferrers: Vec<_> = (0..TRANSFERRERS as u64)
             .map(|w| {
-                let (store, running) = (&store, &running);
+                let store = &store;
                 scope.spawn(move || {
                     let h = store.register();
                     let mut delta = vec![0i64; ACCOUNTS as usize];
-                    let mut seed = (w + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let mut next = move || {
-                        seed ^= seed << 13;
-                        seed ^= seed >> 7;
-                        seed ^= seed << 17;
-                        seed
-                    };
+                    let mut next = rng(w + 7);
                     let mut window = Vec::new();
                     for _ in 0..TRANSFERS {
                         let from = next() % ACCOUNTS;
                         let to = (from + 1 + next() % (ACCOUNTS - 1)) % ACCOUNTS;
-                        let low = next() % (ACCOUNTS * STRIDE);
+                        let low = next() % (4 * ACCOUNTS);
+                        let high = low + 16 * 4 - 1;
+                        let in_window = (low..=high)
+                            .filter(|&k| k % 4 == 0 && k < 4 * ACCOUNTS)
+                            .count();
                         h.run_rw(|txn| {
-                            let a = txn.get(&(from * STRIDE)).expect("account");
-                            let b = txn.get(&(to * STRIDE)).expect("account");
-                            txn.range(&low, &(low + 16 * STRIDE - 1), &mut window);
-                            assert!(window.len() <= 17, "{label}: phantom accounts");
-                            txn.set(from * STRIDE, a.wrapping_sub(1))
-                                .set(to * STRIDE, b.wrapping_add(1));
+                            let a = txn.get(&account(from)).expect("account");
+                            let b = txn.get(&account(to)).expect("account");
+                            txn.range(&low, &high, &mut window);
+                            let accounts = window.iter().filter(|(k, _)| k % 4 == 0);
+                            assert_eq!(accounts.count(), in_window, "{label}: phantom");
+                            txn.set(account(from), a.wrapping_sub(1))
+                                .set(account(to), b.wrapping_add(1));
                         });
                         delta[from as usize] -= 1;
                         delta[to as usize] += 1;
                     }
-                    running.fetch_sub(1, Ordering::SeqCst);
+                    done();
                     delta
                 })
             })
@@ -312,43 +344,95 @@ where
             let (mut all, mut audits) = (Vec::new(), 0u64);
             while running.load(Ordering::SeqCst) > 0 || audits == 0 {
                 let mut txn = h.rw_txn();
-                txn.range(&0, &(ACCOUNTS * STRIDE), &mut all);
-                if txn.commit().is_ok() {
-                    audits += 1;
-                    assert_eq!(all.len() as u64, ACCOUNTS, "{label}");
-                    let sum: u64 = all.iter().map(|(_, v)| v).sum();
-                    assert_eq!(
-                        sum,
-                        ACCOUNTS * INITIAL,
-                        "{label}: audit saw a torn transfer"
-                    );
+                txn.range(&0, &(4 * ACCOUNTS), &mut all);
+                txn.commit().expect("a read-only commit never aborts");
+                audits += 1;
+                let kind = |k: u64| all.iter().filter(move |(key, _)| key % 4 == k);
+                let (n, sum) = kind(0).fold((0, 0), |(n, s), (_, v)| (n + 1, s + v));
+                assert_eq!((n, sum), (ACCOUNTS, ACCOUNTS * INITIAL), "{label}: torn");
+                for k in [1, 2] {
+                    let mut values = kind(k).map(|(_, v)| *v);
+                    let first = values.next();
+                    assert!(values.all(|v| Some(v) == first), "{label}: torn commit");
                 }
             }
             audits
         });
-        let deltas = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        let groups = scope.spawn(|| {
+            let h = store.register();
+            for round in 1..=ROUNDS {
+                let receipt = store.apply_grouped(h.tid(), &rewrite(1, round));
+                assert!(
+                    receipt.applied.iter().all(|&b| b == (round > 1)),
+                    "{label}: group {round} found a key in the wrong state"
+                );
+                pace();
+            }
+            done();
+        });
+        let batches = scope.spawn(|| {
+            let h = store.register();
+            for round in 1..=ROUNDS {
+                let applied = store.apply_txn(h.tid(), &rewrite(2, 1_000 + round));
+                assert!(
+                    applied.iter().all(|&b| b == (round > 1)),
+                    "{label}: batch {round} found a key in the wrong state"
+                );
+                pace();
+            }
+            done();
+        });
+        let churn = scope.spawn(|| {
+            let h = store.register();
+            for i in 0..CHURN {
+                let key = 4 * (i % ACCOUNTS) + 3;
+                // Each key is inserted on even passes, removed on odd ones.
+                if (i / ACCOUNTS).is_multiple_of(2) {
+                    assert!(h.insert(key, i), "{label}: churn insert {key}");
+                } else {
+                    assert!(h.remove(&key), "{label}: churn remove {key}");
+                }
+            }
+            done();
+        });
+        groups.join().unwrap();
+        batches.join().unwrap();
+        churn.join().unwrap();
         assert!(auditor.join().unwrap() > 0);
-        deltas
+        transferrers
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect()
     });
     let h = store.register();
-    let end = h.range_query_vec(&0, &u64::MAX);
-    assert_eq!(end.len() as u64, ACCOUNTS, "{label}");
-    for (key, balance) in end {
-        let account = (key / STRIDE) as usize;
-        let moved: i64 = deltas.iter().map(|d| d[account]).sum();
+    for a in 0..ACCOUNTS {
+        let moved: i64 = deltas.iter().map(|d| d[a as usize]).sum();
+        let balance = h.snapshot_get(&account(a)).expect("account") as i64;
+        assert_eq!(balance, INITIAL as i64 + moved, "{label}: account {a}");
+        assert_eq!(h.snapshot_get(&(4 * a + 1)), Some(ROUNDS), "{label}");
         assert_eq!(
-            balance as i64,
-            INITIAL as i64 + moved,
-            "{label}: account {account} lost or gained an update"
+            h.snapshot_get(&(4 * a + 2)),
+            Some(1_000 + ROUNDS),
+            "{label}"
+        );
+        // The last pass decides whether a churn key is present.
+        let passes = CHURN / ACCOUNTS + u64::from(a < CHURN % ACCOUNTS);
+        assert_eq!(
+            h.contains(&(4 * a + 3)),
+            passes % 2 == 1,
+            "{label}: churn key {a}"
         );
     }
     let stats = store.txn_stats();
-    assert!(stats.commits >= (WRITERS * TRANSFERS) as u64, "{label}");
+    let transfers = (TRANSFERRERS * TRANSFERS) as u64;
+    assert_eq!(stats.commits, transfers + 2 * ROUNDS, "{label}");
+    assert_eq!(stats.group_commits, ROUNDS, "{label}");
+    assert_eq!(stats.grouped_ops, ROUNDS * ACCOUNTS, "{label}");
 }
 
 #[test]
-fn concurrent_transfers_on_one_shard_are_serializable_on_every_backend() {
-    concurrent_transfers_are_serializable::<BundledSkipList<u64, u64>>("skiplist");
-    concurrent_transfers_are_serializable::<BundledCitrusTree<u64, u64>>("citrus");
-    concurrent_transfers_are_serializable::<BundledLazyList<u64, u64>>("lazylist");
+fn every_pipeline_kind_and_the_primitives_share_one_shard() {
+    every_kind_shares_one_shard::<BundledSkipList<u64, u64>>("skiplist");
+    every_kind_shares_one_shard::<BundledCitrusTree<u64, u64>>("citrus");
+    every_kind_shares_one_shard::<BundledLazyList<u64, u64>>("lazylist");
 }

@@ -395,7 +395,7 @@ fn concurrent_ingest_recovery_under_every_8_groups_is_a_consistent_prefix() {
 }
 
 /// Two threads of read-write transactions on **one shard**, logging
-/// under `SyncPolicy::Off`. Read-write commits share the shard's intent,
+/// under `SyncPolicy::Off`. Only node locks arbitrate between commits,
 /// so they reach the log concurrently and not in timestamp order; what
 /// the log must still order is every pair of commits that conflict. Each
 /// transaction mixes keys both threads fight over — counters bumped by a
