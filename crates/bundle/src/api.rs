@@ -4,8 +4,8 @@
 //! database and the examples can drive any of them uniformly.
 //!
 //! Threads are identified by a dense index `tid` in `0..max_threads`, the
-//! same index used to register with the structure's EBR collector and
-//! range-query tracker (this mirrors the thread-id discipline of the
+//! same index that names the thread's slot in the EBR collector, where
+//! its epoch and its announced snapshot live (this mirrors the thread-id discipline of the
 //! original C++ benchmark framework the paper builds on).
 
 /// A concurrent ordered map/set supporting the paper's *primitive*

@@ -366,8 +366,8 @@ impl<T> Bundle<T> {
     /// its snapshot and that it must restart (Algorithm 3, line 7).
     ///
     /// `guard` must be pinned in the owning structure's collector since
-    /// *before* `ts` was read from the clock (the kernel's range queries and
-    /// `BundledStore::range_query` pin first): a node an entry at or below
+    /// *before* `ts` was read from the clock (`RqContext::announce_rq`, which
+    /// every range query and store snapshot takes, pins first): a node an entry at or below
     /// `ts` points to was reachable at `ts`, so its removal timestamp is
     /// larger, its retire comes after that pin, and it stays allocated for
     /// as long as `guard` lives.
@@ -525,7 +525,10 @@ impl<T> Bundle<T> {
     /// onto a chain that is being thrown away.
     ///
     /// Returns the number of entries retired.
-    pub fn reclaim_up_to(&self, oldest_active: u64, guard: &Guard<'_>) -> usize {
+    pub fn reclaim_up_to(&self, oldest_active: u64, guard: &Guard<'_>) -> usize
+    where
+        T: 'static,
+    {
         let oldest_active = oldest_active.min(MAX_SNAPSHOT_TS);
         let (seq, head_ts, _) = self.read_head();
         let mut tail = if head_ts <= oldest_active {
@@ -1197,9 +1200,8 @@ mod tests {
         const DECOY: usize = 1 << 40;
         const WRITER: usize = 0;
         const CLEANER: usize = 1;
-        let collector = Collector::new(READERS + 2, ReclaimMode::Reclaim);
-        let clock = crate::GlobalTimestamp::with_threshold(READERS + 2, 2);
-        let tracker = crate::RqTracker::new(READERS + 2);
+        let ctx = crate::RqContext::with_threshold(READERS + 2, 2);
+        let clock = ctx.clock();
         let b: Bundle<u64> = Bundle::new();
         b.init(fake(0), 0);
         let done = AtomicBool::new(false);
@@ -1240,32 +1242,32 @@ mod tests {
             });
             s.spawn(|| {
                 while !done.load(Ordering::Acquire) {
-                    let guard = collector.pin(CLEANER);
-                    b.reclaim_up_to(tracker.oldest_active(clock.read()), &guard);
+                    let guard = ctx.pin(CLEANER);
+                    b.reclaim_up_to(ctx.oldest_active(), &guard);
                     drop(guard);
-                    collector.try_advance();
+                    ctx.collector().try_advance();
                 }
             });
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
-                    let (b, clock, tracker, collector, done, snapshots) =
-                        (&b, &clock, &tracker, &collector, &done, &snapshots);
+                    let (b, ctx, done, snapshots) = (&b, &ctx, &done, &snapshots);
                     s.spawn(move || {
                         let tid = r + 2;
                         // `(snapshot, id)`, consecutive repeats dropped.
                         let mut seen: Vec<(u64, usize)> = Vec::new();
                         while !done.load(Ordering::Acquire) {
-                            let guard = collector.pin(tid);
-                            let snapshot = tracker.start(tid, clock);
+                            let rq = ctx.announce_rq(tid);
+                            let snapshot = rq.ts();
                             for _ in 0..8 {
-                                let p =
-                                    b.dereference(snapshot, &guard).expect("init satisfies all");
+                                let p = b
+                                    .dereference(snapshot, rq.guard())
+                                    .expect("init satisfies all");
                                 let got = (snapshot, p.as_raw() as usize >> 3);
                                 if seen.last() != Some(&got) {
                                     seen.push(got);
                                 }
                             }
-                            tracker.finish(tid);
+                            drop(rq);
                             snapshots.fetch_add(1, Ordering::Relaxed);
                         }
                         seen

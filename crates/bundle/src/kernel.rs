@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ebr::{Collector, Guard, ReclaimMode, Shared};
+use ebr::{Guard, Shared};
 use parking_lot::Mutex;
 
 use crate::api::{ConcurrentSet, RangeQuerySet};
@@ -176,11 +176,12 @@ pub fn walk_chain_at<'g, S: TwoPhase>(
 ///   `try_lock`, [`Conflict`] on contention) and hold until finalize/abort.
 /// * **EBR, carried by [`ebr::Link`] / [`ebr::Shared`].** Node pointers
 ///   are `Link`s, and every hook that follows one takes the caller's
-///   [`Guard`] on [`Self::collector`]: what it loads is a `Shared` bound
-///   to that guard, dereferenced without `unsafe`. A snapshot hop goes
-///   through [`Bundle::dereference`], sound because the kernel pins before
-///   it reads the clock. Raw addresses survive only across calls (read
-///   sets, tokens, cursor frontiers, undo records) and come back through
+///   [`Guard`] on the context's collector ([`Self::pin`]): what it loads
+///   is a `Shared` bound to that guard, dereferenced without `unsafe`. A
+///   snapshot hop goes through [`Bundle::dereference`], sound because
+///   [`RqContext::announce_rq`] pins before it reads the clock. Raw
+///   addresses survive only across calls (read sets, tokens, cursor
+///   frontiers, undo records) and come back through
 ///   [`Shared::from_raw`]. The addresses [`Self::txn_range_read`] records
 ///   are compared again at validate time; the caller pins from before the
 ///   read lease until then, so none can be reused in between. Nodes are
@@ -198,7 +199,8 @@ pub trait TwoPhase:
     /// Value type.
     type Value: Clone + Send + Sync;
     /// The structure's node; its addresses are what read sets record.
-    type Node;
+    /// `'static`: a shared collector may free it after the structure.
+    type Node: 'static;
     /// One eager structural change, as [`Self::revert`] needs it.
     type Undo;
     /// Buffers the structure keeps in the token so that a warm token
@@ -213,17 +215,18 @@ pub trait TwoPhase:
         Self: 'a;
 
     /// An empty structure ordering its updates through the (possibly
-    /// shared) `ctx`; sentinel bundles are initialized at timestamp 0.
-    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self;
+    /// shared) `ctx` and freeing through its collector, for the context's
+    /// `max_threads`; sentinel bundles are initialized at timestamp 0.
+    /// Builds under [`ebr::Collector::pin_exclusive`]: any `tid` of a
+    /// shared context may belong to a running thread.
+    fn with_context(ctx: &RqContext) -> Self;
 
-    /// The linearization context the structure was built over.
+    /// The linearization context (clock and reclamation domain) the
+    /// structure was built over.
     fn context(&self) -> &RqContext;
 
-    /// The structure's epoch collector.
-    fn collector(&self) -> &Collector;
-
     /// The structure's token slots, built with [`TokenPool::new`] over the
-    /// same `max_threads` as the collector.
+    /// context's `max_threads`.
     fn tokens(&self) -> &TokenPool<Self>;
 
     /// `node`'s update lock (see the locking contract above).
@@ -319,20 +322,18 @@ pub trait TwoPhase:
     /// An empty structure for `max_threads` registered threads with a
     /// private clock (the paper's configuration), freeing through EBR.
     fn new(max_threads: usize) -> Self {
-        let ctx = RqContext::new(max_threads);
-        Self::with_context(max_threads, ReclaimMode::Reclaim, &ctx)
+        Self::with_context(&RqContext::new(max_threads))
     }
 
     /// A structure whose clock only advances every `t`-th update per
     /// thread (the Appendix A relaxation; `t = 0` means never).
     fn with_relaxation(max_threads: usize, t: u64) -> Self {
-        let ctx = RqContext::with_threshold(max_threads, t);
-        Self::with_context(max_threads, ReclaimMode::Reclaim, &ctx)
+        Self::with_context(&RqContext::with_threshold(max_threads, t))
     }
 
-    /// Pin the structure's epoch collector for `tid` (reentrant).
+    /// Pin the context's epoch collector for `tid` (reentrant).
     fn pin(&self, tid: usize) -> Guard<'_> {
-        self.collector().pin(tid)
+        self.context().pin(tid)
     }
 
     /// Total bundle entries over all reachable nodes (space diagnostic).
@@ -350,7 +351,7 @@ pub trait TwoPhase:
         let oldest = self.context().oldest_active();
         let mut reclaimed = 0;
         self.for_each_bundle(&guard, |b| reclaimed += b.reclaim_up_to(oldest, &guard));
-        self.collector().try_advance();
+        self.context().collector().try_advance();
         reclaimed
     }
 
@@ -542,14 +543,13 @@ impl<S: TwoPhase> RangeQuerySet<S::Key, S::Value> for S {
         high: &S::Key,
         out: &mut Vec<(S::Key, S::Value)>,
     ) -> usize {
-        let guard = self.pin(tid);
         loop {
-            // Linearization point: fix the snapshot timestamp and announce
-            // it for the bundle recycler (until `rq` drops — also when a
-            // `V::clone` below panics).
+            // Linearization point: pin, fix the snapshot timestamp and
+            // announce it for the bundle recycler (until `rq` drops — also
+            // when a `V::clone` below panics).
             let rq = self.context().announce_rq(tid);
             out.clear();
-            let entered = self.try_collect_at(rq.ts(), low, high, &guard, |node| {
+            let entered = self.try_collect_at(rq.ts(), low, high, rq.guard(), |node| {
                 out.push(key_value::<S>(&node));
             });
             if entered.is_some() {

@@ -22,14 +22,15 @@
 //!   protocol of Algorithm 2 and the `DereferenceBundle` operation; the
 //!   newest entry is stored inline in the bundle, older ones on a chain,
 //! * [`linearize_update`] — Algorithm 1 (`LinearizeUpdateOperation`),
-//! * [`RqTracker`] — the `activeRqTsArray` used for bundle-entry
-//!   reclamation (Appendix B),
+//! * [`RqContext`] — the reclamation domain: one clock and one
+//!   [`ebr::Collector`] that several structures can *share*, extending the
+//!   paper's per-structure guarantee to linearizable range queries
+//!   **across** structures (the basis of the sharded `store` crate). A
+//!   thread's announced snapshot (its `activeRqTsArray` entry, Appendix B)
+//!   lives in its collector slot, and [`RqContext::announce_rq`] pins
+//!   before it reads the clock,
 //! * [`Recycler`] — a background cleanup thread with a configurable delay,
 //!   matching the Table 1 experiment,
-//! * [`RqContext`] — a cloneable clock + tracker handle that several
-//!   structures can *share*, extending the paper's per-structure guarantee
-//!   to linearizable range queries **across** structures (the basis of the
-//!   sharded `store` crate),
 //! * [`api`] — the `ConcurrentSet` / `RangeQuerySet` traits implemented by
 //!   every data structure (bundled or competitor) in this workspace,
 //! * [`TwoPhase`] / [`ShardTxn`] — the **two-phase kernel**: the store's
@@ -80,7 +81,6 @@ mod kernel;
 mod linearize;
 mod prefetch;
 mod recycler;
-mod tracker;
 mod ts;
 mod twophase;
 
@@ -98,12 +98,7 @@ pub use kernel::{
 pub use linearize::{linearize_update, Conflict, TxnValidateError};
 pub use prefetch::prefetch_read;
 pub use recycler::Recycler;
-pub use tracker::{RqTracker, RQ_INACTIVE, RQ_PENDING};
 pub use ts::GlobalTimestamp;
 pub use twophase::{
     validate_chain, StagedOutcomes, TwoPhaseState, MAX_VALIDATE_ATTEMPTS, TXN_LOCK_SPINS,
 };
-
-/// Maximum number of threads supported by the per-thread state in this
-/// crate's trackers and timestamps (same bound as [`ebr::DEFAULT_MAX_THREADS`]).
-pub const DEFAULT_MAX_THREADS: usize = ebr::DEFAULT_MAX_THREADS;

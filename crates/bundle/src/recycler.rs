@@ -11,10 +11,11 @@ use std::time::Duration;
 /// a configurable delay `d` between passes — the knob varied in Table 1 of
 /// the paper (d ∈ {0ms, 1ms, 10ms, 100ms}).
 ///
-/// The closure is supplied by the data structure; typically it computes the
-/// oldest active range query from the structure's [`crate::RqTracker`] and
-/// walks the structure calling [`crate::Bundle::reclaim_up_to`] on every
-/// bundle, retiring stale entries through the structure's EBR collector.
+/// The closure is supplied by the data structure; typically it asks its
+/// [`crate::RqContext`] for the oldest announced snapshot and walks the
+/// structure calling [`crate::Bundle::reclaim_up_to`] on every bundle,
+/// retiring stale entries through the context's EBR collector (shared by
+/// every structure built over that context).
 pub struct Recycler {
     stop: Arc<AtomicBool>,
     passes: Arc<AtomicU64>,

@@ -11,7 +11,7 @@ use bundle::{
     linearize_update, prefetch_read, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor,
     RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
-use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
+use ebr::{Guard, Link, ReclaimMode, Shared};
 
 use crate::warm::warm_range;
 use crate::{LEFT, RIGHT};
@@ -108,8 +108,8 @@ impl Drop for SearchGate<'_> {
 /// off its left child, which plays the role of Citrus' infinite-key root.
 pub struct BundledCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// The sentinel; set once by the constructor.
     root: Link<Node<K, V>>,
@@ -117,7 +117,6 @@ where
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
     ctx: RqContext,
-    collector: Collector,
     /// Warm transaction tokens, one slot per thread id (always parked
     /// empty: no node pointer outlives its transaction here).
     tokens: TokenPool<Self>,
@@ -153,12 +152,12 @@ where
 
 impl<K, V> BundledCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a tree with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        Self::with_context(max_threads, mode, &RqContext::new(max_threads))
+        Self::with_context(&RqContext::with_mode(max_threads, mode))
     }
 
     fn root<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
@@ -523,8 +522,8 @@ pub enum CitrusUndo<K, V> {
 
 impl<K, V> TwoPhase for BundledCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Key = K;
     type Value = V;
@@ -539,19 +538,18 @@ where
     where
         Self: 'a;
 
-    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let collector = Collector::new(max_threads, mode);
-        let guard = collector.pin(0);
-        let root = Shared::boxed(Node::new(K::default(), None, [Shared::null(); 2]), &guard);
-        // The sentinel's left link starts empty at timestamp 0.
-        root.bundle[LEFT].init(Shared::null(), 0);
-        root.bundle[RIGHT].init(Shared::null(), 0);
-        let root = Link::new(root);
-        drop(guard);
+    fn with_context(ctx: &RqContext) -> Self {
+        let max_threads = ctx.max_threads();
+        let root = ctx.collector().pin_exclusive(|guard| {
+            let root = Shared::boxed(Node::new(K::default(), None, [Shared::null(); 2]), guard);
+            // The sentinel's left link starts empty at timestamp 0.
+            root.bundle[LEFT].init(Shared::null(), 0);
+            root.bundle[RIGHT].init(Shared::null(), 0);
+            Link::new(root)
+        });
         BundledCitrusTree {
             root,
             ctx: ctx.clone(),
-            collector,
             tokens: TokenPool::new(max_threads),
             reverts: CachePadded::new(AtomicU64::new(0)),
             searchers: (0..max_threads)
@@ -562,10 +560,6 @@ where
 
     fn context(&self) -> &RqContext {
         &self.ctx
-    }
-
-    fn collector(&self) -> &Collector {
-        &self.collector
     }
 
     fn tokens(&self) -> &TokenPool<Self> {
@@ -793,8 +787,8 @@ where
 /// performs (the retry falls back to a root descent).
 pub struct ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     tree: &'a BundledCitrusTree<K, V>,
     txn: ShardTxn<BundledCitrusTree<K, V>>,
@@ -809,8 +803,8 @@ where
 
 impl<'a, K, V> ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// One search, resuming from the retained spine when it can still be
     /// trusted.
@@ -845,8 +839,8 @@ where
 
 impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Txn = ShardTxn<BundledCitrusTree<K, V>>;
 
@@ -1132,8 +1126,8 @@ where
 
 impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCursor")
@@ -1145,8 +1139,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for BundledCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -1344,19 +1338,20 @@ where
 
 impl<K, V> Drop for BundledCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        let guard = self.collector.pin(0);
-        let mut stack = vec![self.root(&guard)];
-        while let Some(node) = stack.pop() {
-            if !node.is_null() {
-                stack.extend([node.load(LEFT, &guard), node.load(RIGHT, &guard)]);
-                // SAFETY: a drop free: reachable nodes are the tree's alone.
-                unsafe { drop(Box::from_raw(node.as_raw())) };
+        self.ctx.collector().pin_exclusive(|guard| {
+            let mut stack = vec![self.root(guard)];
+            while let Some(node) = stack.pop() {
+                if !node.is_null() {
+                    stack.extend([node.load(LEFT, guard), node.load(RIGHT, guard)]);
+                    // SAFETY: a drop free: reachable nodes are the tree's alone.
+                    unsafe { drop(Box::from_raw(node.as_raw())) };
+                }
             }
-        }
+        });
     }
 }
 
@@ -1435,7 +1430,7 @@ mod tests {
         const MAX_ROUNDS: usize = 400;
         const MIN_READS: usize = 200;
         let ctx = bundle::RqContext::new(4);
-        let t = Tree::with_context(4, ReclaimMode::Reclaim, &ctx);
+        let t = Tree::with_context(&ctx);
         // Midpoints first: a balanced tree, every inner node has two
         // children.
         let mut order = Vec::new();
@@ -1536,7 +1531,7 @@ mod tests {
     #[test]
     fn txn_validate_pins_the_empty_tree_against_first_inserts() {
         let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
+        let t = BundledCitrusTree::<u64, u64>::with_context(&ctx);
         let lease = ctx.lease_read(1);
         let mut out = Vec::new();
         let mut nodes = Vec::new();
@@ -1566,7 +1561,7 @@ mod tests {
         // two children (gap parent = left subtree's rightmost, 40).
         for shape in [&[50u64, 30][..], &[50, 70], &[50, 30, 70, 40, 60]] {
             let ctx = bundle::RqContext::new(3);
-            let t = BundledCitrusTree::<u64, u64>::with_context(3, ReclaimMode::Reclaim, &ctx);
+            let t = BundledCitrusTree::<u64, u64>::with_context(&ctx);
             for &k in shape {
                 t.insert(0, k, k);
             }
@@ -1602,7 +1597,7 @@ mod tests {
     #[test]
     fn covered_read_of_a_relocated_successor_validates_without_a_walk() {
         let ctx = bundle::RqContext::new(2);
-        let t = BundledCitrusTree::<u64, u64>::with_context(2, ReclaimMode::Reclaim, &ctx);
+        let t = BundledCitrusTree::<u64, u64>::with_context(&ctx);
         for k in [50u64, 25, 75, 60, 90, 55] {
             t.insert(0, k, k);
         }

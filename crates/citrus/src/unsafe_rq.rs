@@ -43,8 +43,8 @@ pub struct UnsafeCitrusTree<K, V> {
 
 impl<K, V> UnsafeCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a tree supporting `max_threads` registered threads.
     pub fn new(max_threads: usize) -> Self {
@@ -95,8 +95,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for UnsafeCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -223,8 +223,8 @@ where
 
 impl<K, V> RangeQuerySet<K, V> for UnsafeCitrusTree<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Non-linearizable in-order walk over the current pointers — the
     /// traversal of the bundled tree's snapshot walk minus the bundles,

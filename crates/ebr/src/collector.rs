@@ -1,9 +1,11 @@
-//! The epoch collector: global epoch, per-thread slots, pin guards.
+//! The epoch collector: global epoch, per-thread slots (each with its
+//! thread's announced snapshot), pin guards.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crossbeam_utils::CachePadded;
 
@@ -17,6 +19,11 @@ const INACTIVE: u64 = u64::MAX;
 /// global epoch. DEBRA uses a similar amortization so that the (O(threads))
 /// scan of announcement slots is off the common path.
 const ADVANCE_EVERY: usize = 64;
+
+/// Snapshot slot values: no snapshot, and one whose clock read is under
+/// way (the pending trick bundles use; see [`Collector::announce`]).
+const RQ_INACTIVE: u64 = u64::MAX;
+const RQ_PENDING: u64 = u64::MAX - 1;
 
 /// Whether retired memory is actually freed.
 ///
@@ -34,6 +41,9 @@ pub enum ReclaimMode {
 struct ThreadSlot {
     /// Epoch announced by the thread while pinned, or [`INACTIVE`].
     state: AtomicU64,
+    /// Snapshot announced by the thread (its `activeRqTsArray` entry), on
+    /// the same line as `state`: a range query publishes both.
+    snapshot: AtomicU64,
     /// Pin nesting depth; only touched by the owning thread.
     depth: Cell<usize>,
     /// Number of retires since the last epoch-advance attempt.
@@ -42,10 +52,11 @@ struct ThreadSlot {
     limbo: UnsafeCell<VecDeque<Retired>>,
 }
 
-// SAFETY: `state` is atomic. `depth`, `since_advance` and `limbo` are only
-// accessed by the thread registered for this slot (enforced by the `tid`
-// discipline of `pin`/`retire`) or by the collector's `Drop`/`&mut`
-// teardown, which has exclusive access.
+// SAFETY: `state` and `snapshot` are atomic. `depth`, `since_advance` and
+// `limbo` are only accessed by the thread registered for this slot
+// (enforced by the `tid` discipline of `pin`/`retire`), for the reserved
+// slot by the holder of `Collector::exclusive`, or by the collector's
+// `Drop`, which has exclusive access.
 unsafe impl Sync for ThreadSlot {}
 // SAFETY: as for `Sync`; a slot moves only with its whole collector.
 unsafe impl Send for ThreadSlot {}
@@ -54,6 +65,7 @@ impl ThreadSlot {
     fn new() -> Self {
         ThreadSlot {
             state: AtomicU64::new(INACTIVE),
+            snapshot: AtomicU64::new(RQ_INACTIVE),
             depth: Cell::new(0),
             since_advance: Cell::new(0),
             limbo: UnsafeCell::new(VecDeque::new()),
@@ -63,22 +75,27 @@ impl ThreadSlot {
 
 /// An epoch-based reclamation domain.
 ///
-/// One collector is embedded in every concurrent data structure of this
-/// workspace; threads are identified by a dense index `tid` in
-/// `0..max_threads` (the same index used by the bundle range-query tracker
-/// and by the benchmark harness).
+/// Threads are identified by a dense index `tid` in `0..max_threads`. A
+/// thread's slot holds its pinned epoch and its announced snapshot, so one
+/// collector serves every structure sharing a clock (`bundle::RqContext`).
 pub struct Collector {
     mode: ReclaimMode,
     epoch: CachePadded<AtomicU64>,
+    /// `max_threads` thread slots, then the reserved slot of
+    /// [`Collector::pin_exclusive`].
     slots: Box<[CachePadded<ThreadSlot>]>,
-    stats: Stats,
+    /// Held while the reserved slot is pinned.
+    exclusive: Mutex<()>,
+    /// Off the line of `slots`, which every pin reads: every retire and
+    /// free of every structure sharing the collector writes here.
+    stats: CachePadded<Stats>,
 }
 
 impl Collector {
     /// Create a collector supporting `max_threads` registered threads.
     pub fn new(max_threads: usize, mode: ReclaimMode) -> Self {
         assert!(max_threads > 0, "collector needs at least one thread slot");
-        let slots = (0..max_threads)
+        let slots = (0..=max_threads)
             .map(|_| CachePadded::new(ThreadSlot::new()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -86,8 +103,14 @@ impl Collector {
             mode,
             epoch: CachePadded::new(AtomicU64::new(0)),
             slots,
-            stats: Stats::new(),
+            exclusive: Mutex::new(()),
+            stats: CachePadded::new(Stats::new()),
         }
+    }
+
+    /// Thread `tid`'s slot, never the reserved one (panics out of range).
+    fn slot(&self, tid: usize) -> &ThreadSlot {
+        &self.slots[..self.max_threads()][tid]
     }
 
     /// The reclamation mode this collector was built with.
@@ -97,12 +120,7 @@ impl Collector {
 
     /// Number of thread slots.
     pub fn max_threads(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current global epoch (diagnostic).
-    pub fn global_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.slots.len() - 1
     }
 
     /// Reclamation statistics.
@@ -122,6 +140,25 @@ impl Collector {
     ///
     /// Panics if `tid >= max_threads`.
     pub fn pin(&self, tid: usize) -> Guard<'_> {
+        assert!(tid < self.max_threads(), "tid {tid} out of range");
+        self.pin_slot(tid)
+    }
+
+    /// Run `f` pinned on the reserved slot, which no `tid` owns: what a
+    /// structure's constructor and `Drop` pin with, since over a shared
+    /// collector any `tid` may belong to a running thread. Callers are
+    /// serialized by a mutex; the guard cannot leave `f`.
+    pub fn pin_exclusive<R>(&self, f: impl FnOnce(&Guard<'_>) -> R) -> R {
+        // A poisoned lock is taken over: the guard of the `f` that
+        // panicked unpinned the slot as it unwound.
+        let _held = self
+            .exclusive
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        f(&self.pin_slot(self.max_threads()))
+    }
+
+    fn pin_slot(&self, tid: usize) -> Guard<'_> {
         let slot = &self.slots[tid];
         let depth = slot.depth.get();
         if depth == 0 {
@@ -147,7 +184,7 @@ impl Collector {
 
     /// Returns `true` if thread `tid` currently holds at least one guard.
     pub fn is_pinned(&self, tid: usize) -> bool {
-        self.slots[tid].state.load(Ordering::SeqCst) != INACTIVE
+        self.slot(tid).state.load(Ordering::SeqCst) != INACTIVE
     }
 
     /// Attempt to advance the global epoch. Succeeds only when every pinned
@@ -172,18 +209,10 @@ impl Collector {
         ok
     }
 
-    /// Unconditionally attempt an epoch advance (used by tests and by the
-    /// background recycler between cleanup passes).
-    pub fn force_advance(&self) -> bool {
-        self.try_advance()
-    }
-
-    /// Free every object in thread `tid`'s limbo list that was retired at
-    /// least two epochs ago.
-    ///
-    /// Must only be called by the thread registered as `tid` (the guard
-    /// methods do this automatically).
-    pub fn collect(&self, tid: usize) -> u64 {
+    /// Free every object in slot `tid`'s limbo list that was retired at
+    /// least two epochs ago. Only the slot's owner may call this (its
+    /// guard's [`Guard::flush`] and `retire` do).
+    fn collect(&self, tid: usize) -> u64 {
         if self.mode == ReclaimMode::Leaky {
             return 0;
         }
@@ -210,10 +239,76 @@ impl Collector {
     }
 
     /// Number of objects waiting in thread `tid`'s limbo list.
-    pub fn limbo_len(&self, tid: usize) -> usize {
-        // SAFETY: read-only peek; callers use this for diagnostics/tests on
-        // their own slot or while other threads are quiescent.
+    #[cfg(test)]
+    fn limbo_len(&self, tid: usize) -> usize {
+        // SAFETY: the tests call this with every thread quiescent.
         unsafe { (*self.slots[tid].limbo.get()).len() }
+    }
+
+    /// Announce a snapshot for thread `tid`: publish a pending mark, take
+    /// the timestamp from `read` (the clock read), publish and return it.
+    /// The mark keeps [`Collector::oldest_snapshot`] from missing a
+    /// snapshot whose clock read has happened but is not published yet.
+    ///
+    /// # Panics
+    ///
+    /// If `tid` already announces one: a second would overwrite the first
+    /// and un-pin every bundle entry the older snapshot still needs.
+    #[inline]
+    pub fn announce(&self, tid: usize, read: impl FnOnce() -> u64) -> u64 {
+        let slot = &self.slot(tid).snapshot;
+        assert_eq!(
+            slot.load(Ordering::Relaxed),
+            RQ_INACTIVE,
+            "tid {tid} announced a snapshot while its slot still held one \
+             (an open snapshot or read lease, or a missing retract)"
+        );
+        slot.store(RQ_PENDING, Ordering::SeqCst);
+        let ts = read();
+        slot.store(ts, Ordering::SeqCst);
+        ts
+    }
+
+    /// End the snapshot announced on `tid`.
+    #[inline]
+    pub fn retract(&self, tid: usize) {
+        self.slot(tid)
+            .snapshot
+            .store(RQ_INACTIVE, Ordering::Release);
+    }
+
+    /// Number of threads announcing a snapshot (pending ones included).
+    pub fn announced_snapshots(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.snapshot.load(Ordering::Relaxed) != RQ_INACTIVE)
+            .count()
+    }
+
+    /// The oldest announced snapshot, or `current` (the clock now) when
+    /// there is none older. A pending slot is waited on briefly (its owner
+    /// is between two adjacent stores); past the bounded spin it counts as
+    /// timestamp 0, which only delays reclamation.
+    pub fn oldest_snapshot(&self, current: u64) -> u64 {
+        let mut oldest = current;
+        for slot in self.slots.iter() {
+            let mut v = slot.snapshot.load(Ordering::SeqCst);
+            let mut spins = 0;
+            while v == RQ_PENDING {
+                std::hint::spin_loop();
+                spins += 1;
+                if spins > 10_000 {
+                    // Owner descheduled mid-announcement: be conservative.
+                    v = 0;
+                    break;
+                }
+                v = slot.snapshot.load(Ordering::SeqCst);
+            }
+            if v != RQ_INACTIVE && v < oldest {
+                oldest = v;
+            }
+        }
+        oldest
     }
 
     fn retire_impl(&self, tid: usize, retired: Retired) {
@@ -245,8 +340,8 @@ impl Drop for Collector {
             // SAFETY: `&mut self`: no thread can touch any limbo list.
             let limbo = unsafe { &mut *slot.limbo.get() };
             while let Some(r) = limbo.pop_front() {
-                // SAFETY: no thread can be pinned while the collector is
-                // being dropped (it is owned by the structure being dropped).
+                // SAFETY: `&mut self`: no guard, which borrows the
+                // collector, is left.
                 unsafe { r.reclaim() };
                 freed += 1;
             }
@@ -261,7 +356,7 @@ impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
             .field("mode", &self.mode)
-            .field("epoch", &self.global_epoch())
+            .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .field("threads", &self.max_threads())
             .finish()
     }
@@ -279,7 +374,8 @@ pub struct Guard<'c> {
 }
 
 impl<'c> Guard<'c> {
-    /// The thread index this guard was pinned with.
+    /// The thread index this guard was pinned with (`max_threads` for a
+    /// [`Collector::pin_exclusive`] guard).
     pub fn tid(&self) -> usize {
         self.tid
     }
@@ -289,7 +385,9 @@ impl<'c> Guard<'c> {
         self.collector
     }
 
-    /// Retire a `Box`-allocated object.
+    /// Retire a `Box`-allocated object. `T: 'static`, because a collector
+    /// shared by several structures may free it after the structure that
+    /// retired it is gone.
     ///
     /// # Safety
     ///
@@ -299,7 +397,7 @@ impl<'c> Guard<'c> {
     /// [`crate::Link`] points at it, and any bundle entry that still does is
     /// older than its removal timestamp, so only snapshots pinned before the
     /// removal can follow it.
-    pub unsafe fn retire<T>(&self, ptr: *mut T) {
+    pub unsafe fn retire<T: 'static>(&self, ptr: *mut T) {
         let epoch = self.collector.epoch.load(Ordering::SeqCst);
         self.collector
             .retire_impl(self.tid, Retired::from_box(ptr, epoch));
@@ -383,8 +481,8 @@ mod tests {
         }
         assert_eq!(c.stats().retired(), 1);
         // Two advances => grace period over.
-        assert!(c.force_advance());
-        assert!(c.force_advance());
+        assert!(c.try_advance());
+        assert!(c.try_advance());
         let g = c.pin(0);
         g.flush();
         drop(g);
@@ -400,9 +498,9 @@ mod tests {
             // SAFETY: `retire`: never published, so unreachable.
             unsafe { g.retire(p) };
         }
-        c.force_advance();
-        c.force_advance();
-        c.force_advance();
+        c.try_advance();
+        c.try_advance();
+        c.try_advance();
         let g = c.pin(0);
         g.flush();
         drop(g);
@@ -456,9 +554,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "out of range")]
     fn pin_out_of_range_panics() {
         let c = Collector::new(1, ReclaimMode::Reclaim);
-        let _ = c.pin(5);
+        // Index 1 exists, but it is the reserved slot, which no tid owns.
+        let _ = c.pin(1);
+    }
+
+    #[test]
+    fn exclusive_pin_holds_the_epoch_without_borrowing_a_tid() {
+        let c = Collector::new(1, ReclaimMode::Reclaim);
+        let owner = c.pin(0);
+        c.pin_exclusive(|g| {
+            assert_eq!(g.tid(), 1);
+            assert!(c.try_advance());
+            assert!(!c.try_advance(), "the reserved pin holds the epoch");
+        });
+        assert!(c.is_pinned(0), "tid 0's pin is untouched");
+        drop(owner);
+        assert!(c.try_advance(), "the reserved slot is unpinned again");
+    }
+
+    #[test]
+    fn the_oldest_announced_snapshot_holds_until_retracted() {
+        let c = Collector::new(4, ReclaimMode::Reclaim);
+        assert_eq!(c.oldest_snapshot(10), 10, "none announced: now");
+        assert_eq!(c.announce(1, || 10), 10);
+        assert_eq!(c.announce(2, || 15), 15);
+        assert_eq!(c.announced_snapshots(), 2);
+        assert_eq!(c.oldest_snapshot(20), 10);
+        c.retract(1);
+        assert_eq!(c.oldest_snapshot(20), 15);
+        c.retract(2);
+        assert_eq!((c.oldest_snapshot(20), c.announced_snapshots()), (20, 0));
+        // A retracted tid may announce again.
+        assert_eq!(c.announce(1, || 20), 20);
+    }
+
+    #[test]
+    fn concurrent_announcements_never_report_future_snapshots() {
+        let (clock, c) = (AtomicU64::new(0), Collector::new(4, ReclaimMode::Reclaim));
+        let now = || clock.load(Ordering::SeqCst);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..50_000).for_each(|_| _ = clock.fetch_add(1, Ordering::SeqCst)));
+            for tid in 1..4 {
+                let (c, now) = (&c, &now);
+                s.spawn(move || {
+                    for _ in 0..2_000 {
+                        let ts = c.announce(tid, now);
+                        let oldest = c.oldest_snapshot(now());
+                        assert!(oldest <= ts && ts <= now(), "{oldest} {ts}");
+                        c.retract(tid);
+                    }
+                });
+            }
+        });
     }
 }

@@ -6,7 +6,11 @@
 //! query. This crate is that substrate, implemented from scratch:
 //!
 //! * a [`Collector`] owns a global epoch counter and one cache-padded slot
-//!   per registered thread,
+//!   per registered thread; the slot also holds the thread's announced
+//!   range-query snapshot (the paper's `activeRqTsArray`), so one
+//!   collector is the whole reclamation domain of every structure that
+//!   shares a clock (`bundle::RqContext` owns it); constructors and drops
+//!   pin through a reserved slot ([`Collector::pin_exclusive`]),
 //! * a thread *pins* the collector around every data structure operation,
 //!   producing a [`Guard`]; while pinned, no object retired during the
 //!   thread's observed epoch (or later) will be freed,
@@ -50,8 +54,8 @@
 //! link.store(Shared::null(), Ordering::Release);
 //! unsafe { guard.retire(node.as_raw()) };
 //! drop(guard);
-//! collector.force_advance();
-//! collector.force_advance();
+//! collector.try_advance();
+//! collector.try_advance();
 //! assert!(collector.stats().freed() <= collector.stats().retired());
 //! ```
 
@@ -63,10 +67,3 @@ mod stats;
 pub use collector::{Collector, Guard, ReclaimMode};
 pub use link::{Link, Shared};
 pub use stats::Stats;
-
-/// Maximum number of threads a single [`Collector`] supports by default.
-///
-/// The paper evaluates up to 192 hardware threads; we keep the same bound so
-/// harness code can always register the paper's thread counts even when the
-/// host has fewer cores.
-pub const DEFAULT_MAX_THREADS: usize = 256;

@@ -164,6 +164,7 @@ mod tests {
     use crate::{Collector, ReclaimMode};
     use std::mem::size_of;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[test]
     fn shared_and_link_cost_one_pointer() {
@@ -181,31 +182,34 @@ mod tests {
     /// once, and only after the reader's guard is gone.
     #[test]
     fn a_retired_node_is_dropped_once_after_the_grace_period() {
-        struct Node<'a>(&'a AtomicUsize);
-        impl Drop for Node<'_> {
+        struct Node(Arc<AtomicUsize>);
+        impl Drop for Node {
             fn drop(&mut self) {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let drops = AtomicUsize::new(0);
+        let drops = Arc::new(AtomicUsize::new(0));
         let collector = Collector::new(2, ReclaimMode::Reclaim);
         let link = Link::new(Shared::null());
         let writer = collector.pin(0);
-        link.store(Shared::boxed(Node(&drops), &writer), Ordering::Release);
+        link.store(
+            Shared::boxed(Node(Arc::clone(&drops)), &writer),
+            Ordering::Release,
+        );
         let reader = collector.pin(1);
         let node = link.load(Ordering::Acquire, &reader);
         link.store(Shared::null(), Ordering::Release);
         // SAFETY: unlinked above; `reader` pinned before the unlink.
         unsafe { writer.retire(node.as_raw()) };
         drop(writer);
-        collector.force_advance();
-        assert!(!collector.force_advance(), "the reader holds the epoch");
+        collector.try_advance();
+        assert!(!collector.try_advance(), "the reader holds the epoch");
         assert_eq!(
             (node.0.load(Ordering::SeqCst), collector.stats().freed()),
             (0, 0)
         );
         drop(reader);
-        assert!(collector.force_advance() && collector.force_advance());
+        assert!(collector.try_advance() && collector.try_advance());
         collector.pin(0).flush();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         assert!(link.load(Ordering::Acquire, &collector.pin(0)).is_null());

@@ -9,7 +9,7 @@ use bundle::{
     linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TokenPool,
     TwoPhase, TwoPhaseState, TxnValidateError,
 };
-use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
+use ebr::{Guard, Link, ReclaimMode, Shared};
 
 /// A node of the bundled lazy list (Listing 2 of the paper).
 ///
@@ -60,8 +60,8 @@ impl<K, V> Node<K, V> {
 /// two sentinel nodes and never compared); values are `Clone`.
 pub struct BundledLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// The sentinels; set once by the constructor.
     head: Link<Node<K, V>>,
@@ -70,7 +70,6 @@ where
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
     ctx: RqContext,
-    collector: Collector,
     /// Warm transaction tokens, one slot per thread id (always parked
     /// empty: no node pointer outlives its transaction here).
     tokens: TokenPool<Self>,
@@ -78,14 +77,14 @@ where
 
 impl<K, V> BundledLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a list with an explicit reclamation mode. `ReclaimMode::Leaky`
     /// matches the paper's primary experimental configuration (no memory is
     /// ever freed while the structure is live).
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        Self::with_context(max_threads, mode, &RqContext::new(max_threads))
+        Self::with_context(&RqContext::with_mode(max_threads, mode))
     }
 
     fn head<'g>(&self, guard: &'g Guard<'_>) -> NodePtr<'g, K, V> {
@@ -153,8 +152,8 @@ pub enum LazyUndo<K, V> {
 
 impl<K, V> TwoPhase for BundledLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Key = K;
     type Value = V;
@@ -166,31 +165,25 @@ where
     where
         Self: 'a;
 
-    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let collector = Collector::new(max_threads, mode);
-        let guard = collector.pin(0);
-        let tail = Shared::boxed(Node::new(K::default(), None, Shared::null()), &guard);
-        let head = Shared::boxed(Node::new(K::default(), None, tail), &guard);
-        // The initial link is timestamped with the initial globalTs (0),
-        // mirroring Figure 1's construction.
-        head.bundle.init(tail, 0);
-        let (head, tail) = (Link::new(head), Link::new(tail));
-        drop(guard);
+    fn with_context(ctx: &RqContext) -> Self {
+        let (head, tail) = ctx.collector().pin_exclusive(|guard| {
+            let tail = Shared::boxed(Node::new(K::default(), None, Shared::null()), guard);
+            let head = Shared::boxed(Node::new(K::default(), None, tail), guard);
+            // The initial link is timestamped with the initial globalTs (0),
+            // mirroring Figure 1's construction.
+            head.bundle.init(tail, 0);
+            (Link::new(head), Link::new(tail))
+        });
         BundledLazyList {
             head,
             tail,
             ctx: ctx.clone(),
-            collector,
-            tokens: TokenPool::new(max_threads),
+            tokens: TokenPool::new(ctx.max_threads()),
         }
     }
 
     fn context(&self) -> &RqContext {
         &self.ctx
-    }
-
-    fn collector(&self) -> &Collector {
-        &self.collector
     }
 
     fn tokens(&self) -> &TokenPool<Self> {
@@ -325,8 +318,8 @@ where
 /// A seek for a key at or behind the frontier falls back to a head walk.
 pub struct ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     list: &'a BundledLazyList<K, V>,
     txn: ShardTxn<BundledLazyList<K, V>>,
@@ -340,8 +333,8 @@ where
 
 impl<'a, K, V> ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// The frontier node to resume from for `target`, if the retained
     /// position is usable: strictly before the target and not unlinked.
@@ -389,8 +382,8 @@ where
 
 impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Txn = ShardTxn<BundledLazyList<K, V>>;
 
@@ -558,8 +551,8 @@ where
 
 impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCursor")
@@ -570,8 +563,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for BundledLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -663,20 +656,21 @@ where
 
 impl<K, V> Drop for BundledLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn drop(&mut self) {
         // Exclusive access: free every reachable node (retired nodes are
-        // freed by the collector's own drop).
-        let guard = self.collector.pin(0);
-        let mut curr = self.head(&guard);
-        while !curr.is_null() {
-            let next = curr.next.load(Ordering::Relaxed, &guard);
-            // SAFETY: a drop free: reachable nodes are the list's alone.
-            unsafe { drop(Box::from_raw(curr.as_raw())) };
-            curr = next;
-        }
+        // freed by the collector, when their grace period ends or it drops).
+        self.ctx.collector().pin_exclusive(|guard| {
+            let mut curr = self.head(guard);
+            while !curr.is_null() {
+                let next = curr.next.load(Ordering::Relaxed, guard);
+                // SAFETY: a drop free: reachable nodes are the list's alone.
+                unsafe { drop(Box::from_raw(curr.as_raw())) };
+                curr = next;
+            }
+        });
     }
 }
 
@@ -827,7 +821,7 @@ mod tests {
         for k in 0..20u64 {
             l.remove(0, &k);
         }
-        assert_eq!(l.collector().stats().retired(), 20);
-        assert_eq!(l.collector().stats().freed(), 0);
+        assert_eq!(l.context().collector().stats().retired(), 20);
+        assert_eq!(l.context().collector().stats().freed(), 0);
     }
 }

@@ -45,8 +45,8 @@ pub struct UnsafeLazyList<K, V> {
 
 impl<K, V> UnsafeLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a list supporting `max_threads` registered threads.
     pub fn new(max_threads: usize) -> Self {
@@ -111,8 +111,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for UnsafeLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -177,8 +177,8 @@ where
 
 impl<K, V> RangeQuerySet<K, V> for UnsafeLazyList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Non-linearizable scan over the current pointers: concurrent updates
     /// may be partially observed. This is exactly the paper's `Unsafe`

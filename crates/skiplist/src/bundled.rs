@@ -60,8 +60,8 @@ impl<K, V> Node<K, V> {
 /// linearizable range queries (§5 of the paper).
 pub struct BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// The sentinels; set once by the constructor.
     head: Link<Node<K, V>>,
@@ -70,7 +70,6 @@ where
     /// built through [`TwoPhase::new`] owns a private clock, matching the
     /// paper.
     ctx: RqContext,
-    collector: Collector,
     /// Warm transaction tokens, one slot per thread id (always parked
     /// empty: no node pointer outlives its transaction here).
     tokens: TokenPool<Self>,
@@ -79,12 +78,12 @@ where
 
 impl<K, V> BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a skip list with an explicit reclamation mode.
     pub fn with_mode(max_threads: usize, mode: ReclaimMode) -> Self {
-        Self::with_context(max_threads, mode, &RqContext::new(max_threads))
+        Self::with_context(&RqContext::with_mode(max_threads, mode))
     }
 
     /// The structure's global timestamp (diagnostics). This and the next
@@ -94,9 +93,9 @@ where
         self.ctx.clock()
     }
 
-    /// The structure's epoch collector (diagnostics).
+    /// The context's epoch collector (diagnostics).
     pub fn collector(&self) -> &Collector {
-        &self.collector
+        self.ctx.collector()
     }
 
     /// Total number of bundle entries on the data layer (diagnostic).
@@ -355,8 +354,8 @@ pub enum SkipUndo<K, V> {
 
 impl<K, V> TwoPhase for BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Key = K;
     type Value = V;
@@ -368,23 +367,23 @@ where
     where
         Self: 'a;
 
-    fn with_context(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        let collector = Collector::new(max_threads, mode);
-        let guard = collector.pin(0);
-        let tail = Node::new(
-            K::default(),
-            None,
-            MAX_LEVEL - 1,
-            &[Shared::null(); MAX_LEVEL],
-        );
-        let tail = Shared::boxed(tail, &guard);
-        let head = Node::new(K::default(), None, MAX_LEVEL - 1, &[tail; MAX_LEVEL]);
-        let head = Shared::boxed(head, &guard);
-        head.fully_linked.store(true, Ordering::Release);
-        tail.fully_linked.store(true, Ordering::Release);
-        head.bundle.init(tail, 0);
-        let (head, tail) = (Link::new(head), Link::new(tail));
-        drop(guard);
+    fn with_context(ctx: &RqContext) -> Self {
+        let max_threads = ctx.max_threads();
+        let (head, tail) = ctx.collector().pin_exclusive(|guard| {
+            let tail = Node::new(
+                K::default(),
+                None,
+                MAX_LEVEL - 1,
+                &[Shared::null(); MAX_LEVEL],
+            );
+            let tail = Shared::boxed(tail, guard);
+            let head = Node::new(K::default(), None, MAX_LEVEL - 1, &[tail; MAX_LEVEL]);
+            let head = Shared::boxed(head, guard);
+            head.fully_linked.store(true, Ordering::Release);
+            tail.fully_linked.store(true, Ordering::Release);
+            head.bundle.init(tail, 0);
+            (Link::new(head), Link::new(tail))
+        });
         let seeds = (0..max_threads.max(1))
             .map(|i| {
                 CachePadded::new(AtomicU64::new(
@@ -397,7 +396,6 @@ where
             head,
             tail,
             ctx: ctx.clone(),
-            collector,
             tokens: TokenPool::new(max_threads),
             seeds,
         }
@@ -405,10 +403,6 @@ where
 
     fn context(&self) -> &RqContext {
         &self.ctx
-    }
-
-    fn collector(&self) -> &Collector {
-        &self.collector
     }
 
     fn tokens(&self) -> &TokenPool<Self> {
@@ -566,8 +560,8 @@ where
 /// performs (the retry falls back to a root descent).
 pub struct ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     list: &'a BundledSkipList<K, V>,
     txn: ShardTxn<BundledSkipList<K, V>>,
@@ -582,8 +576,8 @@ where
 
 impl<'a, K, V> ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// One find, resuming from the retained frontier when `use_hint`
     /// (the caller clears it after the first attempt — a retry within
@@ -638,8 +632,8 @@ where
 
 impl<'a, K, V> PrepareCursor<K, V> for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     type Txn = ShardTxn<BundledSkipList<K, V>>;
 
@@ -836,8 +830,8 @@ where
 
 impl<'a, K, V> std::fmt::Debug for ShardCursor<'a, K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardCursor")
@@ -848,8 +842,8 @@ where
 
 impl<K, V> BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// The node holding `key` if it is present: found, fully linked and
     /// not removed.
@@ -863,8 +857,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -980,18 +974,19 @@ where
 
 impl<K, V> Drop for BundledSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        let guard = self.collector.pin(0);
-        let mut curr = self.head(&guard);
-        while !curr.is_null() {
-            let next = curr.next[0].load(Ordering::Relaxed, &guard);
-            // SAFETY: a drop free: reachable nodes are the list's alone.
-            unsafe { drop(Box::from_raw(curr.as_raw())) };
-            curr = next;
-        }
+        self.ctx.collector().pin_exclusive(|guard| {
+            let mut curr = self.head(guard);
+            while !curr.is_null() {
+                let next = curr.next[0].load(Ordering::Relaxed, guard);
+                // SAFETY: a drop free: reachable nodes are the list's alone.
+                unsafe { drop(Box::from_raw(curr.as_raw())) };
+                curr = next;
+            }
+        });
     }
 }
 

@@ -51,8 +51,8 @@ pub struct UnsafeSkipList<K, V> {
 
 impl<K, V> UnsafeSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Create a skip list supporting `max_threads` registered threads.
     pub fn new(max_threads: usize) -> Self {
@@ -178,8 +178,8 @@ where
 
 impl<K, V> ConcurrentSet<K, V> for UnsafeSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
@@ -274,8 +274,8 @@ where
 
 impl<K, V> RangeQuerySet<K, V> for UnsafeSkipList<K, V>
 where
-    K: Copy + Ord + Default + Send + Sync,
-    V: Clone + Send + Sync,
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     /// Non-linearizable scan: descend the index layers, then walk the data
     /// layer collecting unmarked nodes.

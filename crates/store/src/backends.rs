@@ -22,23 +22,30 @@ use ebr::ReclaimMode;
 /// The bundle-maintenance hooks (`cleanup`, `bundle_entries`) let the
 /// store run one recycler over all shards.
 pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
-    /// Build a shard ordering its updates through `ctx` (shared with every
-    /// other shard of the store).
+    /// Build a shard ordering its updates through `ctx` and freeing through
+    /// its collector (shared with every other shard of the store).
+    ///
+    /// # Panics
+    ///
+    /// If `max_threads` or `mode` differ from the context's: they are the
+    /// context's to decide, and are passed only to be checked.
     fn build(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self;
 
-    /// Pin this shard's epoch collector for `tid`.
+    /// Pin the store's epoch collector — one for every shard, the
+    /// context's — for `tid`.
     ///
-    /// A cross-shard range query MUST pin every shard it will traverse
-    /// *before* fixing its snapshot timestamp: a node removed with a
+    /// A range query pins *before* fixing its snapshot timestamp
+    /// ([`RqContext::announce_rq`] does both): a node removed with a
     /// timestamp newer than the snapshot necessarily retires after the
-    /// clock read, so a pin taken before the read protects every node the
-    /// fixed-timestamp traversal can visit. (Pins are reentrant, so the
-    /// shard's own internal pin in [`Self::range_query_at`] just nests.)
+    /// clock read, so a pin taken before the read protects every node a
+    /// fixed-timestamp traversal of any shard can visit. (Pins are
+    /// reentrant, so the shard's own internal pin in
+    /// [`Self::range_query_at`] just nests.)
     fn pin(&self, tid: usize) -> ebr::Guard<'_>;
 
     /// Collect `low ..= high` into `out` (cleared first) as of snapshot
     /// `ts`, which the caller has read from the shared clock and announced
-    /// in the shared tracker for the duration of the call.
+    /// in the context for the duration of the call.
     fn range_query_at(
         &self,
         tid: usize,
@@ -55,9 +62,10 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     /// Total bundle entries currently held (space diagnostic).
     fn bundle_entries(&self, tid: usize) -> usize;
 
-    /// The shard's epoch-reclamation counters (retired / freed / pending
-    /// backlog) — the store's observability layer sums these across
-    /// shards into its EBR retire-backlog gauges.
+    /// The epoch-reclamation counters (retired / freed / pending backlog)
+    /// of the collector the shard frees through: the store's one domain,
+    /// so every shard of a store returns the same counters. The store's
+    /// observability layer reads them once for its EBR gauges.
     fn reclaim_stats(&self) -> &ebr::Stats;
 
     /// Accumulated two-phase state of one transaction's writes on this
@@ -121,9 +129,9 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     /// collected node's address is additionally recorded into `nodes` —
     /// the read-set entry [`Self::txn_validate`] re-checks at commit.
     ///
-    /// Contract: `ts` must stay announced in the shared tracker (the
-    /// transaction's read lease) and the caller must hold an EBR pin on
-    /// this shard from before the lease until validation, so the recorded
+    /// Contract: `ts` must stay announced in the context (the
+    /// transaction's read lease) and the caller must hold an EBR pin from
+    /// before the lease until validation, so the recorded
     /// addresses stay comparable (no node reuse).
     fn txn_range_read(
         &self,
@@ -168,7 +176,9 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
 /// blanket impl can sit beside a downstream pass-through wrapper's.)
 impl<S: TwoPhase> ShardBackend<S::Key, S::Value> for S {
     fn build(max_threads: usize, mode: ReclaimMode, ctx: &RqContext) -> Self {
-        S::with_context(max_threads, mode, ctx)
+        assert_eq!(max_threads, ctx.max_threads(), "thread slots differ");
+        assert_eq!(mode, ctx.collector().mode(), "reclaim mode differs");
+        S::with_context(ctx)
     }
 
     fn pin(&self, tid: usize) -> ebr::Guard<'_> {
@@ -195,7 +205,7 @@ impl<S: TwoPhase> ShardBackend<S::Key, S::Value> for S {
     }
 
     fn reclaim_stats(&self) -> &ebr::Stats {
-        self.collector().stats()
+        self.context().collector().stats()
     }
 
     type Txn = ShardTxn<S>;
@@ -257,6 +267,13 @@ mod tests {
     fn exercise<S: ShardBackend<u64, u64>>() {
         let ctx = RqContext::new(2);
         let shard = S::build(2, ReclaimMode::Reclaim, &ctx);
+        // The thread slots and the reclaim mode are the context's.
+        assert!(std::ptr::eq(shard.reclaim_stats(), ctx.collector().stats()));
+        for (threads, mode) in [(3, ReclaimMode::Reclaim), (2, ReclaimMode::Leaky)] {
+            let build = std::panic::AssertUnwindSafe(|| S::build(threads, mode, &ctx));
+            let rejected = std::panic::catch_unwind(build).is_err();
+            assert!(rejected, "{threads} {mode:?}");
+        }
         assert!(shard.insert(0, 1, 10));
         let before = ctx.read();
 
@@ -270,7 +287,6 @@ mod tests {
         assert!(stats.hinted + stats.descents >= 3, "every seek is counted");
         let ts = ctx.advance(0);
         shard.txn_finalize(cur.finish(), ts);
-        let _pin = shard.pin(1);
         let rq = ctx.announce_rq(1);
         let (mut out, mut nodes) = (Vec::new(), Vec::new());
         shard.range_query_at(1, before, &0, &100, &mut out);

@@ -1,7 +1,7 @@
 //! Session handles: managed dense thread-id registration for the store.
 //!
 //! Every structure in this workspace identifies threads by a dense index
-//! `tid in 0..max_threads` (EBR collector slots, tracker announcement
+//! `tid in 0..max_threads` (EBR collector slots with their snapshot
 //! slots, per-thread PRNG seeds). Passing raw tids around is error-prone
 //! in application code — two threads accidentally sharing a tid corrupts
 //! the EBR pin protocol. A [`StoreHandle`] owns a tid for its lifetime:
@@ -127,7 +127,7 @@ where
     /// read through it observes the store at one shared-clock timestamp
     /// (see [`BundledStore::snapshot`]). At most one snapshot per session
     /// at a time, and no plain `range_query` while it is live (both use
-    /// the session's tracker slot).
+    /// the session's snapshot slot).
     #[must_use]
     pub fn snapshot(&self) -> crate::StoreSnapshot<'_, K, V, S> {
         self.store.snapshot(self.tid)

@@ -8,10 +8,12 @@
 //! workspace structure ([`skiplist::BundledSkipList`],
 //! [`lazylist::BundledLazyList`], [`citrus::BundledCitrusTree`]), while
 //! every shard orders its updates through **one shared**
-//! [`bundle::RqContext`] (clock + range-query tracker).
+//! [`bundle::RqContext`]: the clock and the one EBR collector every shard
+//! frees through, whose slots also hold the announced snapshots.
 //!
 //! Because all shards share the clock, a cross-shard [`range_query`] can
-//! read the clock *once*, announce that snapshot, and then traverse each
+//! pin once, read the clock *once*, announce that snapshot, and then
+//! traverse each
 //! overlapping shard at that fixed timestamp
 //! ([`ShardBackend::range_query_at`]). Every shard serves its fragment of
 //! the *same* atomic snapshot — there is no shard skew, and the whole-store
@@ -60,12 +62,12 @@
 //! * [`BundledStore::with_obs`] — **metrics**: a store built over an
 //!   [`obs::MetricsRegistry`] records commit-pipeline stage latencies,
 //!   conflict/abort counters by cause, per-shard op counters, cursor
-//!   hint rates, and sampled EBR / tracker / clock gauges (read back
+//!   hint rates, and sampled EBR / snapshot / clock gauges (read back
 //!   with [`BundledStore::obs_snapshot`]). The default constructors skip
 //!   all of it at the cost of one never-taken branch per site.
 //! * [`StoreHandle`] / [`BundledStore::register`] — a session API that
-//!   manages the dense thread-id registration the underlying structures
-//!   (EBR collectors, trackers) require: register once, operate without
+//!   manages the dense thread-id registration the reclamation domain
+//!   (EBR and snapshot slots) requires: register once, operate without
 //!   threading `tid` everywhere, slot returns to the pool on drop.
 //!   Registration **blocks** when all slots are taken
 //!   ([`BundledStore::try_register`] is the non-blocking variant).

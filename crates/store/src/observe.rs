@@ -48,13 +48,13 @@ pub(crate) struct StoreObs {
     pub(crate) shard_ops: Box<[Counter]>,
     /// Bundle entries per shard, sampled at snapshot time.
     pub(crate) shard_entries: Box<[Gauge]>,
-    /// EBR nodes retired but not yet freed, summed across shards.
+    /// EBR nodes retired but not yet freed, in the store's one collector.
     pub(crate) ebr_pending: Gauge,
-    /// EBR nodes retired so far, summed across shards.
+    /// EBR nodes retired so far.
     pub(crate) ebr_retired: Gauge,
-    /// EBR nodes freed so far, summed across shards.
+    /// EBR nodes freed so far.
     pub(crate) ebr_freed: Gauge,
-    /// Snapshots currently announced in the shared tracker (live range
+    /// Snapshots currently announced in the shared context (live range
     /// queries, store snapshots, read leases).
     pub(crate) rq_active: Gauge,
     /// Current value of the shared clock.

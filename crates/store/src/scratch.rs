@@ -17,7 +17,7 @@
 //! commit inside a commit) is simply built cold — never a panic.
 //!
 //! What cannot live here is anything that borrows the store (a
-//! snapshot's EBR pins) or whose type needs the store's backend bound to
+//! snapshot's EBR pin) or whose type needs the store's backend bound to
 //! be named (the per-shard tokens): those sit in a
 //! [`bundle::InlineStack`] on the frame of the call that owns them.
 

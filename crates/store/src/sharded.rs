@@ -179,14 +179,14 @@ pub fn uniform_splits(shards: usize, key_range: u64) -> Vec<u64> {
 ///   and retries.
 ///
 /// Thread identifiers: the store supports `max_threads` dense thread ids,
-/// passed through to every shard (each shard's EBR collector registers the
-/// same id space). Use [`BundledStore::register`] for managed allocation.
+/// the slots of its one reclamation domain ([`RqContext`]: the clock, and
+/// the EBR collector every shard frees through). Use
+/// [`BundledStore::register`] for managed allocation.
 pub struct BundledStore<K, V, S> {
     shards: Box<[S]>,
     /// Strictly increasing shard boundaries (`len == shards.len() - 1`).
     splits: Box<[K]>,
     ctx: RqContext,
-    max_threads: usize,
     /// Dense-tid session allocator (see [`StoreHandle`]); registrations
     /// block on the condvar when all slots are in use.
     tids: Mutex<TidPool>,
@@ -226,7 +226,7 @@ where
             splits.windows(2).all(|w| w[0] < w[1]),
             "shard boundaries must be strictly increasing"
         );
-        let ctx = RqContext::new(max_threads);
+        let ctx = RqContext::with_mode(max_threads, mode);
         let shards = (0..=splits.len())
             .map(|_| S::build(max_threads, mode, &ctx))
             .collect::<Vec<_>>()
@@ -235,7 +235,6 @@ where
             shards,
             splits: splits.into_boxed_slice(),
             ctx,
-            max_threads,
             tids: Mutex::new(TidPool {
                 next: 0,
                 free: Vec::new(),
@@ -322,7 +321,7 @@ where
     /// Number of dense thread ids the store (and every shard) supports.
     #[must_use]
     pub fn max_threads(&self) -> usize {
-        self.max_threads
+        self.ctx.max_threads()
     }
 
     /// The linearization context shared by every shard. Structures built
@@ -373,9 +372,9 @@ where
     /// lookup was only individually linearizable and a concurrent
     /// transaction could be observed half-applied across the batch.)
     ///
-    /// Like every snapshot read, this briefly occupies `tid`'s tracker
-    /// slot: do not call it while a [`crate::StoreSnapshot`] or range
-    /// query is live on the same `tid`.
+    /// Like every snapshot read, this briefly occupies `tid`'s snapshot
+    /// slot, and panics if it is taken: do not call it while a
+    /// [`crate::StoreSnapshot`] or range query is live on the same `tid`.
     #[must_use]
     pub fn multi_get(&self, tid: usize, keys: &[K]) -> Vec<Option<V>> {
         if keys.is_empty() {
@@ -432,7 +431,7 @@ where
     /// distinct keys, results in caller order). `reads` is the read set
     /// recorded through a [`crate::StoreSnapshot`] whose lease must still
     /// be live — all reads were answered at one leased timestamp, and the
-    /// snapshot's EBR pins keep the recorded node identities comparable.
+    /// snapshot's EBR pin keeps the recorded node identities comparable.
     ///
     /// Protocol — an explicit **prepare → validate → advance-clock →
     /// finalize** pipeline (generalizing Algorithm 1 from one structure
@@ -928,23 +927,19 @@ where
     }
 
     /// Sample every point-in-time gauge: per-shard bundle entries, the
-    /// EBR retire backlog summed across shards, active snapshot
-    /// announcements, and the shared clock. Counters and histograms
-    /// record continuously and need no sampling; call this right before
-    /// reading a snapshot so the gauges are current.
+    /// store's EBR retire backlog, active snapshot announcements, and the
+    /// shared clock. Counters and histograms record continuously and need
+    /// no sampling; call this right before reading a snapshot so the
+    /// gauges are current.
     pub fn obs_sample(&self, tid: usize) {
         let Some(o) = &self.obs else { return };
-        let (mut pending, mut retired, mut freed) = (0u64, 0u64, 0u64);
         for (i, s) in self.shards.iter().enumerate() {
             o.shard_entries[i].set(s.bundle_entries(tid) as i64);
-            let st = s.reclaim_stats();
-            pending += st.pending();
-            retired += st.retired();
-            freed += st.freed();
         }
-        o.ebr_pending.set(pending as i64);
-        o.ebr_retired.set(retired as i64);
-        o.ebr_freed.set(freed as i64);
+        let st = self.ctx.collector().stats();
+        o.ebr_pending.set(st.pending() as i64);
+        o.ebr_retired.set(st.retired() as i64);
+        o.ebr_freed.set(st.freed() as i64);
         o.rq_active.set(self.ctx.active_rqs() as i64);
         o.clock_value.set(self.ctx.read() as i64);
         o.clock_advances.set(self.ctx.advance_calls() as i64);
@@ -1087,7 +1082,7 @@ impl<K, V, S> BundledStore<K, V, S> {
     pub(crate) fn acquire_tid(&self) -> usize {
         let mut pool = self.tids.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some(tid) = Self::pop_tid(&mut pool, self.max_threads) {
+            if let Some(tid) = Self::pop_tid(&mut pool, self.ctx.max_threads()) {
                 return tid;
             }
             pool = self.tid_freed.wait(pool).unwrap_or_else(|p| p.into_inner());
@@ -1096,7 +1091,7 @@ impl<K, V, S> BundledStore<K, V, S> {
 
     pub(crate) fn try_acquire_tid(&self) -> Option<usize> {
         let mut pool = self.tids.lock().unwrap_or_else(|p| p.into_inner());
-        Self::pop_tid(&mut pool, self.max_threads)
+        Self::pop_tid(&mut pool, self.ctx.max_threads())
     }
 
     pub(crate) fn release_tid(&self, tid: usize) {
@@ -1160,10 +1155,12 @@ where
 {
     /// Linearizable **cross-shard** range query.
     ///
-    /// Reads the shared clock once (the query's linearization point),
-    /// announces that snapshot in the shared tracker — pinning bundle
-    /// reclamation on *every* shard — and then collects each overlapping
-    /// shard's fragment at that fixed timestamp. Shards partition the
+    /// Pins the store's collector, reads the shared clock once (the
+    /// query's linearization point) and announces that snapshot — pinning
+    /// bundle reclamation on *every* shard — then collects each
+    /// overlapping shard's fragment at that fixed timestamp: the first
+    /// straight into `out`, the others through the session's warm read
+    /// buffer, so a warm query allocates nothing. Shards partition the
     /// keyspace in key order, so concatenating the fragments yields the
     /// snapshot in ascending key order with no shard skew: an update
     /// linearized before the clock read is visible in every fragment, one
@@ -1182,27 +1179,18 @@ where
                 ops.incr(tid);
             }
         }
-        // Pin every shard we will traverse BEFORE fixing the snapshot: a
-        // node removed with a timestamp newer than the snapshot retires
-        // only after the clock read below, so these pins keep every node
-        // (and bundle entry) the fixed-timestamp traversals can touch
-        // alive across the whole multi-shard collection.
-        if first == last {
-            let shard = &self.shards[first];
-            let _guard = shard.pin(tid);
-            // Linearization point: one clock read for the whole store.
-            let rq = self.ctx.announce_rq(tid);
-            return shard.range_query_at(tid, rq.ts(), low, high, out);
-        }
-        let shards = &self.shards[first..=last];
-        let _guards: Vec<ebr::Guard<'_>> = shards.iter().map(|s| s.pin(tid)).collect();
+        // Linearization point: one pinned clock read for the whole store.
         let rq = self.ctx.announce_rq(tid);
-        let mut scratch = Vec::new();
-        for shard in shards {
-            // Shards only hold keys inside their boundary range, so the
-            // unclamped bounds are correct for every fragment.
-            shard.range_query_at(tid, rq.ts(), low, high, &mut scratch);
-            out.append(&mut scratch);
+        // Shards only hold keys inside their boundary range, so the
+        // unclamped bounds are correct for every fragment.
+        self.shards[first].range_query_at(tid, rq.ts(), low, high, out);
+        if first < last {
+            let mut bufs = self.scratch.take_read(tid);
+            for shard in &self.shards[first + 1..=last] {
+                shard.range_query_at(tid, rq.ts(), low, high, &mut bufs.frag);
+                out.append(&mut bufs.frag);
+            }
+            self.scratch.put_read(tid, bufs);
         }
         out.len()
     }
@@ -1263,7 +1251,7 @@ mod tests {
         assert!(s.insert(0, 60, Fragile(true)));
         let mut out = Vec::new();
         for (low, high) in [(50u64, 70u64), (0, 99)] {
-            // Single-shard fast path, then the multi-shard loop.
+            // One shard (the first fragment), then several (the others).
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 s.range_query(1, &low, &high, &mut out)
             }));

@@ -2,13 +2,12 @@
 //! transactions.
 //!
 //! A [`StoreSnapshot`] is the read surface of one read-write transaction:
-//! it pins **every** shard's epoch collector, then leases one timestamp
-//! from the shared clock ([`bundle::RqContext::announce_rq`]) — the same
-//! pin-all-shards-then-read-the-clock protocol the store's cross-shard
-//! range query uses, held open across arbitrarily many reads instead of
-//! one. Every read through the snapshot is answered at that single
-//! timestamp, so a transaction's whole read set is one atomic cut of the
-//! store.
+//! it pins the store's one epoch collector, then leases one timestamp
+//! from the shared clock ([`bundle::RqContext::announce_rq`] does both) —
+//! the same pin-then-read-the-clock protocol the store's cross-shard range
+//! query uses, held open across arbitrarily many reads instead of one.
+//! Every read through the snapshot is answered at that single timestamp,
+//! so a transaction's whole read set is one atomic cut of the store.
 //!
 //! Reads can be *recorded*: each read appends one fragment per serving
 //! shard to a [`ReadSet`] — the range it covered and the node identities
@@ -27,10 +26,10 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use bundle::{ActiveRq, InlineStack};
+use bundle::ActiveRq;
 
 use crate::backends::ShardBackend;
-use crate::scratch::{ReadBufs, INLINE_SHARDS};
+use crate::scratch::ReadBufs;
 use crate::sharded::BundledStore;
 
 /// One recorded read of a read-write transaction, as [`ReadSet::iter`]
@@ -170,22 +169,21 @@ impl std::error::Error for TxnAborted {}
 
 /// A leased read snapshot over the whole store (see the module docs).
 ///
-/// Holds, for its entire lifetime: one EBR pin per shard (so every node a
-/// fixed-timestamp read can reach — and every node identity recorded in a
-/// read set — stays allocated) and the read lease announcing the snapshot
-/// timestamp in the shared tracker (so bundle cleanup preserves every
-/// entry the snapshot needs). Drop the snapshot to release both.
+/// Holds, for its entire lifetime, one [`ActiveRq`]: the EBR pin taken
+/// before the clock read (so every node a fixed-timestamp read of any
+/// shard can reach — and every node identity recorded in a read set —
+/// stays allocated) and the announcement of the snapshot timestamp (so
+/// bundle cleanup preserves every entry the snapshot needs). Drop the
+/// snapshot to release both.
 ///
 /// One snapshot per registered `tid` at a time: the lease occupies the
-/// tid's tracker slot, so the owning thread must not run a plain
+/// tid's snapshot slot, so the owning thread must not run a plain
 /// `range_query` (or take a second snapshot) on the same tid while it is
-/// live.
+/// live — either panics.
 pub struct StoreSnapshot<'a, K, V, S> {
     store: &'a BundledStore<K, V, S>,
     tid: usize,
-    ts: u64,
-    _lease: ActiveRq<'a>,
-    _pins: InlineStack<ebr::Guard<'a>, INLINE_SHARDS>,
+    lease: ActiveRq<'a>,
     /// The session's warm read buffers, on loan until drop.
     bufs: RefCell<ReadBufs<K, V>>,
 }
@@ -196,25 +194,19 @@ where
     V: Clone + Send + Sync,
     S: ShardBackend<K, V>,
 {
-    /// Open a leased read snapshot for `tid`: pin every shard, then read
-    /// and announce the shared clock once. All reads through the returned
-    /// handle observe the store at that single timestamp.
+    /// Open a leased read snapshot for `tid`: pin the store's collector,
+    /// then read and announce the shared clock once. All reads through
+    /// the returned handle observe the store at that single timestamp.
+    ///
+    /// # Panics
+    ///
+    /// If `tid` already holds a snapshot.
     pub fn snapshot(&self, tid: usize) -> StoreSnapshot<'_, K, V, S> {
-        // Pin every shard BEFORE fixing the timestamp, exactly like the
-        // cross-shard range query: a node removed with a timestamp newer
-        // than the lease retires only after the clock read below, so these
-        // pins keep every node the fixed-timestamp reads can touch alive.
-        let mut pins = InlineStack::new();
-        for i in 0..self.shard_count() {
-            pins.push(self.shard(i).pin(tid));
-        }
         let lease = self.ctx().announce_rq(tid);
         StoreSnapshot {
             store: self,
             tid,
-            ts: lease.ts(),
-            _lease: lease,
-            _pins: pins,
+            lease,
             bufs: RefCell::new(self.scratch().take_read(tid)),
         }
     }
@@ -231,7 +223,7 @@ impl<K, V, S> StoreSnapshot<'_, K, V, S> {
     /// The leased snapshot timestamp every read is answered at.
     #[must_use]
     pub fn ts(&self) -> u64 {
-        self.ts
+        self.lease.ts()
     }
 
     /// The dense thread id the snapshot is leased on.
@@ -254,7 +246,7 @@ where
         let ReadBufs { frag, nodes } = &mut *bufs;
         self.store
             .shard(shard)
-            .txn_range_read(self.tid, self.ts, low, high, frag, nodes);
+            .txn_range_read(self.tid, self.lease.ts(), low, high, frag, nodes);
         bufs
     }
 
@@ -273,7 +265,7 @@ where
     pub fn get_recorded(&self, key: &K, reads: &mut ReadSet<K>) -> Option<V> {
         let shard = self.store.shard_of(key);
         let mut bufs = self.read_shard(shard, key, key);
-        reads.push(self.ts, shard, *key, *key, &bufs.nodes);
+        reads.push(self.lease.ts(), shard, *key, *key, &bufs.nodes);
         bufs.frag.pop().map(|(_, v)| v)
     }
 
@@ -316,7 +308,7 @@ where
             let mut bufs = self.read_shard(shard, low, high);
             out.append(&mut bufs.frag);
             if let Some(rs) = reads.as_deref_mut() {
-                rs.push(self.ts, shard, *low, *high, &bufs.nodes);
+                rs.push(self.lease.ts(), shard, *low, *high, &bufs.nodes);
             }
         }
         out.len()
@@ -327,7 +319,7 @@ impl<K, V, S> std::fmt::Debug for StoreSnapshot<'_, K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreSnapshot")
             .field("tid", &self.tid)
-            .field("ts", &self.ts)
+            .field("ts", &self.lease.ts())
             .finish()
     }
 }
@@ -385,6 +377,16 @@ mod tests {
         assert_eq!((frag.shard, frag.entries[0].0), (1, 150));
         point.clear();
         assert!(point.is_empty() && point.size() == 0);
+    }
+
+    /// One snapshot per tid, in release too: a second would overwrite the
+    /// first one's announcement and un-pin the bundle entries it needs.
+    #[test]
+    #[should_panic(expected = "announced a snapshot while its slot still held one")]
+    fn a_second_snapshot_on_a_live_tid_panics() {
+        let s = SkipListStore::<u64, u64>::new(2, uniform_splits(2, 100));
+        let _first = s.snapshot(1);
+        let _second = s.snapshot(1);
     }
 
     /// A read-only commit trusts `ReadSet::ts` without validating, so a

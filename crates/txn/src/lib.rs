@@ -11,9 +11,9 @@
 //! ## Read-write transactions
 //!
 //! A [`ReadWriteTxn`] answers every read at **one leased snapshot
-//! timestamp**: the first read opens a [`store::StoreSnapshot`] — pin all
-//! shards, read the shared clock once, announce it in the tracker
-//! ([`bundle::RqContext::lease_read`]) — and every `get`/`range` resolves
+//! timestamp**: the first read opens a [`store::StoreSnapshot`] — pin the
+//! store's one collector, then read the shared clock once and announce it
+//! ([`bundle::RqContext::announce_rq`]) — and every `get`/`range` resolves
 //! through the bundles at that timestamp, overlaid with the transaction's
 //! own staged writes (read-your-writes). Each validated read records the
 //! node identities it observed into the transaction's **read set**.

@@ -8,7 +8,8 @@
 //! depend on a single crate:
 //!
 //! * [`bundle`] — the bundled-reference building block (global timestamp,
-//!   bundles, `LinearizeUpdateOperation`, range-query tracker, recycler)
+//!   bundles, `LinearizeUpdateOperation`, the shared clock-and-collector
+//!   context, recycler)
 //!   and the [`bundle::api`] traits.
 //! * [`ebr`] — DEBRA-style epoch-based reclamation.
 //! * [`lazylist`], [`skiplist`], [`citrus`] — the three bundled data
@@ -16,7 +17,7 @@
 //! * [`store`] — the production-direction subsystem grown on top of the
 //!   paper: a [`store::BundledStore`] shards the keyspace across many
 //!   bundled structures (any backend) that all share one
-//!   [`bundle::RqContext`] clock, preserving linearizable range queries
+//!   [`bundle::RqContext`] clock and reclamation domain, preserving linearizable range queries
 //!   **across shards** while spreading update traffic over independent
 //!   lock domains. Includes a tid-managing session API
 //!   ([`store::StoreHandle`]) and batched `multi_get` / `multi_put`.
@@ -41,7 +42,7 @@
 //!   [`obs::MetricsRegistry`]. A store built with [`store::BundledStore::with_obs`] (and any `ingest`
 //!   front-end spawned over it) records commit-pipeline stage latencies,
 //!   conflict/abort causes, per-shard op counters, queue depth / group
-//!   size distributions, and EBR/tracker/clock gauges — one
+//!   size distributions, and EBR/snapshot/clock gauges — one
 //!   [`obs::MetricsSnapshot`] covers the whole pipeline. The default
 //!   constructors skip it all at one never-taken branch per record site.
 //! * [`wal`] — the **group-commit write-ahead log**: an append-only,
@@ -108,8 +109,7 @@ pub use workloads;
 pub mod prelude {
     pub use bundle::api::{ConcurrentSet, RangeQuerySet};
     pub use bundle::{
-        Bundle, CursorStats, GlobalTimestamp, PrepareCursor, Recycler, RqContext, RqTracker,
-        TwoPhase,
+        Bundle, CursorStats, GlobalTimestamp, PrepareCursor, Recycler, RqContext, TwoPhase,
     };
     pub use citrus::{BundledCitrusTree, UnsafeCitrusTree};
     pub use ebr::{Collector, ReclaimMode};

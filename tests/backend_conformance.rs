@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use bundled_refs::bundle::api::RangeQuerySet;
 use bundled_refs::bundle::{PrepareCursor, RqContext, TwoPhase, TxnValidateError};
 use bundled_refs::citrus::BundledCitrusTree;
-use bundled_refs::ebr::ReclaimMode;
 use bundled_refs::lazylist::BundledLazyList;
 use bundled_refs::skiplist::BundledSkipList;
 
@@ -39,12 +38,11 @@ fn model_range(model: &Model, low: u64, high: u64) -> Vec<(u64, u64)> {
 
 /// A structure over `ctx` holding `keys` (value `f(key)`), and its model.
 fn filled<S: TwoPhase<Key = u64, Value = u64>>(
-    threads: usize,
     ctx: &RqContext,
     keys: &[u64],
     f: impl Fn(u64) -> u64,
 ) -> (S, Model) {
-    let s = S::with_context(threads, ReclaimMode::Reclaim, ctx);
+    let s = S::with_context(ctx);
     let mut model = Model::new();
     for &k in keys {
         assert!(s.insert(0, k, f(k)));
@@ -89,7 +87,7 @@ fn validate_alone<S: TwoPhase<Key = u64, Value = u64>>(
 }
 
 fn insert_remove_contains_roundtrip<S: TwoPhase<Key = u64, Value = u64>>() {
-    let (s, mut model) = filled::<S>(1, &RqContext::new(1), &TREE_ORDER, |k| k + 1);
+    let (s, mut model) = filled::<S>(&RqContext::new(1), &TREE_ORDER, |k| k + 1);
     assert!(!s.insert(0, 30, 0), "duplicate insert rejected");
     assert_eq!(s.len(0), 7);
     assert!(s.contains(0, &60));
@@ -117,7 +115,7 @@ fn range_query_returns_sorted_snapshot<S: TwoPhase<Key = u64, Value = u64>>() {
     for i in (1..keys.len()).rev() {
         keys.swap(i, (xorshift(&mut seed) % (i as u64 + 1)) as usize);
     }
-    let (s, model) = filled::<S>(1, &RqContext::new(1), &keys, |k| k * 10);
+    let (s, model) = filled::<S>(&RqContext::new(1), &keys, |k| k * 10);
     let mut out = Vec::new();
     for (low, high) in [(100u64, 400u64), (30, 90), (0, 1000), (501, 1000)] {
         let n = s.range_query(0, &low, &high, &mut out);
@@ -236,7 +234,7 @@ fn range_query_prefix_insertion_has_no_gaps<S: TwoPhase<Key = u64, Value = u64>>
 
 fn cleanup_prunes_stale_bundle_entries<S: TwoPhase<Key = u64, Value = u64>>() {
     let keys: Vec<u64> = (0..64).map(|k| k * 3 % 64).collect();
-    let (s, _) = filled::<S>(2, &RqContext::new(2), &keys, |k| k);
+    let (s, _) = filled::<S>(&RqContext::new(2), &keys, |k| k);
     // Churn on the same keys grows the bundles.
     for _ in 0..5 {
         for k in 0..64u64 {
@@ -272,7 +270,7 @@ fn relaxed_clock_still_produces_consistent_ranges<S: TwoPhase<Key = u64, Value =
 }
 
 fn range_query_at_respects_fixed_snapshot<S: TwoPhase<Key = u64, Value = u64>>() {
-    let (s, then) = filled::<S>(2, &RqContext::new(2), &TREE_ORDER, |k| k * 2);
+    let (s, then) = filled::<S>(&RqContext::new(2), &TREE_ORDER, |k| k * 2);
     let ts = s.context().read();
     let mut now = then.clone();
     assert!(s.remove(0, &25));
@@ -303,8 +301,8 @@ fn shared_context_spans_structures<S: TwoPhase<Key = u64, Value = u64>>() {
     // Two structures on one context: updates interleave on one clock, and
     // a fixed-timestamp query over both sees one atomic cut.
     let ctx = RqContext::new(2);
-    let a = S::with_context(2, ReclaimMode::Reclaim, &ctx);
-    let b = S::with_context(2, ReclaimMode::Reclaim, &ctx);
+    let a = S::with_context(&ctx);
+    let b = S::with_context(&ctx);
     assert!(a.context().same_as(b.context()));
     a.insert(0, 1, 1); // ts 1
     b.insert(0, 2, 2); // ts 2
@@ -319,7 +317,7 @@ fn shared_context_spans_structures<S: TwoPhase<Key = u64, Value = u64>>() {
 
 fn txn_commit_is_atomic_under_a_fixed_snapshot<S: TwoPhase<Key = u64, Value = u64>>() {
     let ctx = RqContext::new(2);
-    let (s, pre) = filled::<S>(2, &ctx, &TREE_ORDER, |k| k);
+    let (s, pre) = filled::<S>(&ctx, &TREE_ORDER, |k| k);
     let before = ctx.read();
 
     // Two adjacent new keys (in a chain they share a predecessor: the
@@ -353,7 +351,7 @@ fn txn_commit_is_atomic_under_a_fixed_snapshot<S: TwoPhase<Key = u64, Value = u6
 
 fn txn_abort_restores_structure_and_snapshots<S: TwoPhase<Key = u64, Value = u64>>() {
     let ctx = RqContext::new(2);
-    let (s, mut model) = filled::<S>(2, &ctx, &TREE_ORDER, |k| k);
+    let (s, mut model) = filled::<S>(&ctx, &TREE_ORDER, |k| k);
     let clock_before = ctx.read();
 
     let mut cur = s.txn_cursor(s.txn_begin(0));
@@ -410,7 +408,7 @@ fn txn_remove_of_own_staged_insert_nets_out<S: TwoPhase<Key = u64, Value = u64>>
 
 fn txn_reads_validate_and_detect_staleness<S: TwoPhase<Key = u64, Value = u64>>() {
     let ctx = RqContext::new(2);
-    let (s, model) = filled::<S>(2, &ctx, &TREE_ORDER, |k| k * 2);
+    let (s, model) = filled::<S>(&ctx, &TREE_ORDER, |k| k * 2);
     let _pin = s.pin(1);
     let lease = ctx.lease_read(1);
     let (out, nodes) = read_at(&s, lease.ts(), 20, 70);
@@ -451,7 +449,7 @@ fn txn_reads_validate_and_detect_staleness<S: TwoPhase<Key = u64, Value = u64>>(
 
 fn txn_validate_reconciles_own_staged_writes<S: TwoPhase<Key = u64, Value = u64>>() {
     let ctx = RqContext::new(2);
-    let (s, mut model) = filled::<S>(2, &ctx, &[50, 25, 75, 60, 90, 55], |k| k);
+    let (s, mut model) = filled::<S>(&ctx, &[50, 25, 75, 60, 90, 55], |k| k);
     let _pin = s.pin(1);
     let lease = ctx.lease_read(1);
     let (out, all) = read_at(&s, lease.ts(), 0, 100);

@@ -9,7 +9,7 @@
 
 mod common;
 
-use bundled_refs::bundle::api::ConcurrentSet;
+use bundled_refs::bundle::api::{ConcurrentSet, RangeQuerySet};
 use bundled_refs::bundle::TwoPhase;
 use bundled_refs::citrus::BundledCitrusTree;
 use bundled_refs::ebr::ReclaimMode;
@@ -122,4 +122,24 @@ fn lazylist_store_primitives_allocate_the_same_with_metrics() {
 #[test]
 fn citrus_store_primitives_allocate_the_same_with_metrics() {
     metrics_add_no_allocation::<BundledCitrusTree<u64, u64>>();
+}
+
+/// A warm cross-shard range query pins once and collects every fragment
+/// after the first through the session's warm read buffer.
+fn warm_cross_shard_range_query_allocates_nothing<S: ShardBackend<u64, u64>>() {
+    let s = BundledStore::<u64, u64, S>::new(1, uniform_splits(4, KEY_RANGE));
+    for i in 0..KEY_RANGE / 2 {
+        assert!(s.insert(0, (FIRST + i * 2 * 389) % KEY_RANGE, i));
+    }
+    let mut out = Vec::new();
+    s.range_query(0, &0, &KEY_RANGE, &mut out);
+    let (n, len) = allocs_in(|| s.range_query(0, &0, &KEY_RANGE, &mut out));
+    assert_eq!((n, len), (0, KEY_RANGE as usize / 2), "allocations, keys");
+}
+
+#[test]
+fn warm_cross_shard_range_queries_allocate_nothing() {
+    warm_cross_shard_range_query_allocates_nothing::<BundledSkipList<u64, u64>>();
+    warm_cross_shard_range_query_allocates_nothing::<BundledLazyList<u64, u64>>();
+    warm_cross_shard_range_query_allocates_nothing::<BundledCitrusTree<u64, u64>>();
 }

@@ -68,8 +68,8 @@ fn leaky_mode_matches_paper_default_and_counts_retires() {
     for k in 0..100u64 {
         assert!(list.remove(0, &k));
     }
-    assert_eq!(list.collector().stats().retired(), 100);
-    assert_eq!(list.collector().stats().freed(), 0);
+    assert_eq!(list.context().collector().stats().retired(), 100);
+    assert_eq!(list.context().collector().stats().freed(), 0);
     assert!(list.is_empty(0));
 }
 
@@ -96,4 +96,36 @@ fn relaxed_structures_remain_correct_sets() {
     let mut out = Vec::new();
     s.range_query(2, &0, &4_000, &mut out);
     assert_eq!(out.len(), 4_000 - 1 + 1);
+}
+
+/// One reclamation domain per store: a snapshot on tid 1 reads the keys
+/// tid 0 removed from every shard after it, and holds back their frees.
+fn a_snapshot_holds_the_frees_of_every_shard<S: ShardBackend<u64, u64>>() {
+    let s = BundledStore::<u64, u64, S>::new(2, uniform_splits(4, 400));
+    let keys = [50u64, 150, 250, 350];
+    keys.iter().for_each(|&k| assert!(s.insert(0, k, k)));
+    let stats = s.shard(0).reclaim_stats();
+    let advance_and_collect = || {
+        (0..3).for_each(|_| _ = s.context().collector().try_advance());
+        s.shard(0).pin(0).flush()
+    };
+    let snap = s.snapshot(1);
+    keys.iter().for_each(|&k| assert!(s.remove(0, &k)));
+    let retired = stats.retired();
+    assert!(retired >= 4 && stats.freed() == 0);
+    advance_and_collect();
+    for k in keys {
+        assert_eq!(snap.get(&k), Some(k), "shard {}", s.shard_of(&k));
+    }
+    assert_eq!(stats.freed(), 0, "the snapshot's one pin holds every shard");
+    drop(snap);
+    advance_and_collect();
+    assert!(stats.freed() >= retired, "{} of {retired}", stats.freed());
+}
+
+#[test]
+fn a_store_snapshot_holds_the_frees_of_every_shard() {
+    a_snapshot_holds_the_frees_of_every_shard::<BundledSkipList<u64, u64>>();
+    a_snapshot_holds_the_frees_of_every_shard::<BundledLazyList<u64, u64>>();
+    a_snapshot_holds_the_frees_of_every_shard::<BundledCitrusTree<u64, u64>>();
 }

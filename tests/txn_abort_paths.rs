@@ -275,11 +275,11 @@ fn covered_reads_abort_on_foreign_commits_and_commit_otherwise() {
 /// still walks, and a stale covered read is `Invalidated` without one.
 fn covered_rmw_validates_without_a_walk<S: TwoPhase<Key = u64, Value = u64>>() {
     let ctx = RqContext::new(2);
-    let s = S::with_context(2, ReclaimMode::Reclaim, &ctx);
+    let s = S::with_context(&ctx);
     for k in [50u64, 25, 75, 60, 90, 55] {
         s.insert(0, k, k);
     }
-    let _pin = s.collector().pin(1);
+    let _pin = s.pin(1);
     let lease = ctx.lease_read(1);
     // Point reads the way the store makes them: the degenerate range.
     let read_at = |ts: u64, k: u64| {
