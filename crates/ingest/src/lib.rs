@@ -5,10 +5,10 @@
 //! the commit pipeline. Under update-heavy traffic — exactly where the
 //! paper shows bundles are cheapest — those two per-write costs become
 //! the bottleneck. This crate amortizes both: clients fire operations at
-//! per-shard submission rings and get back a waitable [`Ticket`];
-//! dedicated **committer threads** drain the rings, coalesce compatible
-//! operations from *different* sessions into one super-batch, and
-//! publish the whole group through
+//! bounded submission queues and get back a waitable [`Ticket`];
+//! dedicated **committer threads** take what queued up, coalesce
+//! compatible operations from *different* sessions into one super-batch,
+//! and publish the whole group through
 //! [`store::BundledStore::apply_grouped`] — the store's existing prepare
 //! → advance → finalize pipeline, entered **once per group**, advancing
 //! the clock **once per group**.
@@ -18,9 +18,9 @@
 //! A group is an atomic cut: every operation in it publishes at one
 //! commit timestamp, so any snapshot (range query, leased read,
 //! transaction) observes the group entirely or not at all. *Single-op*
-//! submissions on the same key land in the same per-shard ring and are
-//! serialized in ring order — the committer folds them into one
-//! effective staged op (see the `fold` module) and replays the ring
+//! submissions on the same key land in the same queue and are
+//! serialized in queue order — the committer folds them into one
+//! effective staged op (see the `fold` module) and replays the queue
 //! order to give each ticket its operation's individual outcome, exactly
 //! as if the operations had executed back-to-back at adjacent
 //! linearization points that happen to share a timestamp. Whole
@@ -28,29 +28,32 @@
 //! group, so they stay atomic like a
 //! [`store::BundledStore::apply_txn`] batch; a batch is *routed* by its
 //! first key's shard, so its other keys may serialize against same-key
-//! submissions in other committers' rings through the store's node
-//! locks rather than through any one ring — the tickets' `(ts, seq)`
+//! submissions in other committers' queues through the store's node
+//! locks rather than through any one queue — the tickets' `(ts, seq)`
 //! metadata reports the order that actually resulted.
 //!
 //! ## Pipelining
 //!
 //! Group commit batches *naturally*: while a committer publishes group
-//! *N*, producers keep enqueueing; the next drain scoops everything that
-//! accumulated. Producers that want throughput rather than per-op latency
-//! submit a window of operations ([`Ingest::submit_all`]) and wait the
-//! tickets afterwards — `benchmark/`'s `ingest_pipelined` workload runs
-//! 256-op windows. An optional [`IngestConfig::linger`] adds a fixed epoch
-//! delay to grow groups further at the cost of latency.
+//! *N*, producers keep enqueueing; the committer then takes everything
+//! that accumulated. Producers that want throughput rather than per-op
+//! latency submit a window of operations ([`Ingest::submit_all`]) and
+//! wait the tickets afterwards — `benchmark/`'s `ingest_pipelined`
+//! workload runs 256-op windows. An optional [`IngestConfig::linger`]
+//! adds a fixed epoch delay to grow groups further at the cost of
+//! latency.
 //!
-//! ## The submission path is lock-free
+//! ## One queue per committer
 //!
-//! Each shard's submission queue is a bounded lock-free MPSC ring
-//! ([`ring::MpscRing`]): a producer reserves a slot with one `fetch_add`
-//! and publishes with one release store — no lock, no condvar, no
-//! serialization against other producers beyond the two contended cache
-//! lines themselves. Blocking is layered *on top*, eventcount-style:
-//! sleep counters tell publishers and drains whether anyone is parked,
-//! so the uncontended hot path never touches the wake mutex.
+//! Each committer owns one bounded [`std::sync::mpsc::sync_channel`].
+//! Shard `s` feeds the queue of committer `s % committers`, so every
+//! submission on a key goes through one FIFO to one consumer. The
+//! channel parks a sender on a full queue and the committer on an empty
+//! one; the front-end keeps no lock, condvar or sleeper count of its
+//! own. [`Ingest::flush`] and [`Ingest::shutdown`] are markers on the
+//! same FIFO: when a committer reaches one, it has taken every
+//! submission sent to its queue before the marker, and it commits those
+//! before it answers the flush or exits.
 //!
 //! ## Hand-off cost
 //!
@@ -61,11 +64,10 @@
 //!
 //! | step | per group | per op |
 //! |---|---|---|
-//! | ring drain ([`ring::MpscRing::pop_run`]) | one `head` store and one occupancy-gate RMW per ring | a slot read and its seq release |
+//! | queue take | a blocking `recv` only when the queue ran empty | one `try_recv` per submission |
 //! | fold / outcome scatter | sort of the group's keys; every buffer is reused, none allocated | one flat outcome bit |
 //! | ticket resolve | — | an uncontended slot store and one state-word swap: **no syscall, no allocation** (a single-op ticket carries its outcome bit inline; the waiter builds the `Vec<bool>`) |
 //! | wake-up | one `unpark` per *parked thread* (deduplicated), issued after the whole group's outcomes are stored | — |
-//! | flush / backpressure accounting | one `in_flight` RMW, one sleeper check | — |
 //!
 //! A producer that pipelines a window and then waits its tickets in
 //! order parks on at most one of them per group; the committer stores
@@ -76,28 +78,28 @@
 //!
 //! ## Backpressure
 //!
-//! [`IngestConfig::max_queue_depth`] bounds each shard's ring, counted in
-//! **submissions** (a batch of *k* ops occupies one slot): when a
-//! committer falls behind, blocking submitters park on the slow-path
-//! waiter ([`Ingest::submit`] / [`Ingest::submit_batch`] /
-//! [`Ingest::submit_all`]) only when the ring is actually full, while
-//! [`Ingest::try_submit`] / [`Ingest::try_submit_batch`] shed load with
-//! [`QueueFull`] (handing the rejected ops back). The default depth is
-//! 1024 submissions per shard; rings are allocated eagerly, so the bound
+//! [`IngestConfig::max_queue_depth`] bounds each committer's queue,
+//! counted in **submissions** (a batch of *k* ops occupies one slot; a
+//! submission the committer has already taken occupies none). When a
+//! committer falls behind, blocking submitters ([`Ingest::submit`] /
+//! [`Ingest::submit_batch`] / [`Ingest::submit_all`]) park inside the
+//! channel until its queue has space, while [`Ingest::try_submit`] /
+//! [`Ingest::try_submit_batch`] shed load with [`QueueFull`] (handing
+//! the rejected ops back). The default depth is 1024 submissions per
+//! committer; the channel allocates its slots eagerly, so the bound
 //! must be in `1..=`[`MAX_QUEUE_DEPTH`] ([`IngestConfig::validate`]).
 //!
 //! ## Sessions and shutdown
 //!
 //! Each committer registers one store session (a dense tid), so the store
-//! must be built with `max_threads >= producers + committers`.
-//! [`Ingest::flush`] blocks until every accepted submission has resolved
-//! and — when the store carries a commit log (`crates/wal`) — fsyncs it,
-//! making `flush` the pipeline's durability barrier;
-//! [`Ingest::shutdown`] (also run on drop) drains the rings, resolves
-//! every outstanding ticket, fsyncs the WAL tail, and joins the
-//! committers, so a clean shutdown never loses an acknowledged group.
-//! Submitting concurrently with — or after — `shutdown` is a contract
-//! violation and panics.
+//! must be built with `max_threads >= producers + committers`. Once every
+//! committer has answered its marker, [`Ingest::flush`] fsyncs the store's
+//! commit log (`crates/wal`), if it has one: `flush` is the pipeline's
+//! durability barrier. At the stop marker of [`Ingest::shutdown`] (also
+//! run on drop) a committer fsyncs the WAL tail and exits, so a clean
+//! shutdown never loses an acknowledged group. Submitting concurrently
+//! with — or after — `shutdown` panics; a submit that returns a ticket is
+//! ahead of the stop marker, so every ticket handed out resolves.
 //!
 //! ## Example
 //!
@@ -122,12 +124,14 @@
 //! assert_eq!(h.get(&10), Some(2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod fold;
-pub mod ring;
 mod ticket;
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use store::{BundledStore, ShardBackend, StoreHandle, TxnOp};
@@ -135,15 +139,15 @@ use store::{BundledStore, ShardBackend, StoreHandle, TxnOp};
 pub use ticket::Ticket;
 use ticket::{Applied, PackedOutcome};
 
-/// Hard ceiling on [`IngestConfig::max_queue_depth`]: ring slots are
-/// allocated eagerly per shard, so an unbounded (or absurd) depth would
-/// try to materialize it. 64Ki submissions per shard is far beyond any
-/// useful backpressure point.
+/// Hard ceiling on [`IngestConfig::max_queue_depth`]: each committer's
+/// queue allocates its slots eagerly, so an unbounded (or absurd) depth
+/// would try to materialize it. 64Ki submissions per committer is far
+/// beyond any useful backpressure point.
 pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
 
-/// Soft cap on operations per super-batch: a drain stops pulling new
-/// submissions once the group holds this many ops (the submission that
-/// crosses the cap is still taken whole — batches never split).
+/// Soft cap on operations per super-batch: a committer stops taking
+/// submissions into a group once it holds this many ops (the submission
+/// that crosses the cap is still taken whole — batches never split).
 const MAX_GROUP_OPS: usize = 4096;
 
 /// Front-end instrument handles, registered in the store's metrics
@@ -151,8 +155,8 @@ const MAX_GROUP_OPS: usize = 4096;
 /// (`BundledStore::with_obs`); absent otherwise, so the hot paths pay
 /// one never-taken branch per site.
 struct IngestObs {
-    /// Submissions found queued per drain round (the backlog a committer
-    /// actually scooped — the batching the front-end exists to create).
+    /// Submissions per committed group (the backlog a committer took off
+    /// its queue — the batching the front-end exists to create).
     queue_depth: obs::Histogram,
     /// Submitted ops per committed group.
     group_size: obs::Histogram,
@@ -161,9 +165,6 @@ struct IngestObs {
     linger_occupancy_pct: obs::Histogram,
     /// Nanoseconds from a submission's enqueue to its ticket resolving.
     ticket_wait_ns: obs::Histogram,
-    /// Submissions currently sitting in the shard rings (the summed ring
-    /// occupancy, sampled at each drain).
-    depth: obs::Gauge,
 }
 
 impl IngestObs {
@@ -173,7 +174,6 @@ impl IngestObs {
             group_size: registry.histogram("ingest.group_size"),
             linger_occupancy_pct: registry.histogram("ingest.linger_occupancy_pct"),
             ticket_wait_ns: registry.histogram("ingest.ticket_wait_ns"),
-            depth: registry.gauge("ingest.depth"),
         }
     }
 }
@@ -184,25 +184,26 @@ pub struct IngestConfig {
     /// Committer threads. Shard `i` is owned by committer
     /// `i % committers`, so values above the store's shard count are
     /// **clamped to the shard count** (a committer beyond that would own
-    /// no ring and idle forever). Each committer registers one store
+    /// no shard and idle forever). Each committer registers one store
     /// session; [`Ingest::committers`] reports the clamped count
     /// actually running.
     pub committers: usize,
-    /// Extra epoch delay between waking on work and draining, letting a
-    /// group grow beyond what accumulated naturally. Zero (the default)
-    /// relies on commit-duration batching alone.
+    /// Extra epoch delay between waking on work and taking the rest of
+    /// the queue, letting a group grow beyond what accumulated
+    /// naturally. Zero (the default) relies on commit-duration batching
+    /// alone.
     pub linger: Duration,
-    /// Per-shard submission-ring depth bound, counted in **submissions**
-    /// — a batch of *k* ops occupies exactly one slot, the same unit the
-    /// `ingest.depth` gauge and [`QueueFull`] rejections use. When a
-    /// ring is full, [`Ingest::submit`] / [`Ingest::submit_batch`] /
-    /// [`Ingest::submit_all`] **block** until the owning committer
-    /// drains it, and [`Ingest::try_submit`] /
+    /// Per-committer submission-queue depth bound, counted in
+    /// **submissions** — a batch of *k* ops occupies exactly one slot,
+    /// the same unit [`QueueFull`] rejections use, and a submission the
+    /// committer has already taken (for instance while it lingers)
+    /// occupies none. When a queue is full, [`Ingest::submit`] /
+    /// [`Ingest::submit_batch`] / [`Ingest::submit_all`] **block** until
+    /// the owning committer takes from it, and [`Ingest::try_submit`] /
     /// [`Ingest::try_submit_batch`] return [`QueueFull`] instead.
     /// Must be in `1..=`[`MAX_QUEUE_DEPTH`] ([`IngestConfig::validate`]
     /// panics otherwise — nothing is silently clamped); the default is
-    /// 1024. The ring rounds its slot count up to a power of two but
-    /// rejects at exactly this bound.
+    /// 1024.
     pub max_queue_depth: usize,
 }
 
@@ -219,7 +220,7 @@ impl Default for IngestConfig {
 impl IngestConfig {
     /// Panic unless the configuration is spawnable:
     /// [`IngestConfig::max_queue_depth`] must be in
-    /// `1..=`[`MAX_QUEUE_DEPTH`] (rings are allocated eagerly, so the
+    /// `1..=`[`MAX_QUEUE_DEPTH`] (queues are allocated eagerly, so the
     /// bound is enforced here instead of silently clamped at spawn).
     /// Called by [`Ingest::spawn`]; public so configuration plumbing can
     /// fail fast at parse time.
@@ -231,15 +232,16 @@ impl IngestConfig {
         assert!(
             self.max_queue_depth <= MAX_QUEUE_DEPTH,
             "IngestConfig::max_queue_depth ({}) exceeds MAX_QUEUE_DEPTH ({MAX_QUEUE_DEPTH}): \
-             ring slots are allocated eagerly per shard",
+             queue slots are allocated eagerly per committer",
             self.max_queue_depth
         );
     }
 }
 
-/// A non-blocking submission was rejected because the target shard's
-/// ring is at [`IngestConfig::max_queue_depth`]; the rejected ops are
-/// handed back for the caller to retry, redirect, or shed.
+/// A non-blocking submission was rejected because the target
+/// committer's queue is at [`IngestConfig::max_queue_depth`]; the
+/// rejected ops are handed back for the caller to retry, redirect, or
+/// shed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueFull<K, V> {
     /// The ops of the rejected submission, in submission order.
@@ -322,6 +324,13 @@ impl<K, V> Ops<K, V> {
             Ops::Many(v) => v.len(),
         }
     }
+
+    fn into_vec(self) -> Vec<TxnOp<K, V>> {
+        match self {
+            Ops::One(op) => vec![op],
+            Ops::Many(v) => v,
+        }
+    }
 }
 
 /// One queued submission: the ops of one ticket.
@@ -333,37 +342,29 @@ struct Submission<K, V> {
     enqueued: Option<Instant>,
 }
 
+/// What a committer's queue carries.
+enum Msg<K, V> {
+    /// A submission to commit.
+    Sub(Submission<K, V>),
+    /// An [`Ingest::flush`] marker. The committer drops the sender once
+    /// every submission ahead of the marker has resolved; the drop is the
+    /// answer, so a marker that a stopped committer discards unread
+    /// answers too.
+    Flush(mpsc::Sender<()>),
+    /// An [`Ingest::shutdown`] marker: commit what is held and exit.
+    Stop,
+}
+
 struct Shared<K, V, S> {
     store: Arc<BundledStore<K, V, S>>,
-    /// One lock-free submission ring per shard; an op lands in the ring
-    /// of the shard owning its key, a batch in the ring of its first
-    /// key's shard. Same-key submissions therefore share a ring, which
-    /// is what makes "serialized by queue order" well-defined. Shard `i`
-    /// is consumed only by committer `i % committers` — the ring's
-    /// single-consumer contract.
-    rings: Box<[ring::MpscRing<Submission<K, V>>]>,
-    /// Backs the three condvars below. **Never** taken on the submit or
-    /// drain fast paths — only by parked threads and the notifiers that
-    /// observed (via the sleeper counters) someone parked.
-    wake: Mutex<()>,
-    /// Wakes committers parked with every owned ring empty.
-    work: Condvar,
-    /// Wakes submitters parked on a full ring.
-    space: Condvar,
-    /// Wakes [`Ingest::flush`] when `in_flight` reaches zero.
-    idle: Condvar,
-    /// Committers parked on `work` (eventcount-style: a publisher skips
-    /// the wake mutex entirely while this reads zero).
-    work_sleepers: AtomicUsize,
-    /// Submitters parked on `space`.
-    space_sleepers: AtomicUsize,
-    /// Accepted-but-unresolved submissions (drives [`Ingest::flush`]).
-    /// Incremented *before* a submission is published to its ring, so a
-    /// committer can never resolve-and-decrement first.
-    in_flight: AtomicU64,
+    /// One bounded queue per committer. An op goes to the queue of the
+    /// committer owning its key's shard (shard `s` → committer
+    /// `s % committers`), a batch to its first key's. Same-key
+    /// submissions therefore share a queue, which is what makes
+    /// "serialized by queue order" well-defined.
+    queues: Box<[SyncSender<Msg<K, V>>]>,
+    /// Set by [`Ingest::shutdown`] before it sends its stop markers.
     shutdown: AtomicBool,
-    committers: usize,
-    linger: Duration,
     obs: Option<IngestObs>,
     groups: AtomicU64,
     submissions: AtomicU64,
@@ -377,25 +378,17 @@ struct Shared<K, V, S> {
 }
 
 impl<K, V, S> Shared<K, V, S> {
-    fn assert_live(&self) {
+    /// Panic unless a submission whose send just returned (`sent` = the
+    /// queue was still open) will be answered. [`Ingest::shutdown`] sets
+    /// the flag before it sends a stop marker, and the channel orders
+    /// slot claims with acquire/release, so a send that landed behind a
+    /// stop marker reads the flag set: a ticket is returned only for a
+    /// submission its committer takes before it stops.
+    fn assert_accepted(&self, sent: bool) {
         assert!(
-            !self.shutdown.load(Ordering::SeqCst),
+            sent && !self.shutdown.load(Ordering::SeqCst),
             "submitted to an ingest front-end that is shutting down"
         );
-    }
-
-    /// Wake parked committers after publishing work. The Dekker pattern
-    /// against [`committer_wait`]: publish (release store in the ring) →
-    /// SeqCst fence → sleeper-count load, vs. sleeper-count RMW → SeqCst
-    /// fence → ring re-check. Whichever fence orders first, either the
-    /// publisher sees the sleeper (and notifies under the wake mutex the
-    /// sleeper holds until it waits) or the sleeper sees the work.
-    fn wake_committers(&self) {
-        fence(Ordering::SeqCst);
-        if self.work_sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.wake.lock().unwrap_or_else(|p| p.into_inner());
-            self.work.notify_all();
-        }
     }
 }
 
@@ -422,21 +415,12 @@ where
     pub fn spawn(store: Arc<BundledStore<K, V, S>>, cfg: IngestConfig) -> Self {
         cfg.validate();
         let committers = cfg.committers.clamp(1, store.shard_count());
+        let (queues, receivers): (Vec<_>, Vec<_>) = (0..committers)
+            .map(|_| mpsc::sync_channel(cfg.max_queue_depth))
+            .unzip();
         let shared = Arc::new(Shared {
-            rings: (0..store.shard_count())
-                .map(|_| ring::MpscRing::with_bound(cfg.max_queue_depth))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            wake: Mutex::new(()),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            idle: Condvar::new(),
-            work_sleepers: AtomicUsize::new(0),
-            space_sleepers: AtomicUsize::new(0),
-            in_flight: AtomicU64::new(0),
+            queues: queues.into_boxed_slice(),
             shutdown: AtomicBool::new(false),
-            committers,
-            linger: cfg.linger,
             obs: store.obs_registry().map(IngestObs::new),
             groups: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
@@ -447,8 +431,10 @@ where
             wakes: AtomicU64::new(0),
             store,
         });
-        let workers = (0..committers)
-            .map(|c| {
+        let workers = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(c, queue)| {
                 let shared = Arc::clone(&shared);
                 let handle = shared.store.try_register().unwrap_or_else(|| {
                     panic!(
@@ -458,7 +444,7 @@ where
                 });
                 std::thread::Builder::new()
                     .name(format!("ingest-committer-{c}"))
-                    .spawn(move || committer_loop(&shared, &handle, c))
+                    .spawn(move || committer_loop(&shared, &handle, &queue, cfg.linger))
                     .expect("spawning an ingest committer thread failed")
             })
             .collect();
@@ -477,7 +463,7 @@ where
     /// Number of committer threads actually running.
     #[must_use]
     pub fn committers(&self) -> usize {
-        self.shared.committers
+        self.shared.queues.len()
     }
 
     /// A resolved-immediately ticket for an empty submission.
@@ -493,88 +479,61 @@ where
         Ticket::new(slot)
     }
 
-    /// Publish an accepted submission into its reserved ring slot and
-    /// return its ticket. `in_flight` is incremented *before* the slot
-    /// publishes (a committer could otherwise scoop, resolve, and
-    /// decrement first — u64 underflow, flush/shutdown accounting torn);
-    /// rejected reservations never touch it.
-    fn publish(
-        &self,
-        reserved: ring::PushSlot<'_, Submission<K, V>>,
-        ops: Ops<K, V>,
-    ) -> Ticket<IngestOutcome> {
+    /// The queue `ops` goes to: its first key's shard's committer's.
+    fn queue_of(&self, ops: &Ops<K, V>) -> &SyncSender<Msg<K, V>> {
+        let shard = self.shared.store.shard_of(ops.as_slice()[0].key());
+        &self.shared.queues[shard % self.shared.queues.len()]
+    }
+
+    /// A submission of `ops` and the ticket it will resolve.
+    fn submission(&self, ops: Ops<K, V>) -> (Msg<K, V>, Ticket<IngestOutcome>) {
         let slot = ticket::Oneshot::new();
         let ticket = Ticket::new(Arc::clone(&slot));
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        reserved.publish(Submission {
+        let sub = Submission {
             ops,
             ticket: slot,
             enqueued: self.shared.obs.as_ref().map(|_| Instant::now()),
-        });
-        self.shared.wake_committers();
+        };
+        (Msg::Sub(sub), ticket)
+    }
+
+    /// Send `ops` to its queue, parking while the queue is full.
+    fn send(&self, ops: Ops<K, V>) -> Ticket<IngestOutcome> {
+        let queue = self.queue_of(&ops);
+        let (msg, ticket) = self.submission(ops);
+        self.shared.assert_accepted(queue.send(msg).is_ok());
         ticket
     }
 
-    /// Reserve a slot on `shard`'s ring, parking on the backpressure
-    /// slow path while the ring is full. Panics on shutdown (both before
-    /// parking and on every wakeup — [`Ingest::shutdown`] wakes parked
-    /// submitters so they fail fast instead of deadlocking).
-    fn reserve_blocking(&self, shard: usize) -> ring::PushSlot<'_, Submission<K, V>> {
-        let sh = &*self.shared;
-        sh.assert_live();
-        if let Some(reserved) = sh.rings[shard].try_reserve() {
-            return reserved;
+    /// Send `ops` to its queue, or hand them back if the queue is full.
+    fn try_send(&self, ops: Ops<K, V>) -> Result<Ticket<IngestOutcome>, QueueFull<K, V>> {
+        let queue = self.queue_of(&ops);
+        let (msg, ticket) = self.submission(ops);
+        match queue.try_send(msg) {
+            Err(TrySendError::Full(Msg::Sub(sub))) => Err(QueueFull {
+                ops: sub.ops.into_vec(),
+            }),
+            sent => {
+                self.shared.assert_accepted(sent.is_ok());
+                Ok(ticket)
+            }
         }
-        // Slow path: park eventcount-style. The sleeper count is
-        // incremented under the wake mutex and the ring is re-checked
-        // before every wait, so a drain that frees space either sees the
-        // sleeper (and notifies under the same mutex) or happened early
-        // enough for the re-check to see the space.
-        let mut guard = sh.wake.lock().unwrap_or_else(|p| p.into_inner());
-        sh.space_sleepers.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let reserved = loop {
-            if sh.shutdown.load(Ordering::SeqCst) {
-                sh.space_sleepers.fetch_sub(1, Ordering::SeqCst);
-                drop(guard);
-                sh.assert_live(); // panics: live was just observed false
-                unreachable!("assert_live panics once shutdown is set");
-            }
-            if let Some(reserved) = sh.rings[shard].try_reserve() {
-                break reserved;
-            }
-            // Only already-published work frees the space being waited
-            // for, so nudge the committers before sleeping.
-            sh.work.notify_all();
-            guard = sh.space.wait(guard).unwrap_or_else(|p| p.into_inner());
-        };
-        sh.space_sleepers.fetch_sub(1, Ordering::SeqCst);
-        drop(guard);
-        reserved
     }
 
     /// Submit one operation; its ticket resolves with a single outcome
     /// bit when the operation's group commits. **Blocks** while the
-    /// target shard's ring is at [`IngestConfig::max_queue_depth`]. The
-    /// hot path allocates nothing beyond the ticket — the op rides
-    /// inline in its ring slot.
+    /// target committer's queue is at [`IngestConfig::max_queue_depth`].
+    /// The hot path allocates nothing beyond the ticket — the op rides
+    /// inline in its queue slot.
     pub fn submit(&self, op: TxnOp<K, V>) -> Ticket<IngestOutcome> {
-        let shard = self.shared.store.shard_of(op.key());
-        let reserved = self.reserve_blocking(shard);
-        self.publish(reserved, Ops::One(op))
+        self.send(Ops::One(op))
     }
 
     /// Non-blocking [`Ingest::submit`]: [`QueueFull`] (carrying the op
-    /// back) instead of blocking when the target shard's ring is at
-    /// capacity. The accept path is lock-free and allocates only the
-    /// ticket; the shed path costs one relaxed load.
+    /// back) instead of blocking when the target committer's queue is at
+    /// capacity.
     pub fn try_submit(&self, op: TxnOp<K, V>) -> Result<Ticket<IngestOutcome>, QueueFull<K, V>> {
-        self.shared.assert_live();
-        let shard = self.shared.store.shard_of(op.key());
-        match self.shared.rings[shard].try_reserve() {
-            Some(reserved) => Ok(self.publish(reserved, Ops::One(op))),
-            None => Err(QueueFull { ops: vec![op] }),
-        }
+        self.try_send(Ops::One(op))
     }
 
     /// Submit a whole multi-key batch as one atomic unit: every op
@@ -583,21 +542,19 @@ where
     /// [`store::BundledStore::apply_txn`], amortized across the group).
     /// Duplicate keys inside the batch are legal and serialize in batch
     /// order. An empty batch resolves immediately. The batch occupies
-    /// **one** ring slot regardless of its op count; **blocks** while
-    /// its target ring (its first key's shard) is at
+    /// **one** queue slot regardless of its op count; **blocks** while
+    /// its target queue (its first key's shard's committer's) is at
     /// [`IngestConfig::max_queue_depth`].
     pub fn submit_batch(&self, ops: Vec<TxnOp<K, V>>) -> Ticket<IngestOutcome> {
         if ops.is_empty() {
             return self.empty_ticket();
         }
-        let shard = self.shared.store.shard_of(ops[0].key());
-        let reserved = self.reserve_blocking(shard);
-        self.publish(reserved, Ops::Many(ops))
+        self.send(Ops::Many(ops))
     }
 
     /// Non-blocking [`Ingest::submit_batch`]: [`QueueFull`] (carrying the
     /// ops back for the caller to retry, redirect, or shed) instead of
-    /// blocking when the batch's target ring is at capacity.
+    /// blocking when the batch's target queue is at capacity.
     pub fn try_submit_batch(
         &self,
         ops: Vec<TxnOp<K, V>>,
@@ -605,20 +562,15 @@ where
         if ops.is_empty() {
             return Ok(self.empty_ticket());
         }
-        self.shared.assert_live();
-        let shard = self.shared.store.shard_of(ops[0].key());
-        match self.shared.rings[shard].try_reserve() {
-            Some(reserved) => Ok(self.publish(reserved, Ops::Many(ops))),
-            None => Err(QueueFull { ops }),
-        }
+        self.try_send(Ops::Many(ops))
     }
 
     /// Submit many *independent* operations (one ticket each): the
     /// pipelined-producer fast path — push a window, then wait the
-    /// tickets. Each op takes the same lock-free lane as
-    /// [`Ingest::submit`], so with a bounded ring this may **block
-    /// mid-window** (already-published ops stay published and keep
-    /// committing, which is what frees the space being waited for).
+    /// tickets. Each op takes the same path as [`Ingest::submit`], so
+    /// with a bounded queue this may **block mid-window**
+    /// (already-sent ops stay queued and keep committing, which is what
+    /// frees the space being waited for).
     pub fn submit_all(
         &self,
         ops: impl IntoIterator<Item = TxnOp<K, V>>,
@@ -634,28 +586,28 @@ where
     /// `SyncPolicy::Always` each ticket already implied durability when
     /// it resolved; under the batching policies this is where the
     /// volatile tail gets paid down). Without a commit log the sync is
-    /// a no-op and `flush` only waits for resolution, as before.
+    /// a no-op and `flush` only waits for resolution. An idle front-end
+    /// commits no group for it, and a flush during or after
+    /// [`Ingest::shutdown`] returns.
     pub fn flush(&self) {
-        if self.shared.in_flight.load(Ordering::SeqCst) > 0 {
-            let mut guard = self.shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-            // The committer that decrements to zero takes the wake mutex
-            // before notifying, so a non-zero read under the mutex cannot
-            // miss its notification.
-            while self.shared.in_flight.load(Ordering::SeqCst) > 0 {
-                guard = self
-                    .shared
-                    .idle
-                    .wait(guard)
-                    .unwrap_or_else(|p| p.into_inner());
-            }
+        let (marker, answered) = mpsc::channel::<()>();
+        for queue in self.shared.queues.iter() {
+            // A closed queue's committer has stopped, after resolving
+            // everything sent to it.
+            let _ = queue.send(Msg::Flush(marker.clone()));
         }
+        drop(marker);
+        // Nothing is ever sent: `recv` returns once every marker's sender
+        // is dropped, answered or discarded by a stopped committer.
+        let _ = answered.recv();
         self.shared.store.sync_commit_log();
     }
 
-    /// Drain every ring, resolve every outstanding ticket, and join the
-    /// committer threads. Idempotent; also runs on drop. All submissions
-    /// must happen-before this call (a racing submit panics, including
-    /// submitters parked on a full ring — they are woken to fail fast).
+    /// Resolve every outstanding ticket and join the committer threads.
+    /// Idempotent; also runs on drop. All submissions must happen-before
+    /// this call (a racing submit panics, including submitters parked on
+    /// a full queue: a stopped committer closes its queue, which wakes
+    /// them to fail fast).
     pub fn shutdown(&self) {
         self.stop(true);
     }
@@ -675,16 +627,16 @@ impl<K, V, S> Ingest<K, V, S> {
         }
     }
 
-    /// Flag shutdown, wake every parked committer and submitter, and
-    /// join the committers (which drain their rings first). Idempotent:
-    /// a second call finds no workers left. A committer's panic is
-    /// re-raised only when `propagate_panic`.
+    /// Flag shutdown, send every committer a stop marker, and join the
+    /// committers (which commit everything ahead of the marker first).
+    /// Idempotent: a second call finds the queues closed and no workers
+    /// left. A committer's panic is re-raised only when
+    /// `propagate_panic`.
     fn stop(&self, propagate_panic: bool) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _g = self.shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-            self.shared.work.notify_all();
-            self.shared.space.notify_all();
+        for queue in self.shared.queues.iter() {
+            // Closed once its committer has stopped or panicked.
+            let _ = queue.send(Msg::Stop);
         }
         let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|p| p.into_inner()));
         for w in workers {
@@ -706,30 +658,10 @@ impl<K, V, S> Drop for Ingest<K, V, S> {
 impl<K, V, S> std::fmt::Debug for Ingest<K, V, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ingest")
-            .field("committers", &self.shared.committers)
+            .field("committers", &self.shared.queues.len())
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// Park until one of this committer's rings has published work or
-/// shutdown is flagged; returns the shutdown flag. The fast path (work
-/// already visible) never touches the wake mutex — see
-/// [`Shared::wake_committers`] for the pairing.
-fn committer_wait<K, V, S>(shared: &Shared<K, V, S>, owned: &[usize]) -> bool {
-    let ready = || owned.iter().any(|&s| shared.rings[s].has_ready());
-    if shared.shutdown.load(Ordering::SeqCst) || ready() {
-        return shared.shutdown.load(Ordering::SeqCst);
-    }
-    let mut guard = shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-    shared.work_sleepers.fetch_add(1, Ordering::SeqCst);
-    fence(Ordering::SeqCst);
-    while !shared.shutdown.load(Ordering::SeqCst) && !ready() {
-        guard = shared.work.wait(guard).unwrap_or_else(|p| p.into_inner());
-    }
-    shared.work_sleepers.fetch_sub(1, Ordering::SeqCst);
-    drop(guard);
-    shared.shutdown.load(Ordering::SeqCst)
 }
 
 /// The committer's per-group working set. Lives in the committer loop
@@ -737,8 +669,11 @@ fn committer_wait<K, V, S>(shared: &Shared<K, V, S>, owned: &[usize]) -> bool {
 /// (every buffer at its high-water capacity) the front-end's side of a
 /// commit allocates nothing.
 struct GroupBuffers<K, V> {
-    /// The group's submissions, in fold (= resolve) order.
+    /// The group's submissions, in queue (= fold = resolve) order.
     subs: Vec<Submission<K, V>>,
+    /// Ops of the submissions in `subs` (checked against
+    /// [`MAX_GROUP_OPS`]).
+    held_ops: usize,
     /// `offsets[si]` is where submission `si`'s outcome bits start in
     /// `bits` (the prefix sum of the submissions' op counts).
     offsets: Vec<u32>,
@@ -761,6 +696,7 @@ impl<K, V> GroupBuffers<K, V> {
     fn new() -> Self {
         GroupBuffers {
             subs: Vec::new(),
+            held_ops: 0,
             offsets: Vec::new(),
             positions: Vec::new(),
             effective: Vec::new(),
@@ -771,38 +707,12 @@ impl<K, V> GroupBuffers<K, V> {
     }
 }
 
-/// Scoop queued submissions from the committer's owned shard rings into
-/// `subs`, up to the soft op cap (the submission crossing the cap is
-/// taken whole). The scan starts at `owned[start]` and wraps: callers
-/// rotate `start` per round so that a sustained over-cap backlog on one
-/// shard cannot starve the committer's other rings. Each ring gives up
-/// its contiguous published run in one [`ring::MpscRing::pop_run`].
-fn drain<K, V, S>(
-    shared: &Shared<K, V, S>,
-    owned: &[usize],
-    start: usize,
-    subs: &mut Vec<Submission<K, V>>,
-) {
-    let mut ops = 0usize;
-    for i in 0..owned.len() {
-        if ops >= MAX_GROUP_OPS {
-            break;
-        }
-        let shard = owned[(start + i) % owned.len()];
-        // SAFETY: shard `s` is drained only by committer
-        // `s % committers` (`owned` is exactly that partition), so
-        // this thread is the ring's single consumer.
-        ops +=
-            unsafe { shared.rings[shard].pop_run(MAX_GROUP_OPS - ops, |sub| sub.ops.len(), subs) };
-    }
-}
-
-/// Commit the group in `buf.subs`: fold same-key submissions in queue
-/// order into one effective op per key, publish the super-batch under a
-/// single clock advance, replay the queue order to give every ticket its
-/// operation's individual outcome (see the `fold` module docs for why
-/// the fold is outcome-exact), and only once **every** outcome is stored
-/// wake the threads found parked. Leaves `buf.subs` empty.
+/// Commit the group in `buf.subs`, if any: fold same-key submissions in
+/// queue order into one effective op per key, publish the super-batch
+/// under a single clock advance, replay the queue order to give every
+/// ticket its operation's individual outcome (see the `fold` module docs
+/// for why the fold is outcome-exact), and only once **every** outcome
+/// is stored wake the threads found parked. Leaves `buf.subs` empty.
 fn commit_group<K, V, S>(
     shared: &Shared<K, V, S>,
     handle: &StoreHandle<K, V, S>,
@@ -814,6 +724,7 @@ fn commit_group<K, V, S>(
 {
     let GroupBuffers {
         subs,
+        held_ops,
         offsets,
         positions,
         effective,
@@ -821,6 +732,10 @@ fn commit_group<K, V, S>(
         bits,
         wakers,
     } = buf;
+    if subs.is_empty() {
+        return;
+    }
+    *held_ops = 0;
     // Queue-order positions of every op, sorted by (key, queue position)
     // — a flat sort instead of a per-key map keeps the fold linear-ish
     // and allocation-free per op, which matters: the fold runs once per
@@ -895,6 +810,7 @@ fn commit_group<K, V, S>(
         .fetch_max(total_ops as u64, Ordering::Relaxed);
     if let Some(o) = &shared.obs {
         let tid = handle.tid();
+        o.queue_depth.record(tid, subs.len() as u64);
         o.group_size.record(tid, total_ops as u64);
         o.linger_occupancy_pct
             .record(tid, (100 * total_ops / MAX_GROUP_OPS) as u64);
@@ -931,67 +847,65 @@ fn commit_group<K, V, S>(
     shared.wakes.fetch_add(_woken as u64, Ordering::Relaxed);
 }
 
-fn committer_loop<K, V, S>(shared: &Shared<K, V, S>, handle: &StoreHandle<K, V, S>, c: usize)
-where
+/// Take messages off `queue` in FIFO order and commit the submissions
+/// among them in groups, until a stop marker arrives. A group ends when
+/// the queue runs empty, at the [`MAX_GROUP_OPS`] soft cap, or at a
+/// marker. After a commit the queue is read again before the committer
+/// parks: producers refill it while a group commits, which is the
+/// batching this front-end exists for. `linger` runs once per wake-up,
+/// after the parked `recv` returned a submission.
+fn committer_loop<K, V, S>(
+    shared: &Shared<K, V, S>,
+    handle: &StoreHandle<K, V, S>,
+    queue: &Receiver<Msg<K, V>>,
+    linger: Duration,
+) where
     K: Copy + Ord + Default + Send + Sync,
     V: Clone + Send + Sync,
     S: ShardBackend<K, V>,
 {
-    let owned: Vec<usize> = (c..shared.store.shard_count())
-        .step_by(shared.committers)
-        .collect();
-    // Rotating drain origin: fairness across this committer's shards
-    // when one ring alone can fill a whole group.
-    let mut rotate = 0usize;
     let mut buf = GroupBuffers::new();
-    loop {
-        let shutdown = committer_wait(shared, &owned);
-        if !shared.linger.is_zero() && !shutdown {
-            // Optional epoch: let the group grow before draining.
-            std::thread::sleep(shared.linger);
+    'park: loop {
+        // `Shared` holds every sender, so the queue closes only with the
+        // front-end, and a stop marker comes first.
+        let Ok(mut msg) = queue.recv() else { return };
+        if matches!(msg, Msg::Sub(_)) && !linger.is_zero() {
+            // Optional epoch: let the group grow before taking more.
+            std::thread::sleep(linger);
         }
-        // Drain until the owned rings are empty: while a group commits,
-        // producers refill the rings — natural group-commit batching.
         loop {
-            drain(shared, &owned, rotate, &mut buf.subs);
-            rotate = (rotate + 1) % owned.len().max(1);
-            let scooped = buf.subs.len() as u64;
-            if scooped == 0 {
-                break;
+            match msg {
+                Msg::Sub(sub) => {
+                    buf.held_ops += sub.ops.len();
+                    buf.subs.push(sub);
+                    if buf.held_ops >= MAX_GROUP_OPS {
+                        commit_group(shared, handle, &mut buf);
+                    }
+                }
+                // Everything sent before the marker has been taken:
+                // commit it, then answer.
+                Msg::Flush(marker) => {
+                    commit_group(shared, handle, &mut buf);
+                    drop(marker);
+                }
+                Msg::Stop => {
+                    commit_group(shared, handle, &mut buf);
+                    // Fsync the WAL tail (no-op without a log) so a clean
+                    // shutdown never loses an acknowledged group, whatever
+                    // the sync policy.
+                    shared.store.sync_commit_log();
+                    return;
+                }
             }
-            // The drain above released the submissions' ring slots
-            // *before* the commit: backpressure bounds what sits in the
-            // rings, and producers refilling during the commit is
-            // exactly the batching this front-end exists for. Same
-            // Dekker pairing as `wake_committers`, against the parked
-            // submitters in `reserve_blocking`.
-            fence(Ordering::SeqCst);
-            if shared.space_sleepers.load(Ordering::SeqCst) > 0 {
-                let _g = shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-                shared.space.notify_all();
-            }
-            if let Some(o) = &shared.obs {
-                o.queue_depth.record(handle.tid(), scooped);
-                let occupancy: usize = shared.rings.iter().map(ring::MpscRing::occupancy).sum();
-                o.depth.set(occupancy as i64);
-            }
-            commit_group(shared, handle, &mut buf);
-            if shared.in_flight.fetch_sub(scooped, Ordering::SeqCst) == scooped {
-                // This decrement hit zero: flush may be parked. Take the
-                // wake mutex so a flusher that read non-zero is already
-                // inside its condvar wait.
-                let _g = shared.wake.lock().unwrap_or_else(|p| p.into_inner());
-                shared.idle.notify_all();
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Rings verified empty by the drain above, and the shutdown
-            // contract forbids concurrent submits: nothing can arrive.
-            // Fsync the WAL tail (no-op without a log) so a clean
-            // shutdown never loses an acknowledged group, whatever the
-            // sync policy.
-            shared.store.sync_commit_log();
-            break;
+            msg = loop {
+                if let Ok(next) = queue.try_recv() {
+                    break next;
+                }
+                if buf.subs.is_empty() {
+                    continue 'park;
+                }
+                commit_group(shared, handle, &mut buf);
+            };
         }
     }
 }
@@ -1001,6 +915,25 @@ mod tests {
     use super::*;
     use bundle::api::ConcurrentSet;
     use store::{uniform_splits, CitrusStore, LazyListStore, SkipListStore};
+
+    /// A front-end whose one committer lingers `linger_ms` after each
+    /// wake-up, so that what a test queues meanwhile waits in the queue.
+    fn lingering<S>(
+        store: &Arc<BundledStore<u64, u64, S>>,
+        linger_ms: u64,
+        max_queue_depth: usize,
+    ) -> Ingest<u64, u64, S>
+    where
+        S: ShardBackend<u64, u64> + Send + Sync + 'static,
+    {
+        let linger = Duration::from_millis(linger_ms);
+        let cfg = IngestConfig {
+            committers: 1,
+            linger,
+            max_queue_depth,
+        };
+        Ingest::spawn(Arc::clone(store), cfg)
+    }
 
     #[test]
     fn single_ops_commit_and_report_outcomes() {
@@ -1043,18 +976,11 @@ mod tests {
 
     #[test]
     fn same_key_submissions_serialize_in_queue_order() {
-        // One committer and a pre-seeded ring make the group composition
+        // One committer and a linger make the group composition
         // deterministic: all four same-key ops fold into one group.
         let store = Arc::new(LazyListStore::<u64, u64>::new(3, uniform_splits(2, 100)));
         store.insert(0, 10, 0);
-        let ingest = Ingest::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                committers: 1,
-                linger: Duration::from_millis(20),
-                ..IngestConfig::default()
-            },
-        );
+        let ingest = lingering(&store, 20, 1024);
         let tickets = [
             ingest.submit(TxnOp::Remove(10)), // removes the seed
             ingest.submit(TxnOp::Put(10, 1)), // re-inserts
@@ -1162,9 +1088,9 @@ mod tests {
     #[test]
     fn committers_beyond_shards_are_clamped_and_all_drain() {
         // Regression guard for the committer/shard mapping: a committer
-        // beyond the shard count would own no ring and sleep forever on
-        // its wake counter, so `spawn` must clamp — and every shard's
-        // ring must still be owned by a live committer.
+        // beyond the shard count would own no shard and sleep forever on
+        // its empty queue, so `spawn` must clamp — and every shard must
+        // still be owned by a live committer.
         let store = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(2, 100)));
         let ingest = Ingest::spawn(
             Arc::clone(&store),
@@ -1174,7 +1100,7 @@ mod tests {
             },
         );
         assert_eq!(ingest.committers(), 2, "clamped to the shard count");
-        // Ops landing on both shards commit (no orphaned ring).
+        // Ops landing on both shards commit (no orphaned shard).
         let t0 = ingest.submit(TxnOp::Put(10, 1));
         let t1 = ingest.submit(TxnOp::Put(60, 6));
         assert_eq!(t0.wait().applied, vec![true]);
@@ -1185,20 +1111,15 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_when_the_queue_is_full() {
-        // One committer held back by a long linger: the ring fills to
-        // its 1-submission cap, so a second non-blocking submission must
-        // bounce with its ops handed back.
+        // One committer held back by a long linger: it holds the first
+        // submission, a second fills the queue to its 1-submission cap,
+        // so a third, non-blocking one must bounce with its ops handed
+        // back.
         let store = Arc::new(LazyListStore::<u64, u64>::new(3, uniform_splits(2, 100)));
-        let ingest = Ingest::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                committers: 1,
-                linger: Duration::from_millis(300),
-                max_queue_depth: 1,
-            },
-        );
+        let ingest = lingering(&store, 300, 1);
         let t = ingest.submit(TxnOp::Put(10, 1));
-        // Same shard, ring at capacity, committer still lingering.
+        let fill = ingest.submit(TxnOp::Put(13, 4));
+        // Queue at capacity, committer still lingering.
         match ingest.try_submit(TxnOp::Put(11, 2)) {
             Err(QueueFull { ops }) => {
                 assert_eq!(ops, vec![TxnOp::Put(11, 2)], "rejected ops come back")
@@ -1210,6 +1131,7 @@ mod tests {
             }
         }
         assert_eq!(t.wait().applied, vec![true]);
+        assert_eq!(fill.wait().applied, vec![true]);
         ingest.flush();
         // Space freed: the non-blocking path accepts again.
         let t2 = ingest
@@ -1221,7 +1143,7 @@ mod tests {
 
     #[test]
     fn blocking_submit_waits_for_space_and_loses_nothing() {
-        // A tiny ring bound with a producer fleet pushing far more than
+        // A tiny queue bound with a producer fleet pushing far more than
         // fits: every blocking submission must eventually land, and every
         // ticket must resolve (no drops, no deadlock, no lost wakeups).
         const PRODUCERS: usize = 4;
@@ -1273,23 +1195,17 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_a_submitter_parked_on_a_full_ring() {
-        // A producer parked on the backpressure slow path (depth-1 ring,
+        // A producer parked on the backpressure slow path (depth-1 queue,
         // committer lingering) must be woken by shutdown and fail fast
         // with the shutdown panic — not deadlock against the join.
         let store = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(1, 100)));
-        let ingest = Arc::new(Ingest::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                committers: 1,
-                max_queue_depth: 1,
-                linger: Duration::from_millis(400),
-            },
-        ));
-        let t = ingest.submit(TxnOp::Put(1, 1)); // fills the ring
+        let ingest = Arc::new(lingering(&store, 400, 1));
+        let t = ingest.submit(TxnOp::Put(1, 1)); // the committer takes it and lingers
+        let _fill = ingest.submit(TxnOp::Put(3, 3)); // fills the queue
         let parked = {
             let ingest = Arc::clone(&ingest);
             std::thread::spawn(move || {
-                // Blocks: the ring is full until the linger expires, and
+                // Blocks: the queue is full until the linger expires, and
                 // shutdown arrives first.
                 let _ = ingest.submit(TxnOp::Put(2, 2));
             })
@@ -1310,14 +1226,7 @@ mod tests {
         // second batch would bounce — and a committer drain racing in
         // can only free space, never cause a spurious rejection.
         let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(1, 100)));
-        let ingest = Ingest::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                committers: 1,
-                max_queue_depth: 2,
-                linger: Duration::from_millis(100),
-            },
-        );
+        let ingest = lingering(&store, 100, 2);
         let mk = |base: u64| (0..4).map(|i| TxnOp::Put(base + i, i)).collect::<Vec<_>>();
         let t0 = ingest
             .try_submit_batch(mk(0))
@@ -1392,12 +1301,6 @@ mod tests {
             Some(obs::SnapshotValue::Histogram(h)) => assert_eq!(h.sum, 40),
             _ => unreachable!(),
         }
-        // All submissions drained: the live-depth gauge (summed ring
-        // occupancy at the last drain) reads zero.
-        assert_eq!(
-            snap.get("ingest.depth"),
-            Some(&obs::SnapshotValue::Gauge(0))
-        );
     }
 
     #[test]
@@ -1414,11 +1317,11 @@ mod tests {
     type SubmitFn<S> = fn(&Ingest<u64, u64, S>, TxnOp<u64, u64>) -> Ticket<IngestOutcome>;
 
     /// The ticket-outcome oracle: a seeded multi-producer mixed workload
-    /// over a small hot key range through a tiny ring, each op handed to
+    /// over a small hot key range through a tiny queue, each op handed to
     /// `submit`. Sorting every outcome by its commit metadata
     /// `(ts, seq)` must yield a serial history a naive map replays
     /// exactly — per-op outcome bits and final store contents both.
-    /// (Same-key ops share a shard, hence a ring, hence a committer, so
+    /// (Same-key ops share a shard, hence a queue and a committer, so
     /// the per-key projection of the `(ts, seq)` order is exactly the
     /// order the folds resolved them in.)
     fn outcomes_replay_against_an_oracle<S>(max_queue_depth: usize, submit: SubmitFn<S>)
@@ -1503,7 +1406,7 @@ mod tests {
 
     #[test]
     fn ring_path_outcomes_replay_against_an_oracle() {
-        // The lock-free path: `try_submit` with handback-retry.
+        // The non-blocking path: `try_submit` with handback-retry.
         outcomes_replay_against_an_oracle::<skiplist::BundledSkipList<u64, u64>>(
             4,
             |ingest, op| {
@@ -1524,7 +1427,7 @@ mod tests {
 
     #[test]
     fn parked_producers_and_parked_waiters_replay_against_an_oracle_on_every_backend() {
-        // Depth 2 with blocking submits: producers park on a full ring
+        // Depth 2 with blocking submits: producers park on a full queue
         // while earlier tickets resolve, then park on those tickets —
         // both slow paths and the resolve-then-wake hand-off, per backend.
         outcomes_replay_against_an_oracle::<skiplist::BundledSkipList<u64, u64>>(2, Ingest::submit);
@@ -1537,7 +1440,7 @@ mod tests {
         let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
         let ingest = Ingest::spawn(Arc::clone(&store), IngestConfig::default());
         let tickets = ingest.submit_all((0..200u64).map(|k| TxnOp::Put(k, k)));
-        // `flush` parks on the front-end's idle condvar, not on a ticket.
+        // `flush` waits for its markers' answers, not on a ticket.
         ingest.flush();
         for t in &tickets {
             assert_eq!(t.try_take().map(|o| o.applied), Some(vec![true]));
@@ -1550,16 +1453,9 @@ mod tests {
     fn a_group_wakes_each_parked_thread_once_after_every_ticket_resolved() {
         const GROUP: u64 = 64;
         let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
-        let ingest = Ingest::spawn(
-            Arc::clone(&store),
-            IngestConfig {
-                committers: 1,
-                // The committer lingers from the first publish on, so
-                // all 64 submissions land in one group.
-                linger: Duration::from_millis(300),
-                ..IngestConfig::default()
-            },
-        );
+        // The committer lingers from the first publish on, so all 64
+        // submissions land in one group.
+        let ingest = lingering(&store, 300, 1024);
         let mut tickets = ingest.submit_all((0..GROUP).map(|k| TxnOp::Put(k, k)));
         let rest = tickets.split_off(1);
         // Park on the *first* ticket of the group...
@@ -1588,5 +1484,316 @@ mod tests {
         ingest.flush();
         assert!(t.try_take().is_some());
         let _ = t.wait();
+    }
+
+    #[test]
+    fn try_submit_admits_at_most_the_depth_per_committer() {
+        // One committer owns both shards and lingers holding the first
+        // submission it took, while four producers race `try_submit`
+        // onto both shards. Its queue then admits `DEPTH` more: the bound
+        // is per committer (per shard it would admit `2 * DEPTH`).
+        const DEPTH: usize = 8;
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
+        let ingest = lingering(&store, 1000, DEPTH);
+        let start = std::sync::Barrier::new(4);
+        let accepted: Vec<_> = std::thread::scope(|s| {
+            let producers: Vec<_> = (0..4u64)
+                .map(|p| {
+                    let (ingest, start) = (&ingest, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        // Even `i` on shard 0, odd `i` on shard 1.
+                        (0..64u64)
+                            .filter_map(|i| {
+                                let key = (i % 2) * 500 + (i / 2) * 4 + p;
+                                ingest.try_submit(TxnOp::Put(key, i)).ok()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            producers
+                .into_iter()
+                .flat_map(|p| p.join().unwrap())
+                .collect()
+        });
+        assert_eq!(ingest.stats().groups, 0, "the race ended inside the linger");
+        assert!(
+            (DEPTH..=DEPTH + 1).contains(&accepted.len()),
+            "{} submissions accepted by a depth-{DEPTH} queue",
+            accepted.len()
+        );
+        for t in accepted {
+            assert_eq!(t.wait().applied, vec![true]);
+        }
+        ingest.shutdown();
+    }
+
+    /// Poll `t` until it resolves or `deadline` passes; a miss fails the
+    /// caller instead of hanging it.
+    fn resolves_by(t: &Ticket<IngestOutcome>, deadline: Instant) -> bool {
+        while t.try_take().is_none() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn every_ticket_returned_while_racing_shutdown_resolves() {
+        // Rounds enough for a submit to land behind the committer's last
+        // look at its queue most runs, were that window open.
+        for _ in 0..200 {
+            let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 1_000)));
+            let ingest = Arc::new(Ingest::spawn(
+                Arc::clone(&store),
+                IngestConfig {
+                    max_queue_depth: 4,
+                    ..IngestConfig::default()
+                },
+            ));
+            let producers: Vec<_> = (0..3u64)
+                .map(|p| {
+                    let ingest = Arc::clone(&ingest);
+                    std::thread::spawn(move || {
+                        let mut tickets = Vec::new();
+                        for i in 0u64.. {
+                            let op = TxnOp::Set(p * 300 + i % 300, i);
+                            let submit = std::panic::AssertUnwindSafe(|| ingest.submit(op));
+                            match std::panic::catch_unwind(submit) {
+                                Ok(t) => tickets.push(t),
+                                Err(_) => break, // shutdown began
+                            }
+                        }
+                        tickets
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(500));
+            ingest.shutdown();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            for p in producers {
+                for t in p.join().unwrap() {
+                    assert!(
+                        resolves_by(&t, deadline),
+                        "a ticket returned by submit never resolved"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flush_on_an_idle_front_end_commits_no_group() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(4, 1_000)));
+        let ingest = Ingest::spawn(Arc::clone(&store), IngestConfig::default());
+        let counts = || (ingest.stats().groups, store.txn_stats().group_commits);
+        ingest.flush();
+        assert_eq!(counts(), (0, 0));
+        assert_eq!(ingest.submit(TxnOp::Put(1, 1)).wait().applied, vec![true]);
+        let before = counts();
+        ingest.flush();
+        ingest.flush();
+        assert_eq!(counts(), before);
+        ingest.shutdown();
+        assert_eq!(counts(), before);
+    }
+
+    #[test]
+    fn flush_racing_a_producer_waits_for_every_earlier_ticket() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(4, uniform_splits(4, 1_000)));
+        let ingest = Arc::new(Ingest::spawn(
+            Arc::clone(&store),
+            IngestConfig {
+                max_queue_depth: 16,
+                ..IngestConfig::default()
+            },
+        ));
+        let (sent, received) = mpsc::channel();
+        let producer = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::spawn(move || {
+                for i in 0..3_000u64 {
+                    sent.send(ingest.submit(TxnOp::Set(i % 1_000, i))).unwrap();
+                }
+            })
+        };
+        let mut checked = 0;
+        loop {
+            // Every ticket received here was returned before this flush.
+            let mut earlier = Vec::new();
+            let producer_done = loop {
+                match received.try_recv() {
+                    Ok(t) => earlier.push(t),
+                    Err(mpsc::TryRecvError::Empty) => break false,
+                    Err(mpsc::TryRecvError::Disconnected) => break true,
+                }
+            };
+            ingest.flush();
+            for t in &earlier {
+                assert!(
+                    t.try_take().is_some(),
+                    "flush returned before a ticket accepted ahead of it resolved"
+                );
+            }
+            checked += earlier.len();
+            if producer_done {
+                break;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(checked, 3_000);
+        ingest.shutdown();
+    }
+
+    #[test]
+    fn flush_during_and_after_shutdown_returns() {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(4, 1_000)));
+        let ingest = Arc::new(Ingest::spawn(
+            Arc::clone(&store),
+            IngestConfig {
+                linger: Duration::from_millis(5),
+                ..IngestConfig::default()
+            },
+        ));
+        let tickets = ingest.submit_all((0..64u64).map(|k| TxnOp::Put(k * 10, k)));
+        let stopped = Arc::new(AtomicBool::new(false));
+        let (progress, flushes) = mpsc::channel();
+        let flusher = {
+            let (ingest, stopped) = (Arc::clone(&ingest), Arc::clone(&stopped));
+            std::thread::spawn(move || {
+                // Flush throughout shutdown, then once after it returned.
+                loop {
+                    let after = stopped.load(Ordering::SeqCst);
+                    ingest.flush();
+                    progress.send(after).unwrap();
+                    if after {
+                        break;
+                    }
+                }
+            })
+        };
+        // Shut down once a flush has returned, with the next under way.
+        flushes.recv().unwrap();
+        ingest.shutdown();
+        stopped.store(true, Ordering::SeqCst);
+        while !flushes
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a flush during or after shutdown hung")
+        {}
+        flusher.join().unwrap();
+        for t in tickets {
+            assert_eq!(t.try_take().map(|o| o.applied), Some(vec![true]));
+        }
+    }
+
+    /// `producers` threads each push 1,000 sets on one hot key through a
+    /// depth-4 queue, hundreds of laps of it: each producer's tickets
+    /// resolve in its submission order, and the last in `(ts, seq)` order
+    /// is the value that stays.
+    fn submission_order_survives_the_queue(producers: u64) {
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(2, 100)));
+        let cfg = IngestConfig {
+            max_queue_depth: 4,
+            ..IngestConfig::default()
+        };
+        let ingest = Ingest::spawn(Arc::clone(&store), cfg);
+        let last = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..producers)
+                .map(|p| {
+                    let ingest = &ingest;
+                    s.spawn(move || {
+                        let values = (0..1_000u64).map(|i| p * 1_000 + i);
+                        let order: Vec<_> = ingest
+                            .submit_all(values.map(|v| TxnOp::Set(7, v)))
+                            .into_iter()
+                            .map(|t| t.wait())
+                            .map(|o| (o.ts, o.seq))
+                            .collect();
+                        assert!(order.windows(2).all(|w| w[0] < w[1]), "{p} reordered");
+                        (order[999], p * 1_000 + 999)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).max()
+        });
+        ingest.shutdown();
+        assert_eq!(store.get(0, &7), last.map(|(_, v)| v));
+    }
+
+    #[test]
+    fn one_producers_submissions_resolve_in_order_across_many_laps() {
+        submission_order_survives_the_queue(1);
+    }
+
+    #[test]
+    fn each_producers_submissions_resolve_in_order_under_contention() {
+        submission_order_survives_the_queue(4);
+    }
+
+    #[test]
+    fn the_depth_stays_exact_after_a_group_frees_the_queue() {
+        // A committer lingering on its first submission: `try_submit`
+        // fills the queue until it bounces, twice. The group the first
+        // round commits frees every slot the round took.
+        const DEPTH: usize = 4;
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(1, 1_000)));
+        let ingest = lingering(&store, 200, DEPTH);
+        for round in 0..2u64 {
+            let op = |i: usize| TxnOp::Put(round * 100 + i as u64, round);
+            let mut accepted = Vec::new();
+            let rejected = loop {
+                match ingest.try_submit(op(accepted.len())) {
+                    Ok(t) => accepted.push(t),
+                    Err(QueueFull { ops }) => break ops,
+                }
+            };
+            let n = accepted.len();
+            assert_eq!(rejected, vec![op(n)], "the bounced op comes back");
+            assert!((DEPTH..=DEPTH + 1).contains(&n), "round {round}: {n}");
+            for t in accepted {
+                assert_eq!(t.wait().applied, vec![true]);
+            }
+            // Let the committer park again, so the next round's first
+            // submission starts a linger.
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        ingest.shutdown();
+    }
+
+    #[test]
+    fn a_group_takes_the_submission_crossing_the_cap_whole() {
+        // Three submissions queue behind a linger: 4095 + 2 ops cross the
+        // 4096-op cap, so the group ends after the second, taken whole,
+        // and the third starts the next group.
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(1, 10_000)));
+        let ingest = lingering(&store, 200, 1024);
+        let big = (0..MAX_GROUP_OPS as u64 - 1).map(|k| TxnOp::Put(k, k));
+        let big = ingest.submit_batch(big.collect());
+        let crossing = ingest.submit_batch(vec![TxnOp::Put(5_000, 0), TxnOp::Put(5_001, 0)]);
+        let next = ingest.submit(TxnOp::Put(6_000, 0));
+        let (big, crossing, next) = (big.wait(), crossing.wait(), next.wait());
+        assert_eq!(crossing.applied, vec![true; 2]);
+        assert_eq!((big.ts, big.group_ops), (crossing.ts, MAX_GROUP_OPS + 1));
+        assert!(next.ts > crossing.ts && next.group_ops == 1);
+        ingest.shutdown();
+        assert_eq!(ingest.stats().groups, 2);
+    }
+
+    #[test]
+    fn drop_on_a_full_queue_commits_everything_queued() {
+        // The stop marker waits for space behind a full queue, and every
+        // submission ahead of it still commits.
+        let store = Arc::new(SkipListStore::<u64, u64>::new(3, uniform_splits(1, 100)));
+        let tickets = {
+            let ingest = lingering(&store, 200, 2);
+            ingest.submit_all((0..3u64).map(|k| TxnOp::Put(k, k)))
+        };
+        for t in tickets {
+            assert_eq!(t.wait().applied, vec![true]);
+        }
+        assert_eq!(store.register().len(), 3);
     }
 }

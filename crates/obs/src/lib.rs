@@ -44,6 +44,7 @@
 //! snapshot's `Acquire` load observes).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -114,6 +114,8 @@
 //! assert_eq!(session.snapshot_get(&400), Some(3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bundle::api::RangeQuerySet;
 use store::{
     BundledStore, ShardBackend, StoreHandle, StoreSnapshot, TxnAborted, TxnBufs, TxnOp, TxnStats,

@@ -37,7 +37,7 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"GWALSEG1";
 pub const FRAME_HEADER: usize = 8;
 
 /// Upper bound on a frame payload (64 MiB). A group is bounded by the
-/// ingest ring capacities, orders of magnitude below this; the bound
+/// ingest queue depths, orders of magnitude below this; the bound
 /// exists so a corrupt length prefix is rejected instead of allocated.
 pub const MAX_PAYLOAD: usize = 1 << 26;
 

@@ -30,10 +30,10 @@
 //!   timestamp — full OCC serializability. [`txn::WriteTxn`] is the
 //!   write-only degenerate case (empty read set, infallible commit).
 //! * [`ingest`] — the **group-commit ingestion front-end**: clients
-//!   fire operations (and whole `WriteTxn`-shaped batches) at per-shard
-//!   submission queues and get back waitable [`ingest::Ticket`]s;
-//!   committer threads coalesce submissions from different sessions into
-//!   super-batches published through
+//!   fire operations (and whole `WriteTxn`-shaped batches) at
+//!   per-committer submission queues and get back waitable
+//!   [`ingest::Ticket`]s; committer threads coalesce submissions from
+//!   different sessions into super-batches published through
 //!   [`store::BundledStore::apply_grouped`] — one shared-clock advance
 //!   per *group*, every group an atomic cut, same-key submissions
 //!   serialized in queue order with outcome-exact tickets.
