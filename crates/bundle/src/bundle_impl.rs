@@ -80,15 +80,9 @@ impl<T> PendingEntry<T> {
         b
     }
 
-    /// Restage the link value of the still-pending entry (owner only).
-    ///
-    /// Used when one transaction updates the same link twice: the second
-    /// update merges into the first entry instead of preparing a new one
-    /// (both would finalize with the same timestamp anyway).
-    pub fn set_ptr(&self, ptr: Shared<'_, T>) {
-        // Relaxed: no reader accepts the head while it is pending; the
-        // owner's finalize/abort `Release` store publishes the value.
-        self.bundle().ptr.store(ptr.as_raw(), Ordering::Relaxed);
+    /// `true` if this is the pending entry of `bundle`.
+    pub(crate) fn is_on(&self, bundle: &Bundle<T>) -> bool {
+        ptr::eq(self.bundle, bundle)
     }
 
     /// Publish the entry with its commit timestamp, releasing every reader
@@ -185,7 +179,7 @@ impl<T> PendingEntry<T> {
 ///   even value cannot see `ts` from before the claim.
 /// * `finalize`/`abort` store `ts` with `Release`, paired with the reader's
 ///   `Acquire` load of `ts`: a reader that sees the commit timestamp sees
-///   the final pointer (restaged by `set_ptr` or restored by `abort`), the
+///   the final pointer (restaged by `restage` or restored by `abort`), the
 ///   spilled chain, and the initialized node the pointer refers to.
 /// * `older` and `next` are published with `Release` and followed with
 ///   `Acquire`, which makes the entry fields visible to chain walkers.
@@ -336,6 +330,23 @@ impl<T> Bundle<T> {
         self.ptr.store(ptr.as_raw(), Ordering::Relaxed);
         self.seq.store(odd + 1, Ordering::Release);
         PendingEntry { bundle: self }
+    }
+
+    /// Restage the link value of a pending head (`true`), or do nothing if
+    /// the head is not pending (`false`). Only the owner of a pending head
+    /// may call this: in a structure, the holder of the node lock every
+    /// `prepare` of this bundle takes. A transaction that updates one link
+    /// twice merges the second update into its first entry this way.
+    pub fn restage(&self, ptr: Shared<'_, T>) -> bool {
+        // Relaxed: the caller's lock orders this after every other owner's
+        // finalize or abort.
+        if self.ts.load(Ordering::Relaxed) != PENDING_TS {
+            return false;
+        }
+        // Relaxed: no reader accepts the head while it is pending; the
+        // owner's finalize/abort `Release` store publishes the value.
+        self.ptr.store(ptr.as_raw(), Ordering::Relaxed);
+        true
     }
 
     /// Algorithm 1, `FinalizeBundle`: publish the timestamp of the entry
@@ -853,10 +864,11 @@ mod tests {
         let p1 = leak(1);
         let p2 = leak(2);
         b.init(p0, 0);
+        assert!(!b.restage(p1), "nothing pending to restage");
         let pe = b.prepare(p1);
         // A second update of the same link by the same transaction merges
         // into the pending entry instead of preparing a new one.
-        pe.set_ptr(p2);
+        assert!(b.restage(p2));
         pe.finalize(5);
         assert_eq!(b.len(), 2);
         assert_eq!(b.dereference(5, pin()), Some(p2));
@@ -1102,7 +1114,7 @@ mod tests {
         let (seq, _) = b.head_begin();
         let pe = b.prepare(fake(2));
         b.check_invariants();
-        pe.set_ptr(fake(3));
+        assert!(b.restage(fake(3)));
         assert_eq!(
             b.newest_committed_ts(),
             Some(0),
@@ -1224,7 +1236,7 @@ mod tests {
                         1 => {
                             // Staged twice; only the second value commits.
                             let pe = b.prepare(fake(DECOY | id));
-                            pe.set_ptr(fake(id));
+                            assert!(b.restage(fake(id)));
                             let ts = clock.advance(WRITER);
                             pe.finalize(ts);
                             log.push((ts, id));

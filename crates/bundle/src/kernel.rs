@@ -26,7 +26,9 @@ pub const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
 /// surface); consumed by exactly one of [`TwoPhase::txn_finalize`] (with
 /// the transaction's single commit timestamp) or [`TwoPhase::txn_abort`].
 /// Dropping a non-empty token leaks the locks and wedges the bundles — the
-/// store layer guarantees consumption.
+/// store layer guarantees consumption. `core` alone keeps the token's books
+/// (locks, pendings, created and unlinked nodes); every token also records
+/// `undo` and `staged`, whether it will validate or not.
 ///
 /// Tokens are **warm**: finalize and abort clear the token and park it in
 /// the structure's [`TokenPool`], and the thread's next `txn_begin` takes
@@ -100,17 +102,17 @@ impl<S: TwoPhase> TokenPool<S> {
 
 impl<S: TwoPhase> ShardTxn<S> {
     /// `tid`'s parked token if there is one, a fresh one otherwise; either
-    /// way empty, recording staged images iff `recording`.
-    fn begin(pool: &TokenPool<S>, tid: usize, recording: bool) -> Self {
+    /// way empty.
+    fn begin(pool: &TokenPool<S>, tid: usize) -> Self {
         let mut txn = pool.take(tid).unwrap_or_else(|| ShardTxn {
             core: TwoPhaseState::new(tid),
             undo: Vec::new(),
-            staged: StagedOutcomes::new(),
+            staged: StagedOutcomes::default(),
             scratch: S::Scratch::default(),
             validate_walks: 0,
         });
         debug_assert!(txn.core.is_empty() && txn.undo.is_empty() && txn.core.tid() == tid);
-        txn.staged.reset(recording);
+        txn.staged.clear();
         txn.validate_walks = 0;
         txn
     }
@@ -171,9 +173,19 @@ pub fn walk_chain_at<'g, S: TwoPhase>(
 ///
 /// * **Locks.** Every structural change to a node, and every `prepare` on
 ///   one of its bundles, happens under that node's [`Self::lock_of`]
-///   mutex; a remover locks its victim first, so *a locked node is never
-///   retired*. Transactions lock only through [`Self::txn_lock`] (bounded
-///   `try_lock`, [`Conflict`] on contention) and hold until finalize/abort.
+///   mutex (Algorithm 1) and is final or aborted before the mutex is
+///   released — also for a node the operation has just created, which it
+///   locks before making it reachable. A remover locks its victim first,
+///   so *a locked node is never retired*. Transactions lock only through
+///   [`Self::txn_lock`] (bounded `try_lock`, [`Conflict`] on contention)
+///   and hold until finalize/abort; an attempt that turns out torn hands
+///   back what it took since its [`TwoPhaseState::savepoint`]. Because
+///   primitives and tokens prepare only under the owner's lock, a pending
+///   head on a bundle whose owner the token holds is the token's own:
+///   [`TwoPhaseState::prepare_bundle`] restages it in place, with no index
+///   of its own. Any `Conflict` or `Invalidated` a hook returns leaves the
+///   token's locks where they are — the caller must abort the token
+///   anyway, and the abort releases them all.
 /// * **EBR, carried by [`ebr::Link`] / [`ebr::Shared`].** Node pointers
 ///   are `Link`s, and every hook that follows one takes the caller's
 ///   [`Guard`] on the context's collector ([`Self::pin`]): what it loads
@@ -285,14 +297,16 @@ pub trait TwoPhase:
     /// over the newest pointers, lock (through `core`) the nodes that pin
     /// the range, re-check the walk under those locks, and compare the
     /// `(key, node)` list found with `expected`. A torn observation retries
-    /// (up to [`crate::MAX_VALIDATE_ATTEMPTS`]) *before* any verdict;
-    /// contention is `Conflict`; a stable mismatch is `Invalidated`, with
-    /// this call's locks released again. On `Ok` the locks stay in `core`
-    /// until finalize/abort and must make the range **phantom-safe**: every
-    /// insert of an in-range key has to take one of them (a chain links
-    /// through the gap predecessor or an in-range node; a BST hangs the key
-    /// off its in-order predecessor or successor, hence two boundary pins),
-    /// every in-range remove its victim's.
+    /// (up to [`crate::MAX_VALIDATE_ATTEMPTS`]) *before* any verdict,
+    /// handing back the attempt's locks first; contention is `Conflict`;
+    /// a stable mismatch is `Invalidated`. Any `Err` leaves the locks the
+    /// call took in `core`, for the abort that must follow. On `Ok` the
+    /// locks stay in `core` until finalize/abort and must make the range
+    /// **phantom-safe**: every insert of an in-range key has to take one
+    /// of them (a chain links through the gap predecessor or an in-range
+    /// node; a BST hangs the key off its in-order predecessor or
+    /// successor, hence two boundary pins), every in-range remove its
+    /// victim's.
     fn validate_walk(
         &self,
         core: &mut TwoPhaseState<Self::Node>,
@@ -441,25 +455,17 @@ pub trait TwoPhase:
 
     /// Begin accumulating two-phase writes for thread `tid`.
     fn txn_begin(&self, tid: usize) -> ShardTxn<Self> {
-        ShardTxn::begin(self.tokens(), tid, true)
-    }
-
-    /// [`Self::txn_begin`] for a **write-only** pipeline: no read set, so no
-    /// validate phase, so the per-key images are not recorded (a map insert
-    /// saved per staged op; group commits stage hundreds per token). Calling
-    /// [`Self::txn_validate`] on such a token is a contract violation.
-    fn txn_begin_write_only(&self, tid: usize) -> ShardTxn<Self> {
-        ShardTxn::begin(self.tokens(), tid, false)
+        ShardTxn::begin(self.tokens(), tid)
     }
 
     /// Acquire `node`'s lock for the transaction unless it is already
-    /// held; `Ok(true)` = newly acquired (see [`TwoPhaseState::lock`]).
-    /// Once locked it is never retired, so it stays valid in the token.
+    /// held (see [`TwoPhaseState::lock`]). Once locked it is never
+    /// retired, so it stays valid in the token.
     fn txn_lock(
         &self,
         txn: &mut ShardTxn<Self>,
         node: Shared<'_, Self::Node>,
-    ) -> Result<bool, Conflict> {
+    ) -> Result<(), Conflict> {
         txn.core.lock(node, Self::lock_of)
     }
 

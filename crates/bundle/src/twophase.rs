@@ -6,15 +6,15 @@
 //! abort), the **pending bundle entries** it has installed (all finalized
 //! with one commit timestamp, or neutralized on abort), and the nodes it
 //! has created or unlinked (retired through EBR by the winning path).
-//! That bookkeeping — plus the bounded `try_lock` discipline that keeps
-//! transactions deadlock-free against each structure's own lock order,
-//! and the merge-on-own-pending rule that prevents self-deadlock when one
-//! transaction updates the same link twice — is identical across the lazy
-//! list, skip list, and Citrus tree. [`TwoPhaseState`] implements it
-//! once; the structure crates layer their traversal, validation, and undo
-//! logs on top.
+//! [`TwoPhaseState`] keeps all three, and nothing else does: a torn attempt
+//! hands back its locks through a [`TwoPhaseState::savepoint`], and a second
+//! write to one link restages the pending head it finds on the bundle.
+//! That, and the bounded `try_lock` discipline that keeps transactions
+//! deadlock-free against each structure's own lock order, is the same for
+//! the lazy list, skip list, and Citrus tree; the structure crates layer
+//! their traversal, validation, and undo logs on top.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use ebr::Shared;
@@ -31,11 +31,10 @@ use crate::linearize::{Conflict, TxnValidateError};
 /// consistent with key-ordered two-phase locking).
 pub const TXN_LOCK_SPINS: usize = 64;
 
-/// Multiplicative hasher for node/bundle *addresses* (already
-/// well-distributed), replacing SipHash in the per-transaction lock and
-/// pending maps: those maps are probed once per staged op, on the
-/// committer thread that serializes every group, so shaving the hash
-/// matters at super-batch sizes.
+/// Multiplicative hasher for node *addresses* (already well-distributed),
+/// replacing SipHash in the per-transaction lock set: it is probed once
+/// per lock a staged op takes, on the committer thread that serializes
+/// every group, so shaving the hash matters at super-batch sizes.
 #[derive(Default)]
 pub struct AddrHasher(u64);
 
@@ -60,15 +59,14 @@ impl Hasher for AddrHasher {
 }
 
 type AddrSet = HashSet<usize, BuildHasherDefault<AddrHasher>>;
-type AddrMap = HashMap<usize, usize, BuildHasherDefault<AddrHasher>>;
 
 /// Shared two-phase bookkeeping over nodes of type `N`.
 ///
 /// The state is **reusable**: [`TwoPhaseState::finalize`] and
 /// [`TwoPhaseState::abort`] leave it empty with every buffer's capacity
 /// kept, which is what lets the kernel keep one warm token per thread
-/// ([`crate::TokenPool`]) instead of rebuilding four vectors and two hash
-/// tables for a transaction that locks a handful of nodes.
+/// ([`crate::TokenPool`]) instead of rebuilding three vectors and a hash
+/// set for a transaction that locks a handful of nodes.
 ///
 /// Nodes come in as [`Shared`] pointers and are kept as raw addresses
 /// across calls. What keeps them allocated is the locking contract of
@@ -76,21 +74,17 @@ type AddrMap = HashMap<usize, usize, BuildHasherDefault<AddrHasher>>;
 /// must acquire its victim's lock first.
 pub struct TwoPhaseState<N> {
     tid: usize,
-    /// Held node locks in acquisition order. The guards borrow from nodes
-    /// that stay allocated while locked (see above), hence `'static`.
+    /// Held node locks in acquisition order (a savepoint is a length of
+    /// it). The guards borrow from nodes that stay allocated while
+    /// locked (see above), hence `'static`.
     locks: Vec<(*mut N, MutexGuard<'static, ()>)>,
     /// Addresses of the held locks, for O(1) [`TwoPhaseState::holds`]
     /// checks — a group-commit super-batch stages hundreds of ops into
     /// one state, and every prepare probes lock ownership, so a linear
     /// scan here made batch prepares quadratic.
     lock_set: AddrSet,
-    /// Pending bundle entries in installation order, so a second write
-    /// to the same link merges instead of self-deadlocking on its own
-    /// pending head.
-    pendings: Vec<(usize, PendingEntry<N>)>,
-    /// Bundle address -> index into `pendings` (O(1) merge lookups; same
-    /// quadratic-batch story as `lock_set`).
-    pending_idx: AddrMap,
+    /// Pending bundle entries, one per bundle, in installation order.
+    pendings: Vec<PendingEntry<N>>,
     /// Nodes unlinked by staged removes; retired on commit.
     victims: Vec<*mut N>,
     /// Nodes created by staged inserts; retired on abort.
@@ -105,7 +99,6 @@ impl<N> TwoPhaseState<N> {
             locks: Vec::new(),
             lock_set: AddrSet::default(),
             pendings: Vec::new(),
-            pending_idx: AddrMap::default(),
             victims: Vec::new(),
             created: Vec::new(),
         }
@@ -123,28 +116,19 @@ impl<N> TwoPhaseState<N> {
         self.lock_set.contains(&(node as usize))
     }
 
-    /// Release the `n` most recently acquired locks (failed-validation
-    /// rewind; the popped guards unlock on drop).
-    pub fn unlock_latest(&mut self, n: usize) {
-        for _ in 0..n {
-            if let Some((node, _)) = self.locks.pop() {
-                self.lock_set.remove(&(node as usize));
-            }
-        }
-    }
-
     /// Acquire `node`'s lock (`lock_of(node)`) for the transaction unless
-    /// already held; `Ok(true)` = newly acquired (and pushed, so an abort
-    /// releases it). Bounded `try_lock`: contention surfaces as [`Conflict`]
-    /// instead of risking a deadlock cycle with a primitive operation
-    /// blocked on one of our locks.
+    /// already held; held locks are kept until finalize or abort, or a
+    /// [`TwoPhaseState::release_since`] of an earlier savepoint. Bounded
+    /// `try_lock`: contention surfaces as [`Conflict`] instead of risking
+    /// a deadlock cycle with a primitive operation blocked on one of our
+    /// locks.
     pub fn lock(
         &mut self,
         node: Shared<'_, N>,
         lock_of: fn(&N) -> &Mutex<()>,
-    ) -> Result<bool, Conflict> {
+    ) -> Result<(), Conflict> {
         if self.holds(node.as_raw()) {
-            return Ok(false);
+            return Ok(());
         }
         let (mutex, node): (*const Mutex<()>, _) = (lock_of(&node), node.as_raw());
         // SAFETY: the mutex lives inside the node (`lock_of` borrows it from
@@ -155,28 +139,62 @@ impl<N> TwoPhaseState<N> {
             if let Some(guard) = mutex.try_lock() {
                 self.lock_set.insert(node as usize);
                 self.locks.push((node, guard));
-                return Ok(true);
+                return Ok(());
             }
             std::hint::spin_loop();
         }
         Err(Conflict)
     }
 
-    /// Install (or merge into) the transaction's pending entry on
-    /// `bundle`. The caller must hold the lock of the node owning
-    /// `bundle`, which guarantees any pending head already present is this
-    /// transaction's own (primitive updates only touch a bundle under its
-    /// node's lock).
-    pub fn prepare_bundle(&mut self, bundle: &Bundle<N>, ptr: Shared<'_, N>) {
-        let addr = bundle as *const _ as usize;
-        match self.pending_idx.entry(addr) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.pendings[*e.get()].1.set_ptr(ptr);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.pendings.len());
-                self.pendings.push((addr, bundle.prepare(ptr)));
-            }
+    /// A mark of the locks held now, for [`TwoPhaseState::release_since`]:
+    /// taken at the start of an attempt that may turn out torn.
+    #[must_use]
+    pub fn savepoint(&self) -> usize {
+        self.locks.len()
+    }
+
+    /// Release every lock acquired since `savepoint` (a torn attempt hands
+    /// back what it took before it retries). `false` = there was none: the
+    /// attempt only met locks the token already held, so a retry would
+    /// find the same picture.
+    pub fn release_since(&mut self, savepoint: usize) -> bool {
+        let released = self.locks.len() > savepoint;
+        for (node, _) in self.locks.drain(savepoint..) {
+            self.lock_set.remove(&(node as usize));
+        }
+        released
+    }
+
+    /// The torn attempt's verdict: release as [`Self::release_since`]
+    /// does and retry, or [`Conflict`] if nothing was released (a node
+    /// the token already holds cannot be invalidated by others, so the
+    /// impossible surfaces as a conflict instead of a spin).
+    pub fn retry_since(&mut self, savepoint: usize) -> Result<(), Conflict> {
+        self.release_since(savepoint).then_some(()).ok_or(Conflict)
+    }
+
+    /// Install the transaction's pending entry on `bundle`, a bundle of
+    /// node `owner`, or restage it if the transaction already has one
+    /// there (a second write through the same link). The caller must hold
+    /// `owner`'s lock (debug-asserted). Every prepare of `bundle` — a
+    /// primitive's too, for a node it has just created — happens under
+    /// that lock and is final or aborted before the lock is released, so a
+    /// pending head found there is this transaction's own (debug-asserted
+    /// by a scan of the pendings).
+    pub fn prepare_bundle(&mut self, owner: Shared<'_, N>, bundle: &Bundle<N>, ptr: Shared<'_, N>) {
+        debug_assert!(
+            self.holds(owner.as_raw()),
+            "a token prepares only under its own lock"
+        );
+        let offset = (bundle as *const Bundle<N> as usize).wrapping_sub(owner.as_raw() as usize);
+        debug_assert!(offset < std::mem::size_of::<N>(), "a bundle of `owner`");
+        if bundle.restage(ptr) {
+            debug_assert!(
+                self.pendings.iter().any(|pe| pe.is_on(bundle)),
+                "restaged a pending head that is not the token's own"
+            );
+        } else {
+            self.pendings.push(bundle.prepare(ptr));
         }
     }
 
@@ -201,7 +219,7 @@ impl<N> TwoPhaseState<N> {
     /// `retire` (the caller retires them under its EBR guard). Leaves the
     /// state empty and reusable.
     pub fn finalize(&mut self, ts: u64, retire: impl FnMut(*mut N)) {
-        for (_, pe) in self.pendings.drain(..) {
+        for pe in self.pendings.drain(..) {
             pe.finalize(ts);
         }
         self.release_locks();
@@ -217,7 +235,7 @@ impl<N> TwoPhaseState<N> {
     /// readers spinning on the pendings, and they must observe the
     /// restored physical state. Leaves the state empty and reusable.
     pub fn abort(&mut self, retire: impl FnMut(*mut N)) {
-        for (_, pe) in self.pendings.drain(..) {
+        for pe in self.pendings.drain(..) {
             pe.abort();
         }
         self.release_locks();
@@ -225,13 +243,11 @@ impl<N> TwoPhaseState<N> {
         self.victims.clear();
     }
 
-    /// Unlock in acquisition order and forget the index tables (after the
-    /// pendings are resolved: a waiter on one of these locks must find the
-    /// entries final).
+    /// Unlock in acquisition order (after the pendings are resolved: a
+    /// waiter on one of these locks must find the entries final).
     fn release_locks(&mut self) {
         self.locks.clear();
         self.lock_set.clear();
-        self.pending_idx.clear();
     }
 }
 
@@ -255,7 +271,11 @@ impl<N> TwoPhaseState<N> {
 /// commit (a stale read), not the transaction tripping over its own
 /// writes. Nodes are immutable once created (updates are staged as
 /// remove-then-insert), so node identity doubles as value identity.
-#[derive(Debug)]
+///
+/// Every token records, also one that will never validate (a write-only
+/// batch or group): recording is a push per staged op, too cheap to be
+/// worth a second staging mode.
+#[derive(Debug, Default)]
 pub struct StagedOutcomes<K> {
     /// `(key, pre-txn node, current node)`, ascending by key, at most one
     /// entry per key (later stagings of the same key update `now`, keep
@@ -270,46 +290,14 @@ pub struct StagedOutcomes<K> {
     /// reused by every validate call of the transaction on this
     /// structure.
     projected: Vec<(K, usize)>,
-    /// `false` for write-only pipelines (no read set, no validate phase):
-    /// [`StagedOutcomes::record`] becomes a no-op, sparing every staged
-    /// op a record that nothing will ever read. Group commits and
-    /// `multi_put`-style batches run in this mode.
-    recording: bool,
-}
-
-impl<K: Copy + Ord> Default for StagedOutcomes<K> {
-    /// Same as [`StagedOutcomes::new`]: records images.
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<K: Copy + Ord> StagedOutcomes<K> {
-    /// Empty outcome set that records images (read-write transactions).
-    pub fn new() -> Self {
-        StagedOutcomes {
-            entries: Vec::new(),
-            projected: Vec::new(),
-            recording: true,
-        }
-    }
-
-    /// Outcome set for a **write-only** pipeline: nothing will validate,
-    /// so nothing is recorded. [`StagedOutcomes::expected_now`] must not
-    /// be called on it (debug-asserted).
-    pub fn disabled() -> Self {
-        StagedOutcomes {
-            recording: false,
-            ..Self::new()
-        }
-    }
-
-    /// Forget every image, keep the buffers, and set the mode of the next
-    /// transaction (`recording = false` is [`StagedOutcomes::disabled`]).
-    pub fn reset(&mut self, recording: bool) {
+    /// Forget every image and keep the buffers (a warm token's next
+    /// transaction).
+    pub fn clear(&mut self) {
         self.entries.clear();
         self.projected.clear();
-        self.recording = recording;
     }
 
     /// Index of `key`'s entry, or where it would be inserted.
@@ -319,12 +307,8 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
 
     /// Record one staged write's images. A second staging of the same key
     /// (e.g. the insert half of an upsert after its remove half) keeps the
-    /// original `pre` and replaces `now`. No-op for a
-    /// [`StagedOutcomes::disabled`] set.
+    /// original `pre` and replaces `now`.
     pub fn record(&mut self, key: K, pre: Option<usize>, now: Option<usize>) {
-        if !self.recording {
-            return;
-        }
         match self.entries.last_mut() {
             Some(last) if last.0 == key => last.2 = now,
             Some(last) if last.0 > key => match self.position(&key) {
@@ -402,10 +386,6 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
         high: &K,
         recorded: &[(K, usize)],
     ) -> Result<&[(K, usize)], TxnValidateError> {
-        debug_assert!(
-            self.recording,
-            "a write-only (disabled) outcome set recorded nothing to project"
-        );
         let out = &mut self.projected;
         out.clear();
         let mut rec = recorded.iter().copied().peekable();
@@ -439,11 +419,11 @@ pub const MAX_VALIDATE_ATTEMPTS: usize = 8;
 /// [`TxnValidateError::Conflict`]), re-checking linkage under each lock,
 /// and compare the found `(key, node)` list against `expected` (the
 /// recorded read projected through the transaction's [`StagedOutcomes`]).
-/// Torn observations retry up to [`MAX_VALIDATE_ATTEMPTS`] times; a
-/// stable mismatch is a foreign commit inside the range —
-/// [`TxnValidateError::Invalidated`]. On success the acquired locks stay
-/// in `core` (held until finalize/abort), which is what pins the
-/// validated range at the commit timestamp.
+/// Torn observations hand back the attempt's locks and retry up to
+/// [`MAX_VALIDATE_ATTEMPTS`] times; a stable mismatch is a foreign commit
+/// inside the range — [`TxnValidateError::Invalidated`]. The locks stay in
+/// `core` in every outcome: on success they pin the validated range at
+/// the commit timestamp, and an `Err` leaves them to the abort.
 ///
 /// Node locks and keys come from the structure's [`TwoPhase`] hooks; the
 /// rest of its specifics are closures: `locate` returns `(gap predecessor,
@@ -460,23 +440,12 @@ pub fn validate_chain<'g, S: TwoPhase>(
     mut pred_valid: impl FnMut(Shared<'g, S::Node>, Shared<'g, S::Node>) -> bool,
     mut step: impl FnMut(Shared<'g, S::Node>, Shared<'g, S::Node>) -> Option<Shared<'g, S::Node>>,
 ) -> Result<(), TxnValidateError> {
-    let lock = |core: &mut TwoPhaseState<S::Node>, node| core.lock(node, S::lock_of);
     'attempt: for _ in 0..MAX_VALIDATE_ATTEMPTS {
-        let mut newly = 0usize;
+        let sp = core.savepoint();
         let (pred, first) = locate();
-        match lock(core, pred) {
-            Ok(true) => newly += 1,
-            Ok(false) => {}
-            Err(Conflict) => return Err(TxnValidateError::Conflict),
-        }
+        core.lock(pred, S::lock_of)?;
         if !pred_valid(pred, first) {
-            core.unlock_latest(newly);
-            if newly == 0 {
-                // A node the transaction already holds cannot be
-                // invalidated by others; surface the impossible as a
-                // conflict instead of spinning.
-                return Err(TxnValidateError::Conflict);
-            }
+            core.retry_since(sp)?;
             continue;
         }
         // Compared against `expected` in place (no per-attempt buffer);
@@ -486,19 +455,12 @@ pub fn validate_chain<'g, S: TwoPhase>(
         let mut prev = pred;
         let mut curr = first;
         while curr != tail && S::entry(&curr).0 <= *high {
-            match lock(core, curr) {
-                Ok(true) => newly += 1,
-                Ok(false) => {}
-                Err(Conflict) => {
-                    core.unlock_latest(newly);
-                    return Err(TxnValidateError::Conflict);
-                }
-            }
+            core.lock(curr, S::lock_of)?;
             // Re-check linkage under the lock: a node that got removed
             // (or whose predecessor link moved) between the walk reaching
             // it and locking it is a torn observation, not a verdict.
             let Some(next) = step(prev, curr) else {
-                core.unlock_latest(newly);
+                core.release_since(sp);
                 continue 'attempt;
             };
             same &= expected.get(found) == Some(&(S::entry(&curr).0, curr.as_raw() as usize));
@@ -507,7 +469,6 @@ pub fn validate_chain<'g, S: TwoPhase>(
             curr = next;
         }
         if !same || found != expected.len() {
-            core.unlock_latest(newly);
             return Err(TxnValidateError::Invalidated);
         }
         return Ok(());
@@ -542,41 +503,67 @@ mod tests {
         Shared::boxed(Cell { lock, bundle }, g)
     }
 
+    const LOCK_OF: fn(&Cell) -> &Mutex<()> = |c| &c.lock;
+
     #[test]
     fn lock_tracking_and_merge() {
         let collector = Collector::new(1, ReclaimMode::Leaky);
         let g = collector.pin(0);
         let (a, b) = (cell(&g), cell(&g));
-        let lock_of: fn(&Cell) -> &Mutex<()> = |c| &c.lock;
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(3);
         assert_eq!(st.tid(), 3);
         assert!(st.is_empty());
-        assert_eq!(st.lock(a, lock_of), Ok(true));
-        assert_eq!(st.lock(a, lock_of), Ok(false), "re-lock is a no-op");
+        assert_eq!(st.lock(a, LOCK_OF), Ok(()));
+        assert_eq!(st.lock(a, LOCK_OF), Ok(()), "re-lock is a no-op");
         // A contended lock conflicts instead of blocking.
         let held = b.lock.lock();
-        assert_eq!(st.lock(b, lock_of), Err(Conflict));
+        assert_eq!(st.lock(b, LOCK_OF), Err(Conflict));
         drop(held);
-        assert_eq!(st.lock(b, lock_of), Ok(true));
-        // Same-bundle prepare merges; distinct bundles stack.
+        assert_eq!(st.lock(b, LOCK_OF), Ok(()));
+        // A second prepare of one bundle restages the token's own pending
+        // head; distinct bundles stack.
         a.bundle.init(Shared::null(), 0);
-        st.prepare_bundle(&a.bundle, a);
-        st.prepare_bundle(&a.bundle, b);
+        st.prepare_bundle(a, &a.bundle, a);
+        st.prepare_bundle(a, &a.bundle, b);
         assert_eq!(a.bundle.len(), 2, "merged: init entry + one pending");
-        st.unlock_latest(1);
-        assert!(!st.holds(b.as_raw()));
-        assert!(st.holds(a.as_raw()));
         st.finalize(7, |_| panic!("nothing was unlinked"));
         assert!(
             st.is_empty() && !st.holds(a.as_raw()),
             "finalize leaves it reusable"
         );
+        assert!(b.lock.try_lock().is_some(), "finalize unlocked");
         assert_eq!(a.bundle.dereference(7, &g), Some(b), "merged value wins");
     }
 
     #[test]
+    fn release_since_hands_back_exactly_the_attempts_locks() {
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
+        let (a, b, c) = (cell(&g), cell(&g), cell(&g));
+        let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
+        st.lock(a, LOCK_OF).unwrap();
+        // An attempt that only re-takes a held lock has nothing to hand
+        // back, and keeps what it held.
+        let sp = st.savepoint();
+        st.lock(a, LOCK_OF).unwrap();
+        assert!(!st.release_since(sp));
+        assert!(st.holds(a.as_raw()));
+        // An attempt that takes new locks hands back those, not older ones.
+        let sp = st.savepoint();
+        for node in [b, a, c] {
+            st.lock(node, LOCK_OF).unwrap();
+        }
+        assert!(st.release_since(sp));
+        assert!(st.holds(a.as_raw()) && !st.holds(b.as_raw()) && !st.holds(c.as_raw()));
+        assert!(b.lock.try_lock().is_some() && c.lock.try_lock().is_some());
+        assert!(a.lock.try_lock().is_none(), "the older lock is still held");
+        st.abort(|_| panic!("nothing was created"));
+        assert!(a.lock.try_lock().is_some(), "abort releases the rest");
+    }
+
+    #[test]
     fn staged_outcomes_project_and_detect_stale_reads() {
-        let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
+        let mut st: StagedOutcomes<u64> = StagedOutcomes::default();
         assert!(st.is_empty());
         // A put of an absent key (created node 100), a remove of node 200
         // at key 20, and an upsert of key 30 (remove node 300, insert 301
@@ -615,7 +602,7 @@ mod tests {
 
     #[test]
     fn staged_outcomes_stay_sorted_when_recorded_out_of_order_and_reset_reuses() {
-        let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
+        let mut st: StagedOutcomes<u64> = StagedOutcomes::default();
         // A Citrus two-children remove of 10 records its relocated
         // successor 30 at once; the re-insert of 10 and a write of 20
         // arrive afterwards, behind it.
@@ -632,18 +619,15 @@ mod tests {
             [(10, 101), (20, 200), (30, 302)],
             "first pre kept"
         );
-        st.reset(false);
+        st.clear();
         assert!(st.is_empty());
-        st.record(10, None, Some(1));
-        assert!(st.is_empty(), "reset(false) is the disabled mode");
-        st.reset(true);
         st.record(10, None, Some(1));
         assert_eq!(st.covered_read(&10, &10, &[]), Some(Ok(())));
     }
 
     #[test]
     fn covered_read_decides_single_key_reads_of_written_keys() {
-        let mut st: StagedOutcomes<u64> = StagedOutcomes::new();
+        let mut st: StagedOutcomes<u64> = StagedOutcomes::default();
         st.record(10, None, Some(100)); // insert of an absent key
         st.record(20, Some(200), None); // upsert: remove 200 ...
         st.record(20, None, Some(201)); // ... insert 201 (keeps pre = 200)
@@ -661,10 +645,6 @@ mod tests {
         assert_eq!(st.covered_read(&10, &10, &[(10, 999)]), stale);
         assert_eq!(st.covered_read(&20, &20, &[(20, 199)]), stale);
         assert_eq!(st.covered_read(&20, &20, &[]), stale);
-        // A write-only set recorded nothing, so nothing is covered.
-        let mut off: StagedOutcomes<u64> = StagedOutcomes::disabled();
-        off.record(10, None, Some(100));
-        assert_eq!(off.covered_read(&10, &10, &[]), None);
     }
 
     #[test]
@@ -674,7 +654,8 @@ mod tests {
         let a = cell(&g);
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
         a.bundle.init(a, 2);
-        st.prepare_bundle(&a.bundle, Shared::null());
+        st.lock(a, LOCK_OF).unwrap();
+        st.prepare_bundle(a, &a.bundle, Shared::null());
         st.add_created(a);
         let mut created = Vec::new();
         st.abort(|n| created.push(n));

@@ -397,9 +397,9 @@ where
     /// abort put the old extreme back meanwhile, hence `epoch`, the
     /// caller's [`Self::shape_epoch`] sample from before its search).
     ///
-    /// `Ok(Some(acquired))` = pinned (`acquired`: the lock was not held
-    /// before); `Ok(None)` = the walk was torn and the lock released
-    /// again, the caller retries its whole seek.
+    /// `Ok(true)` = pinned; `Ok(false)` = the walk was torn, the caller
+    /// releases what it locked since its savepoint and retries its whole
+    /// seek.
     fn txn_pin_gap(
         &self,
         txn: &mut ShardTxn<BundledCitrusTree<K, V>>,
@@ -407,24 +407,21 @@ where
         toward: usize,
         epoch: u64,
         guard: &Guard<'_>,
-    ) -> Result<Option<bool>, Conflict> {
+    ) -> Result<bool, Conflict> {
         let mut gap = from;
         while !gap.load(toward, guard).is_null() {
             gap = gap.load(toward, guard);
         }
-        let newly = self.txn_lock(txn, gap)?;
+        let sp = txn.core.savepoint();
+        self.txn_lock(txn, gap)?;
         if gap.marked.load(Ordering::Acquire)
             || !gap.load(toward, guard).is_null()
             || self.shape_epoch() != epoch
         {
-            if newly {
-                txn.core.unlock_latest(1);
-                return Ok(None);
-            }
-            // A node we hold locked cannot be invalidated by others.
-            return Err(Conflict);
+            txn.core.retry_since(sp)?;
+            return Ok(false);
         }
-        Ok(Some(newly))
+        Ok(true)
     }
 
     /// One pruned in-order walk over the newest child pointers: collects
@@ -479,6 +476,52 @@ where
             }
             acc.push((node.key, node.as_raw() as usize));
             curr = node.load(RIGHT, guard);
+        }
+    }
+
+    /// [`ConcurrentSet::insert`], running `linked` once the new leaf is
+    /// reachable but before its bundles are final (the window in which a
+    /// token must not build on it; tests hold it open through `linked`).
+    fn insert_then(&self, tid: usize, key: K, value: V, linked: impl FnOnce()) -> bool {
+        let guard = self.pin(tid);
+        loop {
+            let epoch = self.shape_epoch();
+            let (pred, dir, curr) = self.search(tid, &key, &guard);
+            if !curr.is_null() {
+                if !curr.marked.load(Ordering::Acquire) {
+                    return false;
+                }
+                // Key found but node is being removed: retry until the
+                // removal's physical unlink makes it unreachable.
+                std::hint::spin_loop();
+                continue;
+            }
+            let _lock = pred.lock.lock();
+            // Validate: predecessor still live, the slot still empty — and
+            // still the key's (no abort put a node back meanwhile).
+            if pred.marked.load(Ordering::Acquire)
+                || !pred.load(dir, &guard).is_null()
+                || self.shape_epoch() != epoch
+            {
+                continue;
+            }
+            let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
+            // Locked before it is reachable, as every prepare needs (the
+            // `TwoPhase` lock contract), and until its bundles are final.
+            let _node_lock = node.lock.lock();
+            // A new leaf contributes entries for both of its (null)
+            // children so that snapshot traversals entering it always find
+            // a satisfying entry, plus the predecessor's changed link.
+            let bundles = [
+                (&node.bundle[LEFT], Shared::null()),
+                (&node.bundle[RIGHT], Shared::null()),
+                (&pred.bundle[dir], node),
+            ];
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
+                pred.child[dir].store(node, Ordering::SeqCst);
+                linked();
+            });
+            return true;
         }
     }
 }
@@ -696,7 +739,7 @@ where
     ) -> Result<(), TxnValidateError> {
         let root = self.root(guard);
         'attempt: for _ in 0..bundle::MAX_VALIDATE_ATTEMPTS {
-            let mut newly = 0usize;
+            let sp = core.savepoint();
             let Some(bounds) = self.walk_range_newest(low, high, walk, guard) else {
                 continue;
             };
@@ -706,16 +749,9 @@ where
                 .iter()
                 .map(|(_, n)| unsafe { Shared::from_raw(*n as *mut Node<K, V>, guard) });
             for node in walked.chain(bounds) {
-                match core.lock(node, Self::lock_of) {
-                    Ok(true) => newly += 1,
-                    Ok(false) => {}
-                    Err(Conflict) => {
-                        core.unlock_latest(newly);
-                        return Err(TxnValidateError::Conflict);
-                    }
-                }
+                core.lock(node, Self::lock_of)?;
                 if node != root && node.marked.load(Ordering::Acquire) {
-                    core.unlock_latest(newly);
+                    core.release_since(sp);
                     continue 'attempt;
                 }
             }
@@ -723,11 +759,10 @@ where
             // re-derive the boundaries. Any difference means an update was
             // mid-flight during the first walk — retry.
             if self.walk_range_newest(low, high, verify, guard) != Some(bounds) || verify != walk {
-                core.unlock_latest(newly);
+                core.release_since(sp);
                 continue 'attempt;
             }
             if walk[..] != *expected {
-                core.unlock_latest(newly);
                 return Err(TxnValidateError::Invalidated);
             }
             return Ok(());
@@ -868,39 +903,35 @@ where
                 // commit (a remove must acquire it). If it got marked
                 // before we locked it, the remove linearized first —
                 // retry and miss it.
-                let newly = tree.txn_lock(&mut self.txn, curr)?;
+                let sp = self.txn.core.savepoint();
+                tree.txn_lock(&mut self.txn, curr)?;
                 if curr.marked.load(Ordering::Acquire) {
-                    if newly {
-                        self.txn.core.unlock_latest(1);
-                        self.spine.clear();
-                        continue;
-                    }
-                    return Err(Conflict);
+                    self.txn.core.retry_since(sp)?;
+                    self.spine.clear();
+                    continue;
                 }
                 let at = Some(curr.as_raw() as usize);
                 self.txn.staged.record(key, at, at);
                 self.spine.push(loc.spine_entry(curr));
                 return Ok(false);
             }
-            let newly = tree.txn_lock(&mut self.txn, pred)?;
+            let sp = self.txn.core.savepoint();
+            tree.txn_lock(&mut self.txn, pred)?;
             if !self.slot_still_empty(pred, dir, &guard) {
-                if newly {
-                    self.txn.core.unlock_latest(1);
-                    self.spine.clear();
-                    continue;
-                }
-                // A node we hold locked cannot be invalidated by others.
-                return Err(Conflict);
+                self.txn.core.retry_since(sp)?;
+                self.spine.clear();
+                continue;
             }
             let txn = &mut self.txn;
             let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
-            // Hold the new leaf's lock until commit/abort (uncontended:
-            // nobody else can reach it yet) so primitive operations block
-            // on it instead of building on state we may roll back.
+            // Locked until commit/abort, so nobody builds on a node we may
+            // roll back (uncontended: nobody can reach it yet).
             tree.txn_lock(txn, node)?;
-            txn.core.prepare_bundle(&node.bundle[LEFT], Shared::null());
-            txn.core.prepare_bundle(&node.bundle[RIGHT], Shared::null());
-            txn.core.prepare_bundle(&pred.bundle[dir], node);
+            txn.core
+                .prepare_bundle(node, &node.bundle[LEFT], Shared::null());
+            txn.core
+                .prepare_bundle(node, &node.bundle[RIGHT], Shared::null());
+            txn.core.prepare_bundle(pred, &pred.bundle[dir], node);
             // Eager linearization effect.
             pred.child[dir].store(node, Ordering::SeqCst);
             txn.core.add_created(node);
@@ -928,43 +959,26 @@ where
             let (pred, dir, curr) = (loc.pred, loc.dir, loc.curr);
             if curr.is_null() {
                 // Pin the no-op: hold the insertion parent until commit.
-                let newly = tree.txn_lock(&mut self.txn, pred)?;
+                let sp = self.txn.core.savepoint();
+                tree.txn_lock(&mut self.txn, pred)?;
                 if !self.slot_still_empty(pred, dir, &guard) {
-                    if newly {
-                        self.txn.core.unlock_latest(1);
-                        self.spine.clear();
-                        continue;
-                    }
-                    return Err(Conflict);
+                    self.txn.core.retry_since(sp)?;
+                    self.spine.clear();
+                    continue;
                 }
                 self.txn.staged.record(*key, None, None);
                 return Ok(false);
             }
             let txn = &mut self.txn;
-            // Takes `node`'s lock into the count of newly acquired ones;
-            // on a lost race, releases them all.
-            let lock = |txn: &mut ShardTxn<BundledCitrusTree<K, V>>, newly: &mut usize, node| {
-                match tree.txn_lock(txn, node) {
-                    Ok(acquired) => *newly += usize::from(acquired),
-                    Err(c) => {
-                        txn.core.unlock_latest(*newly);
-                        return Err(c);
-                    }
-                }
-                Ok(())
-            };
-            let mut newly = 0usize;
-            lock(txn, &mut newly, pred)?;
-            lock(txn, &mut newly, curr)?;
+            let sp = txn.core.savepoint();
+            tree.txn_lock(txn, pred)?;
+            tree.txn_lock(txn, curr)?;
             if pred.marked.load(Ordering::Acquire)
                 || curr.marked.load(Ordering::Acquire)
                 || pred.load(dir, &guard) != curr
                 || curr.key != *key
             {
-                txn.core.unlock_latest(newly);
-                if newly == 0 {
-                    return Err(Conflict);
-                }
+                txn.core.retry_since(sp)?;
                 self.spine.clear();
                 continue;
             }
@@ -984,24 +998,17 @@ where
                 None
             };
             if let Some((from, toward)) = gap {
-                match tree.txn_pin_gap(txn, from, toward, self.epoch, &guard) {
-                    Ok(Some(acquired)) => newly += usize::from(acquired),
-                    Ok(None) => {
-                        txn.core.unlock_latest(newly);
-                        self.spine.clear();
-                        continue;
-                    }
-                    Err(c) => {
-                        txn.core.unlock_latest(newly);
-                        return Err(c);
-                    }
+                if !tree.txn_pin_gap(txn, from, toward, self.epoch, &guard)? {
+                    txn.core.release_since(sp);
+                    self.spine.clear();
+                    continue;
                 }
             }
 
             if left.is_null() || right.is_null() {
                 // Cases 1 & 2: splice the only child (or null) into pred.
                 let repl = if left.is_null() { right } else { left };
-                txn.core.prepare_bundle(&pred.bundle[dir], repl);
+                txn.core.prepare_bundle(pred, &pred.bundle[dir], repl);
                 curr.marked.store(true, Ordering::SeqCst);
                 pred.child[dir].store(repl, Ordering::SeqCst);
                 txn.core.add_victim(curr);
@@ -1020,10 +1027,8 @@ where
             while !succ.load(LEFT, &guard).is_null() {
                 (succ_parent, succ) = (succ, succ.load(LEFT, &guard));
             }
-            if succ_parent != curr {
-                lock(txn, &mut newly, succ_parent)?;
-            }
-            lock(txn, &mut newly, succ)?;
+            tree.txn_lock(txn, succ_parent)?;
+            tree.txn_lock(txn, succ)?;
             let succ_still_leftmost = if succ_parent == curr {
                 curr.load(RIGHT, &guard) == succ
             } else {
@@ -1035,10 +1040,7 @@ where
                 || !succ_still_leftmost
                 || tree.shape_epoch() != self.epoch
             {
-                txn.core.unlock_latest(newly);
-                if newly == 0 {
-                    return Err(Conflict);
-                }
+                txn.core.retry_since(sp)?;
                 self.spine.clear();
                 continue;
             }
@@ -1048,13 +1050,15 @@ where
             let new_node = Shared::boxed(new_node, &guard);
             tree.txn_lock(txn, new_node)?;
 
-            txn.core.prepare_bundle(&new_node.bundle[LEFT], left);
-            txn.core.prepare_bundle(&new_node.bundle[RIGHT], new_right);
-            txn.core.prepare_bundle(&pred.bundle[dir], new_node);
+            txn.core
+                .prepare_bundle(new_node, &new_node.bundle[LEFT], left);
+            txn.core
+                .prepare_bundle(new_node, &new_node.bundle[RIGHT], new_right);
+            txn.core.prepare_bundle(pred, &pred.bundle[dir], new_node);
             let sp_moved = succ != right;
             if sp_moved {
                 txn.core
-                    .prepare_bundle(&succ_parent.bundle[LEFT], succ_right);
+                    .prepare_bundle(succ_parent, &succ_parent.bundle[LEFT], succ_right);
             }
             // Eager linearization effect.
             curr.marked.store(true, Ordering::SeqCst);
@@ -1143,42 +1147,7 @@ where
     V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let guard = self.pin(tid);
-        loop {
-            let epoch = self.shape_epoch();
-            let (pred, dir, curr) = self.search(tid, &key, &guard);
-            if !curr.is_null() {
-                if !curr.marked.load(Ordering::Acquire) {
-                    return false;
-                }
-                // Key found but node is being removed: retry until the
-                // removal's physical unlink makes it unreachable.
-                std::hint::spin_loop();
-                continue;
-            }
-            let _lock = pred.lock.lock();
-            // Validate: predecessor still live, the slot still empty — and
-            // still the key's (no abort put a node back meanwhile).
-            if pred.marked.load(Ordering::Acquire)
-                || !pred.load(dir, &guard).is_null()
-                || self.shape_epoch() != epoch
-            {
-                continue;
-            }
-            let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
-            // A new leaf contributes entries for both of its (null)
-            // children so that snapshot traversals entering it always find
-            // a satisfying entry, plus the predecessor's changed link.
-            let bundles = [
-                (&node.bundle[LEFT], Shared::null()),
-                (&node.bundle[RIGHT], Shared::null()),
-                (&pred.bundle[dir], node),
-            ];
-            linearize_update(self.ctx.clock(), tid, &bundles, || {
-                pred.child[dir].store(node, Ordering::SeqCst);
-            });
-            return true;
-        }
+        self.insert_then(tid, key, value, || ())
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
@@ -1256,6 +1225,7 @@ where
             let new_right = if succ == right { succ_right } else { right };
             let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
             let new_node = Shared::boxed(new_node, &guard);
+            let new_lock = new_node.lock.lock(); // as an inserted leaf's
             let bundles = [
                 (&new_node.bundle[LEFT], left),
                 (&new_node.bundle[RIGHT], new_right),
@@ -1287,7 +1257,7 @@ where
                 self.wait_for_searchers(tid);
                 succ_parent.child[LEFT].store(succ_right, Ordering::SeqCst);
             }
-            drop((succ_lock, sp_lock, curr_lock, pred_lock));
+            drop((new_lock, succ_lock, sp_lock, curr_lock, pred_lock));
             // SAFETY: `retire`: both replaced by the copy, and the bundle
             // entries still pointing at them are older than the removal.
             unsafe {
@@ -1359,6 +1329,7 @@ where
 mod tests {
     use super::*;
     use bundle::api::RangeQuerySet;
+    use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1505,7 +1476,7 @@ mod tests {
                     if done.load(Ordering::Acquire) {
                         break;
                     }
-                    let mut cur = t.txn_cursor(t.txn_begin_write_only(3));
+                    let mut cur = t.txn_cursor(t.txn_begin(3));
                     // A lost lock race stages nothing; the abort is the same.
                     let _ = cur.seek_prepare_remove(&k);
                     t.txn_abort(cur.finish());
@@ -1764,7 +1735,7 @@ mod tests {
         let mut stager = t.txn_cursor(t.txn_begin(0));
         assert_eq!(stager.seek_prepare_remove(&50), Ok(true));
         // With 50 spliced out, 60's search path ends at 40's right slot.
-        let mut cur = t.txn_cursor(t.txn_begin_write_only(1));
+        let mut cur = t.txn_cursor(t.txn_begin(1));
         assert_eq!(cur.seek_read(&60), None);
         t.txn_abort(stager.finish());
         assert!(t.contains(2, &50), "the abort put 50 back");
@@ -1778,6 +1749,31 @@ mod tests {
         t.range_query(2, &0, &100, &mut out);
         assert_eq!(out, vec![(30, 30), (40, 40), (50, 50), (60, 60)]);
         assert!(t.remove(2, &60) && t.insert(2, 45, 45));
+    }
+
+    #[test]
+    fn a_token_keeps_off_a_primitive_insert_until_it_is_final() {
+        // An insert of 10 held between link and finalize: a token putting
+        // 11 behind the new node conflicts on its lock instead of
+        // restaging the insert's pending entry with an uncommitted node.
+        let s = &Tree::new(2);
+        let ((linked, paused), (release, go)) = (mpsc::channel(), mpsc::channel::<()>());
+        std::thread::scope(|scope| {
+            let _release = release; // dropped however this closure ends
+            scope.spawn(move || {
+                s.insert_then(0, 10, 10, || {
+                    linked.send(()).unwrap();
+                    let _ = go.recv();
+                })
+            });
+            paused.recv().unwrap();
+            let mut cur = s.txn_cursor(s.txn_begin(1));
+            assert_eq!(cur.seek_prepare_put(11, 11), Err(Conflict));
+            s.txn_abort(cur.finish());
+        });
+        let mut out = Vec::new();
+        s.range_query(1, &0, &100, &mut out);
+        assert_eq!(out, [(10, 10)]);
     }
 
     /// The deterministic shape of the relocation race: removing 50 picks

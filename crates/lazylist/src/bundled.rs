@@ -131,6 +131,38 @@ where
     ) -> bool {
         !pred.marked.load(Ordering::Acquire) && pred.next.load(Ordering::Acquire, guard) == curr
     }
+
+    /// [`ConcurrentSet::insert`], running `linked` once the new node is
+    /// reachable but before its bundles are final (the window in which a
+    /// token must not build on it; tests hold it open through `linked`).
+    fn insert_then(&self, tid: usize, key: K, value: V, linked: impl FnOnce()) -> bool {
+        let guard = self.pin(tid);
+        let tail = self.tail(&guard);
+        loop {
+            let (pred, curr) = self.traverse(&key, &guard);
+            let _lock = pred.lock.lock();
+            if !self.validate(pred, curr, &guard) {
+                continue;
+            }
+            if curr != tail && curr.key == key {
+                return false;
+            }
+            let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
+            // Locked before it is reachable, as every prepare needs (the
+            // `TwoPhase` lock contract), and until its bundles are final.
+            let _node_lock = node.lock.lock();
+            // Bundles affected by an insertion: the new node's own bundle
+            // (pointing at its successor) and the predecessor's bundle
+            // (pointing at the new node) — Algorithm 4, lines 10-12.
+            let bundles = [(&node.bundle, curr), (&pred.bundle, node)];
+            linearize_update(self.ctx.clock(), tid, &bundles, || {
+                // Linearization point: the new node becomes reachable.
+                pred.next.store(node, Ordering::SeqCst);
+                linked();
+            });
+            return true;
+        }
+    }
 }
 
 /// One eager structural change of a staged write (see [`TwoPhase::revert`]).
@@ -407,39 +439,29 @@ where
                 // commit. A marked node's remove has already linearized
                 // (mark and unlink share the remover's critical section,
                 // which requires this very lock) — retry and miss it.
-                let newly = list.txn_lock(txn, curr)?;
+                let sp = txn.core.savepoint();
+                list.txn_lock(txn, curr)?;
                 if curr.marked.load(Ordering::Acquire) {
-                    if newly {
-                        txn.core.unlock_latest(1);
-                        continue;
-                    }
-                    return Err(Conflict);
+                    txn.core.retry_since(sp)?;
+                    continue;
                 }
                 let at = Some(curr.as_raw() as usize);
                 txn.staged.record(key, at, at);
                 self.retain(curr, &guard);
                 return Ok(false);
             }
-            let newly = list.txn_lock(txn, pred)?;
+            let sp = txn.core.savepoint();
+            list.txn_lock(txn, pred)?;
             if !list.validate(pred, curr, &guard) {
-                if newly {
-                    txn.core.unlock_latest(1);
-                    continue;
-                }
-                // A node we already hold locked cannot be invalidated by
-                // anyone else; treat the impossible as a conflict so the
-                // transaction retries from scratch rather than spinning.
-                return Err(Conflict);
+                txn.core.retry_since(sp)?;
+                continue;
             }
             let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
-            // Hold the new node's lock until commit/abort (uncontended:
-            // nobody else can reach it yet): any primitive operation that
-            // would adopt it as a predecessor blocks on the lock instead of
-            // spinning on our pending bundle entry (which we might abort) —
-            // and cannot link behind a node we may undo.
+            // Locked until commit/abort, so nobody builds on a node we may
+            // roll back (uncontended: nobody can reach it yet).
             list.txn_lock(txn, node)?;
-            txn.core.prepare_bundle(&node.bundle, curr);
-            txn.core.prepare_bundle(&pred.bundle, node);
+            txn.core.prepare_bundle(node, &node.bundle, curr);
+            txn.core.prepare_bundle(pred, &pred.bundle, node);
             // Eager physical link (the op's linearization effect); commit
             // order is still decided solely by the bundle timestamps.
             pred.next.store(node, Ordering::SeqCst);
@@ -470,38 +492,25 @@ where
             let txn = &mut self.txn;
             if curr == tail || curr.key != *key {
                 // Pin the no-op: hold the gap's predecessor until commit.
-                let newly = list.txn_lock(txn, pred)?;
+                let sp = txn.core.savepoint();
+                list.txn_lock(txn, pred)?;
                 if !list.validate(pred, curr, &guard) {
-                    if newly {
-                        txn.core.unlock_latest(1);
-                        continue;
-                    }
-                    return Err(Conflict);
+                    txn.core.retry_since(sp)?;
+                    continue;
                 }
                 txn.staged.record(*key, None, None);
                 self.retain(pred, &guard);
                 return Ok(false);
             }
-            let newly_pred = list.txn_lock(txn, pred)?;
-            let newly_curr = match list.txn_lock(txn, curr) {
-                Ok(n) => n,
-                Err(c) => {
-                    if newly_pred {
-                        txn.core.unlock_latest(1);
-                    }
-                    return Err(c);
-                }
-            };
+            let sp = txn.core.savepoint();
+            list.txn_lock(txn, pred)?;
+            list.txn_lock(txn, curr)?;
             if !list.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
-                txn.core
-                    .unlock_latest(usize::from(newly_curr) + usize::from(newly_pred));
-                if !newly_pred && !newly_curr {
-                    return Err(Conflict);
-                }
+                txn.core.retry_since(sp)?;
                 continue;
             }
             let next = curr.next.load(Ordering::Acquire, &guard);
-            txn.core.prepare_bundle(&pred.bundle, next);
+            txn.core.prepare_bundle(pred, &pred.bundle, next);
             // Eager logical delete + physical unlink.
             curr.marked.store(true, Ordering::SeqCst);
             pred.next.store(next, Ordering::SeqCst);
@@ -567,28 +576,7 @@ where
     V: Clone + Send + Sync + 'static,
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
-        let guard = self.pin(tid);
-        let tail = self.tail(&guard);
-        loop {
-            let (pred, curr) = self.traverse(&key, &guard);
-            let _lock = pred.lock.lock();
-            if !self.validate(pred, curr, &guard) {
-                continue;
-            }
-            if curr != tail && curr.key == key {
-                return false;
-            }
-            let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
-            // Bundles affected by an insertion: the new node's own bundle
-            // (pointing at its successor) and the predecessor's bundle
-            // (pointing at the new node) — Algorithm 4, lines 10-12.
-            let bundles = [(&node.bundle, curr), (&pred.bundle, node)];
-            linearize_update(self.ctx.clock(), tid, &bundles, || {
-                // Linearization point: the new node becomes reachable.
-                pred.next.store(node, Ordering::SeqCst);
-            });
-            return true;
-        }
+        self.insert_then(tid, key, value, || ())
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
@@ -678,6 +666,7 @@ where
 mod tests {
     use super::*;
     use bundle::api::RangeQuerySet;
+    use std::sync::mpsc;
     use std::sync::Arc;
 
     type List = BundledLazyList<u64, u64>;
@@ -810,6 +799,31 @@ mod tests {
         let mut out = Vec::new();
         l.range_query(0, &0, &100, &mut out);
         assert_eq!(out, vec![(25, 250), (30, 30), (40, 40)]);
+    }
+
+    #[test]
+    fn a_token_keeps_off_a_primitive_insert_until_it_is_final() {
+        // An insert of 10 held between link and finalize: a token putting
+        // 11 behind the new node conflicts on its lock instead of
+        // restaging the insert's pending entry with an uncommitted node.
+        let s = &List::new(2);
+        let ((linked, paused), (release, go)) = (mpsc::channel(), mpsc::channel::<()>());
+        std::thread::scope(|scope| {
+            let _release = release; // dropped however this closure ends
+            scope.spawn(move || {
+                s.insert_then(0, 10, 10, || {
+                    linked.send(()).unwrap();
+                    let _ = go.recv();
+                })
+            });
+            paused.recv().unwrap();
+            let mut cur = s.txn_cursor(s.txn_begin(1));
+            assert_eq!(cur.seek_prepare_put(11, 11), Err(Conflict));
+            s.txn_abort(cur.finish());
+        });
+        let mut out = Vec::new();
+        s.range_query(1, &0, &100, &mut out);
+        assert_eq!(out, [(10, 10)]);
     }
 
     #[test]

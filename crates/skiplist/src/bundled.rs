@@ -303,8 +303,9 @@ where
     /// Transaction-aware variant of `lock_and_validate`: skips locks the
     /// transaction already holds, uses bounded `try_lock` for the rest.
     /// `Ok(true)` = locked and valid; `Ok(false)` = validation failed (the
-    /// newly acquired locks were released, caller retries its traversal);
-    /// `Err(Conflict)` = a lock could not be acquired (caller aborts).
+    /// caller releases what it locked since its savepoint and retries its
+    /// traversal); `Err(Conflict)` = a lock could not be acquired (caller
+    /// aborts).
     fn txn_lock_and_validate(
         &self,
         txn: &mut ShardTxn<BundledSkipList<K, V>>,
@@ -313,19 +314,11 @@ where
         expect_succ: Option<NodePtr<'_, K, V>>,
         guard: &Guard<'_>,
     ) -> Result<bool, Conflict> {
-        let mut newly = 0usize;
         for lvl in 0..=top {
             if lvl == 0 || preds[lvl] != preds[lvl - 1] {
-                match self.txn_lock(txn, preds[lvl]) {
-                    Ok(acquired) => newly += usize::from(acquired),
-                    Err(c) => {
-                        txn.core.unlock_latest(newly);
-                        return Err(c);
-                    }
-                }
+                self.txn_lock(txn, preds[lvl])?;
             }
             if !self.linked(preds[lvl], lvl, expect_succ.unwrap_or(succs[lvl]), guard) {
-                txn.core.unlock_latest(newly);
                 return Ok(false);
             }
         }
@@ -666,13 +659,11 @@ where
                 // commit (a remove must acquire it, so the key stays
                 // present). If it got marked before we locked it, the
                 // remove linearized first — retry and miss it.
-                let newly = list.txn_lock(txn, found)?;
+                let sp = txn.core.savepoint();
+                list.txn_lock(txn, found)?;
                 if found.marked.load(Ordering::Acquire) {
-                    if newly {
-                        txn.core.unlock_latest(1);
-                        continue;
-                    }
-                    return Err(Conflict);
+                    txn.core.retry_since(sp)?;
+                    continue;
                 }
                 let at = Some(found.as_raw() as usize);
                 txn.staged.record(key, at, at);
@@ -682,20 +673,20 @@ where
                 self.retain(&preds, &succs, None);
                 return Ok(false);
             }
+            let sp = txn.core.savepoint();
             if !list.txn_lock_and_validate(txn, (&preds, &succs), top, None, &guard)? {
+                txn.core.release_since(sp);
                 continue;
             }
             let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
-            // Hold the new node's lock until commit/abort (uncontended:
-            // nobody else can reach it yet) so primitive operations that
-            // would adopt it as a predecessor block on the lock instead of
-            // building on state we may roll back.
+            // Locked until commit/abort, so nobody builds on a node we may
+            // roll back (uncontended: nobody can reach it yet).
             list.txn_lock(txn, node)?;
             for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
                 pred.next[lvl].store(node, Ordering::SeqCst);
             }
-            txn.core.prepare_bundle(&node.bundle, succs[0]);
-            txn.core.prepare_bundle(&preds[0].bundle, node);
+            txn.core.prepare_bundle(node, &node.bundle, succs[0]);
+            txn.core.prepare_bundle(preds[0], &preds[0].bundle, node);
             // Eager linearization effect; snapshot visibility is still
             // gated on the pending bundle entries' commit timestamp.
             node.fully_linked.store(true, Ordering::SeqCst);
@@ -732,16 +723,14 @@ where
                 None => {
                     // Pin the no-op: hold the level-0 gap until commit.
                     let pred = preds[0];
-                    let newly = list.txn_lock(txn, pred)?;
+                    let sp = txn.core.savepoint();
+                    list.txn_lock(txn, pred)?;
                     let valid = !pred.marked.load(Ordering::Acquire)
                         && pred.fully_linked.load(Ordering::Acquire)
                         && pred.next[0].load(Ordering::Acquire, &guard) == succs[0];
                     if !valid {
-                        if newly {
-                            txn.core.unlock_latest(1);
-                            continue;
-                        }
-                        return Err(Conflict);
+                        txn.core.retry_since(sp)?;
+                        continue;
                     }
                     txn.staged.record(*key, None, None);
                     self.retain(&preds, &succs, None);
@@ -758,25 +747,16 @@ where
                 continue;
             }
             let top = victim.top_level;
-            let newly_victim = list.txn_lock(txn, victim)?;
-            if victim.marked.load(Ordering::Acquire) {
-                if newly_victim {
-                    txn.core.unlock_latest(1);
-                }
+            let sp = txn.core.savepoint();
+            list.txn_lock(txn, victim)?;
+            if victim.marked.load(Ordering::Acquire)
+                || !list.txn_lock_and_validate(txn, (&preds, &succs), top, Some(victim), &guard)?
+            {
+                txn.core.release_since(sp);
                 continue;
             }
-            match list.txn_lock_and_validate(txn, (&preds, &succs), top, Some(victim), &guard) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if newly_victim {
-                        txn.core.unlock_latest(1);
-                    }
-                    continue;
-                }
-                Err(c) => return Err(c),
-            }
             let next = |lvl: usize| victim.next[lvl].load(Ordering::Acquire, &guard);
-            txn.core.prepare_bundle(&preds[0].bundle, next(0));
+            txn.core.prepare_bundle(preds[0], &preds[0].bundle, next(0));
             // Eager logical delete + physical unlink (top-down).
             victim.marked.store(true, Ordering::SeqCst);
             for lvl in (0..=top).rev() {
@@ -853,14 +833,11 @@ where
         let n = succs[self.find(key, &mut preds, &mut succs, guard)?];
         (n.fully_linked.load(Ordering::Acquire) && !n.marked.load(Ordering::Acquire)).then_some(n)
     }
-}
 
-impl<K, V> ConcurrentSet<K, V> for BundledSkipList<K, V>
-where
-    K: Copy + Ord + Default + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    fn insert(&self, tid: usize, key: K, value: V) -> bool {
+    /// [`ConcurrentSet::insert`], running `linked` once the new node is
+    /// fully linked but before its bundles are final (the window in which
+    /// a token must not build on it; tests hold it open through `linked`).
+    fn insert_then(&self, tid: usize, key: K, value: V, linked: impl FnOnce()) -> bool {
         let guard = self.pin(tid);
         let top = self.random_level(tid);
         let mut preds = [Shared::null(); MAX_LEVEL];
@@ -883,6 +860,9 @@ where
                 continue;
             }
             let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
+            // Locked before it is reachable, as every prepare needs (the
+            // `TwoPhase` lock contract), and until its bundles are final.
+            let node_lock = node.lock.lock();
             // Physically link bottom-up (traversals tolerate partially
             // linked towers; `fullyLinked` is the linearization point).
             for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
@@ -893,10 +873,21 @@ where
             let bundles = [(&node.bundle, succs[0]), (&preds[0].bundle, node)];
             linearize_update(self.ctx.clock(), tid, &bundles, || {
                 node.fully_linked.store(true, Ordering::SeqCst);
+                linked();
             });
-            drop(guards);
+            drop((node_lock, guards));
             return true;
         }
+    }
+}
+
+impl<K, V> ConcurrentSet<K, V> for BundledSkipList<K, V>
+where
+    K: Copy + Ord + Default + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn insert(&self, tid: usize, key: K, value: V) -> bool {
+        self.insert_then(tid, key, value, || ())
     }
 
     fn remove(&self, tid: usize, key: &K) -> bool {
@@ -994,6 +985,7 @@ where
 mod tests {
     use super::*;
     use bundle::api::RangeQuerySet;
+    use std::sync::mpsc;
 
     type Sl = BundledSkipList<u64, u64>;
 
@@ -1117,6 +1109,31 @@ mod tests {
         let mut out = Vec::new();
         s.range_query(0, &0, &100, &mut out);
         assert_eq!(out, vec![(20, 200), (40, 40), (50, 50)]);
+    }
+
+    #[test]
+    fn a_token_keeps_off_a_primitive_insert_until_it_is_final() {
+        // An insert of 10 held between link and finalize: a token putting
+        // 11 behind the new node conflicts on its lock instead of
+        // restaging the insert's pending entry with an uncommitted node.
+        let s = &Sl::new(2);
+        let ((linked, paused), (release, go)) = (mpsc::channel(), mpsc::channel::<()>());
+        std::thread::scope(|scope| {
+            let _release = release; // dropped however this closure ends
+            scope.spawn(move || {
+                s.insert_then(0, 10, 10, || {
+                    linked.send(()).unwrap();
+                    let _ = go.recv();
+                })
+            });
+            paused.recv().unwrap();
+            let mut cur = s.txn_cursor(s.txn_begin(1));
+            assert_eq!(cur.seek_prepare_put(11, 11), Err(Conflict));
+            s.txn_abort(cur.finish());
+        });
+        let mut out = Vec::new();
+        s.range_query(1, &0, &100, &mut out);
+        assert_eq!(out, [(10, 10)]);
     }
 
     #[test]

@@ -95,13 +95,10 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     ///   aborted and the whole transaction retries.
     fn txn_begin(&self, tid: usize) -> Self::Txn;
 
-    /// [`Self::txn_begin`] for a transaction that will never validate
-    /// reads (empty read set): backends may skip recording the per-key
-    /// staged images the validate phase would consume. The store routes
-    /// `apply_txn`, `multi_put` and every group commit through this —
-    /// group commits stage hundreds of ops per token, so bookkeeping
-    /// nothing reads is worth skipping. Calling [`Self::txn_validate`] on
-    /// such a token is a contract violation.
+    /// Alias of [`Self::txn_begin`], which it returns: every token records
+    /// what the validate phase reads, whether it will validate or not. The
+    /// store no longer calls it; it stays only for the benchmark's timing
+    /// wrapper and panel, and goes with them.
     fn txn_begin_write_only(&self, tid: usize) -> Self::Txn {
         self.txn_begin(tid)
     }
@@ -214,10 +211,6 @@ impl<S: TwoPhase> ShardBackend<S::Key, S::Value> for S {
         TwoPhase::txn_begin(self, tid)
     }
 
-    fn txn_begin_write_only(&self, tid: usize) -> Self::Txn {
-        TwoPhase::txn_begin_write_only(self, tid)
-    }
-
     type Cursor<'a>
         = S::Cursor<'a>
     where
@@ -279,7 +272,7 @@ mod tests {
 
         // Commit path: two staged writes through one cursor, one
         // timestamp, atomic cut.
-        let mut cur = shard.txn_cursor(shard.txn_begin_write_only(0));
+        let mut cur = shard.txn_cursor(shard.txn_begin(0));
         assert_eq!(cur.seek_prepare_remove(&1), Ok(true));
         assert_eq!(cur.seek_prepare_put(2, 20), Ok(true));
         assert_eq!(cur.seek_read(&2), Some(20), "cursor reads eager writes");

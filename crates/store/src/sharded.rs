@@ -705,9 +705,6 @@ where
         results.clear();
         results.resize(ops.len(), false);
 
-        // Only a pipeline with a read set validates, and only validation
-        // reads the staged images.
-        let validates = !reads.is_empty();
         let mut prepared: InlineStack<(usize, S::Txn), INLINE_SHARDS> = InlineStack::new();
         let mut attempt = 0u32;
         loop {
@@ -718,11 +715,7 @@ where
             let mut prepare_conflict = false;
             'prepare: for (shard, range) in groups.iter() {
                 let backend = &self.shards[*shard];
-                let txn = if validates {
-                    backend.txn_begin(tid)
-                } else {
-                    backend.txn_begin_write_only(tid)
-                };
+                let txn = backend.txn_begin(tid);
                 let (txn, ok) =
                     self.stage_run(backend, txn, tid, ops, &order[range.clone()], results);
                 if !ok {

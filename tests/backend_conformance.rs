@@ -86,6 +86,16 @@ fn validate_alone<S: TwoPhase<Key = u64, Value = u64>>(
     verdict
 }
 
+/// Every reachable bundle's address and the node it resolves to at `ts`.
+fn bundles_at<S: TwoPhase<Key = u64, Value = u64>>(s: &S, ts: u64) -> Vec<(usize, Option<usize>)> {
+    let (guard, mut out) = (s.pin(1), Vec::new());
+    s.for_each_bundle(&guard, |b| {
+        let at = b.dereference(ts, &guard).map(|n| n.as_raw() as usize);
+        out.push((b as *const _ as usize, at));
+    });
+    out
+}
+
 fn insert_remove_contains_roundtrip<S: TwoPhase<Key = u64, Value = u64>>() {
     let (s, mut model) = filled::<S>(&RqContext::new(1), &TREE_ORDER, |k| k + 1);
     assert!(!s.insert(0, 30, 0), "duplicate insert rejected");
@@ -320,25 +330,38 @@ fn txn_commit_is_atomic_under_a_fixed_snapshot<S: TwoPhase<Key = u64, Value = u6
     let (s, pre) = filled::<S>(&ctx, &TREE_ORDER, |k| k);
     let before = ctx.read();
 
-    // Two adjacent new keys (in a chain they share a predecessor: the
-    // second merges into the first's pending entry), a remove of a
+    // Two adjacent new keys (the second links through the first's fresh
+    // link, restaging its pending entry), a `Set` (remove then re-insert:
+    // both go through the predecessor's one link), a remove of a
     // pre-existing key (two children in a BST, and a backward seek), and
     // the two no-op outcomes.
     let mut cur = s.txn_cursor(s.txn_begin(0));
     assert_eq!(cur.seek_prepare_put(26, 260), Ok(true));
     assert_eq!(cur.seek_prepare_put(27, 270), Ok(true));
+    assert_eq!(cur.seek_prepare_remove(&60), Ok(true));
+    assert_eq!(cur.seek_prepare_put(60, 600), Ok(true));
     assert_eq!(cur.seek_prepare_remove(&25), Ok(true));
     assert_eq!(cur.seek_prepare_put(50, 999), Ok(false), "no-op dup");
     assert_eq!(cur.seek_prepare_remove(&77), Ok(false), "no-op miss");
     let stats = cur.stats();
     assert!(stats.hinted >= 2, "sorted seeks must resume: {stats:?}");
     let txn = cur.finish();
-    assert_eq!(txn.staged_ops(), 3);
+    assert_eq!(txn.staged_ops(), 5);
     let ts = ctx.advance(0);
     s.txn_finalize(txn, ts);
     let mut post = pre.clone();
     post.remove(&25);
-    post.extend([(26, 260), (27, 270)]);
+    post.extend([(26, 260), (27, 270), (60, 600)]);
+    // Each changed link holds one entry at the commit timestamp, however
+    // often the token staged through it.
+    let mut stamped = Vec::new();
+    s.for_each_bundle(&s.pin(1), |b| {
+        stamped.push(b.iter().filter(|e| e.1 == ts).count())
+    });
+    assert!(
+        stamped.iter().all(|&n| n <= 1) && stamped.contains(&1),
+        "{stamped:?}"
+    );
 
     let announced = ctx.announce_rq(1);
     assert!(announced.ts() >= ts);
@@ -353,12 +376,16 @@ fn txn_abort_restores_structure_and_snapshots<S: TwoPhase<Key = u64, Value = u64
     let ctx = RqContext::new(2);
     let (s, mut model) = filled::<S>(&ctx, &TREE_ORDER, |k| k);
     let clock_before = ctx.read();
+    let bundles_before = bundles_at(&s, clock_before);
 
     let mut cur = s.txn_cursor(s.txn_begin(0));
     assert_eq!(cur.seek_prepare_put(55, 550), Ok(true));
     assert_eq!(cur.seek_prepare_remove(&50), Ok(true), "two children");
     assert_eq!(cur.seek_prepare_remove(&10), Ok(true), "a leaf");
     assert_eq!(cur.seek_prepare_put(56, 560), Ok(true));
+    // A `Set`: two writes through one link.
+    assert_eq!(cur.seek_prepare_remove(&90), Ok(true));
+    assert_eq!(cur.seek_prepare_put(90, 900), Ok(true));
     // The cursor reads its own eager writes through the frontier.
     assert_eq!(cur.seek_read(&56), Some(560));
     assert_eq!(cur.seek_read(&50), None);
@@ -368,8 +395,10 @@ fn txn_abort_restores_structure_and_snapshots<S: TwoPhase<Key = u64, Value = u64
     assert!(!s.contains(1, &50));
     s.txn_abort(txn);
 
-    // ...but after the abort everything is exactly as before.
+    // ...but after the abort everything is exactly as before, down to
+    // what every bundle resolves to.
     assert_eq!(ctx.read(), clock_before, "abort never advances the clock");
+    assert_eq!(bundles_at(&s, clock_before), bundles_before);
     for k in 0..100u64 {
         assert_eq!(s.contains(0, &k), model.contains_key(&k), "contains {k}");
     }
@@ -430,6 +459,16 @@ fn txn_reads_validate_and_detect_staleness<S: TwoPhase<Key = u64, Value = u64>>(
     assert_eq!(validate_alone(&s, 20, 70, &nodes), Ok(()));
     assert_eq!(validate_alone(&s, 30, 30, &hit_nodes), Ok(()));
     assert_eq!(validate_alone(&s, 31, 45, &empty_nodes), Ok(()));
+    // A neighbour's staged insert holds a node inside the range: the walk
+    // locks the nodes before it, then conflicts. Its locks stay in its
+    // token, and the abort frees them for the next one.
+    let mut neighbour = s.txn_cursor(s.txn_begin(0));
+    assert_eq!(neighbour.seek_prepare_put(65, 650), Ok(true));
+    let neighbour = neighbour.finish();
+    let conflict = Err(TxnValidateError::Conflict);
+    assert_eq!(validate_alone(&s, 20, 70, &nodes), conflict);
+    s.txn_abort(neighbour);
+    assert_eq!(validate_alone(&s, 20, 70, &nodes), Ok(()));
     // A foreign remove of a read key invalidates the range...
     assert!(s.remove(0, &30));
     let stale = Err(TxnValidateError::Invalidated);
@@ -442,6 +481,7 @@ fn txn_reads_validate_and_detect_staleness<S: TwoPhase<Key = u64, Value = u64>>(
     let lease = ctx.lease_read(1);
     let (_, fresh) = read_at(&s, lease.ts(), 20, 70);
     drop(lease);
+    // (The stale walks locked their whole ranges; their aborts freed them.)
     assert_eq!(validate_alone(&s, 20, 70, &fresh), Ok(()), "a fresh read");
     assert!(s.insert(0, 55, 550));
     assert_eq!(validate_alone(&s, 20, 70, &fresh), stale);
