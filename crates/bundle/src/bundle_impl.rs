@@ -11,7 +11,7 @@ pub const PENDING_TS: u64 = u64::MAX;
 
 /// Timestamp of an *aborted* entry that no snapshot may ever satisfy.
 ///
-/// When a two-phase update ([`Bundle::prepare`] + [`PendingEntry::abort`])
+/// When a two-phase update ([`Bundle::prepare`] + [`Bundle::abort`])
 /// is rolled back on a bundle that had no prior history (the node was
 /// created by the aborted transaction itself), the pending entry cannot be
 /// neutralized by restoring the previous link value — there is none.
@@ -40,83 +40,6 @@ struct BundleEntry<T> {
     ptr: *mut T,
     ts: u64,
     next: AtomicPtr<BundleEntry<T>>,
-}
-
-/// Owner token for the pending head installed by [`Bundle::prepare`].
-///
-/// Exactly one of [`PendingEntry::finalize`] or [`PendingEntry::abort`]
-/// must eventually run for every prepared entry — a forgotten pending
-/// entry blocks every future update and snapshot read of its bundle.
-/// (The single-structure fast path, [`crate::linearize_update`], finalizes
-/// through [`Bundle::finalize`] instead, which targets the same head
-/// entry; the token is how *multi*-bundle transactions carry their
-/// prepared state across structures.)
-///
-/// The token holds a raw pointer to the bundle; the caller must keep the
-/// node owning the bundle alive and in place (e.g. by holding its lock)
-/// until the token is consumed.
-#[derive(Debug)]
-#[must_use = "a dropped pending entry blocks every future update and \
-              snapshot read of its bundle; finalize or abort it (or use \
-              Bundle::finalize for the single-structure path)"]
-pub struct PendingEntry<T> {
-    bundle: *const Bundle<T>,
-}
-
-// SAFETY: the token is an exclusive capability over one pending head; the
-// bundle it points to is `Sync` and is only mutated through atomics.
-unsafe impl<T: Send + Sync> Send for PendingEntry<T> {}
-
-impl<T> PendingEntry<T> {
-    fn bundle(&self) -> &Bundle<T> {
-        // SAFETY: the caller of `prepare` keeps the bundle alive and in
-        // place until the token is consumed (see the type's contract).
-        let b = unsafe { &*self.bundle };
-        debug_assert_eq!(
-            b.ts.load(Ordering::Relaxed),
-            PENDING_TS,
-            "the token's head entry must still be pending"
-        );
-        b
-    }
-
-    /// `true` if this is the pending entry of `bundle`.
-    pub(crate) fn is_on(&self, bundle: &Bundle<T>) -> bool {
-        ptr::eq(self.bundle, bundle)
-    }
-
-    /// Publish the entry with its commit timestamp, releasing every reader
-    /// and preparer spinning on the pending state.
-    pub fn finalize(self, ts: u64) {
-        self.bundle().finalize(ts);
-    }
-
-    /// Roll the entry back: readers behave as if the prepared update never
-    /// happened.
-    ///
-    /// If the bundle has older history the head becomes a *neutralized
-    /// duplicate* — same pointer and timestamp as the entry `prepare`
-    /// displaced beneath it, so every `dereference` resolves exactly as
-    /// before the prepare. If the bundle had none (the node was created by
-    /// the aborting transaction), the head is stamped [`TOMBSTONE_TS`],
-    /// which no snapshot satisfies; the caller must also make the node
-    /// unreachable.
-    pub fn abort(self) {
-        let b = self.bundle();
-        // The chain head is the entry this prepare displaced: cleanup never
-        // detaches it while the head is pending.
-        let prior = b.older.load(Ordering::Acquire);
-        if prior.is_null() {
-            b.ts.store(TOMBSTONE_TS, Ordering::Release);
-        } else {
-            // SAFETY: chain entries stay allocated while linked.
-            let p = unsafe { &*prior };
-            b.ptr.store(p.ptr, Ordering::Relaxed);
-            // Release: publishes the restored pointer to the reader whose
-            // `Acquire` load of `ts` ends its pending spin.
-            b.ts.store(p.ts, Ordering::Release);
-        }
-    }
 }
 
 /// A bundled reference: the history of one link in a concurrent linked data
@@ -309,11 +232,13 @@ impl<T> Bundle<T> {
     /// to be finalized first so that entries stay ordered by timestamp. The
     /// displaced head moves onto the chain.
     ///
-    /// Returns the owner token; the same logical update must consume it
-    /// with [`PendingEntry::finalize`] / [`PendingEntry::abort`], or call
-    /// [`Bundle::finalize`] (the paper's single-structure path, which
-    /// targets the same head entry).
-    pub fn prepare(&self, ptr: Shared<'_, T>) -> PendingEntry<T> {
+    /// The same logical update must resolve the pending head with exactly
+    /// one [`Bundle::finalize`] or [`Bundle::abort`]: a forgotten pending
+    /// entry blocks every later update and snapshot read of the bundle. In
+    /// a structure the caller holds the lock of the node owning the bundle
+    /// from here until it has resolved the head, which is how a two-phase
+    /// token finds its pending entries without keeping a list of them.
+    pub fn prepare(&self, ptr: Shared<'_, T>) {
         let odd = self.claim();
         let ts = self.ts.load(Ordering::Relaxed);
         // A sentinel head (never initialized, or an aborted first entry) is
@@ -329,7 +254,13 @@ impl<T> Bundle<T> {
         self.ts.store(PENDING_TS, Ordering::Relaxed);
         self.ptr.store(ptr.as_raw(), Ordering::Relaxed);
         self.seq.store(odd + 1, Ordering::Release);
-        PendingEntry { bundle: self }
+    }
+
+    /// `true` while the head is prepared and not yet resolved. Exact only
+    /// for the owner of the pending head (the holder of its node's lock);
+    /// anyone else may see a stale answer.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.ts.load(Ordering::Relaxed) == PENDING_TS
     }
 
     /// Restage the link value of a pending head (`true`), or do nothing if
@@ -340,7 +271,7 @@ impl<T> Bundle<T> {
     pub fn restage(&self, ptr: Shared<'_, T>) -> bool {
         // Relaxed: the caller's lock orders this after every other owner's
         // finalize or abort.
-        if self.ts.load(Ordering::Relaxed) != PENDING_TS {
+        if !self.is_pending() {
             return false;
         }
         // Relaxed: no reader accepts the head while it is pending; the
@@ -349,13 +280,13 @@ impl<T> Bundle<T> {
         true
     }
 
-    /// Algorithm 1, `FinalizeBundle`: publish the timestamp of the entry
-    /// prepared by the same operation. Must be called exactly once after
-    /// [`Bundle::prepare`] by the same logical update.
+    /// Algorithm 1, `FinalizeBundle`: publish the pending head with its
+    /// commit timestamp, releasing every reader and preparer spinning on
+    /// it. Must be called exactly once after [`Bundle::prepare`] by the
+    /// same logical update, unless it aborts instead.
     pub fn finalize(&self, ts: u64) {
-        debug_assert_eq!(
-            self.ts.load(Ordering::Relaxed),
-            PENDING_TS,
+        debug_assert!(
+            self.is_pending(),
             "finalize must target the pending entry installed by prepare"
         );
         debug_assert!(
@@ -363,6 +294,36 @@ impl<T> Bundle<T> {
             "commit timestamp collides with a sentinel"
         );
         self.ts.store(ts, Ordering::Release);
+    }
+
+    /// Roll the pending head back: readers behave as if the prepared
+    /// update never happened.
+    ///
+    /// If the bundle has older history the head becomes a *neutralized
+    /// duplicate* — same pointer and timestamp as the entry `prepare`
+    /// displaced beneath it, so every `dereference` resolves exactly as
+    /// before the prepare. If the bundle had none (the node was created by
+    /// the aborting transaction), the head is stamped [`TOMBSTONE_TS`],
+    /// which no snapshot satisfies; the caller must also make the node
+    /// unreachable.
+    pub fn abort(&self) {
+        debug_assert!(
+            self.is_pending(),
+            "abort must target the pending entry installed by prepare"
+        );
+        // The chain head is the entry this prepare displaced: cleanup never
+        // detaches it while the head is pending.
+        let prior = self.older.load(Ordering::Acquire);
+        if prior.is_null() {
+            self.ts.store(TOMBSTONE_TS, Ordering::Release);
+        } else {
+            // SAFETY: chain entries stay allocated while linked.
+            let p = unsafe { &*prior };
+            self.ptr.store(p.ptr, Ordering::Relaxed);
+            // Release: publishes the restored pointer to the reader whose
+            // `Acquire` load of `ts` ends its pending spin.
+            self.ts.store(p.ts, Ordering::Release);
+        }
     }
 
     /// `DereferenceBundle` (§3.3): return the link value that was current at
@@ -426,28 +387,6 @@ impl<T> Bundle<T> {
         None
     }
 
-    /// The most recent (finalized or pending) link value recorded in the
-    /// bundle, if any. Primarily a diagnostic: structures keep their own
-    /// `newest` link outside the bundle. `guard` must be pinned in the
-    /// owning structure's collector.
-    pub fn newest<'g>(&self, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
-        let (_, ts, ptr) = self.read_head();
-        // SAFETY: the seq-lock head read: `ptr` was published as a `Shared`
-        // and is the link's current value, so no retire of it can precede
-        // `guard`'s pin.
-        (ts != EMPTY_TS).then(|| unsafe { Shared::from_raw(ptr, guard) })
-    }
-
-    /// The read-version surface of the bundle: the link value current at
-    /// logical time `ts`. Alias of [`Bundle::dereference`], named for the
-    /// transactional read path — a read-write transaction answers all of
-    /// its reads through the bundles at one leased snapshot timestamp
-    /// (see [`crate::RqContext::lease_read`]), which is what makes the
-    /// whole read set a single atomic cut.
-    pub fn read_at<'g>(&self, ts: u64, guard: &'g Guard<'_>) -> Option<Shared<'g, T>> {
-        self.dereference(ts, guard)
-    }
-
     /// Timestamp of the newest *committed* entry: the head, or the entry
     /// beneath a pending head. Unlike [`Bundle::dereference`] this never
     /// blocks on a pending head — the pending entry belongs to an
@@ -481,18 +420,10 @@ impl<T> Bundle<T> {
     /// `true` if the link has not committed any change since `ts`: the
     /// newest committed entry's timestamp is `<= ts` (an empty bundle is
     /// vacuously unchanged). A value observed through
-    /// [`Bundle::read_at`]`(ts)` is still current exactly when the bundle
-    /// validates at `ts`.
-    ///
-    /// Note on the shipped validate pass: the structures' `txn_validate`
-    /// currently re-checks recorded reads by *node identity* (re-walk the
-    /// range, compare the `(key, node)` list), not through this
-    /// predicate — node comparison tolerates committed neighbor updates
-    /// that did not change the read's outcome, where a per-bundle
-    /// timestamp check would abort spuriously. `validate_at` is the
-    /// finer-grained per-link primitive for validating *single* reads
-    /// without a range walk (the ROADMAP "precision of read validation"
-    /// direction).
+    /// [`Bundle::dereference`]`(ts)` is still current exactly when the
+    /// bundle validates at `ts`. (`txn_validate` re-walks by node identity
+    /// instead, which tolerates neighbours' commits; this is the per-link
+    /// check for single reads.)
     pub fn validate_at(&self, ts: u64) -> bool {
         self.newest_committed_ts().is_none_or(|t| t <= ts)
     }
@@ -525,15 +456,17 @@ impl<T> Bundle<T> {
     /// already hold a pointer into the chain remain safe. When the inline
     /// head itself satisfies `oldest_active` that is the whole chain.
     ///
-    /// Concurrency contract: at most one thread may run cleanup on a given
-    /// bundle at a time (the structures delegate this to a single
-    /// [`crate::Recycler`] thread or to the thread holding the node lock).
-    /// Cleanup is safe to run concurrently with `prepare`/`finalize`/
-    /// `abort`/`dereference`: below a keeper on the chain it only clears the
-    /// `next` field of an immutable entry, and to detach the whole chain it
-    /// takes the sequence lock like a `prepare` would (giving up for this
-    /// pass if one gets there first), so no displaced head can be spilled
-    /// onto a chain that is being thrown away.
+    /// Concurrency: any number of cleaners may run on one bundle at once,
+    /// beside `prepare`/`finalize`/`abort`/`dereference`. Every link a
+    /// cleaner cuts or follows into detached entries it **claims** by
+    /// swapping it to null, and it retires only entries reached through a
+    /// link it claimed: two cleaners whose keepers differ walk overlapping
+    /// tails, and the claim hands each entry to exactly one of them. Below
+    /// a keeper on the chain cleanup only clears `next` fields of immutable
+    /// entries, and to detach the whole chain it takes the sequence lock
+    /// like a `prepare` would (giving up for this pass if one gets there
+    /// first), so no displaced head can be spilled onto a chain that is
+    /// being thrown away.
     ///
     /// Returns the number of entries retired.
     pub fn reclaim_up_to(&self, oldest_active: u64, guard: &Guard<'_>) -> usize
@@ -565,6 +498,8 @@ impl<T> Bundle<T> {
                 // SAFETY: as in `dereference_older`.
                 let e = unsafe { &*curr };
                 if e.ts <= oldest_active {
+                    #[cfg(test)]
+                    tests::widen_reclaim_window();
                     break e.next.swap(ptr::null_mut(), Ordering::AcqRel);
                 }
                 curr = e.next.load(Ordering::Acquire);
@@ -575,11 +510,14 @@ impl<T> Bundle<T> {
         let mut retired = 0;
         while !tail.is_null() {
             // SAFETY: the entry has been unlinked from the bundle and is
-            // only reachable by range queries that pinned before now; EBR
-            // defers the free past their guards.
-            let next = unsafe { &*tail }.next.load(Ordering::Acquire);
-            // SAFETY: `retire`: unlinked just above, so only snapshots
-            // pinned before now can still be on it.
+            // only reachable by range queries and cleaners that pinned
+            // before now; EBR defers the free past their guards.
+            let next = unsafe { &*tail }
+                .next
+                .swap(ptr::null_mut(), Ordering::AcqRel);
+            // SAFETY: `retire`: reached through a link this call claimed,
+            // so no other cleaner retires it, and only snapshots pinned
+            // before now can still be on it.
             unsafe { guard.retire(tail) };
             retired += 1;
             tail = next;
@@ -597,7 +535,9 @@ impl<T> Bundle<T> {
     /// The caller must be pinned in the structure's collector or otherwise
     /// know that no cleanup frees chain entries during the call. Safe to
     /// run next to updates: the chain is sampled before the head, and every
-    /// later head is at least as new as everything spilled before it.
+    /// later head is at least as new as everything spilled before it. Safe
+    /// next to cleaners too: a walk that strays into a detached tail stops
+    /// where a cleaner has claimed (nulled) a link.
     pub fn check_invariants(&self) {
         let chain = self.older.load(Ordering::Acquire);
         let (_, head_ts, _) = self.read_head();
@@ -627,6 +567,12 @@ impl<T> Bundle<T> {
             if steps % 2 == 0 {
                 // SAFETY: `slow` trails `curr` on the same chain.
                 slow = unsafe { &*slow }.next.load(Ordering::Acquire);
+                if slow.is_null() {
+                    // A cleaner claimed a link behind `curr`: the walk is
+                    // on a detached tail, and past the claim it is not
+                    // this bundle's history any more.
+                    break;
+                }
             }
             assert!(curr.is_null() || curr != slow, "bundle chain is cyclic");
         }
@@ -735,9 +681,9 @@ mod tests {
         let p1 = leak(1);
         let p2 = leak(2);
         b.init(p0, 0);
-        let _ = b.prepare(p1);
+        b.prepare(p1);
         b.finalize(3);
-        let _ = b.prepare(p2);
+        b.prepare(p2);
         b.finalize(7);
         // Newest first, timestamps strictly decreasing along the chain.
         let ts: Vec<u64> = b.iter().map(|(_, t)| t).collect();
@@ -748,7 +694,6 @@ mod tests {
         assert_eq!(b.dereference(6, pin()), Some(p1));
         assert_eq!(b.dereference(7, pin()), Some(p2));
         assert_eq!(b.dereference(u64::MAX - 1, pin()), Some(p2));
-        assert_eq!(b.newest(pin()), Some(p2));
         assert_eq!(b.newest_ts(), Some(7));
     }
 
@@ -767,7 +712,7 @@ mod tests {
         let p0 = leak(0);
         b.init(p0, 0);
         let p1 = leak(1);
-        let _ = b.prepare(p1);
+        b.prepare(p1);
 
         let released = Arc::new(AtomicBool::new(false));
         let p1s = SendPtr::new(p1);
@@ -797,7 +742,7 @@ mod tests {
         b.init(p0, 0);
         let p1 = leak(1);
         let p2 = leak(2);
-        let _ = b.prepare(p1);
+        b.prepare(p1);
         let released = Arc::new(AtomicBool::new(false));
         let p2s = SendPtr::new(p2);
         let other = {
@@ -805,7 +750,7 @@ mod tests {
             let released = Arc::clone(&released);
             std::thread::spawn(move || {
                 let p2 = p2s.get();
-                let _ = b.prepare(p2);
+                b.prepare(p2);
                 assert!(
                     released.load(Ordering::SeqCst),
                     "second prepare completed while first entry was pending"
@@ -828,7 +773,7 @@ mod tests {
         let ptrs: Vec<_> = (0..5).map(leak).collect();
         b.init(ptrs[0], 0);
         for (i, &p) in ptrs.iter().enumerate().skip(1) {
-            let _ = b.prepare(p);
+            b.prepare(p);
             b.finalize(i as u64 * 10);
         }
         assert_eq!(b.len(), 5);
@@ -865,11 +810,11 @@ mod tests {
         let p2 = leak(2);
         b.init(p0, 0);
         assert!(!b.restage(p1), "nothing pending to restage");
-        let pe = b.prepare(p1);
+        b.prepare(p1);
         // A second update of the same link by the same transaction merges
         // into the pending entry instead of preparing a new one.
         assert!(b.restage(p2));
-        pe.finalize(5);
+        b.finalize(5);
         assert_eq!(b.len(), 2);
         assert_eq!(b.dereference(5, pin()), Some(p2));
         assert_eq!(b.dereference(4, pin()), Some(p0));
@@ -881,8 +826,8 @@ mod tests {
         let p0 = leak(0);
         let p1 = leak(1);
         b.init(p0, 3);
-        let pe = b.prepare(p1);
-        pe.abort();
+        b.prepare(p1);
+        b.abort();
         // Readers at every timestamp resolve exactly as before the prepare.
         assert_eq!(b.dereference(3, pin()), Some(p0));
         assert_eq!(b.dereference(100, pin()), Some(p0));
@@ -892,7 +837,8 @@ mod tests {
         assert_eq!(ts, vec![3, 3]);
         // And a later real update still layers on top normally.
         let p2 = leak(2);
-        b.prepare(p2).finalize(9);
+        b.prepare(p2);
+        b.finalize(9);
         assert_eq!(b.dereference(8, pin()), Some(p0));
         assert_eq!(b.dereference(9, pin()), Some(p2));
     }
@@ -901,8 +847,8 @@ mod tests {
     fn aborted_first_entry_becomes_unsatisfiable_tombstone() {
         let b: Bundle<u64> = Bundle::new();
         let p = leak(7);
-        let pe = b.prepare(p);
-        pe.abort();
+        b.prepare(p);
+        b.abort();
         // No snapshot may ever satisfy the tombstone.
         assert_eq!(b.dereference(0, pin()), None);
         assert_eq!(b.dereference(u64::MAX - 2, pin()), None);
@@ -915,7 +861,7 @@ mod tests {
         let p0 = leak(0);
         b.init(p0, 1);
         let p1 = leak(1);
-        let pe = b.prepare(p1);
+        b.prepare(p1);
         let released = Arc::new(AtomicBool::new(false));
         let p0s = SendPtr::new(p0);
         let reader = {
@@ -932,23 +878,24 @@ mod tests {
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
         released.store(true, Ordering::SeqCst);
-        pe.abort();
+        b.abort();
         reader.join().unwrap();
     }
 
     #[test]
-    fn read_at_and_validate_at_form_the_read_version_surface() {
+    fn dereference_and_validate_at_form_the_read_version_surface() {
         let b: Bundle<u64> = Bundle::new();
         // Empty bundle: no value at any version, vacuously valid.
-        assert_eq!(b.read_at(10, pin()), None);
+        assert_eq!(b.dereference(10, pin()), None);
         assert!(b.validate_at(0));
         assert_eq!(b.newest_committed_ts(), None);
         let p0 = leak(0);
         let p1 = leak(1);
         b.init(p0, 2);
-        b.prepare(p1).finalize(7);
-        assert_eq!(b.read_at(2, pin()), Some(p0));
-        assert_eq!(b.read_at(7, pin()), Some(p1));
+        b.prepare(p1);
+        b.finalize(7);
+        assert_eq!(b.dereference(2, pin()), Some(p0));
+        assert_eq!(b.dereference(7, pin()), Some(p1));
         assert_eq!(b.newest_committed_ts(), Some(7));
         // A read taken at ts < 7 is stale (the link changed at 7)...
         assert!(!b.validate_at(2));
@@ -966,10 +913,10 @@ mod tests {
         b.init(p0, 3);
         // A pending head (an in-flight transaction's entry) is invisible
         // to the committed-version view — and the call must not spin.
-        let pe = b.prepare(p1);
+        b.prepare(p1);
         assert_eq!(b.newest_committed_ts(), Some(3));
         assert!(b.validate_at(3), "own pending must not invalidate reads");
-        pe.finalize(9);
+        b.finalize(9);
         assert_eq!(b.newest_committed_ts(), Some(9));
         assert!(!b.validate_at(3));
     }
@@ -978,7 +925,8 @@ mod tests {
     fn tombstoned_first_entry_never_validates() {
         let b: Bundle<u64> = Bundle::new();
         let p = leak(7);
-        b.prepare(p).abort();
+        b.prepare(p);
+        b.abort();
         // The aborted-created-node tombstone is newer than every real
         // timestamp: no read can validate against it.
         assert_eq!(b.newest_committed_ts(), Some(TOMBSTONE_TS));
@@ -998,7 +946,7 @@ mod tests {
             let clock = Arc::clone(&clock);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..PER_THREAD {
-                    let _ = b.prepare(Shared::null());
+                    b.prepare(Shared::null());
                     let ts = clock.advance(tid);
                     b.finalize(ts);
                 }
@@ -1028,6 +976,18 @@ mod tests {
         }
     }
 
+    thread_local!(static KEEPER_PAUSE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
+
+    /// Called by `reclaim_up_to` in this crate's test builds between
+    /// finding its keeper on the chain and claiming the keeper's `next`:
+    /// dawdles for the calling thread's `KEEPER_PAUSE` steps (none unless
+    /// a test set them), so that a second cleaner can detach the keeper and
+    /// walk past it meanwhile — the interleaving two cleaners need to meet
+    /// on one detached tail.
+    pub(super) fn widen_reclaim_window() {
+        dawdle(KEEPER_PAUSE.get());
+    }
+
     /// Burn a few cycles per step without giving the CPU away (a yield
     /// costs a scheduler quantum when threads outnumber cores).
     fn dawdle(steps: u32) {
@@ -1044,7 +1004,7 @@ mod tests {
     #[test]
     fn init_allocates_no_chain_and_empty_is_not_an_entry() {
         let b: Bundle<u64> = Bundle::new();
-        assert_eq!((b.len(), b.newest(pin()), b.newest_ts()), (0, None, None));
+        assert_eq!((b.len(), b.newest_ts()), (0, None));
         b.check_invariants();
         b.init(fake(1), 4);
         assert!(b.older.load(Ordering::Relaxed).is_null());
@@ -1060,7 +1020,7 @@ mod tests {
         let (seq, ts) = b.head_begin();
         assert_eq!(ts, 3);
         // Writer prepares between the reader's two data loads...
-        let pe = b.prepare(fake(2));
+        b.prepare(fake(2));
         let torn = b.ptr.load(Ordering::Relaxed);
         assert_eq!(
             torn,
@@ -1068,7 +1028,7 @@ mod tests {
             "the reader picks up the staged pointer"
         );
         // ...and aborts, which puts the very same timestamp back.
-        pe.abort();
+        b.abort();
         assert_eq!(b.ts.load(Ordering::Relaxed), ts);
         assert!(
             !b.head_validate(seq),
@@ -1085,9 +1045,11 @@ mod tests {
         let clock = crate::GlobalTimestamp::with_threshold(1, 0);
         let b: Bundle<u64> = Bundle::new();
         b.init(fake(1), 0);
-        b.prepare(fake(2)).finalize(clock.advance(0));
+        b.prepare(fake(2));
+        b.finalize(clock.advance(0));
         let (seq, ts) = b.head_begin();
-        b.prepare(fake(3)).finalize(clock.advance(0));
+        b.prepare(fake(3));
+        b.finalize(clock.advance(0));
         assert_eq!(
             b.ts.load(Ordering::Relaxed),
             ts,
@@ -1112,7 +1074,7 @@ mod tests {
         let b: Bundle<u64> = Bundle::new();
         b.init(fake(1), 0);
         let (seq, _) = b.head_begin();
-        let pe = b.prepare(fake(2));
+        b.prepare(fake(2));
         b.check_invariants();
         assert!(b.restage(fake(3)));
         assert_eq!(
@@ -1120,7 +1082,7 @@ mod tests {
             Some(0),
             "looks past the pending head"
         );
-        pe.finalize(5);
+        b.finalize(5);
         assert!(!b.head_validate(seq));
         assert_eq!(
             b.iter().collect::<Vec<_>>(),
@@ -1132,7 +1094,8 @@ mod tests {
     #[test]
     fn abort_without_history_tombstones_and_a_later_prepare_spills_nothing() {
         let b: Bundle<u64> = Bundle::new();
-        b.prepare(fake(1)).abort();
+        b.prepare(fake(1));
+        b.abort();
         assert!(!b.is_empty());
         assert_eq!(
             b.iter().collect::<Vec<_>>(),
@@ -1141,9 +1104,11 @@ mod tests {
         b.check_invariants();
         // A tombstone is not history: re-preparing keeps it off the chain,
         // so a second abort tombstones again and a commit stands alone.
-        b.prepare(fake(2)).abort();
+        b.prepare(fake(2));
+        b.abort();
         assert_eq!(b.len(), 1);
-        b.prepare(fake(3)).finalize(7);
+        b.prepare(fake(3));
+        b.finalize(7);
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![(fake(3).as_raw(), 7)]);
         assert_eq!(b.dereference(6, pin()), None);
         b.check_invariants();
@@ -1155,8 +1120,10 @@ mod tests {
         let guard = collector.pin(0);
         let b: Bundle<u64> = Bundle::new();
         b.init(fake(1), 0);
-        b.prepare(fake(2)).finalize(10);
-        b.prepare(fake(3)).finalize(20);
+        b.prepare(fake(2));
+        b.finalize(10);
+        b.prepare(fake(3));
+        b.finalize(20);
         let seq = b.seq.load(Ordering::Relaxed);
         assert_eq!(b.reclaim_up_to(25, &guard), 2);
         assert!(b.older.load(Ordering::Relaxed).is_null());
@@ -1173,17 +1140,58 @@ mod tests {
             "nothing to detach, no lock"
         );
         // The head still spills and restores normally afterwards.
-        b.prepare(fake(4)).abort();
+        b.prepare(fake(4));
+        b.abort();
         assert_eq!(
             b.iter().collect::<Vec<_>>(),
             vec![(fake(3).as_raw(), 20), (fake(3).as_raw(), 20)]
         );
         // A pending head never satisfies: the entry it displaced is kept.
-        let pe = b.prepare(fake(5));
+        b.prepare(fake(5));
         assert_eq!(b.reclaim_up_to(25, &guard), 1);
-        pe.abort();
+        b.abort();
         assert_eq!(b.dereference(25, pin()), Some(fake(3)));
         b.check_invariants();
+    }
+
+    /// Two cleaners with adjacent keepers, `e11` and `e10`: the first
+    /// dawdles at its keeper until the second has walked past it to its
+    /// own, then detaches `e10` and everything below it while the second
+    /// dawdles longer at `e10`, then claims `e10.next`. Both tails overlap
+    /// from `e9` down, and every entry must still be retired exactly once.
+    #[test]
+    fn overlapping_cleaners_retire_each_entry_once() {
+        const ENTRIES: usize = 64;
+        let collector = Collector::new(2, ReclaimMode::Leaky);
+        for round in 0..40 {
+            let b: Bundle<u64> = Bundle::new();
+            b.init(fake(0), 0);
+            for ts in 1..ENTRIES {
+                b.prepare(fake(ts));
+                b.finalize(ts as u64);
+            }
+            let before = b.len();
+            let barrier = std::sync::Barrier::new(2);
+            let retired: usize = std::thread::scope(|s| {
+                let cleaners = [(11, 20_000), (10, 200_000)].map(|(oldest, pause)| {
+                    let (b, barrier, collector) = (&b, &barrier, &collector);
+                    s.spawn(move || {
+                        KEEPER_PAUSE.set(pause);
+                        let guard = collector.pin(oldest as usize - 10);
+                        barrier.wait();
+                        b.reclaim_up_to(oldest, &guard)
+                    })
+                });
+                cleaners.map(|c| c.join().unwrap()).iter().sum()
+            });
+            assert_eq!(
+                retired,
+                before - b.len(),
+                "round {round}: an entry retired twice"
+            );
+            assert_eq!(b.len(), 53, "e63 inline, e62..=e11 on the chain");
+            b.check_invariants();
+        }
     }
 
     #[test]
@@ -1191,7 +1199,8 @@ mod tests {
     fn check_invariants_catches_an_out_of_order_finalize() {
         let b: Bundle<u64> = Bundle::new();
         b.init(fake(1), 9);
-        b.prepare(fake(2)).finalize(4);
+        b.prepare(fake(2));
+        b.finalize(4);
         b.check_invariants();
     }
 
@@ -1232,17 +1241,20 @@ mod tests {
                     // fresh enough to resolve at the inline head.
                     dawdle(2048);
                     match id % 5 {
-                        0 => b.prepare(fake(id)).abort(),
+                        0 => {
+                            b.prepare(fake(id));
+                            b.abort();
+                        }
                         1 => {
                             // Staged twice; only the second value commits.
-                            let pe = b.prepare(fake(DECOY | id));
+                            b.prepare(fake(DECOY | id));
                             assert!(b.restage(fake(id)));
                             let ts = clock.advance(WRITER);
-                            pe.finalize(ts);
+                            b.finalize(ts);
                             log.push((ts, id));
                         }
                         _ => {
-                            let _ = b.prepare(fake(id));
+                            b.prepare(fake(id));
                             let ts = clock.advance(WRITER);
                             b.finalize(ts);
                             log.push((ts, id));

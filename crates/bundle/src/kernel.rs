@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::api::{ConcurrentSet, RangeQuerySet};
 use crate::{
-    Bundle, CachePadded, Conflict, PrepareCursor, Recycler, RqContext, StagedOutcomes,
+    Bundle, BundledNode, CachePadded, PrepareCursor, Recycler, RqContext, StagedOutcomes,
     TwoPhaseState, TxnValidateError,
 };
 
@@ -27,8 +27,8 @@ pub const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
 /// the transaction's single commit timestamp) or [`TwoPhase::txn_abort`].
 /// Dropping a non-empty token leaks the locks and wedges the bundles — the
 /// store layer guarantees consumption. `core` alone keeps the token's books
-/// (locks, pendings, created and unlinked nodes); every token also records
-/// `undo` and `staged`, whether it will validate or not.
+/// (locks, which also find its pendings, created and unlinked nodes); every
+/// token also records `undo` and `staged`, whether it will validate or not.
 ///
 /// Tokens are **warm**: finalize and abort clear the token and park it in
 /// the structure's [`TokenPool`], and the thread's next `txn_begin` takes
@@ -36,7 +36,7 @@ pub const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
 /// small transactions stages, validates and commits without allocating
 /// for its bookkeeping.
 pub struct ShardTxn<S: TwoPhase> {
-    /// Held node locks, pending bundle entries, created and unlinked nodes.
+    /// Held node locks (and so pending entries), created and unlinked nodes.
     pub core: TwoPhaseState<S::Node>,
     /// Eager structural changes (one per staged write that changed the
     /// structure), reverted in reverse order on abort.
@@ -66,9 +66,9 @@ pub struct TokenPool<S: TwoPhase>(Box<[TokenSlot<S>]>);
 type TokenSlot<S> = CachePadded<Mutex<Option<ShardTxn<S>>>>;
 
 // SAFETY: a slot only holds what `park` put there, a token that finalize or
-// abort emptied: no lock guard, no pending entry, no node address that is
-// read again — buffer capacity, which any thread may take over. This is
-// what lets every structure that embeds a pool derive `Send` and `Sync`.
+// abort emptied: no held lock, no node address that is read again — buffer
+// capacity, which any thread may take over. This is what lets every
+// structure that embeds a pool derive `Send` and `Sync`.
 unsafe impl<S: TwoPhase> Send for TokenPool<S> {}
 // SAFETY: as above; the slots are mutexes.
 unsafe impl<S: TwoPhase> Sync for TokenPool<S> {}
@@ -172,20 +172,21 @@ pub fn walk_chain_at<'g, S: TwoPhase>(
 /// # Contracts every hook relies on
 ///
 /// * **Locks.** Every structural change to a node, and every `prepare` on
-///   one of its bundles, happens under that node's [`Self::lock_of`]
-///   mutex (Algorithm 1) and is final or aborted before the mutex is
+///   one of its bundles, happens under that node's [`BundledNode::lock`]
+///   (Algorithm 1; a primitive takes it with the blocking
+///   [`crate::NodeLock::lock`]) and is final or aborted before the lock is
 ///   released — also for a node the operation has just created, which it
 ///   locks before making it reachable. A remover locks its victim first,
 ///   so *a locked node is never retired*. Transactions lock only through
-///   [`Self::txn_lock`] (bounded `try_lock`, [`Conflict`] on contention)
+///   [`TwoPhaseState::lock`] (bounded `try_lock`, `Conflict` on contention)
 ///   and hold until finalize/abort; an attempt that turns out torn hands
-///   back what it took since its [`TwoPhaseState::savepoint`]. Because
-///   primitives and tokens prepare only under the owner's lock, a pending
-///   head on a bundle whose owner the token holds is the token's own:
-///   [`TwoPhaseState::prepare_bundle`] restages it in place, with no index
-///   of its own. Any `Conflict` or `Invalidated` a hook returns leaves the
-///   token's locks where they are — the caller must abort the token
-///   anyway, and the abort releases them all.
+///   back what it took since its [`TwoPhaseState::savepoint`]. So a
+///   pending head on a bundle of a node the token holds is the token's
+///   own: [`TwoPhaseState::prepare_bundle`] restages it in place, and
+///   finalize and abort resolve the pending heads of the held nodes'
+///   [`BundledNode::bundles`]. Any `Conflict` or `Invalidated` a hook
+///   returns leaves the token's locks where they are — the caller must
+///   abort the token anyway, and the abort releases them all.
 /// * **EBR, carried by [`ebr::Link`] / [`ebr::Shared`].** Node pointers
 ///   are `Link`s, and every hook that follows one takes the caller's
 ///   [`Guard`] on the context's collector ([`Self::pin`]): what it loads
@@ -212,7 +213,7 @@ pub trait TwoPhase:
     type Value: Clone + Send + Sync;
     /// The structure's node; its addresses are what read sets record.
     /// `'static`: a shared collector may free it after the structure.
-    type Node: 'static;
+    type Node: BundledNode + 'static;
     /// One eager structural change, as [`Self::revert`] needs it.
     type Undo;
     /// Buffers the structure keeps in the token so that a warm token
@@ -240,9 +241,6 @@ pub trait TwoPhase:
     /// The structure's token slots, built with [`TokenPool::new`] over the
     /// context's `max_threads`.
     fn tokens(&self) -> &TokenPool<Self>;
-
-    /// `node`'s update lock (see the locking contract above).
-    fn lock_of(node: &Self::Node) -> &Mutex<()>;
 
     /// `node`'s key and value (`None` for sentinels).
     fn entry(node: &Self::Node) -> (Self::Key, &Option<Self::Value>);
@@ -456,17 +454,6 @@ pub trait TwoPhase:
     /// Begin accumulating two-phase writes for thread `tid`.
     fn txn_begin(&self, tid: usize) -> ShardTxn<Self> {
         ShardTxn::begin(self.tokens(), tid)
-    }
-
-    /// Acquire `node`'s lock for the transaction unless it is already
-    /// held (see [`TwoPhaseState::lock`]). Once locked it is never
-    /// retired, so it stays valid in the token.
-    fn txn_lock(
-        &self,
-        txn: &mut ShardTxn<Self>,
-        node: Shared<'_, Self::Node>,
-    ) -> Result<(), Conflict> {
-        txn.core.lock(node, Self::lock_of)
     }
 
     /// Validate one recorded read range of a read-write transaction and

@@ -35,12 +35,13 @@
 //!   every data structure (bundled or competitor) in this workspace,
 //! * [`TwoPhase`] / [`ShardTxn`] — the **two-phase kernel**: the store's
 //!   begin / lock / snapshot-read / validate / finalize / abort protocol
-//!   (stage pending entries under node locks, validate reads, one clock
-//!   advance, finalize or abort), the paper's range-query loop and bundle
-//!   cleanup, written once over a small hook trait whose rustdoc is the
-//!   "how to add a backend" page; with [`TwoPhaseState`],
-//!   [`StagedOutcomes`], [`validate_chain`] / [`walk_chain_at`] (the two
-//!   chains' shared walks) and the [`PrepareCursor`] protocol as its parts.
+//!   (stage pending entries under [`NodeLock`]s, which name their holder,
+//!   validate reads, one clock advance, finalize or abort), the paper's
+//!   range-query loop and bundle cleanup, written once over a small hook
+//!   trait whose rustdoc is the "how to add a backend" page; with
+//!   [`TwoPhaseState`], [`StagedOutcomes`], [`validate_chain`] /
+//!   [`walk_chain_at`] (the two chains' shared walks) and the
+//!   [`PrepareCursor`] protocol as its parts.
 //!
 //! The concrete bundled data structures live in the `lazylist`, `skiplist`
 //! and `citrus` crates of this workspace; each implements [`TwoPhase`]'s
@@ -79,12 +80,13 @@ mod cursor;
 mod inline;
 mod kernel;
 mod linearize;
+mod lock;
 mod prefetch;
 mod recycler;
 mod ts;
 mod twophase;
 
-pub use bundle_impl::{Bundle, BundleIter, PendingEntry, PENDING_TS, TOMBSTONE_TS};
+pub use bundle_impl::{Bundle, BundleIter, PENDING_TS, TOMBSTONE_TS};
 /// The workspace's one cache-line padding wrapper (the `crossbeam-utils`
 /// shim), re-exported so crates above the kernel pad shared words with
 /// the same type instead of growing a dependency edge each.
@@ -96,6 +98,7 @@ pub use kernel::{
     key_value, walk_chain_at, ShardTxn, TokenPool, TwoPhase, MAX_OPTIMISTIC_ATTEMPTS,
 };
 pub use linearize::{linearize_update, Conflict, TxnValidateError};
+pub use lock::{BundledNode, NodeLock, NodeLockGuard};
 pub use prefetch::prefetch_read;
 pub use recycler::Recycler;
 pub use ts::GlobalTimestamp;

@@ -87,10 +87,10 @@ impl std::fmt::Display for TxnValidateError {
 /// Returns the timestamp assigned to the update.
 ///
 /// Allocates only what [`Bundle::prepare`] does (the displaced head's chain
-/// entry): the operation finalizes through [`Bundle::finalize`], so no
-/// owner token outlives its `prepare`. Updates that span structures carry
-/// their [`crate::PendingEntry`] tokens in a [`crate::TwoPhaseState`]
-/// instead — prepare everywhere, advance the clock once, finalize all.
+/// entry). Updates that span structures keep their node locks in a
+/// [`crate::TwoPhaseState`] instead, whose finalize resolves the pending
+/// heads under them through the same [`Bundle::finalize`] — prepare
+/// everywhere, advance the clock once, finalize all.
 pub fn linearize_update<T, F: FnOnce()>(
     clock: &GlobalTimestamp,
     tid: usize,
@@ -98,9 +98,7 @@ pub fn linearize_update<T, F: FnOnce()>(
     lin: F,
 ) -> u64 {
     for (bundle, ptr) in bundles {
-        // The token is only a handle on `bundle`, which step 4 reaches
-        // through the slice.
-        let _ = bundle.prepare(*ptr);
+        bundle.prepare(*ptr);
     }
     let ts = clock.advance(tid);
     lin();
@@ -161,11 +159,11 @@ mod tests {
         let p1 = Shared::boxed(1u64, &g);
         let p2 = Shared::boxed(2u64, &g);
 
-        let pending = [b1.prepare(p1), b2.prepare(p2)];
+        b1.prepare(p1);
+        b2.prepare(p2);
         let ts = clock.advance(0);
-        for entry in pending {
-            entry.finalize(ts);
-        }
+        b1.finalize(ts);
+        b2.finalize(ts);
         assert_eq!(ts, 1);
         assert_eq!(b1.dereference(ts, &g), Some(p1));
         assert_eq!(b2.dereference(ts, &g), Some(p2));
@@ -181,7 +179,8 @@ mod tests {
         let b: Bundle<u64> = Bundle::new();
         let old = Shared::boxed(0u64, &g);
         b.init(old, 0);
-        b.prepare(Shared::boxed(1u64, &g)).abort();
+        b.prepare(Shared::boxed(1u64, &g));
+        b.abort();
         // The clock never advanced and the bundle resolves as before.
         assert_eq!(clock.read(), 0);
         assert_eq!(b.dereference(0, &g), Some(old));

@@ -1,72 +1,41 @@
 //! Structure-agnostic core of a two-phase (transactional) update: the
 //! bookkeeping inside every [`crate::ShardTxn`].
 //!
-//! A multi-key transaction on one structure accumulates three kinds of
-//! state while it prepares: the **node locks** it holds (until commit or
-//! abort), the **pending bundle entries** it has installed (all finalized
-//! with one commit timestamp, or neutralized on abort), and the nodes it
-//! has created or unlinked (retired through EBR by the winning path).
-//! [`TwoPhaseState`] keeps all three, and nothing else does: a torn attempt
-//! hands back its locks through a [`TwoPhaseState::savepoint`], and a second
-//! write to one link restages the pending head it finds on the bundle.
-//! That, and the bounded `try_lock` discipline that keeps transactions
-//! deadlock-free against each structure's own lock order, is the same for
-//! the lazy list, skip list, and Citrus tree; the structure crates layer
-//! their traversal, validation, and undo logs on top.
-
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+//! A transaction on one structure holds **node locks** until commit or
+//! abort, installs **pending bundle entries** under them (finalized with
+//! one commit timestamp, or neutralized on abort), and creates or unlinks
+//! nodes (retired through EBR by the winning path). [`TwoPhaseState`]
+//! keeps the locks and the nodes; the locks are the pending entries' books
+//! too, since every prepare holds its owner node's [`crate::NodeLock`],
+//! which names its holder. A torn attempt hands back its locks through a
+//! [`TwoPhaseState::savepoint`]. That, and the bounded `try_lock`
+//! discipline that keeps transactions deadlock-free against each
+//! structure's own lock order, is the same for the lazy list, skip list,
+//! and Citrus tree; the structure crates layer their traversal,
+//! validation, and undo logs on top.
 
 use ebr::Shared;
-use parking_lot::{Mutex, MutexGuard};
 
-use crate::bundle_impl::{Bundle, PendingEntry};
+use crate::bundle_impl::Bundle;
 use crate::kernel::TwoPhase;
 use crate::linearize::{Conflict, TxnValidateError};
+use crate::lock::BundledNode;
 
 /// `try_lock` attempts a two-phase prepare makes on a contended node lock
 /// before declaring [`Conflict`] (the whole transaction then aborts and
 /// retries, which is what keeps mixed transactional/primitive traffic
 /// deadlock-free: the per-structure lock orders cannot be made globally
-/// consistent with key-ordered two-phase locking).
+/// consistent with key-ordered two-phase locking). Also the spin count of
+/// a blocking [`crate::NodeLock::lock`] between yields.
 pub const TXN_LOCK_SPINS: usize = 64;
-
-/// Multiplicative hasher for node *addresses* (already well-distributed),
-/// replacing SipHash in the per-transaction lock set: it is probed once
-/// per lock a staged op takes, on the committer thread that serializes
-/// every group, so shaving the hash matters at super-batch sizes.
-#[derive(Default)]
-pub struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.0 = (self.0 ^ i as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_right(17);
-    }
-}
-
-type AddrSet = HashSet<usize, BuildHasherDefault<AddrHasher>>;
 
 /// Shared two-phase bookkeeping over nodes of type `N`.
 ///
 /// The state is **reusable**: [`TwoPhaseState::finalize`] and
 /// [`TwoPhaseState::abort`] leave it empty with every buffer's capacity
 /// kept, which is what lets the kernel keep one warm token per thread
-/// ([`crate::TokenPool`]) instead of rebuilding three vectors and a hash
-/// set for a transaction that locks a handful of nodes.
+/// ([`crate::TokenPool`]) instead of rebuilding three vectors for a
+/// transaction that locks a handful of nodes.
 ///
 /// Nodes come in as [`Shared`] pointers and are kept as raw addresses
 /// across calls. What keeps them allocated is the locking contract of
@@ -74,31 +43,21 @@ type AddrSet = HashSet<usize, BuildHasherDefault<AddrHasher>>;
 /// must acquire its victim's lock first.
 pub struct TwoPhaseState<N> {
     tid: usize,
-    /// Held node locks in acquisition order (a savepoint is a length of
-    /// it). The guards borrow from nodes that stay allocated while
-    /// locked (see above), hence `'static`.
-    locks: Vec<(*mut N, MutexGuard<'static, ()>)>,
-    /// Addresses of the held locks, for O(1) [`TwoPhaseState::holds`]
-    /// checks — a group-commit super-batch stages hundreds of ops into
-    /// one state, and every prepare probes lock ownership, so a linear
-    /// scan here made batch prepares quadratic.
-    lock_set: AddrSet,
-    /// Pending bundle entries, one per bundle, in installation order.
-    pendings: Vec<PendingEntry<N>>,
+    /// Nodes whose lock the token holds, in acquisition order (a
+    /// savepoint is a length of it).
+    locks: Vec<*mut N>,
     /// Nodes unlinked by staged removes; retired on commit.
     victims: Vec<*mut N>,
     /// Nodes created by staged inserts; retired on abort.
     created: Vec<*mut N>,
 }
 
-impl<N> TwoPhaseState<N> {
+impl<N: BundledNode> TwoPhaseState<N> {
     /// Empty state for thread `tid`.
     pub fn new(tid: usize) -> Self {
         TwoPhaseState {
             tid,
             locks: Vec::new(),
-            lock_set: AddrSet::default(),
-            pendings: Vec::new(),
             victims: Vec::new(),
             created: Vec::new(),
         }
@@ -110,35 +69,36 @@ impl<N> TwoPhaseState<N> {
         self.tid
     }
 
-    /// `true` if the transaction already holds `node`'s lock.
+    /// `true` when nothing has been staged or locked (every prepare holds
+    /// a lock).
     #[must_use]
-    pub fn holds(&self, node: *mut N) -> bool {
-        self.lock_set.contains(&(node as usize))
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty()
     }
 
-    /// Acquire `node`'s lock (`lock_of(node)`) for the transaction unless
-    /// already held; held locks are kept until finalize or abort, or a
+    /// The nodes locked since `savepoint`, in acquisition order.
+    fn held(&self, savepoint: usize) -> impl Iterator<Item = &N> {
+        // SAFETY: a locked node is never retired (the `TwoPhase` locking
+        // contract), so every address in `locks` is allocated.
+        self.locks[savepoint..]
+            .iter()
+            .map(|&node| unsafe { &*node })
+    }
+
+    /// Acquire `node`'s lock for the transaction unless already held;
+    /// held locks are kept until finalize or abort, or a
     /// [`TwoPhaseState::release_since`] of an earlier savepoint. Bounded
     /// `try_lock`: contention surfaces as [`Conflict`] instead of risking
     /// a deadlock cycle with a primitive operation blocked on one of our
     /// locks.
-    pub fn lock(
-        &mut self,
-        node: Shared<'_, N>,
-        lock_of: fn(&N) -> &Mutex<()>,
-    ) -> Result<(), Conflict> {
-        if self.holds(node.as_raw()) {
+    pub fn lock(&mut self, node: Shared<'_, N>) -> Result<(), Conflict> {
+        let lock = node.lock();
+        if lock.held_by(self.tid) {
             return Ok(());
         }
-        let (mutex, node): (*const Mutex<()>, _) = (lock_of(&node), node.as_raw());
-        // SAFETY: the mutex lives inside the node (`lock_of` borrows it from
-        // there), and a locked node is never retired, so it outlives the
-        // guard kept here until finalize or abort releases it.
-        let mutex: &'static Mutex<()> = unsafe { &*mutex };
         for _ in 0..TXN_LOCK_SPINS {
-            if let Some(guard) = mutex.try_lock() {
-                self.lock_set.insert(node as usize);
-                self.locks.push((node, guard));
+            if lock.acquire(self.tid) {
+                self.locks.push(node.as_raw());
                 return Ok(());
             }
             std::hint::spin_loop();
@@ -156,12 +116,19 @@ impl<N> TwoPhaseState<N> {
     /// Release every lock acquired since `savepoint` (a torn attempt hands
     /// back what it took before it retries). `false` = there was none: the
     /// attempt only met locks the token already held, so a retry would
-    /// find the same picture.
+    /// find the same picture. An attempt releases before it prepares
+    /// anything, so no released node carries a pending head
+    /// (debug-asserted).
     pub fn release_since(&mut self, savepoint: usize) -> bool {
-        let released = self.locks.len() > savepoint;
-        for (node, _) in self.locks.drain(savepoint..) {
-            self.lock_set.remove(&(node as usize));
+        for node in self.held(savepoint) {
+            debug_assert!(
+                !node.bundles().iter().any(Bundle::is_pending),
+                "released a node that carries a pending head"
+            );
+            node.lock().release();
         }
+        let released = self.locks.len() > savepoint;
+        self.locks.truncate(savepoint);
         released
     }
 
@@ -176,25 +143,19 @@ impl<N> TwoPhaseState<N> {
     /// Install the transaction's pending entry on `bundle`, a bundle of
     /// node `owner`, or restage it if the transaction already has one
     /// there (a second write through the same link). The caller must hold
-    /// `owner`'s lock (debug-asserted). Every prepare of `bundle` — a
-    /// primitive's too, for a node it has just created — happens under
-    /// that lock and is final or aborted before the lock is released, so a
-    /// pending head found there is this transaction's own (debug-asserted
-    /// by a scan of the pendings).
+    /// `owner`'s lock (debug-asserted), so a pending head found there is
+    /// this transaction's own (see the module docs).
     pub fn prepare_bundle(&mut self, owner: Shared<'_, N>, bundle: &Bundle<N>, ptr: Shared<'_, N>) {
         debug_assert!(
-            self.holds(owner.as_raw()),
+            owner.lock().held_by(self.tid),
             "a token prepares only under its own lock"
         );
-        let offset = (bundle as *const Bundle<N> as usize).wrapping_sub(owner.as_raw() as usize);
-        debug_assert!(offset < std::mem::size_of::<N>(), "a bundle of `owner`");
-        if bundle.restage(ptr) {
-            debug_assert!(
-                self.pendings.iter().any(|pe| pe.is_on(bundle)),
-                "restaged a pending head that is not the token's own"
-            );
-        } else {
-            self.pendings.push(bundle.prepare(ptr));
+        debug_assert!(
+            owner.bundles().iter().any(|b| std::ptr::eq(b, bundle)),
+            "a bundle of `owner`"
+        );
+        if !bundle.restage(ptr) {
+            bundle.prepare(ptr);
         }
     }
 
@@ -208,46 +169,43 @@ impl<N> TwoPhaseState<N> {
         self.created.push(node.as_raw());
     }
 
-    /// `true` when nothing has been staged or locked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.locks.is_empty() && self.pendings.is_empty()
-    }
-
-    /// Commit half: finalize every pending entry with the transaction's
-    /// single timestamp, release the locks, then hand each victim to
-    /// `retire` (the caller retires them under its EBR guard). Leaves the
-    /// state empty and reusable.
+    /// Commit half: finalize every pending head on the held nodes' bundles
+    /// with the transaction's single timestamp, release the locks, then
+    /// hand each victim to `retire` (the caller retires them under its EBR
+    /// guard). Leaves the state empty and reusable.
     pub fn finalize(&mut self, ts: u64, retire: impl FnMut(*mut N)) {
-        for pe in self.pendings.drain(..) {
-            pe.finalize(ts);
-        }
-        self.release_locks();
+        self.resolve_and_unlock(|b| b.finalize(ts));
         self.victims.drain(..).for_each(retire);
         self.created.clear();
     }
 
-    /// Abort half: neutralize every pending entry (entries with history
-    /// become invisible duplicates, first entries of created nodes become
-    /// tombstones), release the locks, then hand each created node to
-    /// `retire`. The caller must have reverted its structural changes
-    /// *before* calling this — neutralization is what releases snapshot
-    /// readers spinning on the pendings, and they must observe the
-    /// restored physical state. Leaves the state empty and reusable.
+    /// Abort half: neutralize every pending head on the held nodes'
+    /// bundles (entries with history become invisible duplicates, first
+    /// entries of created nodes become tombstones), release the locks,
+    /// then hand each created node to `retire`. The caller must have
+    /// reverted its structural changes *before* calling this —
+    /// neutralization is what releases snapshot readers spinning on the
+    /// pendings, and they must observe the restored physical state.
+    /// Leaves the state empty and reusable.
     pub fn abort(&mut self, retire: impl FnMut(*mut N)) {
-        for pe in self.pendings.drain(..) {
-            pe.abort();
-        }
-        self.release_locks();
+        self.resolve_and_unlock(Bundle::abort);
         self.created.drain(..).for_each(retire);
         self.victims.clear();
     }
 
-    /// Unlock in acquisition order (after the pendings are resolved: a
-    /// waiter on one of these locks must find the entries final).
-    fn release_locks(&mut self) {
+    /// Two passes over the held nodes: `resolve` every pending head, then
+    /// unlock (a waiter on a lock must find the entries resolved).
+    fn resolve_and_unlock(&mut self, resolve: impl Fn(&Bundle<N>)) {
+        for node in self.held(0) {
+            node.bundles()
+                .iter()
+                .filter(|b| b.is_pending())
+                .for_each(&resolve);
+        }
+        for node in self.held(0) {
+            node.lock().release();
+        }
         self.locks.clear();
-        self.lock_set.clear();
     }
 }
 
@@ -425,12 +383,12 @@ pub const MAX_VALIDATE_ATTEMPTS: usize = 8;
 /// `core` in every outcome: on success they pin the validated range at
 /// the commit timestamp, and an `Err` leaves them to the abort.
 ///
-/// Node locks and keys come from the structure's [`TwoPhase`] hooks; the
-/// rest of its specifics are closures: `locate` returns `(gap predecessor,
-/// first candidate)` for the range's lower bound; `pred_valid`
-/// re-validates the located pair; `step` checks `curr` is validly linked
-/// after `prev` under the just-acquired lock and yields its successor —
-/// or `None` for a torn observation.
+/// Keys come from [`TwoPhase::entry`], locks from [`BundledNode::lock`];
+/// the rest of the structure's specifics are closures: `locate` returns
+/// `(gap predecessor, first candidate)` for the range's lower bound;
+/// `pred_valid` re-validates the located pair; `step` checks `curr` is
+/// validly linked after `prev` under the just-acquired lock and yields its
+/// successor — or `None` for a torn observation.
 pub fn validate_chain<'g, S: TwoPhase>(
     core: &mut TwoPhaseState<S::Node>,
     expected: &[(S::Key, usize)],
@@ -443,7 +401,7 @@ pub fn validate_chain<'g, S: TwoPhase>(
     'attempt: for _ in 0..MAX_VALIDATE_ATTEMPTS {
         let sp = core.savepoint();
         let (pred, first) = locate();
-        core.lock(pred, S::lock_of)?;
+        core.lock(pred)?;
         if !pred_valid(pred, first) {
             core.retry_since(sp)?;
             continue;
@@ -455,7 +413,7 @@ pub fn validate_chain<'g, S: TwoPhase>(
         let mut prev = pred;
         let mut curr = first;
         while curr != tail && S::entry(&curr).0 <= *high {
-            core.lock(curr, S::lock_of)?;
+            core.lock(curr)?;
             // Re-check linkage under the lock: a node that got removed
             // (or whose predecessor link moved) between the walk reaching
             // it and locking it is a torn observation, not a verdict.
@@ -481,7 +439,6 @@ impl<N> std::fmt::Debug for TwoPhaseState<N> {
         f.debug_struct("TwoPhaseState")
             .field("tid", &self.tid)
             .field("locks", &self.locks.len())
-            .field("pendings", &self.pendings.len())
             .field("victims", &self.victims.len())
             .field("created", &self.created.len())
             .finish()
@@ -491,19 +448,27 @@ impl<N> std::fmt::Debug for TwoPhaseState<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeLock;
     use ebr::{Collector, ReclaimMode};
 
     struct Cell {
-        lock: Mutex<()>,
+        lock: NodeLock,
         bundle: Bundle<Cell>,
     }
 
-    fn cell<'g>(g: &'g ebr::Guard<'_>) -> Shared<'g, Cell> {
-        let (lock, bundle) = (Mutex::new(()), Bundle::new());
-        Shared::boxed(Cell { lock, bundle }, g)
+    impl BundledNode for Cell {
+        fn lock(&self) -> &NodeLock {
+            &self.lock
+        }
+        fn bundles(&self) -> &[Bundle<Cell>] {
+            std::slice::from_ref(&self.bundle)
+        }
     }
 
-    const LOCK_OF: fn(&Cell) -> &Mutex<()> = |c| &c.lock;
+    fn cell<'g>(g: &'g ebr::Guard<'_>) -> Shared<'g, Cell> {
+        let (lock, bundle) = (NodeLock::default(), Bundle::new());
+        Shared::boxed(Cell { lock, bundle }, g)
+    }
 
     #[test]
     fn lock_tracking_and_merge() {
@@ -513,25 +478,28 @@ mod tests {
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(3);
         assert_eq!(st.tid(), 3);
         assert!(st.is_empty());
-        assert_eq!(st.lock(a, LOCK_OF), Ok(()));
-        assert_eq!(st.lock(a, LOCK_OF), Ok(()), "re-lock is a no-op");
+        assert_eq!(st.lock(a), Ok(()));
+        assert_eq!(st.lock(a), Ok(()), "re-lock is a no-op");
+        assert!(a.lock.held_by(3), "the lock names the token's tid");
         // A contended lock conflicts instead of blocking.
-        let held = b.lock.lock();
-        assert_eq!(st.lock(b, LOCK_OF), Err(Conflict));
+        let held = b.lock.lock(0);
+        assert_eq!(st.lock(b), Err(Conflict));
         drop(held);
-        assert_eq!(st.lock(b, LOCK_OF), Ok(()));
+        assert_eq!(st.lock(b), Ok(()));
         // A second prepare of one bundle restages the token's own pending
         // head; distinct bundles stack.
         a.bundle.init(Shared::null(), 0);
         st.prepare_bundle(a, &a.bundle, a);
         st.prepare_bundle(a, &a.bundle, b);
         assert_eq!(a.bundle.len(), 2, "merged: init entry + one pending");
+        // `b` was locked only to pin it: finalize leaves its bundle alone.
         st.finalize(7, |_| panic!("nothing was unlinked"));
         assert!(
-            st.is_empty() && !st.holds(a.as_raw()),
+            st.is_empty() && !a.lock.held_by(3),
             "finalize leaves it reusable"
         );
-        assert!(b.lock.try_lock().is_some(), "finalize unlocked");
+        assert!(b.lock.try_lock(0).is_some(), "finalize unlocked");
+        assert!(b.bundle.is_empty(), "a lock-only node keeps its bundle");
         assert_eq!(a.bundle.dereference(7, &g), Some(b), "merged value wins");
     }
 
@@ -541,24 +509,37 @@ mod tests {
         let g = collector.pin(0);
         let (a, b, c) = (cell(&g), cell(&g), cell(&g));
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
-        st.lock(a, LOCK_OF).unwrap();
+        st.lock(a).unwrap();
         // An attempt that only re-takes a held lock has nothing to hand
         // back, and keeps what it held.
         let sp = st.savepoint();
-        st.lock(a, LOCK_OF).unwrap();
+        st.lock(a).unwrap();
         assert!(!st.release_since(sp));
-        assert!(st.holds(a.as_raw()));
+        assert!(a.lock.held_by(0));
         // An attempt that takes new locks hands back those, not older ones.
         let sp = st.savepoint();
         for node in [b, a, c] {
-            st.lock(node, LOCK_OF).unwrap();
+            st.lock(node).unwrap();
         }
         assert!(st.release_since(sp));
-        assert!(st.holds(a.as_raw()) && !st.holds(b.as_raw()) && !st.holds(c.as_raw()));
-        assert!(b.lock.try_lock().is_some() && c.lock.try_lock().is_some());
-        assert!(a.lock.try_lock().is_none(), "the older lock is still held");
+        assert!(a.lock.held_by(0) && !b.lock.held_by(0) && !c.lock.held_by(0));
+        assert!(b.lock.try_lock(1).is_some() && c.lock.try_lock(1).is_some());
+        assert!(a.lock.try_lock(1).is_none(), "the older lock is still held");
         st.abort(|_| panic!("nothing was created"));
-        assert!(a.lock.try_lock().is_some(), "abort releases the rest");
+        assert!(a.lock.try_lock(1).is_some(), "abort releases the rest");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released a node that carries a pending head")]
+    fn release_since_refuses_to_release_a_pending_head() {
+        let collector = Collector::new(1, ReclaimMode::Leaky);
+        let g = collector.pin(0);
+        let a = cell(&g);
+        let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
+        st.lock(a).unwrap();
+        st.prepare_bundle(a, &a.bundle, a);
+        st.release_since(0);
     }
 
     #[test]
@@ -654,7 +635,7 @@ mod tests {
         let a = cell(&g);
         let mut st: TwoPhaseState<Cell> = TwoPhaseState::new(0);
         a.bundle.init(a, 2);
-        st.lock(a, LOCK_OF).unwrap();
+        st.lock(a).unwrap();
         st.prepare_bundle(a, &a.bundle, Shared::null());
         st.add_created(a);
         let mut created = Vec::new();

@@ -4,12 +4,12 @@ use std::mem::size_of;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, prefetch_read, Bundle, Conflict, CursorStats, InlineStack, PrepareCursor,
-    RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
+    linearize_update, prefetch_read, Bundle, BundledNode, Conflict, CursorStats, InlineStack,
+    NodeLock, PrepareCursor, RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState,
+    TxnValidateError,
 };
 use ebr::{Guard, Link, ReclaimMode, Shared};
 
@@ -20,12 +20,22 @@ use crate::{LEFT, RIGHT};
 pub struct Node<K, V> {
     key: K,
     val: Option<V>,
-    lock: Mutex<()>,
+    lock: NodeLock,
     marked: AtomicBool,
     child: [Link<Node<K, V>>; 2],
     /// One bundled reference per child link (§6: "replacing each child link
     /// of the search tree with a bundled reference").
     bundle: [Bundle<Node<K, V>>; 2],
+}
+
+impl<K, V> BundledNode for Node<K, V> {
+    fn lock(&self) -> &NodeLock {
+        &self.lock
+    }
+
+    fn bundles(&self) -> &[Bundle<Self>] {
+        &self.bundle
+    }
 }
 
 /// A node loaded under a guard that lives for `'g`.
@@ -37,7 +47,7 @@ impl<K, V> Node<K, V> {
         Node {
             key,
             val,
-            lock: Mutex::new(()),
+            lock: NodeLock::default(),
             marked: AtomicBool::new(false),
             child: children.map(Link::new),
             bundle: [Bundle::new(), Bundle::new()],
@@ -408,12 +418,13 @@ where
         epoch: u64,
         guard: &Guard<'_>,
     ) -> Result<bool, Conflict> {
-        let mut gap = from;
-        while !gap.load(toward, guard).is_null() {
-            gap = gap.load(toward, guard);
+        // One load per step: a slot read twice may have emptied in between.
+        let (mut gap, mut next) = (from, from.load(toward, guard));
+        while !next.is_null() {
+            (gap, next) = (next, next.load(toward, guard));
         }
         let sp = txn.core.savepoint();
-        self.txn_lock(txn, gap)?;
+        txn.core.lock(gap)?;
         if gap.marked.load(Ordering::Acquire)
             || !gap.load(toward, guard).is_null()
             || self.shape_epoch() != epoch
@@ -496,7 +507,7 @@ where
                 std::hint::spin_loop();
                 continue;
             }
-            let _lock = pred.lock.lock();
+            let _lock = pred.lock.lock(tid);
             // Validate: predecessor still live, the slot still empty — and
             // still the key's (no abort put a node back meanwhile).
             if pred.marked.load(Ordering::Acquire)
@@ -508,7 +519,7 @@ where
             let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
             // Locked before it is reachable, as every prepare needs (the
             // `TwoPhase` lock contract), and until its bundles are final.
-            let _node_lock = node.lock.lock();
+            let _node_lock = node.lock.lock(tid);
             // A new leaf contributes entries for both of its (null)
             // children so that snapshot traversals entering it always find
             // a satisfying entry, plus the predecessor's changed link.
@@ -607,10 +618,6 @@ where
 
     fn tokens(&self) -> &TokenPool<Self> {
         &self.tokens
-    }
-
-    fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
-        &node.lock
     }
 
     fn entry(node: &Node<K, V>) -> (K, &Option<V>) {
@@ -749,7 +756,7 @@ where
                 .iter()
                 .map(|(_, n)| unsafe { Shared::from_raw(*n as *mut Node<K, V>, guard) });
             for node in walked.chain(bounds) {
-                core.lock(node, Self::lock_of)?;
+                core.lock(node)?;
                 if node != root && node.marked.load(Ordering::Acquire) {
                     core.release_since(sp);
                     continue 'attempt;
@@ -904,7 +911,7 @@ where
                 // before we locked it, the remove linearized first —
                 // retry and miss it.
                 let sp = self.txn.core.savepoint();
-                tree.txn_lock(&mut self.txn, curr)?;
+                self.txn.core.lock(curr)?;
                 if curr.marked.load(Ordering::Acquire) {
                     self.txn.core.retry_since(sp)?;
                     self.spine.clear();
@@ -916,7 +923,7 @@ where
                 return Ok(false);
             }
             let sp = self.txn.core.savepoint();
-            tree.txn_lock(&mut self.txn, pred)?;
+            self.txn.core.lock(pred)?;
             if !self.slot_still_empty(pred, dir, &guard) {
                 self.txn.core.retry_since(sp)?;
                 self.spine.clear();
@@ -926,7 +933,7 @@ where
             let node = Shared::boxed(Node::new(key, Some(value), [Shared::null(); 2]), &guard);
             // Locked until commit/abort, so nobody builds on a node we may
             // roll back (uncontended: nobody can reach it yet).
-            tree.txn_lock(txn, node)?;
+            txn.core.lock(node)?;
             txn.core
                 .prepare_bundle(node, &node.bundle[LEFT], Shared::null());
             txn.core
@@ -960,7 +967,7 @@ where
             if curr.is_null() {
                 // Pin the no-op: hold the insertion parent until commit.
                 let sp = self.txn.core.savepoint();
-                tree.txn_lock(&mut self.txn, pred)?;
+                self.txn.core.lock(pred)?;
                 if !self.slot_still_empty(pred, dir, &guard) {
                     self.txn.core.retry_since(sp)?;
                     self.spine.clear();
@@ -971,8 +978,8 @@ where
             }
             let txn = &mut self.txn;
             let sp = txn.core.savepoint();
-            tree.txn_lock(txn, pred)?;
-            tree.txn_lock(txn, curr)?;
+            txn.core.lock(pred)?;
+            txn.core.lock(curr)?;
             if pred.marked.load(Ordering::Acquire)
                 || curr.marked.load(Ordering::Acquire)
                 || pred.load(dir, &guard) != curr
@@ -1024,11 +1031,12 @@ where
             // Case 3: two children — replace `curr` by an RCU-style copy
             // of its successor.
             let (mut succ_parent, mut succ) = (curr, right);
-            while !succ.load(LEFT, &guard).is_null() {
-                (succ_parent, succ) = (succ, succ.load(LEFT, &guard));
+            let mut next = right.load(LEFT, &guard); // once per step
+            while !next.is_null() {
+                (succ_parent, succ, next) = (succ, next, next.load(LEFT, &guard));
             }
-            tree.txn_lock(txn, succ_parent)?;
-            tree.txn_lock(txn, succ)?;
+            txn.core.lock(succ_parent)?;
+            txn.core.lock(succ)?;
             let succ_still_leftmost = if succ_parent == curr {
                 curr.load(RIGHT, &guard) == succ
             } else {
@@ -1048,7 +1056,7 @@ where
             let new_right = if succ == right { succ_right } else { right };
             let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
             let new_node = Shared::boxed(new_node, &guard);
-            tree.txn_lock(txn, new_node)?;
+            txn.core.lock(new_node)?;
 
             txn.core
                 .prepare_bundle(new_node, &new_node.bundle[LEFT], left);
@@ -1160,8 +1168,8 @@ where
             }
             // Blocking lock only for the first acquisition; everything else
             // is try-locked with full release on failure, so no deadlock.
-            let pred_lock = pred.lock.lock();
-            let Some(curr_lock) = curr.lock.try_lock() else {
+            let pred_lock = pred.lock.lock(tid);
+            let Some(curr_lock) = curr.lock.try_lock(tid) else {
                 continue;
             };
             if pred.marked.load(Ordering::Acquire)
@@ -1192,18 +1200,19 @@ where
             // Case 3: two children — replace `curr` by an RCU-style copy of
             // its successor (the leftmost node of the right subtree).
             let (mut succ_parent, mut succ) = (curr, right);
-            while !succ.load(LEFT, &guard).is_null() {
-                (succ_parent, succ) = (succ, succ.load(LEFT, &guard));
+            let mut next = right.load(LEFT, &guard); // once per step
+            while !next.is_null() {
+                (succ_parent, succ, next) = (succ, next, next.load(LEFT, &guard));
             }
             let sp_lock = if succ_parent != curr {
-                let Some(lock) = succ_parent.lock.try_lock() else {
+                let Some(lock) = succ_parent.lock.try_lock(tid) else {
                     continue;
                 };
                 Some(lock)
             } else {
                 None
             };
-            let Some(succ_lock) = succ.lock.try_lock() else {
+            let Some(succ_lock) = succ.lock.try_lock(tid) else {
                 continue;
             };
             let succ_still_leftmost = if succ_parent == curr {
@@ -1225,7 +1234,7 @@ where
             let new_right = if succ == right { succ_right } else { right };
             let new_node = Node::new(succ.key, succ.val.clone(), [left, new_right]);
             let new_node = Shared::boxed(new_node, &guard);
-            let new_lock = new_node.lock.lock(); // as an inserted leaf's
+            let new_lock = new_node.lock.lock(tid); // as an inserted leaf's
             let bundles = [
                 (&new_node.bundle[LEFT], left),
                 (&new_node.bundle[RIGHT], new_right),

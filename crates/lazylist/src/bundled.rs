@@ -2,12 +2,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use parking_lot::Mutex;
-
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, PrepareCursor, RqContext, ShardTxn, TokenPool,
-    TwoPhase, TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, BundledNode, Conflict, CursorStats, NodeLock, PrepareCursor,
+    RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use ebr::{Guard, Link, ReclaimMode, Shared};
 
@@ -19,10 +17,20 @@ use ebr::{Guard, Link, ReclaimMode, Shared};
 pub struct Node<K, V> {
     key: K,
     val: Option<V>,
-    lock: Mutex<()>,
+    lock: NodeLock,
     marked: AtomicBool,
     next: Link<Node<K, V>>,
     bundle: Bundle<Node<K, V>>,
+}
+
+impl<K, V> BundledNode for Node<K, V> {
+    fn lock(&self) -> &NodeLock {
+        &self.lock
+    }
+
+    fn bundles(&self) -> &[Bundle<Self>] {
+        std::slice::from_ref(&self.bundle)
+    }
 }
 
 /// A node loaded under a guard that lives for `'g`.
@@ -37,7 +45,7 @@ impl<K, V> Node<K, V> {
         Node {
             key,
             val,
-            lock: Mutex::new(()),
+            lock: NodeLock::default(),
             marked: AtomicBool::new(false),
             next: Link::new(next),
             bundle: Bundle::new(),
@@ -140,7 +148,7 @@ where
         let tail = self.tail(&guard);
         loop {
             let (pred, curr) = self.traverse(&key, &guard);
-            let _lock = pred.lock.lock();
+            let _lock = pred.lock.lock(tid);
             if !self.validate(pred, curr, &guard) {
                 continue;
             }
@@ -150,7 +158,7 @@ where
             let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
             // Locked before it is reachable, as every prepare needs (the
             // `TwoPhase` lock contract), and until its bundles are final.
-            let _node_lock = node.lock.lock();
+            let _node_lock = node.lock.lock(tid);
             // Bundles affected by an insertion: the new node's own bundle
             // (pointing at its successor) and the predecessor's bundle
             // (pointing at the new node) — Algorithm 4, lines 10-12.
@@ -220,10 +228,6 @@ where
 
     fn tokens(&self) -> &TokenPool<Self> {
         &self.tokens
-    }
-
-    fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
-        &node.lock
     }
 
     fn entry(node: &Node<K, V>) -> (K, &Option<V>) {
@@ -440,7 +444,7 @@ where
                 // (mark and unlink share the remover's critical section,
                 // which requires this very lock) — retry and miss it.
                 let sp = txn.core.savepoint();
-                list.txn_lock(txn, curr)?;
+                txn.core.lock(curr)?;
                 if curr.marked.load(Ordering::Acquire) {
                     txn.core.retry_since(sp)?;
                     continue;
@@ -451,7 +455,7 @@ where
                 return Ok(false);
             }
             let sp = txn.core.savepoint();
-            list.txn_lock(txn, pred)?;
+            txn.core.lock(pred)?;
             if !list.validate(pred, curr, &guard) {
                 txn.core.retry_since(sp)?;
                 continue;
@@ -459,7 +463,7 @@ where
             let node = Shared::boxed(Node::new(key, Some(value), curr), &guard);
             // Locked until commit/abort, so nobody builds on a node we may
             // roll back (uncontended: nobody can reach it yet).
-            list.txn_lock(txn, node)?;
+            txn.core.lock(node)?;
             txn.core.prepare_bundle(node, &node.bundle, curr);
             txn.core.prepare_bundle(pred, &pred.bundle, node);
             // Eager physical link (the op's linearization effect); commit
@@ -493,7 +497,7 @@ where
             if curr == tail || curr.key != *key {
                 // Pin the no-op: hold the gap's predecessor until commit.
                 let sp = txn.core.savepoint();
-                list.txn_lock(txn, pred)?;
+                txn.core.lock(pred)?;
                 if !list.validate(pred, curr, &guard) {
                     txn.core.retry_since(sp)?;
                     continue;
@@ -503,8 +507,8 @@ where
                 return Ok(false);
             }
             let sp = txn.core.savepoint();
-            list.txn_lock(txn, pred)?;
-            list.txn_lock(txn, curr)?;
+            txn.core.lock(pred)?;
+            txn.core.lock(curr)?;
             if !list.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
                 txn.core.retry_since(sp)?;
                 continue;
@@ -590,8 +594,8 @@ where
             // Locks are taken in ascending key order (pred.key < curr.key),
             // the same order every other multi-lock operation uses, so the
             // list cannot deadlock.
-            let _pred_lock = pred.lock.lock();
-            let _curr_lock = curr.lock.lock();
+            let _pred_lock = pred.lock.lock(tid);
+            let _curr_lock = curr.lock.lock(tid);
             if !self.validate(pred, curr, &guard) || curr.marked.load(Ordering::Acquire) {
                 continue;
             }
@@ -667,7 +671,6 @@ mod tests {
     use super::*;
     use bundle::api::RangeQuerySet;
     use std::sync::mpsc;
-    use std::sync::Arc;
 
     type List = BundledLazyList<u64, u64>;
 
@@ -716,55 +719,6 @@ mod tests {
             l.insert(0, k, k);
         }
         assert_eq!(l.bundle_entries(0), (2 * n + 1) as usize);
-    }
-
-    #[test]
-    fn txn_conflicts_surface_instead_of_deadlocking() {
-        // A primitive writer hammers the same keys a transaction stages;
-        // the transaction layer retries on Conflict. This is a smoke test
-        // that the bounded try_lock path terminates.
-        let l = Arc::new(List::new(3));
-        for k in 0..64u64 {
-            l.insert(0, k, k);
-        }
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writer = {
-            let l = Arc::clone(&l);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut k = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    l.remove(0, &(k % 64));
-                    l.insert(0, k % 64, k);
-                    k += 1;
-                }
-            })
-        };
-        for round in 0..300u64 {
-            loop {
-                let mut cur = l.txn_cursor(l.txn_begin(1));
-                let a = cur.seek_prepare_put(100 + (round % 8), round);
-                let b = a.and_then(|_| cur.seek_prepare_remove(&(round % 64)));
-                let txn = cur.finish();
-                match b {
-                    Ok(_) => {
-                        let ts = l.context().advance(1);
-                        l.txn_finalize(txn, ts);
-                        break;
-                    }
-                    Err(Conflict) => {
-                        l.txn_abort(txn);
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            l.remove(1, &(100 + (round % 8)));
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        let mut out = Vec::new();
-        l.range_query(2, &0, &200, &mut out);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -4,14 +4,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_utils::CachePadded;
-use parking_lot::{Mutex, MutexGuard};
-
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, Conflict, CursorStats, GlobalTimestamp, InlineStack, PrepareCursor,
-    Recycler, RqContext, ShardTxn, TokenPool, TwoPhase, TwoPhaseState, TxnValidateError,
+    linearize_update, Bundle, BundledNode, Conflict, CursorStats, GlobalTimestamp, InlineStack,
+    NodeLock, NodeLockGuard, PrepareCursor, Recycler, RqContext, ShardTxn, TokenPool, TwoPhase,
+    TwoPhaseState, TxnValidateError,
 };
+use crossbeam_utils::CachePadded;
 use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
 use crate::MAX_LEVEL;
@@ -22,7 +21,7 @@ pub struct Node<K, V> {
     key: K,
     val: Option<V>,
     top_level: usize,
-    lock: Mutex<()>,
+    lock: NodeLock,
     marked: AtomicBool,
     fully_linked: AtomicBool,
     next: [Link<Node<K, V>>; MAX_LEVEL],
@@ -30,6 +29,16 @@ pub struct Node<K, V> {
     /// paper's optimization: index layers are never consulted by in-range
     /// traversals, so they are left unbundled.
     bundle: Bundle<Node<K, V>>,
+}
+
+impl<K, V> BundledNode for Node<K, V> {
+    fn lock(&self) -> &NodeLock {
+        &self.lock
+    }
+
+    fn bundles(&self) -> &[Bundle<Self>] {
+        std::slice::from_ref(&self.bundle)
+    }
 }
 
 /// A node loaded under a guard that lives for `'g`.
@@ -47,7 +56,7 @@ impl<K, V> Node<K, V> {
             key,
             val,
             top_level: top,
-            lock: Mutex::new(()),
+            lock: NodeLock::default(),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(false),
             next: std::array::from_fn(link),
@@ -283,15 +292,16 @@ where
     /// allocating.
     fn lock_and_validate<'a>(
         &self,
+        tid: usize,
         (preds, succs): (&'a Tower<'_, K, V>, &Tower<'_, K, V>),
         top: usize,
         expect_succ: Option<NodePtr<'_, K, V>>,
-        guards: &mut InlineStack<MutexGuard<'a, ()>, MAX_LEVEL>,
+        guards: &mut InlineStack<NodeLockGuard<'a>, MAX_LEVEL>,
         guard: &Guard<'_>,
     ) -> bool {
         for lvl in 0..=top {
             if lvl == 0 || preds[lvl] != preds[lvl - 1] {
-                guards.push(preds[lvl].lock.lock());
+                guards.push(preds[lvl].lock.lock(tid));
             }
             if !self.linked(preds[lvl], lvl, expect_succ.unwrap_or(succs[lvl]), guard) {
                 return false;
@@ -300,8 +310,9 @@ where
         true
     }
 
-    /// Transaction-aware variant of `lock_and_validate`: skips locks the
-    /// transaction already holds, uses bounded `try_lock` for the rest.
+    /// Transaction-aware variant of `lock_and_validate`: bounded `try_lock`
+    /// through the token, which skips the locks it already holds (a
+    /// predecessor shared by several levels too).
     /// `Ok(true)` = locked and valid; `Ok(false)` = validation failed (the
     /// caller releases what it locked since its savepoint and retries its
     /// traversal); `Err(Conflict)` = a lock could not be acquired (caller
@@ -315,9 +326,7 @@ where
         guard: &Guard<'_>,
     ) -> Result<bool, Conflict> {
         for lvl in 0..=top {
-            if lvl == 0 || preds[lvl] != preds[lvl - 1] {
-                self.txn_lock(txn, preds[lvl])?;
-            }
+            txn.core.lock(preds[lvl])?;
             if !self.linked(preds[lvl], lvl, expect_succ.unwrap_or(succs[lvl]), guard) {
                 return Ok(false);
             }
@@ -400,10 +409,6 @@ where
 
     fn tokens(&self) -> &TokenPool<Self> {
         &self.tokens
-    }
-
-    fn lock_of(node: &Node<K, V>) -> &Mutex<()> {
-        &node.lock
     }
 
     fn entry(node: &Node<K, V>) -> (K, &Option<V>) {
@@ -660,7 +665,7 @@ where
                 // present). If it got marked before we locked it, the
                 // remove linearized first — retry and miss it.
                 let sp = txn.core.savepoint();
-                list.txn_lock(txn, found)?;
+                txn.core.lock(found)?;
                 if found.marked.load(Ordering::Acquire) {
                     txn.core.retry_since(sp)?;
                     continue;
@@ -681,7 +686,7 @@ where
             let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
             // Locked until commit/abort, so nobody builds on a node we may
             // roll back (uncontended: nobody can reach it yet).
-            list.txn_lock(txn, node)?;
+            txn.core.lock(node)?;
             for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
                 pred.next[lvl].store(node, Ordering::SeqCst);
             }
@@ -724,7 +729,7 @@ where
                     // Pin the no-op: hold the level-0 gap until commit.
                     let pred = preds[0];
                     let sp = txn.core.savepoint();
-                    list.txn_lock(txn, pred)?;
+                    txn.core.lock(pred)?;
                     let valid = !pred.marked.load(Ordering::Acquire)
                         && pred.fully_linked.load(Ordering::Acquire)
                         && pred.next[0].load(Ordering::Acquire, &guard) == succs[0];
@@ -748,7 +753,7 @@ where
             }
             let top = victim.top_level;
             let sp = txn.core.savepoint();
-            list.txn_lock(txn, victim)?;
+            txn.core.lock(victim)?;
             if victim.marked.load(Ordering::Acquire)
                 || !list.txn_lock_and_validate(txn, (&preds, &succs), top, Some(victim), &guard)?
             {
@@ -856,13 +861,13 @@ where
                 continue;
             }
             let mut guards = InlineStack::new();
-            if !self.lock_and_validate((&preds, &succs), top, None, &mut guards, &guard) {
+            if !self.lock_and_validate(tid, (&preds, &succs), top, None, &mut guards, &guard) {
                 continue;
             }
             let node = Shared::boxed(Node::new(key, Some(value), top, &succs), &guard);
             // Locked before it is reachable, as every prepare needs (the
             // `TwoPhase` lock contract), and until its bundles are final.
-            let node_lock = node.lock.lock();
+            let node_lock = node.lock.lock(tid);
             // Physically link bottom-up (traversals tolerate partially
             // linked towers; `fullyLinked` is the linearization point).
             for (lvl, pred) in preds.iter().enumerate().take(top + 1) {
@@ -909,12 +914,13 @@ where
                 return false;
             }
             let top = victim.top_level;
-            let victim_lock = victim.lock.lock();
+            let victim_lock = victim.lock.lock(tid);
             if victim.marked.load(Ordering::Acquire) {
                 return false;
             }
             let mut guards = InlineStack::new();
-            if !self.lock_and_validate((&preds, &succs), top, Some(victim), &mut guards, &guard) {
+            let pair = (&preds, &succs);
+            if !self.lock_and_validate(tid, pair, top, Some(victim), &mut guards, &guard) {
                 drop(guards);
                 drop(victim_lock);
                 continue;

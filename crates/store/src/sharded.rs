@@ -368,10 +368,6 @@ where
     /// each committed transaction entirely or not at all, exactly like a
     /// range query. The result vector is keyed by position.
     ///
-    /// (This retires the old per-key convenience semantics, where each
-    /// lookup was only individually linearizable and a concurrent
-    /// transaction could be observed half-applied across the batch.)
-    ///
     /// Like every snapshot read, this briefly occupies `tid`'s snapshot
     /// slot, and panics if it is taken: do not call it while a
     /// [`crate::StoreSnapshot`] or range query is live on the same `tid`.
@@ -391,10 +387,6 @@ where
     ///
     /// Duplicate keys keep the first occurrence (set-insert semantics: the
     /// later duplicates would have failed anyway).
-    ///
-    /// This retires the pre-transactional semantics where each insert was
-    /// only *individually* linearizable and a concurrent range query could
-    /// observe half of a batch.
     pub fn multi_put(&self, tid: usize, pairs: &[(K, V)]) -> usize {
         let mut sorted: Vec<(K, V)> = pairs.to_vec();
         sorted.sort_by_key(|a| a.0);
@@ -415,9 +407,8 @@ where
     ///
     /// This is the degenerate (empty-read-set) case of the full
     /// [`BundledStore::apply_rw_txn`] pipeline: with nothing to validate,
-    /// the validate phase is vacuous and the transaction can never abort —
-    /// exactly the pre-read-set semantics, which is how `multi_put` keeps
-    /// its contract unchanged. See `apply_rw_txn` for the protocol.
+    /// the validate phase is vacuous and the transaction can never abort.
+    /// See `apply_rw_txn` for the protocol.
     pub fn apply_txn(&self, tid: usize, ops: &[TxnOp<K, V>]) -> Vec<bool> {
         self.apply_rw_txn(tid, ops, &ReadSet::new())
             .expect("a transaction with an empty read set cannot fail validation")
@@ -973,8 +964,9 @@ where
     /// shared round-robin cursor instead of walking all shards
     /// sequentially. Interleaving short chunks keeps every shard's bundle
     /// footprint bounded under churn without one long stop-the-shard-scan
-    /// pass, and lets several callers (or recycler ticks) cover disjoint
-    /// chunks.
+    /// pass. Several callers (or recycler ticks) may sweep at once, and
+    /// their chunks may overlap: concurrent cleaners of one bundle claim
+    /// each entry they retire, so every entry is retired once.
     pub fn cleanup_bundles_chunk(&self, tid: usize, chunk: usize) -> usize {
         let n = self.shards.len();
         let chunk = chunk.clamp(1, n);

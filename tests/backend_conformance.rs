@@ -14,8 +14,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bundled_refs::bundle::api::RangeQuerySet;
-use bundled_refs::bundle::{PrepareCursor, RqContext, TwoPhase, TxnValidateError};
+use bundled_refs::bundle::{
+    Bundle, BundledNode, Conflict, PrepareCursor, RqContext, TwoPhase, TxnValidateError,
+};
 use bundled_refs::citrus::BundledCitrusTree;
+use bundled_refs::ebr::Shared;
 use bundled_refs::lazylist::BundledLazyList;
 use bundled_refs::skiplist::BundledSkipList;
 
@@ -543,6 +546,103 @@ fn one_op_cursors_accumulate_into_one_token<S: TwoPhase<Key = u64, Value = u64>>
     assert_eq!(s.range_query_vec(0, &0, &100), vec![(5, 50)]);
 }
 
+/// A node that a token locks only to validate a read comes back unlocked
+/// at finalize and at abort, with its bundles exactly as they were: the
+/// token resolves the pending heads it finds under its locks, and a
+/// validated node has none.
+fn validation_locks_come_back_unlocked_with_their_bundles_unchanged<S>()
+where
+    S: TwoPhase<Key = u64, Value = u64>,
+{
+    let ctx = RqContext::new(3);
+    let (s, _) = filled::<S>(&ctx, &TREE_ORDER, |k| k);
+    let pin = s.pin(1);
+    // SAFETY: `from_raw` of nodes a read recorded under `pin`, which is
+    // held to the end; nothing removes them.
+    let node = |addr: usize| unsafe { Shared::from_raw(addr as *mut S::Node, &pin) };
+    let history = |addr: usize| -> Vec<Vec<(usize, u64)>> {
+        let n = node(addr);
+        let entries = |b: &Bundle<_>| b.iter().map(|(p, ts)| (p as usize, ts)).collect();
+        n.bundles().iter().map(entries).collect()
+    };
+    for (round, commit) in [(0u64, true), (1, false)] {
+        let lease = ctx.lease_read(1);
+        let (_, nodes) = read_at(&s, lease.ts(), 20, 70);
+        drop(lease);
+        assert_eq!(nodes.len(), 4, "25, 30, 50 and 60");
+        let before: Vec<_> = nodes.iter().map(|&(_, n)| history(n)).collect();
+        // The write is outside the range, so the read's nodes are only
+        // locked to pin it.
+        let mut cur = s.txn_cursor(s.txn_begin(1));
+        assert_eq!(cur.seek_prepare_put(95 + round, 1), Ok(true));
+        let mut txn = cur.finish();
+        assert_eq!(s.txn_validate(&mut txn, &20, &70, &nodes), Ok(()));
+        assert!(nodes.iter().all(|&(_, n)| node(n).lock().held_by(1)));
+        if commit {
+            let ts = ctx.advance(1);
+            s.txn_finalize(txn, ts);
+        } else {
+            s.txn_abort(txn);
+        }
+        for (&(key, n), before) in nodes.iter().zip(&before) {
+            assert!(!node(n).lock().held_by(1), "{key} still locked");
+            assert!(node(n).lock().try_lock(2).is_some(), "{key} not free");
+            assert_eq!(history(n), *before, "{key}'s bundles changed");
+        }
+    }
+    assert!(s.contains(0, &95) && !s.contains(0, &96));
+}
+
+/// A primitive writer hammers the keys a token stages; the token aborts
+/// on `Conflict` and retries. Every round terminates: a primitive's
+/// blocking node lock and a token's bounded `try_lock` never wait on each
+/// other in a cycle.
+fn txn_conflicts_surface_instead_of_deadlocking<S: TwoPhase<Key = u64, Value = u64>>() {
+    let s = S::new(3);
+    for k in 0..64u64 {
+        s.insert(0, k, k);
+    }
+    std::thread::scope(|scope| {
+        let token = scope.spawn(|| {
+            for round in 0..300u64 {
+                loop {
+                    let mut cur = s.txn_cursor(s.txn_begin(1));
+                    let a = cur.seek_prepare_put(100 + (round % 8), round);
+                    let b = a.and_then(|_| cur.seek_prepare_remove(&(round % 64)));
+                    let txn = cur.finish();
+                    match b {
+                        Ok(_) => {
+                            let ts = s.context().advance(1);
+                            s.txn_finalize(txn, ts);
+                            break;
+                        }
+                        Err(Conflict) => {
+                            s.txn_abort(txn);
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                s.remove(1, &(100 + (round % 8)));
+            }
+        });
+        // The primitive writer, until the token's rounds are done (or it
+        // panicked).
+        let mut k = 0u64;
+        while !token.is_finished() {
+            s.remove(0, &(k % 64));
+            s.insert(0, k % 64, k);
+            k += 1;
+        }
+        token.join().unwrap();
+    });
+    let out = s.range_query_vec(2, &0, &200);
+    assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+    assert!(
+        out.iter().all(|(k, _)| *k < 64),
+        "every staged put was removed"
+    );
+}
+
 /// A value whose `clone` panics while [`FRAGILE`] is set.
 #[derive(Debug, PartialEq)]
 struct Fragile(u64);
@@ -623,5 +723,7 @@ conformance_suite!(
         txn_reads_validate_and_detect_staleness,
         txn_validate_reconciles_own_staged_writes,
         one_op_cursors_accumulate_into_one_token,
+        validation_locks_come_back_unlocked_with_their_bundles_unchanged,
+        txn_conflicts_surface_instead_of_deadlocking,
     ]
 );
