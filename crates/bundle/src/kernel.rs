@@ -218,7 +218,8 @@ pub trait TwoPhase:
     type Undo;
     /// Buffers the structure keeps in the token so that a warm token
     /// stages and validates without allocating: [`Self::validate_walk`]'s,
-    /// and a cursor frontier that lives on the heap (`()` if none). Between
+    /// and a cursor frontier or plan ([`PrepareCursor::plan`]) that lives
+    /// on the heap (`()` if none). Between
     /// transactions it holds capacity and plain data only: [`TokenPool`]
     /// hands parked tokens from thread to thread on that basis.
     type Scratch: Default;

@@ -90,8 +90,13 @@ fn steady_state_committer_allocates_per_group_not_per_submission() {
     let (groups, allocs) = (ingest.stats().groups - groups0, others() - before);
     ingest.shutdown();
     let ops = WINDOW * WINDOWS;
+    println!(
+        "committer allocations: {allocs} in {groups} groups ({:.1} per group)",
+        allocs as f64 / groups as f64
+    );
     // What remains is the store's own per-group bookkeeping inside
-    // `apply_grouped` (15 allocations per group when this was written;
+    // `apply_grouped` (15 allocations per group when this was written, 1
+    // since the tokens keep their buffers warm;
     // the `Mutex`+`Condvar` tickets and `Vec<Vec<bool>>` scatter this
     // replaced cost 11,520 allocations on the same 10,240 submissions).
     assert!(

@@ -6,9 +6,9 @@ use std::time::Duration;
 
 use bundle::api::ConcurrentSet;
 use bundle::{
-    linearize_update, Bundle, BundledNode, Conflict, CursorStats, GlobalTimestamp, InlineStack,
-    NodeLock, NodeLockGuard, PrepareCursor, Recycler, RqContext, ShardTxn, TokenPool, TwoPhase,
-    TwoPhaseState, TxnValidateError,
+    linearize_update, prefetch_read, Bundle, BundledNode, Conflict, CursorStats, GlobalTimestamp,
+    InlineStack, NodeLock, NodeLockGuard, PrepareCursor, Recycler, RqContext, ShardTxn, TokenPool,
+    TwoPhase, TwoPhaseState, TxnValidateError,
 };
 use crossbeam_utils::CachePadded;
 use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
@@ -46,6 +46,33 @@ type NodePtr<'g, K, V> = Shared<'g, Node<K, V>>;
 
 /// One node per level: a search's predecessors or successors.
 type Tower<'g, K, V> = [NodePtr<'g, K, V>; MAX_LEVEL];
+
+/// A position to resume a search from, `[preds, succs]`, and the levels
+/// the search must walk below it whatever the position says.
+type Hint<'h, 'g, K, V> = Option<(&'h [Tower<'g, K, V>; 2], usize)>;
+
+/// A located position kept across calls: `[preds, succs]` as addresses.
+type Position<K, V> = [[*mut Node<K, V>; MAX_LEVEL]; 2];
+
+/// Searches [`BundledSkipList::descend_lockstep`] runs at once.
+const LOCKSTEP: usize = 64;
+
+/// The skip list's [`TwoPhase::Scratch`]: the position its cursor planned
+/// for each key of the current window ([`PrepareCursor::plan`]), in key
+/// order. Every cursor starts it empty, so an address in it was loaded
+/// under the pin of the cursor that reads it. (Private fields; public only
+/// inside [`TwoPhase::Scratch`].)
+pub struct Plan<K, V> {
+    positions: Vec<(K, Position<K, V>)>,
+}
+
+impl<K, V> Default for Plan<K, V> {
+    fn default() -> Self {
+        Plan {
+            positions: Vec::new(),
+        }
+    }
+}
 
 impl<K, V> Node<K, V> {
     /// A tower of height `top` linked to `succs` on each of its levels (not
@@ -180,9 +207,80 @@ where
         lfound
     }
 
-    /// [`Self::find`] resuming from a retained predecessor/successor
-    /// frontier (finger search). Returns the found level plus whether the
-    /// frontier was resumed (`false` = full root descent ran).
+    /// [`Self::find`] for several keys at once, into `plan`'s positions
+    /// (at most [`LOCKSTEP`]), each a finger search from the position
+    /// `from`: it starts at the lowest level where `from`'s successor is
+    /// not before its key, with `from` copied above that level (from the
+    /// root if `from` is past the key). One step of every unfinished search
+    /// per round, so that their cache misses overlap instead of queueing
+    /// behind each other. A step prefetches what the search's next step
+    /// reads (the key and the `next[lvl]` slot of the node it looks at),
+    /// and a search that reaches level 0 prefetches what its seek checks
+    /// and writes: the lock, `marked` / `fully_linked` and data-layer
+    /// bundle of its predecessor, and its successor's mark. The positions
+    /// are hints for [`ShardCursor::locate`]; they decide nothing.
+    fn descend_lockstep<'g>(
+        &self,
+        plan: &mut [(K, Position<K, V>)],
+        [from_preds, from_succs]: &[Tower<'g, K, V>; 2],
+        guard: &'g Guard<'_>,
+    ) {
+        debug_assert!(plan.len() <= LOCKSTEP);
+        let (head, tail) = (self.head(guard), self.tail(guard));
+        let mut at = [(head, tail, 0); LOCKSTEP];
+        for ((key, [preds, succs]), (pred, curr, lvl)) in plan.iter_mut().zip(&mut at) {
+            let passes = |l: usize| from_succs[l] == tail || *key <= from_succs[l].key;
+            *lvl = (0..MAX_LEVEL).find(|&l| passes(l)).unwrap_or(MAX_LEVEL - 1);
+            *pred = from_preds[*lvl];
+            if *pred != head && pred.key >= *key {
+                (*pred, *lvl) = (head, MAX_LEVEL - 1);
+            }
+            for l in *lvl + 1..MAX_LEVEL {
+                preds[l] = from_preds[l].as_raw();
+                succs[l] = from_succs[l].as_raw();
+            }
+            *curr = pred.next[*lvl].load(Ordering::Acquire, guard);
+            prefetch_read(&curr.key, std::mem::size_of::<K>());
+            prefetch_read(&curr.next[*lvl], 1);
+        }
+        // Per search: the node it stands on, the one it looks at next, and
+        // the level it walks (`DONE` once it has recorded level 0).
+        const DONE: usize = usize::MAX;
+        let mut live = plan.len();
+        while live > 0 {
+            for ((key, [preds, succs]), (pred, curr, lvl)) in plan.iter_mut().zip(&mut at) {
+                if *lvl == DONE {
+                    continue;
+                }
+                if *curr != tail && curr.key < *key {
+                    *pred = *curr;
+                } else {
+                    preds[*lvl] = pred.as_raw();
+                    succs[*lvl] = curr.as_raw();
+                    if *lvl == 0 {
+                        *lvl = DONE;
+                        live -= 1;
+                        prefetch_read(&pred.lock, 1);
+                        prefetch_read(&pred.marked, 1);
+                        prefetch_read(&pred.fully_linked, 1);
+                        prefetch_read(&pred.bundle, std::mem::size_of::<Bundle<Node<K, V>>>());
+                        prefetch_read(&curr.marked, 1);
+                        continue;
+                    }
+                    *lvl -= 1;
+                }
+                *curr = pred.next[*lvl].load(Ordering::Acquire, guard);
+                prefetch_read(&curr.key, std::mem::size_of::<K>());
+                prefetch_read(&curr.next[*lvl], 1);
+            }
+        }
+    }
+
+    /// [`Self::find`] resuming from the first usable one of `hints`, each
+    /// a retained predecessor/successor position (the cursor's frontier,
+    /// or a planned position) with its `min_levels` (finger search).
+    /// Returns the found level plus whether a hint was resumed (`false` =
+    /// full root descent ran).
     ///
     /// The finger search is O(log distance), not O(log n): an **ascend
     /// probe** climbs from level 0 to the highest level at which the
@@ -208,15 +306,11 @@ where
     fn find_hinted<'g>(
         &self,
         key: &K,
-        hint: Option<&[Tower<'g, K, V>; 2]>,
-        min_levels: usize,
+        hints: [Hint<'_, 'g, K, V>; 2],
         preds: &mut Tower<'g, K, V>,
         succs: &mut Tower<'g, K, V>,
         guard: &'g Guard<'_>,
     ) -> (Option<usize>, bool) {
-        let Some([front_preds, front_succs]) = hint else {
-            return (self.find(key, preds, succs, guard), false);
-        };
         let (head, tail) = (self.head(guard), self.tail(guard));
         // A frontier entry is usable while it is live, fully linked and
         // strictly before the target.
@@ -227,35 +321,38 @@ where
                 && !c.marked.load(Ordering::Acquire)
                 && c.fully_linked.load(Ordering::Acquire)
         };
-        // Ascend probe: the highest level at which the frontier entry is
-        // still usable and can still advance toward the target. Breaks on
-        // the first level that cannot advance — higher frontier entries
-        // sit at even smaller keys, so walking would start further back.
-        let mut ascend = usize::MAX; // MAX = no usable level (full descent)
-        for (lvl, &cand) in front_preds.iter().enumerate() {
-            if !usable(cand) {
-                break;
+        for ([front_preds, front_succs], min_levels) in hints.into_iter().flatten() {
+            // Ascend probe: the highest level at which the frontier entry is
+            // still usable and can still advance toward the target. Breaks on
+            // the first level that cannot advance — higher frontier entries
+            // sit at even smaller keys, so walking would start further back.
+            let mut ascend = usize::MAX; // MAX = no usable level
+            for (lvl, &cand) in front_preds.iter().enumerate() {
+                if !usable(cand) {
+                    break;
+                }
+                ascend = lvl;
+                let nxt = cand.next[lvl].load(Ordering::Acquire, guard);
+                if nxt == tail || nxt.key >= *key {
+                    break;
+                }
             }
-            ascend = lvl;
-            let nxt = cand.next[lvl].load(Ordering::Acquire, guard);
-            if nxt == tail || nxt.key >= *key {
-                break;
+            // An insert must genuinely walk every level it will link; when
+            // its tower outgrows the probe, the start entry at that height
+            // needs its own validation (rare — towers are geometric).
+            let start = ascend.max(min_levels).min(MAX_LEVEL - 1);
+            if ascend == usize::MAX || (start > ascend && !usable(front_preds[start])) {
+                continue;
             }
+            // Levels above the start: the frontier position verbatim (plain
+            // copies; re-validated under locks before any use).
+            preds[(start + 1)..].copy_from_slice(&front_preds[(start + 1)..]);
+            succs[(start + 1)..].copy_from_slice(&front_succs[(start + 1)..]);
+            // Plain descent from the validated start entry.
+            let lfound = self.descend(key, front_preds[start], start, preds, succs, guard);
+            return (lfound, true);
         }
-        // An insert must genuinely walk every level it will link; when
-        // its tower outgrows the probe, the start entry at that height
-        // needs its own validation (rare — towers are geometric).
-        let start = ascend.max(min_levels).min(MAX_LEVEL - 1);
-        if ascend == usize::MAX || (start > ascend && !usable(front_preds[start])) {
-            return (self.find(key, preds, succs, guard), false);
-        }
-        // Levels above the start: the frontier position verbatim (plain
-        // copies; re-validated under locks before any use).
-        preds[(start + 1)..].copy_from_slice(&front_preds[(start + 1)..]);
-        succs[(start + 1)..].copy_from_slice(&front_succs[(start + 1)..]);
-        // Plain descent from the validated start entry.
-        let lfound = self.descend(key, front_preds[start], start, preds, succs, guard);
-        (lfound, true)
+        (self.find(key, preds, succs, guard), false)
     }
 
     /// `true` if `pred` still links to `succ` on `lvl` with both unmarked
@@ -363,7 +460,7 @@ where
     type Value = V;
     type Node = Node<K, V>;
     type Undo = SkipUndo<K, V>;
-    type Scratch = ();
+    type Scratch = Plan<K, V>;
     type Cursor<'a>
         = ShardCursor<'a, K, V>
     where
@@ -462,18 +559,22 @@ where
 
     /// The cursor retains the per-level predecessor frontier of the last
     /// located position and resumes subsequent finds from it (finger
-    /// search), so a key-sorted batch pays one full descent plus short
-    /// per-level walks instead of a root descent per op.
-    fn txn_cursor(&self, txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
-        // The cursor-lifetime pin keeps every retained frontier pointer
-        // allocated between seeks (pins are reentrant).
+    /// search), so a key-sorted batch pays one full descent plus per-level
+    /// walks instead of a root descent per op; a planned key resumes from
+    /// its planned position instead.
+    fn txn_cursor(&self, mut txn: ShardTxn<Self>) -> ShardCursor<'_, K, V> {
+        // The cursor-lifetime pin keeps every retained frontier and planned
+        // pointer allocated between seeks (pins are reentrant). A plan
+        // left by an earlier cursor was loaded under an earlier pin.
         let guard = self.pin(txn.core.tid());
+        txn.scratch.positions.clear();
         ShardCursor {
             list: self,
             txn,
             _guard: guard,
             frontier: [[std::ptr::null_mut(); MAX_LEVEL]; 2],
             has_frontier: false,
+            next_planned: 0,
             stats: CursorStats::default(),
         }
     }
@@ -485,7 +586,7 @@ where
     fn validate_walk(
         &self,
         core: &mut TwoPhaseState<Node<K, V>>,
-        _scratch: &mut (),
+        _scratch: &mut Plan<K, V>,
         expected: &[(K, usize)],
         low: &K,
         high: &K,
@@ -555,7 +656,9 @@ where
 /// *hints*, validated (unmarked, fully linked, still before the target)
 /// up to the finger-search start level before each resume, with stale
 /// positions above it caught by the under-lock validation every prepare
-/// performs (the retry falls back to a root descent).
+/// performs (the retry falls back to a root descent). A planned position
+/// ([`PrepareCursor::plan`]) is unlocked throughout and gets the same
+/// checks.
 pub struct ShardCursor<'a, K, V>
 where
     K: Copy + Ord + Default + Send + Sync + 'static,
@@ -567,8 +670,11 @@ where
     _guard: Guard<'a>,
     /// The retained finger: `preds` and `succs` of the last located
     /// position, as addresses (meaningful once `has_frontier`).
-    frontier: [[*mut Node<K, V>; MAX_LEVEL]; 2],
+    frontier: Position<K, V>,
     has_frontier: bool,
+    /// The first planned position (in `txn.scratch`) whose key a seek may
+    /// still target: seeks come in ascending order.
+    next_planned: usize,
     stats: CursorStats,
 }
 
@@ -577,12 +683,15 @@ where
     K: Copy + Ord + Default + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// One find, resuming from the retained frontier when `use_hint`
-    /// (the caller clears it after the first attempt — a retry within
-    /// one seek restarts from the root). `min_levels` is the highest
-    /// level the caller will eagerly link (an insert's pre-drawn tower
-    /// height): those levels are always genuinely walked, never
-    /// stale-copied.
+    /// One find, resuming from the first usable of `key`'s planned
+    /// position and the retained frontier when `use_hint` (the caller
+    /// clears it after the first attempt — a retry within one seek
+    /// restarts from the root).
+    /// `min_levels` is the highest level the caller will eagerly link (an
+    /// insert's pre-drawn tower height): those levels are always genuinely
+    /// walked, never stale-copied. From a planned position every level of
+    /// the tower found there is walked too, so a remove learns its
+    /// victim's height from the walk.
     fn locate<'g>(
         &mut self,
         key: &K,
@@ -591,20 +700,62 @@ where
         succs: &mut Tower<'g, K, V>,
         guard: &'g Guard<'_>,
     ) -> Option<usize> {
-        // SAFETY: `from_raw` of a frontier: loaded by an earlier seek, under
-        // the cursor's own pin, which `guard` nests in.
-        let admit = |p| unsafe { Shared::from_raw(p, guard) };
-        let [p, s] = self.frontier;
-        let hint = (use_hint && self.has_frontier).then(|| [p.map(admit), s.map(admit)]);
-        let (lfound, resumed) =
-            self.list
-                .find_hinted(key, hint.as_ref(), min_levels, preds, succs, guard);
+        let frontier = (use_hint && self.has_frontier).then(|| self.hint(None, guard));
+        let planned = if use_hint { self.planned(key) } else { None };
+        let planned = planned.map(|i| self.hint(Some(i), guard));
+        let mut planned_levels = min_levels;
+        if let Some([_, s]) = &planned {
+            if s[0] != self.list.tail(guard) && s[0].key == *key {
+                planned_levels =
+                    planned_levels.max(s.iter().take_while(|&&n| n == s[0]).count() - 1);
+            }
+        }
+        let hints = [
+            planned.as_ref().map(|h| (h, planned_levels)),
+            frontier.as_ref().map(|h| (h, min_levels)),
+        ];
+        let (lfound, resumed) = self.list.find_hinted(key, hints, preds, succs, guard);
         if resumed {
             self.stats.hinted += 1;
         } else {
             self.stats.descents += 1;
         }
         lfound
+    }
+
+    /// The index of `key`'s planned position, if the current plan has one.
+    /// Skips the planned keys below `key` for good, but not `key` itself: a
+    /// `Set` seeks its key twice.
+    fn planned(&mut self, key: &K) -> Option<usize> {
+        let positions = &self.txn.scratch.positions;
+        while positions.get(self.next_planned)?.0 < *key {
+            self.next_planned += 1;
+        }
+        (positions[self.next_planned].0 == *key).then_some(self.next_planned)
+    }
+
+    /// The retained frontier (`None`; meaningful once `has_frontier`) or
+    /// planned position `i` (`Some(i)`) back under `guard`.
+    fn hint<'g>(&self, planned: Option<usize>, guard: &'g Guard<'_>) -> [Tower<'g, K, V>; 2] {
+        let [p, s] = planned.map_or(self.frontier, |i| self.txn.scratch.positions[i].1);
+        // SAFETY: `from_raw` of a frontier or planned position: loaded by an
+        // earlier seek or plan, under the cursor's own pin, which `guard`
+        // nests in.
+        let admit = |p| unsafe { Shared::from_raw(p, guard) };
+        [p.map(admit), s.map(admit)]
+    }
+
+    /// Whether ascending `keys` (at least one) lie so close past the
+    /// frontier that its finger walks are cheaper than a plan: inside the
+    /// frontier's gap at a level with about sixteen nodes per key below
+    /// it.
+    fn near_frontier(&self, keys: &[K], guard: &Guard<'_>) -> bool {
+        let (first, last) = (&keys[0], &keys[keys.len() - 1]);
+        let level = (keys.len().ilog2() as usize + 4).min(MAX_LEVEL - 1);
+        let [preds, succs] = self.hint(None, guard);
+        let (pred, succ) = (preds[0], succs[level]);
+        let (head, tail) = (self.list.head(guard), self.list.tail(guard));
+        (pred == head || pred.key < *first) && (succ == tail || *last < succ.key)
     }
 
     /// Retain the located position as the next frontier, with a just-linked
@@ -777,6 +928,38 @@ where
             });
             self.retain(&preds, &succs, None);
             return Ok(true);
+        }
+    }
+
+    /// Locate every key of `keys` at once ([`BundledSkipList::descend_lockstep`])
+    /// under the cursor's pin, each by a finger search from the frontier,
+    /// replacing the previous plan — unless the keys are dense right past
+    /// the frontier, which then finds them for less than a plan costs. A
+    /// cursor with no frontier yet first locates `keys[0]` from the root,
+    /// as its seek would have, and retains that as the frontier. No plan
+    /// work counts in [`CursorStats`], which counts seek attempts.
+    fn plan(&mut self, keys: &[K]) {
+        let list = self.list;
+        let guard = list.pin(self.txn.core.tid());
+        self.next_planned = 0;
+        self.txn.scratch.positions.clear();
+        let Some(first) = keys.first() else {
+            return;
+        };
+        if !self.has_frontier {
+            let (mut preds, mut succs) = ([Shared::null(); MAX_LEVEL], [Shared::null(); MAX_LEVEL]);
+            list.find(first, &mut preds, &mut succs, &guard);
+            self.retain(&preds, &succs, None);
+        }
+        if self.near_frontier(keys, &guard) {
+            return;
+        }
+        let from = self.hint(None, &guard);
+        let positions = &mut self.txn.scratch.positions;
+        let unplanned = [[std::ptr::null_mut(); MAX_LEVEL]; 2];
+        positions.extend(keys.iter().map(|&k| (k, unplanned)));
+        for window in positions.chunks_mut(LOCKSTEP) {
+            list.descend_lockstep(window, &from, &guard);
         }
     }
 
@@ -1090,6 +1273,35 @@ mod tests {
         let ts = s.clock().advance(0);
         s.txn_finalize(cur.finish(), ts);
         assert_eq!(s.len(0), 1_000 + 50);
+    }
+
+    #[test]
+    fn a_plan_records_the_positions_a_find_would() {
+        // Quiescent, the lockstep descents must end where one `find` per
+        // key does, on every level: keys below, between, on and above the
+        // present ones, a duplicate, and more keys than one lockstep round.
+        let s = Sl::new(1);
+        for k in (10..3_000u64).step_by(3) {
+            s.insert(0, k, k);
+        }
+        let mut keys: Vec<u64> = (0..3_100u64).step_by(37).collect();
+        keys.push(keys[5]);
+        keys.sort_unstable();
+        assert!(keys.len() > LOCKSTEP);
+        let mut cur = s.txn_cursor(s.txn_begin(0));
+        cur.plan(&keys);
+        let g = s.pin(0);
+        let (mut preds, mut succs) = ([Shared::null(); MAX_LEVEL], [Shared::null(); MAX_LEVEL]);
+        for (key, [p, q]) in &cur.txn.scratch.positions {
+            s.find(key, &mut preds, &mut succs, &g);
+            assert_eq!(
+                (*p, *q),
+                (preds.map(Shared::as_raw), succs.map(Shared::as_raw)),
+                "{key}"
+            );
+        }
+        drop(g);
+        s.txn_abort(cur.finish());
     }
 
     #[test]

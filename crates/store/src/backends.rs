@@ -104,12 +104,12 @@ pub trait ShardBackend<K, V>: RangeQuerySet<K, V> + Sized {
     }
 
     /// A prepare cursor over one transaction token: stages the same
-    /// two-phase writes as the point prepares, but retains the last
-    /// located position (a frontier) and resumes the next seek from it
-    /// when the target key lies at or beyond the current position —
-    /// turning a key-sorted batch into one root descent plus short
-    /// forward walks. See [`bundle::PrepareCursor`] for the frontier
-    /// retention rules and fallback conditions.
+    /// two-phase writes as the point prepares, but resumes each seek from
+    /// a hint — the last located position (a frontier) when the target
+    /// key lies at or beyond it, or the key's position located ahead of
+    /// time by [`bundle::PrepareCursor::plan`] — instead of the root. See
+    /// [`bundle::PrepareCursor`] for the hint retention rules and
+    /// fallback conditions.
     type Cursor<'a>: PrepareCursor<K, V, Txn = Self::Txn>
     where
         Self: 'a;

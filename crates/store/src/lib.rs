@@ -53,9 +53,11 @@
 //!   now cursor-shaped (`txn_begin` / `txn_cursor` +
 //!   [`bundle::PrepareCursor`] seeks / `txn_finalize` / `txn_abort`):
 //!   each shard's key-sorted op run stages through one **prepare
-//!   cursor** that resumes every seek from the previous op's position —
-//!   one root descent plus short forward walks per shard instead of a
-//!   descent per op. (The pre-cursor point prepares and the
+//!   cursor** that resumes every seek from a hint instead of the root:
+//!   the previous op's position, or the key's planned position — the
+//!   run is planned a window of keys at a time
+//!   ([`bundle::PrepareCursor::plan`]), which lets the skip list locate
+//!   a whole window in one memory-parallel pass. (The pre-cursor point prepares and the
 //!   `apply_grouped_unhinted` measurement shim are gone; the cursor
 //!   equivalence suite replays batches through test-local one-op cursors
 //!   instead.) Implemented for all three bundled structures.

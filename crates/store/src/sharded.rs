@@ -23,6 +23,11 @@ const STAGE_VALIDATE: usize = 1;
 const STAGE_ADVANCE: usize = 2;
 const STAGE_FINALIZE: usize = 3;
 
+/// Keys a shard's run plans at once ([`PrepareCursor::plan`]): enough
+/// searches to overlap their cache misses, few enough that the planned
+/// positions are still cached when their seeks come.
+const PLAN_WINDOW: usize = 32;
+
 /// One write of a multi-key transaction (see [`BundledStore::apply_txn`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnOp<K, V> {
@@ -657,8 +662,8 @@ where
     /// sorting and duplicate rejection already done by the caller
     /// (`plan.order` maps sorted position → caller position) and at
     /// least one write. Each shard's key-sorted run stages through one
-    /// prepare cursor ([`ShardBackend::txn_cursor`] — one root descent
-    /// plus short forward walks per shard). Returns the commit timestamp;
+    /// prepare cursor ([`ShardBackend::txn_cursor`]; see
+    /// [`Self::stage_run`]). Returns the commit timestamp;
     /// the per-op outcomes are in `plan.results`.
     ///
     /// Allocation-free on warm buffers: the plan lives in `plan`, and the
@@ -814,7 +819,10 @@ where
     }
 
     /// Stage one shard's key-sorted op run into `txn` through one prepare
-    /// cursor (each seek resumes from the previous op's position).
+    /// cursor: each window of [`PLAN_WINDOW`] keys is planned
+    /// ([`PrepareCursor::plan`]) and then sought, and each seek resumes
+    /// from its planned position or the previous op's. A run of one op is
+    /// not planned: its seek descends from the root either way.
     /// Returns the token and whether every op staged (`false` = a
     /// [`Conflict`]; the caller aborts the token and retries the
     /// transaction).
@@ -829,34 +837,43 @@ where
     ) -> (S::Txn, bool) {
         let mut cur = backend.txn_cursor(txn);
         let mut ok = true;
-        for &pos in order {
-            let staged = match &ops[pos] {
-                TxnOp::Put(k, v) => cur.seek_prepare_put(*k, v.clone()),
-                TxnOp::Set(k, v) => {
-                    // Upsert: stage the removal of any current node
-                    // then insert the replacement; both changes share
-                    // the transaction's commit timestamp, so every
-                    // snapshot sees exactly one value for the key.
-                    // Reports whether the key existed. (The second
-                    // seek targets the key the first just removed —
-                    // the cursor's frontier is right at the gap.)
-                    cur.seek_prepare_remove(k).and_then(|existed| {
-                        cur.seek_prepare_put(*k, v.clone()).map(|inserted| {
-                            debug_assert!(
-                                inserted,
-                                "upsert re-insert must succeed after staged remove"
-                            );
-                            existed
-                        })
-                    })
+        let mut keys = [K::default(); PLAN_WINDOW];
+        'run: for window in order.chunks(PLAN_WINDOW) {
+            if order.len() > 1 {
+                for (key, &pos) in keys.iter_mut().zip(window) {
+                    *key = *ops[pos].key();
                 }
-                TxnOp::Remove(k) => cur.seek_prepare_remove(k),
-            };
-            match staged {
-                Ok(applied) => results[pos] = applied,
-                Err(Conflict) => {
-                    ok = false;
-                    break;
+                cur.plan(&keys[..window.len()]);
+            }
+            for &pos in window {
+                let staged = match &ops[pos] {
+                    TxnOp::Put(k, v) => cur.seek_prepare_put(*k, v.clone()),
+                    TxnOp::Set(k, v) => {
+                        // Upsert: stage the removal of any current node
+                        // then insert the replacement; both changes share
+                        // the transaction's commit timestamp, so every
+                        // snapshot sees exactly one value for the key.
+                        // Reports whether the key existed. (The second
+                        // seek targets the key the first just removed —
+                        // the cursor's frontier is right at the gap.)
+                        cur.seek_prepare_remove(k).and_then(|existed| {
+                            cur.seek_prepare_put(*k, v.clone()).map(|inserted| {
+                                debug_assert!(
+                                    inserted,
+                                    "upsert re-insert must succeed after staged remove"
+                                );
+                                existed
+                            })
+                        })
+                    }
+                    TxnOp::Remove(k) => cur.seek_prepare_remove(k),
+                };
+                match staged {
+                    Ok(applied) => results[pos] = applied,
+                    Err(Conflict) => {
+                        ok = false;
+                        break 'run;
+                    }
                 }
             }
         }

@@ -22,6 +22,12 @@
 //!    *descending* key order — every seek either resumes correctly or
 //!    falls back to a root descent, and every outcome must still match
 //!    the model exactly. Aborted cursor batches must leave no trace.
+//! 3. **A plan is only a hint.** `PrepareCursor::plan` may name keys that
+//!    are never sought and leave out keys that are, a `Set` seeks its
+//!    planned key twice, and a plan goes stale when a second thread
+//!    removes and re-inserts planned predecessors or fills planned gaps
+//!    before the seeks: none of it may change an outcome. The skip list
+//!    plans; the lazy list and Citrus ignore plans and must pass too.
 
 use std::collections::BTreeMap;
 
@@ -67,6 +73,21 @@ fn apply_model(model: &mut BTreeMap<u64, u64>, op: &TxnOp<u64, u64>) -> bool {
     }
 }
 
+/// Stage one op through `cur` the way the store's pipeline does (a `Set`
+/// is a remove, then a put of the same key); returns the op's outcome.
+fn stage<C: PrepareCursor<u64, u64>>(
+    cur: &mut C,
+    op: &TxnOp<u64, u64>,
+) -> Result<bool, bundle::Conflict> {
+    match op {
+        TxnOp::Put(k, v) => cur.seek_prepare_put(*k, *v),
+        TxnOp::Set(k, v) => cur
+            .seek_prepare_remove(k)
+            .and_then(|existed| cur.seek_prepare_put(*k, *v).map(|_| existed)),
+        TxnOp::Remove(k) => cur.seek_prepare_remove(k),
+    }
+}
+
 /// Replay one key-sorted batch on a raw shard through **fresh one-op
 /// cursors** — every op pays its own root descent, the point-prepare
 /// shape the removed `apply_grouped_unhinted` shim exercised — with all
@@ -81,19 +102,49 @@ fn replay_point<S: ShardBackend<u64, u64>>(
     let mut outcomes = Vec::with_capacity(ops.len());
     for op in ops {
         let mut cur = shard.txn_cursor(txn);
-        let applied = match op {
-            TxnOp::Put(k, v) => cur.seek_prepare_put(*k, *v),
-            TxnOp::Set(k, v) => cur
-                .seek_prepare_remove(k)
-                .and_then(|existed| cur.seek_prepare_put(*k, *v).map(|_| existed)),
-            TxnOp::Remove(k) => cur.seek_prepare_remove(k),
-        }
-        .expect("single-threaded replay cannot conflict");
+        let applied = stage(&mut cur, op).expect("single-threaded replay cannot conflict");
         txn = cur.finish();
         outcomes.push(applied);
     }
     let ts = ctx.advance(0);
     shard.txn_finalize(txn, ts);
+    outcomes
+}
+
+/// Replay one key-sorted batch on a raw shard through **one cursor** that
+/// plans each window of the batch (random sizes) before seeking it, with
+/// a plan that is deliberately off: it leaves out some of the window's
+/// keys and names random keys that are never sought. Returns per-op
+/// outcomes.
+fn replay_planned<S: ShardBackend<u64, u64>>(
+    ctx: &bundle::RqContext,
+    shard: &S,
+    ops: &[TxnOp<u64, u64>],
+    seed: &mut u64,
+    key_range: u64,
+) -> Vec<bool> {
+    let mut cur = shard.txn_cursor(shard.txn_begin(0));
+    let mut outcomes = Vec::with_capacity(ops.len());
+    let mut rest = ops;
+    while !rest.is_empty() {
+        let size = (1 + xorshift(seed) as usize % 20).min(rest.len());
+        let (window, tail) = rest.split_at(size);
+        rest = tail;
+        let mut keys: Vec<u64> = window
+            .iter()
+            .map(|op| *op.key())
+            .filter(|_| !xorshift(seed).is_multiple_of(4))
+            .collect();
+        keys.extend((0..xorshift(seed) % 4).map(|_| xorshift(seed) % key_range));
+        keys.sort_unstable();
+        keys.dedup();
+        cur.plan(&keys);
+        for op in window {
+            outcomes.push(stage(&mut cur, op).expect("single-threaded replay cannot conflict"));
+        }
+    }
+    let ts = ctx.advance(0);
+    shard.txn_finalize(cur.finish(), ts);
     outcomes
 }
 
@@ -103,6 +154,7 @@ fn pipeline_equivalence<S: ShardBackend<u64, u64>>(label: &str) {
     let hinted = BundledStore::<u64, u64, S>::new(2, uniform_splits(4, KEY_RANGE));
     let ctx = bundle::RqContext::new(2);
     let point = S::build(2, ebr::ReclaimMode::Reclaim, &ctx);
+    let planned = S::build(2, ebr::ReclaimMode::Reclaim, &ctx);
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut seed = 0xc0ff_ee5e_ed00_u64 ^ label.len() as u64;
     let mut out_h = Vec::new();
@@ -112,19 +164,26 @@ fn pipeline_equivalence<S: ShardBackend<u64, u64>>(label: &str) {
         let expected: Vec<bool> = ops.iter().map(|op| apply_model(&mut model, op)).collect();
         let rh = hinted.apply_grouped(0, &ops);
         let rp = replay_point(&ctx, &point, &ops);
+        let rq = replay_planned(&ctx, &planned, &ops, &mut seed, KEY_RANGE);
         assert_eq!(rh.applied, expected, "{label}: cursor outcomes vs model");
         assert_eq!(
             rh.applied, rp,
             "{label}: cursor vs point outcomes (round {round})"
         );
+        assert_eq!(
+            rq, rp,
+            "{label}: off-plan cursor vs point outcomes (round {round})"
+        );
         if round.is_multiple_of(16) || round == ROUNDS - 1 {
             hinted.range_query(1, &0, &KEY_RANGE, &mut out_h);
             let announced = ctx.start_rq(1);
             point.range_query_at(1, announced, &0, &KEY_RANGE, &mut out_p);
-            ctx.finish_rq(1);
             let reference: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             assert_eq!(out_h, reference, "{label}: cursor post-state vs model");
             assert_eq!(out_p, reference, "{label}: point post-state vs model");
+            planned.range_query_at(1, announced, &0, &KEY_RANGE, &mut out_p);
+            ctx.finish_rq(1);
+            assert_eq!(out_p, reference, "{label}: off-plan post-state vs model");
         }
     }
     assert_eq!(
@@ -267,4 +326,124 @@ fn ascending_batches_ride_the_frontier_on_all_backends() {
     ascending_batches_resume::<skiplist::BundledSkipList<u64, u64>>("skiplist");
     ascending_batches_resume::<lazylist::BundledLazyList<u64, u64>>("lazylist");
     ascending_batches_resume::<citrus::BundledCitrusTree<u64, u64>>("citrus");
+}
+
+/// A stale plan changes no outcome: after the cursor plans its batch and
+/// before it seeks, a second thread id removes and re-inserts the planned
+/// keys' predecessors (the planned nodes are then marked), inserts keys
+/// inside planned gaps and flips planned keys themselves. The cursor
+/// holds no lock until its first seek, so the primitives cannot block on
+/// it.
+fn stale_plan_torture<S: ShardBackend<u64, u64>>(label: &str) {
+    const KEY_RANGE: u64 = 800;
+    const ROUNDS: usize = 150;
+    let ctx = bundle::RqContext::new(2);
+    let shard = S::build(2, ebr::ReclaimMode::Reclaim, &ctx);
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut seed = 0x57a1_e9a7_u64 ^ label.len() as u64;
+    for k in (0..KEY_RANGE).step_by(3) {
+        assert!(shard.insert(0, k, k));
+        model.insert(k, k);
+    }
+    let mut out = Vec::new();
+    for round in 0..ROUNDS {
+        let ops = random_batch(&mut seed, KEY_RANGE, 24);
+        let keys: Vec<u64> = ops.iter().map(|op| *op.key()).collect();
+        let mut cur = shard.txn_cursor(shard.txn_begin(1));
+        cur.plan(&keys);
+        for &k in &keys {
+            let v = xorshift(&mut seed);
+            match xorshift(&mut seed) % 3 {
+                0 => {
+                    // The planned predecessor: removed, then a new node.
+                    if let Some((&p, _)) = model.range(..k).next_back() {
+                        assert!(shard.remove(0, &p), "{label}: predecessor {p}");
+                        assert!(shard.insert(0, p, v), "{label}: predecessor {p}");
+                        model.insert(p, v);
+                    }
+                }
+                1 => {
+                    // A key inside the planned gap.
+                    let low = model.range(..k).next_back().map_or(0, |(&p, _)| p + 1);
+                    if low < k && shard.insert(0, low, v) {
+                        model.insert(low, v);
+                    }
+                }
+                _ => {
+                    // The planned key itself.
+                    if shard.remove(0, &k) {
+                        model.remove(&k);
+                    } else {
+                        assert!(shard.insert(0, k, v), "{label}: planned key {k}");
+                        model.insert(k, v);
+                    }
+                }
+            }
+        }
+        let abort = xorshift(&mut seed).is_multiple_of(4);
+        let rollback = model.clone();
+        for op in &ops {
+            assert_eq!(
+                stage(&mut cur, op),
+                Ok(apply_model(&mut model, op)),
+                "{label}: outcome under a stale plan (round {round})"
+            );
+        }
+        let txn = cur.finish();
+        if abort {
+            shard.txn_abort(txn);
+            model = rollback;
+        } else {
+            let ts = ctx.advance(1);
+            shard.txn_finalize(txn, ts);
+        }
+        let announced = ctx.start_rq(1);
+        shard.range_query_at(1, announced, &0, &KEY_RANGE, &mut out);
+        ctx.finish_rq(1);
+        let reference: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(out, reference, "{label}: post-round state (round {round})");
+    }
+}
+
+#[test]
+fn stale_plans_change_no_outcome_on_all_backends() {
+    stale_plan_torture::<skiplist::BundledSkipList<u64, u64>>("skiplist");
+    stale_plan_torture::<lazylist::BundledLazyList<u64, u64>>("lazylist");
+    stale_plan_torture::<citrus::BundledCitrusTree<u64, u64>>("citrus");
+}
+
+/// Every seek of a planned key resumes from a hint: on a structure that
+/// plans (`plans`), the first seek too, so no seek descends from the
+/// root; one that ignores plans rides its frontier after the first.
+fn planned_seeks_resume<S: ShardBackend<u64, u64>>(label: &str, plans: bool) {
+    let ctx = bundle::RqContext::new(1);
+    let shard = S::build(1, ebr::ReclaimMode::Reclaim, &ctx);
+    for k in (1..2_000u64).step_by(2) {
+        shard.insert(0, k, k);
+    }
+    // Ten nodes apart, as a group's keys are sparse in a shard: a planned
+    // position is then not made stale by the seeks before it.
+    let keys: Vec<u64> = (1_001..1_999u64).step_by(20).collect();
+    let mut cur = shard.txn_cursor(shard.txn_begin(0));
+    cur.plan(&keys);
+    for k in &keys {
+        assert_eq!(cur.seek_prepare_remove(k), Ok(true), "{label}: key {k}");
+    }
+    let stats = cur.stats();
+    let seeks = keys.len() as u64;
+    assert_eq!(stats.hinted + stats.descents, seeks, "{label}: {stats:?}");
+    if plans {
+        assert_eq!(stats.hinted, seeks, "{label}: planned seeks are hinted");
+    } else {
+        assert!(stats.hinted >= seeks - 1, "{label}: {stats:?}");
+    }
+    shard.txn_abort(cur.finish());
+    assert_eq!(shard.len(0), 1_000, "{label}: the abort left no trace");
+}
+
+#[test]
+fn planned_seeks_count_as_hinted_on_all_backends() {
+    planned_seeks_resume::<skiplist::BundledSkipList<u64, u64>>("skiplist", true);
+    planned_seeks_resume::<lazylist::BundledLazyList<u64, u64>>("lazylist", false);
+    planned_seeks_resume::<citrus::BundledCitrusTree<u64, u64>>("citrus", false);
 }
