@@ -23,7 +23,10 @@
 //!   from its planned position instead of the frontier. This is what
 //!   pays when the keys are sparse, and the frontier's forward walks
 //!   are as long as a root descent. A cursor may also ignore the plan
-//!   (the default): a plan decides nothing, it is only a hint.
+//!   (the default, which Citrus keeps): a plan decides nothing, it is
+//!   only a hint. The skip list ignores it at one level, as the lazy
+//!   list: with no index to descend, a plan could only repeat the
+//!   frontier's walk.
 //!
 //! ## Hint retention rules
 //!

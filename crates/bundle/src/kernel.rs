@@ -138,8 +138,8 @@ pub fn key_value<S: TwoPhase>(node: &S::Node) -> (S::Key, S::Value) {
 }
 
 /// The snapshot half of a chain's range query (Algorithm 3 from its entry
-/// on), written once for both chains — the lazy list and the skip list's
-/// data layer: from `entry`, take every step through `hop` (the node's
+/// on; the chain is the skip list's data layer, which at one level is the
+/// lazy list): from `entry`, take every step through `hop` (the node's
 /// bundle, dereferenced at the snapshot), skip the nodes below `low` and
 /// visit those up to `high`; `tail` ends the chain. `None` = a hop found no
 /// entry, so an `entry` reached over the newest pointers is newer than the

@@ -75,9 +75,10 @@ impl std::fmt::Display for TxnValidateError {
 ///    value ([`Bundle::prepare`]),
 /// 2. the global timestamp is atomically advanced,
 /// 3. `lin` is executed — this is the operation's linearization point (for
-///    the lazy list: storing the predecessor's `newestNextPtr`; for the
-///    skip list: setting `fullyLinked`; for the removals: the logical
-///    delete flag),
+///    the paper's lazy list: storing the predecessor's `newestNextPtr`;
+///    for the skip list, and so for this repository's lazy list, its
+///    one-level instance: setting `fullyLinked`; for the removals: the
+///    logical delete flag),
 /// 4. all pending entries are finalized with the new timestamp.
 ///
 /// The caller must hold whatever structure-specific locks make the physical

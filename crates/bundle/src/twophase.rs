@@ -370,9 +370,9 @@ impl<K: Copy + Ord> StagedOutcomes<K> {
 /// between the walk reaching it and locking it).
 pub const MAX_VALIDATE_ATTEMPTS: usize = 8;
 
-/// Shared validate-phase walk over a *chain-shaped* level of a structure
-/// (the lazy list; the skip list's data layer): re-locate the range's gap
-/// predecessor, lock it and every in-range node (bounded `try_lock`
+/// Validate-phase walk over a *chain-shaped* level of a structure (the
+/// skip list's data layer, which at one level is the lazy list):
+/// re-locate the range's gap predecessor, lock it and every in-range node (bounded `try_lock`
 /// through `core`, so contention surfaces as
 /// [`TxnValidateError::Conflict`]), re-checking linkage under each lock,
 /// and compare the found `(key, node)` list against `expected` (the

@@ -4,12 +4,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
 use bundle::api::{ConcurrentSet, RangeQuerySet};
+use bundle::CachePadded;
 use ebr::{Collector, Guard, Link, ReclaimMode, Shared};
 
+use crate::bundled::random_level;
 use crate::MAX_LEVEL;
 
 struct Node<K, V> {
@@ -106,16 +107,6 @@ where
         (head, self.tail.load(Ordering::Relaxed, guard))
     }
 
-    fn random_level(&self, tid: usize) -> usize {
-        let slot = &self.seeds[tid % self.seeds.len()];
-        let mut x = slot.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        slot.store(x, Ordering::Relaxed);
-        ((x.trailing_ones()) as usize).min(MAX_LEVEL - 1)
-    }
-
     fn find<'g>(
         &self,
         key: &K,
@@ -183,7 +174,7 @@ where
 {
     fn insert(&self, tid: usize, key: K, value: V) -> bool {
         let guard = self.pin(tid);
-        let top = self.random_level(tid);
+        let top = random_level(&self.seeds, tid);
         let mut preds = [Shared::null(); MAX_LEVEL];
         let mut succs = [Shared::null(); MAX_LEVEL];
         loop {

@@ -310,6 +310,22 @@ fn range_query_at_respects_fixed_snapshot<S: TwoPhase<Key = u64, Value = u64>>()
     assert_eq!(scan_at(&s, 0, 0, 1000), vec![]);
 }
 
+fn figure1_snapshots_at_every_timestamp<S: TwoPhase<Key = u64, Value = u64>>() {
+    // Figure 1: insert(20), insert(30), insert(10), remove(20), one clock
+    // tick each. Every snapshot taken along the way stays readable.
+    let s = S::with_context(&RqContext::new(2));
+    assert!(s.insert(0, 20, 20));
+    assert!(s.insert(0, 30, 30));
+    assert!(s.insert(0, 10, 10));
+    assert!(s.remove(0, &20));
+    assert_eq!(s.context().read(), 4);
+    let keys_at: [&[u64]; 5] = [&[], &[20], &[20, 30], &[10, 20, 30], &[10, 30]];
+    for (ts, keys) in keys_at.into_iter().enumerate() {
+        let expected: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+        assert_eq!(scan_at(&s, ts as u64, 0, 100), expected, "ts {ts}");
+    }
+}
+
 fn shared_context_spans_structures<S: TwoPhase<Key = u64, Value = u64>>() {
     // Two structures on one context: updates interleave on one clock, and
     // a fixed-timestamp query over both sees one atomic cut.
@@ -716,6 +732,7 @@ conformance_suite!(
         cleanup_prunes_stale_bundle_entries,
         relaxed_clock_still_produces_consistent_ranges,
         range_query_at_respects_fixed_snapshot,
+        figure1_snapshots_at_every_timestamp,
         shared_context_spans_structures,
         txn_commit_is_atomic_under_a_fixed_snapshot,
         txn_abort_restores_structure_and_snapshots,
